@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .model import ModelParams, validate
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _fmt(x):
@@ -121,6 +122,11 @@ def _eigen_row(item):
     gap = r2.eigenvalue - r1.eigenvalue
     ref = 3.0 * math.pi**2 / D**2
     excess = gap - ref
+    # V is constant exactly when (n-1)(n-3)K = 0; the excess is then noise
+    if (n - 1) * (n - 3) * K == 0:
+        side = "flat"
+    else:
+        side = "below" if excess < 0 else "above"
     return {
         "n": n,
         "K": float(K),
@@ -129,7 +135,7 @@ def _eigen_row(item):
         "lambda2": r2.eigenvalue,
         "gap": gap,
         "excess": excess,
-        "side": "below" if excess < 0 else "above",
+        "side": side,
         "method": method,
         "error_estimate": max(r1.error_estimate, r2.error_estimate),
     }
@@ -431,9 +437,27 @@ def build_parser():
     return p
 
 
+def _attach_negative_values(argv):
+    """Join ['--K', '-1,1'] into ['--K=-1,1'].
+
+    argparse takes a token that starts with '-' for an option unless it is
+    a single number, so a list or range with a negative head would not
+    parse.  No option of this CLI starts with '-' and a digit or '.'.
+    """
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-[\d.]", tok)):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except (DomainError, PoleError, HypothesisError) as exc:

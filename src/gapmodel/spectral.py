@@ -4,12 +4,20 @@ The primary route shoots the oscillation angle of the Schrödinger normal form
 
     theta' = cos^2(theta) + (lam - V(z)) sin^2(theta),  theta(-D/2) = 0,
 
-whose end value is strictly increasing in lam and hits index*pi exactly at
-the index-th Dirichlet eigenvalue.  The cross-check route discretizes the
-same operator with second-order central differences and locates eigenvalues
-by Sturm pivot counting on the tridiagonal matrix, then Richardson-
-extrapolates across a grid doubling.  The two routes share no integration
-machinery, which is the point: their agreement is evidence, not tautology.
+whose value at each z > -D/2 is strictly increasing in lam.  V is even, so
+the index-th eigenfunction has parity (-1)^(index-1), and the condition
+theta(D/2) = index*pi is the same as the midpoint condition
+theta(0) = index*pi/2.  Shooting therefore integrates only [-D/2, 0],
+inward from the endpoint, and matches at z = 0.  Brent's method finds the
+root inside the Sturm-comparison bracket: cs^2 is monotone on [0, D/2], so
+V takes its extremes at z = 0 and z = D/2, and min-max puts the index-th
+eigenvalue within [min V, max V] + (index pi / D)^2.
+
+The cross-check route discretizes the same operator with second-order
+central differences and locates eigenvalues by Sturm pivot counting on the
+tridiagonal matrix, then Richardson-extrapolates across a grid doubling.
+The two routes share no integration machinery, which is the point: their
+agreement is evidence, not tautology.
 
 Also here: the same shooting applied to the first-order form (with the
 drift term, no gauge), an arbitrary-precision variant of the half-interval
@@ -22,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
+from scipy.optimize import brentq
 
 from .errors import DomainError, GapModelError, NonConvergenceError
 from .kernels import tn
@@ -51,14 +60,8 @@ def _check_index(index):
         raise DomainError(f"index must be 1 or 2, got {index}")
 
 
-def _potential_range(params, samples=512):
-    z = np.linspace(-params.half, params.half, samples)
-    v = potential_array(z, params)
-    return float(np.min(v)), float(np.max(v))
-
-
-def _angle_end(lam, params, form):
-    half = params.half
+def _angle_mid(lam, params, form, tol=_ODE_TOL):
+    """Prüfer angle at the midpoint z = 0, shot from theta(-D/2) = 0."""
     if form == "normal":
 
         def rhs(z, y):
@@ -76,8 +79,8 @@ def _angle_end(lam, params, form):
             c = math.cos(th)
             return [c * c + lam * s * s - (n - 1) * tn(z, K) * s * c]
 
-    sol = solve_ivp(rhs, (-half, half), [0.0], method="DOP853",
-                    rtol=_ODE_TOL, atol=_ODE_TOL)
+    sol = solve_ivp(rhs, (-params.half, 0.0), [0.0], method="DOP853",
+                    rtol=tol, atol=tol)
     if not sol.success:
         raise NonConvergenceError(f"angle integration failed: {sol.message}")
     return float(sol.y[0, -1])
@@ -110,55 +113,71 @@ def _count_interior_nodes(values):
     return int(np.sum(v[:-1] * v[1:] < 0))
 
 
-def eigen_shoot(params, index, form="normal", n_samples=1001):
-    """Index-th Dirichlet eigenvalue by monotone angle shooting.
+def _shoot_error(lam, evals, tight):
+    """Final sign-change bracket width plus the angle noise over the slope.
 
-    Bisection on the end angle down to a tight bracket, then a few secant
-    steps to polish; relative accuracy comfortably below 1e-10.  The result
-    carries the eigenfunction (sup-normalized), its interior node count,
-    and the parity defect sup|y(z) -+ y(-z)| / sup|y| (even for index 1,
-    odd for index 2), which is a solver cross-check rather than an input.
+    evals maps each shot lam to theta(0; lam) - target, and tight is that
+    value at the root under a ten times tighter ODE tolerance.  The noise
+    in theta(0) is twice their difference plus _ODE_TOL.  The slope is the
+    secant to the nearest shot whose angle differs by well over the noise,
+    so that neither the noise nor the curvature of theta(0; lam) sways it.
+    """
+    a = max(x for x, gx in evals.items() if gx <= 0)
+    b = min(x for x, gx in evals.items() if gx >= 0)
+    g0 = evals[lam]
+    noise = 2.0 * abs(g0 - tight) + _ODE_TOL
+    near = sorted(evals, key=lambda x: abs(x - lam))
+    x1 = next((x for x in near if abs(evals[x] - g0) > 1e3 * noise), near[-1])
+    slope = (evals[x1] - g0) / (x1 - lam)
+    return (b - a) + noise / slope
+
+
+def eigen_shoot(params, index, form="normal", n_samples=1001):
+    """Index-th Dirichlet eigenvalue by monotone angle shooting to the midpoint.
+
+    Brent's method on theta(0; lam) = index * pi / 2 inside the comparison
+    bracket [min V, max V] + (index pi / D)^2, padded by 1e-9 of its scale,
+    to 1e-14 max(|lam|, (pi / D)^2).  error_estimate is the width of the final
+    sign-change bracket plus the ODE noise in theta(0) divided by the
+    measured slope d theta(0) / d lam; the noise is measured by one more
+    shot at the root under a ten times tighter tolerance.  Over the tested
+    grid and near the cap it bounds the error against mpmath collocation
+    and stays below 1e-9 max(|lam|, (pi / D)^2).
+
+    The result carries the eigenfunction (sup-normalized, shot across the
+    whole interval), its interior node count, and the parity defect
+    sup|y(z) -+ y(-z)| / sup|y| (even for index 1, odd for index 2); both
+    check the parity the midpoint condition assumes rather than feed it.
     """
     params = _as_params(params)
     validate(params)
     _check_index(index)
     if form not in ("normal", "direct"):
         raise DomainError(f"form must be 'normal' or 'direct', got {form}")
-    vmin, vmax = _potential_range(params)
-    target = index * math.pi
-    lo = vmin
-    hi = vmax + ((index + 1) * math.pi / params.D) ** 2
-    g_lo = _angle_end(lo, params, form) - target
-    g_hi = _angle_end(hi, params, form) - target
-    if g_lo >= 0 or g_hi <= 0:
+    # cs^2 is monotone on [0, D/2], so V takes its extremes at z = 0 and D/2
+    v_mid = potential(0.0, params)
+    v_end = potential(params.half, params)
+    base = (index * math.pi / params.D) ** 2
+    lo = min(v_mid, v_end) + base
+    hi = max(v_mid, v_end) + base
+    scale = max(abs(lo), abs(hi), (math.pi / params.D) ** 2)
+    lo -= 1e-9 * scale
+    hi += 1e-9 * scale
+    target = 0.5 * index * math.pi
+    evals = {}
+
+    def g(lam):
+        evals[lam] = _angle_mid(lam, params, form) - target
+        return evals[lam]
+
+    if g(lo) >= 0 or g(hi) <= 0:
         raise NonConvergenceError(
-            f"initial bracket [{lo:.6g}, {hi:.6g}] does not straddle the "
+            f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle the "
             f"index-{index} angle target"
         )
-    steps = 0
-    while hi - lo > 1e-6 * max(1.0, abs(lo) + abs(hi)):
-        if steps >= 200:
-            raise NonConvergenceError("bisection budget of 200 steps exhausted")
-        mid = 0.5 * (lo + hi)
-        if _angle_end(mid, params, form) - target > 0:
-            hi = mid
-        else:
-            lo = mid
-        steps += 1
-    # secant polish from the bisection bracket
-    a, b = lo, hi
-    ga = _angle_end(a, params, form) - target
-    gb = _angle_end(b, params, form) - target
-    for _ in range(8):
-        if gb == ga:
-            break
-        c = b - gb * (b - a) / (gb - ga)
-        gc = _angle_end(c, params, form) - target
-        a, ga, b, gb = b, gb, c, gc
-        if abs(b - a) <= 1e-14 * max(1.0, abs(b)):
-            break
-    lam = b
-    err = max(abs(b - a), 1e-13 * max(1.0, abs(lam)))
+    lam = brentq(g, lo, hi, xtol=1e-14 * (math.pi / params.D) ** 2, rtol=1e-14)
+    tight = _angle_mid(lam, params, form, tol=0.1 * _ODE_TOL) - target
+    err = _shoot_error(lam, evals, tight)
     gf = _shoot_eigenfunction(lam, params, form, n_samples)
     nodes = _count_interior_nodes(gf.values)
     expected = index - 1
@@ -339,8 +358,6 @@ def ball_first_eigen(n, D):
             break
     else:
         raise NonConvergenceError("no sign change while expanding the bracket")
-    from scipy.optimize import brentq
-
     lam = brentq(end_value, hi / 1.5, hi, xtol=1e-13, rtol=8.9e-16)
     if lam < math.pi**2 / D**2 * (1 - 1e-12):
         raise GapModelError(

@@ -38,6 +38,29 @@ class TestParsing:
         with pytest.raises(DomainError):
             cli._parse_floats("0:1:0")
 
+    def test_negative_list_and_range_values(self, capsys):
+        code, joined, _ = run_main(
+            ["eigen", "--n", "2", "--K=-1,1", "--D", "1"], capsys
+        )
+        assert code == 0
+        assert [r["K"] for r in parse_csv(joined)] == ["-1", "1"]
+        code, spaced, err = run_main(
+            ["eigen", "--n", "2", "--K", "-1,1", "--D", "1"], capsys
+        )
+        assert code == 0, err
+        assert spaced == joined
+        code, out, err = run_main(
+            ["eigen", "--n", "3", "--K", "-4:4:3", "--D", "1"], capsys
+        )
+        assert code == 0, err
+        assert [r["K"] for r in parse_csv(out)] == ["-4", "0", "4"]
+        # a negative diameter list now reaches validation instead of argparse
+        code, out, err = run_main(
+            ["eigen", "--n", "2", "--K", "1", "--D", "-1,1"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "invalid parameter triples" in err
+
     def test_float_rendering_round_trips(self, capsys):
         code, out, _ = run_main(
             ["eigen", "--n", "2", "--K", "0.7", "--D", "1.3"], capsys
@@ -75,6 +98,19 @@ class TestEigen:
         sides = {r["n"]: r["side"] for r in rows}
         assert sides == {"2": "below", "5": "above"}
 
+    def test_flat_side_column(self, capsys):
+        # (n-1)(n-3)K = 0 makes V constant and the gap exactly flat
+        code, out, _ = run_main(
+            ["eigen", "--n", "1,3,4", "--K", "0,0.5", "--D", "1"], capsys
+        )
+        assert code == 0
+        sides = {(r["n"], r["K"]): r["side"] for r in parse_csv(out)}
+        assert sides == {
+            ("1", "0"): "flat", ("1", "0.5"): "flat",
+            ("3", "0"): "flat", ("3", "0.5"): "flat",
+            ("4", "0"): "flat", ("4", "0.5"): "above",
+        }
+
     def test_determinism_and_jobs(self, capsys):
         argv = ["eigen", "--n", "2,3", "--K", "0,0.8", "--D", "1.1"]
         code1, out1, _ = run_main(argv, capsys)
@@ -92,7 +128,7 @@ class TestEigen:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["command"] == "eigen"
         (row,) = doc["rows"]
         # n = 3 shifts both levels equally, so the gap is exactly flat

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gapmodel import spectral
 from gapmodel.errors import DomainError
 from gapmodel.model import ModelParams
 from gapmodel.spectral import (
@@ -20,6 +21,20 @@ from conftest import random_valid_pair
 # cross-checking shooting, finite differences, and the series evaluation
 LAM_2_1_1 = (9.3609783265589801, 38.959471448602002)
 LAM_5_1_1 = (7.9385143136274632, 37.629888094700817)
+
+# (lambda1, lambda2) by Chebyshev collocation of -psi'' + V psi in 26- to
+# 30-digit mpmath arithmetic, each eigenvalue by shifted inverse iteration
+# from a float64 collocation seed.  Two sizes per triple agree to 1e-20 or
+# better: N = 48 and 64 for (5, 1, 1) and (2, -9.5, 1), 64 and 96 for
+# (8, 12, 0.5), 160 and 224 near the cap.
+COLLOCATION = {
+    (5, 1.0, 1.0): (7.9385143136328941509, 37.629888094738409082),
+    (2, -9.5, 1.0): (14.114240133761443819, 43.249414540070079798),
+    (8, 12.0, 0.5): (9.0231622834100113463, 142.9811194091127088),
+    (8, 9.4, 1.0): (3.6044358000115073328e-7, 75.200003237025960402),
+    (7, 9.5, 1.0): (2.2301949248333583958e-6, 66.500017815309071824),
+    (8, 2.375, 2.0): (2.133053953379417706e-8, 19.000000191720875352),
+}
 
 
 class TestShoot:
@@ -62,6 +77,46 @@ class TestShoot:
     def test_index_validation(self):
         with pytest.raises(DomainError):
             eigen_shoot((2, 1.0, 1.0), 3)
+
+
+class TestErrorEstimate:
+    """error_estimate bounds the error and stays below 1e-9 max(|lam|, (pi/D)^2)."""
+
+    @staticmethod
+    def reference(n, K, D, idx):
+        if (n - 1) * (n - 3) * K == 0:
+            # constant potential -K (n = 3) or 0: closed forms
+            return (idx * math.pi / D) ** 2 - (K if n == 3 else 0.0)
+        return COLLOCATION[(n, K, D)][idx - 1]
+
+    @pytest.mark.parametrize("triple", [
+        (5, 1.0, 1.0), (2, -9.5, 1.0), (8, 12.0, 0.5), (3, -8.0, 0.5),
+        (6, 0.0, 2.0),
+        # near the cap, K D^2 = 9.4, 9.5, 9.5
+        (8, 9.4, 1.0), (7, 9.5, 1.0), (8, 2.375, 2.0),
+    ], ids=str)
+    def test_bounds_observed_error(self, triple):
+        n, K, D = triple
+        for idx in (1, 2):
+            r = eigen_shoot(triple, idx)
+            ref = self.reference(n, K, D, idx)
+            assert abs(r.eigenvalue - ref) <= r.error_estimate
+            assert r.error_estimate <= 1e-9 * max(abs(ref), (math.pi / D) ** 2)
+
+    def test_solve_count(self, monkeypatch):
+        solves = []
+        real = spectral.solve_ivp
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "solve_ivp", counting)
+        for idx in (1, 2):
+            solves.clear()
+            eigen_shoot((5, 1.0, 1.0), idx)
+            # angle shots, the tighter noise shot and the eigenfunction
+            assert len(solves) <= 12
 
 
 class TestFiniteDifference:
