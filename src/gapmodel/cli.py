@@ -15,7 +15,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import bounds as bounds_mod
 from . import flow as flow_mod
@@ -225,15 +224,6 @@ def cmd_series(args):
 # -- pruefer ----------------------------------------------------------------
 
 
-def _euclid_ck(k, D):
-    """Closed-form flat-space Robin constant: nu tan(nu D/2) = k."""
-    lo = 1e-12
-    hi = math.pi / D * (1.0 - 1e-12)
-    g = lambda nu: nu * math.tan(nu * D / 2.0) - k
-    nu = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return nu * nu - math.pi**2 / D**2
-
-
 def _pruefer_row(item):
     k, n, K, D = item
     params = ModelParams(n, K, D)
@@ -241,8 +231,7 @@ def _pruefer_row(item):
         report = pruefer_mod.robin_boundary_report(k, params)
     except BracketError as exc:
         raise BracketError(
-            f"no Robin constant bracket for k={k} (below the existence "
-            f"threshold for n={n}, K={K}, D={D}): {exc}"
+            f"Robin constant solve failed for k={k} at n={n}, K={K}, D={D}: {exc}"
         ) from exc
     ck = report["c_k"]
     left = pruefer_mod.psi_left(ck, params)
@@ -261,7 +250,7 @@ def _pruefer_row(item):
         "dphi_right_defect": report["dphi_right_defect"],
         "dphi_left_defect": report["dphi_left_defect"],
         "branch_agreement": agreement,
-        "c_k_flat_closed_form": _euclid_ck(k, D) if K == 0.0 else None,
+        "c_k_flat_closed_form": pruefer_mod.flat_ck(k, D) if K == 0.0 else None,
     }
     return row
 
@@ -283,6 +272,18 @@ def cmd_pruefer(args):
 # -- flow -----------------------------------------------------------------
 
 
+def _pick_snapshots(history, snap_times):
+    """The first recorded (t, values) with t >= each snapshot time, in order."""
+    picked, i = [], 0
+    for ts in snap_times:
+        while i < len(history) and history[i][0] < ts:
+            i += 1
+        if i == len(history):
+            break
+        picked.append(history[i])
+    return picked
+
+
 def cmd_flow(args):
     triples = _collect_triples(args)
     if len(triples) != 1:
@@ -290,13 +291,26 @@ def cmd_flow(args):
     n, K, D = triples[0]
     params = ModelParams(n, K, D)
     k = float(args.k)
+    ck = pruefer_mod.find_ck(k, params)
     if args.s is not None:
         s = float(args.s)
     else:
-        s = 1.01 * pruefer_mod.threshold_s(k, params)
-    state = flow_mod.initial_supersolution(k, s, params, mesh_tol=args.mesh_tol)
+        s = 1.01 * pruefer_mod.threshold_s(k, params, ck=ck)
+    state = flow_mod.initial_supersolution(
+        k, s, params, mesh_tol=args.mesh_tol, ck=ck
+    )
+    # the plot keeps every stride-th node of the first snapshot-worthy steps;
+    # snapshot times depend on the run's length, so the strided values of
+    # every step are kept until the run ends
+    stride = max(1, len(state.psi.z) // 2000)
+    history = []
+
+    def record(t, values):
+        history.append((t, values[::stride].copy()))
+
     run = flow_mod.flow_to_stationary(
-        state, k, params, tol=args.tol, t_max=args.t_max
+        state, k, params, tol=args.tol, t_max=args.t_max, ck=ck,
+        on_step=record if args.emit_plot else None,
     )
     lines = ["t,distance,residual"]
     for t, d, r in run.rows():
@@ -309,19 +323,12 @@ def cmd_flow(args):
             snap_times = np.geomspace(t1, times[-1], args.snapshots)
         else:
             snap_times = np.array([0.0])
-        state2 = flow_mod.initial_supersolution(
-            k, s, params, mesh_tol=args.mesh_tol
-        )
-        run2 = flow_mod.flow_to_stationary(
-            state2, k, params, tol=args.tol, t_max=args.t_max,
-            snapshot_times=snap_times,
-        )
-        z = run2.state.psi.z
-        stride = max(1, len(z) // 2000)
+        z = state.psi.z[::stride]
+        snaps = [(0.0, state.psi.values[::stride])]
+        snaps += _pick_snapshots(history, snap_times)
         plot_lines = ["t,z,psi"]
-        snaps = [(0.0, state2.psi.values)] + list(run2.snapshots)
         for t, vals in snaps:
-            for zz, vv in zip(z[::stride], vals[::stride]):
+            for zz, vv in zip(z, vals):
                 plot_lines.append(f"{_fmt(t)},{_fmt(zz)},{_fmt(vv)}")
         with open(args.emit_plot, "w") as fh:
             fh.write("\n".join(plot_lines) + "\n")

@@ -205,10 +205,6 @@ class NPoly:
     def from_scalar(cls, v):
         return cls({0: v})
 
-    @classmethod
-    def n_symbol(cls):
-        return cls({1: 1})
-
     def is_zero(self):
         return not self.c
 

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .kernels import cs_array, tn_array
 from .model import GridFunction, ModelParams, validate
-from .pruefer import find_ck, psi_left, supersolution, threshold_s
+from .pruefer import find_ck, psi_left, supersolution
 
 __all__ = [
     "FlowState",
@@ -201,17 +201,28 @@ def stationary_reference(k, params, z, ck=None):
 # -- time stepping ------------------------------------------------------------
 
 
+def _advective_dt(D, a):
+    """Advection-limited step 0.02 D^2 / (1 + 0.05 D sup|a|) for coefficient a."""
+    amax = float(np.max(np.abs(a)))
+    return 0.02 * D**2 / (1.0 + 0.05 * D * amax)
+
+
 def default_dt(state):
     """Advection-limited step: 0.02 D^2 / (1 + 0.05 D sup|2 psi - 2 tn|)."""
     params = state.params
     z, v = state.psi.z, state.psi.values
-    tnv = tn_array(z, params.K)
-    amax = float(np.max(np.abs(2.0 * v - 2.0 * tnv)))
-    return 0.02 * params.D**2 / (1.0 + 0.05 * params.D * amax)
+    return _advective_dt(params.D, 2.0 * v - 2.0 * tn_array(z, params.K))
 
 
 class _Workspace:
-    """Per-grid arrays shared across steps of one run."""
+    """Per-grid arrays shared across steps of one run.
+
+    The stencil derivative d1 of the current values is passed in rather than
+    recomputed, so a run evaluates it once per step and shares it between
+    the step's residual, its Jacobian and the Riccati defect.  The band
+    matrix and right-hand side of the implicit solve are allocated once;
+    their boundary rows never change.
+    """
 
     def __init__(self, z, params, lam):
         self.z = z
@@ -221,6 +232,10 @@ class _Workspace:
         self.cs2_int = cs_array(z[1:-1], params.K) ** 2
         self.lam = lam
         self.n = len(z)
+        self.ab = np.zeros((3, self.n))
+        self.ab[1, 0] = 1.0
+        self.ab[1, -1] = 1.0
+        self.rhs = np.zeros(self.n)
 
     def d1(self, v):
         return self.c_m * v[:-2] + self.c_0 * v[1:-1] + self.c_p * v[2:]
@@ -228,47 +243,49 @@ class _Workspace:
     def d2(self, v):
         return self.d_m * v[:-2] + self.d_0 * v[1:-1] + self.d_p * v[2:]
 
-    def residual(self, v):
+    def residual(self, v, d1):
         """Interior residual of the stationary equation for current values."""
-        d1 = self.d1(v)
         return self.d2(v) + 2.0 * v[1:-1] * d1 - 2.0 * self.tn_int * (
             d1 + v[1:-1] ** 2 + self.lam
         )
 
-    def jacobian(self, v):
+    def jacobian(self, v, d1):
         """Tridiagonal Jacobian bands of the interior residual."""
         vi = v[1:-1]
-        d1 = self.d1(v)
         a = 2.0 * vi - 2.0 * self.tn_int
         Jm = self.d_m + a * self.c_m
         J0 = self.d_0 + a * self.c_0 + 2.0 * d1 - 4.0 * self.tn_int * vi
         Jp = self.d_p + a * self.c_p
         return Jm, J0, Jp
 
-    def step(self, v, dt):
+    def riccati(self, v, d1, ck):
+        """Largest |psi' + psi^2 + pi^2/D^2 + c_k/cs^2| / (1 + psi^2) inside."""
+        res = d1 + v[1:-1] ** 2 + self.lam + ck / self.cs2_int
+        return float(np.max(np.abs(res) / (1.0 + v[1:-1] ** 2)))
+
+    def solve(self, dt, F, bands):
+        """delta with (I - dt J) delta = dt F inside, delta = 0 at both ends."""
+        Jm, J0, Jp = bands
+        ab = self.ab
+        ab[1, 1:-1] = 1.0 - dt * J0
+        ab[0, 2:] = -dt * Jp
+        ab[2, :-2] = -dt * Jm
+        self.rhs[1:-1] = dt * F
+        delta = solve_banded((1, 1), ab, self.rhs)
+        if not np.all(np.isfinite(delta)):
+            raise StabilityError("implicit solve produced non-finite values")
+        return delta
+
+    def step(self, v, dt, d1):
         """Linearized implicit Euler: solve (I - dt J) delta = dt F, add delta.
 
         Freezing only the advection coefficient leaves the 2 psi' part of
         the Jacobian explicit, and inside the layer that term is of order
         k^2; taking the whole Jacobian implicit keeps the step stable at
         advection-limited dt and makes the exact discrete stationary state
-        a fixed point.
+        a fixed point.  d1 is self.d1(v).
         """
-        n = self.n
-        F = self.residual(v)
-        Jm, J0, Jp = self.jacobian(v)
-        ab = np.zeros((3, n))
-        ab[1, 0] = 1.0
-        ab[1, -1] = 1.0
-        ab[1, 1:-1] = 1.0 - dt * J0
-        ab[0, 2:] = -dt * Jp
-        ab[2, :-2] = -dt * Jm
-        rhs = np.zeros(n)
-        rhs[1:-1] = dt * F
-        delta = solve_banded((1, 1), ab, rhs)
-        if not np.all(np.isfinite(delta)):
-            raise StabilityError("implicit solve produced non-finite values")
-        return v + delta
+        return v + self.solve(dt, self.residual(v, d1), self.jacobian(v, d1))
 
 
 def _project(v, k):
@@ -295,7 +312,7 @@ def flow_step(state, dt):
         raise DomainError(f"dt must be positive, got {dt}")
     ws = _Workspace(state.psi.z, state.params, state.lam)
     v = state.psi.values
-    out = ws.step(v, dt)
+    out = ws.step(v, dt, ws.d1(v))
     out[0] = v[0]
     out[-1] = v[-1]
     out = _project(out, state.k)
@@ -325,9 +342,7 @@ def riccati_residual(state, ck=None):
         ck = find_ck(state.k, params)
     ws = _Workspace(state.psi.z, params, state.lam)
     v = state.psi.values
-    d1 = ws.d1(v)
-    res = d1 + v[1:-1] ** 2 + state.lam + ck / ws.cs2_int
-    return float(np.max(np.abs(res) / (1.0 + v[1:-1] ** 2)))
+    return ws.riccati(v, ws.d1(v), ck)
 
 
 @dataclass(frozen=True)
@@ -347,15 +362,17 @@ class FlowRun:
 
 
 def flow_to_stationary(
-    initial, k, params, tol=1e-6, dt=None, t_max=None, ck=None, snapshot_times=None
+    initial, k, params, tol=1e-6, dt=None, t_max=None, ck=None, snapshot_times=None,
+    on_step=None,
 ):
     """Evolve until the sup distance to (log phi)' on the grid is <= tol.
 
     initial is a GridFunction (or FlowState) satisfying the boundary data.
     Returns a FlowRun whose trajectory records every step; snapshot_times
     (sorted) asks for copies of psi the first time t passes each entry.
-    Raises NonConvergenceError with the final distance if the time cap
-    50 D^2 is hit first.
+    on_step(t, values), if given, is called after every step; values is the
+    new state and must be copied to be kept.  Raises NonConvergenceError
+    with the final distance if the time cap 50 D^2 is hit first.
     """
     params = _as_params(params)
     if isinstance(initial, FlowState):
@@ -367,41 +384,38 @@ def flow_to_stationary(
     z = state.psi.z
     target, ck = stationary_reference(k, params, z, ck=ck)
     ws = _Workspace(z, params, state.lam)
-    cs2 = ws.cs2_int
 
     def dist(v):
         return float(np.max(np.abs(v - target)))
 
-    def resid(v):
-        d1 = ws.d1(v)
-        r = d1 + v[1:-1] ** 2 + state.lam + ck / cs2
-        return float(np.max(np.abs(r) / (1.0 + v[1:-1] ** 2)))
-
     v = state.psi.values
+    d1 = ws.d1(v)
     times = [state.t]
     dists = [dist(v)]
-    resids = [resid(v)]
+    resids = [ws.riccati(v, d1, ck)]
     max_uptick = 0.0
     t = state.t
     snaps = []
     pending = list(snapshot_times) if snapshot_times is not None else []
     while dists[-1] > tol and t < t_max:
         if dt is None:
-            amax = float(np.max(np.abs(2.0 * v - 2.0 * ws.tn_all)))
-            step_dt = 0.02 * params.D**2 / (1.0 + 0.05 * params.D * amax)
+            step_dt = _advective_dt(params.D, 2.0 * v - 2.0 * ws.tn_all)
         else:
             step_dt = dt
         step_dt = min(step_dt, t_max - t)
-        new = ws.step(v, step_dt)
+        new = ws.step(v, step_dt, d1)
         new[0] = v[0]
         new[-1] = v[-1]
         t += step_dt
         v = _project(new, k)
+        d1 = ws.d1(v)
         d = dist(v)
         max_uptick = max(max_uptick, d - dists[-1])
         times.append(t)
         dists.append(d)
-        resids.append(resid(v))
+        resids.append(ws.riccati(v, d1, ck))
+        if on_step is not None:
+            on_step(t, v)
         while pending and t >= pending[0]:
             snaps.append((t, v.copy()))
             pending.pop(0)
@@ -446,8 +460,9 @@ def discrete_stationary(k, params, z=None, initial=None, mesh_tol=DEFAULT_MESH_T
     n = len(z)
     prev = math.inf
     for _ in range(60):
-        F = ws.residual(v)
-        Jm, J0, Jp = ws.jacobian(v)
+        d1 = ws.d1(v)
+        F = ws.residual(v, d1)
+        Jm, J0, Jp = ws.jacobian(v, d1)
         ab = np.zeros((3, n - 2))
         ab[0, 1:] = Jp[:-1]
         ab[1, :] = J0
@@ -504,7 +519,6 @@ def comparison_check(u, v, params, k, T, dt=None, ck=None):
     slack = 1e-9 * max(1.0, k)
 
     def step(vals, dtau):
-        n = len(z)
         wi = vals[1:-1]
         d1 = ws.d1(vals)
         F = ws.d2(vals) + 2.0 * wi * d1 + a1 * d1 + a2 * wi - 2.0 * ws.tn_int * wi**2
@@ -512,18 +526,7 @@ def comparison_check(u, v, params, k, T, dt=None, ck=None):
         Jm = ws.d_m + a * ws.c_m
         J0 = ws.d_0 + a * ws.c_0 + 2.0 * d1 + a2 - 4.0 * ws.tn_int * wi
         Jp = ws.d_p + a * ws.c_p
-        ab = np.zeros((3, n))
-        ab[1, 0] = 1.0
-        ab[1, -1] = 1.0
-        ab[1, 1:-1] = 1.0 - dtau * J0
-        ab[0, 2:] = -dtau * Jp
-        ab[2, :-2] = -dtau * Jm
-        rhs = np.zeros(n)
-        rhs[1:-1] = dtau * F
-        delta = solve_banded((1, 1), ab, rhs)
-        if not np.all(np.isfinite(delta)):
-            raise StabilityError("comparison step produced non-finite values")
-        return vals + delta
+        return vals + ws.solve(dtau, F, (Jm, J0, Jp))
 
     uu = u.values.copy()
     vv = v.values.copy()
@@ -532,8 +535,7 @@ def comparison_check(u, v, params, k, T, dt=None, ck=None):
     worst = float(np.max(uu - vv))
     while t < T:
         if dt is None:
-            amax = float(np.max(np.abs(2.0 * uu + np.pad(a1, 1, mode="edge"))))
-            dtau = 0.02 * params.D**2 / (1.0 + 0.05 * params.D * amax)
+            dtau = _advective_dt(params.D, 2.0 * uu + np.pad(a1, 1, mode="edge"))
         else:
             dtau = dt
         dtau = min(dtau, T - t)

@@ -90,16 +90,6 @@ def model_rhs(s, phi, dphi, lam, params):
     return (params.n - 1) * tn(s, params.K) * dphi - lam * phi
 
 
-def direct_rhs(lam, params):
-    """First-order system for the direct form: y = (phi, phi')."""
-    n, K = params.n, params.K
-
-    def rhs(z, y):
-        return [y[1], (n - 1) * tn(z, K) * y[1] - lam * y[0]]
-
-    return rhs
-
-
 def normal_rhs(lam, params):
     """First-order system for the normal form: y = (psi, psi')."""
 

@@ -56,9 +56,6 @@ class PruferTrajectory:
     def q_at(self, z):
         return self._sol.sol(z)[0]
 
-    def r_at(self, z):
-        return np.exp(self._sol.sol(z)[1])
-
     def psi_at(self, z):
         return np.tan(self._sol.sol(z)[0])
 
@@ -272,6 +269,15 @@ def psi_right(k, c, params, allow_partial=False, n_samples=2001):
     )
 
 
+def flat_ck(k, D):
+    """Closed-form flat-space (K = 0) Robin constant: nu tan(nu D/2) = k."""
+    lo = 1e-12
+    hi = math.pi / D * (1.0 - 1e-12)
+    nu = brentq(lambda nu: nu * math.tan(nu * D / 2.0) - k, lo, hi,
+                xtol=1e-15, rtol=8.9e-16)
+    return nu * nu - math.pi**2 / D**2
+
+
 def _angle_at_right_end(c, params):
     traj = integrate_q(0.0, c, params, n_samples=2)
     return traj.q_at(params.half)
@@ -371,14 +377,15 @@ def robin_boundary_report(k, params):
     }
 
 
-def threshold_s(k, params):
+def threshold_s(k, params, ck=None):
     """Smallest s beyond which both decay rates below are real.
 
     Equals max(c_k + pi^2/D^2, -c_k - pi^2/D^2); the first entry is the
     positive one since c_k > -pi^2/D^2.
     """
     params = _as_params(params)
-    ck = find_ck(k, params)
+    if ck is None:
+        ck = find_ck(k, params)
     base = ck + math.pi**2 / params.D**2
     return max(base, -base)
 

@@ -12,10 +12,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from gapmodel import cli
+from gapmodel import cli, flow, pruefer
 from gapmodel.errors import DomainError
+from gapmodel.model import ModelParams
 
 
 def run_main(argv, capsys):
@@ -250,6 +252,59 @@ class TestFlow:
         for ln in plines[1:]:
             t, z, psi = map(float, ln.split(","))
             assert 0.0 <= z <= 0.5 and psi <= 1e-12
+
+    @pytest.mark.parametrize("plot", [False, True])
+    def test_one_robin_constant_and_one_run(self, plot, tmp_path, monkeypatch, capsys):
+        calls = {"find_ck": 0, "flow_to_stationary": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        find_ck = counting("find_ck", pruefer.find_ck)
+        monkeypatch.setattr(pruefer, "find_ck", find_ck)
+        monkeypatch.setattr(flow, "find_ck", find_ck)
+        monkeypatch.setattr(flow, "flow_to_stationary",
+                            counting("flow_to_stationary", flow.flow_to_stationary))
+        argv = ["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10"]
+        if plot:
+            argv += ["--emit-plot", str(tmp_path / "plot.csv")]
+        code, _, _ = run_main(argv, capsys)
+        assert code == 0
+        assert calls == {"find_ck": 1, "flow_to_stationary": 1}
+
+    def test_plot_matches_a_replayed_run(self, tmp_path, capsys):
+        # the snapshots taken from the one run equal those of a second run
+        # asked for them at the snapshot times the first run determines
+        n, K, D, k, count = 5, 1.0, 1.0, 40.0, 5
+        plot = tmp_path / "plot.csv"
+        code, _, _ = run_main(
+            ["flow", "--n", str(n), "--K", str(K), "--D", str(D), "--k", str(k),
+             "--emit-plot", str(plot), "--snapshots", str(count)],
+            capsys,
+        )
+        assert code == 0
+        params = ModelParams(n, K, D)
+        ck = pruefer.find_ck(k, params)
+        s = 1.01 * pruefer.threshold_s(k, params, ck=ck)
+        first = flow.flow_to_stationary(
+            flow.initial_supersolution(k, s, params, ck=ck), k, params, ck=ck
+        )
+        snap_times = np.geomspace(first.times[1], first.times[-1], count)
+        state = flow.initial_supersolution(k, s, params, ck=ck)
+        replay = flow.flow_to_stationary(
+            state, k, params, ck=ck, snapshot_times=snap_times
+        )
+        z = state.psi.z
+        stride = max(1, len(z) // 2000)
+        assert stride > 1
+        lines = ["t,z,psi"]
+        for t, vals in [(0.0, state.psi.values)] + list(replay.snapshots):
+            for zz, vv in zip(z[::stride], vals[::stride]):
+                lines.append(f"{cli._fmt(t)},{cli._fmt(zz)},{cli._fmt(vv)}")
+        assert plot.read_text() == "\n".join(lines) + "\n"
 
     def test_rejects_multiple_triples(self, capsys):
         code, out, err = run_main(
