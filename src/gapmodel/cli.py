@@ -7,6 +7,7 @@ parameters, 3 solver failure, 4 root bracketing failure.
 """
 
 import argparse
+import bisect
 import csv
 import json
 import math
@@ -273,15 +274,9 @@ def cmd_pruefer(args):
 
 
 def _pick_snapshots(history, snap_times):
-    """The first recorded (t, values) with t >= each snapshot time, in order."""
-    picked, i = [], 0
-    for ts in snap_times:
-        while i < len(history) and history[i][0] < ts:
-            i += 1
-        if i == len(history):
-            break
-        picked.append(history[i])
-    return picked
+    """For each snapshot time, the first recorded (t, values) with t >= it."""
+    times = [t for t, _ in history]
+    return [history[bisect.bisect_left(times, ts)] for ts in snap_times]
 
 
 def cmd_flow(args):
@@ -299,9 +294,8 @@ def cmd_flow(args):
     state = flow_mod.initial_supersolution(
         k, s, params, mesh_tol=args.mesh_tol, ck=ck
     )
-    # the plot keeps every stride-th node of the first snapshot-worthy steps;
-    # snapshot times depend on the run's length, so the strided values of
-    # every step are kept until the run ends
+    # snapshot times depend on the run's length, so the plot's strided
+    # values are kept for every step and picked once the run ends
     stride = max(1, len(state.psi.z) // 2000)
     history = []
 
@@ -317,15 +311,13 @@ def cmd_flow(args):
         lines.append(f"{_fmt(t)},{_fmt(d)},{_fmt(r)}")
     _emit("\n".join(lines) + "\n", args)
     if args.emit_plot:
-        times = run.times
-        if len(times) > 1:
-            t1 = max(times[1], 1e-12)
-            snap_times = np.geomspace(t1, times[-1], args.snapshots)
-        else:
-            snap_times = np.array([0.0])
-        z = state.psi.z[::stride]
         snaps = [(0.0, state.psi.values[::stride])]
-        snaps += _pick_snapshots(history, snap_times)
+        if history:
+            # geomspace ends exactly at the last step's time
+            t1 = max(run.times[1], 1e-12)
+            snap_times = np.geomspace(t1, run.times[-1], args.snapshots)
+            snaps += _pick_snapshots(history, snap_times)
+        z = state.psi.z[::stride]
         plot_lines = ["t,z,psi"]
         for t, vals in snaps:
             for zz, vv in zip(z, vals):

@@ -278,64 +278,58 @@ def flat_ck(k, D):
     return nu * nu - math.pi**2 / D**2
 
 
-def _angle_at_right_end(c, params):
-    traj = integrate_q(0.0, c, params, n_samples=2)
-    return traj.q_at(params.half)
+def _end_angle(c, params):
+    """q(D/2) shot from q(0) = 0, read off the last step (no dense output)."""
+    sol = solve_ivp(
+        _angle_rhs(c, params), (0.0, params.half), [0.0, 0.0],
+        method="DOP853", rtol=_ODE_TOL, atol=_ODE_TOL,
+    )
+    if not sol.success:
+        raise DomainError(f"angle integration failed: {sol.message}")
+    return float(sol.y[0, -1])
 
 
 def find_ck(k, params, angle_tol=1e-11):
     """Robin constant: the c < 0 with q(D/2, 0, c) = -pi/2 + arctan(1/k).
 
-    Strict monotonicity of the end angle in c turns this into a bracketed
-    root-find; the bracket [-4 pi^2/D^2, 0] is doubled up to 60 times if
-    needed.  BracketError means no sign change was found, i.e. k sits below
-    the existence threshold for these parameters.
+    The end angle falls strictly as c grows.  Since cs_K^2 lies between
+    cs_K(D/2)^2 and 1, comparing c / cs_K^2 with the flat coefficient puts
+    c_k between the closed-form flat constant c_flat and c_flat cs_K(D/2)^2,
+    so c_k exists for every k > 0.  Brent's method runs once inside that
+    bracket, padded by 1e-9 of its scale (at least (pi/D)^2, so the pad
+    outruns the ODE noise when K = 0 makes the bracket a point), to 1e-13
+    relative, where noise in the end angle starts to blur c.  BracketError
+    means the padded bracket does not straddle the root, or the end-angle
+    defect at the root exceeds angle_tol.
     """
     params = _as_params(params)
     validate(params)
     if not (k > 0):
         raise DomainError(f"k must be positive, got {k}")
     target = -_HALF_PI + math.atan(1.0 / float(k))
+    evals = {}
 
     def g(c):
-        return _angle_at_right_end(c, params) - target
+        # brentq re-evaluates the bracket ends; serve them from the cache
+        if c not in evals:
+            evals[c] = _end_angle(c, params) - target
+        return evals[c]
 
-    g_hi = g(0.0)
-    if g_hi == 0.0:
-        return 0.0
-    c_lo = -4.0 * math.pi**2 / params.D**2
-    g_lo = g(c_lo)
-    doublings = 0
-    while g_lo * g_hi > 0 and doublings < 60:
-        c_lo *= 2.0
-        g_lo = g(c_lo)
-        doublings += 1
-    if g_lo * g_hi > 0:
+    c_flat = flat_ck(k, params.D)
+    c_comp = c_flat * cs(params.half, params.K) ** 2
+    lo, hi = min(c_flat, c_comp), max(c_flat, c_comp)
+    xtol = 1e-13 * min(abs(lo), abs(hi))
+    pad = 1e-9 * max(abs(lo), abs(hi), (math.pi / params.D) ** 2)
+    lo -= pad
+    hi += pad
+    if not g(lo) > 0.0 > g(hi):
         raise BracketError(
-            f"no sign change for c in [{c_lo:.6g}, 0] after {doublings} doublings; "
-            f"k = {k} appears to lie below the existence threshold"
+            f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle c_k for k = {k}"
         )
-    c = brentq(g, c_lo, 0.0, xtol=1e-13 * max(1.0, abs(c_lo)), rtol=8.9e-16)
-    # polish the angle itself: a couple of secant steps push the end-angle
-    # defect to the integration noise floor, which keeps the right-end
-    # boundary conditions sharp even for large k
+    c = brentq(g, lo, hi, xtol=xtol, rtol=1e-13)
     gc = g(c)
-    dc = 1e-9 * max(1.0, abs(c))
-    for _ in range(8):
-        if abs(gc) <= min(angle_tol, 1e-12):
-            break
-        g2 = g(c + dc)
-        slope = (g2 - gc) / dc
-        if slope == 0.0:
-            break
-        step = -gc / slope
-        c += step
-        gc = g(c)
-        dc = max(abs(step) * 0.1, 1e-15 * max(1.0, abs(c)))
     if abs(gc) > angle_tol:
-        raise BracketError(
-            f"end-angle defect {abs(gc):.3e} exceeds {angle_tol} after polishing"
-        )
+        raise BracketError(f"end-angle defect {abs(gc):.3e} exceeds {angle_tol}")
     return float(c)
 
 

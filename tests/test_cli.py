@@ -304,7 +304,13 @@ class TestFlow:
         for t, vals in [(0.0, state.psi.values)] + list(replay.snapshots):
             for zz, vv in zip(z[::stride], vals[::stride]):
                 lines.append(f"{cli._fmt(t)},{cli._fmt(zz)},{cli._fmt(vv)}")
-        assert plot.read_text() == "\n".join(lines) + "\n"
+        got = plot.read_text()
+        # a plain bool keeps pytest from diffing two ~10^4-line texts
+        same = got == "\n".join(lines) + "\n"
+        got_lines = got.split("\n")
+        first = next((i for i, (a, b) in enumerate(zip(got_lines, lines)) if a != b),
+                     min(len(got_lines), len(lines)))
+        assert same, f"plot differs from line {first} on"
 
     def test_rejects_multiple_triples(self, capsys):
         code, out, err = run_main(

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from gapmodel.errors import DomainError, HypothesisError
+from gapmodel import pruefer
+from gapmodel.errors import BracketError, DomainError, HypothesisError
 from gapmodel.model import ModelParams
 from gapmodel.pruefer import (
     find_ck,
@@ -58,6 +59,44 @@ class TestRobinConstant:
     def test_frozen_value(self):
         p = ModelParams(n=2, K=0.5, D=1.0)
         assert find_ck(10.0, p) == pytest.approx(-2.8973622366079987, rel=1e-11)
+
+
+# c_k at (n, K, D, k) to 30 digits: mpmath Taylor integration (odefun, 40
+# digits) of phi'' = -(pi^2/D^2 + c/cs_K^2) phi from phi(0) = 1, phi'(0) = 0,
+# with the root of phi'(D/2) + k phi(D/2) = 0 found between c_flat and
+# c_flat cs_K(D/2)^2; the K = 0 entry is nu^2 - pi^2/D^2 with nu tan(nu D/2) = k.
+# A rerun at 55 digits agrees to the digits shown.
+CK_30 = {
+    (5, 2.0, 1.0, 40.0): "-0.847009870977455526774018679249",
+    (5, 2.8, 1.0, 300.0): "-0.117430384681325758077971321342",
+    (2, 0.0, 0.5, 313.0): "-0.989887781676945045543287277594",
+    (5, -4.0, 1.0, 20.0): "-1.95043547709573070719835981702",
+}
+
+
+class TestRobinConstantSolve:
+    @pytest.mark.parametrize("n,K,D,k", list(CK_30))
+    def test_high_precision_oracle(self, n, K, D, k):
+        c = find_ck(k, ModelParams(n, K, D))
+        assert c == pytest.approx(float(CK_30[n, K, D, k]), rel=1e-11)
+
+    @pytest.mark.parametrize("n,K,D,k", list(CK_30))
+    def test_angle_solves(self, n, K, D, k, monkeypatch):
+        # one Brent solve inside the comparison bracket, ends included
+        solves = [0]
+        solve_ivp = pruefer.solve_ivp
+
+        def counting(*args, **kwargs):
+            solves[0] += 1
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(pruefer, "solve_ivp", counting)
+        find_ck(k, ModelParams(n, K, D))
+        assert solves[0] <= 8
+
+    def test_angle_check_is_a_bracket_error(self):
+        with pytest.raises(BracketError, match="end-angle defect"):
+            find_ck(40.0, ModelParams(5, 2.0, 1.0), angle_tol=1e-30)
 
 
 class TestBranches:
