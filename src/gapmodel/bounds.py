@@ -1,10 +1,12 @@
-"""Closed-form eigenvalue bounds for positive curvature.
+"""Closed-form eigenvalue bounds.
 
 Upper bounds come from the Rayleigh quotient of the normal form with the
 flat-model test functions cos(pi x/D) and sin(2 pi x/D); the potential term
-reduces to a single quadrature of sec^2(sqrt(K) x) against the squared test
-function.  Lower bounds come from the comparison sec^2 >= 1, which needs
-n >= 3 to keep the inequality pointing the right way.
+reduces to a single quadrature of cs_K(x)^-2 against the squared test
+function.  V is even, so min-max on each parity class makes these upper
+bounds for every K; shooting uses them to cap its brackets.  Lower bounds
+come from the comparison sec^2 >= 1, which needs K > 0 and n >= 3 to keep
+the inequality pointing the right way.
 
 For n = 2 there are explicit quartic-in-K upper bounds obtained by feeding
 the minorant sec^2 t >= 1 + t^2 + 2 t^4 / 3 into the same Rayleigh quotient
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 
 from .errors import HypothesisError, OrderingViolation
+from .kernels import cs
 from .model import ModelParams, validate
 
 
@@ -34,11 +37,11 @@ class BoundReport:
     upper_method: str
 
 
-def _require(params, index, need_n3=False):
+def _require(params, index, need_n3=False, need_K_positive=True):
     validate(params)
     if index not in (1, 2):
         raise HypothesisError(f"index must be 1 or 2, got {index}")
-    if not (params.K > 0):
+    if need_K_positive and not (params.K > 0):
         raise HypothesisError(f"bounds require K > 0, got K = {params.K}")
     if need_n3 and params.n < 3:
         raise HypothesisError(
@@ -57,24 +60,24 @@ def lambda_upper_rayleigh(params, index):
     """Rayleigh upper bound with the flat test function of the given index.
 
     (index pi/D)^2 - (n-1)^2 K/4 + ((n-1)(n-3) K/D) * I, where I integrates
-    sec^2(sqrt(K) x) against cos^2(pi x/D) (index 1) or sin^2(2 pi x/D)
-    (index 2) over [0, D/2], by adaptive quadrature to 1e-12 absolute.
+    cs_K(x)^-2 against cos^2(pi x/D) (index 1) or sin^2(2 pi x/D) (index 2)
+    over [0, D/2], by adaptive quadrature to 1e-12 absolute.  Valid for
+    every K; exact when (n-1)(n-3)K = 0, where V is constant and no
+    quadrature runs.
     """
     params = _as_params(params)
-    _require(params, index)
+    _require(params, index, need_K_positive=False)
     n, K, D = params.n, params.K, params.D
-    rK = math.sqrt(K)
+    flat = (index * math.pi / D) ** 2 - (n - 1) ** 2 * K / 4.0
+    if (n - 1) * (n - 3) * K == 0:
+        return flat
     if index == 1:
         weight = lambda x: math.cos(math.pi * x / D) ** 2
     else:
         weight = lambda x: math.sin(2 * math.pi * x / D) ** 2
-    integrand = lambda x: weight(x) / math.cos(rK * x) ** 2
+    integrand = lambda x: weight(x) / cs(x, K) ** 2
     val, est = quad(integrand, 0.0, D / 2, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return (
-        (index * math.pi / D) ** 2
-        - (n - 1) ** 2 * K / 4.0
-        + (n - 1) * (n - 3) * K / D * val
-    )
+    return flat + (n - 1) * (n - 3) * K / D * val
 
 
 def bound_report(params, index):

@@ -1,17 +1,28 @@
 """Dirichlet eigenvalues of the one-dimensional model by two independent routes.
 
-The primary route shoots the oscillation angle of the Schrödinger normal form
+The primary route shoots the scaled Prüfer angle of the Schrödinger normal
+form, the angle of (S psi, psi') with S = pi / D:
 
-    theta' = cos^2(theta) + (lam - V(z)) sin^2(theta),  theta(-D/2) = 0,
+    theta' = S cos^2(theta) + ((lam - V(z)) / S) sin^2(theta),
+    theta(-D/2) = 0,
 
-whose value at each z > -D/2 is strictly increasing in lam.  V is even, so
-the index-th eigenfunction has parity (-1)^(index-1), and the condition
-theta(D/2) = index*pi is the same as the midpoint condition
-theta(0) = index*pi/2.  Shooting therefore integrates only [-D/2, 0],
-inward from the endpoint, and matches at z = 0.  Brent's method finds the
-root inside the Sturm-comparison bracket: cs^2 is monotone on [0, D/2], so
-V takes its extremes at z = 0 and z = D/2, and min-max puts the index-th
-eigenvalue within [min V, max V] + (index pi / D)^2.
+whose value at each z > -D/2 is strictly increasing in lam.  For V = 0 and
+lam = S^2 the angle is linear in z, so the integrator's steps follow the
+oscillation rather than the size of lam, and the angle's noise stays
+independent of D.  V is even, so the index-th eigenfunction has parity
+(-1)^(index-1), and the condition theta(D/2) = index*pi is the same as the
+midpoint condition theta(0) = index*pi/2.  Shooting therefore integrates
+only [-D/2, 0], inward from the endpoint, and matches at z = 0.
+
+Brent's method finds the root inside a Rayleigh-Sturm bracket.  cs^2 is
+monotone on [0, D/2], so V takes its extremes at z = 0 and z = D/2, and
+min-max puts the index-th eigenvalue within [min V, max V] + (index pi/D)^2
+(Sturm comparison).  Min-max on each parity class also bounds it above by
+the Rayleigh quotient of the flat eigenfunction of that index
+(bounds.lambda_upper_rayleigh), which near the cap K D^2 -> pi^2 is smaller
+than the Sturm upper end by orders of magnitude.  Every eigenvalue is
+positive, which caps the lower end at 0 where min V -> -inf (n = 2 near
+the cap).
 
 The cross-check route discretizes the same operator with second-order
 central differences and locates eigenvalues by Sturm pivot counting on the
@@ -32,6 +43,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
+from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError
 from .kernels import tn
 from .model import GridFunction, ModelParams, potential, potential_array, validate
@@ -61,23 +73,25 @@ def _check_index(index):
 
 
 def _angle_mid(lam, params, form, tol=_ODE_TOL):
-    """Prüfer angle at the midpoint z = 0, shot from theta(-D/2) = 0."""
+    """Prüfer angle of (S y, y'), S = pi / D, at z = 0, shot from theta(-D/2) = 0."""
+    S = math.pi / params.D
     if form == "normal":
 
         def rhs(z, y):
             th = y[0]
             s = math.sin(th)
             c = math.cos(th)
-            return [c * c + (lam - potential(z, params)) * s * s]
+            return [S * c * c + (lam - potential(z, params)) / S * s * s]
 
     else:
         n, K = params.n, params.K
+        lam_s = lam / S
 
         def rhs(z, y):
             th = y[0]
             s = math.sin(th)
             c = math.cos(th)
-            return [c * c + lam * s * s - (n - 1) * tn(z, K) * s * c]
+            return [S * c * c + lam_s * s * s - (n - 1) * tn(z, K) * s * c]
 
     sol = solve_ivp(rhs, (-params.half, 0.0), [0.0], method="DOP853",
                     rtol=tol, atol=tol)
@@ -135,13 +149,17 @@ def _shoot_error(lam, evals, tight):
 def eigen_shoot(params, index, form="normal", n_samples=1001):
     """Index-th Dirichlet eigenvalue by monotone angle shooting to the midpoint.
 
-    Brent's method on theta(0; lam) = index * pi / 2 inside the comparison
-    bracket [min V, max V] + (index pi / D)^2, padded by 1e-9 of its scale,
-    to 1e-14 max(|lam|, (pi / D)^2).  error_estimate is the width of the final
-    sign-change bracket plus the ODE noise in theta(0) divided by the
-    measured slope d theta(0) / d lam; the noise is measured by one more
-    shot at the root under a ten times tighter tolerance.  Over the tested
-    grid and near the cap it bounds the error against mpmath collocation
+    Brent's method on theta(0; lam) = index * pi / 2, theta the Prüfer angle
+    scaled by S = pi / D, to 1e-14 max(|lam|, (pi / D)^2).  The bracket is
+    the Sturm comparison bracket [min V, max V] + (index pi / D)^2 with its
+    lower end raised to 0 and its upper end lowered to the Rayleigh
+    quotient of the flat index-th eigenfunction when these are tighter; both
+    ends are padded by 1e-9 of the bracket's scale, and each end is solved
+    once.  error_estimate is the width of the final sign-change bracket plus
+    the ODE noise in theta(0) divided by the measured slope d theta(0) / d
+    lam; the noise is measured by one more shot at the root under a ten
+    times tighter tolerance.  Over the tested grid, near the cap and at
+    small D it bounds the error against mpmath collocation or closed forms
     and stays below 1e-9 max(|lam|, (pi / D)^2).
 
     The result carries the eigenfunction (sup-normalized, shot across the
@@ -154,20 +172,27 @@ def eigen_shoot(params, index, form="normal", n_samples=1001):
     _check_index(index)
     if form not in ("normal", "direct"):
         raise DomainError(f"form must be 'normal' or 'direct', got {form}")
-    # cs^2 is monotone on [0, D/2], so V takes its extremes at z = 0 and D/2
+    # cs^2 is monotone on [0, D/2], so V takes its extremes at z = 0 and D/2;
+    # lam > 0 because the direct form's quadratic form is int phi'^2 cs^(n-1),
+    # which keeps the lower end finite where V(D/2) -> -inf at the cap (n = 2)
     v_mid = potential(0.0, params)
     v_end = potential(params.half, params)
     base = (index * math.pi / params.D) ** 2
-    lo = min(v_mid, v_end) + base
+    lo = max(min(v_mid, v_end) + base, 0.0)
     hi = max(v_mid, v_end) + base
     scale = max(abs(lo), abs(hi), (math.pi / params.D) ** 2)
-    lo -= 1e-9 * scale
-    hi += 1e-9 * scale
+    pad = 1e-9 * scale
+    lo -= pad
+    # V is even, so min-max on the index-th eigenfunction's parity class
+    # bounds lam by the flat eigenfunction's Rayleigh quotient
+    hi = min(hi, lambda_upper_rayleigh(params, index)) + pad
     target = 0.5 * index * math.pi
     evals = {}
 
     def g(lam):
-        evals[lam] = _angle_mid(lam, params, form) - target
+        # brentq re-evaluates the bracket ends; serve them from the cache
+        if lam not in evals:
+            evals[lam] = _angle_mid(lam, params, form) - target
         return evals[lam]
 
     if g(lo) >= 0 or g(hi) <= 0:

@@ -398,4 +398,5 @@ def test_module_entry_point():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     (row,) = doc["rows"]
-    assert row["gap"] == pytest.approx(29.60881320323023, rel=1e-12)
+    # n = 3 has constant potential, so the gap is exactly 3 pi^2 / D^2
+    assert row["gap"] == pytest.approx(3 * math.pi**2, rel=1e-12)

@@ -17,16 +17,22 @@ from gapmodel.spectral import (
 )
 from conftest import random_valid_pair
 
-# shooting eigenvalues at (n, K, D) = (2, 1, 1) and (5, 1, 1), frozen after
-# cross-checking shooting, finite differences, and the series evaluation
-LAM_2_1_1 = (9.3609783265589801, 38.959471448602002)
-LAM_5_1_1 = (7.9385143136274632, 37.629888094700817)
+# eigenvalues at (n, K, D) = (2, 1, 1), from eigen_shoot_mp at 30 digits
+# (9.360978326565202288862896, 38.95947144864586284466719), and at (5, 1, 1),
+# from the 30-digit COLLOCATION values below, rounded to float64
+LAM_2_1_1 = (9.360978326565203, 38.959471448645864)
+LAM_5_1_1 = (7.938514313632894, 37.62988809473841)
 
 # (lambda1, lambda2) by Chebyshev collocation of -psi'' + V psi in 26- to
 # 30-digit mpmath arithmetic, each eigenvalue by shifted inverse iteration
 # from a float64 collocation seed.  Two sizes per triple agree to 1e-20 or
 # better: N = 48 and 64 for (5, 1, 1) and (2, -9.5, 1), 64 and 96 for
-# (8, 12, 0.5), 160 and 224 near the cap.
+# (8, 12, 0.5), 160 and 224 near the cap.  The last two triples, where the
+# pole of V lies 2e-3 and 2.5e-4 outside D/2, use the end-clustering map
+# z = (D/2) tanh(beta xi) / tanh(beta), beta = 4 and 5, collocated in xi at
+# 32 digits and folded by parity, with K the exact binary value of the float
+# (it moves lambda1 at (2, 9.86, 1) by 1.2e-14); N = 224 agrees with
+# eigen_shoot_mp at 30 digits to 1e-24 or better.
 COLLOCATION = {
     (5, 1.0, 1.0): (7.9385143136328941509, 37.629888094738409082),
     (2, -9.5, 1.0): (14.114240133761443819, 43.249414540070079798),
@@ -34,7 +40,24 @@ COLLOCATION = {
     (8, 9.4, 1.0): (3.6044358000115073328e-7, 75.200003237025960402),
     (7, 9.5, 1.0): (2.2301949248333583958e-6, 66.500017815309071824),
     (8, 2.375, 2.0): (2.133053953379417706e-8, 19.000000191720875352),
+    (5, 9.8, 1.0): (8.526157768643703382e-6, 49.000051152254833997),
+    (2, 9.86, 1.0): (1.4298693038469473317, 24.214317940637367447),
 }
+
+
+@pytest.fixture
+def ode_work(monkeypatch):
+    """Right-hand-side evaluations of each ODE solve in spectral, in order."""
+    nfev = []
+    real = spectral.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(spectral, "solve_ivp", counting)
+    return nfev
 
 
 class TestShoot:
@@ -92,8 +115,12 @@ class TestErrorEstimate:
     @pytest.mark.parametrize("triple", [
         (5, 1.0, 1.0), (2, -9.5, 1.0), (8, 12.0, 0.5), (3, -8.0, 0.5),
         (6, 0.0, 2.0),
-        # near the cap, K D^2 = 9.4, 9.5, 9.5
-        (8, 9.4, 1.0), (7, 9.5, 1.0), (8, 2.375, 2.0),
+        # small D, where the unscaled angle's change across the bracket pad
+        # sank below the ODE noise
+        (2, 0.0, 1e-3), (2, 0.0, 1e-5),
+        # near the cap, K D^2 = 9.4, 9.5, 9.5, 9.8, 9.86
+        (8, 9.4, 1.0), (7, 9.5, 1.0), (8, 2.375, 2.0), (5, 9.8, 1.0),
+        (2, 9.86, 1.0),
     ], ids=str)
     def test_bounds_observed_error(self, triple):
         n, K, D = triple
@@ -103,20 +130,39 @@ class TestErrorEstimate:
             assert abs(r.eigenvalue - ref) <= r.error_estimate
             assert r.error_estimate <= 1e-9 * max(abs(ref), (math.pi / D) ** 2)
 
-    def test_solve_count(self, monkeypatch):
-        solves = []
-        real = spectral.solve_ivp
-
-        def counting(*args, **kwargs):
-            solves.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "solve_ivp", counting)
-        for idx in (1, 2):
-            solves.clear()
+    def test_solve_count(self, ode_work):
+        for idx, max_rhs in ((1, 3000), (2, 8000)):
+            ode_work.clear()
             eigen_shoot((5, 1.0, 1.0), idx)
             # angle shots, the tighter noise shot and the eigenfunction
-            assert len(solves) <= 12
+            assert len(ode_work) <= 8
+            # measured: 1411 and 4019 right-hand-side evaluations
+            assert sum(ode_work) <= max_rhs
+
+
+class TestNearCap:
+    """K D^2 = 9.8 and 9.86, just below the cap pi^2."""
+
+    @pytest.mark.parametrize("triple,max_rhs", [
+        # measured: 19053, 19609 and 22442 right-hand-side evaluations per
+        # gap; at (2, 9.869, 1) a lower end at min V + (pi/D)^2 costs 214k
+        ((5, 9.8, 1.0), 40000), ((2, 9.86, 1.0), 40000),
+        ((2, 9.869, 1.0), 45000),
+    ], ids=str)
+    def test_gap_rhs_count(self, ode_work, triple, max_rhs):
+        g = gap(triple)
+        assert sum(ode_work) <= max_rhs
+        assert g.sign == (-1 if triple[0] == 2 else 1)
+
+    @pytest.mark.parametrize("triple", [(5, 9.8, 1.0), (2, 9.86, 1.0)], ids=str)
+    def test_direct_form_agrees(self, triple):
+        for idx in (1, 2):
+            ref = COLLOCATION[triple][idx - 1]
+            scale = max(abs(ref), (math.pi / triple[2]) ** 2)
+            r = eigen_shoot(triple, idx, form="direct")
+            assert abs(r.eigenvalue - ref) <= r.error_estimate <= 1e-9 * scale
+            normal = eigen_shoot(triple, idx).eigenvalue
+            assert abs(r.eigenvalue - normal) <= 1e-10 * scale
 
 
 class TestFiniteDifference:
