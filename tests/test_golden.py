@@ -1,0 +1,38 @@
+"""Byte-for-byte comparison of CLI output with the files in tests/golden.
+
+The README promises that identical invocations produce byte-identical
+output; these cases hold every subcommand to the bytes recorded in
+tests/golden (see tests/golden/regenerate.py for how they were made).
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_regenerate", Path(__file__).resolve().parent / "golden" / "regenerate.py"
+)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+def first_difference(expected, got):
+    """Line number and the two lines where the outputs first differ."""
+    exp_lines = expected.decode().splitlines(keepends=True)
+    got_lines = got.decode().splitlines(keepends=True)
+    for i, (a, b) in enumerate(zip(exp_lines, got_lines), start=1):
+        if a != b:
+            return f"line {i}:\n  golden: {a!r}\n  got:    {b!r}"
+    i = min(len(exp_lines), len(got_lines)) + 1
+    return f"line {i}: golden has {len(exp_lines)} lines, got {len(got_lines)}"
+
+
+@pytest.mark.parametrize("name,argv,ext", golden.CASES, ids=[c[0] for c in golden.CASES])
+def test_cli_output_matches_golden(name, argv, ext):
+    code, files = golden.run_case(argv)
+    assert code == 0
+    paths = golden.golden_paths(name, ext)
+    for key, data in files.items():
+        expected = paths[key].read_bytes()
+        assert data == expected, f"{paths[key].name} differs at {first_difference(expected, data)}"
