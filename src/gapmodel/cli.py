@@ -246,7 +246,7 @@ def _pruefer_row(item):
         "K": float(K),
         "D": float(D),
         "c_k": ck,
-        "threshold_s": ck + math.pi**2 / D**2,
+        "threshold_s": pruefer_mod.threshold_s(k, params, ck=ck),
         "phi_right_defect": report["phi_right_defect"],
         "dphi_right_defect": report["dphi_right_defect"],
         "dphi_left_defect": report["dphi_left_defect"],

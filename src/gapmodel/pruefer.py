@@ -374,8 +374,10 @@ def robin_boundary_report(k, params):
 def threshold_s(k, params, ck=None):
     """Smallest s beyond which both decay rates below are real.
 
-    Equals max(c_k + pi^2/D^2, -c_k - pi^2/D^2); the first entry is the
-    positive one since c_k > -pi^2/D^2.
+    Equals max(c_k + pi^2/D^2, -c_k - pi^2/D^2).  For K >= 0 the first
+    entry is the larger one, since c_k >= c_flat > -pi^2/D^2; for K < 0,
+    c_k can fall below -pi^2/D^2 (c_k = -12.73 at n = 5, K = -8, D = 1,
+    k = 1) and the second one is.
     """
     params = _as_params(params)
     if ck is None:

@@ -227,6 +227,19 @@ class TestPruefer:
                 float(row["c_k"]) + math.pi**2, rel=1e-12
             )
 
+    def test_threshold_column_is_the_library_value(self, capsys):
+        # at K < 0 the Robin constant falls below -pi^2/D^2, where the
+        # threshold is -(c_k + pi^2/D^2), not c_k + pi^2/D^2
+        code, out, _ = run_main(
+            ["pruefer", "--K=-8", "--D", "1", "--k", "1", "--n", "5"], capsys
+        )
+        assert code == 0
+        (row,) = parse_csv(out)
+        ck = float(row["c_k"])
+        assert ck < -math.pi**2
+        expected = pruefer.threshold_s(1.0, ModelParams(5, -8.0, 1.0), ck=ck)
+        assert float(row["threshold_s"]) == expected > 0
+
 
 class TestFlow:
     def test_run_and_plot(self, tmp_path, capsys):
