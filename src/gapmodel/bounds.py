@@ -21,11 +21,7 @@ from scipy.integrate import quad
 
 from .errors import HypothesisError, OrderingViolation
 from .kernels import cs
-from .model import ModelParams, validate
-
-
-def _as_params(params):
-    return params if isinstance(params, ModelParams) else ModelParams(*params)
+from .model import validate
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,6 @@ class BoundReport:
 
 
 def _require(params, index, need_n3=False, need_K_positive=True):
-    validate(params)
     if index not in (1, 2):
         raise HypothesisError(f"index must be 1 or 2, got {index}")
     if need_K_positive and not (params.K > 0):
@@ -51,7 +46,7 @@ def _require(params, index, need_n3=False, need_K_positive=True):
 
 def lambda_lower(params, index):
     """Comparison lower bound (index pi/D)^2 - (n-1)K/2, valid for K>0, n>=3."""
-    params = _as_params(params)
+    params = validate(params)
     _require(params, index, need_n3=True)
     return (index * math.pi / params.D) ** 2 - (params.n - 1) * params.K / 2.0
 
@@ -65,7 +60,7 @@ def lambda_upper_rayleigh(params, index):
     every K; exact when (n-1)(n-3)K = 0, where V is constant and no
     quadrature runs.
     """
-    params = _as_params(params)
+    params = validate(params)
     _require(params, index, need_K_positive=False)
     n, K, D = params.n, params.K, params.D
     flat = (index * math.pi / D) ** 2 - (n - 1) ** 2 * K / 4.0
@@ -82,7 +77,7 @@ def lambda_upper_rayleigh(params, index):
 
 def bound_report(params, index):
     """Two-sided report for K > 0, n >= 3; raises if the sandwich inverts."""
-    params = _as_params(params)
+    params = validate(params)
     lo = lambda_lower(params, index)
     hi = lambda_upper_rayleigh(params, index)
     if lo > hi:
@@ -131,12 +126,10 @@ def explicit_n2_bounds(params):
     lower bound exists on this side of the dichotomy, so the lower fields
     are -inf with a method tag saying why.
     """
-    params = _as_params(params)
-    validate(params)
+    params = validate(params)
     if params.n != 2:
         raise HypothesisError(f"explicit quartic bounds are the n = 2 case, got n = {params.n}")
-    if not (params.K > 0):
-        raise HypothesisError(f"bounds require K > 0, got K = {params.K}")
+    _require(params, 1)
     K, D = params.K, params.D
     no_lower = "none (comparison argument needs n >= 3)"
     return (

@@ -65,7 +65,7 @@ def _collect_triples(args):
     bad = []
     for n, K, D in triples:
         try:
-            validate(ModelParams(n, K, D))
+            validate((n, K, D))
         except GapModelError as exc:
             bad.append(f"(n={n}, K={K}, D={D}): {exc}")
     if bad:

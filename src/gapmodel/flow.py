@@ -58,10 +58,6 @@ DEFAULT_MESH_TOL = 1e-6
 T_MAX_FACTOR = 50.0
 
 
-def _as_params(params):
-    return params if isinstance(params, ModelParams) else ModelParams(*params)
-
-
 # -- grid ---------------------------------------------------------------------
 
 
@@ -79,8 +75,7 @@ def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL, min_cells=MIN_CELLS):
     stay within a 1.05 ratio by construction (h varies smoothly in w), and
     the result is refined uniformly if it lands under min_cells.
     """
-    params = _as_params(params)
-    validate(params)
+    params = validate(params)
     if k <= 0:
         raise DomainError(f"boundary slope k must be positive, got {k}")
     D = params.D
@@ -156,8 +151,7 @@ def make_state(psi, k, params, t=0.0, lam=None):
     end short of D/2 (used by truncated-interval checks), in which case k is
     read as minus the right boundary value.
     """
-    params = _as_params(params)
-    validate(params)
+    params = validate(params)
     if not isinstance(psi, GridFunction):
         raise DomainError("make_state expects a GridFunction")
     z, v = psi.z, psi.values
@@ -179,7 +173,7 @@ def make_state(psi, k, params, t=0.0, lam=None):
 
 def initial_supersolution(k, s, params, mesh_tol=DEFAULT_MESH_TOL, ck=None, z=None):
     """FlowState seeded with the shifted two-branch supersolution on a graded grid."""
-    params = _as_params(params)
+    params = validate(params)
     if z is None:
         z = build_grid(params, k, mesh_tol=mesh_tol)
     gf = supersolution(k, s, params, ck=ck, z=z)
@@ -191,7 +185,7 @@ def initial_supersolution(k, s, params, mesh_tol=DEFAULT_MESH_TOL, ck=None, z=No
 
 def stationary_reference(k, params, z, ck=None):
     """(log phi)' of the Robin eigenfunction sampled on the given grid."""
-    params = _as_params(params)
+    params = validate(params)
     if ck is None:
         ck = find_ck(k, params)
     f = psi_left(ck, params)
@@ -374,7 +368,7 @@ def flow_to_stationary(
     new state and must be copied to be kept.  Raises NonConvergenceError
     with the final distance if the time cap 50 D^2 is hit first.
     """
-    params = _as_params(params)
+    params = validate(params)
     if isinstance(initial, FlowState):
         state = initial
     else:
@@ -444,7 +438,7 @@ def discrete_stationary(k, params, z=None, initial=None, mesh_tol=DEFAULT_MESH_T
     Seeds from the continuum Robin solution when no initial guess is given;
     iteration stops when the update stalls at the rounding floor.
     """
-    params = _as_params(params)
+    params = validate(params)
     if z is None:
         z = build_grid(params, k, mesh_tol=mesh_tol)
     z = np.asarray(z, dtype=float)
@@ -496,7 +490,7 @@ def comparison_check(u, v, params, k, T, dt=None, ck=None):
     OrderingViolation at the first sampled time and location where the
     ordering fails beyond roundoff slack.
     """
-    params = _as_params(params)
+    params = validate(params)
     if not (isinstance(u, GridFunction) and isinstance(v, GridFunction)):
         raise DomainError("comparison_check expects GridFunction inputs")
     if u.z.shape != v.z.shape or not np.array_equal(u.z, v.z):

@@ -78,7 +78,11 @@ def potential_array(z, params):
 
 
 def validate(params):
-    """Accept a ModelParams (already validated on construction) or an (n, K, D) triple."""
+    """The one parameter coercer: every entry point starts with params = validate(params).
+
+    Returns a ModelParams unchanged (it validated on construction) or builds
+    one from an (n, K, D) triple.
+    """
     if isinstance(params, ModelParams):
         return params
     n, K, D = params

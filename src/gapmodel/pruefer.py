@@ -37,10 +37,6 @@ _ANGLE_GUARD = 1e-3  # samples of tan q only where |q| < pi/2 - guard
 _HALF_PI = math.pi / 2
 
 
-def _as_params(params):
-    return params if isinstance(params, ModelParams) else ModelParams(*params)
-
-
 @dataclass(frozen=True)
 class PruferTrajectory:
     """Angle-radius solution with its dense interpolant."""
@@ -80,22 +76,20 @@ def _angle_rhs(c, params):
     return rhs
 
 
-def integrate_q(q0, c, params, n_samples=2001):
-    """Integrate the angle-radius system from z=0 with q(0)=q0, r(0)=1."""
-    params = _as_params(params)
-    validate(params)
-    half = params.half
-    sol = solve_ivp(
-        _angle_rhs(c, params),
-        (0.0, half),
-        [float(q0), 0.0],
-        method="DOP853",
-        rtol=_ODE_TOL,
-        atol=_ODE_TOL,
-        dense_output=True,
-    )
+def _solve_angle(c, params, span, y0, **options):
+    """The angle-radius system at c over span from y0 = (q, log r), by DOP853."""
+    sol = solve_ivp(_angle_rhs(c, params), span, y0, method="DOP853",
+                    rtol=_ODE_TOL, atol=_ODE_TOL, **options)
     if not sol.success:
         raise DomainError(f"angle integration failed: {sol.message}")
+    return sol
+
+
+def integrate_q(q0, c, params, n_samples=2001):
+    """Integrate the angle-radius system from z=0 with q(0)=q0, r(0)=1."""
+    params = validate(params)
+    half = params.half
+    sol = _solve_angle(c, params, (0.0, half), [float(q0), 0.0], dense_output=True)
     z = np.linspace(0.0, half, n_samples)
     vals = sol.sol(z)
     return PruferTrajectory(
@@ -176,50 +170,51 @@ def _sample_band(sol, lo, hi, n_samples):
     return out
 
 
+def _branch(side, k, c, params, z0, q0, direction, allow_partial, n_samples):
+    """Riccati branch shot from z0 (0 or D/2) toward the other end with q(z0) = q0.
+
+    The branch ceases where q reaches direction * pi/2.  If that happens
+    more than 1e-9 D/2 from the far end, BlowupError carries the truncated
+    branch unless allow_partial is set, in which case it is returned.
+    """
+    half = params.half
+    z1 = half - z0
+
+    def reach_pole(z, y):
+        return y[0] - direction * _HALF_PI
+
+    reach_pole.terminal = True
+    reach_pole.direction = direction
+
+    sol = _solve_angle(c, params, (z0, z1), [q0, 0.0], dense_output=True,
+                       events=reach_pole)
+    z_cease = float(sol.t_events[0][0]) if sol.status == 1 else z1
+    interval = (min(z0, z_cease), max(z0, z_cease))
+    zs = _sample_band(sol, *interval, n_samples)
+    branch = RiccatiSolution(
+        side=side, c=float(c), k=k, z=zs, psi=np.tan(sol.sol(zs)[0]),
+        interval=interval, params=params, _sol=sol,
+    )
+    if abs(z1 - z_cease) > 1e-9 * half and not allow_partial:
+        raise BlowupError(
+            f"{side} branch ceases at z = {z_cease:.6g} "
+            f"(angle reached {'+' if direction > 0 else '-'}pi/2)",
+            z=z_cease, partial=branch,
+        )
+    return branch
+
+
 def psi_left(c, params, allow_partial=False, n_samples=2001):
     """Forward log-derivative branch with psi(0) = 0.
 
     Raises BlowupError if q reaches -pi/2 strictly inside [0, D/2) (the
     finite Riccati solution ceases there); pass allow_partial=True to get
     the truncated branch instead.  The exception carries the location and
-    the partial trajectory.
+    the truncated branch.
     """
-    params = _as_params(params)
-    validate(params)
-    half = params.half
-
-    def hit_bottom(z, y):
-        return y[0] + _HALF_PI
-
-    hit_bottom.terminal = True
-    hit_bottom.direction = -1.0
-
-    sol = solve_ivp(
-        _angle_rhs(c, params), (0.0, half), [0.0, 0.0],
-        method="DOP853", rtol=_ODE_TOL, atol=_ODE_TOL,
-        dense_output=True, events=hit_bottom,
-    )
-    if not sol.success and sol.status != 1:
-        raise DomainError(f"angle integration failed: {sol.message}")
-    z_end = half
-    blew = sol.status == 1 and sol.t_events[0].size > 0
-    if blew:
-        z_end = float(sol.t_events[0][0])
-    if blew and z_end < half * (1.0 - 1e-9) and not allow_partial:
-        zg = np.linspace(0.0, z_end, n_samples)
-        vals = sol.sol(zg)
-        raise BlowupError(
-            f"left branch ceases at z = {z_end:.6g} (angle reached -pi/2)",
-            z=z_end,
-            partial=PruferTrajectory(z=zg, q=vals[0], r=np.exp(vals[1]),
-                                     q0=0.0, c=float(c), params=params, _sol=sol),
-        )
-    zs = _sample_band(sol, 0.0, z_end, n_samples)
-    return RiccatiSolution(
-        side="left", c=float(c), k=float("nan"),
-        z=zs, psi=np.tan(sol.sol(zs)[0]), interval=(0.0, z_end),
-        params=params, _sol=sol,
-    )
+    params = validate(params)
+    return _branch("left", float("nan"), c, params, 0.0, 0.0, -1.0,
+                   allow_partial, n_samples)
 
 
 def psi_right(k, c, params, allow_partial=False, n_samples=2001):
@@ -229,44 +224,11 @@ def psi_right(k, c, params, allow_partial=False, n_samples=2001):
     z_minus > 0 the branch exists only on (z_minus, D/2] and BlowupError is
     raised unless allow_partial is set.
     """
-    params = _as_params(params)
-    validate(params)
+    params = validate(params)
     if not (k > 0):
         raise DomainError(f"right-boundary slope k must be positive, got {k}")
-    half = params.half
-
-    def hit_top(z, y):
-        return y[0] - _HALF_PI
-
-    hit_top.terminal = True
-    hit_top.direction = 1.0
-
-    sol = solve_ivp(
-        _angle_rhs(c, params), (half, 0.0), [-math.atan(float(k)), 0.0],
-        method="DOP853", rtol=_ODE_TOL, atol=_ODE_TOL,
-        dense_output=True, events=hit_top,
-    )
-    if not sol.success and sol.status != 1:
-        raise DomainError(f"angle integration failed: {sol.message}")
-    z_start = 0.0
-    blew = sol.status == 1 and sol.t_events[0].size > 0
-    if blew:
-        z_start = float(sol.t_events[0][0])
-    if blew and z_start > 1e-12 and not allow_partial:
-        zs = _sample_band(sol, z_start, half, n_samples)
-        raise BlowupError(
-            f"right branch ceases at z = {z_start:.6g} (angle reached +pi/2)",
-            z=z_start,
-            partial=RiccatiSolution(side="right", c=float(c), k=float(k),
-                                    z=zs, psi=np.tan(sol.sol(zs)[0]),
-                                    interval=(z_start, half), params=params, _sol=sol),
-        )
-    zs = _sample_band(sol, z_start, half, n_samples)
-    return RiccatiSolution(
-        side="right", c=float(c), k=float(k),
-        z=zs, psi=np.tan(sol.sol(zs)[0]), interval=(z_start, half),
-        params=params, _sol=sol,
-    )
+    return _branch("right", float(k), c, params, params.half, -math.atan(float(k)),
+                   1.0, allow_partial, n_samples)
 
 
 def flat_ck(k, D):
@@ -280,13 +242,7 @@ def flat_ck(k, D):
 
 def _end_angle(c, params):
     """q(D/2) shot from q(0) = 0, read off the last step (no dense output)."""
-    sol = solve_ivp(
-        _angle_rhs(c, params), (0.0, params.half), [0.0, 0.0],
-        method="DOP853", rtol=_ODE_TOL, atol=_ODE_TOL,
-    )
-    if not sol.success:
-        raise DomainError(f"angle integration failed: {sol.message}")
-    return float(sol.y[0, -1])
+    return float(_solve_angle(c, params, (0.0, params.half), [0.0, 0.0]).y[0, -1])
 
 
 def find_ck(k, params, angle_tol=1e-11):
@@ -302,8 +258,7 @@ def find_ck(k, params, angle_tol=1e-11):
     means the padded bracket does not straddle the root, or the end-angle
     defect at the root exceeds angle_tol.
     """
-    params = _as_params(params)
-    validate(params)
+    params = validate(params)
     if not (k > 0):
         raise DomainError(f"k must be positive, got {k}")
     target = -_HALF_PI + math.atan(1.0 / float(k))
@@ -340,7 +295,7 @@ def robin_eigenfunction(k, params, n_samples=2001, return_trajectory=False):
     phi(D/2) = 1/k exactly; the other two conditions then hold up to the
     root-finding and integration tolerances.
     """
-    params = _as_params(params)
+    params = validate(params)
     ck = find_ck(k, params)
     traj = integrate_q(0.0, ck, params, n_samples=n_samples)
     phi = traj.r * np.cos(traj.q)
@@ -353,7 +308,7 @@ def robin_eigenfunction(k, params, n_samples=2001, return_trajectory=False):
 
 def robin_boundary_report(k, params):
     """Measured defects of the three boundary conditions plus positivity."""
-    params = _as_params(params)
+    params = validate(params)
     gf, traj, ck = robin_eigenfunction(k, params, return_trajectory=True)
     half = params.half
     k = float(k)
@@ -379,11 +334,10 @@ def threshold_s(k, params, ck=None):
     c_k can fall below -pi^2/D^2 (c_k = -12.73 at n = 5, K = -8, D = 1,
     k = 1) and the second one is.
     """
-    params = _as_params(params)
+    params = validate(params)
     if ck is None:
         ck = find_ck(k, params)
-    base = ck + math.pi**2 / params.D**2
-    return max(base, -base)
+    return _threshold(ck, params)[1]
 
 
 def supersolution(k, s, params, n_samples=2001, ck=None, z=None):
@@ -396,7 +350,7 @@ def supersolution(k, s, params, n_samples=2001, ck=None, z=None):
     eigenfunction.  Pass z to sample on a caller-supplied grid instead of a
     uniform one.
     """
-    params = _as_params(params)
+    params = validate(params)
     if s < 0:
         raise DomainError(f"shift s must be nonnegative, got {s}")
     if ck is None:
@@ -432,6 +386,28 @@ def supersolution(k, s, params, n_samples=2001, ck=None, z=None):
 # -- explicit comparison envelopes -------------------------------------------
 
 
+def _threshold(ck, params):
+    """base = c_k + pi^2/D^2 and the threshold max(base, -base)."""
+    base = ck + math.pi**2 / params.D**2
+    return base, max(base, -base)
+
+
+def _tanh_profile(lam):
+    """z -> lam tanh(lam z)."""
+    return lambda z: lam * np.tanh(lam * np.asarray(z, dtype=float))
+
+
+def _tan_profile(lam, k, half):
+    """Fractional-linear profile in tan(lam (D/2 - z)) pinned to -k at D/2,
+    and z_from, beyond which its denominator stays positive."""
+
+    def profile(z):
+        t = np.tan(lam * (half - np.asarray(z, dtype=float)))
+        return (lam * t - k) / (1.0 + (k / lam) * t)
+
+    return profile, half - (_HALF_PI + math.atan(k / lam)) / lam
+
+
 def _require_nonneg_K(params, what):
     if params.K < 0:
         raise HypothesisError(f"{what} requires K >= 0 (cs_K <= 1 is used)")
@@ -444,18 +420,14 @@ def upper_bound_left(c, params):
     (attained at z = D/2 for c < 0, at z = 0 otherwise), which is what the
     comparison argument actually needs.
     """
-    params = _as_params(params)
+    params = validate(params)
     _require_nonneg_K(params, "left envelope")
     half = params.half
     cs_end = cs(half, params.K)
     worst = max(-c - math.pi**2 / params.D**2,
                 -c / cs_end**2 - math.pi**2 / params.D**2, 0.0)
     lam = math.sqrt(worst)
-
-    def bound(z):
-        return lam * np.tanh(lam * np.asarray(z, dtype=float))
-
-    return lam, bound
+    return lam, _tanh_profile(lam)
 
 
 def upper_bound_right(k, c, params):
@@ -465,7 +437,7 @@ def upper_bound_right(k, c, params):
     z > z_from, where bound is the fractional-linear expression in
     tan(lam_minus (D/2 - z)) pinned to -k at the right end.
     """
-    params = _as_params(params)
+    params = validate(params)
     _require_nonneg_K(params, "right envelope")
     k = float(k)
     half = params.half
@@ -474,13 +446,7 @@ def upper_bound_right(k, c, params):
     if lam2 <= 0:
         raise HypothesisError(f"rate lam_minus^2 = {lam2:.6g} is not positive")
     lam = math.sqrt(lam2)
-    z_from = half - (_HALF_PI + math.atan(k / lam)) / lam
-
-    def bound(z):
-        t = np.tan(lam * (half - np.asarray(z, dtype=float)))
-        return (lam * t - k) / (1.0 + (k / lam) * t)
-
-    return lam, bound, z_from
+    return (lam, *_tan_profile(lam, k, half))
 
 
 def lower_bound_functions(k, s, params, ck=None):
@@ -495,32 +461,21 @@ def lower_bound_functions(k, s, params, ck=None):
     The left floor's validity is reported empirically by callers; the
     comparison argument itself gives it on the whole interval.
     """
-    params = _as_params(params)
+    params = validate(params)
     _require_nonneg_K(params, "branch floors")
     if ck is None:
         ck = find_ck(k, params)
-    base = ck + math.pi**2 / params.D**2
-    thr = max(base, -base)
+    base, thr = _threshold(ck, params)
     if not (s > thr):
         raise HypothesisError(f"s = {s} does not exceed the threshold {thr:.6g}")
-    k = float(k)
-    half = params.half
     lam_p = math.sqrt(s - base)
     lam_m = math.sqrt(s + base)
-    z_from = half - (_HALF_PI + math.atan(k / lam_m)) / lam_m
-
-    def left_floor(z):
-        return lam_p * np.tanh(lam_p * np.asarray(z, dtype=float))
-
-    def right_floor(z):
-        t = np.tan(lam_m * (half - np.asarray(z, dtype=float)))
-        return (lam_m * t - k) / (1.0 + (k / lam_m) * t)
-
+    right_floor, z_from = _tan_profile(lam_m, float(k), params.half)
     return {
         "threshold": thr,
         "lambda_plus": lam_p,
         "lambda_minus": lam_m,
-        "left_floor": left_floor,
+        "left_floor": _tanh_profile(lam_p),
         "right_floor": right_floor,
         "right_valid_from": z_from,
         "c_k": ck,

@@ -38,7 +38,7 @@ from .exact import (
     solve_resonant,
     trig_integrate,
 )
-from .model import ModelParams
+from .model import validate
 
 DEFAULT_ORDER_CAP = 8
 
@@ -130,39 +130,37 @@ def gap_series(M, cap=DEFAULT_ORDER_CAP):
                      second=lambda_series("second", M, cap))
 
 
+def _horner(series, M, params, mp=None):
+    """sum_m c_m kappa^m / D^2 over m <= M by Horner's rule, kappa = K D^2.
+
+    c_m is series.kappa_coefficient(m) at params.n.  Floats throughout, or
+    mpmath numbers at the working precision when mp is the mpmath module.
+    """
+    num = float if mp is None else mp.mpf
+    D = num(params.D)
+    kappa = num(params.K) * D**2
+    total = num(0)
+    for m in range(M, -1, -1):
+        c = series.kappa_coefficient(m)
+        total = total * kappa + (c.evalf(params.n) if mp is None else c.eval_mp(params.n, mp))
+    return total / D**2
+
+
 def eval_series(params, M, branch="first"):
     """Float evaluation of the order-M truncation of lam_bar at (n, K, D)."""
-    params = params if isinstance(params, ModelParams) else ModelParams(*params)
-    res = lambda_series(branch, M)
-    kappa = params.K * params.D**2
-    total = 0.0
-    for m in range(M, -1, -1):
-        total = total * kappa + res.kappa_coefficient(m).evalf(params.n)
-    return total / params.D**2
+    return _horner(lambda_series(branch, M), M, validate(params))
 
 
 def eval_gap_series(params, M):
-    params = params if isinstance(params, ModelParams) else ModelParams(*params)
-    gs = gap_series(M)
-    kappa = params.K * params.D**2
-    total = 0.0
-    for m in range(M, -1, -1):
-        total = total * kappa + gs.kappa_coefficient(m).evalf(params.n)
-    return total / params.D**2
+    return _horner(gap_series(M), M, validate(params))
 
 
 def eval_series_mp(params, M, branch="first", dps=50):
     """Arbitrary-precision evaluation (same truncation as eval_series)."""
     import mpmath
 
-    params = params if isinstance(params, ModelParams) else ModelParams(*params)
-    res = lambda_series(branch, M)
     with mpmath.workdps(dps):
-        kappa = mpmath.mpf(params.K) * mpmath.mpf(params.D) ** 2
-        total = mpmath.mpf(0)
-        for m in range(M, -1, -1):
-            total = total * kappa + res.kappa_coefficient(m).eval_mp(params.n, mpmath)
-        return total / mpmath.mpf(params.D) ** 2
+        return _horner(lambda_series(branch, M), M, validate(params), mpmath)
 
 
 def coefficient_sign(npoly, n, dps=120):
@@ -478,7 +476,7 @@ def modulus_expansion(params, samples=257):
     Returns sample data and summary facts (value at 0, sign pattern,
     endpoint behavior).  For n = 3 the difference vanishes identically.
     """
-    params = params if isinstance(params, ModelParams) else ModelParams(*params)
+    params = validate(params)
     n, D = params.n, params.D
     An = (n - 1) * (n - 3) / 24.0
     xs = [0.5 * D * j / (samples - 1) for j in range(samples)]

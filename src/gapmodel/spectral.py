@@ -46,7 +46,14 @@ from scipy.optimize import brentq
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError
 from .kernels import tn
-from .model import GridFunction, ModelParams, potential, potential_array, validate
+from .model import (
+    GridFunction,
+    model_rhs,
+    normal_rhs,
+    potential,
+    potential_array,
+    validate,
+)
 
 _ODE_TOL = 1e-12
 
@@ -61,10 +68,6 @@ class EigenResult:
     node_count: int
     symmetry_residual: float
     form: str = "normal"
-
-
-def _as_params(params):
-    return params if isinstance(params, ModelParams) else ModelParams(*params)
 
 
 def _check_index(index):
@@ -103,15 +106,11 @@ def _angle_mid(lam, params, form, tol=_ODE_TOL):
 def _shoot_eigenfunction(lam, params, form, n_samples=1001):
     half = params.half
     if form == "normal":
-
-        def rhs(z, y):
-            return [y[1], (potential(z, params) - lam) * y[0]]
-
+        rhs = normal_rhs(lam, params)
     else:
-        n, K = params.n, params.K
 
         def rhs(z, y):
-            return [y[1], (n - 1) * tn(z, K) * y[1] - lam * y[0]]
+            return [y[1], model_rhs(z, y[0], y[1], lam, params)]
 
     sol = solve_ivp(rhs, (-half, half), [0.0, 1.0], method="DOP853",
                     rtol=_ODE_TOL, atol=_ODE_TOL, dense_output=True)
@@ -125,6 +124,23 @@ def _count_interior_nodes(values):
     scale = np.max(np.abs(v))
     v = v[np.abs(v) > 1e-9 * scale]
     return int(np.sum(v[:-1] * v[1:] < 0))
+
+
+def _eigen_result(lam, err, gf, index, method, form):
+    """EigenResult after checking the node count; parity goes into the result."""
+    nodes = _count_interior_nodes(gf.values)
+    if nodes != index - 1:
+        raise GapModelError(
+            f"{method} index-{index} eigenfunction shows {nodes} interior "
+            f"nodes, expected {index - 1}"
+        )
+    sign = 1.0 if index == 1 else -1.0
+    sym = float(np.max(np.abs(gf.values - sign * gf.values[::-1])))
+    return EigenResult(
+        eigenvalue=float(lam), index=index, method=method,
+        error_estimate=float(err), eigenfunction=gf, node_count=nodes,
+        symmetry_residual=sym, form=form,
+    )
 
 
 def _shoot_error(lam, evals, tight):
@@ -167,8 +183,7 @@ def eigen_shoot(params, index, form="normal", n_samples=1001):
     sup|y(z) -+ y(-z)| / sup|y| (even for index 1, odd for index 2); both
     check the parity the midpoint condition assumes rather than feed it.
     """
-    params = _as_params(params)
-    validate(params)
+    params = validate(params)
     _check_index(index)
     if form not in ("normal", "direct"):
         raise DomainError(f"form must be 'normal' or 'direct', got {form}")
@@ -204,20 +219,7 @@ def eigen_shoot(params, index, form="normal", n_samples=1001):
     tight = _angle_mid(lam, params, form, tol=0.1 * _ODE_TOL) - target
     err = _shoot_error(lam, evals, tight)
     gf = _shoot_eigenfunction(lam, params, form, n_samples)
-    nodes = _count_interior_nodes(gf.values)
-    expected = index - 1
-    if nodes != expected:
-        raise GapModelError(
-            f"index-{index} eigenfunction shows {nodes} interior nodes, "
-            f"expected {expected}"
-        )
-    sign = 1.0 if index == 1 else -1.0
-    sym = float(np.max(np.abs(gf.values - sign * gf.values[::-1])))
-    return EigenResult(
-        eigenvalue=float(lam), index=index, method="shooting",
-        error_estimate=float(err), eigenfunction=gf, node_count=nodes,
-        symmetry_residual=sym, form=form,
-    )
+    return _eigen_result(lam, err, gf, index, "shooting", form)
 
 
 # -- finite-difference route --------------------------------------------------
@@ -295,8 +297,7 @@ def eigen_fd(params, index, grid_size=1024):
     and the h^2 error model gives the extrapolated value (4 a_2N - a_N)/3
     with |a_2N - a_N|/3 reported as the error estimate.
     """
-    params = _as_params(params)
-    validate(params)
+    params = validate(params)
     _check_index(index)
     if grid_size < 64 or grid_size & (grid_size - 1) != 0:
         raise DomainError(f"grid_size must be a power of two >= 64, got {grid_size}")
@@ -305,18 +306,7 @@ def eigen_fd(params, index, grid_size=1024):
     lam = (4.0 * lam_2n - lam_n) / 3.0
     err = abs(lam_2n - lam_n) / 3.0
     gf = _fd_eigenvector(lam_2n, d2, h2, z2, params, index)
-    nodes = _count_interior_nodes(gf.values)
-    if nodes != index - 1:
-        raise GapModelError(
-            f"finite-difference index-{index} vector shows {nodes} nodes"
-        )
-    sign = 1.0 if index == 1 else -1.0
-    sym = float(np.max(np.abs(gf.values - sign * gf.values[::-1])))
-    return EigenResult(
-        eigenvalue=float(lam), index=index, method="finite-difference",
-        error_estimate=float(err), eigenfunction=gf, node_count=nodes,
-        symmetry_residual=sym, form="normal",
-    )
+    return _eigen_result(lam, err, gf, index, "finite-difference", "normal")
 
 
 @dataclass(frozen=True)
@@ -334,7 +324,7 @@ class GapResult:
 
 def gap(params):
     """Spectral gap by shooting, with its excess over 3 pi^2 / D^2."""
-    params = _as_params(params)
+    params = validate(params)
     r1 = eigen_shoot(params, 1)
     r2 = eigen_shoot(params, 2)
     if not (r1.eigenvalue < r2.eigenvalue):
@@ -402,8 +392,7 @@ def eigen_shoot_mp(params, index, dps=40):
     """
     import mpmath
 
-    params = _as_params(params)
-    validate(params)
+    params = validate(params)
     _check_index(index)
     n, K, D = params.n, params.K, params.D
     seed = eigen_shoot(params, index).eigenvalue

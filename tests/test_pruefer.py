@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from gapmodel import pruefer
-from gapmodel.errors import BracketError, DomainError, HypothesisError
+from gapmodel.errors import BlowupError, BracketError, DomainError, HypothesisError
 from gapmodel.model import ModelParams
 from gapmodel.pruefer import (
     find_ck,
@@ -129,6 +129,24 @@ class TestBranches:
         left = psi_left(find_ck(10.0, p), p)
         with pytest.raises(DomainError):
             left.psi_at(0.7)
+
+    @pytest.mark.parametrize("side,shift,z_cease", [("left", 8.0, 0.405), ("right", 30.0, 0.084)])
+    def test_blowup_carries_the_partial_branch(self, side, shift, z_cease):
+        # past c_k the left branch reaches -pi/2 before D/2; the right branch,
+        # shot backward from D/2, reaches +pi/2 before 0
+        p = ModelParams(n=2, K=0.5, D=1.0)
+        ck = find_ck(10.0, p)
+        if side == "left":
+            branch = lambda **kw: psi_left(ck + shift, p, **kw)
+        else:
+            branch = lambda **kw: psi_right(10.0, ck + shift, p, **kw)
+        with pytest.raises(BlowupError, match=f"{side} branch ceases") as info:
+            branch()
+        assert info.value.z == pytest.approx(z_cease, abs=1e-3)
+        partial = branch(allow_partial=True)
+        assert info.value.partial.interval == partial.interval
+        assert info.value.z in partial.interval
+        np.testing.assert_array_equal(info.value.partial.psi, partial.psi)
 
 
 class TestRobinEigenfunction:
