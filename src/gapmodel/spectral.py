@@ -275,15 +275,17 @@ def _fd_eigenvector(lam, d, h, z, params, index):
     # inverse iteration; the near-singular solve is the mechanism, not a bug
     v = np.sin(index * math.pi * (z + params.half) / params.D)
     for shift in (1e-10 * max(1.0, abs(lam)), 1e-7 * max(1.0, abs(lam))):
+        ab_s = ab.copy()
+        ab_s[1, :] += shift
         try:
-            ab_s = ab.copy()
-            ab_s[1, :] += shift
             for _ in range(3):
                 v = solve_banded((1, 1), ab_s, v)
                 v = v / np.max(np.abs(v))
             break
-        except Exception:
+        except np.linalg.LinAlgError:  # the shift hit an eigenvalue exactly
             continue
+    else:
+        raise NonConvergenceError(f"inverse iteration found no regular shift at lam = {lam!r}")
     full_z = np.linspace(-params.half, params.half, N + 1)
     full_v = np.concatenate([[0.0], v, [0.0]])
     return GridFunction(z=full_z, values=full_v)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gapmodel import spectral
-from gapmodel.errors import DomainError
+from gapmodel.errors import DomainError, NonConvergenceError
 from gapmodel.model import ModelParams
 from gapmodel.spectral import (
     ball_first_eigen,
@@ -191,6 +191,19 @@ class TestFiniteDifference:
         assert r1.node_count == 0
         assert r2.node_count == 1
         assert r1.eigenvalue < r2.eigenvalue
+
+    @pytest.mark.parametrize("error,expected", [
+        (np.linalg.LinAlgError, NonConvergenceError), (ValueError, ValueError),
+    ])
+    def test_failed_inverse_iteration_is_reported(self, monkeypatch, error, expected):
+        # the sine seed has the right nodes and parity, so a failed inverse
+        # iteration must not hand it back as the eigenvector
+        def failing(*args, **kwargs):
+            raise error("solve failed")
+
+        monkeypatch.setattr(spectral, "solve_banded", failing)
+        with pytest.raises(expected):
+            eigen_fd((6, -4.0, 1.0), 2)
 
 
 class TestGap:
