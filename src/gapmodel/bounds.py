@@ -129,7 +129,7 @@ def explicit_n2_bounds(params):
     params = validate(params)
     if params.n != 2:
         raise HypothesisError(f"explicit quartic bounds are the n = 2 case, got n = {params.n}")
-    _require(params, 1)
+    _require(params, 1)  # K > 0, shared with the index-wise bounds
     K, D = params.K, params.D
     no_lower = "none (comparison argument needs n >= 3)"
     return (

@@ -221,8 +221,8 @@ def psi_right(k, c, params, allow_partial=False, n_samples=2001):
     """Backward log-derivative branch with psi(D/2) = -k.
 
     Integrated from z = D/2 toward 0; if the angle reaches +pi/2 at some
-    z_minus > 0 the branch exists only on (z_minus, D/2] and BlowupError is
-    raised unless allow_partial is set.
+    z_minus > 1e-9 D/2 the branch exists only on (z_minus, D/2] and
+    BlowupError is raised unless allow_partial is set.
     """
     params = validate(params)
     if not (k > 0):

@@ -16,6 +16,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from gapmodel import cli
+
 GOLDEN = Path(__file__).resolve().parent
 
 PLOT = "{plot}"  # stands for the plot path, filled in per run
@@ -37,9 +39,7 @@ CASES = [
 
 
 def run_case(argv):
-    """Exit code and {file name suffix: bytes} of one in-process CLI run."""
-    from gapmodel import cli
-
+    """Exit code and {"stdout" or "plot": bytes} of one in-process CLI run."""
     with tempfile.TemporaryDirectory() as tmp:
         plot = os.path.join(tmp, "plot.csv")
         out = io.StringIO()
