@@ -17,8 +17,7 @@ majorizes the quotient).
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
+from ._scipy import quad
 from .errors import HypothesisError, OrderingViolation
 from .kernels import cs
 from .model import validate

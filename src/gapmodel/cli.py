@@ -13,7 +13,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -102,6 +101,8 @@ def _render_table(rows, header, args, command):
 
 def _run_jobs(worker, items, jobs):
     if jobs and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, items))
     return [worker(it) for it in items]

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from ._scipy import solve_banded
 from .errors import (
     DomainError,
     HypothesisError,

@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
+from ._scipy import brentq, solve_ivp
 from .errors import BlowupError, BracketError, CoverageError, DomainError, HypothesisError
 from .kernels import cs
 from .model import GridFunction, ModelParams, validate

@@ -39,10 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
+from ._scipy import brentq, solve_banded, solve_ivp
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError
 from .kernels import tn

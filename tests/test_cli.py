@@ -11,11 +11,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gapmodel import cli, flow, pruefer
+from gapmodel import bounds, cli, flow, pruefer, spectral
 from gapmodel.errors import DomainError
 from gapmodel.model import ModelParams
 
@@ -413,3 +414,81 @@ def test_module_entry_point():
     (row,) = doc["rows"]
     # n = 3 has constant potential, so the gap is exactly 3 pi^2 / D^2
     assert row["gap"] == pytest.approx(3 * math.pi**2, rel=1e-12)
+
+
+# Runs CLI commands in a fresh interpreter and reports, after each, the
+# scipy modules loaded so far.  argv of the eigen run comes in sys.argv[1].
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import gapmodel
+import gapmodel.cli as cli
+
+report = {"import": scipy_modules()}
+for name, argv in (("series", ["series", "--order", "3"]), ("help", ["--help"]),
+                   ("eigen", json.loads(sys.argv[1]))):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report[name] = {"code": code, "stdout": out.getvalue(), "scipy": scipy_modules()}
+print(json.dumps(report))
+"""
+
+
+class TestStartUp:
+    def test_scipy_loads_on_the_first_solver_call(self):
+        eigen_argv = ["eigen", "--n", "2,3,5", "--K", "-2,1", "--D", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(eigen_argv)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["import"] == []
+        for name in ("series", "help"):
+            assert report[name]["code"] == 0
+            assert report[name]["stdout"]
+            assert report[name]["scipy"] == [], f"{name} loaded scipy"
+        eigen = report["eigen"]
+        assert eigen["code"] == 0
+        assert "scipy.integrate" in eigen["scipy"]
+        golden = Path(__file__).resolve().parent / "golden" / "eigen_shoot.csv"
+        assert eigen["stdout"] == golden.read_text()
+
+    def test_solvers_are_module_attributes(self):
+        """The names a tracer rebinds exist and behave as scipy's own."""
+        from scipy.integrate import quad, solve_ivp
+        from scipy.linalg import solve_banded
+        from scipy.optimize import brentq
+
+        def rhs(t, y):
+            return [-2.0 * t * y[0]]
+
+        ivp = solve_ivp(rhs, (0.0, 1.0), [1.0], method="DOP853", rtol=1e-10)
+        for module in (spectral, pruefer):
+            got = module.solve_ivp(rhs, (0.0, 1.0), [1.0], method="DOP853", rtol=1e-10)
+            assert got.nfev == ivp.nfev
+            assert np.array_equal(got.t, ivp.t) and np.array_equal(got.y, ivp.y)
+
+        def f(x):
+            return math.cos(x) - x
+
+        root = brentq(f, 0.0, 1.0, xtol=1e-14)
+        for module in (spectral, pruefer):
+            assert module.brentq(f, 0.0, 1.0, xtol=1e-14) == root
+
+        ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+        b = np.array([1.0, 2.0, 3.0])
+        x = solve_banded((1, 1), ab, b)
+        for module in (spectral, flow):
+            assert np.array_equal(module.solve_banded((1, 1), ab, b), x)
+
+        assert bounds.quad(math.exp, 0.0, 1.0, epsabs=1e-12) == quad(
+            math.exp, 0.0, 1.0, epsabs=1e-12
+        )
