@@ -144,9 +144,30 @@ class PiLaurent:
         raise TypeError("PiLaurent division only by rationals or pi-monomials")
 
     def evalf(self):
-        import math
+        """The float nearest the exact value.
 
-        return float(sum(float(v) * math.pi**e for e, v in self.c.items()))
+        The terms can cancel to far below their own size, so they are
+        summed in mpmath with enough bits to cover the cancellation, and
+        the sum is rounded to float once.
+        """
+        if not self.c:
+            return 0.0
+        import mpmath
+
+        prec = 96
+        while True:
+            with mpmath.workprec(prec):
+                terms = [mpmath.mpf(v.numerator) / v.denominator * mpmath.pi**e
+                         for e, v in self.c.items()]
+                total = mpmath.fsum(terms)
+            # bits lost to cancellation and to rounding each term; pi is
+            # transcendental, so a nonempty sum is never exactly zero
+            lost = prec if not total else (
+                max(mpmath.mag(t) for t in terms) - mpmath.mag(total)
+                + len(terms).bit_length())
+            if prec - lost >= 53 + 16:
+                return float(total)
+            prec = lost + 53 + 32
 
     def eval_mp(self, mp):
         """Evaluate with an mpmath context (arbitrary precision)."""

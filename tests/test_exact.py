@@ -59,6 +59,17 @@ class TestPiLaurent:
             ref = float(a.eval_mp(mpmath))
         assert a.evalf() == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
+    def test_float_through_deep_cancellation(self):
+        # q pi - p with p/q a close rational approximation of pi: the two
+        # terms, near 1e20, cancel to near 1e-20
+        with mpmath.workdps(60):
+            approx = Fraction(str(+mpmath.pi)).limit_denominator(10**20)
+        x = PiLaurent({1: approx.denominator, 0: -approx.numerator})
+        with mpmath.workdps(80):
+            ref = float(x.eval_mp(mpmath))
+        assert 0 < abs(ref) < 1e-15
+        assert x.evalf() == ref
+
     def test_division_by_rational(self):
         x = PiLaurent({2: Fraction(3, 4), 0: Fraction(-1, 2)})
         assert x / 2 == PiLaurent({2: Fraction(3, 8), 0: Fraction(-1, 4)})

@@ -4,6 +4,7 @@ the fifth-order analysis, and consistency with the numeric solvers."""
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from gapmodel.errors import DomainError
@@ -158,6 +159,18 @@ class TestEvaluation:
             f = eval_series((5, 1.2, 1.1), 4, branch=branch)
             m = float(eval_series_mp((5, 1.2, 1.1), 4, branch=branch))
             assert f == pytest.approx(m, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_coefficients_are_correctly_rounded(self, n):
+        """Every kappa^m coefficient to order 10 is the float nearest its
+        exact value, here within 1e-15 of a 60-digit evaluation."""
+        g = gap_series(10, cap=10)
+        for branch in (g.first, g.second, g):
+            for m in range(11):
+                c = branch.kappa_coefficient(m)
+                with mpmath.workdps(60):
+                    ref = float(c.eval_mp(n, mpmath))
+                assert c.evalf(n) == pytest.approx(ref, rel=1e-15, abs=0), (branch, m)
 
     def test_truncation_error_scaling(self):
         """Halving kappa divides the truncation error by ~2^(M+1)."""
