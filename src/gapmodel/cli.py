@@ -39,20 +39,28 @@ def _fmt(x):
 
 def _parse_floats(text):
     """Comma list "a,b,c" or linspace range "lo:hi:count"."""
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [float(v) for v in text.split(",") if v != ""]
         lo, hi, num = text.split(":")
-        num = int(num)
-        if num < 1:
-            raise DomainError(f"range count must be >= 1, got {num}")
-        if num == 1:
-            return [float(lo)]
-        step = (float(hi) - float(lo)) / (num - 1)
-        return [float(lo) + i * step for i in range(num)]
-    return [float(v) for v in text.split(",") if v != ""]
+        lo, hi, num = float(lo), float(hi), int(num)
+    except ValueError:
+        raise DomainError(
+            f"expected a number list a,b,c or a range lo:hi:count, got {text!r}"
+        ) from None
+    if num < 1:
+        raise DomainError(f"range count must be >= 1, got {num}")
+    if num == 1:
+        return [lo]
+    step = (hi - lo) / (num - 1)
+    return [lo + i * step for i in range(num)]
 
 
 def _parse_ints(text):
-    return [int(v) for v in text.split(",") if v != ""]
+    try:
+        return [int(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise DomainError(f"expected an integer list a,b,c, got {text!r}") from None
 
 
 def _collect_triples(args):

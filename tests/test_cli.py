@@ -392,6 +392,19 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,bad", [
+        (["eigen", "--n", "2", "--K", "abc", "--D", "1"], "abc"),
+        (["eigen", "--n", "two", "--K", "1", "--D", "1"], "two"),
+        (["eigen", "--n", "2", "--K", "0:1:x", "--D", "1"], "0:1:x"),
+        (["eigen", "--n", "2", "--K", "0:1", "--D", "1"], "0:1"),
+        (["series", "--order", "3", "--n", "x"], "x"),
+    ])
+    def test_malformed_list_is_invalid_params(self, argv, bad, capsys):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(bad) in err and "Traceback" not in err
+
     def test_validation_before_dispatch(self, capsys):
         # one bad triple in a sweep aborts the whole run with no output
         code, out, err = run_main(
