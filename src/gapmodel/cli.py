@@ -41,7 +41,7 @@ def _parse_floats(text):
     """Comma list "a,b,c" or linspace range "lo:hi:count"."""
     try:
         if ":" not in text:
-            return [float(v) for v in text.split(",") if v != ""]
+            return _nonempty([float(v) for v in text.split(",") if v != ""], text)
         lo, hi, num = text.split(":")
         lo, hi, num = float(lo), float(hi), int(num)
     except ValueError:
@@ -58,9 +58,15 @@ def _parse_floats(text):
 
 def _parse_ints(text):
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        return _nonempty([int(v) for v in text.split(",") if v != ""], text)
     except ValueError:
         raise DomainError(f"expected an integer list a,b,c, got {text!r}") from None
+
+
+def _nonempty(values, text):
+    if not values:
+        raise DomainError(f"expected at least one value, got {text!r}")
+    return values
 
 
 def _collect_triples(args):

@@ -1,9 +1,10 @@
 """Exact arithmetic for the curvature-expansion engine.
 
-Three small algebraic types, built on fractions.Fraction:
+Three small algebraic types:
 
   PiLaurent  -- finite sums  sum_e  q_e * pi^e  with rational q_e and
-                integer (possibly negative) exponents e.
+                integer (possibly negative) exponents e, held as integer
+                numerators over one common denominator.
   NPoly      -- polynomials in the dimension symbol n with PiLaurent
                 coefficients.  The expansion coefficients are polynomials
                 in n (they enter through (n-1)(n-3) and its powers), and
@@ -22,6 +23,7 @@ Dirichlet and normalization conventions the series engine needs; the
 Fredholm condition <rhs, base mode> = 0 is checked exactly first.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,94 +39,103 @@ def _as_fraction(x):
 
 
 class PiLaurent:
-    """An exact number sum_e coeff[e] * pi^e (finitely many integer e)."""
+    """An exact number sum_e coeff[e] * pi^e (finitely many integer e).
 
-    __slots__ = ("c",)
+    Stored as integer numerators num[e] over one positive denominator den,
+    in lowest terms: gcd(den, *num.values()) == 1 and no numerator is zero.
+    The form is canonical, so equal values compare and hash equal whatever
+    path built them.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = _as_fraction(v) if not isinstance(v, Fraction) else v
-                if v != 0:
-                    c[int(e)] = v
-        self.c = c
+        fracs = {}
+        for e, v in (coeffs or {}).items():
+            v = _as_fraction(v)
+            if v != 0:
+                fracs[int(e)] = v
+        if not fracs:
+            self.num, self.den = {}, 1
+            return
+        den = math.lcm(*(v.denominator for v in fracs.values()))
+        self.num = {e: v.numerator * (den // v.denominator) for e, v in fracs.items()}
+        self.den = den
 
     @classmethod
     def from_rational(cls, q):
-        return cls({0: _as_fraction(q)})
+        return cls({0: q})
 
     @classmethod
     def pi_power(cls, e, coeff=1):
-        return cls({e: _as_fraction(coeff)})
+        return cls({e: coeff})
+
+    def _terms(self):
+        """(e, coeff[e]) pairs, each coefficient a Fraction in lowest terms."""
+        den = self.den
+        return [(e, Fraction(v, den)) for e, v in self.num.items()]
 
     def is_zero(self):
-        return not self.c
+        return not self.num
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.num)
 
     def __eq__(self, other):
         other = _pl(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.c == other.c
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __add__(self, other):
         other = _pl(other)
         if other is NotImplemented:
             return NotImplemented
-        c = dict(self.c)
-        for e, v in other.c.items():
-            w = c.get(e, Fraction(0)) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        out = PiLaurent.__new__(PiLaurent)
-        out.c = c
-        return out
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = PiLaurent.__new__(PiLaurent)
-        out.c = {e: -v for e, v in self.c.items()}
-        return out
+        return _make({e: -v for e, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = _pl(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other):
-        return _pl(other) + (-self)
+        other = _pl(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _combine(other, self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if q == 0:
-                return PiLaurent()
-            out = PiLaurent.__new__(PiLaurent)
-            out.c = {e: v * q for e, v in self.c.items()}
-            return out
+        if isinstance(other, int):
+            return _scaled(self, other, 1)
+        if isinstance(other, Fraction):
+            return _scaled(self, other.numerator, other.denominator)
         if isinstance(other, PiLaurent):
+            # most products have a rational or a pi-monomial factor
+            if len(other.num) == 1:
+                (e, a), = other.num.items()
+                return _scaled(self, a, other.den, e)
+            if len(self.num) == 1:
+                (e, a), = self.num.items()
+                return _scaled(other, a, self.den, e)
             c = {}
-            for e1, v1 in self.c.items():
-                for e2, v2 in other.c.items():
+            for e1, v1 in self.num.items():
+                for e2, v2 in other.num.items():
                     e = e1 + e2
-                    w = c.get(e, Fraction(0)) + v1 * v2
+                    w = c.get(e, 0) + v1 * v2
                     if w:
                         c[e] = w
                     else:
                         c.pop(e, None)
-            out = PiLaurent.__new__(PiLaurent)
-            out.c = c
-            return out
+            return _reduced(c, self.den * other.den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -134,13 +145,11 @@ class PiLaurent:
             q = _as_fraction(other)
             if q == 0:
                 raise ZeroDivisionError("division by zero rational")
-            return self * (1 / q)
-        if isinstance(other, PiLaurent) and len(other.c) == 1:
-            # division by a pure monomial q*pi^e is exact
-            (e, v), = other.c.items()
-            out = PiLaurent.__new__(PiLaurent)
-            out.c = {ee - e: vv / v for ee, vv in self.c.items()}
-            return out
+            return _scaled(self, q.denominator, q.numerator)
+        if isinstance(other, PiLaurent) and len(other.num) == 1:
+            # division by a pure monomial (a/b)*pi^e is exact
+            (e, a), = other.num.items()
+            return _scaled(self, other.den, a, -e)
         raise TypeError("PiLaurent division only by rationals or pi-monomials")
 
     def evalf(self):
@@ -150,7 +159,7 @@ class PiLaurent:
         summed in mpmath with enough bits to cover the cancellation, and
         the sum is rounded to float once.
         """
-        if not self.c:
+        if not self.num:
             return 0.0
         import mpmath
 
@@ -158,7 +167,7 @@ class PiLaurent:
         while True:
             with mpmath.workprec(prec):
                 terms = [mpmath.mpf(v.numerator) / v.denominator * mpmath.pi**e
-                         for e, v in self.c.items()]
+                         for e, v in self._terms()]
                 total = mpmath.fsum(terms)
             # bits lost to cancellation and to rounding each term; pi is
             # transcendental, so a nonempty sum is never exactly zero
@@ -172,19 +181,18 @@ class PiLaurent:
     def eval_mp(self, mp):
         """Evaluate with an mpmath context (arbitrary precision)."""
         total = mp.mpf(0)
-        for e, v in self.c.items():
+        for e, v in self._terms():
             total += mp.mpf(v.numerator) / mp.mpf(v.denominator) * mp.pi**e
         return total
 
     def to_json(self):
-        return {str(e): [v.numerator, v.denominator] for e, v in sorted(self.c.items())}
+        return {str(e): [v.numerator, v.denominator] for e, v in sorted(self._terms())}
 
     def __repr__(self):
-        if not self.c:
+        if not self.num:
             return "0"
         parts = []
-        for e in sorted(self.c, reverse=True):
-            v = self.c[e]
+        for e, v in sorted(self._terms(), reverse=True):
             if e == 0:
                 parts.append(f"{v}")
             elif e == 1:
@@ -194,10 +202,58 @@ class PiLaurent:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _make(num, den):
+    """A PiLaurent from numerators and a denominator already in lowest terms."""
+    out = PiLaurent.__new__(PiLaurent)
+    out.num = num
+    out.den = den
+    return out
+
+
+def _reduced(num, den):
+    """A PiLaurent from nonzero numerators over den > 0, brought to lowest terms."""
+    if not num:
+        return _make(num, 1)
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        num = {e: v // g for e, v in num.items()}
+        den //= g
+    return _make(num, den)
+
+
+def _scaled(x, a, b, shift=0):
+    """x * (a / b) * pi^shift for integers a and b != 0."""
+    if not a:
+        return _make({}, 1)
+    if b < 0:
+        a, b = -a, -b
+    return _reduced({e + shift: v * a for e, v in x.num.items()}, x.den * b)
+
+
+def _combine(x, y, sign):
+    """x + sign * y over the common denominator of the two."""
+    if not y.num:
+        return x
+    if not x.num:
+        return y if sign == 1 else _make({e: -v for e, v in y.num.items()}, y.den)
+    g = math.gcd(x.den, y.den)
+    m1, m2 = y.den // g, sign * (x.den // g)
+    c = {e: v * m1 for e, v in x.num.items()}
+    for e, v in y.num.items():
+        w = c.get(e, 0) + v * m2
+        if w:
+            c[e] = w
+        else:
+            c.pop(e, None)
+    return _reduced(c, x.den * m1)
+
+
 def _pl(x):
     if isinstance(x, PiLaurent):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
+        return _make({0: x} if x else {}, 1)
+    if isinstance(x, Fraction):
         return PiLaurent.from_rational(x)
     return NotImplemented
 
@@ -554,8 +610,6 @@ class TrigPoly:
 
     def evalf(self, x, n):
         """Float evaluation at point x and integer dimension n."""
-        import math
-
         total = 0.0
         for (kind, m), poly in self.terms.items():
             pv = 0.0

@@ -81,31 +81,33 @@ def _branch_data(branch):
         raise DomainError(f"branch must be 'first' or 'second', got {branch!r}") from None
 
 
-@lru_cache(maxsize=None)
 def lambda_series(branch, M, cap=DEFAULT_ORDER_CAP):
     """Exact expansion of one eigenvalue branch through order M."""
-    mode, parity, kind = _branch_data(branch)
+    mode, _, _ = _branch_data(branch)
     if not (0 <= M <= cap):
         raise DomainError(f"order M = {M} outside [0, {cap}]")
+    return SeriesResult(branch=branch, mode=mode, orders=_orders(branch, M))
+
+
+@lru_cache(maxsize=None)
+def _orders(branch, M):
+    """The (lam_m, y_m) pairs for m = 0..M: the cached pairs through M - 1
+    extended by one order, so every order is solved once per branch."""
+    mode, parity, kind = _branch_data(branch)
     base = TrigPoly.basis(kind, mode)
-    a = sec2_coeffs(M - 1 if M > 0 else 0)
-    quarter_A = [A_POLY * (ai * Fraction(1, 4)) for ai in a]
-    ys = [base]
-    lams = [NPoly.from_scalar(mode * mode)]
-    two_over_pi = PiLaurent.pi_power(-1, 2)
-    for m in range(1, M + 1):
-        F = TrigPoly.zero()
-        for i in range(m):
-            j = m - 1 - i
-            F = F + ys[j].mul_xpow(2 * i).scale(quarter_A[i])
-        for i in range(1, m):
-            F = F - ys[m - i].scale(lams[i])
-        lam_m = trig_integrate(F * base) * two_over_pi
-        rhs = F - base.scale(lam_m)
-        y_m = solve_resonant(rhs, mode, parity)
-        ys.append(y_m)
-        lams.append(lam_m)
-    return SeriesResult(branch=branch, mode=mode, orders=tuple(zip(lams, ys)))
+    if M == 0:
+        return ((NPoly.from_scalar(mode * mode), base),)
+    prev = _orders(branch, M - 1)
+    lams, ys = zip(*prev)
+    a = sec2_coeffs(M - 1)
+    F = TrigPoly.zero()
+    for i in range(M):
+        F = F + ys[M - 1 - i].mul_xpow(2 * i).scale(A_POLY * (a[i] * Fraction(1, 4)))
+    for i in range(1, M):
+        F = F - ys[M - i].scale(lams[i])
+    lam_M = trig_integrate(F * base) * PiLaurent.pi_power(-1, 2)
+    y_M = solve_resonant(F - base.scale(lam_M), mode, parity)
+    return prev + ((lam_M, y_M),)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def test_criterion_2_dichotomy(capsys):
 
 
 def test_criterion_3_series_exact_low_orders(capsys):
-    series.lambda_series.cache_clear()
+    series._orders.cache_clear()
     t0 = time.perf_counter()
     rep = series.check_reference(3)
     g = series.gap_series(3)

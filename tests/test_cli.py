@@ -398,6 +398,8 @@ class TestExitCodes:
         (["eigen", "--n", "2", "--K", "0:1:x", "--D", "1"], "0:1:x"),
         (["eigen", "--n", "2", "--K", "0:1", "--D", "1"], "0:1"),
         (["series", "--order", "3", "--n", "x"], "x"),
+        (["eigen", "--n", "2", "--K", ",", "--D", "1"], ","),
+        (["series", "--order", "2", "--n", ","], ","),
     ])
     def test_malformed_list_is_invalid_params(self, argv, bad, capsys):
         code, out, err = run_main(argv, capsys)

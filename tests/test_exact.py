@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gapmodel.errors import DomainError, SolvabilityError
@@ -87,6 +87,101 @@ class TestPiLaurent:
 
     def test_pi_power_constructor(self):
         assert PiLaurent.pi_power(-1, 2).evalf() == pytest.approx(2 / math.pi)
+
+
+# denominators built from a few small primes, so that terms share factors
+# and sums and products reduce
+shared_fraction_st = st.builds(
+    lambda a, i, j, k: Fraction(a, 2**i * 3**j * 5**k),
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2),
+)
+shared_dict_st = st.dictionaries(
+    st.integers(min_value=-4, max_value=4), shared_fraction_st, max_size=4
+)
+nonzero_fraction_st = shared_fraction_st.filter(bool)
+
+
+def _as_dict(x):
+    """A PiLaurent read back as a plain {e: Fraction} dict."""
+    return {int(e): Fraction(p, q) for e, (p, q) in x.to_json().items()}
+
+
+def _ref_combine(a, b, sign):
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + sign * v
+    return {e: v for e, v in out.items() if v}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def _assert_normal(x, ref):
+    """x equals the dict-of-Fraction reference and is in lowest terms."""
+    ref = {e: v for e, v in ref.items() if v}
+    assert _as_dict(x) == ref
+    assert x.to_json() == {str(e): [v.numerator, v.denominator]
+                           for e, v in sorted(ref.items())}
+    assert x == PiLaurent(ref) and hash(x) == hash(PiLaurent(ref))
+    assert bool(x) == bool(ref)
+    assert x.den > 0 and 0 not in x.num.values()
+    assert math.gcd(x.den, *x.num.values()) == 1
+
+
+class TestPiLaurentNormalForm:
+    """Integer numerators over one denominator give the same values as
+    plain dict-of-Fraction arithmetic, in one canonical form."""
+
+    @given(a=shared_dict_st, b=shared_dict_st, q=nonzero_fraction_st,
+           e=st.integers(min_value=-3, max_value=3))
+    @example(a={0: Fraction(1, 2), 1: Fraction(1, 6)},
+             b={0: Fraction(-1, 2), 1: Fraction(1, 3)}, q=Fraction(-3, 2), e=0)
+    @example(a={2: Fraction(1, 4)}, b={2: Fraction(-1, 4)}, q=Fraction(1, 4), e=-2)
+    @example(a={}, b={-1: Fraction(5, 6)}, q=Fraction(-1), e=1)
+    @example(a={1: Fraction(3, 10)}, b={0: Fraction(1, 6), -2: Fraction(-5, 4)},
+             q=Fraction(10, 3), e=-1)
+    @example(a={0: Fraction(2, 3), 3: Fraction(4, 9)}, b={0: Fraction(-2, 3)},
+             q=Fraction(6, 5), e=3)
+    def test_arithmetic_matches_fractions(self, a, b, q, e):
+        x, y = PiLaurent(a), PiLaurent(b)
+        _assert_normal(x, a)
+        _assert_normal(x + y, _ref_combine(a, b, 1))
+        _assert_normal(x - y, _ref_combine(a, b, -1))
+        _assert_normal(q - x, _ref_combine({0: q}, a, -1))
+        _assert_normal(-x, {k: -v for k, v in a.items()})
+        _assert_normal(x * y, _ref_mul(a, b))
+        _assert_normal(x * q, {k: v * q for k, v in a.items()})
+        _assert_normal(x / q, {k: v / q for k, v in a.items()})
+        _assert_normal(x / PiLaurent.pi_power(e, q),
+                       {k - e: v / q for k, v in a.items()})
+
+    @given(a=shared_dict_st, b=shared_dict_st, q=nonzero_fraction_st)
+    @example(a={0: Fraction(1, 2)}, b={0: Fraction(1, 2)}, q=Fraction(2))
+    @example(a={1: Fraction(1, 3), -1: Fraction(2, 9)},
+             b={1: Fraction(2, 3), 0: Fraction(1, 5)}, q=Fraction(-9, 4))
+    def test_equal_values_are_equal_objects(self, a, b, q):
+        x, y = PiLaurent(a), PiLaurent(b)
+        for other in ((x + y) - y, x * q / q, (x * y + x) - x * y):
+            assert other == x and hash(other) == hash(x)
+            assert other.num == x.num and other.den == x.den
+
+    @given(a=shared_dict_st)
+    @example(a={0: Fraction(7, 10), 2: Fraction(-3, 20)})
+    def test_zero_results_are_falsy(self, a):
+        x = PiLaurent(a)
+        for zero in (x - x, x + (-x), x * 0, x * PiLaurent()):
+            assert not zero and zero.is_zero()
+            assert zero == PiLaurent() == 0
+            assert hash(zero) == hash(PiLaurent())
+            assert zero.to_json() == {} and repr(zero) == "0"
 
 
 class TestNPoly:

@@ -1,12 +1,15 @@
 """The exact expansion engine: coefficient values, the reference comparison,
 the fifth-order analysis, and consistency with the numeric solvers."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from gapmodel import exact, series
 from gapmodel.errors import DomainError
 from gapmodel.exact import A_POLY, NPoly, PiLaurent
 from gapmodel.series import (
@@ -162,11 +165,11 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_coefficients_are_correctly_rounded(self, n):
-        """Every kappa^m coefficient to order 10 is the float nearest its
+        """Every kappa^m coefficient to order 12 is the float nearest its
         exact value, here within 1e-15 of a 60-digit evaluation."""
-        g = gap_series(10, cap=10)
+        g = gap_series(12, cap=12)
         for branch in (g.first, g.second, g):
-            for m in range(11):
+            for m in range(13):
                 c = branch.kappa_coefficient(m)
                 with mpmath.workdps(60):
                     ref = float(c.eval_mp(n, mpmath))
@@ -184,6 +187,70 @@ class TestEvaluation:
             ratio = errs[0] / errs[1]
             expect = 2.0 ** (M + 1)
             assert expect / 3.0 < ratio < expect * 3.0
+
+
+def test_order_twelve_coefficients_are_frozen():
+    """Every exact kappa^m coefficient of both branches through order 12,
+    as JSON, hashes to the digest of the Fraction-per-term engine."""
+    g = gap_series(12, cap=20)
+    doc = json.dumps(
+        {b: [getattr(g, b).kappa_coefficient(m).to_json() for m in range(13)]
+         for b in ("first", "second")},
+        sort_keys=True,
+    )
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "fd65a0ab41234d458902ebeae6a51a7092dcc1ae83afdae8085f82f4133ae065"
+    )
+
+
+def clear_memo_caches():
+    """Empty every memo cache in series and exact, as a new process has them."""
+    for module in (series, exact):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+
+
+class TestOrderCache:
+    """Each order of each branch is solved once, whatever M, cap or caller
+    asks for it; a longer expansion extends the cached shorter one."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        original = series.solve_resonant
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(series, "solve_resonant", counting)
+        clear_memo_caches()
+        return calls
+
+    def test_each_order_is_solved_once(self, solves):
+        gap_series(8)
+        assert len(solves) == 16
+        gap_series(5)
+        gap_series(3)
+        lambda_series("first", 8, cap=20)
+        check_reference(5)
+        assert len(solves) == 16
+
+    def test_cleared_caches_start_cold(self, solves):
+        gap_series(8)
+        clear_memo_caches()
+        solves.clear()
+        gap_series(5)
+        assert len(solves) == 10
+
+    def test_prefixes_equal_cold_results(self, solves):
+        gap_series(8)
+        prefixes = {M: gap_series(M) for M in range(9)}
+        for M in (0, 3, 5, 8):
+            clear_memo_caches()
+            assert gap_series(M) == prefixes[M]
+            assert lambda_series("second", M) == prefixes[M].second
 
 
 class TestModulusExpansion:
