@@ -303,7 +303,7 @@ class NPoly:
             return NotImplemented
         c = dict(self.c)
         for d, v in other.c.items():
-            w = c.get(d, PiLaurent()) + v
+            w = c[d] + v if d in c else v
             if w:
                 c[d] = w
             else:
@@ -341,7 +341,8 @@ class NPoly:
             for d1, v1 in self.c.items():
                 for d2, v2 in other.c.items():
                     d = d1 + d2
-                    w = c.get(d, PiLaurent()) + v1 * v2
+                    v = v1 * v2
+                    w = c[d] + v if d in c else v
                     if w:
                         c[d] = w
                     else:
