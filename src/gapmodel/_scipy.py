@@ -1,18 +1,64 @@
-"""The four scipy solvers gapmodel calls, imported on their first call.
+"""The scipy solvers gapmodel calls, imported on their first call.
 
 Importing scipy.integrate, scipy.optimize and scipy.linalg takes most of a
 second, and the exact series engine, ``gapmodel series`` and ``--help``
 need none of them.  Each forwarder imports scipy's function when it is
-called and passes its arguments and result through unchanged.  Modules bind
-these names at import time (``from ._scipy import solve_ivp``), so each
-solver stays a module attribute that can be rebound or patched.
+called; ``solve_ivp``, ``quad``, ``brentq`` and ``solve_banded`` pass their
+arguments and result through unchanged, while ``dop853_end`` and
+``tridiagonal_eigenvalue`` wrap one compiled routine each in a narrower
+call.  Modules bind these names at import time (``from ._scipy import
+solve_ivp``), so each solver stays a module attribute that can be rebound
+or patched.
 """
+
+from types import SimpleNamespace
+
+# step budget of one dop853_end run; the longest angle shot near the cap
+# takes a few thousand steps, and a run that exhausts it fails instead of
+# stalling
+DOP853_MAX_STEPS = 100_000
 
 
 def solve_ivp(*args, **kwargs):
     from scipy.integrate import solve_ivp
 
     return solve_ivp(*args, **kwargs)
+
+
+def dop853_end(fun, t0, t1, y0, rtol, atol):
+    """End state of y' = fun(t, y) from t0 to t1 by Hairer's compiled DOP853.
+
+    Runs scipy's Fortran ``dop853`` (``scipy.integrate.ode``) and returns
+    the attribute names of ``solve_ivp``'s result: ``t`` and ``y`` are the
+    point reached and the state there, ``nfev`` counts right-hand-side
+    calls, and ``success`` and ``message`` report the return code.  A
+    negative code (step budget exhausted, step size too small, or a
+    stiffness interrupt) gives ``success = False`` with scipy's message
+    instead of scipy's warning.  An exception raised by fun propagates.
+    """
+    import warnings
+
+    from scipy.integrate import ode
+
+    solver = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol,
+                                     nsteps=DOP853_MAX_STEPS)
+    solver.set_initial_value(y0, t0)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="dop853: ", category=UserWarning)
+        try:
+            y = solver.integrate(t1)
+        except ValueError as exc:
+            # the Fortran wrapper reports an exception raised by fun as a
+            # ValueError about fun's return value; raise fun's own exception
+            while exc.__context__ is not None:
+                exc = exc.__context__
+            raise exc from None
+    code = solver.get_return_code()
+    dop = solver._integrator
+    return SimpleNamespace(
+        t=solver.t, y=y, success=code > 0, nfev=int(dop.iwork[16]),  # NFCN
+        message=dop.messages.get(code, f"unexpected return code {code}"),
+    )
 
 
 def quad(*args, **kwargs):
@@ -31,3 +77,18 @@ def solve_banded(*args, **kwargs):
     from scipy.linalg import solve_banded
 
     return solve_banded(*args, **kwargs)
+
+
+def tridiagonal_eigenvalue(d, e, index, tol):
+    """index-th smallest eigenvalue (1-based) of a symmetric tridiagonal matrix.
+
+    d is the diagonal and e the off-diagonal.  LAPACK's ``stebz`` bisects on
+    Sturm counts until the eigenvalue lies in an interval no wider than
+    max(tol, 2 eps |lam|) and returns its midpoint; a failure raises
+    ``numpy.linalg.LinAlgError``.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    return float(eigvalsh_tridiagonal(
+        d, e, select="i", select_range=(index - 1, index - 1),
+        lapack_driver="stebz", tol=tol)[0])

@@ -12,7 +12,9 @@ oscillation rather than the size of lam, and the angle's noise stays
 independent of D.  V is even, so the index-th eigenfunction has parity
 (-1)^(index-1), and the condition theta(D/2) = index*pi is the same as the
 midpoint condition theta(0) = index*pi/2.  Shooting therefore integrates
-only [-D/2, 0], inward from the endpoint, and matches at z = 0.
+only [-D/2, 0], inward from the endpoint, and matches at z = 0; each angle
+shot runs Hairer's compiled DOP853 (_scipy.dop853_end) and keeps only the
+end state.
 
 Brent's method finds the root inside a Rayleigh-Sturm bracket.  cs^2 is
 monotone on [0, D/2], so V takes its extremes at z = 0 and z = D/2, and
@@ -25,8 +27,9 @@ positive, which caps the lower end at 0 where min V -> -inf (n = 2 near
 the cap).
 
 The cross-check route discretizes the same operator with second-order
-central differences and locates eigenvalues by Sturm pivot counting on the
-tridiagonal matrix, then Richardson-extrapolates across a grid doubling.
+central differences and locates eigenvalues by LAPACK's Sturm bisection
+(stebz) on the tridiagonal matrix, then Richardson-extrapolates across a
+grid doubling.
 The two routes share no integration machinery, which is the point: their
 agreement is evidence, not tautology.
 
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import brentq, solve_banded, solve_ivp
+from ._scipy import brentq, dop853_end, solve_banded, solve_ivp, tridiagonal_eigenvalue
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError
 from .kernels import tn
@@ -94,11 +97,10 @@ def _angle_mid(lam, params, form, tol=_ODE_TOL):
             c = math.cos(th)
             return [S * c * c + lam_s * s * s - (n - 1) * tn(z, K) * s * c]
 
-    sol = solve_ivp(rhs, (-params.half, 0.0), [0.0], method="DOP853",
-                    rtol=tol, atol=tol)
+    sol = dop853_end(rhs, -params.half, 0.0, [0.0], rtol=tol, atol=tol)
     if not sol.success:
         raise NonConvergenceError(f"angle integration failed: {sol.message}")
-    return float(sol.y[0, -1])
+    return float(sol.y[0])
 
 
 def _shoot_eigenfunction(lam, params, form, n_samples=1001):
@@ -223,45 +225,18 @@ def eigen_shoot(params, index, form="normal", n_samples=1001):
 # -- finite-difference route --------------------------------------------------
 
 
-def _sturm_count(d, off2, lam):
-    """Number of eigenvalues of the tridiagonal matrix below lam.
-
-    d holds the diagonal, off2 the squared (constant) off-diagonal entry.
-    Classic pivoted LDL^T recurrence; a vanishing pivot is nudged to the
-    tiny-negative side, the textbook trick that keeps the count consistent.
-    """
-    tiny = 1e-290
-    p = d[0] - lam
-    if p == 0.0:
-        p = -tiny
-    count = 1 if p < 0 else 0
-    for di in d[1:]:
-        p = di - lam - off2 / p
-        if p == 0.0:
-            p = -tiny
-        if p < 0:
-            count += 1
-    return count
-
-
 def _fd_eigenvalue(params, index, N):
     h = params.D / N
     z = -params.half + h * np.arange(1, N)
     d = 2.0 / h**2 + potential_array(z, params)
-    off2 = 1.0 / h**4
-    lo = float(np.min(d)) - 2.0 / h**2
-    hi = float(np.max(d)) + 2.0 / h**2
-    for _ in range(220):
-        mid = 0.5 * (lo + hi)
-        if _sturm_count(d, off2, mid) >= index:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-            break
-    else:
-        raise NonConvergenceError("Sturm bisection did not tighten the bracket")
-    return 0.5 * (lo + hi), d, off2, z, h
+    e = np.full(N - 2, -1.0 / h**2)
+    # stebz stops once the eigenvalue lies in an interval no wider than
+    # max(tol, 2 eps |lam|) <= 1e-14 max(1, |lam|)
+    try:
+        lam = tridiagonal_eigenvalue(d, e, index, tol=1e-14)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"Sturm bisection failed: {exc}") from exc
+    return lam, d, z, h
 
 
 def _fd_eigenvector(lam, d, h, z, params, index):
@@ -301,8 +276,8 @@ def eigen_fd(params, index, grid_size=1024):
     _check_index(index)
     if grid_size < 64 or grid_size & (grid_size - 1) != 0:
         raise DomainError(f"grid_size must be a power of two >= 64, got {grid_size}")
-    lam_n, d, off2, z, h = _fd_eigenvalue(params, index, grid_size)
-    lam_2n, d2, _, z2, h2 = _fd_eigenvalue(params, index, 2 * grid_size)
+    lam_n, _, _, _ = _fd_eigenvalue(params, index, grid_size)
+    lam_2n, d2, z2, h2 = _fd_eigenvalue(params, index, 2 * grid_size)
     lam = (4.0 * lam_2n - lam_n) / 3.0
     err = abs(lam_2n - lam_n) / 3.0
     gf = _fd_eigenvector(lam_2n, d2, h2, z2, params, index)

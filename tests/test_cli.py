@@ -507,3 +507,62 @@ class TestStartUp:
         assert bounds.quad(math.exp, 0.0, 1.0, epsabs=1e-12) == quad(
             math.exp, 0.0, 1.0, epsabs=1e-12
         )
+
+    def test_compiled_solvers_are_module_attributes(self):
+        """spectral's dop853_end and tridiagonal_eigenvalue give scipy's own results."""
+        from scipy.integrate import ode
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        def rhs(t, y):
+            return [-2.0 * t * y[0]]
+
+        solver = ode(rhs).set_integrator("dop853", rtol=1e-10, atol=1e-10)
+        solver.set_initial_value([1.0], 0.0)
+        end = solver.integrate(1.0)
+        got = spectral.dop853_end(rhs, 0.0, 1.0, [1.0], rtol=1e-10, atol=1e-10)
+        assert got.success and np.array_equal(got.y, end)
+
+        d, e = np.array([2.0, 3.0, 4.0, 5.0]), np.array([-1.0, -1.0, -1.0])
+        for index in (1, 2):
+            lam = spectral.tridiagonal_eigenvalue(d, e, index, tol=1e-14)
+            assert lam == eigvalsh_tridiagonal(
+                d, e, select="i", select_range=(index - 1, index - 1),
+                lapack_driver="stebz", tol=1e-14)[0]
+
+
+_BLOWUP_SCRIPT = """
+import sys
+from gapmodel import _scipy, cli, spectral
+
+def blowup(fun, t0, t1, y0, rtol, atol):
+    # y' = 1 + y^2 from y(-2) = 0 is tan(z + 2), infinite at z = pi/2 - 2 < 0
+    return _scipy.dop853_end(lambda z, y: [1.0 + y[0] ** 2], t0, t1, y0, rtol, atol)
+
+spectral.dop853_end = blowup
+sys.exit(cli.main(["eigen", "--n", "2", "--K", "0.01", "--D", "4"]))
+"""
+
+
+class TestSolverFailures:
+    def test_failed_angle_shot_exits_3_with_one_line(self):
+        # scipy warns when DOP853 gives up; only the typed error may reach stderr
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-c", _BLOWUP_SCRIPT],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: angle integration failed: step size becomes too small"
+        ]
+
+    def test_failed_stebz_exits_3(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("stebz failed")
+
+        monkeypatch.setattr(spectral, "tridiagonal_eigenvalue", failing)
+        code, out, err = run_main(
+            ["eigen", "--method", "fd", "--n", "4", "--K", "0.5", "--D", "1"], capsys
+        )
+        assert code == 3
+        assert err == "error: Sturm bisection failed: stebz failed\n"

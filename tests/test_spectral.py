@@ -1,12 +1,13 @@
 """Both eigenvalue routes, the gap, the cap problem, and cross-checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gapmodel import spectral
-from gapmodel.errors import DomainError, NonConvergenceError
+from gapmodel import _scipy, spectral
+from gapmodel.errors import DomainError, NonConvergenceError, PoleError
 from gapmodel.model import ModelParams
 from gapmodel.spectral import (
     ball_first_eigen,
@@ -44,19 +45,32 @@ COLLOCATION = {
     (2, 9.86, 1.0): (1.4298693038469473317, 24.214317940637367447),
 }
 
+# (lambda1, lambda2) at (2, 9.8696, 1), where the pole of V lies 7e-7 outside
+# D/2, from eigen_shoot_mp at 30 digits (the exact binary value of K); a run
+# at 36 digits agrees to 1e-27 or better
+SHOOT_MP = {
+    (2, 9.8696, 1.0): (0.677385796547460499541391898816, 21.8177245071619910434157079242),
+}
+
 
 @pytest.fixture
 def ode_work(monkeypatch):
-    """Right-hand-side evaluations of each ODE solve in spectral, in order."""
+    """Right-hand-side evaluations of each ODE solve in spectral, in order.
+
+    Counts the compiled angle shots (dop853_end) and the eigenfunction
+    shots (solve_ivp) alike.
+    """
     nfev = []
-    real = spectral.solve_ivp
 
-    def counting(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
+    def counting(real):
+        def solve(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+        return solve
 
-    monkeypatch.setattr(spectral, "solve_ivp", counting)
+    for name in ("solve_ivp", "dop853_end"):
+        monkeypatch.setattr(spectral, name, counting(getattr(spectral, name)))
     return nfev
 
 
@@ -110,7 +124,7 @@ class TestErrorEstimate:
         if (n - 1) * (n - 3) * K == 0:
             # constant potential -K (n = 3) or 0: closed forms
             return (idx * math.pi / D) ** 2 - (K if n == 3 else 0.0)
-        return COLLOCATION[(n, K, D)][idx - 1]
+        return {**COLLOCATION, **SHOOT_MP}[(n, K, D)][idx - 1]
 
     @pytest.mark.parametrize("triple", [
         (5, 1.0, 1.0), (2, -9.5, 1.0), (8, 12.0, 0.5), (3, -8.0, 0.5),
@@ -118,9 +132,9 @@ class TestErrorEstimate:
         # small D, where the unscaled angle's change across the bracket pad
         # sank below the ODE noise
         (2, 0.0, 1e-3), (2, 0.0, 1e-5),
-        # near the cap, K D^2 = 9.4, 9.5, 9.5, 9.8, 9.86
+        # near the cap, K D^2 = 9.4, 9.5, 9.5, 9.8, 9.86, 9.8696
         (8, 9.4, 1.0), (7, 9.5, 1.0), (8, 2.375, 2.0), (5, 9.8, 1.0),
-        (2, 9.86, 1.0),
+        (2, 9.86, 1.0), (2, 9.8696, 1.0),
     ], ids=str)
     def test_bounds_observed_error(self, triple):
         n, K, D = triple
@@ -136,7 +150,8 @@ class TestErrorEstimate:
             eigen_shoot((5, 1.0, 1.0), idx)
             # angle shots, the tighter noise shot and the eigenfunction
             assert len(ode_work) <= 8
-            # measured: 1411 and 4019 right-hand-side evaluations
+            # measured: 8 and 7 solves, 1698 and 4568 right-hand-side
+            # evaluations
             assert sum(ode_work) <= max_rhs
 
 
@@ -144,7 +159,7 @@ class TestNearCap:
     """K D^2 = 9.8 and 9.86, just below the cap pi^2."""
 
     @pytest.mark.parametrize("triple,max_rhs", [
-        # measured: 19053, 19609 and 22442 right-hand-side evaluations per
+        # measured: 21102, 18471 and 22917 right-hand-side evaluations per
         # gap; at (2, 9.869, 1) a lower end at min V + (pi/D)^2 costs 214k
         ((5, 9.8, 1.0), 40000), ((2, 9.86, 1.0), 40000),
         ((2, 9.869, 1.0), 45000),
@@ -163,6 +178,72 @@ class TestNearCap:
             assert abs(r.eigenvalue - ref) <= r.error_estimate <= 1e-9 * scale
             normal = eigen_shoot(triple, idx).eigenvalue
             assert abs(r.eigenvalue - normal) <= 1e-10 * scale
+
+
+def tan_blowup(fun, t0, t1, y0, rtol, atol):
+    """dop853_end with the right-hand side swapped for y' = 1 + y^2.
+
+    From y(-D/2) = 0 the solution is tan(z + D/2), which is infinite at
+    z = pi/2 - D/2, inside the angle shot's [-D/2, 0] once D > pi.
+    """
+    return _scipy.dop853_end(lambda z, y: [1.0 + y[0] ** 2], t0, t1, y0, rtol, atol)
+
+
+class TestCompiledSolvers:
+    """Failures of the compiled DOP853 and stebz calls come back typed."""
+
+    def test_dop853_reports_blowup_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = _scipy.dop853_end(lambda t, y: [y[0] ** 2], 0.0, 2.0, [1.0],
+                                    rtol=1e-12, atol=1e-12)
+        # y = 1 / (1 - t) is infinite at t = 1, so the run stops short of t = 2
+        assert not sol.success
+        assert sol.message == "step size becomes too small"
+        assert sol.t < 2.0 and sol.nfev > 0
+
+    def test_dop853_step_budget(self, monkeypatch):
+        monkeypatch.setattr(_scipy, "DOP853_MAX_STEPS", 5)
+        sol = _scipy.dop853_end(lambda t, y: [math.cos(40.0 * t)], 0.0, 10.0, [0.0],
+                                rtol=1e-12, atol=1e-12)
+        assert not sol.success
+        assert sol.message == "larger nsteps is needed"
+
+    def test_dop853_passes_on_an_exception_from_fun(self):
+        def pole(t, y):
+            if t > 0.5:
+                raise PoleError("pole at t = 0.5")
+            return [1.0]
+
+        with pytest.raises(PoleError, match="pole at t = 0.5"):
+            _scipy.dop853_end(pole, 0.0, 1.0, [0.0], rtol=1e-12, atol=1e-12)
+
+    def test_dop853_end_state_and_count(self):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return [-2.0 * t * y[0]]
+
+        sol = _scipy.dop853_end(rhs, 0.0, 1.0, [1.0], rtol=1e-12, atol=1e-12)
+        assert sol.success and sol.t == 1.0
+        assert sol.y[0] == pytest.approx(math.exp(-1.0), rel=1e-11)
+        assert sol.nfev == len(calls)
+
+    def test_failed_angle_shot_is_reported(self, monkeypatch):
+        monkeypatch.setattr(spectral, "dop853_end", tan_blowup)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="step size becomes too small"):
+                eigen_shoot((2, 0.01, 4.0), 1)
+
+    def test_failed_stebz_is_reported(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("stebz failed")
+
+        monkeypatch.setattr(spectral, "tridiagonal_eigenvalue", failing)
+        with pytest.raises(NonConvergenceError, match="stebz failed"):
+            eigen_fd((6, -4.0, 1.0), 1)
 
 
 class TestFiniteDifference:
