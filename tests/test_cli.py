@@ -555,14 +555,3 @@ class TestSolverFailures:
         assert proc.stderr.splitlines() == [
             "error: angle integration failed: step size becomes too small"
         ]
-
-    def test_failed_stebz_exits_3(self, monkeypatch, capsys):
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("stebz failed")
-
-        monkeypatch.setattr(spectral, "tridiagonal_eigenvalue", failing)
-        code, out, err = run_main(
-            ["eigen", "--method", "fd", "--n", "4", "--K", "0.5", "--D", "1"], capsys
-        )
-        assert code == 3
-        assert err == "error: Sturm bisection failed: stebz failed\n"
