@@ -113,20 +113,10 @@ def _render_table(rows, header, args, command):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _run_jobs(worker, items, jobs):
-    if jobs and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, items))
-    return [worker(it) for it in items]
-
-
 # -- eigen ----------------------------------------------------------------
 
 
-def _eigen_row(item):
-    n, K, D, method = item
+def _eigen_row(n, K, D, method):
     params = ModelParams(n, K, D)
     if method == "fd":
         r1 = spectral.eigen_fd(params, 1)
@@ -158,8 +148,7 @@ def _eigen_row(item):
 
 def cmd_eigen(args):
     triples = _collect_triples(args)
-    items = [(n, K, D, args.method) for n, K, D in triples]
-    rows = _run_jobs(_eigen_row, items, args.jobs)
+    rows = [_eigen_row(n, K, D, args.method) for n, K, D in triples]
     header = [
         "n", "K", "D", "lambda1", "lambda2", "gap", "excess",
         "side", "method", "error_estimate",
@@ -240,8 +229,7 @@ def cmd_series(args):
 # -- pruefer ----------------------------------------------------------------
 
 
-def _pruefer_row(item):
-    k, n, K, D = item
+def _pruefer_row(k, n, K, D):
     params = ModelParams(n, K, D)
     try:
         report = pruefer_mod.robin_boundary_report(k, params)
@@ -274,8 +262,7 @@ def _pruefer_row(item):
 def cmd_pruefer(args):
     triples = _collect_triples(args)
     ks = _parse_floats(args.k)
-    items = [(k, n, K, D) for k in ks for n, K, D in triples]
-    rows = _run_jobs(_pruefer_row, items, args.jobs)
+    rows = [_pruefer_row(k, n, K, D) for k in ks for n, K, D in triples]
     header = [
         "k", "n", "K", "D", "c_k", "threshold_s", "phi_right_defect",
         "dphi_right_defect", "dphi_left_defect", "branch_agreement",
@@ -298,6 +285,8 @@ def cmd_flow(args):
     triples = _collect_triples(args)
     if len(triples) != 1:
         raise DomainError("flow runs one parameter triple at a time")
+    if args.snapshots < 0:
+        raise DomainError(f"snapshots must be >= 0, got {args.snapshots}")
     n, K, D = triples[0]
     params = ModelParams(n, K, D)
     k = float(args.k)
@@ -345,8 +334,7 @@ def cmd_flow(args):
 # -- bounds ---------------------------------------------------------------
 
 
-def _bounds_row(item):
-    n, K, D, index = item
+def _bounds_row(n, K, D, index):
     params = ModelParams(n, K, D)
     lam = spectral.eigen_shoot(params, index).eigenvalue
     if n >= 3:
@@ -378,8 +366,7 @@ def cmd_bounds(args):
             raise HypothesisError(
                 f"bounds require K > 0, got K = {K} (n={n}, D={D})"
             )
-    items = [(n, K, D, i) for n, K, D in triples for i in (1, 2)]
-    rows = _run_jobs(_bounds_row, items, args.jobs)
+    rows = [_bounds_row(n, K, D, i) for n, K, D in triples for i in (1, 2)]
     header = [
         "n", "K", "D", "index", "lower", "lambda", "upper", "within",
         "lower_method", "upper_method",
@@ -391,16 +378,14 @@ def cmd_bounds(args):
 # -- parser ---------------------------------------------------------------
 
 
-def _add_common(sub, with_triples=True):
-    if with_triples:
-        sub.add_argument("--n", required=True, help="dimension list, e.g. 2,5")
-        sub.add_argument("--K", required=True,
-                         help="curvature list a,b,c or range lo:hi:count")
-        sub.add_argument("--D", required=True, help="diameter list")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+def _add_common(sub, table=True):
+    sub.add_argument("--n", required=True, help="dimension list, e.g. 2,5")
+    sub.add_argument("--K", required=True,
+                     help="curvature list a,b,c or range lo:hi:count")
+    sub.add_argument("--D", required=True, help="diameter list")
+    if table:
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", default=None, help="path (default stdout)")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers; output stays in input order")
 
 
 def build_parser():
@@ -431,8 +416,8 @@ def build_parser():
     r.add_argument("--k", required=True, help="boundary slope list")
     r.set_defaults(func=cmd_pruefer)
 
-    f = subs.add_parser("flow", help="relaxation flow trajectory")
-    _add_common(f)
+    f = subs.add_parser("flow", help="relaxation flow trajectory (CSV)")
+    _add_common(f, table=False)
     f.add_argument("--k", type=float, required=True)
     f.add_argument("--s", type=float, default=None,
                    help="supersolution shift (default 1.01x threshold)")

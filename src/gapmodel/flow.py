@@ -17,6 +17,9 @@ advection coefficient 2 psi - 2 tn frozen at the current state) go into a
 tridiagonal backward-Euler solve, the remaining reaction term is explicit.
 With psi <= 0 and K >= 0 the implicit matrix is an M-matrix, which is what
 makes the sup-norm distance to the stationary state decay monotonically.
+Each step solves (a I - b J) delta = b F at (a, b) = (1, dt), and the
+Newton iteration of `discrete_stationary` is the same band solve at
+(a, b) = (0, 1).
 """
 
 import math
@@ -78,6 +81,8 @@ def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL, min_cells=MIN_CELLS):
     params = validate(params)
     if k <= 0:
         raise DomainError(f"boundary slope k must be positive, got {k}")
+    if not 0.0 < mesh_tol < math.inf:
+        raise DomainError(f"mesh_tol must be finite and positive, got {mesh_tol}")
     D = params.D
     half = params.half
     lam = math.pi**2 / D**2
@@ -257,17 +262,17 @@ class _Workspace:
         res = d1 + v[1:-1] ** 2 + self.lam + ck / self.cs2_int
         return float(np.max(np.abs(res) / (1.0 + v[1:-1] ** 2)))
 
-    def solve(self, dt, F, bands):
-        """delta with (I - dt J) delta = dt F inside, delta = 0 at both ends."""
+    def solve(self, a, b, F, bands):
+        """delta with (a I - b J) delta = b F inside, delta = 0 at both ends."""
         Jm, J0, Jp = bands
         ab = self.ab
-        ab[1, 1:-1] = 1.0 - dt * J0
-        ab[0, 2:] = -dt * Jp
-        ab[2, :-2] = -dt * Jm
-        self.rhs[1:-1] = dt * F
+        ab[1, 1:-1] = a - b * J0
+        ab[0, 2:] = -b * Jp
+        ab[2, :-2] = -b * Jm
+        self.rhs[1:-1] = b * F
         delta = solve_banded((1, 1), ab, self.rhs)
         if not np.all(np.isfinite(delta)):
-            raise StabilityError("implicit solve produced non-finite values")
+            raise StabilityError("band solve produced non-finite values")
         return delta
 
     def step(self, v, dt, d1):
@@ -279,7 +284,7 @@ class _Workspace:
         advection-limited dt and makes the exact discrete stationary state
         a fixed point.  d1 is self.d1(v).
         """
-        return v + self.solve(dt, self.residual(v, d1), self.jacobian(v, d1))
+        return v + self.solve(1.0, dt, self.residual(v, d1), self.jacobian(v, d1))
 
 
 def _project(v, k):
@@ -451,19 +456,10 @@ def discrete_stationary(k, params, z=None, initial=None, mesh_tol=DEFAULT_MESH_T
         v = np.asarray(initial, dtype=float).copy()
     v[0] = 0.0
     v[-1] = -k
-    n = len(z)
     prev = math.inf
     for _ in range(60):
         d1 = ws.d1(v)
-        F = ws.residual(v, d1)
-        Jm, J0, Jp = ws.jacobian(v, d1)
-        ab = np.zeros((3, n - 2))
-        ab[0, 1:] = Jp[:-1]
-        ab[1, :] = J0
-        ab[2, :-1] = Jm[1:]
-        delta = solve_banded((1, 1), ab, -F)
-        if not np.all(np.isfinite(delta)):
-            raise StabilityError("stationary Newton produced non-finite update")
+        delta = ws.solve(0.0, 1.0, ws.residual(v, d1), ws.jacobian(v, d1))[1:-1]
         v[1:-1] += delta
         nrm = float(np.max(np.abs(delta)))
         if nrm < 1e-12 * max(1.0, k) or nrm > 0.5 * prev and prev < 1e-6:
@@ -520,7 +516,7 @@ def comparison_check(u, v, params, k, T, dt=None, ck=None):
         Jm = ws.d_m + a * ws.c_m
         J0 = ws.d_0 + a * ws.c_0 + 2.0 * d1 + a2 - 4.0 * ws.tn_int * wi
         Jp = ws.d_p + a * ws.c_p
-        return vals + ws.solve(dtau, F, (Jm, J0, Jp))
+        return vals + ws.solve(1.0, dtau, F, (Jm, J0, Jp))
 
     uu = u.values.copy()
     vv = v.values.copy()

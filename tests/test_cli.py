@@ -114,14 +114,12 @@ class TestEigen:
             ("4", "0"): "flat", ("4", "0.5"): "above",
         }
 
-    def test_determinism_and_jobs(self, capsys):
+    def test_determinism(self, capsys):
         argv = ["eigen", "--n", "2,3", "--K", "0,0.8", "--D", "1.1"]
         code1, out1, _ = run_main(argv, capsys)
         code2, out2, _ = run_main(argv, capsys)
-        code3, out3, _ = run_main(argv + ["--jobs", "2"], capsys)
-        assert code1 == code2 == code3 == 0
+        assert code1 == code2 == 0
         assert out1 == out2, "identical invocations must match byte for byte"
-        assert out1 == out3, "--jobs must not change content or order"
         assert len(parse_csv(out1)) == 4
 
     def test_json_document(self, capsys):
@@ -406,6 +404,31 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert repr(bad) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--mesh-tol", "0"), ("--mesh-tol", "-1"), ("--snapshots", "-1"),
+    ])
+    def test_bad_flow_option_is_invalid_params(self, option, value, tmp_path, capsys):
+        plot = tmp_path / "plot.csv"
+        code, out, err = run_main(
+            ["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10",
+             "--emit-plot", str(plot), option, value],
+            capsys,
+        )
+        assert code == 2 and out == "" and not plot.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert option[2:].replace("-", "_") in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--n", "2", "--K", "0.5", "--D", "1", "--jobs", "2"],
+        ["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10",
+         "--format", "json"],
+    ])
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_validation_before_dispatch(self, capsys):
         # one bad triple in a sweep aborts the whole run with no output

@@ -53,6 +53,11 @@ class TestGrid:
         n100 = len(build_grid(P_FLOW, 100.0))
         assert n100 > 2 * n10
 
+    @pytest.mark.parametrize("mesh_tol", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_mesh_tol(self, mesh_tol):
+        with pytest.raises(DomainError, match="mesh_tol"):
+            build_grid(P_FLOW, 10.0, mesh_tol=mesh_tol)
+
     def test_refine(self):
         z = build_grid(P_FLOW, 10.0)
         fine = refine_grid(z)
@@ -105,7 +110,8 @@ class TestStepping:
 
     def test_stationary_is_a_fixed_point(self):
         st = discrete_stationary(10.0, P_FLOW)
-        for dt in (1e-3, 1.0):
+        # at large dt the step approaches the Newton step of the stationary solve
+        for dt in (1e-3, 1.0, 1e3):
             moved = flow_step(st, dt)
             drift = st.psi.sup_distance(moved.psi)
             assert drift < 1e-9
