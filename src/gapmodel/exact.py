@@ -9,9 +9,9 @@ Three small algebraic types:
                 coefficients.  The expansion coefficients are polynomials
                 in n (they enter through (n-1)(n-3) and its powers), and
                 a polynomial in n is closed under the recurrence.
-  TrigPoly   -- finite sums  p(x) cos(m x) + q(x) sin(m x)  with NPoly
-                coefficient polynomials p, q.  Houses the eigenfunction
-                corrections.
+  TrigPoly   -- finite sums of  c x^j cos(m x)  and  c x^j sin(m x)  with
+                NPoly coefficients c, held as one sparse map from
+                (kind, m, j) to c.  Houses the eigenfunction corrections.
 
 Everything here is exact: no floats enter until an eval method is called.
 The definite integrals over [-pi/2, pi/2] are done by recursive integration
@@ -437,51 +437,40 @@ def _int_x_sin(j, m):
 
 
 class TrigPoly:
-    """sum over (kind, m) of p(x)*cos(mx) or p(x)*sin(mx), p an NPoly-coefficient poly.
+    """sum of c * x^j cos(mx) and c * x^j sin(mx) terms with NPoly coefficients c.
 
-    terms: dict keyed by ("cos", m>=0) or ("sin", m>=1), values are lists of
-    NPoly (index = power of x), trailing zeros stripped.
+    terms maps ("cos", m >= 0, j) or ("sin", m >= 1, j) to the coefficient
+    of x^j cos(mx) or x^j sin(mx).  Only nonzero coefficients are stored and
+    the constructor drops sin(0x) keys, so the form is canonical and equal
+    values have equal term maps.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {}
-        if terms:
-            for key, poly in terms.items():
-                self._accumulate(key, poly)
-
-    def _accumulate(self, key, poly):
-        kind, m = key
-        if kind not in ("cos", "sin") or m < 0:
-            raise DomainError(f"bad trig basis {key!r}")
-        if kind == "sin" and m == 0:
-            return
-        coeffs = [_np(p) for p in poly]
-        cur = self.terms.get(key)
-        if cur is None:
-            cur = []
-            self.terms[key] = cur
-        for j, p in enumerate(coeffs):
-            if p is NotImplemented:
+        for key, c in (terms or {}).items():
+            if len(key) != 3 or key[0] not in ("cos", "sin") or min(key[1:]) < 0:
+                raise DomainError(f"bad trig basis {key!r}")
+            c = _np(c)
+            if c is NotImplemented:
                 raise TypeError("TrigPoly coefficients must be NPoly-compatible")
-            while len(cur) <= j:
-                cur.append(NPoly())
-            cur[j] = cur[j] + p
-        self._trim(key)
+            if c and (key[0] == "cos" or key[1] > 0):
+                self.terms[key] = c
 
-    def _trim(self, key):
-        cur = self.terms.get(key)
-        if cur is None:
-            return
-        while cur and cur[-1].is_zero():
-            cur.pop()
-        if not cur:
-            del self.terms[key]
+    def _add(self, kind, m, j, c):
+        """Add c to the coefficient of x^j trig(mx) in place; drop it at zero."""
+        key = (kind, m, j)
+        if key in self.terms:
+            c = self.terms[key] + c
+        if c:
+            self.terms[key] = c
+        else:
+            self.terms.pop(key, None)
 
     @classmethod
     def basis(cls, kind, m, coeff=1):
-        return cls({(kind, m): [coeff]})
+        return cls({(kind, m, 0): coeff})
 
     @classmethod
     def zero(cls):
@@ -493,23 +482,18 @@ class TrigPoly:
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.terms == other.terms
 
     def __add__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        out = TrigPoly()
-        for key, poly in self.terms.items():
-            out._accumulate(key, poly)
-        for key, poly in other.terms.items():
-            out._accumulate(key, poly)
+        out = _trig(dict(self.terms))
+        for key, c in other.terms.items():
+            out._add(*key, c)
         return out
 
     def __neg__(self):
-        out = TrigPoly()
-        for key, poly in self.terms.items():
-            out.terms[key] = [-p for p in poly]
-        return out
+        return _trig({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, TrigPoly):
@@ -519,142 +503,101 @@ class TrigPoly:
     def scale(self, f):
         """Multiply by an NPoly / PiLaurent / rational scalar."""
         f = _np(f)
-        out = TrigPoly()
-        if f.is_zero():
-            return out
-        for key, poly in self.terms.items():
-            newpoly = [p * f for p in poly]
-            out._accumulate(key, newpoly)
-        return out
+        if not f:
+            return TrigPoly()
+        return _trig({key: c * f for key, c in self.terms.items()})
 
     def mul_xpow(self, j):
         """Multiply by x^j."""
-        out = TrigPoly()
-        for key, poly in self.terms.items():
-            out.terms[key] = [NPoly()] * j + list(poly)
-        return out
+        return _trig({(kind, m, i + j): c for (kind, m, i), c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
         out = TrigPoly()
-        half = Fraction(1, 2)
-        for (k1, m1), p1 in self.terms.items():
-            for (k2, m2), p2 in other.terms.items():
-                # polynomial product
-                prod = [NPoly() for _ in range(len(p1) + len(p2) - 1)]
-                for i, a in enumerate(p1):
-                    if a.is_zero():
-                        continue
-                    for j, b in enumerate(p2):
-                        prod[i + j] = prod[i + j] + a * b
-                pieces = _product_to_sum(k1, m1, k2, m2)
-                for kind, m, sign in pieces:
-                    scaled = [p * (half * sign) for p in prod]
-                    out._accumulate((kind, m), scaled)
+        for (k1, m1, i), a in self.terms.items():
+            for (k2, m2, j), b in other.terms.items():
+                half = a * b * Fraction(1, 2)
+                for kind, m, sign in _product_to_sum(k1, m1, k2, m2):
+                    out._add(kind, m, i + j, half if sign > 0 else -half)
         return out
 
     def derivative(self):
         out = TrigPoly()
-        for (kind, m), poly in self.terms.items():
-            dpoly = [poly[j] * j for j in range(1, len(poly))]
-            if dpoly:
-                out._accumulate((kind, m), dpoly)
-            if m > 0:
-                swapped = [p * m for p in poly]
+        for (kind, m, j), c in self.terms.items():
+            if j:
+                out._add(kind, m, j - 1, c * j)
+            if m:
                 if kind == "cos":
-                    out._accumulate(("sin", m), [-p for p in swapped])
+                    out._add("sin", m, j, c * -m)
                 else:
-                    out._accumulate(("cos", m), swapped)
+                    out._add("cos", m, j, c * m)
         return out
 
     def integrate(self):
         """Exact definite integral over [-pi/2, pi/2]; returns an NPoly."""
         total = NPoly()
-        for (kind, m), poly in self.terms.items():
-            base = _int_x_cos if kind == "cos" else _int_x_sin
-            for j, p in enumerate(poly):
-                if p.is_zero():
-                    continue
-                val = base(j, m)
-                if val:
-                    total = total + p * val
+        for (kind, m, j), c in self.terms.items():
+            val = (_int_x_cos if kind == "cos" else _int_x_sin)(j, m)
+            if val:
+                total = total + c * val
         return total
 
     def eval_at_half_pi(self):
         """Exact value at x = pi/2; returns an NPoly."""
         total = NPoly()
-        for (kind, m), poly in self.terms.items():
-            tv = _SIN_HALF[m % 4] if kind == "sin" else _COS_HALF[m % 4]
-            if tv == 0:
-                continue
-            for j, p in enumerate(poly):
-                if p.is_zero():
-                    continue
-                total = total + p * PiLaurent({j: Fraction(tv, 2**j)})
+        for (kind, m, j), c in self.terms.items():
+            tv = (_COS_HALF if kind == "cos" else _SIN_HALF)[m % 4]
+            if tv:
+                total = total + c * PiLaurent({j: Fraction(tv, 2**j)})
         return total
 
     def parity(self):
         """"even", "odd", or None if mixed."""
-        seen = set()
-        for (kind, m), poly in self.terms.items():
-            for j, p in enumerate(poly):
-                if p.is_zero():
-                    continue
-                if kind == "cos":
-                    seen.add("even" if j % 2 == 0 else "odd")
-                else:
-                    seen.add("even" if j % 2 == 1 else "odd")
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+        # x^j cos(mx) is even iff j is even, x^j sin(mx) iff j is odd
+        seen = {"even" if (kind == "cos") == (j % 2 == 0) else "odd"
+                for kind, _, j in self.terms}
+        return seen.pop() if len(seen) == 1 else None
 
     def evalf(self, x, n):
         """Float evaluation at point x and integer dimension n."""
         total = 0.0
-        for (kind, m), poly in self.terms.items():
-            pv = 0.0
-            for j in reversed(range(len(poly))):
-                pv = pv * x + poly[j].evalf(n)
+        for (kind, m, j), c in self.terms.items():
             trig = math.cos(m * x) if kind == "cos" else math.sin(m * x)
-            total += pv * trig
+            total += c.evalf(n) * x**j * trig
         return total
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for (kind, m) in sorted(self.terms):
-            poly = self.terms[(kind, m)]
-            ps = " + ".join(
-                f"({p!r})" + ("" if j == 0 else f"*x^{j}" if j > 1 else "*x")
-                for j, p in enumerate(poly)
-                if not p.is_zero()
-            )
+        for kind, m, j in sorted(self.terms):
+            xj = "" if j == 0 else "*x" if j == 1 else f"*x^{j}"
             arg = "" if m == 1 else f"{m}*"
-            bits.append(f"[{ps}]*{kind}({arg}x)")
+            bits.append(f"({self.terms[kind, m, j]!r}){xj}*{kind}({arg}x)")
         return " + ".join(bits)
 
 
+def _trig(terms):
+    """A TrigPoly from a term map already in normal form."""
+    out = TrigPoly.__new__(TrigPoly)
+    out.terms = terms
+    return out
+
+
 def _product_to_sum(k1, m1, k2, m2):
-    """Expand trig(m1 x)*trig(m2 x) as half-sum pieces: list of (kind, m, sign)."""
-    out = []
-    if k1 == "cos" and k2 == "cos":
-        out.append(("cos", m1 + m2, 1))
-        out.append(("cos", abs(m1 - m2), 1))
-    elif k1 == "sin" and k2 == "sin":
-        out.append(("cos", abs(m1 - m2), 1))
-        out.append(("cos", m1 + m2, -1))
-    else:
-        # one sin, one cos; normalize so the sin carries ms
-        ms, mc = (m1, m2) if k1 == "sin" else (m2, m1)
-        out.append(("sin", ms + mc, 1))
-        d = ms - mc
-        if d > 0:
-            out.append(("sin", d, 1))
-        elif d < 0:
-            out.append(("sin", -d, -1))
-    return [(k, m, s) for (k, m, s) in out if not (k == "sin" and m == 0)]
+    """Expand trig(m1 x)*trig(m2 x) as half-sum pieces (kind, m, sign).
+
+    A sin factor has m >= 1, so no piece is sin(0x).
+    """
+    if k1 == k2:
+        # 2 cos a cos b = cos(a-b) + cos(a+b), 2 sin a sin b = cos(a-b) - cos(a+b)
+        return (("cos", abs(m1 - m2), 1), ("cos", m1 + m2, 1 if k1 == "cos" else -1))
+    # 2 sin a cos b = sin(a+b) + sin(a-b), with the sin carrying ms
+    ms, mc = (m1, m2) if k1 == "sin" else (m2, m1)
+    if ms == mc:
+        return (("sin", ms + mc, 1),)
+    return (("sin", ms + mc, 1), ("sin", abs(ms - mc), 1 if ms > mc else -1))
 
 
 def trig_integrate(t):
@@ -681,21 +624,21 @@ def solve_resonant(rhs, mode, parity):
     if not rhs.is_zero() and rhs.parity() != parity:
         raise DomainError(f"rhs parity {rhs.parity()!r} does not match {parity!r}")
 
+    degree = {}
+    for _, m, j in rhs.terms:
+        degree[m] = max(degree.get(m, 0), j)
     y = TrigPoly()
-    for m in sorted({m for (_, m) in rhs.terms}):
-        p = list(rhs.terms.get(("cos", m), []))
-        s = list(rhs.terms.get(("sin", m), []))
-        d = max(len(p), len(s)) - 1
-        p += [NPoly()] * (d + 1 - len(p))
-        s += [NPoly()] * (d + 1 - len(s))
+    for m in sorted(degree):
+        d = degree[m]
+        p = [rhs.terms.get(("cos", m, j), NPoly()) for j in range(d + 1)]
+        s = [rhs.terms.get(("sin", m, j), NPoly()) for j in range(d + 1)]
         if m != mode:
             u, v = _solve_offresonant(p, s, d, m, mode)
         else:
             u, v = _solve_onresonant(p, s, d, m)
-        if any(not q.is_zero() for q in u):
-            y._accumulate(("cos", m), u)
-        if any(not q.is_zero() for q in v):
-            y._accumulate(("sin", m), v)
+        for j in range(len(u)):
+            y._add("cos", m, j, u[j])
+            y._add("sin", m, j, v[j])
 
     # exact verification: the construction is triangular, so check everything
     residual = y.derivative().derivative() + y.scale(mode * mode) - rhs

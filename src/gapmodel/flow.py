@@ -61,6 +61,12 @@ DEFAULT_MESH_TOL = 1e-6
 T_MAX_FACTOR = 50.0
 
 
+def _check_positive(name, value):
+    """Reject a tolerance or time control that is not finite and positive."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
 # -- grid ---------------------------------------------------------------------
 
 
@@ -81,8 +87,7 @@ def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL, min_cells=MIN_CELLS):
     params = validate(params)
     if k <= 0:
         raise DomainError(f"boundary slope k must be positive, got {k}")
-    if not 0.0 < mesh_tol < math.inf:
-        raise DomainError(f"mesh_tol must be finite and positive, got {mesh_tol}")
+    _check_positive("mesh_tol", mesh_tol)
     D = params.D
     half = params.half
     lam = math.pi**2 / D**2
@@ -307,8 +312,7 @@ def _project(v, k):
 
 def flow_step(state, dt):
     """One linearly-implicit step; boundary values re-imposed exactly."""
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    _check_positive("dt", dt)
     ws = _Workspace(state.psi.z, state.params, state.lam)
     v = state.psi.values
     out = ws.step(v, dt, ws.d1(v))
@@ -380,6 +384,10 @@ def flow_to_stationary(
         state = make_state(initial, k, params)
     if t_max is None:
         t_max = T_MAX_FACTOR * params.D**2
+    _check_positive("tol", tol)
+    _check_positive("t_max", t_max)
+    if dt is not None:
+        _check_positive("dt", dt)
     z = state.psi.z
     target, ck = stationary_reference(k, params, z, ck=ck)
     ws = _Workspace(z, params, state.lam)
@@ -487,6 +495,8 @@ def comparison_check(u, v, params, k, T, dt=None, ck=None):
     ordering fails beyond roundoff slack.
     """
     params = validate(params)
+    if dt is not None:
+        _check_positive("dt", dt)
     if not (isinstance(u, GridFunction) and isinstance(v, GridFunction)):
         raise DomainError("comparison_check expects GridFunction inputs")
     if u.z.shape != v.z.shape or not np.array_equal(u.z, v.z):

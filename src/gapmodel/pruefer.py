@@ -350,8 +350,8 @@ def supersolution(k, s, params, n_samples=2001, ck=None, z=None):
     uniform one.
     """
     params = validate(params)
-    if s < 0:
-        raise DomainError(f"shift s must be nonnegative, got {s}")
+    if not 0.0 <= s < math.inf:
+        raise DomainError(f"shift s must be finite and nonnegative, got {s}")
     if ck is None:
         ck = find_ck(k, params)
     left = psi_left(ck - s, params, allow_partial=True)

@@ -286,49 +286,22 @@ PUBLISHED_GAP4 = _A2_times(_pl({2: F(3 * 750, 368640), 4: F(-3 * 8, 368640), 0: 
 
 def _printed_y12():
     A24 = A_POLY * F(1, 24)
-    t = TrigPoly()
-    t = t + TrigPoly({("sin", 1): [NPoly(), NPoly(), NPoly(), A24]})
-    t = t + TrigPoly({("cos", 1): [NPoly(), NPoly(), A24 * F(3, 2)]})
-    t = t + TrigPoly({("sin", 1): [NPoly(), A24 * _pl({2: F(-1, 4)})]})
-    return t
+    return TrigPoly({("sin", 1, 1): A24 * _pl({2: F(-1, 4)}), ("cos", 1, 2): A24 * F(3, 2),
+                     ("sin", 1, 3): A24})
 
 
 def _printed_y13():
     A24 = A_POLY * F(1, 24)
-    t = TrigPoly()
-    t = t + TrigPoly({("cos", 1): [NPoly(), NPoly(), A24 * (-3), NPoly(), A24]})
-    t = t + TrigPoly(
-        {
-            ("sin", 1): [
-                NPoly(),
-                A24 * _pl({4: F(-1, 40), 2: F(1, 2)}),
-                NPoly(),
-                A24 * (-2),
-                NPoly(),
-                A24 * F(2, 5),
-            ]
-        }
-    )
-    return t
+    return TrigPoly({("sin", 1, 1): A24 * _pl({4: F(-1, 40), 2: F(1, 2)}),
+                     ("cos", 1, 2): A24 * (-3), ("sin", 1, 3): A24 * (-2),
+                     ("cos", 1, 4): A24, ("sin", 1, 5): A24 * F(2, 5)})
 
 
 def _printed_y23():
     A120 = A_POLY * F(-1, 120)
-    t = TrigPoly()
-    t = t + TrigPoly(
-        {
-            ("cos", 2): [
-                NPoly(),
-                A120 * _pl({2: F(5, 16), 4: F(-1, 16)}),
-                NPoly(),
-                A120 * F(-5, 4),
-                NPoly(),
-                A120,
-            ]
-        }
-    )
-    t = t + TrigPoly({("sin", 2): [NPoly(), NPoly(), A120 * F(15, 16), NPoly(), A120 * F(-5, 4)]})
-    return t
+    return TrigPoly({("cos", 2, 1): A120 * _pl({2: F(5, 16), 4: F(-1, 16)}),
+                     ("sin", 2, 2): A120 * F(15, 16), ("cos", 2, 3): A120 * F(-5, 4),
+                     ("sin", 2, 4): A120 * F(-5, 4), ("cos", 2, 5): A120})
 
 
 PUBLISHED_CORRECTIONS = {
@@ -384,7 +357,7 @@ def engine_inner_products():
     s2 = lambda_series("second", 3)
     y12, y13 = s1.correction(2), s1.correction(3)
     y22, y23 = s2.correction(2), s2.correction(3)
-    x8 = TrigPoly({("cos", 0): [NPoly()] * 8 + [NPoly.from_scalar(F(62, 315))]})
+    x8 = TrigPoly({("cos", 0, 8): F(62, 315)})
     return {
         "y12_y13": trig_integrate(y12 * y13),
         "dy12_dy13": trig_integrate(y12.derivative() * y13.derivative()),

@@ -219,7 +219,10 @@ def eigen_shoot(params, index, form="normal", n_samples=1001):
     tight = _angle_mid(lam, params, form, tol=0.1 * _ODE_TOL) - target
     err = _shoot_error(lam, evals, tight)
     gf = _shoot_eigenfunction(lam, params, form, n_samples)
-    return _eigen_result(lam, err, gf, index, "shooting", form)
+    # every eigenvalue is positive; near the cap Brent can settle in the
+    # noise just below the padded lower end 0, and clamping only shrinks
+    # the error that err bounds
+    return _eigen_result(max(lam, 0.0), err, gf, index, "shooting", form)
 
 
 # -- finite-difference route --------------------------------------------------

@@ -407,6 +407,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("option,value", [
         ("--mesh-tol", "0"), ("--mesh-tol", "-1"), ("--snapshots", "-1"),
+        ("--tol", "-1"), ("--tol", "nan"), ("--t-max", "-1"), ("--t-max", "nan"),
+        ("--s", "nan"), ("--s", "inf"),
     ])
     def test_bad_flow_option_is_invalid_params(self, option, value, tmp_path, capsys):
         plot = tmp_path / "plot.csv"

@@ -211,15 +211,13 @@ class TestNPoly:
         assert "n^2" in r and "1/2" in r
 
 
-def _mp_eval_trigpoly(t, x, n):
-    """Independent high-precision evaluation of a TrigPoly."""
+def _mp_eval_trigpoly(coeffs, x):
+    """Independent high-precision evaluation of a TrigPoly at x, from its
+    term map with each coefficient already evaluated at one n."""
     total = mpmath.mpf(0)
-    for (kind, m), poly in t.terms.items():
-        pv = mpmath.mpf(0)
-        for j in reversed(range(len(poly))):
-            pv = pv * x + poly[j].eval_mp(n, mpmath)
+    for (kind, m, j), c in coeffs.items():
         trig = mpmath.cos(m * x) if kind == "cos" else mpmath.sin(m * x)
-        total += pv * trig
+        total += c * x**j * trig
     return total
 
 
@@ -252,8 +250,9 @@ class TestTrigPoly:
         exact = trig_integrate(t)
         with mpmath.workdps(40):
             for n in (2, 5):
+                coeffs = {key: c.eval_mp(n, mpmath) for key, c in t.terms.items()}
                 ref = mpmath.quad(
-                    lambda x: _mp_eval_trigpoly(t, x, n),
+                    lambda x: _mp_eval_trigpoly(coeffs, x),
                     [-mpmath.pi / 2, 0, mpmath.pi / 2],
                 )
                 got = exact.eval_mp(n, mpmath)
@@ -286,6 +285,53 @@ class TestTrigPoly:
         assert t.evalf(0.7, 2) == pytest.approx(3 * 0.7**2 * math.cos(0.7), rel=1e-15)
 
 
+def _assert_trig_normal(t):
+    """t stores only nonzero NPoly coefficients and no sin(0x) key."""
+    for (kind, m, j), c in t.terms.items():
+        assert kind in ("cos", "sin") and m >= 0 and j >= 0
+        assert (kind, m) != ("sin", 0)
+        assert isinstance(c, NPoly) and not c.is_zero()
+
+
+any_trig_st = st.one_of(trig_terms("even"), trig_terms("odd"))
+
+
+class TestTrigPolyNormalForm:
+    """Every result keeps the term map canonical, so equal values have
+    equal term maps whatever path built them."""
+
+    @given(a=any_trig_st, b=any_trig_st, q=nonzero_fraction_st)
+    @example(a=TrigPoly.basis("sin", 2), b=TrigPoly.basis("cos", 2), q=Fraction(1, 2))
+    @example(a=TrigPoly.basis("cos", 1).mul_xpow(2), b=TrigPoly.basis("cos", 1).scale(-1),
+             q=Fraction(-3))
+    def test_results_are_normal(self, a, b, q):
+        for t in (a + b, a - b, a * b, b * a, a.scale(q), a.scale(A_POLY),
+                  a.derivative(), (a * b).derivative()):
+            _assert_trig_normal(t)
+        assert (a - a).terms == {} and (a * b - b * a).terms == {}
+        assert a.scale(0).terms == {}
+
+    @given(a=any_trig_st, b=any_trig_st, c=any_trig_st)
+    @example(a=TrigPoly.basis("sin", 1), b=TrigPoly.basis("cos", 1),
+             c=TrigPoly.basis("cos", 1).scale(-1))
+    def test_one_value_built_in_two_orders(self, a, b, c):
+        assert (a + b) - b == a
+        assert (a + b) * c == a * c + b * c
+        assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+        assert a.mul_xpow(1).scale(A_POLY) == a.scale(A_POLY).mul_xpow(1)
+
+    def test_sin_zero_and_zero_coefficients_dropped(self):
+        assert TrigPoly({("sin", 0, 2): 5, ("cos", 1, 0): 0}).terms == {}
+        s, c = TrigPoly.basis("sin", 2), TrigPoly.basis("cos", 2)
+        assert (s * c).terms == {("sin", 4, 0): NPoly.from_scalar(Fraction(1, 2))}
+
+    @pytest.mark.parametrize("key", [("tan", 1, 0), ("cos", -1, 0), ("sin", 1, -1),
+                                     ("cos", 1)])
+    def test_bad_basis_key_rejected(self, key):
+        with pytest.raises(DomainError):
+            TrigPoly({key: 1})
+
+
 class TestResonantSolver:
     @given(F=trig_terms("even"))
     def test_even_solutions(self, F):
@@ -305,7 +351,7 @@ class TestResonantSolver:
         assert (y.derivative().derivative() + y.scale(mode * mode) - rhs).is_zero()
         # boundary and normalization
         assert y.eval_at_half_pi().is_zero()
-        deg0 = y.terms.get((kind, mode), [NPoly()])[0]
+        deg0 = y.terms.get((kind, mode, 0), NPoly())
         assert deg0.is_zero()
 
     def test_resonant_forcing_rejected(self):

@@ -136,6 +136,16 @@ class TestStepping:
         with pytest.raises(DomainError):
             flow_step(st, 0.0)
 
+    @pytest.mark.parametrize("control", [
+        {"dt": 0.0}, {"dt": math.nan}, {"tol": -1.0}, {"tol": math.nan},
+        {"t_max": -1.0}, {"t_max": math.nan}, {"t_max": math.inf},
+    ], ids=str)
+    def test_flow_rejects_bad_step_control(self, control):
+        # unchecked, dt = 0 never advances t and tol < 0 is never reached
+        st = discrete_stationary(10.0, P_FLOW)
+        with pytest.raises(DomainError, match=next(iter(control))):
+            flow_to_stationary(st, 10.0, P_FLOW, **control)
+
 
 class TestConvergence:
     def test_full_run(self):
@@ -247,3 +257,8 @@ class TestComparison:
         shifted = GridFunction(z=v.z, values=v.values + 1e-6)
         with pytest.raises(DomainError):
             comparison_check(u, shifted, P_FLOW, 10.0, T=0.02)
+
+    def test_rejects_nonpositive_dt(self):
+        u, v = self._stationary_pair()
+        with pytest.raises(DomainError, match="dt"):
+            comparison_check(u, v, P_FLOW, 10.0, T=0.02, dt=0.0)

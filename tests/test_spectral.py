@@ -179,6 +179,11 @@ class TestNearCap:
             normal = eigen_shoot(triple, idx).eigenvalue
             assert abs(r.eigenvalue - normal) <= 1e-10 * scale
 
+    def test_eigenvalue_is_not_negative(self):
+        # lambda1 lies within the shooting error estimate (about 2e-11) of
+        # the bracket's lower end 0, and the bracket is padded below 0
+        assert eigen_shoot((5, 9.8696, 1.0), 1).eigenvalue >= 0
+
 
 def tan_blowup(fun, t0, t1, y0, rtol, atol):
     """dop853_end with the right-hand side swapped for y' = 1 + y^2.
