@@ -49,10 +49,8 @@ from .flow import (
     riccati_residual,
 )
 from .pruefer import (
-    PruferTrajectory,
     RiccatiSolution,
     find_ck,
-    integrate_q,
     lower_bound_functions,
     psi_left,
     psi_right,

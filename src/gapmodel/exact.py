@@ -258,10 +258,6 @@ def _pl(x):
     return NotImplemented
 
 
-PI = PiLaurent.pi_power(1)
-HALF_PI = PiLaurent.pi_power(1, Fraction(1, 2))
-
-
 class NPoly:
     """A polynomial in the dimension symbol n with PiLaurent coefficients."""
 

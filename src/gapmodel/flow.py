@@ -37,7 +37,7 @@ from .errors import (
 )
 from .kernels import cs_array, tn_array
 from .model import GridFunction, ModelParams, validate
-from .pruefer import find_ck, psi_left, supersolution
+from .pruefer import _check_positive, find_ck, psi_left, supersolution
 
 __all__ = [
     "FlowState",
@@ -56,21 +56,14 @@ __all__ = [
 ]
 
 MIN_CELLS = 512
-RATIO_CAP = 1.05
 DEFAULT_MESH_TOL = 1e-6
 T_MAX_FACTOR = 50.0
-
-
-def _check_positive(name, value):
-    """Reject a tolerance or time control that is not finite and positive."""
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
 # -- grid ---------------------------------------------------------------------
 
 
-def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL, min_cells=MIN_CELLS):
+def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL):
     """Graded nodes on [0, D/2], clustered toward the right endpoint.
 
     Marching from D/2 leftward, the local cell size equidistributes the
@@ -82,11 +75,10 @@ def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL, min_cells=MIN_CELLS):
     so h(w) ~ sqrt(12 mesh_tol (2/w^2 + 2 lam) / (96/w^5 + B)).  B is a
     curvature floor for the smooth part of the domain.  Consecutive sizes
     stay within a 1.05 ratio by construction (h varies smoothly in w), and
-    the result is refined uniformly if it lands under min_cells.
+    the result is refined uniformly if it lands under MIN_CELLS.
     """
     params = validate(params)
-    if k <= 0:
-        raise DomainError(f"boundary slope k must be positive, got {k}")
+    _check_positive("boundary slope k", k)
     _check_positive("mesh_tol", mesh_tol)
     D = params.D
     half = params.half
@@ -105,9 +97,9 @@ def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL, min_cells=MIN_CELLS):
             h = min(h, D / 64.0)
             z -= h
             hs.append(h)
-        if len(hs) >= min_cells:
+        if len(hs) >= MIN_CELLS:
             break
-        scale *= 0.7 * len(hs) / min_cells
+        scale *= 0.7 * len(hs) / MIN_CELLS
     # the march overshoots 0 by part of one cell; shrinking every cell by the
     # same factor keeps the size-ratio profile and avoids a sliver first cell
     hs = np.array(hs) * (half / float(np.sum(hs)))
@@ -510,9 +502,7 @@ def comparison_check(u, v, params, k, T, dt=None, ck=None):
     z = u.z
     lam = math.pi**2 / params.D**2
     ws = _Workspace(z, params, lam)
-    if ck is None:
-        ck = find_ck(k, params)
-    f = psi_left(ck, params).psi_at(z)
+    f, ck = stationary_reference(k, params, z, ck=ck)
     fp = -(f**2) - lam - ck / cs_array(z, params.K) ** 2
     a1 = 2.0 * f[1:-1] - 2.0 * ws.tn_int
     a2 = 2.0 * fp[1:-1] - 4.0 * ws.tn_int * f[1:-1]

@@ -34,29 +34,13 @@ from .model import GridFunction, ModelParams, validate
 _ODE_TOL = 1e-13
 _ANGLE_GUARD = 1e-3  # samples of tan q only where |q| < pi/2 - guard
 _HALF_PI = math.pi / 2
+_N_SAMPLES = 2001  # points in a uniform sample of [0, D/2] or of a branch
 
 
-@dataclass(frozen=True)
-class PruferTrajectory:
-    """Angle-radius solution with its dense interpolant."""
-
-    z: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-    q0: float
-    c: float
-    params: ModelParams
-    _sol: object = field(repr=False, compare=False, default=None)
-
-    def q_at(self, z):
-        return self._sol.sol(z)[0]
-
-    def psi_at(self, z):
-        return np.tan(self._sol.sol(z)[0])
-
-    def phi_at(self, z):
-        out = self._sol.sol(z)
-        return np.exp(out[1]) * np.cos(out[0])
+def _check_positive(name, value):
+    """Reject a slope, tolerance or time control that is not finite and positive."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
 def _angle_rhs(c, params):
@@ -84,19 +68,6 @@ def _solve_angle(c, params, span, y0, **options):
     return sol
 
 
-def integrate_q(q0, c, params, n_samples=2001):
-    """Integrate the angle-radius system from z=0 with q(0)=q0, r(0)=1."""
-    params = validate(params)
-    half = params.half
-    sol = _solve_angle(c, params, (0.0, half), [float(q0), 0.0], dense_output=True)
-    z = np.linspace(0.0, half, n_samples)
-    vals = sol.sol(z)
-    return PruferTrajectory(
-        z=z, q=vals[0], r=np.exp(vals[1]), q0=float(q0), c=float(c),
-        params=params, _sol=sol,
-    )
-
-
 @dataclass(frozen=True)
 class RiccatiSolution:
     """Branch of psi = (log phi)' on its interval of existence.
@@ -122,9 +93,6 @@ class RiccatiSolution:
         if np.any(z < lo - 1e-12) or np.any(z > hi + 1e-12):
             raise DomainError(f"evaluation outside existence interval {self.interval}")
         return np.tan(self._sol.sol(z)[0])
-
-    def q_at(self, z):
-        return self._sol.sol(z)[0]
 
     def residual_max(self, band=3.0, h=None):
         """Largest defect in psi' + psi^2 + pi^2/D^2 + c/cs^2 = 0.
@@ -155,21 +123,21 @@ class RiccatiSolution:
         return float(np.max(np.abs(resid)))
 
 
-def _sample_band(sol, lo, hi, n_samples):
+def _sample_band(sol, lo, hi):
     """Sample points where |q| stays clear of pi/2, so tan q is well resolved."""
-    zs = np.linspace(lo, hi, 8 * n_samples)
+    zs = np.linspace(lo, hi, 8 * _N_SAMPLES)
     qs = sol.sol(zs)[0]
     kept = zs[np.abs(qs) < _HALF_PI - _ANGLE_GUARD]
     if kept.size == 0:
         return kept
-    step = max(1, kept.size // n_samples)
+    step = max(1, kept.size // _N_SAMPLES)
     out = kept[::step]
     if out[-1] != kept[-1]:
         out = np.append(out, kept[-1])
     return out
 
 
-def _branch(side, k, c, params, z0, q0, direction, allow_partial, n_samples):
+def _branch(side, k, c, params, z0, q0, direction, allow_partial):
     """Riccati branch shot from z0 (0 or D/2) toward the other end with q(z0) = q0.
 
     The branch ceases where q reaches direction * pi/2.  If that happens
@@ -189,7 +157,7 @@ def _branch(side, k, c, params, z0, q0, direction, allow_partial, n_samples):
                        events=reach_pole)
     z_cease = float(sol.t_events[0][0]) if sol.status == 1 else z1
     interval = (min(z0, z_cease), max(z0, z_cease))
-    zs = _sample_band(sol, *interval, n_samples)
+    zs = _sample_band(sol, *interval)
     branch = RiccatiSolution(
         side=side, c=float(c), k=k, z=zs, psi=np.tan(sol.sol(zs)[0]),
         interval=interval, params=params, _sol=sol,
@@ -203,7 +171,7 @@ def _branch(side, k, c, params, z0, q0, direction, allow_partial, n_samples):
     return branch
 
 
-def psi_left(c, params, allow_partial=False, n_samples=2001):
+def psi_left(c, params, allow_partial=False):
     """Forward log-derivative branch with psi(0) = 0.
 
     Raises BlowupError if q reaches -pi/2 strictly inside [0, D/2) (the
@@ -212,11 +180,10 @@ def psi_left(c, params, allow_partial=False, n_samples=2001):
     the truncated branch.
     """
     params = validate(params)
-    return _branch("left", float("nan"), c, params, 0.0, 0.0, -1.0,
-                   allow_partial, n_samples)
+    return _branch("left", float("nan"), c, params, 0.0, 0.0, -1.0, allow_partial)
 
 
-def psi_right(k, c, params, allow_partial=False, n_samples=2001):
+def psi_right(k, c, params, allow_partial=False):
     """Backward log-derivative branch with psi(D/2) = -k.
 
     Integrated from z = D/2 toward 0; if the angle reaches +pi/2 at some
@@ -224,18 +191,24 @@ def psi_right(k, c, params, allow_partial=False, n_samples=2001):
     BlowupError is raised unless allow_partial is set.
     """
     params = validate(params)
-    if not (k > 0):
-        raise DomainError(f"right-boundary slope k must be positive, got {k}")
+    _check_positive("boundary slope k", k)
     return _branch("right", float(k), c, params, params.half, -math.atan(float(k)),
-                   1.0, allow_partial, n_samples)
+                   1.0, allow_partial)
 
 
 def flat_ck(k, D):
-    """Closed-form flat-space (K = 0) Robin constant: nu tan(nu D/2) = k."""
-    lo = 1e-12
-    hi = math.pi / D * (1.0 - 1e-12)
-    nu = brentq(lambda nu: nu * math.tan(nu * D / 2.0) - k, lo, hi,
-                xtol=1e-15, rtol=8.9e-16)
+    """Closed-form flat-space (K = 0) Robin constant: nu tan(nu D/2) = k.
+
+    BracketError when k lies beyond the bracket's reach (about 2e12 / D).
+    """
+    lo, hi = 1e-12, math.pi / D * (1.0 - 1e-12)
+
+    def f(nu):
+        return nu * math.tan(nu * D / 2.0) - k
+
+    if not f(lo) < 0.0 < f(hi):
+        raise BracketError(f"flat bracket [{lo:.6g}, {hi:.6g}] does not straddle nu for k = {k}")
+    nu = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return nu * nu - math.pi**2 / D**2
 
 
@@ -258,8 +231,7 @@ def find_ck(k, params, angle_tol=1e-11):
     defect at the root exceeds angle_tol.
     """
     params = validate(params)
-    if not (k > 0):
-        raise DomainError(f"k must be positive, got {k}")
+    _check_positive("boundary slope k", k)
     target = -_HALF_PI + math.atan(1.0 / float(k))
     evals = {}
 
@@ -287,35 +259,43 @@ def find_ck(k, params, angle_tol=1e-11):
     return float(c)
 
 
-def robin_eigenfunction(k, params, n_samples=2001, return_trajectory=False):
+def _phi(qr):
+    """Unscaled eigenfunction r cos q from the interpolant's (q, log r)."""
+    return np.exp(qr[1]) * np.cos(qr[0])
+
+
+def _robin(k, params):
+    """c_k, the interpolant z -> (q, log r) of one dense solve at c_k from
+    q(0) = 0, r(0) = 1, and phi at uniform points scaled to phi(D/2) = 1/k."""
+    ck = find_ck(k, params)
+    profile = _solve_angle(ck, params, (0.0, params.half), [0.0, 0.0],
+                           dense_output=True).sol
+    z = np.linspace(0.0, params.half, _N_SAMPLES)
+    phi = _phi(profile(z))
+    scale = (1.0 / float(k)) / phi[-1]
+    return ck, profile, GridFunction(z=z, values=phi * scale)
+
+
+def robin_eigenfunction(k, params):
     """Positive eigenfunction with phi'(0)=0, phi(D/2)=1/k, phi'(D/2)=-1.
 
-    Reconstructed from the angle-radius trajectory at c_k and rescaled so
+    Reconstructed from the angle-radius solve at c_k and rescaled so
     phi(D/2) = 1/k exactly; the other two conditions then hold up to the
     root-finding and integration tolerances.
     """
-    params = validate(params)
-    ck = find_ck(k, params)
-    traj = integrate_q(0.0, ck, params, n_samples=n_samples)
-    phi = traj.r * np.cos(traj.q)
-    scale = (1.0 / float(k)) / phi[-1]
-    gf = GridFunction(z=traj.z, values=phi * scale)
-    if return_trajectory:
-        return gf, traj, ck
-    return gf
+    return _robin(k, validate(params))[2]
 
 
 def robin_boundary_report(k, params):
     """Measured defects of the three boundary conditions plus positivity."""
     params = validate(params)
-    gf, traj, ck = robin_eigenfunction(k, params, return_trajectory=True)
-    half = params.half
+    ck, profile, gf = _robin(k, params)
     k = float(k)
-    scale = (1.0 / k) / traj.phi_at(half)
-    phi_end = traj.phi_at(half) * scale
-    q_end = traj.q_at(half)
-    dphi_end = phi_end * math.tan(q_end)
-    dphi_0 = traj.phi_at(0.0) * scale * math.tan(traj.q_at(0.0))
+    end, start = profile(params.half), profile(0.0)
+    scale = (1.0 / k) / _phi(end)
+    phi_end = _phi(end) * scale
+    dphi_end = phi_end * math.tan(end[0])
+    dphi_0 = _phi(start) * scale * math.tan(start[0])
     return {
         "c_k": ck,
         "phi_right_defect": abs(phi_end - 1.0 / k),
@@ -339,7 +319,7 @@ def threshold_s(k, params, ck=None):
     return _threshold(ck, params)[1]
 
 
-def supersolution(k, s, params, n_samples=2001, ck=None, z=None):
+def supersolution(k, s, params, ck=None, z=None):
     """Pointwise minimum of the two shifted branches around c_k.
 
     psi_plus = min{psi^L at c_k - s, psi^R at c_k + s}.  The left branch
@@ -368,7 +348,7 @@ def supersolution(k, s, params, n_samples=2001, ck=None, z=None):
             f"branch start {right.interval[0]:.6g}"
         )
     if z is None:
-        z = np.linspace(0.0, half, n_samples)
+        z = np.linspace(0.0, half, _N_SAMPLES)
     else:
         z = np.asarray(z, dtype=float)
         if z[0] < 0.0 or z[-1] > half * (1.0 + 1e-12):

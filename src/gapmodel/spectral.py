@@ -57,6 +57,7 @@ from .model import (
 )
 
 _ODE_TOL = 1e-12
+_N_SAMPLES = 1001  # points in a shot eigenfunction on [-D/2, D/2]
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def _angle_mid(lam, params, form, tol=_ODE_TOL):
     return float(sol.y[0])
 
 
-def _shoot_eigenfunction(lam, params, form, n_samples=1001):
+def _shoot_eigenfunction(lam, params, form):
     half = params.half
     if form == "normal":
         rhs = normal_rhs(lam, params)
@@ -114,7 +115,7 @@ def _shoot_eigenfunction(lam, params, form, n_samples=1001):
 
     sol = solve_ivp(rhs, (-half, half), [0.0, 1.0], method="DOP853",
                     rtol=_ODE_TOL, atol=_ODE_TOL, dense_output=True)
-    z = np.linspace(-half, half, n_samples)
+    z = np.linspace(-half, half, _N_SAMPLES)
     y = sol.sol(z)[0]
     return GridFunction(z=z, values=y / np.max(np.abs(y)))
 
@@ -162,7 +163,7 @@ def _shoot_error(lam, evals, tight):
     return (b - a) + noise / slope
 
 
-def eigen_shoot(params, index, form="normal", n_samples=1001):
+def eigen_shoot(params, index, form="normal"):
     """Index-th Dirichlet eigenvalue by monotone angle shooting to the midpoint.
 
     Brent's method on theta(0; lam) = index * pi / 2, theta the Prüfer angle
@@ -218,7 +219,7 @@ def eigen_shoot(params, index, form="normal", n_samples=1001):
     lam = brentq(g, lo, hi, xtol=1e-14 * (math.pi / params.D) ** 2, rtol=1e-14)
     tight = _angle_mid(lam, params, form, tol=0.1 * _ODE_TOL) - target
     err = _shoot_error(lam, evals, tight)
-    gf = _shoot_eigenfunction(lam, params, form, n_samples)
+    gf = _shoot_eigenfunction(lam, params, form)
     # every eigenvalue is positive; near the cap Brent can settle in the
     # noise just below the padded lower end 0, and clamping only shrinks
     # the error that err bounds

@@ -239,6 +239,15 @@ class TestPruefer:
         expected = pruefer.threshold_s(1.0, ModelParams(5, -8.0, 1.0), ck=ck)
         assert float(row["threshold_s"]) == expected > 0
 
+    @pytest.mark.parametrize("k,expected", [("inf", 2), ("1e13", 4)])
+    def test_slope_out_of_reach_is_one_error_line(self, k, expected, capsys):
+        # inf is not a slope; 1e13 is beyond the flat Robin bracket
+        code, out, err = run_main(
+            ["pruefer", "--n", "2", "--K", "0.5", "--D", "1", f"--k={k}"], capsys
+        )
+        assert code == expected and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestFlow:
     def test_run_and_plot(self, tmp_path, capsys):
@@ -408,7 +417,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("option,value", [
         ("--mesh-tol", "0"), ("--mesh-tol", "-1"), ("--snapshots", "-1"),
         ("--tol", "-1"), ("--tol", "nan"), ("--t-max", "-1"), ("--t-max", "nan"),
-        ("--s", "nan"), ("--s", "inf"),
+        ("--s", "nan"), ("--s", "inf"), ("--k", "inf"),
     ])
     def test_bad_flow_option_is_invalid_params(self, option, value, tmp_path, capsys):
         plot = tmp_path / "plot.csv"

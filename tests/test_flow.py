@@ -58,6 +58,11 @@ class TestGrid:
         with pytest.raises(DomainError, match="mesh_tol"):
             build_grid(P_FLOW, 10.0, mesh_tol=mesh_tol)
 
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_slope(self, k):
+        with pytest.raises(DomainError, match="slope k"):
+            build_grid(P_FLOW, k)
+
     def test_refine(self):
         z = build_grid(P_FLOW, 10.0)
         fine = refine_grid(z)

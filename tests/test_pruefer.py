@@ -55,6 +55,14 @@ class TestRobinConstant:
             find_ck(0.0, ModelParams(n=2, K=0.0, D=1.0))
         with pytest.raises(DomainError):
             find_ck(-3.0, ModelParams(n=2, K=0.0, D=1.0))
+        with pytest.raises(DomainError, match="finite"):
+            find_ck(math.inf, ModelParams(n=2, K=0.5, D=1.0))
+
+    def test_slope_beyond_the_flat_bracket(self):
+        # the flat bracket reaches k of about 2e12 / D; 1e12 is still inside
+        assert pruefer.flat_ck(1e12, 1.0) < 0.0
+        with pytest.raises(BracketError, match="does not straddle"):
+            pruefer.flat_ck(1e13, 1.0)
 
     def test_frozen_value(self):
         p = ModelParams(n=2, K=0.5, D=1.0)
@@ -93,6 +101,22 @@ class TestRobinConstantSolve:
         monkeypatch.setattr(pruefer, "solve_ivp", counting)
         find_ck(k, ModelParams(n, K, D))
         assert solves[0] <= 8
+
+    @pytest.mark.parametrize("n,K,D,k", [(2, 0.5, 1.0, 10.0), (5, 1.0, 1.0, 60.0)])
+    def test_boundary_report_adds_one_solve(self, n, K, D, k, monkeypatch):
+        # the eigenfunction and its boundary values come from one dense solve
+        solves = [0]
+        solve_ivp = pruefer.solve_ivp
+
+        def counting(*args, **kwargs):
+            solves[0] += 1
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(pruefer, "solve_ivp", counting)
+        find_ck(k, ModelParams(n, K, D))
+        ck_solves, solves[0] = solves[0], 0
+        robin_boundary_report(k, ModelParams(n, K, D))
+        assert solves[0] == ck_solves + 1
 
     def test_angle_check_is_a_bracket_error(self):
         with pytest.raises(BracketError, match="end-angle defect"):
