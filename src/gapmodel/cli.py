@@ -197,8 +197,7 @@ def cmd_series(args):
         if name in ("first", "second"):
             mode = 1 if name == "first" else 2
             bdoc["lambda0_at_D_pi"] = float(mode * mode)
-        branch_key = name
-        doc["branches"][branch_key] = bdoc
+        doc["branches"][name] = bdoc
     if M >= 5 and "gap" in branches:
         f = series_mod.gap5_factors()
         ref = series_mod.PUBLISHED_DECIMALS[("gap", 5)]

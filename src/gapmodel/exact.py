@@ -3,15 +3,21 @@
 Three small algebraic types:
 
   PiLaurent  -- finite sums  sum_e  q_e * pi^e  with rational q_e and
-                integer (possibly negative) exponents e, held as integer
-                numerators over one common denominator.
+                integer (possibly negative) exponents e.
   NPoly      -- polynomials in the dimension symbol n with PiLaurent
-                coefficients.  The expansion coefficients are polynomials
-                in n (they enter through (n-1)(n-3) and its powers), and
-                a polynomial in n is closed under the recurrence.
+                coefficients, i.e. finite sums of q * n^d * pi^e.  The
+                expansion coefficients are polynomials in n (they enter
+                through (n-1)(n-3) and its powers), and a polynomial in n
+                is closed under the recurrence.
   TrigPoly   -- finite sums of  c x^j cos(m x)  and  c x^j sin(m x)  with
                 NPoly coefficients c, held as one sparse map from
                 (kind, m, j) to c.  Houses the eigenfunction corrections.
+
+PiLaurent and NPoly share one flat form: a map from each term to an integer
+numerator over one positive denominator, in lowest terms, and one set of
+sum, scale and product routines.  A PiLaurent term is its exponent e; an
+NPoly term n^d pi^e is the single integer d * 2^32 + e, so multiplying two
+terms adds their keys and a PiLaurent is an NPoly of degree 0.
 
 Everything here is exact: no floats enter until an eval method is called.
 The definite integrals over [-pi/2, pi/2] are done by recursive integration
@@ -29,6 +35,10 @@ from functools import lru_cache
 
 from .errors import DomainError, GapModelError, SolvabilityError
 
+# an NPoly key is (d << _SHIFT) + e for the term n^d pi^e, with |e| < _HALF
+_SHIFT = 32
+_HALF = 1 << (_SHIFT - 1)
+
 
 def _as_fraction(x):
     if isinstance(x, Fraction):
@@ -38,29 +48,48 @@ def _as_fraction(x):
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-class PiLaurent:
-    """An exact number sum_e coeff[e] * pi^e (finitely many integer e).
+class _Terms:
+    """Integer numerators num[key] over one positive denominator den.
 
-    Stored as integer numerators num[e] over one positive denominator den,
-    in lowest terms: gcd(den, *num.values()) == 1 and no numerator is zero.
-    The form is canonical, so equal values compare and hash equal whatever
-    path built them.
+    Kept in lowest terms: gcd(den, *num.values()) == 1 and no numerator is
+    zero.  The form is canonical, so equal values compare and hash equal
+    whatever path built them.
     """
 
     __slots__ = ("num", "den")
 
+    def is_zero(self):
+        return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        return hash((self.den, frozenset(self.num.items())))
+
+
+class PiLaurent(_Terms):
+    """An exact number sum_e coeff[e] * pi^e (finitely many integer e),
+    stored as numerators num[e] over the denominator den."""
+
+    __slots__ = ()
+
     def __init__(self, coeffs=None):
-        fracs = {}
-        for e, v in (coeffs or {}).items():
-            v = _as_fraction(v)
-            if v != 0:
-                fracs[int(e)] = v
-        if not fracs:
-            self.num, self.den = {}, 1
-            return
+        fracs = {int(e): _as_fraction(v) for e, v in (coeffs or {}).items()}
+        fracs = {e: v for e, v in fracs.items() if v}
         den = math.lcm(*(v.denominator for v in fracs.values()))
         self.num = {e: v.numerator * (den // v.denominator) for e, v in fracs.items()}
         self.den = den
+
+    @staticmethod
+    def _coerce(x):
+        return _pl(x)
 
     @classmethod
     def from_rational(cls, q):
@@ -75,21 +104,6 @@ class PiLaurent:
         den = self.den
         return [(e, Fraction(v, den)) for e, v in self.num.items()]
 
-    def is_zero(self):
-        return not self.num
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        other = _pl(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.den, frozenset(self.num.items())))
-
     def __add__(self, other):
         other = _pl(other)
         if other is NotImplemented:
@@ -99,7 +113,7 @@ class PiLaurent:
     __radd__ = __add__
 
     def __neg__(self):
-        return _make({e: -v for e, v in self.num.items()}, self.den)
+        return _scaled(self, -1, 1)
 
     def __sub__(self, other):
         other = _pl(other)
@@ -114,29 +128,10 @@ class PiLaurent:
         return _combine(other, self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _scaled(self, other, 1)
-        if isinstance(other, Fraction):
-            return _scaled(self, other.numerator, other.denominator)
-        if isinstance(other, PiLaurent):
-            # most products have a rational or a pi-monomial factor
-            if len(other.num) == 1:
-                (e, a), = other.num.items()
-                return _scaled(self, a, other.den, e)
-            if len(self.num) == 1:
-                (e, a), = self.num.items()
-                return _scaled(other, a, self.den, e)
-            c = {}
-            for e1, v1 in self.num.items():
-                for e2, v2 in other.num.items():
-                    e = e1 + e2
-                    w = c.get(e, 0) + v1 * v2
-                    if w:
-                        c[e] = w
-                    else:
-                        c.pop(e, None)
-            return _reduced(c, self.den * other.den)
-        return NotImplemented
+        other = _pl(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -202,32 +197,32 @@ class PiLaurent:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _make(num, den):
-    """A PiLaurent from numerators and a denominator already in lowest terms."""
-    out = PiLaurent.__new__(PiLaurent)
+def _make(cls, num, den):
+    """A cls value from numerators and a denominator already in lowest terms."""
+    out = cls.__new__(cls)
     out.num = num
     out.den = den
     return out
 
 
-def _reduced(num, den):
-    """A PiLaurent from nonzero numerators over den > 0, brought to lowest terms."""
+def _reduced(cls, num, den):
+    """A cls value from nonzero numerators over den > 0, brought to lowest terms."""
     if not num:
-        return _make(num, 1)
+        return _make(cls, num, 1)
     g = math.gcd(den, *num.values())
     if g != 1:
-        num = {e: v // g for e, v in num.items()}
+        num = {k: v // g for k, v in num.items()}
         den //= g
-    return _make(num, den)
+    return _make(cls, num, den)
 
 
 def _scaled(x, a, b, shift=0):
-    """x * (a / b) * pi^shift for integers a and b != 0."""
+    """x * (a / b) times the term with key shift, for integers a and b != 0."""
     if not a:
-        return _make({}, 1)
+        return _make(type(x), {}, 1)
     if b < 0:
         a, b = -a, -b
-    return _reduced({e + shift: v * a for e, v in x.num.items()}, x.den * b)
+    return _reduced(type(x), {k + shift: v * a for k, v in x.num.items()}, x.den * b)
 
 
 def _combine(x, y, sign):
@@ -235,118 +230,102 @@ def _combine(x, y, sign):
     if not y.num:
         return x
     if not x.num:
-        return y if sign == 1 else _make({e: -v for e, v in y.num.items()}, y.den)
+        return y if sign == 1 else _scaled(y, -1, 1)
     g = math.gcd(x.den, y.den)
     m1, m2 = y.den // g, sign * (x.den // g)
-    c = {e: v * m1 for e, v in x.num.items()}
-    for e, v in y.num.items():
-        w = c.get(e, 0) + v * m2
+    c = {k: v * m1 for k, v in x.num.items()}
+    for k, v in y.num.items():
+        w = c.get(k, 0) + v * m2
         if w:
-            c[e] = w
+            c[k] = w
         else:
-            c.pop(e, None)
-    return _reduced(c, x.den * m1)
+            c.pop(k, None)
+    return _reduced(type(x), c, x.den * m1)
+
+
+def _product(x, y):
+    """x * y for two values of one type: keys add and numerators multiply."""
+    # most products have a rational or a single-term factor
+    if len(y.num) == 1:
+        (k, a), = y.num.items()
+        return _scaled(x, a, y.den, k)
+    if len(x.num) == 1:
+        (k, a), = x.num.items()
+        return _scaled(y, a, x.den, k)
+    c = {}
+    for k1, v1 in x.num.items():
+        for k2, v2 in y.num.items():
+            k = k1 + k2
+            w = c.get(k, 0) + v1 * v2
+            if w:
+                c[k] = w
+            else:
+                c.pop(k, None)
+    return _reduced(type(x), c, x.den * y.den)
 
 
 def _pl(x):
     if isinstance(x, PiLaurent):
         return x
-    if isinstance(x, int):
-        return _make({0: x} if x else {}, 1)
-    if isinstance(x, Fraction):
-        return PiLaurent.from_rational(x)
+    if isinstance(x, (int, Fraction)):
+        return _make(PiLaurent, {0: x.numerator} if x else {}, x.denominator)
     return NotImplemented
 
 
-class NPoly:
-    """A polynomial in the dimension symbol n with PiLaurent coefficients."""
+class NPoly(_Terms):
+    """A polynomial in the dimension symbol n with PiLaurent coefficients.
 
-    __slots__ = ("c",)
+    Stored flat, as numerators num[(d << 32) + e] of the terms n^d pi^e over
+    the one denominator den; the coefficient of n^d is read back from the
+    terms of that degree.  Pi exponents must stay below 2^31 in size.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for d, v in coeffs.items():
-                v = _pl(v)
-                if v is NotImplemented:
-                    raise TypeError("NPoly coefficients must be PiLaurent or rational")
-                if v:
-                    c[int(d)] = v
-        self.c = c
+        total = _make(NPoly, {}, 1)
+        for d, v in (coeffs or {}).items():
+            if _pl(v) is NotImplemented:
+                raise TypeError("NPoly coefficients must be PiLaurent or rational")
+            total = _combine(total, _scaled(_np(v), 1, 1, int(d) << _SHIFT), 1)
+        self.num, self.den = total.num, total.den
+
+    @staticmethod
+    def _coerce(x):
+        return _np(x)
 
     @classmethod
     def from_scalar(cls, v):
         return cls({0: v})
 
-    def is_zero(self):
-        return not self.c
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        other = _np(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset((d, hash(v)) for d, v in self.c.items()))
-
     def __add__(self, other):
         other = _np(other)
         if other is NotImplemented:
             return NotImplemented
-        c = dict(self.c)
-        for d, v in other.c.items():
-            w = c[d] + v if d in c else v
-            if w:
-                c[d] = w
-            else:
-                c.pop(d, None)
-        out = NPoly.__new__(NPoly)
-        out.c = c
-        return out
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = NPoly.__new__(NPoly)
-        out.c = {d: -v for d, v in self.c.items()}
-        return out
+        return _scaled(self, -1, 1)
 
     def __sub__(self, other):
         other = _np(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other):
-        return _np(other) + (-self)
+        other = _np(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _combine(other, self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PiLaurent)):
-            f = _pl(other)
-            if not f:
-                return NPoly()
-            out = NPoly.__new__(NPoly)
-            out.c = {d: v * f for d, v in self.c.items()}
-            return out
-        if isinstance(other, NPoly):
-            c = {}
-            for d1, v1 in self.c.items():
-                for d2, v2 in other.c.items():
-                    d = d1 + d2
-                    v = v1 * v2
-                    w = c[d] + v if d in c else v
-                    if w:
-                        c[d] = w
-                    else:
-                        c.pop(d, None)
-            out = NPoly.__new__(NPoly)
-            out.c = c
-            return out
-        return NotImplemented
+        other = _np(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -356,12 +335,21 @@ class NPoly:
         raise TypeError("NPoly division only by rationals")
 
     def degree(self):
-        return max(self.c) if self.c else -1
+        # the largest key holds the largest degree
+        return (max(self.num) + _HALF) >> _SHIFT if self.num else -1
+
+    def _by_degree(self):
+        """{d: the PiLaurent coefficient of n^d}, for the nonzero ones."""
+        parts = {}
+        for k, v in self.num.items():
+            d = (k + _HALF) >> _SHIFT
+            parts.setdefault(d, {})[k - (d << _SHIFT)] = v
+        return {d: _reduced(PiLaurent, num, self.den) for d, num in parts.items()}
 
     def eval_n(self, n):
         """Exact evaluation at an integer n: returns a PiLaurent."""
         total = PiLaurent()
-        for d, v in self.c.items():
+        for d, v in self._by_degree().items():
             total = total + v * (_as_fraction(n) ** d)
         return total
 
@@ -372,29 +360,31 @@ class NPoly:
         return self.eval_n(n).eval_mp(mp)
 
     def to_json(self):
-        return {str(d): v.to_json() for d, v in sorted(self.c.items())}
+        return {str(d): v.to_json() for d, v in sorted(self._by_degree().items())}
 
     def __repr__(self):
-        if not self.c:
+        if not self.num:
             return "0"
         parts = []
-        for d in sorted(self.c, reverse=True):
-            v = repr(self.c[d])
+        for d, v in sorted(self._by_degree().items(), reverse=True):
             if d == 0:
-                parts.append(f"({v})")
+                parts.append(f"({v!r})")
             elif d == 1:
-                parts.append(f"({v})*n")
+                parts.append(f"({v!r})*n")
             else:
-                parts.append(f"({v})*n^{d}")
+                parts.append(f"({v!r})*n^{d}")
         return " + ".join(parts)
 
 
 def _np(x):
     if isinstance(x, NPoly):
         return x
-    if isinstance(x, (int, Fraction, PiLaurent)):
-        return NPoly.from_scalar(x)
-    return NotImplemented
+    x = _pl(x)
+    if x is NotImplemented:
+        return x
+    if x.num and not -_HALF <= min(x.num) <= max(x.num) < _HALF:
+        raise DomainError("NPoly coefficients need pi exponents below 2^31 in size")
+    return _make(NPoly, x.num, x.den)
 
 
 # (n-1)(n-3) = n^2 - 4n + 3, the coupling polynomial of the perturbation

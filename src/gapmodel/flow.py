@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 MIN_CELLS = 512
+# cap on the cells of one graded grid; the default mesh_tol gives about 63k
+# cells at k = 300 and passes the cap near k = 1.6e4
+MAX_CELLS = 500_000
 DEFAULT_MESH_TOL = 1e-6
 T_MAX_FACTOR = 50.0
 
@@ -75,7 +78,8 @@ def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL):
     so h(w) ~ sqrt(12 mesh_tol (2/w^2 + 2 lam) / (96/w^5 + B)).  B is a
     curvature floor for the smooth part of the domain.  Consecutive sizes
     stay within a 1.05 ratio by construction (h varies smoothly in w), and
-    the result is refined uniformly if it lands under MIN_CELLS.
+    the result is refined uniformly if it lands under MIN_CELLS.  A k that
+    needs more than MAX_CELLS cells raises DomainError.
     """
     params = validate(params)
     _check_positive("boundary slope k", k)
@@ -97,6 +101,9 @@ def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL):
             h = min(h, D / 64.0)
             z -= h
             hs.append(h)
+            if len(hs) > MAX_CELLS:
+                raise DomainError(f"boundary slope k = {k:g} needs more than "
+                                  f"{MAX_CELLS} grid cells at mesh_tol = {mesh_tol:g}")
         if len(hs) >= MIN_CELLS:
             break
         scale *= 0.7 * len(hs) / MIN_CELLS
@@ -136,16 +143,15 @@ def _stencils(z):
 
 @dataclass(frozen=True)
 class FlowState:
-    """Immutable snapshot: psi on its grid, time, slope k, and the lam constant."""
+    """Immutable snapshot: psi on its grid, time, slope k and the parameters."""
 
     psi: GridFunction
     t: float
     k: float
     params: ModelParams
-    lam: float
 
 
-def make_state(psi, k, params, t=0.0, lam=None):
+def make_state(psi, k, params):
     """Wrap grid samples as a FlowState, checking the boundary pinning.
 
     psi(0) must be 0 and psi at the last node must be -k; interior values
@@ -168,9 +174,7 @@ def make_state(psi, k, params, t=0.0, lam=None):
     slack = 1e-9 * max(1.0, k)
     if np.max(v) > slack:
         raise DomainError(f"initial data must be nonpositive, max = {np.max(v):.3e}")
-    if lam is None:
-        lam = math.pi**2 / params.D**2
-    return FlowState(psi=psi, t=float(t), k=float(k), params=params, lam=float(lam))
+    return FlowState(psi=psi, t=0.0, k=float(k), params=params)
 
 
 def initial_supersolution(k, s, params, mesh_tol=DEFAULT_MESH_TOL, ck=None, z=None):
@@ -220,13 +224,13 @@ class _Workspace:
     their boundary rows never change.
     """
 
-    def __init__(self, z, params, lam):
+    def __init__(self, z, params):
         self.z = z
         (self.c_m, self.c_0, self.c_p), (self.d_m, self.d_0, self.d_p) = _stencils(z)
         self.tn_int = tn_array(z[1:-1], params.K)
         self.tn_all = tn_array(z, params.K)
         self.cs2_int = cs_array(z[1:-1], params.K) ** 2
-        self.lam = lam
+        self.lam = math.pi**2 / params.D**2
         self.n = len(z)
         self.ab = np.zeros((3, self.n))
         self.ab[1, 0] = 1.0
@@ -305,7 +309,7 @@ def _project(v, k):
 def flow_step(state, dt):
     """One linearly-implicit step; boundary values re-imposed exactly."""
     _check_positive("dt", dt)
-    ws = _Workspace(state.psi.z, state.params, state.lam)
+    ws = _Workspace(state.psi.z, state.params)
     v = state.psi.values
     out = ws.step(v, dt, ws.d1(v))
     out[0] = v[0]
@@ -316,7 +320,6 @@ def flow_step(state, dt):
         t=state.t + dt,
         k=state.k,
         params=state.params,
-        lam=state.lam,
     )
 
 
@@ -335,7 +338,7 @@ def riccati_residual(state, ck=None):
     params = state.params
     if ck is None:
         ck = find_ck(state.k, params)
-    ws = _Workspace(state.psi.z, params, state.lam)
+    ws = _Workspace(state.psi.z, params)
     v = state.psi.values
     return ws.riccati(v, ws.d1(v), ck)
 
@@ -382,7 +385,7 @@ def flow_to_stationary(
         _check_positive("dt", dt)
     z = state.psi.z
     target, ck = stationary_reference(k, params, z, ck=ck)
-    ws = _Workspace(z, params, state.lam)
+    ws = _Workspace(z, params)
 
     def dist(v):
         return float(np.max(np.abs(v - target)))
@@ -418,9 +421,7 @@ def flow_to_stationary(
         while pending and t >= pending[0]:
             snaps.append((t, v.copy()))
             pending.pop(0)
-    final = FlowState(
-        psi=GridFunction(z=z, values=v), t=t, k=k, params=params, lam=state.lam
-    )
+    final = FlowState(psi=GridFunction(z=z, values=v), t=t, k=k, params=params)
     run = FlowRun(
         state=final,
         times=np.array(times),
@@ -437,23 +438,19 @@ def flow_to_stationary(
     return run
 
 
-def discrete_stationary(k, params, z=None, initial=None, mesh_tol=DEFAULT_MESH_TOL):
+def discrete_stationary(k, params, z=None, mesh_tol=DEFAULT_MESH_TOL):
     """Newton solve of the fully discrete stationary system on the graded grid.
 
-    Seeds from the continuum Robin solution when no initial guess is given;
-    iteration stops when the update stalls at the rounding floor.
+    Seeds from the continuum Robin solution; iteration stops when the update
+    stalls at the rounding floor.
     """
     params = validate(params)
     if z is None:
         z = build_grid(params, k, mesh_tol=mesh_tol)
     z = np.asarray(z, dtype=float)
-    lam = math.pi**2 / params.D**2
-    ws = _Workspace(z, params, lam)
-    if initial is None:
-        v, _ = stationary_reference(k, params, z)
-        v = v.copy()
-    else:
-        v = np.asarray(initial, dtype=float).copy()
+    ws = _Workspace(z, params)
+    v, _ = stationary_reference(k, params, z)
+    v = v.copy()
     v[0] = 0.0
     v[-1] = -k
     prev = math.inf
@@ -467,9 +464,7 @@ def discrete_stationary(k, params, z=None, initial=None, mesh_tol=DEFAULT_MESH_T
         prev = nrm
     else:
         raise NonConvergenceError(f"stationary Newton stalled at update {nrm:.3e}")
-    return make_state(
-        GridFunction(z=z, values=np.minimum(v, 0.0)), k, params, lam=lam
-    )
+    return make_state(GridFunction(z=z, values=np.minimum(v, 0.0)), k, params)
 
 
 # -- comparison principle in the difference variable --------------------------
@@ -500,10 +495,9 @@ def comparison_check(u, v, params, k, T, dt=None, ck=None):
     if np.max(u.values - v.values) > 1e-12:
         raise HypothesisError("initial data are not ordered u <= v")
     z = u.z
-    lam = math.pi**2 / params.D**2
-    ws = _Workspace(z, params, lam)
+    ws = _Workspace(z, params)
     f, ck = stationary_reference(k, params, z, ck=ck)
-    fp = -(f**2) - lam - ck / cs_array(z, params.K) ** 2
+    fp = -(f**2) - ws.lam - ck / cs_array(z, params.K) ** 2
     a1 = 2.0 * f[1:-1] - 2.0 * ws.tn_int
     a2 = 2.0 * fp[1:-1] - 4.0 * ws.tn_int * f[1:-1]
     slack = 1e-9 * max(1.0, k)

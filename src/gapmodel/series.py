@@ -41,6 +41,10 @@ from .exact import (
 from .model import validate
 
 DEFAULT_ORDER_CAP = 8
+# largest n searched for the order-5 sign change, and the sample count of
+# modulus_expansion's grid on [0, D/2]
+SIGN_CHANGE_N_MAX = 100
+MODULUS_SAMPLES = 257
 
 _BRANCHES = {
     "first": (1, "even", "cos"),
@@ -209,16 +213,16 @@ def gap5_factors():
     }
 
 
-def gap_order5_sign_change(n_max=100):
+def gap_order5_sign_change():
     """Smallest integer n > 3 where the kappa^5 gap coefficient turns negative."""
     g5 = gap_series(5).kappa_coefficient(5)
     previous_positive = None
-    for n in range(4, n_max + 1):
+    for n in range(4, SIGN_CHANGE_N_MAX + 1):
         s = coefficient_sign(g5, n)
         if s < 0:
             return n, previous_positive
         previous_positive = n
-    raise DomainError(f"no sign change found for n up to {n_max}")
+    raise DomainError(f"no sign change found for n up to {SIGN_CHANGE_N_MAX}")
 
 
 # -- published closed forms ---------------------------------------------------
@@ -392,7 +396,7 @@ def check_reference(M=5):
         if m > M:
             continue
         if branch == "gap":
-            got = gap_series(min(M, 3)).kappa_coefficient(m) if m <= M else None
+            got = gap_series(min(M, 3)).kappa_coefficient(m)
         else:
             got = res[branch].kappa_coefficient(m)
         report["matches"][f"kappa_{branch}_{m}"] = got == ref
@@ -439,7 +443,7 @@ def check_reference(M=5):
     return report
 
 
-def modulus_expansion(params, samples=257):
+def modulus_expansion(params):
     """Compare the two one-dimensional log-gradient models through order K^2.
 
     Both models share -(pi/D) tan(pi x/D) + ((n-1)/2) tn_K(x); the difference
@@ -454,7 +458,7 @@ def modulus_expansion(params, samples=257):
     params = validate(params)
     n, D = params.n, params.D
     An = (n - 1) * (n - 3) / 24.0
-    xs = [0.5 * D * j / (samples - 1) for j in range(samples)]
+    xs = [0.5 * D * j / (MODULUS_SAMPLES - 1) for j in range(MODULUS_SAMPLES)]
     # at the endpoint the closed form is a 0*inf cancellation (the true limit
     # is 0 from below); keep the last sample far enough inside that doubles
     # still resolve the sign through the sec^2 blowup

@@ -430,6 +430,14 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert option[2:].replace("-", "_") in err and "Traceback" not in err
 
+    def test_flow_slope_past_cell_budget_is_invalid_params(self, capsys):
+        code, out, err = run_main(
+            ["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "1e9"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "k = 1e+09" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["eigen", "--n", "2", "--K", "0.5", "--D", "1", "--jobs", "2"],
         ["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10",

@@ -184,6 +184,112 @@ class TestPiLaurentNormalForm:
             assert zero.to_json() == {} and repr(zero) == "0"
 
 
+# NPoly terms n^d pi^e as a plain {(d, e): Fraction} dict
+npoly_dict_st = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=-3, max_value=3)),
+    shared_fraction_st, max_size=5,
+)
+
+
+def _npoly(terms):
+    by_degree = {}
+    for (d, e), v in terms.items():
+        by_degree.setdefault(d, {})[e] = v
+    return NPoly({d: PiLaurent(c) for d, c in by_degree.items()})
+
+
+def _npoly_dict(x):
+    """An NPoly read back as a plain {(d, e): Fraction} dict."""
+    return {(int(d), int(e)): Fraction(p, q)
+            for d, c in x.to_json().items() for e, (p, q) in c.items()}
+
+
+def _ref_npoly_mul(a, b):
+    out = {}
+    for (d1, e1), v1 in a.items():
+        for (d2, e2), v2 in b.items():
+            k = (d1 + d2, e1 + e2)
+            out[k] = out.get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_npoly_eval(a, n):
+    out = {}
+    for (d, e), v in a.items():
+        out[e] = out.get(e, 0) + v * Fraction(n) ** d
+    return out
+
+
+def _assert_npoly_normal(x, ref):
+    """x equals the dict-of-Fraction reference and is in lowest terms."""
+    ref = {k: v for k, v in ref.items() if v}
+    assert isinstance(x, NPoly) and _npoly_dict(x) == ref
+    assert x == _npoly(ref) and hash(x) == hash(_npoly(ref))
+    assert bool(x) == bool(ref)
+    assert x.degree() == max((d for d, _ in ref), default=-1)
+    assert x.den > 0 and 0 not in x.num.values()
+    assert math.gcd(x.den, *x.num.values()) == 1
+
+
+class TestNPolyNormalForm:
+    """The flat NPoly form gives the same values as dict-of-Fraction
+    arithmetic over the terms n^d pi^e, in one canonical form."""
+
+    @given(a=npoly_dict_st, b=npoly_dict_st, p=shared_dict_st, q=nonzero_fraction_st,
+           e=st.integers(min_value=-3, max_value=3), n=st.integers(min_value=-3, max_value=12))
+    @example(a={(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 6)},
+             b={(0, 0): Fraction(-1, 2), (1, 1): Fraction(1, 3)},
+             p={0: Fraction(1, 2), 1: Fraction(1, 3)}, q=Fraction(-3, 2), e=0, n=2)
+    @example(a={(2, 2): Fraction(1, 4)}, b={(2, 2): Fraction(-1, 4)},
+             p={-2: Fraction(3, 4)}, q=Fraction(1, 4), e=-2, n=5)
+    @example(a={}, b={(3, -1): Fraction(5, 6)}, p={}, q=Fraction(-1), e=1, n=0)
+    @example(a={(1, 0): Fraction(1), (0, 0): Fraction(-1)},
+             b={(1, 0): Fraction(1), (0, 0): Fraction(-3)},
+             p={0: Fraction(1, 6), -2: Fraction(-5, 4)}, q=Fraction(10, 3), e=-1, n=3)
+    @example(a={(0, 3): Fraction(2, 3), (2, 3): Fraction(4, 9), (1, -3): Fraction(-8, 45)},
+             b={(0, 3): Fraction(-2, 3)}, p={3: Fraction(6, 5), -3: Fraction(-6, 5)},
+             q=Fraction(6, 5), e=3, n=-3)
+    def test_arithmetic_matches_fractions(self, a, b, p, q, e, n):
+        x, y = _npoly(a), _npoly(b)
+        _assert_npoly_normal(x, a)
+        _assert_npoly_normal(x + y, _ref_combine(a, b, 1))
+        _assert_npoly_normal(x - y, _ref_combine(a, b, -1))
+        _assert_npoly_normal(q - x, _ref_combine({(0, 0): q}, a, -1))
+        _assert_npoly_normal(-x, {k: -v for k, v in a.items()})
+        _assert_npoly_normal(x * y, _ref_npoly_mul(a, b))
+        _assert_npoly_normal(x * q, {k: v * q for k, v in a.items()})
+        _assert_npoly_normal(x / q, {k: v / q for k, v in a.items()})
+        _assert_npoly_normal(x * PiLaurent.pi_power(e, q),
+                             {(d, k + e): v * q for (d, k), v in a.items()})
+        _assert_npoly_normal(PiLaurent(p) * x,
+                             _ref_npoly_mul(a, {(0, k): v for k, v in p.items()}))
+        _assert_normal(x.eval_n(n), _ref_npoly_eval(a, n))
+
+    @given(a=npoly_dict_st, b=npoly_dict_st, q=nonzero_fraction_st)
+    @example(a={(0, 0): Fraction(1, 2)}, b={(0, 0): Fraction(1, 2)}, q=Fraction(2))
+    @example(a={(1, 1): Fraction(1, 3), (2, -1): Fraction(2, 9)},
+             b={(1, 1): Fraction(2, 3), (0, 0): Fraction(1, 5)}, q=Fraction(-9, 4))
+    def test_equal_values_are_equal_objects(self, a, b, q):
+        x, y = _npoly(a), _npoly(b)
+        for other in ((x + y) - y, x * q / q, (x * y + x) - x * y, y * x - (y - 1) * x):
+            assert other == x and hash(other) == hash(x)
+            assert other.num == x.num and other.den == x.den
+        # a degree-0 NPoly and its PiLaurent coefficient are one value
+        c = PiLaurent({e: v for (d, e), v in a.items() if d == 0})
+        assert NPoly.from_scalar(c) == c and hash(NPoly.from_scalar(c)) == hash(c)
+
+    @given(a=npoly_dict_st)
+    @example(a={(0, 0): Fraction(7, 10), (2, 2): Fraction(-3, 20)})
+    def test_zero_results_are_falsy(self, a):
+        x = _npoly(a)
+        for zero in (x - x, x + (-x), x * 0, x * NPoly(), x * PiLaurent(), x * Fraction(0)):
+            assert not zero and zero.is_zero()
+            assert zero == NPoly() == 0
+            assert hash(zero) == hash(NPoly())
+            assert zero.to_json() == {} and repr(zero) == "0"
+            assert zero.degree() == -1 and zero.eval_n(4) == PiLaurent()
+
+
 class TestNPoly:
     @given(a=npoly_st, b=npoly_st, c=npoly_st)
     def test_ring_axioms(self, a, b, c):

@@ -2,6 +2,7 @@
 stationary states, and the order-preservation check."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gapmodel.errors import (
     NonConvergenceError,
 )
 from gapmodel.flow import (
+    MAX_CELLS,
     MIN_CELLS,
     build_grid,
     comparison_check,
@@ -62,6 +64,14 @@ class TestGrid:
     def test_rejects_bad_slope(self, k):
         with pytest.raises(DomainError, match="slope k"):
             build_grid(P_FLOW, k)
+
+    def test_cell_budget_bounds_large_slopes(self):
+        # k = 1e9 would march through about 1e9 cells without the budget
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"k = 1e\+09 needs more than"):
+            build_grid(P_FLOW, 1e9)
+        assert time.perf_counter() - start < 20.0
+        assert len(build_grid(P_FLOW, 300.0)) - 1 < MAX_CELLS
 
     def test_refine(self):
         z = build_grid(P_FLOW, 10.0)
@@ -129,9 +139,7 @@ class TestStepping:
         z = np.linspace(0.0, 0.35, 4001)
         v = -math.pi * np.tan(math.pi * z)
         k_eff = math.pi * math.tan(math.pi * 0.35)
-        state = make_state(
-            GridFunction(z=z, values=v), k_eff, p, lam=math.pi**2
-        )
+        state = make_state(GridFunction(z=z, values=v), k_eff, p)
         for dt, cap in ((1e-5, 5e-10), (1e-3, 5e-8)):
             moved = flow_step(state, dt)
             assert state.psi.sup_distance(moved.psi) < cap
