@@ -4,11 +4,11 @@ Importing scipy.integrate, scipy.optimize and scipy.linalg takes most of a
 second, and the exact series engine, ``gapmodel series`` and ``--help``
 need none of them.  Each forwarder imports scipy's function when it is
 called; ``solve_ivp``, ``quad``, ``brentq`` and ``solve_banded`` pass their
-arguments and result through unchanged, while ``dop853_end`` and
-``tridiagonal_eigenvalue`` wrap one compiled routine each in a narrower
-call.  Modules bind these names at import time (``from ._scipy import
-solve_ivp``), so each solver stays a module attribute that can be rebound
-or patched.
+arguments and result through unchanged, while ``dop853_end``,
+``lsoda_samples`` and ``tridiagonal_eigenvalue`` wrap one compiled routine
+each in a narrower call.  Modules bind these names at import time
+(``from ._scipy import solve_ivp``), so each solver stays a module
+attribute that can be rebound or patched.
 """
 
 from types import SimpleNamespace
@@ -17,6 +17,12 @@ from types import SimpleNamespace
 # the cap, at (n, K, D) = (8, 9.8696, 1), takes about 19k steps, and a run
 # that exhausts the budget fails instead of stalling
 DOP853_MAX_STEPS = 100_000
+
+# step budget of lsoda_samples between two neighbouring points; the last of
+# the 1000 intervals of an eigenfunction shot within 5e-6 of the cap takes
+# up to 23k steps, at (n, K, D) = (12, 9.8696, 1), and a run that exhausts
+# the budget fails instead of stepping on into a blow-up
+LSODA_MAX_STEPS = 50_000
 
 
 def solve_ivp(*args, **kwargs):
@@ -59,6 +65,39 @@ def dop853_end(fun, t0, t1, y0, rtol, atol):
         t=solver.t, y=y, success=code > 0, nfev=int(dop.iwork[16]),  # NFCN
         message=dop.messages.get(code, f"unexpected return code {code}"),
     )
+
+
+def lsoda_samples(fun, t, y0, rtol, atol):
+    """Samples of y' = fun(t, y) at the increasing points t by ODEPACK's LSODA.
+
+    One call of scipy's compiled ``odeint`` from y(t[0]) = y0, with
+    tcrit = t[-1] so that no step passes the last point, where fun may have
+    a pole.  Returns the attribute names of ``solve_ivp``'s result: ``t``
+    and ``y`` are the points reached and the states there, one row of y per
+    component; ``nfev`` counts right-hand-side calls, and ``success`` and
+    ``message`` report LSODA's outcome.  A failure (excess work, excess
+    accuracy requested, ...) gives ``success = False`` with LSODA's message
+    instead of scipy's warning, and t and y end before the first point not
+    reached.  An exception raised by fun propagates.
+    """
+    import warnings
+
+    from scipy.integrate import ODEintWarning, odeint
+
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", category=ODEintWarning)
+        y, info = odeint(fun, y0, t, rtol=rtol, atol=atol, tcrit=[t[-1]],
+                         mxstep=LSODA_MAX_STEPS, full_output=True, tfirst=True)
+    message = info["message"]
+    if message == "Integration successful.":
+        return SimpleNamespace(t=t, y=y.T, nfev=int(info["nfe"][-1]),
+                               success=True, message=message)
+    # odeint fills its per-point records in order and stops at the point it
+    # fails to reach, the first whose record shows LSODA's time tcur short
+    # of it; nothing past that record is written
+    k = int((info["tcur"] < t[1:]).argmax()) + 1
+    return SimpleNamespace(t=t[:k], y=y[:k].T, nfev=int(info["nfe"][k - 1]),
+                           success=False, message=message)
 
 
 def quad(*args, **kwargs):

@@ -14,7 +14,9 @@ independent of D.  V is even, so the index-th eigenfunction has parity
 midpoint condition theta(0) = index*pi/2.  Shooting therefore integrates
 only [-D/2, 0], inward from the endpoint, and matches at z = 0; each angle
 shot runs Hairer's compiled DOP853 (_scipy.dop853_end) and keeps only the
-end state.
+end state.  The eigenfunction returned with the eigenvalue checks the
+parity this assumes: one (y, y') shot across the whole interval, sampled
+at 1001 points by one compiled LSODA call (_scipy.lsoda_samples).
 
 Brent's method finds the root inside a Rayleigh-Sturm bracket.  cs^2 is
 monotone on [0, D/2], so V takes its extremes at z = 0 and z = D/2, and
@@ -43,7 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import brentq, dop853_end, solve_banded, solve_ivp, tridiagonal_eigenvalue
+from ._scipy import (
+    brentq,
+    dop853_end,
+    lsoda_samples,
+    solve_banded,
+    solve_ivp,
+    tridiagonal_eigenvalue,
+)
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError
 from .kernels import tn
@@ -113,10 +122,14 @@ def _shoot_eigenfunction(lam, params, form):
         def rhs(z, y):
             return [y[1], model_rhs(z, y[0], y[1], lam, params)]
 
-    sol = solve_ivp(rhs, (-half, half), [0.0, 1.0], method="DOP853",
-                    rtol=_ODE_TOL, atol=_ODE_TOL, dense_output=True)
     z = np.linspace(-half, half, _N_SAMPLES)
-    y = sol.sol(z)[0]
+    # LSODA refuses rtol much below 2e-14; atol follows y, whose scale is
+    # D/2 since y'(-D/2) = 1
+    sol = lsoda_samples(rhs, z, [0.0, 1.0], rtol=0.1 * _ODE_TOL,
+                        atol=0.01 * _ODE_TOL * half)
+    if not sol.success:
+        raise NonConvergenceError(f"eigenfunction integration failed: {sol.message}")
+    y = sol.y[0]
     return GridFunction(z=z, values=y / np.max(np.abs(y)))
 
 
@@ -179,8 +192,9 @@ def eigen_shoot(params, index, form="normal"):
     small D it bounds the error against mpmath collocation or closed forms
     and stays below 1e-9 max(|lam|, (pi / D)^2).
 
-    The result carries the eigenfunction (sup-normalized, shot across the
-    whole interval), its interior node count, and the parity defect
+    The result carries the eigenfunction (sup-normalized, one LSODA shot
+    of (y, y') across the whole interval from y(-D/2) = 0, y'(-D/2) = 1,
+    sampled at 1001 points), its interior node count, and the parity defect
     sup|y(z) -+ y(-z)| / sup|y| (even for index 1, odd for index 2); both
     check the parity the midpoint condition assumes rather than feed it.
     """

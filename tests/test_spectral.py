@@ -52,13 +52,26 @@ SHOOT_MP = {
     (2, 9.8696, 1.0): (0.677385796547460499541391898816, 21.8177245071619910434157079242),
 }
 
+# triples whose eigenvalues have closed forms (n = 3, K = 0) or references
+# above
+ERROR_TRIPLES = [
+    (5, 1.0, 1.0), (2, -9.5, 1.0), (8, 12.0, 0.5), (3, -8.0, 0.5),
+    (6, 0.0, 2.0),
+    # small D, where the unscaled angle's change across the bracket pad
+    # sank below the ODE noise
+    (2, 0.0, 1e-3), (2, 0.0, 1e-5),
+    # near the cap, K D^2 = 9.4, 9.5, 9.5, 9.8, 9.86, 9.8696
+    (8, 9.4, 1.0), (7, 9.5, 1.0), (8, 2.375, 2.0), (5, 9.8, 1.0),
+    (2, 9.86, 1.0), (2, 9.8696, 1.0),
+]
+
 
 @pytest.fixture
 def ode_work(monkeypatch):
     """Right-hand-side evaluations of each ODE solve in spectral, in order.
 
-    Counts the compiled angle shots (dop853_end) and the eigenfunction
-    shots (solve_ivp) alike.
+    Counts the compiled angle shots (dop853_end) and the compiled
+    eigenfunction shots (lsoda_samples) alike.
     """
     nfev = []
 
@@ -69,7 +82,7 @@ def ode_work(monkeypatch):
             return sol
         return solve
 
-    for name in ("solve_ivp", "dop853_end"):
+    for name in ("dop853_end", "lsoda_samples"):
         monkeypatch.setattr(spectral, name, counting(getattr(spectral, name)))
     return nfev
 
@@ -91,13 +104,40 @@ class TestShoot:
             r = eigen_shoot(p, idx)
             assert r.eigenvalue == pytest.approx((idx * math.pi / 2.0) ** 2, rel=1e-11)
 
-    def test_eigenfunction_shape(self):
-        r = eigen_shoot((2, 1.0, 1.0), 1)
-        gf = r.eigenfunction
-        # ground state: positive inside, zero at the ends
-        assert abs(gf.values[0]) < 1e-9 and abs(gf.values[-1]) < 1e-9
-        assert np.all(gf.values[1:-1] > 0)
-        assert r.symmetry_residual < 1e-9
+    @pytest.mark.parametrize("triple", [(2, 1.0, 1.0), *ERROR_TRIPLES], ids=str)
+    def test_eigenfunction_shape(self, triple):
+        n, K, D = triple
+        # measured: at most 3.7e-12 below K D^2 = 9.4, and 8.4e-10 at
+        # (8, 9.4, 1), where the whole-interval shot runs into the large V
+        # near both ends
+        tol = 1e-8 if K * D**2 >= 9.4 else 1e-9
+        for idx in (1, 2):
+            r = eigen_shoot(triple, idx)
+            gf = r.eigenfunction
+            assert r.node_count == idx - 1
+            assert r.symmetry_residual <= tol
+            # zero at the ends
+            assert gf.values[0] == 0.0 and abs(gf.values[-1]) <= tol
+            if idx == 1:
+                # ground state: positive inside
+                assert np.all(gf.values[1:-1] > 0)
+
+    @pytest.mark.parametrize("triple,forms", [
+        # constant potential -K (n = 3) or 0: the eigenfunctions are sines
+        ((3, -8.0, 0.5), ("normal",)), ((3, 4.0, 1.0), ("normal",)),
+        ((6, 0.0, 2.0), ("normal", "direct")),
+        # y is of size D, so an absolute tolerance that does not scale with
+        # D loses the eigenfunction here
+        ((2, 0.0, 1e-5), ("normal", "direct")),
+    ], ids=str)
+    def test_eigenfunction_matches_sine(self, triple, forms):
+        D = triple[2]
+        for form in forms:
+            for idx in (1, 2):
+                gf = eigen_shoot(triple, idx, form=form).eigenfunction
+                assert len(gf.z) == 1001
+                exact = np.sin(idx * math.pi * (gf.z + D / 2) / D)
+                assert np.max(np.abs(gf.values - exact)) <= 1e-10
 
     def test_direct_form_same_spectrum(self):
         for idx in (1, 2):
@@ -126,16 +166,7 @@ class TestErrorEstimate:
             return (idx * math.pi / D) ** 2 - (K if n == 3 else 0.0)
         return {**COLLOCATION, **SHOOT_MP}[(n, K, D)][idx - 1]
 
-    @pytest.mark.parametrize("triple", [
-        (5, 1.0, 1.0), (2, -9.5, 1.0), (8, 12.0, 0.5), (3, -8.0, 0.5),
-        (6, 0.0, 2.0),
-        # small D, where the unscaled angle's change across the bracket pad
-        # sank below the ODE noise
-        (2, 0.0, 1e-3), (2, 0.0, 1e-5),
-        # near the cap, K D^2 = 9.4, 9.5, 9.5, 9.8, 9.86, 9.8696
-        (8, 9.4, 1.0), (7, 9.5, 1.0), (8, 2.375, 2.0), (5, 9.8, 1.0),
-        (2, 9.86, 1.0), (2, 9.8696, 1.0),
-    ], ids=str)
+    @pytest.mark.parametrize("triple", ERROR_TRIPLES, ids=str)
     def test_bounds_observed_error(self, triple):
         n, K, D = triple
         for idx in (1, 2):
@@ -150,8 +181,8 @@ class TestErrorEstimate:
             eigen_shoot((5, 1.0, 1.0), idx)
             # angle shots, the tighter noise shot and the eigenfunction
             assert len(ode_work) <= 8
-            # measured: 8 and 7 solves, 1698 and 4568 right-hand-side
-            # evaluations
+            # measured: 8 and 7 solves, 1647 and 4427 right-hand-side
+            # evaluations, 206 and 326 of them in the eigenfunction
             assert sum(ode_work) <= max_rhs
 
 
@@ -159,7 +190,7 @@ class TestNearCap:
     """K D^2 = 9.8 and 9.86, just below the cap pi^2."""
 
     @pytest.mark.parametrize("triple,max_rhs", [
-        # measured: 21102, 18471 and 22917 right-hand-side evaluations per
+        # measured: 19661, 16517 and 20749 right-hand-side evaluations per
         # gap; at (2, 9.869, 1) a lower end at min V + (pi/D)^2 costs 214k
         ((5, 9.8, 1.0), 40000), ((2, 9.86, 1.0), 40000),
         ((2, 9.869, 1.0), 45000),
@@ -194,8 +225,22 @@ def tan_blowup(fun, t0, t1, y0, rtol, atol):
     return _scipy.dop853_end(lambda z, y: [1.0 + y[0] ** 2], t0, t1, y0, rtol, atol)
 
 
+def tan_blowup_samples(fun, t, y0, rtol, atol):
+    """lsoda_samples with the right-hand side swapped for y' = 1 + y^2.
+
+    From y(-D/2) = 0 the first component is tan(z + D/2), infinite at
+    z = pi/2 - D/2, inside the eigenfunction shot's [-D/2, D/2] once
+    D > pi/2.  Python floats overflow to inf without a warning.
+    """
+    def rhs(z, y):
+        y0 = float(y[0])
+        return [1.0 + y0 * y0, 0.0]
+
+    return _scipy.lsoda_samples(rhs, t, y0, rtol, atol)
+
+
 class TestCompiledSolvers:
-    """Failures of the compiled DOP853 and stebz calls come back typed."""
+    """Failures of the compiled DOP853, LSODA and stebz calls come back typed."""
 
     def test_dop853_reports_blowup_without_warning(self):
         with warnings.catch_warnings():
@@ -240,6 +285,68 @@ class TestCompiledSolvers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergenceError, match="step size becomes too small"):
+                eigen_shoot((2, 0.01, 4.0), 1)
+
+    def test_lsoda_samples_and_count(self):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return [-2.0 * t * y[0], y[0]]
+
+        t = np.linspace(0.0, 1.0, 11)
+        sol = _scipy.lsoda_samples(rhs, t, [1.0, 0.0], rtol=1e-12, atol=1e-14)
+        assert sol.success and sol.message == "Integration successful."
+        assert sol.t is t and sol.y.shape == (2, 11)
+        assert np.max(np.abs(sol.y[0] - np.exp(-t**2))) <= 1e-11
+        assert sol.nfev == len(calls)
+        # no step passes the last point, where a pole may lie
+        assert max(calls) <= t[-1]
+
+    def test_lsoda_reports_blowup_without_warning(self):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            y0 = float(y[0])
+            return [y0 * y0]
+
+        t = np.linspace(0.0, 2.0, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = _scipy.lsoda_samples(rhs, t, [1.0], rtol=1e-12, atol=1e-12)
+        # y = 1 / (1 - t) is infinite at t = 1; LSODA steps on towards it
+        # until y^2 overflows to inf, and the samples before t = 1 are kept
+        assert not sol.success
+        assert sol.message == "Illegal input detected (internal error)."
+        assert np.array_equal(sol.t, t[:5])
+        assert np.max(np.abs(sol.y[0] - 1.0 / (1.0 - sol.t))) <= 1e-9
+        assert sol.nfev == len(calls)
+
+    def test_lsoda_step_budget(self, monkeypatch):
+        monkeypatch.setattr(_scipy, "LSODA_MAX_STEPS", 5)
+        sol = _scipy.lsoda_samples(lambda t, y: [math.cos(40.0 * t)],
+                                   np.linspace(0.0, 10.0, 3), [0.0],
+                                   rtol=1e-12, atol=1e-12)
+        assert not sol.success and sol.message.startswith("Excess work done")
+        assert list(sol.t) == [0.0]
+
+    def test_lsoda_passes_on_an_exception_from_fun(self):
+        def pole(t, y):
+            if t > 0.5:
+                raise PoleError("pole at t = 0.5")
+            return [1.0]
+
+        with pytest.raises(PoleError, match="pole at t = 0.5"):
+            _scipy.lsoda_samples(pole, np.linspace(0.0, 1.0, 5), [0.0],
+                                 rtol=1e-12, atol=1e-12)
+
+    def test_failed_eigenfunction_shot_is_reported(self, monkeypatch):
+        monkeypatch.setattr(spectral, "lsoda_samples", tan_blowup_samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError,
+                               match="eigenfunction integration failed: "):
                 eigen_shoot((2, 0.01, 4.0), 1)
 
     def test_failed_stebz_is_reported(self, monkeypatch):
