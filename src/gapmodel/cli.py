@@ -248,7 +248,7 @@ def _pruefer_row(k, n, K, D):
         "K": float(K),
         "D": float(D),
         "c_k": ck,
-        "threshold_s": pruefer_mod.threshold_s(k, params, ck=ck),
+        "threshold_s": pruefer_mod.threshold_s(k, params),
         "phi_right_defect": report["phi_right_defect"],
         "dphi_right_defect": report["dphi_right_defect"],
         "dphi_left_defect": report["dphi_left_defect"],
@@ -289,14 +289,11 @@ def cmd_flow(args):
     n, K, D = triples[0]
     params = ModelParams(n, K, D)
     k = float(args.k)
-    ck = pruefer_mod.find_ck(k, params)
     if args.s is not None:
         s = float(args.s)
     else:
-        s = 1.01 * pruefer_mod.threshold_s(k, params, ck=ck)
-    state = flow_mod.initial_supersolution(
-        k, s, params, mesh_tol=args.mesh_tol, ck=ck
-    )
+        s = 1.01 * pruefer_mod.threshold_s(k, params)
+    state = flow_mod.initial_supersolution(k, s, params, mesh_tol=args.mesh_tol)
     # snapshot times depend on the run's length, so the plot's strided
     # values are kept for every step and picked once the run ends
     stride = max(1, len(state.psi.z) // 2000)
@@ -306,7 +303,7 @@ def cmd_flow(args):
         history.append((t, values[::stride].copy()))
 
     run = flow_mod.flow_to_stationary(
-        state, k, params, tol=args.tol, t_max=args.t_max, ck=ck,
+        state, k, params, tol=args.tol, t_max=args.t_max,
         on_step=record if args.emit_plot else None,
     )
     lines = ["t,distance,residual"]

@@ -177,25 +177,21 @@ def make_state(psi, k, params):
     return FlowState(psi=psi, t=0.0, k=float(k), params=params)
 
 
-def initial_supersolution(k, s, params, mesh_tol=DEFAULT_MESH_TOL, ck=None, z=None):
+def initial_supersolution(k, s, params, mesh_tol=DEFAULT_MESH_TOL, z=None):
     """FlowState seeded with the shifted two-branch supersolution on a graded grid."""
     params = validate(params)
     if z is None:
         z = build_grid(params, k, mesh_tol=mesh_tol)
-    gf = supersolution(k, s, params, ck=ck, z=z)
+    gf = supersolution(k, s, params, z=z)
     vals = np.minimum(gf.values, 0.0)
     vals[0] = 0.0
     vals[-1] = -k
     return make_state(GridFunction(z=z, values=vals), k, params)
 
 
-def stationary_reference(k, params, z, ck=None):
+def stationary_reference(k, params, z):
     """(log phi)' of the Robin eigenfunction sampled on the given grid."""
-    params = validate(params)
-    if ck is None:
-        ck = find_ck(k, params)
-    f = psi_left(ck, params)
-    return f.psi_at(np.asarray(z, dtype=float)), ck
+    return psi_left(find_ck(k, params), params).psi_at(np.asarray(z, dtype=float))
 
 
 # -- time stepping ------------------------------------------------------------
@@ -326,7 +322,7 @@ def flow_step(state, dt):
 # -- diagnostics --------------------------------------------------------------
 
 
-def riccati_residual(state, ck=None):
+def riccati_residual(state):
     """Scaled defect in psi' + psi^2 + pi^2/D^2 + c_k/cs^2 = 0.
 
     The derivative is the grid's own 3-point stencil, and the defect at each
@@ -335,12 +331,9 @@ def riccati_residual(state, ck=None):
     how hard finite differences find the layer, not how stationary the state
     is.
     """
-    params = state.params
-    if ck is None:
-        ck = find_ck(state.k, params)
-    ws = _Workspace(state.psi.z, params)
+    ws = _Workspace(state.psi.z, state.params)
     v = state.psi.values
-    return ws.riccati(v, ws.d1(v), ck)
+    return ws.riccati(v, ws.d1(v), find_ck(state.k, state.params))
 
 
 @dataclass(frozen=True)
@@ -360,12 +353,12 @@ class FlowRun:
 
 
 def flow_to_stationary(
-    initial, k, params, tol=1e-6, dt=None, t_max=None, ck=None, snapshot_times=None,
-    on_step=None,
+    initial, k, params, tol=1e-6, dt=None, t_max=None, snapshot_times=None, on_step=None,
 ):
     """Evolve until the sup distance to (log phi)' on the grid is <= tol.
 
-    initial is a GridFunction (or FlowState) satisfying the boundary data.
+    initial is a GridFunction satisfying the boundary data, or a FlowState
+    of the same k and params (DomainError otherwise).
     Returns a FlowRun whose trajectory records every step; snapshot_times
     (sorted) asks for copies of psi the first time t passes each entry.
     on_step(t, values), if given, is called after every step; values is the
@@ -375,6 +368,8 @@ def flow_to_stationary(
     params = validate(params)
     if isinstance(initial, FlowState):
         state = initial
+        if (state.k, state.params) != (k, params):
+            raise DomainError(f"initial state is for k = {state.k:g} and {state.params}")
     else:
         state = make_state(initial, k, params)
     if t_max is None:
@@ -384,7 +379,8 @@ def flow_to_stationary(
     if dt is not None:
         _check_positive("dt", dt)
     z = state.psi.z
-    target, ck = stationary_reference(k, params, z, ck=ck)
+    target = stationary_reference(k, params, z)
+    ck = find_ck(k, params)
     ws = _Workspace(z, params)
 
     def dist(v):
@@ -449,8 +445,7 @@ def discrete_stationary(k, params, z=None, mesh_tol=DEFAULT_MESH_TOL):
         z = build_grid(params, k, mesh_tol=mesh_tol)
     z = np.asarray(z, dtype=float)
     ws = _Workspace(z, params)
-    v, _ = stationary_reference(k, params, z)
-    v = v.copy()
+    v = stationary_reference(k, params, z)
     v[0] = 0.0
     v[-1] = -k
     prev = math.inf
@@ -470,7 +465,7 @@ def discrete_stationary(k, params, z=None, mesh_tol=DEFAULT_MESH_TOL):
 # -- comparison principle in the difference variable --------------------------
 
 
-def comparison_check(u, v, params, k, T, dt=None, ck=None):
+def comparison_check(u, v, params, k, T, dt=None):
     """Evolve two sets of data under the difference-variable equation and
     confirm the parabolic ordering u <= v is preserved.
 
@@ -496,8 +491,8 @@ def comparison_check(u, v, params, k, T, dt=None, ck=None):
         raise HypothesisError("initial data are not ordered u <= v")
     z = u.z
     ws = _Workspace(z, params)
-    f, ck = stationary_reference(k, params, z, ck=ck)
-    fp = -(f**2) - ws.lam - ck / cs_array(z, params.K) ** 2
+    f = stationary_reference(k, params, z)
+    fp = -(f**2) - ws.lam - find_ck(k, params) / cs_array(z, params.K) ** 2
     a1 = 2.0 * f[1:-1] - 2.0 * ws.tn_int
     a2 = 2.0 * fp[1:-1] - 4.0 * ws.tn_int * f[1:-1]
     slack = 1e-9 * max(1.0, k)

@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
+from gapmodel import pruefer
+
 # exact-arithmetic strategies can be slow per example; disable the deadline
 settings.register_profile(
     "suite",
@@ -17,6 +19,12 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return random.Random(20260814)
+
+
+@pytest.fixture
+def cold_ck():
+    """An empty Robin-constant cache, so a test sees and counts cold solves."""
+    pruefer._robin_constant.cache_clear()
 
 
 def random_valid_pair(rng, n, kappa_max=8.0):

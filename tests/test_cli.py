@@ -236,8 +236,21 @@ class TestPruefer:
         (row,) = parse_csv(out)
         ck = float(row["c_k"])
         assert ck < -math.pi**2
-        expected = pruefer.threshold_s(1.0, ModelParams(5, -8.0, 1.0), ck=ck)
+        expected = pruefer.threshold_s(1.0, ModelParams(5, -8.0, 1.0))
         assert float(row["threshold_s"]) == expected > 0
+
+    def test_one_robin_constant_per_slope_and_pair(self, capsys, cold_ck):
+        # c_k does not depend on n, so three dimensions share one solve
+        base = ["pruefer", "--K", "0.5", "--D", "1", "--k", "10,20"]
+        code, out, _ = run_main(base + ["--n", "2,5,8"], capsys)
+        assert code == 0
+        assert pruefer._robin_constant.cache_info().misses == 2
+        rows = parse_csv(out)
+        for n in (2, 5, 8):
+            pruefer._robin_constant.cache_clear()
+            code, single, _ = run_main(base + ["--n", str(n)], capsys)
+            assert code == 0
+            assert parse_csv(single) == [r for r in rows if r["n"] == str(n)]
 
     @pytest.mark.parametrize("k,expected", [("inf", 2), ("1e13", 4)])
     def test_slope_out_of_reach_is_one_error_line(self, k, expected, capsys):
@@ -275,26 +288,24 @@ class TestFlow:
             assert 0.0 <= z <= 0.5 and psi <= 1e-12
 
     @pytest.mark.parametrize("plot", [False, True])
-    def test_one_robin_constant_and_one_run(self, plot, tmp_path, monkeypatch, capsys):
-        calls = {"find_ck": 0, "flow_to_stationary": 0}
+    def test_one_robin_constant_and_one_run(self, plot, tmp_path, monkeypatch, capsys,
+                                            cold_ck):
+        runs = [0]
+        flow_to_stationary = flow.flow_to_stationary
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counting(*args, **kwargs):
+            runs[0] += 1
+            return flow_to_stationary(*args, **kwargs)
 
-        find_ck = counting("find_ck", pruefer.find_ck)
-        monkeypatch.setattr(pruefer, "find_ck", find_ck)
-        monkeypatch.setattr(flow, "find_ck", find_ck)
-        monkeypatch.setattr(flow, "flow_to_stationary",
-                            counting("flow_to_stationary", flow.flow_to_stationary))
+        monkeypatch.setattr(flow, "flow_to_stationary", counting)
         argv = ["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10"]
         if plot:
             argv += ["--emit-plot", str(tmp_path / "plot.csv")]
         code, _, _ = run_main(argv, capsys)
         assert code == 0
-        assert calls == {"find_ck": 1, "flow_to_stationary": 1}
+        # one Brent solve for c_k, however many steps ask for it
+        assert pruefer._robin_constant.cache_info().misses == 1
+        assert runs[0] == 1
 
     def test_plot_matches_a_replayed_run(self, tmp_path, capsys):
         # the snapshots taken from the one run equal those of a second run
@@ -308,16 +319,13 @@ class TestFlow:
         )
         assert code == 0
         params = ModelParams(n, K, D)
-        ck = pruefer.find_ck(k, params)
-        s = 1.01 * pruefer.threshold_s(k, params, ck=ck)
+        s = 1.01 * pruefer.threshold_s(k, params)
         first = flow.flow_to_stationary(
-            flow.initial_supersolution(k, s, params, ck=ck), k, params, ck=ck
+            flow.initial_supersolution(k, s, params), k, params
         )
         snap_times = np.geomspace(first.times[1], first.times[-1], count)
-        state = flow.initial_supersolution(k, s, params, ck=ck)
-        replay = flow.flow_to_stationary(
-            state, k, params, ck=ck, snapshot_times=snap_times
-        )
+        state = flow.initial_supersolution(k, s, params)
+        replay = flow.flow_to_stationary(state, k, params, snapshot_times=snap_times)
         z = state.psi.z
         stride = max(1, len(z) // 2000)
         assert stride > 1

@@ -159,6 +159,13 @@ class TestStepping:
         with pytest.raises(DomainError, match=next(iter(control))):
             flow_to_stationary(st, 10.0, P_FLOW, **control)
 
+    @pytest.mark.parametrize("k,params", [(20.0, (2, 0.5, 1.0)), (10.0, (2, 0.4, 1.0))])
+    def test_flow_rejects_a_state_of_other_data(self, k, params):
+        # the state's own k and params must be the ones the run is asked for
+        st = initial_supersolution(10.0, 8.0, (2, 0.5, 1.0), mesh_tol=1e-3)
+        with pytest.raises(DomainError, match="initial state"):
+            flow_to_stationary(st, k, params)
+
 
 class TestConvergence:
     def test_full_run(self):
@@ -176,12 +183,11 @@ class TestConvergence:
     def test_stationary_start_returns_immediately(self):
         k = 10.0
         z = build_grid(P_FLOW, k)
-        target, ck = stationary_reference(k, P_FLOW, z)
-        target = target.copy()
+        target = stationary_reference(k, P_FLOW, z)
         target[0] = 0.0
         target[-1] = -k
         gf = GridFunction(z=z, values=np.minimum(target, 0.0))
-        run = flow_to_stationary(gf, k, P_FLOW, ck=ck)
+        run = flow_to_stationary(gf, k, P_FLOW)
         assert run.converged
         assert len(run.times) == 1
         assert run.distances[0] < 1e-9
@@ -209,7 +215,7 @@ class TestConvergence:
 class TestDiscreteStationary:
     def test_close_to_continuum(self):
         st = discrete_stationary(10.0, P_FLOW)
-        target, _ = stationary_reference(10.0, P_FLOW, st.psi.z)
+        target = stationary_reference(10.0, P_FLOW, st.psi.z)
         err = np.max(np.abs(st.psi.values - target))
         assert err < 5e-7
 
@@ -217,8 +223,8 @@ class TestDiscreteStationary:
         z = build_grid(P_FLOW, 10.0)
         coarse = discrete_stationary(10.0, P_FLOW, z=z)
         fine = discrete_stationary(10.0, P_FLOW, z=refine_grid(z))
-        tc, _ = stationary_reference(10.0, P_FLOW, coarse.psi.z)
-        tf, _ = stationary_reference(10.0, P_FLOW, fine.psi.z)
+        tc = stationary_reference(10.0, P_FLOW, coarse.psi.z)
+        tf = stationary_reference(10.0, P_FLOW, fine.psi.z)
         ec = np.max(np.abs(coarse.psi.values - tc))
         ef = np.max(np.abs(fine.psi.values - tf))
         assert 3.0 < ec / ef < 5.0

@@ -82,6 +82,7 @@ CK_30 = {
 }
 
 
+@pytest.mark.usefixtures("cold_ck")
 class TestRobinConstantSolve:
     @pytest.mark.parametrize("n,K,D,k", list(CK_30))
     def test_high_precision_oracle(self, n, K, D, k):
@@ -104,7 +105,8 @@ class TestRobinConstantSolve:
 
     @pytest.mark.parametrize("n,K,D,k", [(2, 0.5, 1.0, 10.0), (5, 1.0, 1.0, 60.0)])
     def test_boundary_report_adds_one_solve(self, n, K, D, k, monkeypatch):
-        # the eigenfunction and its boundary values come from one dense solve
+        # with c_k cached, the eigenfunction and its boundary values come
+        # from one dense solve
         solves = [0]
         solve_ivp = pruefer.solve_ivp
 
@@ -114,13 +116,31 @@ class TestRobinConstantSolve:
 
         monkeypatch.setattr(pruefer, "solve_ivp", counting)
         find_ck(k, ModelParams(n, K, D))
-        ck_solves, solves[0] = solves[0], 0
+        assert solves[0] > 0
+        solves[0] = 0
         robin_boundary_report(k, ModelParams(n, K, D))
-        assert solves[0] == ck_solves + 1
+        assert solves[0] == 1
 
-    def test_angle_check_is_a_bracket_error(self):
+    def test_angle_check_is_a_bracket_error(self, monkeypatch):
+        monkeypatch.setattr(pruefer, "_ANGLE_TOL", 1e-30)
         with pytest.raises(BracketError, match="end-angle defect"):
-            find_ck(40.0, ModelParams(5, 2.0, 1.0), angle_tol=1e-30)
+            find_ck(40.0, ModelParams(5, 2.0, 1.0))
+
+    def test_warm_value_is_the_cold_one(self):
+        # c_k is kept per (k, K, D) and served at every n
+        cold = find_ck(40.0, ModelParams(5, 2.0, 1.0))
+        assert find_ck(40.0, ModelParams(5, 2.0, 1.0)) == cold
+        assert find_ck(40, ModelParams(8, 2, 1)) == cold
+        assert pruefer._robin_constant.cache_info().misses == 1
+        pruefer._robin_constant.cache_clear()
+        assert find_ck(40.0, ModelParams(2, 2.0, 1.0)) == cold
+
+    def test_failed_solve_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(pruefer, "_ANGLE_TOL", 1e-30)
+        for _ in range(2):
+            with pytest.raises(BracketError, match="end-angle defect"):
+                find_ck(40.0, ModelParams(5, 2.0, 1.0))
+        assert pruefer._robin_constant.cache_info().misses == 2
 
 
 class TestBranches:
@@ -191,17 +211,15 @@ class TestRobinEigenfunction:
 class TestSupersolution:
     def test_zero_shift_is_the_log_derivative(self):
         p = ModelParams(n=2, K=0.5, D=1.0)
-        ck = find_ck(10.0, p)
-        sup0 = supersolution(10.0, 0.0, p, ck=ck)
-        left = psi_left(ck, p)
+        sup0 = supersolution(10.0, 0.0, p)
+        left = psi_left(find_ck(10.0, p), p)
         inner = (sup0.z > 0.01) & (sup0.z < 0.49)
         assert np.max(np.abs(sup0.values[inner] - left.psi_at(sup0.z[inner]))) < 1e-8
 
     def test_monotone_in_shift(self):
         p = ModelParams(n=2, K=0.5, D=1.0)
-        ck = find_ck(10.0, p)
-        lo = supersolution(10.0, 8.0, p, ck=ck)
-        hi = supersolution(10.0, 10.0, p, ck=ck)
+        lo = supersolution(10.0, 8.0, p)
+        hi = supersolution(10.0, 10.0, p)
         assert np.min(hi.values - lo.values) >= 0.0
 
     def test_negative_shift_rejected(self):
@@ -247,7 +265,7 @@ class TestEnvelopes:
         p = ModelParams(n=2, K=0.5, D=1.0)
         k, s = 10.0, 8.0
         ck = find_ck(k, p)
-        fl = lower_bound_functions(k, s, p, ck=ck)
+        fl = lower_bound_functions(k, s, p)
         assert fl["threshold"] < s
         left = psi_left(ck - s, p)
         zs = np.linspace(0.0, 0.2 * p.half, 101)
