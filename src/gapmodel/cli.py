@@ -275,9 +275,14 @@ def cmd_pruefer(args):
 
 
 def _pick_snapshots(history, snap_times):
-    """For each snapshot time, the first recorded (t, values) with t >= it."""
+    """For each snapshot time, the first recorded (t, values) with t >= it.
+
+    A step picked by several snapshot times is kept once, so a run with
+    fewer steps than snapshots writes each of its blocks once.
+    """
     times = [t for t, _ in history]
-    return [history[bisect.bisect_left(times, ts)] for ts in snap_times]
+    picks = sorted({bisect.bisect_left(times, ts) for ts in snap_times})
+    return [history[i] for i in picks]
 
 
 def cmd_flow(args):

@@ -12,14 +12,25 @@ graded: cell sizes follow an error-equidistribution monitor built from the
 pole model f ~ -1/w of the layer (w measures distance to the virtual pole
 just beyond D/2) and neighboring cells never differ by more than 5%.
 
-Time stepping is linearly implicit: diffusion and advection (with the
-advection coefficient 2 psi - 2 tn frozen at the current state) go into a
-tridiagonal backward-Euler solve, the remaining reaction term is explicit.
-With psi <= 0 and K >= 0 the implicit matrix is an M-matrix, which is what
-makes the sup-norm distance to the stationary state decay monotonically.
-Each step solves (a I - b J) delta = b F at (a, b) = (1, dt), and the
-Newton iteration of `discrete_stationary` is the same band solve at
-(a, b) = (0, 1).
+Time stepping is linearly implicit: each step solves (I - dt J) delta =
+dt F with the whole tridiagonal Jacobian J of the residual F, and the
+Newton iteration of `discrete_stationary` is the same band solve with
+(I, dt) replaced by (0, 1).  Every step checks that I - dt J is an
+M-matrix (nonnegative off-diagonal bands of J, row sums of dt J at most
+1) and raises StabilityError when it is not; with psi <= 0 and K >= 0 the
+off-diagonal condition holds once every cell Peclet number
+|2 psi - 2 tn| h / 2 is at most 1.  The M-matrix property makes the step
+monotone, but it does not by itself keep the distance to the stationary
+state from rising: for that,
+`flow_to_stationary` rejects any step that raises the distance and redoes
+it at half the dt.  Its step size follows switched evolution relaxation
+(SER; Mulder & van Leer 1985, Kelley & Keyes 1998): start at the
+advection-limited `default_dt`, double after every accepted step up to
+D^2, halve on a rejection but never below the start.  Where a row sum of
+J is positive (large K D^2 at small k), the step is also cut to the
+largest dt that keeps the row condition.  A rejected step at or below the
+start dt raises NonConvergenceError ("stalled at distance ..."); that is
+how a tol below the grid's discretisation error ends.
 """
 
 import math
@@ -204,7 +215,12 @@ def _advective_dt(D, a):
 
 
 def default_dt(state):
-    """Advection-limited step: 0.02 D^2 / (1 + 0.05 D sup|2 psi - 2 tn|)."""
+    """Advection-limited step 0.02 D^2 / (1 + 0.05 D sup|2 psi - 2 tn|).
+
+    This is dt0, where the SER steps of `flow_to_stationary` start and the
+    smallest dt they take; it is not a stability limit (the M-matrix
+    condition is checked on every step instead).
+    """
     params = state.params
     z, v = state.psi.z, state.psi.values
     return _advective_dt(params.D, 2.0 * v - 2.0 * tn_array(z, params.K))
@@ -224,7 +240,6 @@ class _Workspace:
         self.z = z
         (self.c_m, self.c_0, self.c_p), (self.d_m, self.d_0, self.d_p) = _stencils(z)
         self.tn_int = tn_array(z[1:-1], params.K)
-        self.tn_all = tn_array(z, params.K)
         self.cs2_int = cs_array(z[1:-1], params.K) ** 2
         self.lam = math.pi**2 / params.D**2
         self.n = len(z)
@@ -272,16 +287,35 @@ class _Workspace:
             raise StabilityError("band solve produced non-finite values")
         return delta
 
-    def step(self, v, dt, d1):
+    def step(self, v, dt, d1, bands):
         """Linearized implicit Euler: solve (I - dt J) delta = dt F, add delta.
 
         Freezing only the advection coefficient leaves the 2 psi' part of
         the Jacobian explicit, and inside the layer that term is of order
         k^2; taking the whole Jacobian implicit keeps the step stable at
-        advection-limited dt and makes the exact discrete stationary state
-        a fixed point.  d1 is self.d1(v).
+        large dt and makes the exact discrete stationary state a fixed
+        point.  d1 is self.d1(v) and bands is self.jacobian(v, d1).
+        Raises StabilityError unless I - dt J is an M-matrix: nonnegative
+        off-diagonal bands of J and dt at most _row_sum_dt(bands).
         """
-        return v + self.solve(1.0, dt, self.residual(v, d1), self.jacobian(v, d1))
+        Jm, _, Jp = bands
+        if min(np.min(Jm), np.min(Jp)) < 0.0:
+            raise StabilityError(
+                "I - dt J is not an M-matrix: a cell Peclet number |2 psi - 2 tn| h / 2 "
+                "exceeds 1, so the grid is too coarse for the advection"
+            )
+        if dt > _row_sum_dt(bands):
+            raise StabilityError(
+                f"I - dt J is not an M-matrix: dt = {dt:.6g} times the largest "
+                "row sum of J exceeds 1"
+            )
+        return v + self.solve(1.0, dt, self.residual(v, d1), bands)
+
+
+def _row_sum_dt(bands):
+    """Largest dt with every row sum of dt J at most 1 (inf if none is positive)."""
+    top = float(np.max(bands[0] + bands[1] + bands[2]))
+    return 1.0 / top if top > 0.0 else math.inf
 
 
 def _project(v, k):
@@ -307,7 +341,8 @@ def flow_step(state, dt):
     _check_positive("dt", dt)
     ws = _Workspace(state.psi.z, state.params)
     v = state.psi.values
-    out = ws.step(v, dt, ws.d1(v))
+    d1 = ws.d1(v)
+    out = ws.step(v, dt, d1, ws.jacobian(v, d1))
     out[0] = v[0]
     out[-1] = v[-1]
     out = _project(out, state.k)
@@ -338,7 +373,11 @@ def riccati_residual(state):
 
 @dataclass(frozen=True)
 class FlowRun:
-    """Converged state plus the (t, distance, residual) trajectory."""
+    """Converged state plus the (t, distance, residual) trajectory.
+
+    The trajectory has one row per accepted step after the initial one;
+    rejected_steps counts the steps that were redone at a smaller dt.
+    """
 
     state: FlowState
     times: np.ndarray
@@ -346,6 +385,7 @@ class FlowRun:
     residuals: np.ndarray
     converged: bool
     max_uptick: float
+    rejected_steps: int = 0
     snapshots: tuple = ()
 
     def rows(self):
@@ -359,11 +399,27 @@ def flow_to_stationary(
 
     initial is a GridFunction satisfying the boundary data, or a FlowState
     of the same k and params (DomainError otherwise).
-    Returns a FlowRun whose trajectory records every step; snapshot_times
-    (sorted) asks for copies of psi the first time t passes each entry.
-    on_step(t, values), if given, is called after every step; values is the
-    new state and must be copied to be kept.  Raises NonConvergenceError
-    with the final distance if the time cap 50 D^2 is hit first.
+
+    Without dt the step follows switched evolution relaxation (SER): it
+    starts at dt0 = default_dt(initial), doubles after every accepted step
+    up to D^2, and is halved and redone, never below dt0, when the step
+    would raise the distance by more than 1e-12 max(1, k).  That guard,
+    not the M-matrix property of the step, is what keeps the recorded
+    distance from rising.  Each SER step is also cut to the largest dt at
+    which I - dt J keeps its M-matrix row condition.  A rejected step at
+    or below dt0 raises NonConvergenceError ("stalled at distance ...");
+    this is how a tol below the grid's discretisation error ends.  An
+    explicit dt is used for every step and nothing is rejected.  Every
+    step raises StabilityError if I - dt J is not an M-matrix (see
+    _Workspace.step).
+
+    Returns a FlowRun whose trajectory records every accepted step and
+    counts the rejected ones; snapshot_times (sorted) asks for a copy of
+    psi at the first step at or after each entry, one copy per step.
+    on_step(t, values), if given, is called after every accepted step;
+    values is the new state and must be copied to be kept.  Raises
+    NonConvergenceError with the final distance if the time cap 50 D^2
+    is hit first.
     """
     params = validate(params)
     if isinstance(initial, FlowState):
@@ -392,31 +448,49 @@ def flow_to_stationary(
     dists = [dist(v)]
     resids = [ws.riccati(v, d1, ck)]
     max_uptick = 0.0
+    rejected = 0
     t = state.t
     snaps = []
     pending = list(snapshot_times) if snapshot_times is not None else []
+    ser = dt is None
+    if ser:
+        dt0 = dt = default_dt(state)
+        dt_cap = params.D**2
+        rise_slack = 1e-12 * max(1.0, k)
     while dists[-1] > tol and t < t_max:
-        if dt is None:
-            step_dt = _advective_dt(params.D, 2.0 * v - 2.0 * ws.tn_all)
-        else:
-            step_dt = dt
-        step_dt = min(step_dt, t_max - t)
-        new = ws.step(v, step_dt, d1)
+        bands = ws.jacobian(v, d1)
+        step_dt = min(dt, t_max - t)
+        if ser:
+            step_dt = min(step_dt, _row_sum_dt(bands))
+        new = ws.step(v, step_dt, d1, bands)
         new[0] = v[0]
         new[-1] = v[-1]
+        new = _project(new, k)
+        d = dist(new)
+        if ser and d - dists[-1] > rise_slack:
+            if step_dt <= dt0:
+                raise NonConvergenceError(
+                    f"flow stalled at distance {dists[-1]:.6e} (tol {tol:.1e}): "
+                    f"a step at dt = {step_dt:.6g} <= dt0 = {dt0:.6g} raises it"
+                )
+            rejected += 1
+            dt = max(0.5 * step_dt, dt0)
+            continue
         t += step_dt
-        v = _project(new, k)
+        v = new
         d1 = ws.d1(v)
-        d = dist(v)
         max_uptick = max(max_uptick, d - dists[-1])
         times.append(t)
         dists.append(d)
         resids.append(ws.riccati(v, d1, ck))
         if on_step is not None:
             on_step(t, v)
-        while pending and t >= pending[0]:
+        if pending and t >= pending[0]:
             snaps.append((t, v.copy()))
-            pending.pop(0)
+            while pending and t >= pending[0]:
+                pending.pop(0)
+        if ser:
+            dt = min(2.0 * step_dt, dt_cap)
     final = FlowState(psi=GridFunction(z=z, values=v), t=t, k=k, params=params)
     run = FlowRun(
         state=final,
@@ -425,6 +499,7 @@ def flow_to_stationary(
         residuals=np.array(resids),
         converged=dists[-1] <= tol,
         max_uptick=max_uptick,
+        rejected_steps=rejected,
         snapshots=tuple(snaps),
     )
     if not run.converged:

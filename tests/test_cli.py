@@ -11,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,23 @@ class TestFlow:
         # one Brent solve for c_k, however many steps ask for it
         assert pruefer._robin_constant.cache_info().misses == 1
         assert runs[0] == 1
+
+    def test_plot_writes_each_step_once(self, tmp_path, capsys):
+        # more snapshots than steps: every recorded step is one block
+        plot = tmp_path / "plot.csv"
+        code, out, _ = run_main(
+            ["flow", "--n", "4", "--K", "1", "--D", "2", "--k", "10",
+             "--emit-plot", str(plot), "--snapshots", "50"],
+            capsys,
+        )
+        assert code == 0
+        steps = len(out.strip().split("\n")) - 2
+        assert steps < 50
+        rows_per_t = Counter(ln.split(",")[0]
+                             for ln in plot.read_text().strip().split("\n")[1:])
+        # a block written twice would double its t's row count
+        assert len(rows_per_t) == steps + 1
+        assert len(set(rows_per_t.values())) == 1
 
     def test_plot_matches_a_replayed_run(self, tmp_path, capsys):
         # the snapshots taken from the one run equal those of a second run

@@ -11,6 +11,7 @@ from gapmodel.errors import (
     DomainError,
     HypothesisError,
     NonConvergenceError,
+    StabilityError,
 )
 from gapmodel.flow import (
     MAX_CELLS,
@@ -203,6 +204,59 @@ class TestConvergence:
         t0, v0 = run.snapshots[0]
         assert t0 >= 0.01
         assert v0.shape == run.state.psi.values.shape
+
+    def test_a_step_is_snapshotted_once(self):
+        # the first step (dt0 near 0.01) passes all three times
+        k = 10.0
+        s = 1.01 * threshold_s(k, P_FLOW)
+        run = flow_to_stationary(
+            initial_supersolution(k, s, P_FLOW), k, P_FLOW,
+            snapshot_times=[0.001, 0.002, 0.003],
+        )
+        assert [t for t, _ in run.snapshots] == [run.times[1]]
+
+    def test_ser_steps_grow_geometrically(self):
+        # at the advective dt this run takes 336 steps; SER doubles dt
+        # after every accepted step
+        k, params = 300.0, ModelParams(5, 3.0, 1.0)
+        s = 1.01 * threshold_s(k, params)
+        run = flow_to_stationary(initial_supersolution(k, s, params), k, params)
+        assert run.converged and run.rejected_steps == 0
+        assert len(run.times) - 1 <= 20
+        assert run.max_uptick <= 1e-12 * k
+        dts = np.diff(run.times)
+        assert dts[1] == pytest.approx(2.0 * dts[0])
+        assert np.max(dts) <= params.D**2
+
+    def test_tolerance_below_the_grid_error_stalls(self):
+        # the distance to the continuum target floors near 2e-7 on this grid;
+        # a step at the smallest dt that raises it ends the run
+        k = 10.0
+        init = initial_supersolution(k, 1.01 * threshold_s(k, P_FLOW), P_FLOW)
+        steps = []
+        with pytest.raises(NonConvergenceError, match="stalled at distance"):
+            flow_to_stationary(init, k, P_FLOW, tol=1e-14,
+                               on_step=lambda t, v: steps.append(t))
+        assert len(steps) < 50
+
+    def test_step_that_is_not_an_m_matrix_raises(self):
+        # a cell Peclet number of about 7.5 next to the right wall
+        k = 300.0
+        z = np.linspace(0.0, 0.5, 41)
+        state = make_state(GridFunction(z=z, values=-k * (2.0 * z) ** 8), k, P_FLOW)
+        with pytest.raises(StabilityError, match="M-matrix"):
+            flow_to_stationary(state, k, P_FLOW)
+
+    def test_ser_steps_keep_the_row_sum_bound(self):
+        # at K D^2 = 3 and small k a row sum of J is positive: doubling dt
+        # alone would leave the M-matrix condition, a fixed dt of D^2 does
+        k, params = 0.5, ModelParams(2, 12.0, 0.5)
+        init = initial_supersolution(k, 1.01 * threshold_s(k, params), params)
+        run = flow_to_stationary(init, k, params)
+        assert run.converged and run.max_uptick == 0.0
+        assert np.max(np.diff(run.times)) < 0.1 * params.D**2
+        with pytest.raises(StabilityError, match="row sum"):
+            flow_to_stationary(init, k, params, dt=params.D**2)
 
     def test_time_cap_raises(self):
         k = 10.0
