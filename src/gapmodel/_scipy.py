@@ -6,7 +6,12 @@ need none of them.  Each forwarder imports scipy's function when it is
 called; ``solve_ivp``, ``quad``, ``brentq`` and ``solve_banded`` pass their
 arguments and result through unchanged, while ``dop853_end``,
 ``lsoda_samples`` and ``tridiagonal_eigenvalue`` wrap one compiled routine
-each in a narrower call.  Modules bind these names at import time
+each in a narrower call.  ``dop853_end`` runs every end-value shot:
+spectral's angle shots and ``ball_first_eigen``'s radial solve, and
+pruefer's end-angle shots behind ``find_ck``.  ``solve_ivp`` is left with
+pruefer's two dense solves, a Riccati branch with its pole event and the
+Robin profile, and ``dop853_interpolant`` evaluates their dense output
+for many points at once.  Modules bind these names at import time
 (``from ._scipy import solve_ivp``), so each solver stays a module
 attribute that can be rebound or patched.
 """
@@ -98,6 +103,51 @@ def lsoda_samples(fun, t, y0, rtol, atol):
     k = int((info["tcur"] < t[1:]).argmax()) + 1
     return SimpleNamespace(t=t[:k], y=y[:k].T, nfev=int(info["nfe"][k - 1]),
                            success=False, message=message)
+
+
+def dop853_interpolant(solution, rows):
+    """Evaluator z -> rows of y(z) for one DOP853 dense solution, in one pass.
+
+    solution is the ``sol`` of ``solve_ivp(..., method="DOP853",
+    dense_output=True)``.  The given rows of every step's interpolant are
+    gathered once; a call then picks each point's step with one
+    ``searchsorted`` and runs the Horner loop of scipy's
+    ``Dop853DenseOutput`` on all points together, where scipy's
+    ``OdeSolution`` walks the points step by step in Python.  The step
+    rule (side, ascending, clip to the first and last step) and the order
+    of every floating-point operation are scipy's, so the result equals
+    ``solution(z)[rows]`` bit for bit.  z is a scalar or a 1-D array, and
+    the result has shape (len(rows),) + shape of z.
+    """
+    import numpy as np
+
+    steps = solution.interpolants
+    t_old = np.array([s.t_old for s in steps])
+    h = np.array([s.h for s in steps])
+    y_old = np.array([s.y_old[rows] for s in steps])
+    # coefficient, step, row; highest coefficient first, as scipy's reversed(F)
+    coeffs = np.array([s.F[::-1][:, rows] for s in steps]).transpose(1, 0, 2)
+    ts, side, ascending = solution.ts_sorted, solution.side, solution.ascending
+    last = len(steps) - 1
+
+    def evaluate(z):
+        z = np.asarray(z, dtype=float)
+        t = z.reshape(-1)
+        step = np.clip(np.searchsorted(ts, t, side=side) - 1, 0, last)
+        if not ascending:
+            step = last - step
+        x = ((t - t_old[step]) / h[step])[:, None]
+        y = np.zeros((t.size, len(rows)))
+        for i, f in enumerate(coeffs):
+            y += f[step]
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += y_old[step]
+        return y.T.reshape((len(rows),) + z.shape)
+
+    return evaluate
 
 
 def quad(*args, **kwargs):

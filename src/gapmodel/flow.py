@@ -100,27 +100,34 @@ def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL):
     lam = math.pi**2 / D**2
     wk = 1.0 / k
     B = 10.0 * (2.0 * math.pi / D) ** 4
+    # loop constants, lifted without changing any rounded operation
+    tol12, lam2, h_max, sqrt = 12.0 * mesh_tol, 2.0 * lam, D / 64.0, math.sqrt
     scale = 1.0
     for _ in range(40):
         hs = []
+        append = hs.append
+        cells = 0
         z = half
         while z > 0.0:
             w = (half - z) + wk
             G = 96.0 / w**5 + B
-            damp = 2.0 / w**2 + 2.0 * lam
-            h = scale * math.sqrt(12.0 * mesh_tol * damp / G)
-            h = min(h, D / 64.0)
+            damp = 2.0 / w**2 + lam2
+            h = scale * sqrt(tol12 * damp / G)
+            if h_max < h:  # min(h, h_max)
+                h = h_max
             z -= h
-            hs.append(h)
-            if len(hs) > MAX_CELLS:
+            append(h)
+            cells += 1
+            if cells > MAX_CELLS:
                 raise DomainError(f"boundary slope k = {k:g} needs more than "
                                   f"{MAX_CELLS} grid cells at mesh_tol = {mesh_tol:g}")
-        if len(hs) >= MIN_CELLS:
+        if cells >= MIN_CELLS:
             break
-        scale *= 0.7 * len(hs) / MIN_CELLS
+        scale *= 0.7 * cells / MIN_CELLS
     # the march overshoots 0 by part of one cell; shrinking every cell by the
     # same factor keeps the size-ratio profile and avoids a sliver first cell
-    hs = np.array(hs) * (half / float(np.sum(hs)))
+    hs = np.array(hs)
+    hs *= half / float(hs.sum())
     nodes = half - np.cumsum(hs)
     nodes[-1] = 0.0
     return np.concatenate(([half], nodes))[::-1].copy()

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._scipy import brentq, solve_ivp
+from ._scipy import brentq, dop853_end, dop853_interpolant, solve_ivp
 from .errors import BlowupError, BracketError, CoverageError, DomainError, HypothesisError
 from .kernels import cs
 from .model import GridFunction, ModelParams, validate
@@ -62,13 +62,14 @@ def _angle_rhs(c, params):
     return rhs
 
 
-def _solve_angle(c, params, span, y0, **options):
-    """The angle-radius system at c over span from y0 = (q, log r), by DOP853."""
-    sol = solve_ivp(_angle_rhs(c, params), span, y0, method="DOP853",
+def _dense_angle(c, params, span, y0, rows, **options):
+    """Dense DOP853 solve of the angle-radius system at c over span from
+    y0 = (q, log r); returns the solve and the evaluator of its rows."""
+    sol = solve_ivp(_angle_rhs(c, params), span, y0, method="DOP853", dense_output=True,
                     rtol=_ODE_TOL, atol=_ODE_TOL, **options)
     if not sol.success:
         raise DomainError(f"angle integration failed: {sol.message}")
-    return sol
+    return sol, dop853_interpolant(sol.sol, rows)
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,9 @@ class RiccatiSolution:
 
     side is "left" (psi(0) = 0, integrated forward) or "right"
     (psi(D/2) = -k, integrated backward).  Samples cover the part of the
-    interval where |q| < pi/2 - 1e-3; the dense angle interpolant is kept
-    for evaluation between samples.
+    interval where |q| < pi/2 - 1e-3; psi_at evaluates the dense angle
+    interpolant of the solve, gathered once per branch
+    (_scipy.dop853_interpolant), anywhere in the interval.
     """
 
     side: str
@@ -88,14 +90,14 @@ class RiccatiSolution:
     psi: np.ndarray
     interval: tuple
     params: ModelParams
-    _sol: object = field(repr=False, compare=False, default=None)
+    _q: object = field(repr=False, compare=False, default=None)
 
     def psi_at(self, z):
         z = np.asarray(z, dtype=float)
         lo, hi = self.interval
         if np.any(z < lo - 1e-12) or np.any(z > hi + 1e-12):
             raise DomainError(f"evaluation outside existence interval {self.interval}")
-        return np.tan(self._sol.sol(z)[0])
+        return np.tan(self._q(z)[0])
 
     def residual_max(self, band=3.0, h=None):
         """Largest defect in psi' + psi^2 + pi^2/D^2 + c/cs^2 = 0.
@@ -126,10 +128,10 @@ class RiccatiSolution:
         return float(np.max(np.abs(resid)))
 
 
-def _sample_band(sol, lo, hi):
+def _sample_band(q, lo, hi):
     """Sample points where |q| stays clear of pi/2, so tan q is well resolved."""
     zs = np.linspace(lo, hi, 8 * _N_SAMPLES)
-    qs = sol.sol(zs)[0]
+    qs = q(zs)[0]
     kept = zs[np.abs(qs) < _HALF_PI - _ANGLE_GUARD]
     if kept.size == 0:
         return kept
@@ -156,14 +158,13 @@ def _branch(side, k, c, params, z0, q0, direction, allow_partial):
     reach_pole.terminal = True
     reach_pole.direction = direction
 
-    sol = _solve_angle(c, params, (z0, z1), [q0, 0.0], dense_output=True,
-                       events=reach_pole)
+    sol, q = _dense_angle(c, params, (z0, z1), [q0, 0.0], [0], events=reach_pole)
     z_cease = float(sol.t_events[0][0]) if sol.status == 1 else z1
     interval = (min(z0, z_cease), max(z0, z_cease))
-    zs = _sample_band(sol, *interval)
+    zs = _sample_band(q, *interval)
     branch = RiccatiSolution(
-        side=side, c=float(c), k=k, z=zs, psi=np.tan(sol.sol(zs)[0]),
-        interval=interval, params=params, _sol=sol,
+        side=side, c=float(c), k=k, z=zs, psi=np.tan(q(zs)[0]),
+        interval=interval, params=params, _q=q,
     )
     if abs(z1 - z_cease) > 1e-9 * half and not allow_partial:
         raise BlowupError(
@@ -216,8 +217,12 @@ def flat_ck(k, D):
 
 
 def _end_angle(c, params):
-    """q(D/2) shot from q(0) = 0, read off the last step (no dense output)."""
-    return float(_solve_angle(c, params, (0.0, params.half), [0.0, 0.0]).y[0, -1])
+    """q(D/2) shot from q(0) = 0 by the compiled DOP853 (end state only)."""
+    sol = dop853_end(_angle_rhs(c, params), 0.0, params.half, [0.0, 0.0],
+                     rtol=_ODE_TOL, atol=_ODE_TOL)
+    if not sol.success:
+        raise DomainError(f"angle integration failed: {sol.message}")
+    return float(sol.y[0])
 
 
 def find_ck(k, params):
@@ -228,9 +233,11 @@ def find_ck(k, params):
     c_k between the closed-form flat constant c_flat and c_flat cs_K(D/2)^2,
     so c_k exists for every k > 0.  Brent's method runs once inside that
     bracket, padded by 1e-9 of its scale (at least (pi/D)^2, so the pad
-    outruns the ODE noise when K = 0 makes the bracket a point).  Against
-    the 50-digit flat relation (K = 0, D = 1) the relative error is 3.9e-14
-    at k = 10 and 7.8e-12 at k = 1e3, about 7.5e-15 k.  BracketError means
+    outruns the ODE noise when K = 0 makes the bracket a point).  Each end
+    angle is one compiled DOP853 shot (_scipy.dop853_end).  Against the
+    50-digit flat relation (K = 0, D = 1) the relative error is 3.6e-14 at
+    k = 10, 6.9e-13 at k = 1e2, 8.3e-12 at k = 1e3 and 8.4e-11 at k = 1e4,
+    about 8.4e-15 k.  BracketError means
     the padded bracket does not straddle the root, or the end-angle defect
     at the root exceeds 1e-11.  c_k does not depend on n, so one solve is
     kept per (k, K, D); a failed solve is not kept.
@@ -279,8 +286,8 @@ def _phi(qr):
 def _robin(k, params):
     """The interpolant z -> (q, log r) of one dense solve at c_k from
     q(0) = 0, r(0) = 1, and phi at uniform points scaled to phi(D/2) = 1/k."""
-    profile = _solve_angle(find_ck(k, params), params, (0.0, params.half), [0.0, 0.0],
-                           dense_output=True).sol
+    profile = _dense_angle(find_ck(k, params), params, (0.0, params.half), [0.0, 0.0],
+                           [0, 1])[1]
     z = np.linspace(0.0, params.half, _N_SAMPLES)
     phi = _phi(profile(z))
     scale = (1.0 / float(k)) / phi[-1]

@@ -1,12 +1,14 @@
 """Parabolic evolution toward the Robin log-derivative: grids, stepping,
 stationary states, and the order-preservation check."""
 
+import hashlib
 import math
 import time
 
 import numpy as np
 import pytest
 
+from gapmodel import flow
 from gapmodel.errors import (
     DomainError,
     HypothesisError,
@@ -73,6 +75,24 @@ class TestGrid:
             build_grid(P_FLOW, 1e9)
         assert time.perf_counter() - start < 20.0
         assert len(build_grid(P_FLOW, 300.0)) - 1 < MAX_CELLS
+
+    # node count and SHA-256 of the grid's bytes, recorded from the march
+    # before its loop constants were lifted; the coarse second case takes
+    # the MIN_CELLS rescale pass
+    @pytest.mark.parametrize("params,k,mesh_tol,nodes,digest,rescaled", [
+        (ModelParams(5, 3.0, 1.0), 300.0, 1e-6, 62_932,
+         "662e81bde38dc58685df4c88dab0541c2240c904f923ea9d12a4ca358def1f85", False),
+        (P_FLOW, 10.0, 1e-2, 715,
+         "06336e1b795dd3a56228e2d23ca6508550415a1762b409f6c4567a434bff994f", True),
+    ])
+    def test_grid_bytes_are_pinned(self, params, k, mesh_tol, nodes, digest, rescaled,
+                                   monkeypatch):
+        z = build_grid(params, k, mesh_tol=mesh_tol)
+        assert len(z) == nodes
+        assert hashlib.sha256(z.tobytes()).hexdigest() == digest
+        monkeypatch.setattr(flow, "MIN_CELLS", 1)
+        first_pass = len(build_grid(params, k, mesh_tol=mesh_tol)) - 1
+        assert (first_pass < MIN_CELLS) == rescaled
 
     def test_refine(self):
         z = build_grid(P_FLOW, 10.0)

@@ -1,5 +1,6 @@
 """Log-derivative branches, the Robin constant, and the comparison envelopes."""
 
+import collections
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.optimize import brentq
 
 from gapmodel import pruefer
 from gapmodel.errors import BlowupError, BracketError, DomainError, HypothesisError
+from gapmodel.flow import build_grid
 from gapmodel.model import ModelParams
 from gapmodel.pruefer import (
     find_ck,
@@ -82,6 +84,21 @@ CK_30 = {
 }
 
 
+@pytest.fixture
+def ode_calls(monkeypatch):
+    """Counts of pruefer's calls into the two ODE forwarders, by name."""
+    calls = collections.Counter()
+    for name in ("solve_ivp", "dop853_end"):
+        solver = getattr(pruefer, name)
+
+        def counting(*args, _name=name, _solver=solver, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(pruefer, name, counting)
+    return calls
+
+
 @pytest.mark.usefixtures("cold_ck")
 class TestRobinConstantSolve:
     @pytest.mark.parametrize("n,K,D,k", list(CK_30))
@@ -90,39 +107,28 @@ class TestRobinConstantSolve:
         assert c == pytest.approx(float(CK_30[n, K, D, k]), rel=1e-11)
 
     @pytest.mark.parametrize("n,K,D,k", list(CK_30))
-    def test_angle_solves(self, n, K, D, k, monkeypatch):
-        # one Brent solve inside the comparison bracket, ends included
-        solves = [0]
-        solve_ivp = pruefer.solve_ivp
-
-        def counting(*args, **kwargs):
-            solves[0] += 1
-            return solve_ivp(*args, **kwargs)
-
-        monkeypatch.setattr(pruefer, "solve_ivp", counting)
+    def test_angle_solves(self, n, K, D, k, ode_calls):
+        # one Brent solve inside the comparison bracket, ends included, all
+        # of it compiled end-angle shots
         find_ck(k, ModelParams(n, K, D))
-        assert solves[0] <= 8
+        assert 1 <= ode_calls["dop853_end"] <= 8
+        assert ode_calls["solve_ivp"] == 0
 
     @pytest.mark.parametrize("n,K,D,k", [(2, 0.5, 1.0, 10.0), (5, 1.0, 1.0, 60.0)])
-    def test_boundary_report_adds_one_solve(self, n, K, D, k, monkeypatch):
+    def test_boundary_report_adds_one_solve(self, n, K, D, k, ode_calls):
         # with c_k cached, the eigenfunction and its boundary values come
-        # from one dense solve
-        solves = [0]
-        solve_ivp = pruefer.solve_ivp
-
-        def counting(*args, **kwargs):
-            solves[0] += 1
-            return solve_ivp(*args, **kwargs)
-
-        monkeypatch.setattr(pruefer, "solve_ivp", counting)
+        # from one dense solve and no shot
         find_ck(k, ModelParams(n, K, D))
-        assert solves[0] > 0
-        solves[0] = 0
+        assert ode_calls["dop853_end"] >= 1
+        ode_calls.clear()
         robin_boundary_report(k, ModelParams(n, K, D))
-        assert solves[0] == 1
+        assert ode_calls["solve_ivp"] == 1
+        assert ode_calls["dop853_end"] == 0
 
     def test_angle_check_is_a_bracket_error(self, monkeypatch):
-        monkeypatch.setattr(pruefer, "_ANGLE_TOL", 1e-30)
+        # Brent often ends on an exactly zero defect, so only a negative
+        # tolerance is sure to be exceeded
+        monkeypatch.setattr(pruefer, "_ANGLE_TOL", -1.0)
         with pytest.raises(BracketError, match="end-angle defect"):
             find_ck(40.0, ModelParams(5, 2.0, 1.0))
 
@@ -136,7 +142,7 @@ class TestRobinConstantSolve:
         assert find_ck(40.0, ModelParams(2, 2.0, 1.0)) == cold
 
     def test_failed_solve_is_not_kept(self, monkeypatch):
-        monkeypatch.setattr(pruefer, "_ANGLE_TOL", 1e-30)
+        monkeypatch.setattr(pruefer, "_ANGLE_TOL", -1.0)
         for _ in range(2):
             with pytest.raises(BracketError, match="end-angle defect"):
                 find_ck(40.0, ModelParams(5, 2.0, 1.0))
@@ -191,6 +197,65 @@ class TestBranches:
         assert info.value.partial.interval == partial.interval
         assert info.value.z in partial.interval
         np.testing.assert_array_equal(info.value.partial.psi, partial.psi)
+
+
+class TestAngleInterpolant:
+    """_scipy.dop853_interpolant gives scipy's dense output bit for bit."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # each dense solve's OdeSolution, its rows and its gathered evaluator
+        made = []
+        interpolant = pruefer.dop853_interpolant
+
+        def keeping(solution, rows):
+            made.append((solution, rows, interpolant(solution, rows)))
+            return made[-1][2]
+
+        monkeypatch.setattr(pruefer, "dop853_interpolant", keeping)
+        return made
+
+    def test_branches_and_profile_match_scipy(self, solves):
+        p = ModelParams(5, 3.0, 1.0)
+        ck = find_ck(300.0, p)
+        psi_left(ck - 1.0, p)
+        psi_right(300.0, ck + 1.0, p)  # integrated backward
+        psi_right(300.0, ck + 3000.0, p, allow_partial=True)  # stopped by the pole event
+        robin_boundary_report(300.0, p)
+        grid = build_grid(p, 300.0)
+        assert [rows for _, rows, _ in solves] == [[0], [0], [0], [0, 1]]
+        assert [sol.ascending for sol, _, _ in solves] == [True, False, False, True]
+        assert solves[2][0].t_min > 0.0
+        for sol, rows, evaluate in solves:
+            ends = [sol.t_min, sol.t_max]
+            inside = grid[(grid >= sol.t_min) & (grid <= sol.t_max)]
+            for z in (np.array(ends), sol.ts, inside):
+                assert evaluate(z).tobytes() == sol(z)[rows].tobytes()
+            for z in [*ends, 0.5 * sum(ends)]:
+                assert evaluate(z).shape == (len(rows),)
+                assert evaluate(z).tobytes() == sol(z)[rows].tobytes()
+
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_step_choice_is_scipys(self, ascending):
+        # random steps that disagree at their shared knots, so a point on a
+        # knot, or past either end, shows which step the evaluator picked
+        from scipy.integrate import OdeSolution
+        from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+        gen = np.random.default_rng(7)
+        ts = np.cumsum(gen.uniform(0.5, 1.5, 6))
+        if not ascending:
+            ts = ts[::-1]
+        steps = [Dop853DenseOutput(a, b, gen.normal(size=2), gen.normal(size=(7, 2)))
+                 for a, b in zip(ts[:-1], ts[1:])]
+        sol = OdeSolution(ts, steps)
+        evaluate = pruefer.dop853_interpolant(sol, [0, 1])
+        z = np.concatenate((ts, [ts.min() - 0.3, ts.max() + 0.3],
+                            gen.uniform(ts.min(), ts.max(), 50)))
+        assert evaluate(z).tobytes() == sol(z).tobytes()
+        for point in z[:8]:
+            assert evaluate(point).tobytes() == sol(point).tobytes()
 
 
 class TestRobinEigenfunction:
