@@ -27,9 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._scipy import brentq, dop853_end, dop853_interpolant, solve_ivp
+from ._scipy import brentq, dop853_dense, dop853_end, dop853_interpolant, solve_ivp
 from .errors import BlowupError, BracketError, CoverageError, DomainError, HypothesisError
-from .kernels import cs
+from .kernels import cs, cs_array
 from .model import GridFunction, ModelParams, validate
 
 _ODE_TOL = 1e-13
@@ -46,14 +46,20 @@ def _check_positive(name, value):
         raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
-def _angle_rhs(c, params):
+def _angle_rhs(c, params, array=False):
+    """Right-hand side (z, (q, log r)) -> (q', (log r)') of the angle-radius
+    system at c.  One formula serves floats, through math and cs, for the
+    compiled stepper's calls, and with array=True numpy arrays, one column
+    per point, through numpy and cs_array for the rebuilt stages."""
     K, D = params.K, params.D
+    xp, cs_K = (np, cs_array) if array else (math, cs)
+    cos, sin = xp.cos, xp.sin
     pi2_over_D2 = math.pi**2 / D**2
 
     def rhs(z, y):
         q = y[0]
-        w = c / cs(z, K) ** 2 + pi2_over_D2
-        cq, sq = math.cos(q), math.sin(q)
+        w = c / cs_K(z, K) ** 2 + pi2_over_D2
+        cq, sq = cos(q), sin(q)
         dq = -w * cq * cq - sq * sq
         # log r instead of r keeps the radius positive by construction
         dlogr = (1.0 - w) * sq * cq
@@ -62,14 +68,11 @@ def _angle_rhs(c, params):
     return rhs
 
 
-def _dense_angle(c, params, span, y0, rows, **options):
-    """Dense DOP853 solve of the angle-radius system at c over span from
-    y0 = (q, log r); returns the solve and the evaluator of its rows."""
-    sol = solve_ivp(_angle_rhs(c, params), span, y0, method="DOP853", dense_output=True,
-                    rtol=_ODE_TOL, atol=_ODE_TOL, **options)
+def _succeeded(sol):
+    """sol, unless the angle integration behind it failed (DomainError)."""
     if not sol.success:
         raise DomainError(f"angle integration failed: {sol.message}")
-    return sol, dop853_interpolant(sol.sol, rows)
+    return sol
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,8 @@ class RiccatiSolution:
     side is "left" (psi(0) = 0, integrated forward) or "right"
     (psi(D/2) = -k, integrated backward).  Samples cover the part of the
     interval where |q| < pi/2 - 1e-3; psi_at evaluates the dense angle
-    interpolant of the solve, gathered once per branch
-    (_scipy.dop853_interpolant), anywhere in the interval.
+    interpolant rebuilt from the compiled DOP853 steps of the branch
+    (_scipy.dop853_dense), anywhere in the interval.
     """
 
     side: str
@@ -145,9 +148,12 @@ def _sample_band(q, lo, hi):
 def _branch(side, k, c, params, z0, q0, direction, allow_partial):
     """Riccati branch shot from z0 (0 or D/2) toward the other end with q(z0) = q0.
 
-    The branch ceases where q reaches direction * pi/2.  If that happens
-    more than 1e-9 D/2 from the far end, BlowupError carries the truncated
-    branch unless allow_partial is set, in which case it is returned.
+    One compiled DOP853 run (_scipy.dop853_dense) stops at the first step
+    over which q crosses direction * pi/2, and the branch ceases at the
+    crossing point of that step's interpolant.  If that lies more than
+    1e-9 D/2 from the far end, BlowupError carries the truncated branch
+    unless allow_partial is set, in which case it is returned.  A failed
+    run raises DomainError and gives no branch.
     """
     half = params.half
     z1 = half - z0
@@ -155,11 +161,13 @@ def _branch(side, k, c, params, z0, q0, direction, allow_partial):
     def reach_pole(z, y):
         return y[0] - direction * _HALF_PI
 
-    reach_pole.terminal = True
     reach_pole.direction = direction
 
-    sol, q = _dense_angle(c, params, (z0, z1), [q0, 0.0], [0], events=reach_pole)
-    z_cease = float(sol.t_events[0][0]) if sol.status == 1 else z1
+    sol = _succeeded(dop853_dense(
+        _angle_rhs(c, params), _angle_rhs(c, params, array=True), z0, z1, [q0, 0.0],
+        rtol=_ODE_TOL, atol=_ODE_TOL, rows=[0], event=reach_pole))
+    q = sol.sol
+    z_cease = z1 if sol.t_event is None else float(sol.t_event)
     interval = (min(z0, z_cease), max(z0, z_cease))
     zs = _sample_band(q, *interval)
     branch = RiccatiSolution(
@@ -218,10 +226,8 @@ def flat_ck(k, D):
 
 def _end_angle(c, params):
     """q(D/2) shot from q(0) = 0 by the compiled DOP853 (end state only)."""
-    sol = dop853_end(_angle_rhs(c, params), 0.0, params.half, [0.0, 0.0],
-                     rtol=_ODE_TOL, atol=_ODE_TOL)
-    if not sol.success:
-        raise DomainError(f"angle integration failed: {sol.message}")
+    sol = _succeeded(dop853_end(_angle_rhs(c, params), 0.0, params.half, [0.0, 0.0],
+                                rtol=_ODE_TOL, atol=_ODE_TOL))
     return float(sol.y[0])
 
 
@@ -284,10 +290,13 @@ def _phi(qr):
 
 
 def _robin(k, params):
-    """The interpolant z -> (q, log r) of one dense solve at c_k from
-    q(0) = 0, r(0) = 1, and phi at uniform points scaled to phi(D/2) = 1/k."""
-    profile = _dense_angle(find_ck(k, params), params, (0.0, params.half), [0.0, 0.0],
-                           [0, 1])[1]
+    """The interpolant z -> (q, log r) of one dense solve_ivp solve at c_k
+    from q(0) = 0, r(0) = 1, gathered once (_scipy.dop853_interpolant), and
+    phi at uniform points scaled to phi(D/2) = 1/k."""
+    sol = _succeeded(solve_ivp(
+        _angle_rhs(find_ck(k, params), params), (0.0, params.half), [0.0, 0.0],
+        method="DOP853", dense_output=True, rtol=_ODE_TOL, atol=_ODE_TOL))
+    profile = dop853_interpolant(sol.sol, [0, 1])
     z = np.linspace(0.0, params.half, _N_SAMPLES)
     phi = _phi(profile(z))
     scale = (1.0 / float(k)) / phi[-1]

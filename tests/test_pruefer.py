@@ -215,18 +215,13 @@ class TestAngleInterpolant:
         monkeypatch.setattr(pruefer, "dop853_interpolant", keeping)
         return made
 
-    def test_branches_and_profile_match_scipy(self, solves):
+    def test_profile_matches_scipy(self, solves):
         p = ModelParams(5, 3.0, 1.0)
-        ck = find_ck(300.0, p)
-        psi_left(ck - 1.0, p)
-        psi_right(300.0, ck + 1.0, p)  # integrated backward
-        psi_right(300.0, ck + 3000.0, p, allow_partial=True)  # stopped by the pole event
         robin_boundary_report(300.0, p)
         grid = build_grid(p, 300.0)
-        assert [rows for _, rows, _ in solves] == [[0], [0], [0], [0, 1]]
-        assert [sol.ascending for sol, _, _ in solves] == [True, False, False, True]
-        assert solves[2][0].t_min > 0.0
+        assert [rows for _, rows, _ in solves] == [[0, 1]]
         for sol, rows, evaluate in solves:
+            assert sol.ascending
             ends = [sol.t_min, sol.t_max]
             inside = grid[(grid >= sol.t_min) & (grid <= sol.t_max)]
             for z in (np.array(ends), sol.ts, inside):
@@ -234,7 +229,6 @@ class TestAngleInterpolant:
             for z in [*ends, 0.5 * sum(ends)]:
                 assert evaluate(z).shape == (len(rows),)
                 assert evaluate(z).tobytes() == sol(z)[rows].tobytes()
-
 
     @pytest.mark.parametrize("ascending", [True, False])
     def test_step_choice_is_scipys(self, ascending):
@@ -256,6 +250,149 @@ class TestAngleInterpolant:
         assert evaluate(z).tobytes() == sol(z).tobytes()
         for point in z[:8]:
             assert evaluate(point).tobytes() == sol(point).tobytes()
+
+
+# The angle q of a branch at seven interior points z = j/8 D/2, j = 1..7,
+# to 30 digits, keyed by (side, n, K, D, k): c, then q.  c is c_k -+ 1.01
+# times threshold_s, left branches shot forward from q(0) = 0, right ones
+# backward from q(D/2) = -arctan k, by mpmath's Taylor integration (odefun)
+# of q' = -(c/cs_K^2 + pi^2/D^2) cos^2 q - sin^2 q at 30 digits.  A rerun
+# at 40 digits agrees to one unit in the last digit shown.
+BRANCH_Q_30 = {
+    ("left", 5, 2.0, 1.0, 40.0): (-9.959830346390476, [
+        "0.00726422686807236120616529822582",
+        "0.0243903893237953673134668124072",
+        "0.061746754670722387797311286734",
+        "0.130329004410461301016991015322",
+        "0.240402398178789074111412954277",
+        "0.396565133552767693039095072151",
+        "0.589102874879502068696708521824",
+    ]),
+    ("left", 2, 6.0, 1.0, 30.0): (-9.959546362546988, [
+        "0.010528510789184181745010847449",
+        "0.0515616038344526417229002829058",
+        "0.158226111472330801043141941557",
+        "0.366270642456503609610084810087",
+        "0.672528197377987230662043930546",
+        "0.987289053569510358730512221568",
+        "1.22253462266301827154160575356",
+    ]),
+    ("right", 5, 3.0, 1.0, 300.0): (9.734251478573817, [
+        "1.17428709501052101083153678875",
+        "0.767465997330187392887293777082",
+        "-0.312491851446246178415245376133",
+        "-1.04378392290355112167891917073",
+        "-1.29607462721177948699841195426",
+        "-1.42064944105509514326382063083",
+        "-1.50212285908446388633372473858",
+    ]),
+    ("right", 4, 1.0, 2.0, 10.0): (1.7855683094150008, [
+        "0.977520511918612779393592720672",
+        "0.663636745594226048069120857664",
+        "0.191417029957047594324913424521",
+        "-0.373535394214866523159450993804",
+        "-0.825439805351467794877686992609",
+        "-1.12147205054274292257923753736",
+        "-1.32151185081945803238515847867",
+    ]),
+}
+
+
+def _pole_by_solve_ivp(k, c, params):
+    """Where the right branch's angle reaches pi/2, by scipy's DOP853 solve
+    and its terminal event."""
+    from scipy.integrate import solve_ivp
+
+    def reach_pole(z, y):
+        return y[0] - math.pi / 2
+
+    reach_pole.terminal, reach_pole.direction = True, 1.0
+    sol = solve_ivp(pruefer._angle_rhs(c, params), (params.half, 0.0), [-math.atan(k), 0.0],
+                    method="DOP853", rtol=1e-13, atol=1e-13, events=reach_pole)
+    return float(sol.t_events[0][0])
+
+
+class TestCompiledBranches:
+    """Branches from the compiled DOP853 steps and their rebuilt dense output."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        # the result of every dop853_dense run behind a branch
+        made = []
+        dense = pruefer.dop853_dense
+
+        def keeping(*args, **kwargs):
+            made.append(dense(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(pruefer, "dop853_dense", keeping)
+        return made
+
+    @pytest.mark.parametrize("side,n,K,D,k", list(BRANCH_Q_30))
+    def test_oracle(self, side, n, K, D, k):
+        p = ModelParams(n, K, D)
+        c, q30 = BRANCH_Q_30[side, n, K, D, k]
+        if side == "left":
+            branch = psi_left(c, p)
+        else:
+            branch = psi_right(k, c, p)
+        z = p.half * np.arange(1, 8) / 8
+        np.testing.assert_allclose(branch._q(z)[0], [float(q) for q in q30], rtol=0, atol=1e-12)
+
+    def test_knots_are_the_fortran_states(self, runs):
+        p = ModelParams(5, 3.0, 1.0)
+        ck = find_ck(300.0, p)
+        psi_left(ck - 1.0, p)
+        psi_right(300.0, ck + 1.0, p)  # integrated backward
+        psi_right(300.0, ck + 3000.0, p, allow_partial=True)  # stopped at its pole
+        assert [run.t_event is None for run in runs] == [True, True, False]
+        for run in runs:
+            assert run.t[0] in (0.0, p.half)  # the Fortran stepper reports t0 too
+            q = run.y[0]
+            assert np.all(np.abs(run.sol(run.t)[0] - q) <= 4 * np.spacing(np.abs(q)))
+
+    @pytest.mark.parametrize("s", [30.0, 100.0, 3000.0])
+    def test_pole_is_solve_ivps_event(self, s):
+        p = ModelParams(5, 3.0, 1.0)
+        c = find_ck(300.0, p) + s
+        partial = psi_right(300.0, c, p, allow_partial=True)
+        assert partial.interval[1] == p.half
+        assert abs(partial.interval[0] - _pole_by_solve_ivp(300.0, c, p)) <= 1e-12 * p.half
+        with pytest.raises(BlowupError, match="right branch ceases") as info:
+            psi_right(300.0, c, p)
+        assert info.value.z == partial.interval[0]
+        assert info.value.partial.interval == partial.interval
+        np.testing.assert_array_equal(info.value.partial.psi, partial.psi)
+
+    def test_exception_from_the_rhs_propagates(self):
+        raised = ZeroDivisionError("pole")
+
+        def rhs(z, y):
+            if z > 0.3:
+                raise raised
+            return (1.0,)
+
+        def never(z, y):
+            return 1.0
+
+        never.direction = 0.0
+        with pytest.raises(ZeroDivisionError) as info:
+            pruefer.dop853_dense(rhs, rhs, 0.0, 1.0, [0.0], rtol=1e-12, atol=1e-12, rows=[0],
+                                 event=never)
+        assert info.value is raised
+
+    def test_step_budget_is_a_domain_error(self, monkeypatch):
+        from gapmodel import _scipy
+
+        p = ModelParams(5, 3.0, 1.0)
+        c = find_ck(300.0, p) + 3000.0
+        monkeypatch.setattr(_scipy, "DOP853_MAX_STEPS", 5)
+        for side in (lambda: psi_left(c, p, allow_partial=True),
+                     lambda: psi_right(300.0, c, p, allow_partial=True)):
+            with pytest.raises(DomainError, match="angle integration failed: larger nsteps"):
+                side()
+        monkeypatch.undo()
+        assert psi_right(300.0, c, p, allow_partial=True).interval[0] > 0.0
 
 
 class TestRobinEigenfunction:
