@@ -10,7 +10,9 @@ one compiled routine each in a narrower call.  ``dop853_end`` runs every
 end-value shot: spectral's angle shots and ``ball_first_eigen``'s radial
 solve, and pruefer's end-angle shots behind ``find_ck``.
 ``dop853_dense`` runs pruefer's Riccati branches, each stopped at its
-pole, and rebuilds their dense output from the Fortran steps.
+pole, and flow's equidistribution ODE behind ``build_grid``, stopped where
+the grid reaches z = 0, and rebuilds their dense output from the Fortran
+steps.
 ``solve_ivp`` is left with pruefer's Robin profile, whose dense output
 ``dop853_interpolant`` evaluates for many points at once; both dense
 paths share one evaluator.  Modules bind these names at import time
@@ -104,7 +106,10 @@ def dop853_dense(fun, fun_array, t0, t1, y0, rtol, atol, rows, event):
     step, and the 7 coefficients of each step's continuous extension are
     formed as in scipy's ``DOP853`` (Hairer, Norsett & Wanner, Solving
     ODEs I, sec. II.5-6).  The event's root is found by ``brentq`` on the
-    stopping step's interpolant, with solve_ivp's tolerances.
+    stopping step's interpolant, with solve_ivp's tolerances.  Two callers
+    use it: pruefer's Riccati branches, whose event is the angle's pole,
+    and flow's ``build_grid``, whose event is the grid reaching z = 0 and
+    whose t1 is the cell budget.
 
     Returns ``t`` and ``y``, the recorded points and the states there (one
     row of y per component), ``t_event``, the root or None, and ``sol``,

@@ -8,9 +8,12 @@ on [0, D/2] with psi(0, t) = 0 and psi(D/2, t) = -k relaxes, for K >= 0,
 to the logarithmic derivative of the Robin eigenfunction with slope
 parameter k.  That stationary target has a boundary layer of width ~1/k
 at the right endpoint where it sweeps down to -k, so the spatial grid is
-graded: cell sizes follow an error-equidistribution monitor built from the
-pole model f ~ -1/w of the layer (w measures distance to the virtual pole
-just beyond D/2) and neighboring cells never differ by more than 5%.
+graded: cell sizes follow an error-equidistribution monitor h(w) built
+from the pole model f ~ -1/w of the layer (w measures distance to the
+virtual pole just beyond D/2), and neighboring cells never differ by more
+than 5%.  The nodes come from one compiled DOP853 run of the
+equidistribution ODE dw/di = h(w) over the cell index i, sampled at
+equally spaced indices (see `build_grid`).
 
 Time stepping is linearly implicit: each step solves (I - dt J) delta =
 dt F with the whole tridiagonal Jacobian J of the residual F, and the
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import solve_banded
+from ._scipy import dop853_dense, solve_banded
 from .errors import (
     DomainError,
     HypothesisError,
@@ -72,65 +75,79 @@ MIN_CELLS = 512
 MAX_CELLS = 500_000
 DEFAULT_MESH_TOL = 1e-6
 T_MAX_FACTOR = 50.0
+_GRID_TOL = 1e-11  # DOP853 rtol and atol of the equidistribution ODE
 
 
 # -- grid ---------------------------------------------------------------------
 
 
+def _monitor(params, mesh_tol, array=False):
+    """Right-hand side (i, (w,)) -> (h(w),) of the equidistribution ODE
+    dw/di = h(w).  One formula serves floats, through math and min, for the
+    compiled stepper's calls, and with array=True numpy arrays, one column
+    per point, through numpy for the rebuilt stages."""
+    D = params.D
+    lam2 = 2.0 * math.pi**2 / D**2
+    B = 10.0 * (2.0 * math.pi / D) ** 4
+    tol12, h_max = 12.0 * mesh_tol, D / 64.0
+    sqrt, minimum = (np.sqrt, np.minimum) if array else (math.sqrt, min)
+
+    def rhs(i, y):
+        w = y[0]
+        return (minimum(sqrt(tol12 * (2.0 / w**2 + lam2) / (96.0 / w**5 + B)), h_max),)
+
+    return rhs
+
+
 def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL):
     """Graded nodes on [0, D/2], clustered toward the right endpoint.
 
-    Marching from D/2 leftward, the local cell size equidistributes the
-    reaction-balanced truncation error of the 3-point scheme against the
-    pole model of the stationary layer: with w = (D/2 - z) + 1/k,
+    The cell size equidistributes the reaction-balanced truncation error of
+    the 3-point scheme against the pole model of the stationary layer: with
+    w = (D/2 - z) + 1/k,
 
         |f''''| ~ 96/w^5,   local damping ~ 2/w^2 + 2 pi^2/D^2,
 
-    so h(w) ~ sqrt(12 mesh_tol (2/w^2 + 2 lam) / (96/w^5 + B)).  B is a
-    curvature floor for the smooth part of the domain.  Consecutive sizes
-    stay within a 1.05 ratio by construction (h varies smoothly in w), and
-    the result is refined uniformly if it lands under MIN_CELLS.  A k that
-    needs more than MAX_CELLS cells raises DomainError.
+    so h(w) = min(sqrt(12 mesh_tol (2/w^2 + 2 pi^2/D^2) / (96/w^5 + B)),
+    D/64).  B is a curvature floor for the smooth part of the domain.
+    Counting cells leftward from D/2, w obeys the equidistribution ODE
+    dw/di = h(w) from w(0) = 1/k (Huang & Russell, Adaptive Moving Mesh
+    Methods, ch. 2).
+    One compiled DOP853 run (_scipy.dop853_dense) integrates it until w
+    reaches D/2 + 1/k, that is z = 0, at the index N, and the nodes are its
+    dense output at cells + 1 equally spaced indices from 0 to N, with
+    cells = max(ceil(N), MIN_CELLS): each cell is h at its midpoint times
+    the one factor N / cells <= 1.  Consecutive sizes stay within a 1.05
+    ratio because h varies smoothly in w.  If w has not reached D/2 + 1/k
+    at i = MAX_CELLS, the k needs more than MAX_CELLS cells and DomainError
+    is raised before any node array is formed.
     """
     params = validate(params)
     _check_positive("boundary slope k", k)
     _check_positive("mesh_tol", mesh_tol)
-    D = params.D
     half = params.half
-    lam = math.pi**2 / D**2
     wk = 1.0 / k
-    B = 10.0 * (2.0 * math.pi / D) ** 4
-    # loop constants, lifted without changing any rounded operation
-    tol12, lam2, h_max, sqrt = 12.0 * mesh_tol, 2.0 * lam, D / 64.0, math.sqrt
-    scale = 1.0
-    for _ in range(40):
-        hs = []
-        append = hs.append
-        cells = 0
-        z = half
-        while z > 0.0:
-            w = (half - z) + wk
-            G = 96.0 / w**5 + B
-            damp = 2.0 / w**2 + lam2
-            h = scale * sqrt(tol12 * damp / G)
-            if h_max < h:  # min(h, h_max)
-                h = h_max
-            z -= h
-            append(h)
-            cells += 1
-            if cells > MAX_CELLS:
-                raise DomainError(f"boundary slope k = {k:g} needs more than "
-                                  f"{MAX_CELLS} grid cells at mesh_tol = {mesh_tol:g}")
-        if cells >= MIN_CELLS:
-            break
-        scale *= 0.7 * cells / MIN_CELLS
-    # the march overshoots 0 by part of one cell; shrinking every cell by the
-    # same factor keeps the size-ratio profile and avoids a sliver first cell
-    hs = np.array(hs)
-    hs *= half / float(hs.sum())
-    nodes = half - np.cumsum(hs)
+    w_end = half + wk
+
+    def reach_origin(i, y):
+        return y[0] - w_end
+
+    reach_origin.direction = 1.0
+
+    sol = dop853_dense(
+        _monitor(params, mesh_tol), _monitor(params, mesh_tol, array=True),
+        0.0, float(MAX_CELLS), [wk], rtol=_GRID_TOL, atol=_GRID_TOL, rows=[0],
+        event=reach_origin)
+    if not sol.success:
+        raise DomainError(f"grid integration failed: {sol.message}")
+    if sol.t_event is None:
+        raise DomainError(f"boundary slope k = {k:g} needs more than "
+                          f"{MAX_CELLS} grid cells at mesh_tol = {mesh_tol:g}")
+    N = float(sol.t_event)
+    cells = max(math.ceil(N), MIN_CELLS)
+    nodes = half - (sol.sol(np.linspace(0.0, N, cells + 1))[0] - wk)
     nodes[-1] = 0.0
-    return np.concatenate(([half], nodes))[::-1].copy()
+    return nodes[::-1].copy()
 
 
 def refine_grid(z):

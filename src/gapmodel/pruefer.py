@@ -23,7 +23,7 @@ carried in params only so results can be labeled consistently.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,20 +80,28 @@ class RiccatiSolution:
     """Branch of psi = (log phi)' on its interval of existence.
 
     side is "left" (psi(0) = 0, integrated forward) or "right"
-    (psi(D/2) = -k, integrated backward).  Samples cover the part of the
-    interval where |q| < pi/2 - 1e-3; psi_at evaluates the dense angle
+    (psi(D/2) = -k, integrated backward).  psi_at evaluates the dense angle
     interpolant rebuilt from the compiled DOP853 steps of the branch
-    (_scipy.dop853_dense), anywhere in the interval.
+    (_scipy.dop853_dense), anywhere in the interval.  The samples z and psi
+    cover the part of the interval where |q| < pi/2 - 1e-3; they are taken
+    from that interpolant on first read and kept, since the flow and the
+    command line only call psi_at.
     """
 
     side: str
     c: float
     k: float
-    z: np.ndarray
-    psi: np.ndarray
     interval: tuple
     params: ModelParams
     _q: object = field(repr=False, compare=False, default=None)
+
+    @cached_property
+    def z(self):
+        return _sample_band(self._q, *self.interval)
+
+    @cached_property
+    def psi(self):
+        return np.tan(self._q(self.z)[0])
 
     def psi_at(self, z):
         z = np.asarray(z, dtype=float)
@@ -169,11 +177,8 @@ def _branch(side, k, c, params, z0, q0, direction, allow_partial):
     q = sol.sol
     z_cease = z1 if sol.t_event is None else float(sol.t_event)
     interval = (min(z0, z_cease), max(z0, z_cease))
-    zs = _sample_band(q, *interval)
-    branch = RiccatiSolution(
-        side=side, c=float(c), k=k, z=zs, psi=np.tan(q(zs)[0]),
-        interval=interval, params=params, _q=q,
-    )
+    branch = RiccatiSolution(side=side, c=float(c), k=k, interval=interval,
+                             params=params, _q=q)
     if abs(z1 - z_cease) > 1e-9 * half and not allow_partial:
         raise BlowupError(
             f"{side} branch ceases at z = {z_cease:.6g} "

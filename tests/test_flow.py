@@ -69,22 +69,22 @@ class TestGrid:
             build_grid(P_FLOW, k)
 
     def test_cell_budget_bounds_large_slopes(self):
-        # k = 1e9 would march through about 1e9 cells without the budget
+        # k = 1e9 would need about 1e8 cells; the grid ODE stops at the budget
         start = time.perf_counter()
         with pytest.raises(DomainError, match=r"k = 1e\+09 needs more than"):
             build_grid(P_FLOW, 1e9)
-        assert time.perf_counter() - start < 20.0
+        assert time.perf_counter() - start < 2.0
         assert len(build_grid(P_FLOW, 300.0)) - 1 < MAX_CELLS
 
-    # node count and SHA-256 of the grid's bytes, recorded from the march
-    # before its loop constants were lifted; the coarse second case takes
-    # the MIN_CELLS rescale pass
+    # node count and SHA-256 of the grid's bytes, recorded from the
+    # integrated equidistribution ODE; the coarse second case is raised to
+    # MIN_CELLS cells
     @pytest.mark.parametrize("params,k,mesh_tol,nodes,digest,rescaled", [
-        (ModelParams(5, 3.0, 1.0), 300.0, 1e-6, 62_932,
-         "662e81bde38dc58685df4c88dab0541c2240c904f923ea9d12a4ca358def1f85", False),
-        (P_FLOW, 10.0, 1e-2, 715,
-         "06336e1b795dd3a56228e2d23ca6508550415a1762b409f6c4567a434bff994f", True),
-    ])
+        (ModelParams(5, 3.0, 1.0), 300.0, 1e-6, 62_928,
+         "0acd1874c4ac826d544959910965f0c5241f3f830e2005a92bf33a2e690c0f4c", False),
+        (P_FLOW, 10.0, 1e-2, 513,
+         "1071d7f371718a2ea7bb51758bddf53b48a86f1ae3db22479771e967a90ef487", True),
+    ], ids=["k300", "coarse"])
     def test_grid_bytes_are_pinned(self, params, k, mesh_tol, nodes, digest, rescaled,
                                    monkeypatch):
         z = build_grid(params, k, mesh_tol=mesh_tol)
@@ -93,6 +93,32 @@ class TestGrid:
         monkeypatch.setattr(flow, "MIN_CELLS", 1)
         first_pass = len(build_grid(params, k, mesh_tol=mesh_tol)) - 1
         assert (first_pass < MIN_CELLS) == rescaled
+
+    @pytest.mark.parametrize("params,k,mesh_tol", [
+        (ModelParams(5, 3.0, 1.0), 300.0, 1e-6),
+        (P_FLOW, 10.0, 1e-6),
+        (ModelParams(2, -8.0, 1.0), 3.0, 1e-6),
+        (P_FLOW, 10.0, 1e-2),
+    ])
+    def test_cells_equidistribute_the_monitor(self, params, k, mesh_tol):
+        # every cell is the monitor h at its midpoint times one common factor
+        z = build_grid(params, k, mesh_tol=mesh_tol)
+        D = params.D
+        w = (params.half - 0.5 * (z[1:] + z[:-1])) + 1.0 / k
+        damp = 2.0 / w**2 + 2.0 * math.pi**2 / D**2
+        G = 96.0 / w**5 + 10.0 * (2.0 * math.pi / D) ** 4
+        h = np.minimum(np.sqrt(12.0 * mesh_tol * damp / G), D / 64.0)
+        ratio = np.diff(z) / h
+        assert np.ptp(ratio) <= 1e-5 * np.mean(ratio)
+
+    # node counts of the forward-Euler march w_{i+1} = w_i + h(w_i) that the
+    # integrated ODE replaced
+    @pytest.mark.parametrize("params,k,march_nodes", [
+        (ModelParams(5, 3.0, 1.0), 300.0, 62_932),
+        (P_FLOW, 10.0, 7_215),
+    ])
+    def test_cell_count_follows_the_march(self, params, k, march_nodes):
+        assert abs(len(build_grid(params, k)) - march_nodes) <= 1e-3 * march_nodes
 
     def test_refine(self):
         z = build_grid(P_FLOW, 10.0)

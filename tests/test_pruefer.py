@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from gapmodel import pruefer
+from gapmodel import cli, pruefer
 from gapmodel.errors import BlowupError, BracketError, DomainError, HypothesisError
-from gapmodel.flow import build_grid
+from gapmodel.flow import build_grid, stationary_reference
 from gapmodel.model import ModelParams
 from gapmodel.pruefer import (
     find_ck,
@@ -197,6 +197,54 @@ class TestBranches:
         assert info.value.partial.interval == partial.interval
         assert info.value.z in partial.interval
         np.testing.assert_array_equal(info.value.partial.psi, partial.psi)
+
+
+class TestLazySamples:
+    """A branch's z and psi samples are taken on first read and kept; the
+    flow and its command line only evaluate psi_at."""
+
+    P = ModelParams(n=2, K=0.5, D=1.0)
+
+    @pytest.fixture
+    def samples(self, monkeypatch):
+        calls = []
+        sample_band = pruefer._sample_band
+
+        def counting(q, lo, hi):
+            calls.append((lo, hi))
+            return sample_band(q, lo, hi)
+
+        monkeypatch.setattr(pruefer, "_sample_band", counting)
+        return calls
+
+    def test_flow_path_takes_no_samples(self, samples, capsys, tmp_path):
+        p = self.P
+        supersolution(10.0, 1.01 * threshold_s(10.0, p), p)
+        stationary_reference(10.0, p, build_grid(p, 10.0))
+        code = cli.main(["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10",
+                         "--tol", "1e-4", "--mesh-tol", "1e-3",
+                         "--emit-plot", str(tmp_path / "plot.csv")])
+        assert code == 0
+        assert samples == []
+
+    @pytest.mark.parametrize("make", ["left", "right", "partial"])
+    def test_samples_on_first_read(self, samples, make):
+        p = self.P
+        ck = find_ck(10.0, p)
+        if make == "left":
+            branch = psi_left(ck, p)
+        elif make == "right":
+            branch = psi_right(10.0, ck, p)
+        else:
+            with pytest.raises(BlowupError) as info:
+                psi_left(ck + 8.0, p)
+            branch = info.value.partial
+        assert samples == []
+        z, psi = branch.z, branch.psi
+        assert branch.z is z and branch.psi is psi
+        assert samples == [branch.interval]
+        assert z.tobytes() == pruefer._sample_band(branch._q, *branch.interval).tobytes()
+        assert psi.tobytes() == np.tan(branch._q(z)[0]).tobytes()
 
 
 class TestAngleInterpolant:
