@@ -89,6 +89,9 @@ def dop853_end(fun, t0, t1, y0, rtol, atol):
     negative code (step budget exhausted, step size too small, or a
     stiffness interrupt) gives ``success = False`` with scipy's message
     instead of scipy's warning.  An exception raised by fun propagates.
+    For a one-component y, fun may return a bare float instead of a
+    one-element list; the run, its y and its nfev are the same, and the
+    angle shots rely on this to skip building a list per call.
     """
     solver, y = _dop853(fun, t0, t1, y0, rtol, atol)
     return _outcome(solver, t=solver.t, y=y)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ._scipy import quad
 from .errors import HypothesisError, OrderingViolation
-from .kernels import cs
+from .kernels import cs_at
 from .model import validate
 
 
@@ -69,7 +69,8 @@ def lambda_upper_rayleigh(params, index):
         weight = lambda x: math.cos(math.pi * x / D) ** 2
     else:
         weight = lambda x: math.sin(2 * math.pi * x / D) ** 2
-    integrand = lambda x: weight(x) / cs(x, K) ** 2
+    cs_K = cs_at(K)
+    integrand = lambda x: weight(x) / cs_K(x) ** 2
     val, est = quad(integrand, 0.0, D / 2, epsabs=1e-12, epsrel=1e-12, limit=200)
     return flat + (n - 1) * (n - 3) * K / D * val
 

@@ -4,16 +4,22 @@ The evolution
 
     psi_t = psi'' + 2 psi psi' - 2 tn_K(z) (psi' + psi^2 + pi^2/D^2)
 
-on [0, D/2] with psi(0, t) = 0 and psi(D/2, t) = -k relaxes, for K >= 0,
-to the logarithmic derivative of the Robin eigenfunction with slope
-parameter k.  That stationary target has a boundary layer of width ~1/k
-at the right endpoint where it sweeps down to -k, so the spatial grid is
-graded: cell sizes follow an error-equidistribution monitor h(w) built
-from the pole model f ~ -1/w of the layer (w measures distance to the
-virtual pole just beyond D/2), and neighboring cells never differ by more
-than 5%.  The nodes come from one compiled DOP853 run of the
-equidistribution ODE dw/di = h(w) over the cell index i, sampled at
-equally spaced indices (see `build_grid`).
+on [0, D/2] with psi(0, t) = 0 and psi(D/2, t) = -k relaxes, for
+c_k + pi^2/D^2 >= 0, to the logarithmic derivative of the Robin
+eigenfunction with slope parameter k.  Below that, the target's slope
+-(c_k + pi^2/D^2) at z = 0 is positive, so the target is positive near 0
+and the nonpositive flow cannot reach it; `initial_supersolution` and
+`flow_to_stationary` raise DomainError there.  K >= 0 always meets the
+condition (see `pruefer.threshold_s`).
+
+The stationary target has a boundary layer of width ~1/k at the right
+endpoint where it sweeps down to -k, so the spatial grid is graded: cell
+sizes follow an error-equidistribution monitor h(w) built from the pole
+model f ~ -1/w of the layer (w measures distance to the virtual pole just
+beyond D/2), and neighboring cells never differ by more than 5%.  The
+nodes come from one compiled DOP853 run of the equidistribution ODE
+dw/di = h(w) over the cell index i, sampled at equally spaced indices
+(see `build_grid`).
 
 Time stepping is linearly implicit: each step solves (I - dt J) delta =
 dt F with the whole tridiagonal Jacobian J of the residual F, and the
@@ -212,9 +218,30 @@ def make_state(psi, k, params):
     return FlowState(psi=psi, t=0.0, k=float(k), params=params)
 
 
+def _flow_ck(k, params):
+    """c_k, after checking that the flow's target (log phi)' is nonpositive.
+
+    psi = (log phi)' has psi(0) = 0 and psi'(0) = -(c_k + pi^2/D^2), so a
+    negative c_k + pi^2/D^2 makes the target positive near z = 0, outside
+    the nonpositive states the flow keeps (DomainError).
+    """
+    ck = find_ck(k, params)
+    base = ck + math.pi**2 / params.D**2
+    if base < 0.0:
+        raise DomainError(
+            f"c_k + pi^2/D^2 = {base:.6g} < 0 at k = {k:g}: the stationary "
+            f"target is positive near z = 0, so the flow cannot reach it"
+        )
+    return ck
+
+
 def initial_supersolution(k, s, params, mesh_tol=DEFAULT_MESH_TOL, z=None):
-    """FlowState seeded with the shifted two-branch supersolution on a graded grid."""
+    """FlowState seeded with the shifted two-branch supersolution on a graded grid.
+
+    DomainError if c_k + pi^2/D^2 < 0 (see `_flow_ck`).
+    """
     params = validate(params)
+    _flow_ck(k, params)
     if z is None:
         z = build_grid(params, k, mesh_tol=mesh_tol)
     gf = supersolution(k, s, params, z=z)
@@ -422,7 +449,8 @@ def flow_to_stationary(
     """Evolve until the sup distance to (log phi)' on the grid is <= tol.
 
     initial is a GridFunction satisfying the boundary data, or a FlowState
-    of the same k and params (DomainError otherwise).
+    of the same k and params (DomainError otherwise).  DomainError also if
+    c_k + pi^2/D^2 < 0, where the target is positive near z = 0.
 
     Without dt the step follows switched evolution relaxation (SER): it
     starts at dt0 = default_dt(initial), doubles after every accepted step
@@ -458,9 +486,9 @@ def flow_to_stationary(
     _check_positive("t_max", t_max)
     if dt is not None:
         _check_positive("dt", dt)
+    ck = _flow_ck(k, params)
     z = state.psi.z
     target = stationary_reference(k, params, z)
-    ck = find_ck(k, params)
     ws = _Workspace(z, params)
 
     def dist(v):

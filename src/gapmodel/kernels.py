@@ -20,6 +20,11 @@ crossover is seamless. With |w| < 1e-4 the first omitted term is below
 For K > 0, cs has zeros at |s| = pi/(2 sqrt(K)); tn (and the model's
 potential) blow up there. Evaluation at or beyond the pole raises PoleError
 rather than returning a garbage float.
+
+cs_at(K) returns s -> cs(s, K) with K's square root and branch bound once,
+for right-hand sides that an ODE solver calls many times at one K; it
+performs cs's floating-point operations in cs's order, so its values equal
+cs's bit for bit.
 """
 
 import math
@@ -65,6 +70,23 @@ def cs(s, K):
     if K > 0.0:
         return math.cos(math.sqrt(K) * s)
     return math.cosh(math.sqrt(-K) * s)
+
+
+def cs_at(K):
+    """s -> cs(s, K) for one K, with sqrt(+-K) and cos/cosh bound once.
+
+    The |K s^2| < W_SERIES test is still made on each call.
+    """
+    K = float(K)
+    r, closed = (math.sqrt(K), math.cos) if K > 0.0 else (math.sqrt(-K), math.cosh)
+
+    def cs_K(s):
+        w = K * s * s
+        if abs(w) < W_SERIES:
+            return 1.0 - w / 2.0 * (1.0 - w / 12.0 * (1.0 - w / 30.0))
+        return closed(r * s)
+
+    return cs_K
 
 
 def tn(s, K):

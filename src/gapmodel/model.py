@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .kernels import cs, cs_array, tn
+from .kernels import cs, cs_array, cs_at, tn
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,19 @@ def potential(z, params):
     return ((n - 1) * K / 4.0) * ((n - 3) / (c * c) - (n - 1))
 
 
+def potential_at(params):
+    """z -> potential(z, params), with the coefficients and cs_at(K) bound once."""
+    n, K = params.n, params.K
+    a, b, d = (n - 1) * K / 4.0, n - 3, n - 1
+    cs_K = cs_at(K)
+
+    def V(z):
+        c = cs_K(z)
+        return a * (b / (c * c) - d)
+
+    return V
+
+
 def potential_array(z, params):
     """Normal-form potential V on an array of points."""
     n, K = params.n, params.K
@@ -96,9 +109,10 @@ def model_rhs(s, phi, dphi, lam, params):
 
 def normal_rhs(lam, params):
     """First-order system for the normal form: y = (psi, psi')."""
+    V = potential_at(params)
 
     def rhs(z, y):
-        return [y[1], (potential(z, params) - lam) * y[0]]
+        return (y[1], (V(z) - lam) * y[0])
 
     return rhs
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._scipy import brentq, dop853_dense, dop853_end, dop853_interpolant, solve_ivp
 from .errors import BlowupError, BracketError, CoverageError, DomainError, HypothesisError
-from .kernels import cs, cs_array
+from .kernels import cs, cs_array, cs_at
 from .model import GridFunction, ModelParams, validate
 
 _ODE_TOL = 1e-13
@@ -48,17 +48,21 @@ def _check_positive(name, value):
 
 def _angle_rhs(c, params, array=False):
     """Right-hand side (z, (q, log r)) -> (q', (log r)') of the angle-radius
-    system at c.  One formula serves floats, through math and cs, for the
-    compiled stepper's calls, and with array=True numpy arrays, one column
-    per point, through numpy and cs_array for the rebuilt stages."""
+    system at c.  One formula serves floats, through math and the closure
+    cs_at(K) built once per call of _angle_rhs, for the stepper's calls, and
+    with array=True numpy arrays, one column per point, through numpy and
+    cs_array for the rebuilt stages."""
     K, D = params.K, params.D
-    xp, cs_K = (np, cs_array) if array else (math, cs)
+    if array:
+        xp, cs_K = np, lambda z: cs_array(z, K)
+    else:
+        xp, cs_K = math, cs_at(K)
     cos, sin = xp.cos, xp.sin
     pi2_over_D2 = math.pi**2 / D**2
 
     def rhs(z, y):
         q = y[0]
-        w = c / cs_K(z, K) ** 2 + pi2_over_D2
+        w = c / cs_K(z) ** 2 + pi2_over_D2
         cq, sq = cos(q), sin(q)
         dq = -w * cq * cq - sq * sq
         # log r instead of r keeps the radius positive by construction

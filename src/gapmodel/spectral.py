@@ -14,9 +14,12 @@ independent of D.  V is even, so the index-th eigenfunction has parity
 midpoint condition theta(0) = index*pi/2.  Shooting therefore integrates
 only [-D/2, 0], inward from the endpoint, and matches at z = 0; each angle
 shot runs Hairer's compiled DOP853 (_scipy.dop853_end) and keeps only the
-end state.  The eigenfunction returned with the eigenvalue checks the
-parity this assumes: one (y, y') shot across the whole interval, sampled
-at 1001 points by one compiled LSODA call (_scipy.lsoda_samples).
+end state.  Its right-hand side evaluates V through the closure
+model.potential_at builds once per shot and returns theta' as a bare
+float.  The eigenfunction returned with the eigenvalue checks the parity
+this assumes: one (y, y') shot across the whole interval, sampled at 1001
+points by one compiled LSODA call (_scipy.lsoda_samples), whose
+right-hand side (model.normal_rhs) builds its own potential_at closure.
 
 Brent's method finds the root inside a Rayleigh-Sturm bracket.  cs^2 is
 monotone on [0, D/2], so V takes its extremes at z = 0 and z = D/2, and
@@ -62,6 +65,7 @@ from .model import (
     normal_rhs,
     potential,
     potential_array,
+    potential_at,
     validate,
 )
 
@@ -90,12 +94,13 @@ def _angle_mid(lam, params, form, tol=_ODE_TOL):
     """Prüfer angle of (S y, y'), S = pi / D, at z = 0, shot from theta(-D/2) = 0."""
     S = math.pi / params.D
     if form == "normal":
+        V, sin, cos = potential_at(params), math.sin, math.cos
 
         def rhs(z, y):
             th = y[0]
-            s = math.sin(th)
-            c = math.cos(th)
-            return [S * c * c + (lam - potential(z, params)) / S * s * s]
+            s = sin(th)
+            c = cos(th)
+            return S * c * c + (lam - V(z)) / S * s * s
 
     else:
         n, K = params.n, params.K

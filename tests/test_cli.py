@@ -288,6 +288,15 @@ class TestFlow:
             t, z, psi = map(float, ln.split(","))
             assert 0.0 <= z <= 0.5 and psi <= 1e-12
 
+    @pytest.mark.parametrize("K,D,k,code", [
+        ("-8", "1", "2", 2), ("-8", "1", "3", 0), ("-2", "2", "1", 2), ("-2", "2", "2", 0),
+    ])
+    def test_flow_domain_exit_codes(self, K, D, k, code, capsys):
+        # c_k + pi^2/D^2 < 0 is a domain error (exit 2), not a failed run
+        got, _, err = run_main(["flow", "--n", "2", f"--K={K}", "--D", D, "--k", k], capsys)
+        assert got == code
+        assert ("c_k + pi^2/D^2" in err) == (code == 2)
+
     @pytest.mark.parametrize("plot", [False, True])
     def test_one_robin_constant_and_one_run(self, plot, tmp_path, monkeypatch, capsys,
                                             cold_ck):

@@ -137,6 +137,35 @@ class TestStateConstruction:
         assert np.max(v) <= 0.0
         assert state.t == 0.0
 
+    # (params, k, whether c_k + pi^2/D^2 < 0), on both sides at two triples
+    @pytest.mark.parametrize("params,k,outside", [
+        (ModelParams(2, -8.0, 1.0), 2.0, True),
+        (ModelParams(2, -8.0, 1.0), 3.0, False),
+        (ModelParams(2, -2.0, 2.0), 1.0, True),
+        (ModelParams(2, -2.0, 2.0), 2.0, False),
+    ])
+    def test_flow_domain(self, params, k, outside, monkeypatch):
+        # below zero the target (log phi)' rises from 0, and no nonpositive
+        # flow reaches it
+        assert (find_ck(k, params) + math.pi**2 / params.D**2 < 0) == outside
+        s = 1.01 * threshold_s(k, params)
+        z = build_grid(params, k)
+        ramp = GridFunction(z=z, values=-k * (z / params.half) ** 3)
+        if not outside:
+            run = flow_to_stationary(initial_supersolution(k, s, params), k, params)
+            assert run.converged
+            assert flow_to_stationary(ramp, k, params).converged
+            return
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("build_grid ran before the domain check")
+
+        monkeypatch.setattr(flow, "build_grid", no_grid)
+        with pytest.raises(DomainError, match=r"c_k \+ pi\^2/D\^2 = -[0-9.e-]+ < 0"):
+            initial_supersolution(k, s, params)
+        with pytest.raises(DomainError, match=r"c_k \+ pi\^2/D\^2 = -[0-9.e-]+ < 0"):
+            flow_to_stationary(ramp, k, params)
+
     def test_boundary_validation(self):
         z = np.linspace(0.0, 0.5, 600)
         good = -10.0 * (z / 0.5) ** 3

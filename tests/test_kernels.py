@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gapmodel.errors import PoleError
-from gapmodel.kernels import W_SERIES, cs, cs_array, sn, tn, tn_array
+from gapmodel.kernels import W_SERIES, cs, cs_array, cs_at, sn, tn, tn_array
 
 
 def mp_sn(s, K):
@@ -144,3 +144,19 @@ def test_array_pole_guard():
         tn_array(np.array([0.0, 1.6]), 1.0)
     # empty input should not trip the guard
     assert tn_array(np.array([]), 1.0).size == 0
+
+
+# K = 0, +-1e-9, +-1e-3 (|K s^2| crosses W_SERIES at s = 0.316 inside [0, 1/2]),
+# +-1, -1600 and just below the cap pi^2 for D = 1
+@pytest.mark.parametrize(
+    "K", [0.0, 1e-9, -1e-9, 1e-3, -1e-3, 1.0, -1.0, -1600.0, math.pi**2 * (1 - 1e-9)]
+)
+def test_cs_at_matches_cs_exactly(K):
+    points = [0.0, 0.5, -0.5, 0.1, -0.27, 0.4999]
+    if K != 0.0:
+        edge = math.sqrt(W_SERIES / abs(K))
+        points += [edge * (1 - 1e-12), edge, edge * (1 + 1e-12)]
+    cs_K = cs_at(K)
+    for s in points:
+        for x in (s, np.float64(s)):
+            assert cs_K(x) == cs(x, K)

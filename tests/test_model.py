@@ -17,6 +17,7 @@ from gapmodel.model import (
     model_rhs,
     potential,
     potential_array,
+    potential_at,
     to_direct,
     to_normal,
     validate,
@@ -85,6 +86,30 @@ class TestPotential:
         assert potential_array(np.array([z]), p)[0] == pytest.approx(
             potential(z, p), rel=1e-14, abs=1e-300
         )
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize(
+        "K", [0.0, 1e-9, -1e-9, 1e-3, -1e-3, 1.0, -1.0, -1600.0, math.pi**2 * (1 - 1e-9)]
+    )
+    def test_closure_matches_potential_exactly(self, n, K):
+        # D = 1: K = +-1e-3 puts |K z^2| on both sides of W_SERIES in [0, 1/2]
+        p = ModelParams(n=n, K=K, D=1.0)
+        V = potential_at(p)
+        for z in (0.0, 0.5, -0.5, 0.1, -0.3162, 0.3163, -0.4999):
+            for x in (z, np.float64(z)):
+                assert V(x) == potential(x, p)
+
+    @given(
+        z=st.floats(min_value=-1.0, max_value=1.0),
+        kappa=st.floats(min_value=-40.0, max_value=9.8),
+        D=st.floats(min_value=0.01, max_value=2.0),
+        n=st.integers(min_value=1, max_value=12),
+    )
+    def test_closure_matches_potential_on_the_box(self, z, kappa, D, n):
+        p = ModelParams(n=n, K=kappa / D**2, D=D)
+        x = z * p.half
+        assert potential_at(p)(x) == potential(x, p)
 
 
 class TestGauge:

@@ -280,6 +280,18 @@ class TestCompiledSolvers:
         assert sol.y[0] == pytest.approx(math.exp(-1.0), rel=1e-11)
         assert sol.nfev == len(calls)
 
+    def test_dop853_end_takes_a_bare_float(self):
+        # the angle shots return theta' as a float instead of [theta']
+        def rhs(t, y):
+            return math.cos(3.0 * t) - 0.5 * y[0]
+
+        bare = _scipy.dop853_end(rhs, -1.0, 0.0, [0.0], rtol=1e-12, atol=1e-12)
+        listed = _scipy.dop853_end(lambda t, y: [rhs(t, y)], -1.0, 0.0, [0.0],
+                                   rtol=1e-12, atol=1e-12)
+        assert bare.success and listed.success
+        assert bare.y[0] == listed.y[0]
+        assert bare.nfev == listed.nfev
+
     def test_failed_angle_shot_is_reported(self, monkeypatch):
         monkeypatch.setattr(spectral, "dop853_end", tan_blowup)
         with warnings.catch_warnings():
