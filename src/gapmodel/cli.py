@@ -322,13 +322,11 @@ def cmd_flow(args):
             t1 = max(run.times[1], 1e-12)
             snap_times = np.geomspace(t1, run.times[-1], args.snapshots)
             snaps += _pick_snapshots(history, snap_times)
-        # _fmt's bytes, with each z and each snapshot's t formatted once
-        z = [format(v, ".17g") for v in state.psi.z[::stride].tolist()]
+        z = [_fmt(v) for v in state.psi.z[::stride].tolist()]
         plot_lines = ["t,z,psi"]
         for t, vals in snaps:
             t = _fmt(t)
-            plot_lines.extend(f"{t},{zz},{format(vv, '.17g')}"
-                              for zz, vv in zip(z, vals.tolist()))
+            plot_lines.extend(f"{t},{zz},{_fmt(vv)}" for zz, vv in zip(z, vals.tolist()))
         with open(args.emit_plot, "w") as fh:
             fh.write("\n".join(plot_lines) + "\n")
     return 0

@@ -22,9 +22,8 @@ potential) blow up there. Evaluation at or beyond the pole raises PoleError
 rather than returning a garbage float.
 
 cs_at(K) returns s -> cs(s, K) with K's square root and branch bound once,
-for right-hand sides that an ODE solver calls many times at one K; it
-performs cs's floating-point operations in cs's order, so its values equal
-cs's bit for bit.
+for right-hand sides that an ODE solver calls many times at one K; cs itself
+evaluates through it, so the two agree bit for bit.
 """
 
 import math
@@ -62,14 +61,7 @@ def sn(s, K):
 
 def cs(s, K):
     """Generalized cosine. Solves u'' + K u = 0, u(0) = 1, u'(0) = 0."""
-    s = float(s)
-    K = float(K)
-    w = K * s * s
-    if abs(w) < W_SERIES:
-        return 1.0 - w / 2.0 * (1.0 - w / 12.0 * (1.0 - w / 30.0))
-    if K > 0.0:
-        return math.cos(math.sqrt(K) * s)
-    return math.cosh(math.sqrt(-K) * s)
+    return cs_at(K)(float(s))
 
 
 def cs_at(K):

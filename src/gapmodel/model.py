@@ -65,9 +65,7 @@ class ModelParams:
 
 def potential(z, params):
     """Normal-form potential V at a scalar point z."""
-    n, K = params.n, params.K
-    c = cs(z, K)
-    return ((n - 1) * K / 4.0) * ((n - 3) / (c * c) - (n - 1))
+    return potential_at(params)(float(z))
 
 
 def potential_at(params):

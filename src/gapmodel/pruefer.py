@@ -138,7 +138,8 @@ class RiccatiSolution:
             + 8.0 * self.psi_at(zs + h)
             - self.psi_at(zs + 2 * h)
         ) / (12.0 * h)
-        w = np.array([self.c / cs(z, K) ** 2 for z in zs])
+        cs_K = cs_at(K)
+        w = np.array([self.c / cs_K(z) ** 2 for z in zs.tolist()])
         resid = d + self.psi_at(zs) ** 2 + math.pi**2 / D**2 + w
         return float(np.max(np.abs(resid)))
 
