@@ -11,12 +11,13 @@ change where the change is recorded:
 
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 
-from gapmodel import cli
+from gapmodel import cli, series
 
 GOLDEN = Path(__file__).resolve().parent
 
@@ -56,7 +57,24 @@ def golden_paths(name, ext):
     return {"stdout": GOLDEN / f"{name}.{ext}", "plot": GOLDEN / f"{name}.plot.csv"}
 
 
+# the engine past the CLI's order cap: repr of every kappa^m coefficient
+SERIES_ENGINE_ORDER = 12
+SERIES_ENGINE_FILE = GOLDEN / f"series_order{SERIES_ENGINE_ORDER}.json"
+
+
+def series_engine_doc():
+    """JSON bytes of repr(kappa_coefficient(m)) for m <= SERIES_ENGINE_ORDER,
+    for both branches and the gap of gap_series(SERIES_ENGINE_ORDER)."""
+    M = SERIES_ENGINE_ORDER
+    g = series.gap_series(M, cap=M)
+    doc = {name: [repr(sr.kappa_coefficient(m)) for m in range(M + 1)]
+           for name, sr in (("first", g.first), ("second", g.second), ("gap", g))}
+    return (json.dumps(doc, indent=1) + "\n").encode()
+
+
 def main():
+    SERIES_ENGINE_FILE.write_bytes(series_engine_doc())
+    print(f"wrote {SERIES_ENGINE_FILE.name}")
     for name, argv, ext in CASES:
         code, files = run_case(argv)
         if code != 0:

@@ -36,3 +36,11 @@ def test_cli_output_matches_golden(name, argv, ext):
     for key, data in files.items():
         expected = paths[key].read_bytes()
         assert data == expected, f"{paths[key].name} differs at {first_difference(expected, data)}"
+
+
+def test_series_engine_past_the_cli_cap_matches_golden():
+    """Every kappa^m coefficient through order 12, as repr, for both
+    branches and the gap: the exact engine beyond the orders the CLI shows."""
+    expected = golden.SERIES_ENGINE_FILE.read_bytes()
+    got = golden.series_engine_doc()
+    assert got == expected, f"{golden.SERIES_ENGINE_FILE.name} differs at {first_difference(expected, got)}"
