@@ -14,10 +14,15 @@ Three small algebraic types:
                 (kind, m, j) to c.  Houses the eigenfunction corrections.
 
 PiLaurent and NPoly share one flat form: a map from each term to an integer
-numerator over one positive denominator, in lowest terms, and one set of
-sum, scale and product routines.  A PiLaurent term is its exponent e; an
-NPoly term n^d pi^e is the single integer d * 2^32 + e, so multiplying two
-terms adds their keys and a PiLaurent is an NPoly of degree 0.
+numerator over one positive denominator, in lowest terms.  A PiLaurent term
+is its exponent e; an NPoly term n^d pi^e is the single integer d * 2^32 + e,
+so multiplying two terms adds their keys and a PiLaurent is an NPoly of
+degree 0.  The arithmetic operators of both types go through one sum, one
+scale and one product routine.  The series engine's longer sums (integrals,
+projections, derivatives, the resonant solver's recurrences and the order-m
+forcing) go through one linear-combination kernel, _lincomb, which puts
+sum x_i * y_i * (a_i / b_i) over one common denominator and reduces it to
+lowest terms once, instead of once per partial sum.
 
 Everything here is exact: no floats enter until an eval method is called.
 The definite integrals over [-pi/2, pi/2] are done by recursive integration
@@ -161,7 +166,7 @@ class PiLaurent(_Terms):
         prec = 96
         while True:
             with mpmath.workprec(prec):
-                terms = [mpmath.mpf(v.numerator) / v.denominator * mpmath.pi**e
+                terms = [mpmath.mpf(v.numerator) / v.denominator * _pi_power_mpf(e, prec)
                          for e, v in self._terms()]
                 total = mpmath.fsum(terms)
             # bits lost to cancellation and to rounding each term; pi is
@@ -195,6 +200,15 @@ class PiLaurent(_Terms):
             else:
                 parts.append(f"{v}*pi^{e}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+@lru_cache(maxsize=None)
+def _pi_power_mpf(e, prec):
+    """pi^e as an mpmath number at prec bits, computed as evalf would."""
+    import mpmath
+
+    with mpmath.workprec(prec):
+        return mpmath.pi**e
 
 
 def _make(cls, num, den):
@@ -262,6 +276,35 @@ def _product(x, y):
             else:
                 c.pop(k, None)
     return _reduced(type(x), c, x.den * y.den)
+
+
+def _lincomb(cls, terms):
+    """sum of x * y * (a / b) over terms (x, y, a, b), as one cls value.
+
+    x and y are PiLaurent or NPoly values, y None stands for 1, and a and b
+    are integers with b != 0.  Every term goes onto the least common
+    denominator of all of them and the sum is reduced to lowest terms once.
+    """
+    parts = []
+    for x, y, a, b in terms:
+        den = x.den * b if y is None else x.den * y.den * b
+        parts.append((x.num, None if y is None else y.num, a, den))
+    # lcm is never negative, so a negative b carries its sign into f below
+    common = math.lcm(*[den for _, _, _, den in parts])
+    acc = {}
+    get = acc.get
+    for xnum, ynum, a, den in parts:
+        f = a * (common // den)
+        if ynum is None:
+            for k, v in xnum.items():
+                acc[k] = get(k, 0) + v * f
+        else:
+            for k1, v1 in xnum.items():
+                v1 *= f
+                for k2, v2 in ynum.items():
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + v1 * v2
+    return _reduced(cls, {k: v for k, v in acc.items() if v}, common)
 
 
 def _pl(x):
@@ -347,11 +390,21 @@ class NPoly(_Terms):
         return {d: _reduced(PiLaurent, num, self.den) for d, num in parts.items()}
 
     def eval_n(self, n):
-        """Exact evaluation at an integer n: returns a PiLaurent."""
-        total = PiLaurent()
-        for d, v in self._by_degree().items():
-            total = total + v * (_as_fraction(n) ** d)
-        return total
+        """Exact evaluation at a rational n: returns a PiLaurent.
+
+        One pass over the terms: n = p/q puts the term n^d pi^e over the
+        denominator q^top of the top degree as p^d q^(top - d) pi^e.
+        """
+        n = _as_fraction(n)
+        p, q = n.numerator, n.denominator
+        top = self.degree()
+        weight = [p**d * q**(top - d) for d in range(top + 1)]
+        acc = {}
+        for k, v in self.num.items():
+            d = (k + _HALF) >> _SHIFT
+            e = k - (d << _SHIFT)
+            acc[e] = acc.get(e, 0) + v * weight[d]
+        return _reduced(PiLaurent, {e: v for e, v in acc.items() if v}, self.den * q**max(top, 0))
 
     def evalf(self, n):
         return self.eval_n(n).evalf()
@@ -422,6 +475,18 @@ def _int_x_sin(j, m):
     return out
 
 
+def _int_x_trig(kind, j, m):
+    """Exact integral of x^j trig(m x) over [-pi/2, pi/2]."""
+    return (_int_x_cos if kind == "cos" else _int_x_sin)(j, m)
+
+
+@lru_cache(maxsize=None)
+def _int_x_trig_trig(k1, m1, j, k2, m2):
+    """Exact integral of x^j trig1(m1 x) trig2(m2 x) over [-pi/2, pi/2]."""
+    return _lincomb(PiLaurent, [(_int_x_trig(kind, j, m), None, sign, 2)
+                                for kind, m, sign in _product_to_sum(k1, m1, k2, m2)])
+
+
 class TrigPoly:
     """sum of c * x^j cos(mx) and c * x^j sin(mx) terms with NPoly coefficients c.
 
@@ -444,23 +509,9 @@ class TrigPoly:
             if c and (key[0] == "cos" or key[1] > 0):
                 self.terms[key] = c
 
-    def _add(self, kind, m, j, c):
-        """Add c to the coefficient of x^j trig(mx) in place; drop it at zero."""
-        key = (kind, m, j)
-        if key in self.terms:
-            c = self.terms[key] + c
-        if c:
-            self.terms[key] = c
-        else:
-            self.terms.pop(key, None)
-
     @classmethod
     def basis(cls, kind, m, coeff=1):
         return cls({(kind, m, 0): coeff})
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     def is_zero(self):
         return not self.terms
@@ -473,10 +524,7 @@ class TrigPoly:
     def __add__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        out = _trig(dict(self.terms))
-        for key, c in other.terms.items():
-            out._add(*key, c)
-        return out
+        return _trig_lincomb(((self, 1), (other, 1)))
 
     def __neg__(self):
         return _trig({key: -c for key, c in self.terms.items()})
@@ -484,7 +532,7 @@ class TrigPoly:
     def __sub__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        return self + (-other)
+        return _trig_lincomb(((self, 1), (other, -1)))
 
     def scale(self, f):
         """Multiply by an NPoly / PiLaurent / rational scalar."""
@@ -493,50 +541,50 @@ class TrigPoly:
             return TrigPoly()
         return _trig({key: c * f for key, c in self.terms.items()})
 
-    def mul_xpow(self, j):
-        """Multiply by x^j."""
-        return _trig({(kind, m, i + j): c for (kind, m, i), c in self.terms.items()})
-
     def __mul__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        out = TrigPoly()
+        pieces = {}
         for (k1, m1, i), a in self.terms.items():
             for (k2, m2, j), b in other.terms.items():
-                half = a * b * Fraction(1, 2)
                 for kind, m, sign in _product_to_sum(k1, m1, k2, m2):
-                    out._add(kind, m, i + j, half if sign > 0 else -half)
-        return out
+                    pieces.setdefault((kind, m, i + j), []).append((a, b, sign, 2))
+        return _trig_sum(pieces)
 
     def derivative(self):
-        out = TrigPoly()
+        pieces = {}
         for (kind, m, j), c in self.terms.items():
             if j:
-                out._add(kind, m, j - 1, c * j)
+                pieces.setdefault((kind, m, j - 1), []).append((c, None, j, 1))
             if m:
                 if kind == "cos":
-                    out._add("sin", m, j, c * -m)
+                    pieces.setdefault(("sin", m, j), []).append((c, None, -m, 1))
                 else:
-                    out._add("cos", m, j, c * m)
-        return out
+                    pieces.setdefault(("cos", m, j), []).append((c, None, m, 1))
+        return _trig_sum(pieces)
 
     def integrate(self):
         """Exact definite integral over [-pi/2, pi/2]; returns an NPoly."""
-        total = NPoly()
-        for (kind, m, j), c in self.terms.items():
-            val = (_int_x_cos if kind == "cos" else _int_x_sin)(j, m)
-            if val:
-                total = total + c * val
-        return total
+        return _lincomb(NPoly, [(c, _int_x_trig(kind, j, m), 1, 1)
+                                for (kind, m, j), c in self.terms.items()])
+
+    def project(self, kind, mode):
+        """Exact integral of self(x) * trig(mode x) over [-pi/2, pi/2]; an NPoly.
+
+        Equals (self * TrigPoly.basis(kind, mode)).integrate() without
+        building the product.
+        """
+        return _lincomb(NPoly, [(c, _int_x_trig_trig(k, m, j, kind, mode), 1, 1)
+                                for (k, m, j), c in self.terms.items()])
 
     def eval_at_half_pi(self):
         """Exact value at x = pi/2; returns an NPoly."""
-        total = NPoly()
+        terms = []
         for (kind, m, j), c in self.terms.items():
             tv = (_COS_HALF if kind == "cos" else _SIN_HALF)[m % 4]
             if tv:
-                total = total + c * PiLaurent({j: Fraction(tv, 2**j)})
-        return total
+                terms.append((c, _make(PiLaurent, {j: 1}, 1), tv, 2**j))
+        return _lincomb(NPoly, terms)
 
     def parity(self):
         """"even", "odd", or None if mixed."""
@@ -571,6 +619,25 @@ def _trig(terms):
     return out
 
 
+def _trig_sum(pieces):
+    """A TrigPoly from {key: _lincomb terms of its coefficient}; zeros dropped."""
+    terms = {}
+    for key, parts in pieces.items():
+        c = _lincomb(NPoly, parts)
+        if c:
+            terms[key] = c
+    return _trig(terms)
+
+
+def _trig_lincomb(pairs):
+    """sum of t * a over (TrigPoly t, integer a) pairs."""
+    pieces = {}
+    for t, a in pairs:
+        for key, c in t.terms.items():
+            pieces.setdefault(key, []).append((c, None, a, 1))
+    return _trig_sum(pieces)
+
+
 def _product_to_sum(k1, m1, k2, m2):
     """Expand trig(m1 x)*trig(m2 x) as half-sum pieces (kind, m, sign).
 
@@ -601,8 +668,7 @@ def solve_resonant(rhs, mode, parity):
     if parity not in ("even", "odd"):
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
     base_kind = "cos" if parity == "even" else "sin"
-    base = TrigPoly.basis(base_kind, mode)
-    proj = trig_integrate(rhs * base)
+    proj = rhs.project(base_kind, mode)
     if not proj.is_zero():
         raise SolvabilityError(
             f"resonant forcing: <rhs, {base_kind}({mode}x)> = {proj!r} != 0"
@@ -613,7 +679,7 @@ def solve_resonant(rhs, mode, parity):
     degree = {}
     for _, m, j in rhs.terms:
         degree[m] = max(degree.get(m, 0), j)
-    y = TrigPoly()
+    terms = {}
     for m in sorted(degree):
         d = degree[m]
         p = [rhs.terms.get(("cos", m, j), NPoly()) for j in range(d + 1)]
@@ -623,11 +689,12 @@ def solve_resonant(rhs, mode, parity):
         else:
             u, v = _solve_onresonant(p, s, d, m)
         for j in range(len(u)):
-            y._add("cos", m, j, u[j])
-            y._add("sin", m, j, v[j])
+            terms["cos", m, j] = u[j]
+            terms["sin", m, j] = v[j]
+    y = TrigPoly(terms)
 
     # exact verification: the construction is triangular, so check everything
-    residual = y.derivative().derivative() + y.scale(mode * mode) - rhs
+    residual = _trig_lincomb(((y.derivative().derivative(), 1), (y, mode * mode), (rhs, -1)))
     if not residual.is_zero():
         raise GapModelError("internal: solve_resonant residual not identically zero")
     if not y.eval_at_half_pi().is_zero():
@@ -643,16 +710,18 @@ def _solve_offresonant(p, s, d, m, mode):
     u = [NPoly() for _ in range(d + 1)]
     v = [NPoly() for _ in range(d + 1)]
     for j in range(d, -1, -1):
-        pc = p[j]
-        sc = s[j]
+        pc = [(p[j], None, 1, w)]
+        sc = [(s[j], None, 1, w)]
         if j + 1 <= d:
-            pc = pc - v[j + 1] * (2 * m * (j + 1))
-            sc = sc + u[j + 1] * (2 * m * (j + 1))
+            t = 2 * m * (j + 1)
+            pc.append((v[j + 1], None, -t, w))
+            sc.append((u[j + 1], None, t, w))
         if j + 2 <= d:
-            pc = pc - u[j + 2] * ((j + 2) * (j + 1))
-            sc = sc - v[j + 2] * ((j + 2) * (j + 1))
-        u[j] = pc * Fraction(1, w)
-        v[j] = sc * Fraction(1, w)
+            t = (j + 2) * (j + 1)
+            pc.append((u[j + 2], None, -t, w))
+            sc.append((v[j + 2], None, -t, w))
+        u[j] = _lincomb(NPoly, pc)
+        v[j] = _lincomb(NPoly, sc)
     return u, v
 
 
@@ -665,13 +734,15 @@ def _solve_onresonant(p, s, d, m):
     u = [NPoly() for _ in range(d + 2)]
     v = [NPoly() for _ in range(d + 2)]
     for j in range(d, -1, -1):
-        pc = p[j]
-        sc = s[j]
+        w = 2 * m * (j + 1)
+        pc = [(p[j], None, 1, w)]
+        sc = [(s[j], None, -1, w)]
         if j + 2 <= d + 1:
-            pc = pc - u[j + 2] * ((j + 2) * (j + 1))
-            sc = sc - v[j + 2] * ((j + 2) * (j + 1))
-        v[j + 1] = pc * Fraction(1, 2 * m * (j + 1))
-        u[j + 1] = sc * Fraction(-1, 2 * m * (j + 1))
+            t = (j + 2) * (j + 1)
+            pc.append((u[j + 2], None, -t, w))
+            sc.append((v[j + 2], None, t, w))
+        v[j + 1] = _lincomb(NPoly, pc)
+        u[j + 1] = _lincomb(NPoly, sc)
     return u, v
 
 

@@ -34,6 +34,7 @@ from .exact import (
     NPoly,
     PiLaurent,
     TrigPoly,
+    _lincomb,
     sec2_coeffs,
     solve_resonant,
     trig_integrate,
@@ -104,12 +105,26 @@ def _orders(branch, M):
     prev = _orders(branch, M - 1)
     lams, ys = zip(*prev)
     a = sec2_coeffs(M - 1)
-    F = TrigPoly.zero()
+    # per term x^j trig(mx) of F: the sec^2 convolution sum_i a_i x^{2i} y_{M-1-i}
+    # (A/4 is factored out) and the terms lam_i y_{M-i}
+    sec2, lam = {}, {}
     for i in range(M):
-        F = F + ys[M - 1 - i].mul_xpow(2 * i).scale(A_POLY * (a[i] * Fraction(1, 4)))
+        q = a[i]
+        for (k, m, j), c in ys[M - 1 - i].terms.items():
+            sec2.setdefault((k, m, j + 2 * i), []).append((c, None, q.numerator, q.denominator))
     for i in range(1, M):
-        F = F - ys[M - i].scale(lams[i])
-    lam_M = trig_integrate(F * base) * PiLaurent.pi_power(-1, 2)
+        for key, c in ys[M - i].terms.items():
+            lam.setdefault(key, []).append((c, lams[i], -1, 1))
+    forcing = {}
+    for key in {**sec2, **lam}:
+        terms = lam.get(key, [])
+        if key in sec2:
+            terms = [(_lincomb(NPoly, sec2[key]), A_POLY, 1, 4)] + terms
+        c = _lincomb(NPoly, terms)
+        if c:
+            forcing[key] = c
+    F = TrigPoly(forcing)
+    lam_M = F.project(kind, mode) * PiLaurent.pi_power(-1, 2)
     y_M = solve_resonant(F - base.scale(lam_M), mode, parity)
     return prev + ((lam_M, y_M),)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gapmodel import exact
 from gapmodel.errors import DomainError, SolvabilityError
 from gapmodel.exact import (
     A_POLY,
@@ -290,6 +291,88 @@ class TestNPolyNormalForm:
             assert zero.degree() == -1 and zero.eval_n(4) == PiLaurent()
 
 
+def _fold(cls, terms):
+    """sum of x * y * (a / b) over terms, one partial sum at a time through
+    the operator routines _combine, _scaled and _product."""
+    total = exact._make(cls, {}, 1)
+    for x, y, a, b in terms:
+        xy = x if y is None else exact._product(x, type(x)._coerce(y))
+        total = exact._combine(total, exact._scaled(xy, a, b), 1)
+    return total
+
+
+def _assert_kernel_matches_fold(cls, terms):
+    got, want = exact._lincomb(cls, terms), _fold(cls, terms)
+    assert type(got) is cls
+    assert got == want and hash(got) == hash(want)
+    assert got.num == want.num and got.den == want.den
+    assert got.den > 0 and 0 not in got.num.values()
+    assert math.gcd(got.den, *got.num.values()) == 1
+
+
+kernel_scale_st = st.tuples(st.integers(min_value=-20, max_value=20),
+                            st.integers(min_value=-12, max_value=12).filter(bool))
+pl_term_st = st.tuples(shared_dict_st, st.none() | shared_dict_st, kernel_scale_st)
+# an NPoly term's y factor: None, an NPoly {(d, e): q} or a PiLaurent ("pi", {e: q})
+np_term_st = st.tuples(
+    npoly_dict_st,
+    st.none() | npoly_dict_st | shared_dict_st.map(lambda d: ("pi", d)),
+    kernel_scale_st,
+)
+
+
+def _np_factor(y):
+    if y is None:
+        return None
+    return PiLaurent(y[1]) if isinstance(y, tuple) else _npoly(y)
+
+
+class TestLinearCombinationKernel:
+    """_lincomb equals the fold of the operator routines over its terms and
+    returns the canonical form: lowest terms, no zero numerator."""
+
+    @given(terms=st.lists(pl_term_st, max_size=6))
+    @example(terms=[({0: Fraction(1, 3), 1: Fraction(2)}, None, (1, 2)),
+                    ({0: Fraction(1, 3), 1: Fraction(2)}, None, (-1, 2))])
+    @example(terms=[({0: Fraction(1, 6), -2: Fraction(-5, 4)}, {2: Fraction(5, 9)}, (3, 1))])
+    @example(terms=[({1: Fraction(3, 10)}, None, (1, -3)),
+                    ({1: Fraction(1, 10), 0: Fraction(2)}, {0: Fraction(1, 2), 1: Fraction(1)},
+                     (-4, -7))])
+    @example(terms=[({0: Fraction(1, 2)}, None, (1, 1)), ({0: Fraction(1, 2)}, None, (1, 1)),
+                    ({2: Fraction(1, 3)}, None, (6, 4))])
+    @example(terms=[])
+    def test_pilaurent_sums_match_fold(self, terms):
+        _assert_kernel_matches_fold(PiLaurent, [
+            (PiLaurent(x), None if y is None else PiLaurent(y), a, b)
+            for x, y, (a, b) in terms])
+
+    @given(terms=st.lists(np_term_st, max_size=5))
+    @example(terms=[({(1, 0): Fraction(1), (0, 0): Fraction(-1)}, None, (1, 4)),
+                    ({(1, 0): Fraction(-1), (0, 0): Fraction(1)}, None, (1, 4))])
+    @example(terms=[({(2, 2): Fraction(1, 4), (0, -1): Fraction(2, 3)}, ("pi", {-1: Fraction(3)}),
+                     (5, 2))])
+    @example(terms=[({(0, 3): Fraction(2, 3)}, {(1, 0): Fraction(1), (0, 0): Fraction(-3)},
+                     (1, -5)), ({(1, 3): Fraction(2, 3)}, None, (-2, -3))])
+    @example(terms=[({(0, 0): Fraction(1, 4)}, None, (2, 1)), ({(0, 0): Fraction(1, 4)}, None, (2, 1))])
+    def test_npoly_sums_match_fold(self, terms):
+        _assert_kernel_matches_fold(NPoly, [
+            (_npoly(x), _np_factor(y), a, b) for x, y, (a, b) in terms])
+
+    @given(a=npoly_dict_st)
+    @example(a={(0, 0): Fraction(7, 10), (2, 2): Fraction(-3, 20), (2, 0): Fraction(1, 5)})
+    @example(a={(1, 0): Fraction(1), (0, 0): Fraction(-3)})
+    @example(a={})
+    def test_one_pass_eval_n_matches_per_degree_path(self, a):
+        x = _npoly(a)
+        for n in (0, 2, 5, Fraction(7, 2)):
+            want = PiLaurent()
+            for d, v in x._by_degree().items():
+                want = want + v * Fraction(n) ** d
+            got = x.eval_n(n)
+            assert got == want and got.num == want.num and got.den == want.den
+            assert got.den > 0 and 0 not in got.num.values()
+
+
 class TestNPoly:
     @given(a=npoly_st, b=npoly_st, c=npoly_st)
     def test_ring_axioms(self, a, b, c):
@@ -331,14 +414,14 @@ def trig_terms(parity):
     """Strategy for a TrigPoly of definite parity (small degrees)."""
 
     def build(entries):
-        t = TrigPoly.zero()
+        t = TrigPoly()
         for kind, m, j, coeff in entries:
             # x^j cos(mx) is even iff j even; x^j sin(mx) even iff j odd
             if parity == "even":
                 j = 2 * j if kind == "cos" else 2 * j + 1
             else:
                 j = 2 * j + 1 if kind == "cos" else 2 * j
-            t = t + TrigPoly.basis(kind, m).mul_xpow(j).scale(coeff)
+            t = t + TrigPoly({(kind, m, j): coeff})
         return t
 
     entry = st.tuples(
@@ -348,6 +431,9 @@ def trig_terms(parity):
         st.fractions(min_value=-20, max_value=20, max_denominator=12),
     )
     return st.lists(entry, min_size=1, max_size=4).map(build)
+
+
+any_trig_st = st.one_of(trig_terms("even"), trig_terms("odd"))
 
 
 class TestTrigPoly:
@@ -381,13 +467,20 @@ class TestTrigPoly:
         # orthogonality of the two base modes
         assert trig_integrate(c * s).is_zero()
 
+    @given(t=any_trig_st, kind=st.sampled_from(["cos", "sin"]),
+           mode=st.integers(min_value=1, max_value=5))
+    @example(t=TrigPoly({("cos", 1, 2): 1}), kind="cos", mode=1)
+    @example(t=TrigPoly({("sin", 3, 1): 1}), kind="sin", mode=3)
+    def test_projection_equals_integral_of_product(self, t, kind, mode):
+        assert t.project(kind, mode) == trig_integrate(t * TrigPoly.basis(kind, mode))
+
     @given(t=trig_terms("even"))
     def test_parity_detection(self, t):
         if not t.is_zero():
             assert t.parity() == "even"
 
     def test_float_evaluation(self):
-        t = TrigPoly.basis("cos", 1).mul_xpow(2).scale(Fraction(3))
+        t = TrigPoly({("cos", 1, 2): Fraction(3)})
         assert t.evalf(0.7, 2) == pytest.approx(3 * 0.7**2 * math.cos(0.7), rel=1e-15)
 
 
@@ -399,16 +492,13 @@ def _assert_trig_normal(t):
         assert isinstance(c, NPoly) and not c.is_zero()
 
 
-any_trig_st = st.one_of(trig_terms("even"), trig_terms("odd"))
-
-
 class TestTrigPolyNormalForm:
     """Every result keeps the term map canonical, so equal values have
     equal term maps whatever path built them."""
 
     @given(a=any_trig_st, b=any_trig_st, q=nonzero_fraction_st)
     @example(a=TrigPoly.basis("sin", 2), b=TrigPoly.basis("cos", 2), q=Fraction(1, 2))
-    @example(a=TrigPoly.basis("cos", 1).mul_xpow(2), b=TrigPoly.basis("cos", 1).scale(-1),
+    @example(a=TrigPoly({("cos", 1, 2): 1}), b=TrigPoly.basis("cos", 1).scale(-1),
              q=Fraction(-3))
     def test_results_are_normal(self, a, b, q):
         for t in (a + b, a - b, a * b, b * a, a.scale(q), a.scale(A_POLY),
@@ -424,7 +514,6 @@ class TestTrigPolyNormalForm:
         assert (a + b) - b == a
         assert (a + b) * c == a * c + b * c
         assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
-        assert a.mul_xpow(1).scale(A_POLY) == a.scale(A_POLY).mul_xpow(1)
 
     def test_sin_zero_and_zero_coefficients_dropped(self):
         assert TrigPoly({("sin", 0, 2): 5, ("cos", 1, 0): 0}).terms == {}
