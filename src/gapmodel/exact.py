@@ -17,12 +17,11 @@ PiLaurent and NPoly share one flat form: a map from each term to an integer
 numerator over one positive denominator, in lowest terms.  A PiLaurent term
 is its exponent e; an NPoly term n^d pi^e is the single integer d * 2^32 + e,
 so multiplying two terms adds their keys and a PiLaurent is an NPoly of
-degree 0.  The arithmetic operators of both types go through one sum, one
-scale and one product routine.  The series engine's longer sums (integrals,
-projections, derivatives, the resonant solver's recurrences and the order-m
-forcing) go through one linear-combination kernel, _lincomb, which puts
-sum x_i * y_i * (a_i / b_i) over one common denominator and reduces it to
-lowest terms once, instead of once per partial sum.
+degree 0.  Every sum and product of these values, from the operators of
+both types to the series engine's integrals, projections, derivatives,
+resonant recurrences and order-m forcing, goes through one linear-combination
+kernel, _lincomb, which puts  sum x_i * y_i * (a_i / b_i)  over one common
+denominator and reduces it to lowest terms once.
 
 Everything here is exact: no floats enter until an eval method is called.
 The definite integrals over [-pi/2, pi/2] are done by recursive integration
@@ -53,12 +52,102 @@ def _as_fraction(x):
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _make(cls, num, den):
+    """A cls value from numerators and a denominator already in lowest terms."""
+    out = cls.__new__(cls)
+    out.num = num
+    out.den = den
+    return out
+
+
+def _reduced(cls, num, den):
+    """A cls value from nonzero numerators over den > 0, brought to lowest terms."""
+    if not num:
+        return _make(cls, num, 1)
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        num = {k: v // g for k, v in num.items()}
+        den //= g
+    return _make(cls, num, den)
+
+
+def _lincomb(cls, terms):
+    """sum of x * y * (a / b) over terms (x, y, a, b), as one cls value.
+
+    x and y are PiLaurent or NPoly values, y None stands for 1, and a and b
+    are integers with b != 0.  Every term goes onto the least common
+    denominator of all of them and the sum is reduced to lowest terms once.
+    """
+    if len(terms) == 1:
+        # a lone term whose y is absent or a single term, or whose x is a
+        # single term, is a scaled, shifted copy of its other factor
+        x, y, a, b = terms[0]
+        src = None
+        if y is None:
+            src, shift, den = x.num, 0, x.den * b
+        elif len(y.num) == 1:
+            (shift, c), = y.num.items()
+            src, a, den = x.num, a * c, x.den * y.den * b
+        elif len(x.num) == 1:
+            (shift, c), = x.num.items()
+            src, a, den = y.num, a * c, x.den * y.den * b
+        if src is not None:
+            if not a:
+                return _make(cls, {}, 1)
+            if den < 0:
+                a, den = -a, -den
+            return _reduced(cls, {k + shift: v * a for k, v in src.items()}, den)
+    elif not terms:
+        return _make(cls, {}, 1)
+    parts = []
+    for x, y, a, b in terms:
+        den = x.den * b if y is None else x.den * y.den * b
+        parts.append((x.num, None if y is None else y.num, a, den))
+    # lcm is never negative, so a negative b carries its sign into f below
+    common = math.lcm(*[den for _, _, _, den in parts])
+    acc = {}
+    get = acc.get
+    for xnum, ynum, a, den in parts:
+        f = a * (common // den)
+        if ynum is None:
+            for k, v in xnum.items():
+                acc[k] = get(k, 0) + v * f
+        else:
+            for k1, v1 in xnum.items():
+                v1 *= f
+                for k2, v2 in ynum.items():
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + v1 * v2
+    return _reduced(cls, {k: v for k, v in acc.items() if v}, common)
+
+
+def _pl(x):
+    if isinstance(x, PiLaurent):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _make(PiLaurent, {0: x.numerator} if x else {}, x.denominator)
+    return NotImplemented
+
+
+def _np(x):
+    if isinstance(x, NPoly):
+        return x
+    x = _pl(x)
+    if x is NotImplemented:
+        return x
+    if x.num and not -_HALF <= min(x.num) <= max(x.num) < _HALF:
+        raise DomainError("NPoly coefficients need pi exponents below 2^31 in size")
+    return _make(NPoly, x.num, x.den)
+
+
 class _Terms:
     """Integer numerators num[key] over one positive denominator den.
 
     Kept in lowest terms: gcd(den, *num.values()) == 1 and no numerator is
     zero.  The form is canonical, so equal values compare and hash equal
-    whatever path built them.
+    whatever path built them.  Each subclass names its coercer _coerce;
+    a mixed PiLaurent and NPoly operation coerces to NPoly through the
+    NPoly operand's reflected operator.
     """
 
     __slots__ = ("num", "den")
@@ -78,12 +167,51 @@ class _Terms:
     def __hash__(self):
         return hash((self.den, frozenset(self.num.items())))
 
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _lincomb(type(self), [(self, None, 1, 1), (other, None, 1, 1)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _lincomb(type(self), [(self, None, 1, 1), (other, None, -1, 1)])
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _lincomb(type(self), [(other, None, 1, 1), (self, None, -1, 1)])
+
+    def __neg__(self):
+        return _lincomb(type(self), [(self, None, -1, 1)])
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _lincomb(type(self), [(self, other, 1, 1)])
+
+    __rmul__ = __mul__
+
 
 class PiLaurent(_Terms):
     """An exact number sum_e coeff[e] * pi^e (finitely many integer e),
     stored as numerators num[e] over the denominator den."""
 
     __slots__ = ()
+    _coerce = staticmethod(_pl)
+    # perfbench's tracer counts PiLaurent operations by rebinding these names
+    # in PiLaurent.__dict__, so they are bound here and not only inherited
+    __add__ = _Terms.__add__
+    __sub__ = _Terms.__sub__
+    __rsub__ = _Terms.__rsub__
+    __mul__ = _Terms.__mul__
+    __neg__ = _Terms.__neg__
 
     def __init__(self, coeffs=None):
         fracs = {int(e): _as_fraction(v) for e, v in (coeffs or {}).items()}
@@ -91,10 +219,6 @@ class PiLaurent(_Terms):
         den = math.lcm(*(v.denominator for v in fracs.values()))
         self.num = {e: v.numerator * (den // v.denominator) for e, v in fracs.items()}
         self.den = den
-
-    @staticmethod
-    def _coerce(x):
-        return _pl(x)
 
     @classmethod
     def from_rational(cls, q):
@@ -109,47 +233,15 @@ class PiLaurent(_Terms):
         den = self.den
         return [(e, Fraction(v, den)) for e, v in self.num.items()]
 
-    def __add__(self, other):
-        other = _pl(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _combine(self, other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _scaled(self, -1, 1)
-
-    def __sub__(self, other):
-        other = _pl(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _combine(self, other, -1)
-
-    def __rsub__(self, other):
-        other = _pl(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _combine(other, self, -1)
-
-    def __mul__(self, other):
-        other = _pl(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _product(self, other)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if q == 0:
+            if not other:
                 raise ZeroDivisionError("division by zero rational")
-            return _scaled(self, q.denominator, q.numerator)
+            return _lincomb(PiLaurent, [(self, None, other.denominator, other.numerator)])
         if isinstance(other, PiLaurent) and len(other.num) == 1:
             # division by a pure monomial (a/b)*pi^e is exact
             (e, a), = other.num.items()
-            return _scaled(self, other.den, a, -e)
+            return _lincomb(PiLaurent, [(self, _make(PiLaurent, {-e: 1}, 1), other.den, a)])
         raise TypeError("PiLaurent division only by rationals or pi-monomials")
 
     def evalf(self):
@@ -211,166 +303,33 @@ def _pi_power_mpf(e, prec):
         return mpmath.pi**e
 
 
-def _make(cls, num, den):
-    """A cls value from numerators and a denominator already in lowest terms."""
-    out = cls.__new__(cls)
-    out.num = num
-    out.den = den
-    return out
-
-
-def _reduced(cls, num, den):
-    """A cls value from nonzero numerators over den > 0, brought to lowest terms."""
-    if not num:
-        return _make(cls, num, 1)
-    g = math.gcd(den, *num.values())
-    if g != 1:
-        num = {k: v // g for k, v in num.items()}
-        den //= g
-    return _make(cls, num, den)
-
-
-def _scaled(x, a, b, shift=0):
-    """x * (a / b) times the term with key shift, for integers a and b != 0."""
-    if not a:
-        return _make(type(x), {}, 1)
-    if b < 0:
-        a, b = -a, -b
-    return _reduced(type(x), {k + shift: v * a for k, v in x.num.items()}, x.den * b)
-
-
-def _combine(x, y, sign):
-    """x + sign * y over the common denominator of the two."""
-    if not y.num:
-        return x
-    if not x.num:
-        return y if sign == 1 else _scaled(y, -1, 1)
-    g = math.gcd(x.den, y.den)
-    m1, m2 = y.den // g, sign * (x.den // g)
-    c = {k: v * m1 for k, v in x.num.items()}
-    for k, v in y.num.items():
-        w = c.get(k, 0) + v * m2
-        if w:
-            c[k] = w
-        else:
-            c.pop(k, None)
-    return _reduced(type(x), c, x.den * m1)
-
-
-def _product(x, y):
-    """x * y for two values of one type: keys add and numerators multiply."""
-    # most products have a rational or a single-term factor
-    if len(y.num) == 1:
-        (k, a), = y.num.items()
-        return _scaled(x, a, y.den, k)
-    if len(x.num) == 1:
-        (k, a), = x.num.items()
-        return _scaled(y, a, x.den, k)
-    c = {}
-    for k1, v1 in x.num.items():
-        for k2, v2 in y.num.items():
-            k = k1 + k2
-            w = c.get(k, 0) + v1 * v2
-            if w:
-                c[k] = w
-            else:
-                c.pop(k, None)
-    return _reduced(type(x), c, x.den * y.den)
-
-
-def _lincomb(cls, terms):
-    """sum of x * y * (a / b) over terms (x, y, a, b), as one cls value.
-
-    x and y are PiLaurent or NPoly values, y None stands for 1, and a and b
-    are integers with b != 0.  Every term goes onto the least common
-    denominator of all of them and the sum is reduced to lowest terms once.
-    """
-    parts = []
-    for x, y, a, b in terms:
-        den = x.den * b if y is None else x.den * y.den * b
-        parts.append((x.num, None if y is None else y.num, a, den))
-    # lcm is never negative, so a negative b carries its sign into f below
-    common = math.lcm(*[den for _, _, _, den in parts])
-    acc = {}
-    get = acc.get
-    for xnum, ynum, a, den in parts:
-        f = a * (common // den)
-        if ynum is None:
-            for k, v in xnum.items():
-                acc[k] = get(k, 0) + v * f
-        else:
-            for k1, v1 in xnum.items():
-                v1 *= f
-                for k2, v2 in ynum.items():
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + v1 * v2
-    return _reduced(cls, {k: v for k, v in acc.items() if v}, common)
-
-
-def _pl(x):
-    if isinstance(x, PiLaurent):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return _make(PiLaurent, {0: x.numerator} if x else {}, x.denominator)
-    return NotImplemented
-
-
 class NPoly(_Terms):
     """A polynomial in the dimension symbol n with PiLaurent coefficients.
 
     Stored flat, as numerators num[(d << 32) + e] of the terms n^d pi^e over
     the one denominator den; the coefficient of n^d is read back from the
-    terms of that degree.  Pi exponents must stay below 2^31 in size.
+    terms of that degree.  Degrees are ints >= 0 and pi exponents must stay
+    below 2^31 in size.
     """
 
     __slots__ = ()
+    _coerce = staticmethod(_np)
 
     def __init__(self, coeffs=None):
-        total = _make(NPoly, {}, 1)
+        terms = []
         for d, v in (coeffs or {}).items():
-            if _pl(v) is NotImplemented:
+            if not isinstance(d, int) or d < 0:
+                raise DomainError(f"NPoly degrees must be ints >= 0, got {d!r}")
+            v = _pl(v)
+            if v is NotImplemented:
                 raise TypeError("NPoly coefficients must be PiLaurent or rational")
-            total = _combine(total, _scaled(_np(v), 1, 1, int(d) << _SHIFT), 1)
+            terms.append((_np(v), _make(NPoly, {d << _SHIFT: 1}, 1), 1, 1))
+        total = _lincomb(NPoly, terms)
         self.num, self.den = total.num, total.den
-
-    @staticmethod
-    def _coerce(x):
-        return _np(x)
 
     @classmethod
     def from_scalar(cls, v):
         return cls({0: v})
-
-    def __add__(self, other):
-        other = _np(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _combine(self, other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _scaled(self, -1, 1)
-
-    def __sub__(self, other):
-        other = _np(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _combine(self, other, -1)
-
-    def __rsub__(self, other):
-        other = _np(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _combine(other, self, -1)
-
-    def __mul__(self, other):
-        other = _np(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _product(self, other)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -427,17 +386,6 @@ class NPoly(_Terms):
             else:
                 parts.append(f"({v!r})*n^{d}")
         return " + ".join(parts)
-
-
-def _np(x):
-    if isinstance(x, NPoly):
-        return x
-    x = _pl(x)
-    if x is NotImplemented:
-        return x
-    if x.num and not -_HALF <= min(x.num) <= max(x.num) < _HALF:
-        raise DomainError("NPoly coefficients need pi exponents below 2^31 in size")
-    return _make(NPoly, x.num, x.den)
 
 
 # (n-1)(n-3) = n^2 - 4n + 3, the coupling polynomial of the perturbation
@@ -680,10 +628,11 @@ def solve_resonant(rhs, mode, parity):
     for _, m, j in rhs.terms:
         degree[m] = max(degree.get(m, 0), j)
     terms = {}
+    zero = NPoly()
     for m in sorted(degree):
         d = degree[m]
-        p = [rhs.terms.get(("cos", m, j), NPoly()) for j in range(d + 1)]
-        s = [rhs.terms.get(("sin", m, j), NPoly()) for j in range(d + 1)]
+        p = [rhs.terms.get(("cos", m, j), zero) for j in range(d + 1)]
+        s = [rhs.terms.get(("sin", m, j), zero) for j in range(d + 1)]
         if m != mode:
             u, v = _solve_offresonant(p, s, d, m, mode)
         else:
@@ -707,8 +656,8 @@ def solve_resonant(rhs, mode, parity):
 def _solve_offresonant(p, s, d, m, mode):
     """Coefficients for frequency m != mode, solving top degree down."""
     w = mode * mode - m * m
-    u = [NPoly() for _ in range(d + 1)]
-    v = [NPoly() for _ in range(d + 1)]
+    u = [None] * (d + 1)
+    v = [None] * (d + 1)
     for j in range(d, -1, -1):
         pc = [(p[j], None, 1, w)]
         sc = [(s[j], None, 1, w)]
@@ -731,8 +680,9 @@ def _solve_onresonant(p, s, d, m):
     The degree-0 unknowns are the homogeneous pair; the normalization pins
     both to zero (no constant cos(mode x) / sin(mode x) contribution).
     """
-    u = [NPoly() for _ in range(d + 2)]
-    v = [NPoly() for _ in range(d + 2)]
+    zero = NPoly()
+    u = [zero] * (d + 2)
+    v = [zero] * (d + 2)
     for j in range(d, -1, -1):
         w = 2 * m * (j + 1)
         pc = [(p[j], None, 1, w)]

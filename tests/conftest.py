@@ -13,6 +13,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the suite's settings with 20x the examples, for a deeper run of chosen
+# tests: pytest --hypothesis-profile=thorough
+settings.register_profile("thorough", settings.get_profile("suite"), max_examples=2000)
 settings.load_profile("suite")
 
 

@@ -110,10 +110,11 @@ def _as_dict(x):
     return {int(e): Fraction(p, q) for e, (p, q) in x.to_json().items()}
 
 
-def _ref_combine(a, b, sign):
+def _ref_add(a, b, c):
+    """a + c * b for term dicts and a rational c, zero terms dropped."""
     out = dict(a)
     for e, v in b.items():
-        out[e] = out.get(e, 0) + sign * v
+        out[e] = out.get(e, 0) + c * v
     return {e: v for e, v in out.items() if v}
 
 
@@ -154,9 +155,9 @@ class TestPiLaurentNormalForm:
     def test_arithmetic_matches_fractions(self, a, b, q, e):
         x, y = PiLaurent(a), PiLaurent(b)
         _assert_normal(x, a)
-        _assert_normal(x + y, _ref_combine(a, b, 1))
-        _assert_normal(x - y, _ref_combine(a, b, -1))
-        _assert_normal(q - x, _ref_combine({0: q}, a, -1))
+        _assert_normal(x + y, _ref_add(a, b, 1))
+        _assert_normal(x - y, _ref_add(a, b, -1))
+        _assert_normal(q - x, _ref_add({0: q}, a, -1))
         _assert_normal(-x, {k: -v for k, v in a.items()})
         _assert_normal(x * y, _ref_mul(a, b))
         _assert_normal(x * q, {k: v * q for k, v in a.items()})
@@ -253,17 +254,22 @@ class TestNPolyNormalForm:
     def test_arithmetic_matches_fractions(self, a, b, p, q, e, n):
         x, y = _npoly(a), _npoly(b)
         _assert_npoly_normal(x, a)
-        _assert_npoly_normal(x + y, _ref_combine(a, b, 1))
-        _assert_npoly_normal(x - y, _ref_combine(a, b, -1))
-        _assert_npoly_normal(q - x, _ref_combine({(0, 0): q}, a, -1))
+        _assert_npoly_normal(x + y, _ref_add(a, b, 1))
+        _assert_npoly_normal(x - y, _ref_add(a, b, -1))
+        _assert_npoly_normal(q - x, _ref_add({(0, 0): q}, a, -1))
         _assert_npoly_normal(-x, {k: -v for k, v in a.items()})
         _assert_npoly_normal(x * y, _ref_npoly_mul(a, b))
         _assert_npoly_normal(x * q, {k: v * q for k, v in a.items()})
         _assert_npoly_normal(x / q, {k: v / q for k, v in a.items()})
         _assert_npoly_normal(x * PiLaurent.pi_power(e, q),
                              {(d, k + e): v * q for (d, k), v in a.items()})
-        _assert_npoly_normal(PiLaurent(p) * x,
-                             _ref_npoly_mul(a, {(0, k): v for k, v in p.items()}))
+        pd = {(0, k): v for k, v in p.items()}
+        _assert_npoly_normal(PiLaurent(p) * x, _ref_npoly_mul(a, pd))
+        # mixed sums coerce to NPoly from either side
+        _assert_npoly_normal(PiLaurent(p) + x, _ref_add(pd, a, 1))
+        _assert_npoly_normal(x + PiLaurent(p), _ref_add(a, pd, 1))
+        _assert_npoly_normal(PiLaurent(p) - x, _ref_add(pd, a, -1))
+        _assert_npoly_normal(x - PiLaurent(p), _ref_add(a, pd, -1))
         _assert_normal(x.eval_n(n), _ref_npoly_eval(a, n))
 
     @given(a=npoly_dict_st, b=npoly_dict_st, q=nonzero_fraction_st)
@@ -291,18 +297,23 @@ class TestNPolyNormalForm:
             assert zero.degree() == -1 and zero.eval_n(4) == PiLaurent()
 
 
-def _fold(cls, terms):
-    """sum of x * y * (a / b) over terms, one partial sum at a time through
-    the operator routines _combine, _scaled and _product."""
-    total = exact._make(cls, {}, 1)
+def _fold(terms, mul):
+    """sum of x * y * (a / b) over dict-of-Fraction terms, y None for 1,
+    one partial sum at a time; mul multiplies two term dicts."""
+    total = {}
     for x, y, a, b in terms:
-        xy = x if y is None else exact._product(x, type(x)._coerce(y))
-        total = exact._combine(total, exact._scaled(xy, a, b), 1)
+        xy = x if y is None else mul(x, y)
+        total = _ref_add(total, xy, Fraction(a, b))
     return total
 
 
-def _assert_kernel_matches_fold(cls, terms):
-    got, want = exact._lincomb(cls, terms), _fold(cls, terms)
+def _assert_kernel_matches_fold(cls, terms, ref, key):
+    """_lincomb over terms equals the reference dict ref, whose term keys
+    key() maps to the flat ones, in its canonical flat form."""
+    got = exact._lincomb(cls, terms)
+    den = math.lcm(*(v.denominator for v in ref.values()))
+    num = {key(k): v.numerator * (den // v.denominator) for k, v in ref.items()}
+    want = exact._make(cls, num, den)
     assert type(got) is cls
     assert got == want and hash(got) == hash(want)
     assert got.num == want.num and got.den == want.den
@@ -322,14 +333,21 @@ np_term_st = st.tuples(
 
 
 def _np_factor(y):
+    """An NPoly term's y factor as a value and as a {(d, e): q} dict."""
     if y is None:
-        return None
-    return PiLaurent(y[1]) if isinstance(y, tuple) else _npoly(y)
+        return None, None
+    if isinstance(y, tuple):
+        return PiLaurent(y[1]), {(0, e): v for e, v in y[1].items()}
+    return _npoly(y), y
+
+
+def _npoly_key(de):
+    return (de[0] << 32) + de[1]
 
 
 class TestLinearCombinationKernel:
-    """_lincomb equals the fold of the operator routines over its terms and
-    returns the canonical form: lowest terms, no zero numerator."""
+    """_lincomb equals a fold of dict-of-Fraction sums and products over its
+    terms and returns the canonical form: lowest terms, no zero numerator."""
 
     @given(terms=st.lists(pl_term_st, max_size=6))
     @example(terms=[({0: Fraction(1, 3), 1: Fraction(2)}, None, (1, 2)),
@@ -341,10 +359,19 @@ class TestLinearCombinationKernel:
     @example(terms=[({0: Fraction(1, 2)}, None, (1, 1)), ({0: Fraction(1, 2)}, None, (1, 1)),
                     ({2: Fraction(1, 3)}, None, (6, 4))])
     @example(terms=[])
+    # one term with a = 0, with and without a single-term y
+    @example(terms=[({0: Fraction(1, 3), 1: Fraction(2)}, None, (0, 5))])
+    @example(terms=[({0: Fraction(1, 6), -2: Fraction(-5, 4)}, {2: Fraction(5, 9)}, (0, 3))])
+    # one term whose y is a single term, with b < 0
+    @example(terms=[({0: Fraction(1, 6), -2: Fraction(-5, 4)}, {1: Fraction(-2, 9)}, (3, -4))])
+    # a zero x, alone and beside another term
+    @example(terms=[({}, {1: Fraction(1, 2)}, (3, 2))])
+    @example(terms=[({}, None, (1, 1)), ({1: Fraction(1, 4)}, {0: Fraction(2), 1: Fraction(1)}, (1, 3))])
     def test_pilaurent_sums_match_fold(self, terms):
+        ref = _fold([(x, y, a, b) for x, y, (a, b) in terms], _ref_mul)
         _assert_kernel_matches_fold(PiLaurent, [
             (PiLaurent(x), None if y is None else PiLaurent(y), a, b)
-            for x, y, (a, b) in terms])
+            for x, y, (a, b) in terms], ref, int)
 
     @given(terms=st.lists(np_term_st, max_size=5))
     @example(terms=[({(1, 0): Fraction(1), (0, 0): Fraction(-1)}, None, (1, 4)),
@@ -354,9 +381,18 @@ class TestLinearCombinationKernel:
     @example(terms=[({(0, 3): Fraction(2, 3)}, {(1, 0): Fraction(1), (0, 0): Fraction(-3)},
                      (1, -5)), ({(1, 3): Fraction(2, 3)}, None, (-2, -3))])
     @example(terms=[({(0, 0): Fraction(1, 4)}, None, (2, 1)), ({(0, 0): Fraction(1, 4)}, None, (2, 1))])
+    # one term with a = 0; a single-term y with b < 0; a zero x
+    @example(terms=[({(2, 2): Fraction(1, 4)}, {(1, -1): Fraction(3)}, (0, 7))])
+    @example(terms=[({(2, 2): Fraction(1, 4), (0, 1): Fraction(5, 6)}, {(1, -1): Fraction(3, 4)},
+                     (2, -9))])
+    @example(terms=[({}, ("pi", {2: Fraction(1, 3)}), (4, 3))])
     def test_npoly_sums_match_fold(self, terms):
-        _assert_kernel_matches_fold(NPoly, [
-            (_npoly(x), _np_factor(y), a, b) for x, y, (a, b) in terms])
+        dicts, values = [], []
+        for x, y, (a, b) in terms:
+            y_value, y_dict = _np_factor(y)
+            dicts.append((x, y_dict, a, b))
+            values.append((_npoly(x), y_value, a, b))
+        _assert_kernel_matches_fold(NPoly, values, _fold(dicts, _ref_npoly_mul), _npoly_key)
 
     @given(a=npoly_dict_st)
     @example(a={(0, 0): Fraction(7, 10), (2, 2): Fraction(-3, 20), (2, 0): Fraction(1, 5)})
@@ -393,6 +429,11 @@ class TestNPoly:
         assert A_POLY.eval_n(5) == PiLaurent.from_rational(8)
         assert N_MINUS_1.eval_n(4) == PiLaurent.from_rational(3)
         assert A_POLY.degree() == 2
+
+    @pytest.mark.parametrize("coeffs", [{-1: 1}, {2: 1, -1: 1}, {1.5: 1}, {Fraction(2): 1}])
+    def test_non_polynomial_degree_rejected(self, coeffs):
+        with pytest.raises(DomainError, match="degrees"):
+            NPoly(coeffs)
 
     def test_repr(self):
         p = NPoly({2: Fraction(1, 2), 0: Fraction(-3)})
