@@ -9,6 +9,7 @@ parameters, 3 solver failure, 4 root bracketing failure.
 import argparse
 import bisect
 import csv
+import functools
 import json
 import math
 import re
@@ -437,6 +438,10 @@ def build_parser():
     return p
 
 
+# main parses with one parser per process; build_parser stays fresh per call
+_parser = functools.cache(build_parser)
+
+
 def _attach_negative_values(argv):
     """Join ['--K', '-1,1'] into ['--K=-1,1'].
 
@@ -455,9 +460,8 @@ def _attach_negative_values(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_negative_values(argv))
+    args = _parser().parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except (DomainError, PoleError, HypothesisError) as exc:

@@ -52,6 +52,12 @@ def _as_fraction(x):
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _is_int(x):
+    """True for an int that is not a bool: the only exponents, degrees,
+    frequencies and powers these types take."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _make(cls, num, den):
     """A cls value from numerators and a denominator already in lowest terms."""
     out = cls.__new__(cls)
@@ -214,7 +220,11 @@ class PiLaurent(_Terms):
     __neg__ = _Terms.__neg__
 
     def __init__(self, coeffs=None):
-        fracs = {int(e): _as_fraction(v) for e, v in (coeffs or {}).items()}
+        coeffs = coeffs or {}
+        for e in coeffs:
+            if not _is_int(e):
+                raise DomainError(f"PiLaurent exponents must be ints, got {e!r}")
+        fracs = {e: _as_fraction(v) for e, v in coeffs.items()}
         fracs = {e: v for e, v in fracs.items() if v}
         den = math.lcm(*(v.denominator for v in fracs.values()))
         self.num = {e: v.numerator * (den // v.denominator) for e, v in fracs.items()}
@@ -318,7 +328,7 @@ class NPoly(_Terms):
     def __init__(self, coeffs=None):
         terms = []
         for d, v in (coeffs or {}).items():
-            if not isinstance(d, int) or d < 0:
+            if not _is_int(d) or d < 0:
                 raise DomainError(f"NPoly degrees must be ints >= 0, got {d!r}")
             v = _pl(v)
             if v is NotImplemented:
@@ -438,8 +448,9 @@ def _int_x_trig_trig(k1, m1, j, k2, m2):
 class TrigPoly:
     """sum of c * x^j cos(mx) and c * x^j sin(mx) terms with NPoly coefficients c.
 
-    terms maps ("cos", m >= 0, j) or ("sin", m >= 1, j) to the coefficient
-    of x^j cos(mx) or x^j sin(mx).  Only nonzero coefficients are stored and
+    terms maps ("cos", m >= 0, j) or ("sin", m >= 1, j), m and j ints
+    (not bools) with j >= 0, to the coefficient of x^j cos(mx) or
+    x^j sin(mx).  Only nonzero coefficients are stored and
     the constructor drops sin(0x) keys, so the form is canonical and equal
     values have equal term maps.
     """
@@ -449,7 +460,8 @@ class TrigPoly:
     def __init__(self, terms=None):
         self.terms = {}
         for key, c in (terms or {}).items():
-            if len(key) != 3 or key[0] not in ("cos", "sin") or min(key[1:]) < 0:
+            if (len(key) != 3 or key[0] not in ("cos", "sin")
+                    or not all(_is_int(i) and i >= 0 for i in key[1:])):
                 raise DomainError(f"bad trig basis {key!r}")
             c = _np(c)
             if c is NotImplemented:

@@ -1,17 +1,26 @@
 """Dirichlet eigenvalues of the one-dimensional model by two independent routes.
 
 The primary route shoots the scaled Prüfer angle of the Schrödinger normal
-form, the angle of (S psi, psi') with S = pi / D:
+form, the angle of (S psi, psi') for a fixed scale S > 0:
 
     theta' = S cos^2(theta) + ((lam - V(z)) / S) sin^2(theta),
     theta(-D/2) = 0,
 
-whose value at each z > -D/2 is strictly increasing in lam.  For V = 0 and
-lam = S^2 the angle is linear in z, so the integrator's steps follow the
-oscillation rather than the size of lam, and the angle's noise stays
-independent of D.  V is even, so the index-th eigenfunction has parity
-(-1)^(index-1), and the condition theta(D/2) = index*pi is the same as the
-midpoint condition theta(0) = index*pi/2.  Shooting therefore integrates
+whose value at each z > -D/2 is strictly increasing in lam for every
+S > 0.  The angle is linear in z where lam - V = S^2, so each eigenvalue
+solve fits S to the eigenvalue it brackets: S^2 = hi - max V, with hi the
+bracket's upper end, and never below (pi / D)^2.  Where lam lies above
+max V the local wavenumber sqrt(lam - V) is then at least S everywhere,
+the integrator's steps follow the oscillation rather than the size of
+lam, and the angle's noise stays independent of D; with the fixed
+S = pi / D the index-2 angle sped up and slowed down four-fold on every
+half turn (the standard scaled-Prüfer remedy, Pryce, Numerical Solution
+of Sturm-Liouville Problems, 1993, ch. 5).  Near the cap for n >= 4,
+max V grows without bound and S falls back to pi / D.
+
+V is even, so the index-th eigenfunction has parity (-1)^(index-1), and
+the condition theta(D/2) = index*pi is the same as the midpoint condition
+theta(0) = index*pi/2, whatever S is.  Shooting therefore integrates
 only [-D/2, 0], inward from the endpoint, and matches at z = 0; each angle
 shot runs Hairer's compiled DOP853 (_scipy.dop853_end) and keeps only the
 end state.  Its right-hand side evaluates V through the closure
@@ -90,9 +99,13 @@ def _check_index(index):
         raise DomainError(f"index must be 1 or 2, got {index}")
 
 
-def _angle_mid(lam, params, form, tol=_ODE_TOL):
-    """Prüfer angle of (S y, y'), S = pi / D, at z = 0, shot from theta(-D/2) = 0."""
-    S = math.pi / params.D
+def _angle_mid(lam, params, form, S, tol=_ODE_TOL):
+    """Prüfer angle of (S y, y') at z = 0, shot from theta(-D/2) = 0.
+
+    Any fixed S > 0 keeps the angle monotone in lam and its midpoint
+    targets index * pi / 2; eigen_shoot fits S to the eigenvalue so the
+    angle stays close to linear in z.
+    """
     if form == "normal":
         V, sin, cos = potential_at(params), math.sin, math.cos
 
@@ -185,12 +198,16 @@ def eigen_shoot(params, index, form="normal"):
     """Index-th Dirichlet eigenvalue by monotone angle shooting to the midpoint.
 
     Brent's method on theta(0; lam) = index * pi / 2, theta the Prüfer angle
-    scaled by S = pi / D, to 1e-14 max(|lam|, (pi / D)^2).  The bracket is
-    the Sturm comparison bracket [min V, max V] + (index pi / D)^2 with its
-    lower end raised to 0 and its upper end lowered to the Rayleigh
-    quotient of the flat index-th eigenfunction when these are tighter; both
-    ends are padded by 1e-9 of the bracket's scale, and each end is solved
-    once.  error_estimate is the width of the final sign-change bracket plus
+    scaled by S, to 1e-14 max(|lam|, (pi / D)^2).  The bracket is the Sturm
+    comparison bracket [min V, max V] + (index pi / D)^2 with its lower end
+    raised to 0 and its upper end lowered to the Rayleigh quotient of the
+    flat index-th eigenfunction when these are tighter; both ends are
+    padded by 1e-9 of the bracket's scale, and each end is solved once.
+    S is set once per call from that bracket, S^2 = max(hi - max V,
+    (pi / D)^2), and every shot of the call (both ends, each Brent step
+    and the noise shot) uses it: lam - V(z) is then of the size S^2, so
+    the angle is close to linear in z (exactly so for constant V).
+    error_estimate is the width of the final sign-change bracket plus
     the ODE noise in theta(0) divided by the measured slope d theta(0) / d
     lam; the noise is measured by one more shot at the root under a ten
     times tighter tolerance.  Over the tested grid, near the cap and at
@@ -221,13 +238,16 @@ def eigen_shoot(params, index, form="normal"):
     # V is even, so min-max on the index-th eigenfunction's parity class
     # bounds lam by the flat eigenfunction's Rayleigh quotient
     hi = min(hi, lambda_upper_rayleigh(params, index)) + pad
+    # the angle scale fitted to this eigenvalue: at lam near hi the local
+    # wavenumber^2 lam - V(z) is at least S^2 on the whole interval
+    S = math.sqrt(max(hi - max(v_mid, v_end), (math.pi / params.D) ** 2))
     target = 0.5 * index * math.pi
     evals = {}
 
     def g(lam):
         # brentq re-evaluates the bracket ends; serve them from the cache
         if lam not in evals:
-            evals[lam] = _angle_mid(lam, params, form) - target
+            evals[lam] = _angle_mid(lam, params, form, S) - target
         return evals[lam]
 
     if g(lo) >= 0 or g(hi) <= 0:
@@ -236,7 +256,7 @@ def eigen_shoot(params, index, form="normal"):
             f"index-{index} angle target"
         )
     lam = brentq(g, lo, hi, xtol=1e-14 * (math.pi / params.D) ** 2, rtol=1e-14)
-    tight = _angle_mid(lam, params, form, tol=0.1 * _ODE_TOL) - target
+    tight = _angle_mid(lam, params, form, S, tol=0.1 * _ODE_TOL) - target
     err = _shoot_error(lam, evals, tight)
     gf = _shoot_eigenfunction(lam, params, form)
     # every eigenvalue is positive; near the cap Brent can settle in the

@@ -89,6 +89,12 @@ class TestPiLaurent:
     def test_pi_power_constructor(self):
         assert PiLaurent.pi_power(-1, 2).evalf() == pytest.approx(2 / math.pi)
 
+    @pytest.mark.parametrize("exponent", [1.5, 2.0, "2", True, Fraction(2)], ids=repr)
+    def test_non_int_exponent_rejected(self, exponent):
+        # 1.5 used to print as 1*pi and "2" as 1*pi^2
+        with pytest.raises(DomainError, match="exponents"):
+            PiLaurent({exponent: 1})
+
 
 # denominators built from a few small primes, so that terms share factors
 # and sums and products reduce
@@ -430,7 +436,8 @@ class TestNPoly:
         assert N_MINUS_1.eval_n(4) == PiLaurent.from_rational(3)
         assert A_POLY.degree() == 2
 
-    @pytest.mark.parametrize("coeffs", [{-1: 1}, {2: 1, -1: 1}, {1.5: 1}, {Fraction(2): 1}])
+    @pytest.mark.parametrize("coeffs", [{-1: 1}, {2: 1, -1: 1}, {1.5: 1}, {Fraction(2): 1},
+                                        {True: 1}])
     def test_non_polynomial_degree_rejected(self, coeffs):
         with pytest.raises(DomainError, match="degrees"):
             NPoly(coeffs)
@@ -562,8 +569,10 @@ class TestTrigPolyNormalForm:
         assert (s * c).terms == {("sin", 4, 0): NPoly.from_scalar(Fraction(1, 2))}
 
     @pytest.mark.parametrize("key", [("tan", 1, 0), ("cos", -1, 0), ("sin", 1, -1),
-                                     ("cos", 1)])
+                                     ("cos", 1), ("cos", 1.5, 0), ("cos", True, 0),
+                                     ("sin", 1, 2.0), ("cos", 0, False), ("sin", "1", 0)])
     def test_bad_basis_key_rejected(self, key):
+        # a float frequency used to build cos(1.5*x), and True to read as 1
         with pytest.raises(DomainError):
             TrigPoly({key: 1})
 

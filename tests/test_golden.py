@@ -44,3 +44,25 @@ def test_series_engine_past_the_cli_cap_matches_golden():
     expected = golden.SERIES_ENGINE_FILE.read_bytes()
     got = golden.series_engine_doc()
     assert got == expected, f"{golden.SERIES_ENGINE_FILE.name} differs at {first_difference(expected, got)}"
+
+
+
+def test_one_parser_serves_every_call():
+    """main builds its parser once per process: a rejected command line
+    between runs leaves the next outputs at their golden bytes."""
+    cases = {name: (argv, ext) for name, argv, ext in golden.CASES}
+    cli = golden.cli
+
+    def assert_golden(name):
+        argv, ext = cases[name]
+        code, files = golden.run_case(argv)
+        assert code == 0
+        assert files["stdout"] == golden.golden_paths(name, ext)["stdout"].read_bytes(), name
+
+    cli._parser.cache_clear()
+    assert_golden("eigen_shoot")
+    with pytest.raises(SystemExit):  # argparse rejects the unknown method
+        cli.main(["eigen", "--n", "2", "--K", "1", "--D", "1", "--method", "ritz"])
+    assert_golden("series")
+    assert_golden("eigen_shoot")
+    assert cli._parser.cache_info().misses == 1
