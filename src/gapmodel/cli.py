@@ -8,7 +8,6 @@ parameters, 3 solver failure, 4 root bracketing failure.
 
 import argparse
 import bisect
-import csv
 import functools
 import json
 import math

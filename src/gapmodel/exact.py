@@ -47,7 +47,7 @@ _HALF = 1 << (_SHIFT - 1)
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if _is_int(x):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
@@ -130,7 +130,7 @@ def _lincomb(cls, terms):
 def _pl(x):
     if isinstance(x, PiLaurent):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and type(x) is not bool:
         return _make(PiLaurent, {0: x.numerator} if x else {}, x.denominator)
     return NotImplemented
 

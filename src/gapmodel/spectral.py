@@ -8,15 +8,19 @@ form, the angle of (S psi, psi') for a fixed scale S > 0:
 
 whose value at each z > -D/2 is strictly increasing in lam for every
 S > 0.  The angle is linear in z where lam - V = S^2, so each eigenvalue
-solve fits S to the eigenvalue it brackets: S^2 = hi - max V, with hi the
-bracket's upper end, and never below (pi / D)^2.  Where lam lies above
-max V the local wavenumber sqrt(lam - V) is then at least S everywhere,
-the integrator's steps follow the oscillation rather than the size of
+solve fits S to the eigenvalue it brackets: S^2 = hi - V(0), the squared
+local wavenumber at the midpoint z = 0 where the target angle is read,
+with hi the bracket's upper end, and never below (pi / D)^2.  The
+integrator's steps then follow the oscillation rather than the size of
 lam, and the angle's noise stays independent of D; with the fixed
 S = pi / D the index-2 angle sped up and slowed down four-fold on every
 half turn (the standard scaled-Prüfer remedy, Pryce, Numerical Solution
-of Sturm-Liouville Problems, 1993, ch. 5).  Near the cap for n >= 4,
-max V grows without bound and S falls back to pi / D.
+of Sturm-Liouville Problems, 1993, ch. 5).  For n >= 4, V(0) is the
+minimum of V and S the largest wavenumber; fitting S to max V instead
+kept it near pi / D wherever V spans a wide range (at (8, 12, 0.5),
+V runs from -42 to 103), and a scale varying with z cost more steps on
+the benchmark sweep.  For n = 2, V(0) is the maximum of V; for n = 1,
+n = 3 or K = 0, V is constant.
 
 V is even, so the index-th eigenfunction has parity (-1)^(index-1), and
 the condition theta(D/2) = index*pi is the same as the midpoint condition
@@ -203,16 +207,19 @@ def eigen_shoot(params, index, form="normal"):
     raised to 0 and its upper end lowered to the Rayleigh quotient of the
     flat index-th eigenfunction when these are tighter; both ends are
     padded by 1e-9 of the bracket's scale, and each end is solved once.
-    S is set once per call from that bracket, S^2 = max(hi - max V,
-    (pi / D)^2), and every shot of the call (both ends, each Brent step
-    and the noise shot) uses it: lam - V(z) is then of the size S^2, so
-    the angle is close to linear in z (exactly so for constant V).
+    S is set once per call from that bracket, S^2 = max(hi - V(0),
+    (pi / D)^2), the squared wavenumber at the midpoint where the angle
+    is matched, and every shot of the call (both ends, each Brent step
+    and the noise shot) uses it; the angle is exactly linear in z for
+    constant V.
     error_estimate is the width of the final sign-change bracket plus
     the ODE noise in theta(0) divided by the measured slope d theta(0) / d
     lam; the noise is measured by one more shot at the root under a ten
     times tighter tolerance.  Over the tested grid, near the cap and at
     small D it bounds the error against mpmath collocation or closed forms
-    and stays below 1e-9 max(|lam|, (pi / D)^2).
+    and stays below 1e-9 max(|lam|, (pi / D)^2), with one measured
+    exception: n = 2 at the cap, where at (2, 39.4784, 0.5) it reads
+    2.4e-6 for index 1 and 1.8e-6 for index 2, against 3.9e-8 and 8.7e-8.
 
     The result carries the eigenfunction (sup-normalized, one LSODA shot
     of (y, y') across the whole interval from y(-D/2) = 0, y'(-D/2) = 1,
@@ -238,9 +245,9 @@ def eigen_shoot(params, index, form="normal"):
     # V is even, so min-max on the index-th eigenfunction's parity class
     # bounds lam by the flat eigenfunction's Rayleigh quotient
     hi = min(hi, lambda_upper_rayleigh(params, index)) + pad
-    # the angle scale fitted to this eigenvalue: at lam near hi the local
-    # wavenumber^2 lam - V(z) is at least S^2 on the whole interval
-    S = math.sqrt(max(hi - max(v_mid, v_end), (math.pi / params.D) ** 2))
+    # the angle scale fitted to this eigenvalue: the local wavenumber at the
+    # midpoint, where the target angle is read, at lam near hi
+    S = math.sqrt(max(hi - v_mid, (math.pi / params.D) ** 2))
     target = 0.5 * index * math.pi
     evals = {}
 

@@ -577,6 +577,18 @@ class TestTrigPolyNormalForm:
             TrigPoly({key: 1})
 
 
+@pytest.mark.parametrize("build", [
+    lambda c: PiLaurent({0: c}),
+    lambda c: NPoly({0: c}),
+    lambda c: TrigPoly({("cos", 1, 0): c}),
+], ids=["PiLaurent", "NPoly", "TrigPoly"])
+@pytest.mark.parametrize("coeff", [True, False, 1.0], ids=repr)
+def test_non_rational_coefficient_rejected(build, coeff):
+    # a bool is rejected like a float; True used to read as the coefficient 1
+    with pytest.raises(TypeError):
+        build(coeff)
+
+
 class TestResonantSolver:
     @given(F=trig_terms("even"))
     def test_even_solutions(self, F):
