@@ -29,6 +29,8 @@ CASES = [
     ("eigen_shoot_json",
      ["eigen", "--n", "4", "--K", "-0.5", "--D", "1.5", "--format", "json"], "json"),
     ("eigen_fd", ["eigen", "--method", "fd", "--n", "4", "--K", "0.5", "--D", "1"], "csv"),
+    ("eigen_fd_wide",
+     ["eigen", "--method", "fd", "--n", "2,5,8", "--K=-20,9", "--D", "1"], "csv"),
     ("series", ["series", "--order", "5", "--check-reference", "--n", "2,5"], "json"),
     ("pruefer", ["pruefer", "--k", "10", "--n", "2", "--K", "0,0.5", "--D", "1"], "csv"),
     ("pruefer_negative_K", ["pruefer", "--K=-8", "--D", "1", "--k", "1", "--n", "5"], "csv"),
