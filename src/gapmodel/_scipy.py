@@ -5,8 +5,8 @@ second, and the exact series engine, ``gapmodel series`` and ``--help``
 need none of them.  Each forwarder imports scipy's function when it is
 called; ``solve_ivp``, ``quad``, ``brentq`` and ``solve_banded`` pass their
 arguments and result through unchanged, while ``dop853_end``,
-``dop853_dense``, ``lsoda_samples`` and ``tridiagonal_eigenvalue`` wrap
-one compiled routine each in a narrower call.  ``dop853_end`` runs every
+``dop853_dense``, ``lsoda_samples`` and ``tridiagonal_eigenpair`` wrap
+compiled routines in a narrower call.  ``dop853_end`` runs every
 end-value shot: spectral's angle shots and ``ball_first_eigen``'s radial
 solve, and pruefer's end-angle shots behind ``find_ck``.
 ``dop853_dense`` runs pruefer's Riccati branches, each stopped at its
@@ -15,9 +15,11 @@ the grid reaches z = 0, and rebuilds their dense output from the Fortran
 steps.
 ``solve_ivp`` is left with pruefer's Robin profile, whose dense output
 ``dop853_interpolant`` evaluates for many points at once; both dense
-paths share one evaluator.  Modules bind these names at import time
-(``from ._scipy import solve_ivp``), so each solver stays a module
-attribute that can be rebound or patched.
+paths share one evaluator.  ``tridiagonal_eigenpair`` gives spectral's
+finite-difference route each eigenvalue and its eigenvector from one
+``stebz`` + ``stein`` call; ``solve_banded`` serves flow alone.  Modules
+bind these names at import time (``from ._scipy import solve_ivp``), so
+each solver stays a module attribute that can be rebound or patched.
 """
 
 from types import SimpleNamespace
@@ -290,16 +292,19 @@ def solve_banded(*args, **kwargs):
     return solve_banded(*args, **kwargs)
 
 
-def tridiagonal_eigenvalue(d, e, index, tol):
-    """index-th smallest eigenvalue (1-based) of a symmetric tridiagonal matrix.
+def tridiagonal_eigenpair(d, e, index, tol):
+    """index-th smallest eigenpair (1-based) of a symmetric tridiagonal matrix.
 
-    d is the diagonal and e the off-diagonal.  LAPACK's ``stebz`` bisects on
-    Sturm counts until the eigenvalue lies in an interval no wider than
-    max(tol, 2 eps |lam|) and returns its midpoint; a failure raises
+    d is the diagonal and e the off-diagonal.  One ``eigh_tridiagonal``
+    call: LAPACK's ``stebz`` bisects on Sturm counts until the eigenvalue
+    lies in an interval no wider than max(tol, 2 eps |lam|) and returns its
+    midpoint, and ``stein`` finds its unit eigenvector by inverse
+    iteration.  Returns (lam, v); a failure of either raises
     ``numpy.linalg.LinAlgError``.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.linalg import eigh_tridiagonal
 
-    return float(eigvalsh_tridiagonal(
+    w, v = eigh_tridiagonal(
         d, e, select="i", select_range=(index - 1, index - 1),
-        lapack_driver="stebz", tol=tol)[0])
+        lapack_driver="stebz", tol=tol)
+    return float(w[0]), v[:, 0]

@@ -96,16 +96,17 @@ def _emit(text, args):
         sys.stdout.write(text)
 
 
-def _render_table(rows, header, args, command):
+def _render_table(rows, args, command):
+    """CSV or JSON of the rows; each row builder emits its columns in order."""
     if args.format == "csv":
-        lines = [",".join(header)]
+        lines = [",".join(rows[0])]
         for row in rows:
             lines.append(
                 ",".join(
                     ""
                     if v is None
                     else (_fmt(v) if isinstance(v, float) else str(v))
-                    for v in (row[h] for h in header)
+                    for v in row.values()
                 )
             )
         return "\n".join(lines) + "\n"
@@ -149,11 +150,7 @@ def _eigen_row(n, K, D, method):
 def cmd_eigen(args):
     triples = _collect_triples(args)
     rows = [_eigen_row(n, K, D, args.method) for n, K, D in triples]
-    header = [
-        "n", "K", "D", "lambda1", "lambda2", "gap", "excess",
-        "side", "method", "error_estimate",
-    ]
-    _emit(_render_table(rows, header, args, "eigen"), args)
+    _emit(_render_table(rows, args, "eigen"), args)
     return 0
 
 
@@ -262,12 +259,7 @@ def cmd_pruefer(args):
     triples = _collect_triples(args)
     ks = _parse_floats(args.k)
     rows = [_pruefer_row(k, n, K, D) for k in ks for n, K, D in triples]
-    header = [
-        "k", "n", "K", "D", "c_k", "threshold_s", "phi_right_defect",
-        "dphi_right_defect", "dphi_left_defect", "branch_agreement",
-        "c_k_flat_closed_form",
-    ]
-    _emit(_render_table(rows, header, args, "pruefer"), args)
+    _emit(_render_table(rows, args, "pruefer"), args)
     return 0
 
 
@@ -368,11 +360,7 @@ def cmd_bounds(args):
                 f"bounds require K > 0, got K = {K} (n={n}, D={D})"
             )
     rows = [_bounds_row(n, K, D, i) for n, K, D in triples for i in (1, 2)]
-    header = [
-        "n", "K", "D", "index", "lower", "lambda", "upper", "within",
-        "lower_method", "upper_method",
-    ]
-    _emit(_render_table(rows, header, args, "bounds"), args)
+    _emit(_render_table(rows, args, "bounds"), args)
     return 0
 
 

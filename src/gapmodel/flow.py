@@ -437,14 +437,13 @@ class FlowRun:
     converged: bool
     max_uptick: float
     rejected_steps: int = 0
-    snapshots: tuple = ()
 
     def rows(self):
         return list(zip(self.times, self.distances, self.residuals))
 
 
 def flow_to_stationary(
-    initial, k, params, tol=1e-6, dt=None, t_max=None, snapshot_times=None, on_step=None,
+    initial, k, params, tol=1e-6, dt=None, t_max=None, on_step=None,
 ):
     """Evolve until the sup distance to (log phi)' on the grid is <= tol.
 
@@ -466,10 +465,9 @@ def flow_to_stationary(
     _Workspace.step).
 
     Returns a FlowRun whose trajectory records every accepted step and
-    counts the rejected ones; snapshot_times (sorted) asks for a copy of
-    psi at the first step at or after each entry, one copy per step.
-    on_step(t, values), if given, is called after every accepted step;
-    values is the new state and must be copied to be kept.  Raises
+    counts the rejected ones.  on_step(t, values), if given, is called
+    after every accepted step; values is the new state and must be copied
+    to be kept, which is how the CLI records plot snapshots.  Raises
     NonConvergenceError with the final distance if the time cap 50 D^2
     is hit first.
     """
@@ -502,8 +500,6 @@ def flow_to_stationary(
     max_uptick = 0.0
     rejected = 0
     t = state.t
-    snaps = []
-    pending = list(snapshot_times) if snapshot_times is not None else []
     ser = dt is None
     if ser:
         dt0 = dt = default_dt(state)
@@ -537,10 +533,6 @@ def flow_to_stationary(
         resids.append(ws.riccati(v, d1, ck))
         if on_step is not None:
             on_step(t, v)
-        if pending and t >= pending[0]:
-            snaps.append((t, v.copy()))
-            while pending and t >= pending[0]:
-                pending.pop(0)
         if ser:
             dt = min(2.0 * step_dt, dt_cap)
     final = FlowState(psi=GridFunction(z=z, values=v), t=t, k=k, params=params)
@@ -552,7 +544,6 @@ def flow_to_stationary(
         converged=dists[-1] <= tol,
         max_uptick=max_uptick,
         rejected_steps=rejected,
-        snapshots=tuple(snaps),
     )
     if not run.converged:
         raise NonConvergenceError(

@@ -45,9 +45,10 @@ positive, which caps the lower end at 0 where min V -> -inf (n = 2 near
 the cap).
 
 The cross-check route discretizes the same operator with second-order
-central differences and locates eigenvalues by LAPACK's Sturm bisection
-(stebz) on the tridiagonal matrix, then Richardson-extrapolates across a
-grid doubling.
+central differences and takes each eigenpair of the tridiagonal matrix
+from one LAPACK call (_scipy.tridiagonal_eigenpair): Sturm bisection
+(stebz) for the eigenvalue, inverse iteration (stein) for the vector.  It
+Richardson-extrapolates the eigenvalue across a grid doubling.
 The two routes share no integration machinery, which is the point: their
 agreement is evidence, not tautology.
 
@@ -65,9 +66,8 @@ from ._scipy import (
     brentq,
     dop853_end,
     lsoda_samples,
-    solve_banded,
     solve_ivp,  # called by no route here; kept as the attribute tracers rebind
-    tridiagonal_eigenvalue,
+    tridiagonal_eigenpair,
 )
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError
@@ -151,8 +151,7 @@ def _shoot_eigenfunction(lam, params, form):
                         atol=0.01 * _ODE_TOL * half)
     if not sol.success:
         raise NonConvergenceError(f"eigenfunction integration failed: {sol.message}")
-    y = sol.y[0]
-    return GridFunction(z=z, values=y / np.max(np.abs(y)))
+    return GridFunction(z=z, values=sol.y[0])
 
 
 def _count_interior_nodes(values):
@@ -163,15 +162,21 @@ def _count_interior_nodes(values):
 
 
 def _eigen_result(lam, err, gf, index, method, form):
-    """EigenResult after checking the node count; parity goes into the result."""
-    nodes = _count_interior_nodes(gf.values)
+    """EigenResult after checking the node count; parity goes into the result.
+
+    The eigenfunction's samples are divided by their largest magnitude,
+    signed so that the first interior sample is positive.
+    """
+    values = gf.values / math.copysign(np.max(np.abs(gf.values)), gf.values[1])
+    gf = GridFunction(z=gf.z, values=values)
+    nodes = _count_interior_nodes(values)
     if nodes != index - 1:
         raise GapModelError(
             f"{method} index-{index} eigenfunction shows {nodes} interior "
             f"nodes, expected {index - 1}"
         )
     sign = 1.0 if index == 1 else -1.0
-    sym = float(np.max(np.abs(gf.values - sign * gf.values[::-1])))
+    sym = float(np.max(np.abs(values - sign * values[::-1])))
     return EigenResult(
         eigenvalue=float(lam), index=index, method=method,
         error_estimate=float(err), eigenfunction=gf, node_count=nodes,
@@ -231,6 +236,16 @@ def eigen_shoot(params, index, form="normal"):
     _check_index(index)
     if form not in ("normal", "direct"):
         raise DomainError(f"form must be 'normal' or 'direct', got {form}")
+    lam, err = _shoot_root(params, index, form)
+    gf = _shoot_eigenfunction(lam, params, form)
+    # every eigenvalue is positive; near the cap Brent can settle in the
+    # noise just below the padded lower end 0, and clamping only shrinks
+    # the error that err bounds
+    return _eigen_result(max(lam, 0.0), err, gf, index, "shooting", form)
+
+
+def _shoot_root(params, index, form):
+    """eigen_shoot's Brent root of the midpoint angle and its error estimate."""
     # cs^2 is monotone on [0, D/2], so V takes its extremes at z = 0 and D/2;
     # lam > 0 because the direct form's quadratic form is int phi'^2 cs^(n-1),
     # which keeps the lower end finite where V(D/2) -> -inf at the cap (n = 2)
@@ -264,18 +279,14 @@ def eigen_shoot(params, index, form="normal"):
         )
     lam = brentq(g, lo, hi, xtol=1e-14 * (math.pi / params.D) ** 2, rtol=1e-14)
     tight = _angle_mid(lam, params, form, S, tol=0.1 * _ODE_TOL) - target
-    err = _shoot_error(lam, evals, tight)
-    gf = _shoot_eigenfunction(lam, params, form)
-    # every eigenvalue is positive; near the cap Brent can settle in the
-    # noise just below the padded lower end 0, and clamping only shrinks
-    # the error that err bounds
-    return _eigen_result(max(lam, 0.0), err, gf, index, "shooting", form)
+    return lam, _shoot_error(lam, evals, tight)
 
 
 # -- finite-difference route --------------------------------------------------
 
 
-def _fd_eigenvalue(params, index, N):
+def _fd_eigenpair(params, index, N):
+    """index-th eigenvalue and eigenvector of the central differences on N cells."""
     h = params.D / N
     z = -params.half + h * np.arange(1, N)
     d = 2.0 / h**2 + potential_array(z, params)
@@ -283,35 +294,11 @@ def _fd_eigenvalue(params, index, N):
     # stebz stops once the eigenvalue lies in an interval no wider than
     # max(tol, 2 eps |lam|) <= 1e-14 max(1, |lam|)
     try:
-        lam = tridiagonal_eigenvalue(d, e, index, tol=1e-14)
+        lam, v = tridiagonal_eigenpair(d, e, index, tol=1e-14)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"Sturm bisection failed: {exc}") from exc
-    return lam, d, z, h
-
-
-def _fd_eigenvector(lam, d, h, z, params, index):
-    N = len(d) + 1
-    ab = np.zeros((3, len(d)))
-    ab[0, 1:] = -1.0 / h**2
-    ab[1, :] = d - lam
-    ab[2, :-1] = -1.0 / h**2
-    # inverse iteration; the near-singular solve is the mechanism, not a bug
-    v = np.sin(index * math.pi * (z + params.half) / params.D)
-    for shift in (1e-10 * max(1.0, abs(lam)), 1e-7 * max(1.0, abs(lam))):
-        ab_s = ab.copy()
-        ab_s[1, :] += shift
-        try:
-            for _ in range(3):
-                v = solve_banded((1, 1), ab_s, v)
-                v = v / np.max(np.abs(v))
-            break
-        except np.linalg.LinAlgError:  # the shift hit an eigenvalue exactly
-            continue
-    else:
-        raise NonConvergenceError(f"inverse iteration found no regular shift at lam = {lam!r}")
+        raise NonConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
     full_z = np.linspace(-params.half, params.half, N + 1)
-    full_v = np.concatenate([[0.0], v, [0.0]])
-    return GridFunction(z=full_z, values=full_v)
+    return lam, GridFunction(z=full_z, values=np.concatenate([[0.0], v, [0.0]]))
 
 
 def eigen_fd(params, index, grid_size=1024):
@@ -320,17 +307,19 @@ def eigen_fd(params, index, grid_size=1024):
     grid_size is the number of cells at the coarse level (a power of two,
     at least 64); the eigenvalue is computed there and on the doubled grid,
     and the h^2 error model gives the extrapolated value (4 a_2N - a_N)/3
-    with |a_2N - a_N|/3 reported as the error estimate.
+    with |a_2N - a_N|/3 reported as the error estimate.  Each grid's
+    eigenpair comes from one stebz + stein call; the eigenfunction is the
+    doubled grid's vector with its zero end values, sup-normalized and
+    positive next to -D/2.  A LAPACK failure raises NonConvergenceError.
     """
     params = validate(params)
     _check_index(index)
     if grid_size < 64 or grid_size & (grid_size - 1) != 0:
         raise DomainError(f"grid_size must be a power of two >= 64, got {grid_size}")
-    lam_n, _, _, _ = _fd_eigenvalue(params, index, grid_size)
-    lam_2n, d2, z2, h2 = _fd_eigenvalue(params, index, 2 * grid_size)
+    lam_n, _ = _fd_eigenpair(params, index, grid_size)
+    lam_2n, gf = _fd_eigenpair(params, index, 2 * grid_size)
     lam = (4.0 * lam_2n - lam_n) / 3.0
     err = abs(lam_2n - lam_n) / 3.0
-    gf = _fd_eigenvector(lam_2n, d2, h2, z2, params, index)
     return _eigen_result(lam, err, gf, index, "finite-difference", "normal")
 
 
@@ -412,7 +401,8 @@ def eigen_shoot_mp(params, index, dps=40):
 
     Uses the parity of the normal-form eigenfunctions: even (y(0)=1,
     y'(0)=0) for index 1, odd (y(0)=0, y'(0)=1) for index 2, with a root of
-    y(D/2) = 0 polished by secant from the float64 eigenvalue.  Built for
+    y(D/2) = 0 polished by secant from eigen_shoot's float64 root, taken
+    without its eigenfunction shot and node check.  Built for
     studying truncation remainders far below float64 noise; much slower
     than eigen_shoot.
     """
@@ -421,7 +411,7 @@ def eigen_shoot_mp(params, index, dps=40):
     params = validate(params)
     _check_index(index)
     n, K, D = params.n, params.K, params.D
-    seed = eigen_shoot(params, index).eigenvalue
+    seed = max(_shoot_root(params, index, "normal")[0], 0.0)
     with mpmath.workdps(dps):
         Kmp = mpmath.mpf(K)
         half = mpmath.mpf(D) / 2

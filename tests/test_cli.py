@@ -335,8 +335,9 @@ class TestFlow:
         assert len(set(rows_per_t.values())) == 1
 
     def test_plot_matches_a_replayed_run(self, tmp_path, capsys):
-        # the snapshots taken from the one run equal those of a second run
-        # asked for them at the snapshot times the first run determines
+        # the snapshots taken from the one run equal those picked here from
+        # a second run's every step at the snapshot times the first run
+        # determines
         n, K, D, k, count = 5, 1.0, 1.0, 40.0, 5
         plot = tmp_path / "plot.csv"
         code, _, _ = run_main(
@@ -352,12 +353,20 @@ class TestFlow:
         )
         snap_times = np.geomspace(first.times[1], first.times[-1], count)
         state = flow.initial_supersolution(k, s, params)
-        replay = flow.flow_to_stationary(state, k, params, snapshot_times=snap_times)
+        steps = []
+        flow.flow_to_stationary(state, k, params,
+                                on_step=lambda t, v: steps.append((t, v.copy())))
+        # the first step at or after each time, each step once
+        picked = []
+        for ts in snap_times:
+            step = next(st for st in steps if st[0] >= ts)
+            if not picked or picked[-1] is not step:
+                picked.append(step)
         z = state.psi.z
         stride = max(1, len(z) // 2000)
         assert stride > 1
         lines = ["t,z,psi"]
-        for t, vals in [(0.0, state.psi.values)] + list(replay.snapshots):
+        for t, vals in [(0.0, state.psi.values)] + picked:
             for zz, vv in zip(z[::stride], vals[::stride]):
                 lines.append(f"{cli._fmt(t)},{cli._fmt(zz)},{cli._fmt(vv)}")
         got = plot.read_text()
@@ -577,9 +586,8 @@ class TestStartUp:
 
         ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
         b = np.array([1.0, 2.0, 3.0])
-        x = solve_banded((1, 1), ab, b)
-        for module in (spectral, flow):
-            assert np.array_equal(module.solve_banded((1, 1), ab, b), x)
+        assert np.array_equal(flow.solve_banded((1, 1), ab, b),
+                              solve_banded((1, 1), ab, b))
 
         assert bounds.quad(math.exp, 0.0, 1.0, epsabs=1e-12) == quad(
             math.exp, 0.0, 1.0, epsabs=1e-12
@@ -588,7 +596,7 @@ class TestStartUp:
     def test_compiled_solvers_are_module_attributes(self):
         """spectral's compiled-solver forwarders give scipy's own results."""
         from scipy.integrate import ode, odeint
-        from scipy.linalg import eigvalsh_tridiagonal
+        from scipy.linalg import eigh_tridiagonal
 
         def rhs(t, y):
             return [-2.0 * t * y[0]]
@@ -607,10 +615,11 @@ class TestStartUp:
 
         d, e = np.array([2.0, 3.0, 4.0, 5.0]), np.array([-1.0, -1.0, -1.0])
         for index in (1, 2):
-            lam = spectral.tridiagonal_eigenvalue(d, e, index, tol=1e-14)
-            assert lam == eigvalsh_tridiagonal(
+            lam, v = spectral.tridiagonal_eigenpair(d, e, index, tol=1e-14)
+            w, vs = eigh_tridiagonal(
                 d, e, select="i", select_range=(index - 1, index - 1),
-                lapack_driver="stebz", tol=1e-14)[0]
+                lapack_driver="stebz", tol=1e-14)
+            assert lam == w[0] and np.array_equal(v, vs[:, 0])
 
 
 _BLOWUP_SCRIPT = """

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gapmodel import flow
+from gapmodel import cli, flow
 from gapmodel.errors import (
     DomainError,
     HypothesisError,
@@ -269,14 +269,18 @@ class TestConvergence:
         assert run.distances[0] < 1e-9
 
     def test_snapshots(self):
+        # snapshots are steps recorded through on_step and picked afterwards
         k = 10.0
         s = 1.01 * threshold_s(k, P_FLOW)
+        history = []
         run = flow_to_stationary(
             initial_supersolution(k, s, P_FLOW), k, P_FLOW,
-            snapshot_times=[0.01, 0.05],
+            on_step=lambda t, v: history.append((t, v.copy())),
         )
-        assert len(run.snapshots) == 2
-        t0, v0 = run.snapshots[0]
+        assert [t for t, _ in history] == list(run.times[1:])
+        snaps = cli._pick_snapshots(history, [0.01, 0.05])
+        assert len(snaps) == 2
+        t0, v0 = snaps[0]
         assert t0 >= 0.01
         assert v0.shape == run.state.psi.values.shape
 
@@ -284,11 +288,13 @@ class TestConvergence:
         # the first step (dt0 near 0.01) passes all three times
         k = 10.0
         s = 1.01 * threshold_s(k, P_FLOW)
+        history = []
         run = flow_to_stationary(
             initial_supersolution(k, s, P_FLOW), k, P_FLOW,
-            snapshot_times=[0.001, 0.002, 0.003],
+            on_step=lambda t, v: history.append((t, v.copy())),
         )
-        assert [t for t, _ in run.snapshots] == [run.times[1]]
+        snaps = cli._pick_snapshots(history, [0.001, 0.002, 0.003])
+        assert [t for t, _ in snaps] == [run.times[1]]
 
     def test_ser_steps_grow_geometrically(self):
         # at the advective dt this run takes 336 steps; SER doubles dt

@@ -382,7 +382,7 @@ class TestCompiledSolvers:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("stebz failed")
 
-        monkeypatch.setattr(spectral, "tridiagonal_eigenvalue", failing)
+        monkeypatch.setattr(spectral, "tridiagonal_eigenpair", failing)
         with pytest.raises(NonConvergenceError, match="stebz failed"):
             eigen_fd((6, -4.0, 1.0), 1)
 
@@ -408,24 +408,16 @@ class TestFiniteDifference:
                 assert a == pytest.approx(b, rel=1e-7)
 
     def test_eigenvector_nodes(self):
-        r1 = eigen_fd((5, 1.0, 1.0), 1)
-        r2 = eigen_fd((5, 1.0, 1.0), 2)
-        assert r1.node_count == 0
-        assert r2.node_count == 1
-        assert r1.eigenvalue < r2.eigenvalue
-
-    @pytest.mark.parametrize("error,expected", [
-        (np.linalg.LinAlgError, NonConvergenceError), (ValueError, ValueError),
-    ])
-    def test_failed_inverse_iteration_is_reported(self, monkeypatch, error, expected):
-        # the sine seed has the right nodes and parity, so a failed inverse
-        # iteration must not hand it back as the eigenvector
-        def failing(*args, **kwargs):
-            raise error("solve failed")
-
-        monkeypatch.setattr(spectral, "solve_banded", failing)
-        with pytest.raises(expected):
-            eigen_fd((6, -4.0, 1.0), 2)
+        # near the cap the ground state is tiny next to the ends, yet its
+        # sign is fixed: positive inside, and index 2 positive next to -D/2
+        for p in ((5, 1.0, 1.0), (5, 9.0, 1.0), (4, 9.0, 1.0)):
+            r1 = eigen_fd(p, 1)
+            r2 = eigen_fd(p, 2)
+            assert r1.node_count == 0
+            assert r2.node_count == 1
+            assert r1.eigenvalue < r2.eigenvalue
+            assert np.all(r1.eigenfunction.values[1:-1] > 0)
+            assert r2.eigenfunction.values[1] > 0
 
 
 class TestGap:
@@ -473,7 +465,12 @@ class TestCapProblem:
 
 
 class TestHighPrecision:
-    def test_matches_double_shooting(self):
+    def test_matches_double_shooting(self, monkeypatch):
+        # the seed is the float root alone: no eigenfunction shot, no node check
+        def failing(*args, **kwargs):
+            raise AssertionError("eigenfunction shot")
+
+        monkeypatch.setattr(spectral, "lsoda_samples", failing)
         lam = eigen_shoot_mp((2, 1.0, 1.0), 1, dps=30)
         assert float(lam) == pytest.approx(LAM_2_1_1[0], rel=1e-12)
 
