@@ -5,21 +5,23 @@ second, and the exact series engine, ``gapmodel series`` and ``--help``
 need none of them.  Each forwarder imports scipy's function when it is
 called; ``solve_ivp``, ``quad``, ``brentq`` and ``solve_banded`` pass their
 arguments and result through unchanged, while ``dop853_end``,
-``dop853_dense``, ``lsoda_samples`` and ``tridiagonal_eigenpair`` wrap
-compiled routines in a narrower call.  ``dop853_end`` runs every
-end-value shot: spectral's angle shots and ``ball_first_eigen``'s radial
-solve, and pruefer's end-angle shots behind ``find_ck``.
+``dop853_dense``, ``lsoda_samples``, ``tridiagonal_eigenpair`` and
+``tridiagonal_eigenvalue`` wrap compiled routines in a narrower call.
+``dop853_end`` runs every end-value shot: spectral's angle shots and
+``ball_first_eigen``'s radial solve, and pruefer's end-angle shots behind
+``find_ck``.
 ``dop853_dense`` runs pruefer's Riccati branches, each stopped at its
 pole, and flow's equidistribution ODE behind ``build_grid``, stopped where
 the grid reaches z = 0, and rebuilds their dense output from the Fortran
 steps.
 ``solve_ivp`` is left with pruefer's Robin profile, whose dense output
 ``dop853_interpolant`` evaluates for many points at once; both dense
-paths share one evaluator.  ``tridiagonal_eigenpair`` gives spectral's
-finite-difference route each eigenvalue and its eigenvector from one
-``stebz`` + ``stein`` call; ``solve_banded`` serves flow alone.  Modules
-bind these names at import time (``from ._scipy import solve_ivp``), so
-each solver stays a module attribute that can be rebound or patched.
+paths share one evaluator.  Spectral's finite-difference route takes
+its coarse grid's eigenvalue from ``tridiagonal_eigenvalue`` (``stebz``)
+and its fine grid's eigenpair from ``tridiagonal_eigenpair`` (``stebz`` +
+``stein``); ``solve_banded`` serves flow alone.  Modules bind these names
+at import time (``from ._scipy import solve_ivp``), so each solver stays a
+module attribute that can be rebound or patched.
 """
 
 from types import SimpleNamespace
@@ -308,3 +310,17 @@ def tridiagonal_eigenpair(d, e, index, tol):
         d, e, select="i", select_range=(index - 1, index - 1),
         lapack_driver="stebz", tol=tol)
     return float(w[0]), v[:, 0]
+
+
+def tridiagonal_eigenvalue(d, e, index, tol):
+    """index-th smallest eigenvalue (1-based) of a symmetric tridiagonal matrix.
+
+    The value ``tridiagonal_eigenpair`` returns, from the same ``stebz``
+    call through ``eigvalsh_tridiagonal``, without ``stein``'s eigenvector.
+    A failure raises ``numpy.linalg.LinAlgError``.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    w = eigvalsh_tridiagonal(d, e, select="i", select_range=(index - 1, index - 1),
+                             lapack_driver="stebz", tol=tol)
+    return float(w[0])

@@ -34,21 +34,27 @@ this assumes: one (y, y') shot across the whole interval, sampled at 1001
 points by one compiled LSODA call (_scipy.lsoda_samples), whose
 right-hand side (model.normal_rhs) builds its own potential_at closure.
 
-Brent's method finds the root inside a Rayleigh-Sturm bracket.  cs^2 is
-monotone on [0, D/2], so V takes its extremes at z = 0 and z = D/2, and
-min-max puts the index-th eigenvalue within [min V, max V] + (index pi/D)^2
+Brent's method finds the root of the midpoint angle, starting inside an
+interval about 1e-9 wide that Chebyshev collocation proposes and two angle
+shots confirm, or else inside a Rayleigh-Sturm bracket.  cs^2 is monotone
+on [0, D/2], so V takes its extremes at z = 0 and z = D/2, and min-max
+puts the index-th eigenvalue within [min V, max V] + (index pi/D)^2
 (Sturm comparison).  Min-max on each parity class also bounds it above by
 the Rayleigh quotient of the flat eigenfunction of that index
 (bounds.lambda_upper_rayleigh), which near the cap K D^2 -> pi^2 is smaller
 than the Sturm upper end by orders of magnitude.  Every eigenvalue is
 positive, which caps the lower end at 0 where min V -> -inf (n = 2 near
-the cap).
+the cap).  The bracket fixes S and bounds the seed: the collocation value
+at N = 48 points, folded by the index's parity onto [0, D/2], and its
+difference from N = 32 (Trefethen, Spectral Methods in MATLAB, 2000,
+ch. 6-9) set the interval, and the answer is the angle's root either way.
 
 The cross-check route discretizes the same operator with second-order
-central differences and takes each eigenpair of the tridiagonal matrix
-from one LAPACK call (_scipy.tridiagonal_eigenpair): Sturm bisection
-(stebz) for the eigenvalue, inverse iteration (stein) for the vector.  It
-Richardson-extrapolates the eigenvalue across a grid doubling.
+central differences on N and 2N cells and Richardson-extrapolates the
+eigenvalue across the doubling.  LAPACK's Sturm bisection (stebz) gives
+each grid's eigenvalue (_scipy.tridiagonal_eigenvalue on N cells), and on
+2N cells one call (_scipy.tridiagonal_eigenpair) adds inverse iteration
+(stein) for the eigenvector.
 The two routes share no integration machinery, which is the point: their
 agreement is evidence, not tautology.
 
@@ -57,6 +63,7 @@ drift term, no gauge), an arbitrary-precision variant of the half-interval
 shooter, and the radial spherical-cap ground state.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,6 +75,7 @@ from ._scipy import (
     lsoda_samples,
     solve_ivp,  # called by no route here; kept as the attribute tracers rebind
     tridiagonal_eigenpair,
+    tridiagonal_eigenvalue,
 )
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError
@@ -207,16 +215,26 @@ def eigen_shoot(params, index, form="normal"):
     """Index-th Dirichlet eigenvalue by monotone angle shooting to the midpoint.
 
     Brent's method on theta(0; lam) = index * pi / 2, theta the Prüfer angle
-    scaled by S, to 1e-14 max(|lam|, (pi / D)^2).  The bracket is the Sturm
-    comparison bracket [min V, max V] + (index pi / D)^2 with its lower end
-    raised to 0 and its upper end lowered to the Rayleigh quotient of the
-    flat index-th eigenfunction when these are tighter; both ends are
-    padded by 1e-9 of the bracket's scale, and each end is solved once.
-    S is set once per call from that bracket, S^2 = max(hi - V(0),
-    (pi / D)^2), the squared wavenumber at the midpoint where the angle
-    is matched, and every shot of the call (both ends, each Brent step
-    and the noise shot) uses it; the angle is exactly linear in z for
-    constant V.
+    scaled by S, to 1e-14 max(|lam|, (pi / D)^2).  The comparison bracket
+    is the Sturm bracket [min V, max V] + (index pi / D)^2 with its lower
+    end raised to 0 and its upper end lowered to the Rayleigh quotient of
+    the flat index-th eigenfunction when these are tighter; both ends are
+    padded by 1e-9 of the bracket's scale.  S is set once per call from
+    that bracket, S^2 = max(hi - V(0), (pi / D)^2), the squared wavenumber
+    at the midpoint where the angle is matched, and every shot of the call
+    uses it; the angle is exactly linear in z for constant V.
+    Brent starts from the collocation seed instead when it checks out:
+    lam_seed from the parity-folded Chebyshev collocation at N = 48, and
+    delta = max(10 |lam_48 - lam_32|, 1e-9 scale).  If [lam_seed - delta,
+    lam_seed + delta] lies inside the comparison bracket and the angle
+    shots at its ends straddle the target, Brent runs there (about 2.5
+    shots fewer per eigenvalue on the benchmark's shooting slots).  A seed
+    that is not finite, an interval outside the bracket or end shots that
+    do not straddle fall back to the comparison bracket, whose ends are
+    then shot (at most two shots wasted).
+    theta(0; lam) is strictly increasing in lam for fixed S, so a verified
+    sign change holds the one crossing: the answer is the shooting root in
+    both cases, and the seed never enters it.
     error_estimate is the width of the final sign-change bracket plus
     the ODE noise in theta(0) divided by the measured slope d theta(0) / d
     lam; the noise is measured by one more shot at the root under a ten
@@ -245,7 +263,10 @@ def eigen_shoot(params, index, form="normal"):
 
 
 def _shoot_root(params, index, form):
-    """eigen_shoot's Brent root of the midpoint angle and its error estimate."""
+    """eigen_shoot's Brent root of the midpoint angle and its error estimate.
+
+    Seeded by _colloc_seed when its interval checks out; see eigen_shoot.
+    """
     # cs^2 is monotone on [0, D/2], so V takes its extremes at z = 0 and D/2;
     # lam > 0 because the direct form's quadratic form is int phi'^2 cs^(n-1),
     # which keeps the lower end finite where V(D/2) -> -inf at the cap (n = 2)
@@ -272,33 +293,87 @@ def _shoot_root(params, index, form):
             evals[lam] = _angle_mid(lam, params, form, S) - target
         return evals[lam]
 
-    if g(lo) >= 0 or g(hi) <= 0:
-        raise NonConvergenceError(
-            f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle the "
-            f"index-{index} angle target"
-        )
-    lam = brentq(g, lo, hi, xtol=1e-14 * (math.pi / params.D) ** 2, rtol=1e-14)
+    # theta(0; lam) is strictly increasing in lam, so a sign change over a
+    # seeded interval inside (lo, hi) holds the one root the comparison
+    # bracket holds; a seed that fails any test costs at most two shots
+    seed, ladder = _colloc_seed(params, index)
+    delta = max(10.0 * ladder, 1e-9 * scale)
+    a, b = seed - delta, seed + delta
+    if not (lo < a and b < hi and g(a) < 0 < g(b)):
+        a, b = lo, hi
+        if g(lo) >= 0 or g(hi) <= 0:
+            raise NonConvergenceError(
+                f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle the "
+                f"index-{index} angle target"
+            )
+    lam = brentq(g, a, b, xtol=1e-14 * (math.pi / params.D) ** 2, rtol=1e-14)
     tight = _angle_mid(lam, params, form, S, tol=0.1 * _ODE_TOL) - target
     return lam, _shoot_error(lam, evals, tight)
+
+
+_COLLOC_SIZES = (32, 48)  # Chebyshev collocation ladder of _colloc_seed
+
+
+@functools.lru_cache(maxsize=None)
+def _colloc_matrix(N, parity):
+    """Chebyshev second derivative on [-1, 1], folded onto one parity class.
+
+    The points are x_j = cos(j pi / N), j = 0 .. N with N even, and the
+    matrix is the square of Trefethen's differentiation matrix (Spectral
+    Methods in MATLAB, 2000, ch. 6-7) without its boundary rows and
+    columns (Dirichlet).  An even (parity 0) or odd (parity 1) grid
+    function is fixed by its values at the points in [0, 1), x = 0 dropped
+    for the odd class, where the function vanishes; column j then gathers
+    x_j and its mirror x_(N-j) = -x_j with the sign of the class.  Returns
+    those points and the folded matrix, both read-only since the cache
+    shares them.
+    """
+    j = np.arange(N + 1)
+    x = np.cos(np.pi * j / N)
+    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
+    d1 = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(N + 1))
+    d1 -= np.diag(d1.sum(axis=1))
+    d2 = d1 @ d1
+    half = np.arange(1, N // 2 + 1 - parity)
+    folded = d2[np.ix_(half, half)] + (-1.0) ** parity * d2[np.ix_(half, N - half)]
+    if parity == 0:
+        folded[:, -1] = d2[half, N // 2]  # x = 0 is its own mirror
+    x = x[half]
+    x.flags.writeable = folded.flags.writeable = False
+    return x, folded
+
+
+def _colloc_seed(params, index):
+    """Collocation estimate of the index-th eigenvalue and its ladder difference.
+
+    The smallest eigenvalue of -(2 / D)^2 d2 + diag V(D x / 2) in the
+    index's parity class (even for index 1, odd for index 2) at each size
+    of _COLLOC_SIZES; returns the largest size's value and its distance to
+    the smaller size's.  Neither need be right near the cap, where V's pole
+    is close to D/2: _shoot_root checks both with two angle shots.  A
+    failed eigensolve gives NaN, which _shoot_root never uses.
+    """
+    lams = []
+    for N in _COLLOC_SIZES:
+        x, d2 = _colloc_matrix(N, index - 1)
+        V = potential_array(params.half * x, params)
+        A = -(2.0 / params.D) ** 2 * d2 + np.diag(V)
+        try:
+            w = np.linalg.eigvals(A)
+        except np.linalg.LinAlgError:
+            return math.nan, math.nan
+        lams.append(float(w.real.min()))
+    return lams[-1], abs(lams[-1] - lams[0])
 
 
 # -- finite-difference route --------------------------------------------------
 
 
-def _fd_eigenpair(params, index, N):
-    """index-th eigenvalue and eigenvector of the central differences on N cells."""
+def _fd_matrix(params, N):
+    """Diagonal and off-diagonal of the central differences on N cells."""
     h = params.D / N
     z = -params.half + h * np.arange(1, N)
-    d = 2.0 / h**2 + potential_array(z, params)
-    e = np.full(N - 2, -1.0 / h**2)
-    # stebz stops once the eigenvalue lies in an interval no wider than
-    # max(tol, 2 eps |lam|) <= 1e-14 max(1, |lam|)
-    try:
-        lam, v = tridiagonal_eigenpair(d, e, index, tol=1e-14)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
-    full_z = np.linspace(-params.half, params.half, N + 1)
-    return lam, GridFunction(z=full_z, values=np.concatenate([[0.0], v, [0.0]]))
+    return 2.0 / h**2 + potential_array(z, params), np.full(N - 2, -1.0 / h**2)
 
 
 def eigen_fd(params, index, grid_size=1024):
@@ -307,17 +382,39 @@ def eigen_fd(params, index, grid_size=1024):
     grid_size is the number of cells at the coarse level (a power of two,
     at least 64); the eigenvalue is computed there and on the doubled grid,
     and the h^2 error model gives the extrapolated value (4 a_2N - a_N)/3
-    with |a_2N - a_N|/3 reported as the error estimate.  Each grid's
-    eigenpair comes from one stebz + stein call; the eigenfunction is the
-    doubled grid's vector with its zero end values, sup-normalized and
-    positive next to -D/2.  A LAPACK failure raises NonConvergenceError.
+    with |a_2N - a_N|/3 reported as the error estimate.  The coarse grid's
+    eigenvalue comes from one stebz call, the doubled grid's eigenpair from
+    one stebz + stein call; the eigenfunction is the doubled grid's vector
+    with its zero end values, sup-normalized and positive next to -D/2.  A
+    LAPACK failure raises NonConvergenceError.
+
+    At the edges of the box this route is the coarse cross-check, not a
+    reference.  Measured at D = 1 with the default grid, both indices,
+    against the shooting angle root, whose own estimate stays below
+    1.2e-11 max(|lam|, (pi / D)^2) there.  Near the cap, kappa = K D^2 in
+    {9.8, 9.86}, the error is 4.6e-9 to 8.1e-8 for n = 5 (estimates 1.0e-5
+    to 7.9e-5; 7.9e-5 for lambda2 at (5, 9.86, 1)), 3.8e-7 to 4.7e-6 for
+    n = 4 and 2.9e-5 to 4.4e-3 for n = 2, so n = 2 and 4 miss 1e-9
+    relative, and at (2, 9.8, 1) the estimate (3.3e-6 and 3.7e-5) is below
+    the error (2.9e-5 and 9.8e-5).
+    At large negative kappa, -4000 to -100 for n in {2, 4, 5, 8}, the
+    error is 8.4e-11 to 5.7e-3 and grows with n and |kappa|, while the
+    estimate reads 3.6e-6 to 3.0, 500 to 4e5 times the error.
     """
     params = validate(params)
     _check_index(index)
     if grid_size < 64 or grid_size & (grid_size - 1) != 0:
         raise DomainError(f"grid_size must be a power of two >= 64, got {grid_size}")
-    lam_n, _ = _fd_eigenpair(params, index, grid_size)
-    lam_2n, gf = _fd_eigenpair(params, index, 2 * grid_size)
+    # stebz stops once the eigenvalue lies in an interval no wider than
+    # max(tol, 2 eps |lam|) <= 1e-14 max(1, |lam|)
+    try:
+        lam_n = tridiagonal_eigenvalue(*_fd_matrix(params, grid_size), index, tol=1e-14)
+        lam_2n, v = tridiagonal_eigenpair(*_fd_matrix(params, 2 * grid_size), index,
+                                          tol=1e-14)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
+    z = np.linspace(-params.half, params.half, 2 * grid_size + 1)
+    gf = GridFunction(z=z, values=np.concatenate([[0.0], v, [0.0]]))
     lam = (4.0 * lam_2n - lam_n) / 3.0
     err = abs(lam_2n - lam_n) / 3.0
     return _eigen_result(lam, err, gf, index, "finite-difference", "normal")

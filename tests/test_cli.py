@@ -620,6 +620,7 @@ class TestStartUp:
                 d, e, select="i", select_range=(index - 1, index - 1),
                 lapack_driver="stebz", tol=1e-14)
             assert lam == w[0] and np.array_equal(v, vs[:, 0])
+            assert spectral.tridiagonal_eigenvalue(d, e, index, tol=1e-14) == lam
 
 
 _BLOWUP_SCRIPT = """

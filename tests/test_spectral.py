@@ -176,13 +176,15 @@ class TestErrorEstimate:
             assert r.error_estimate <= 1e-9 * max(abs(ref), (math.pi / D) ** 2)
 
     def test_solve_count(self, ode_work):
-        for idx, max_rhs in ((1, 3000), (2, 8000)):
+        for idx, max_rhs in ((1, 1250), (2, 1700)):
             ode_work.clear()
             eigen_shoot((5, 1.0, 1.0), idx)
-            # angle shots, the tighter noise shot and the eigenfunction
-            assert len(ode_work) <= 8
-            # measured: 8 and 7 solves, 1532 and 1864 right-hand-side
-            # evaluations, 206 and 330 of them in the eigenfunction
+            # two seeded bracket ends, Brent's steps, the tighter noise shot
+            # and the eigenfunction
+            assert len(ode_work) <= 6
+            # measured: 6 and 6 solves, 1170 and 1599 right-hand-side
+            # evaluations, 206 and 328 of them in the eigenfunction; 8 and 7
+            # solves, 1532 and 1864 evaluations from the comparison bracket
             assert sum(ode_work) <= max_rhs
 
     @pytest.mark.parametrize("triple", [(3, 1.0, 1.0), (6, 0.0, 2.0)], ids=str)
@@ -201,6 +203,55 @@ class TestErrorEstimate:
         fixed S = pi / D."""
         eigen_shoot((8, 12.0, 0.5), 2)
         assert sum(ode_work[:-1]) <= 4000
+
+
+class TestCollocationSeed:
+    """The collocation seed that gives Brent its starting interval."""
+
+    # n in {2, 5, 8}, kappa = K D^2 of both signs, D in {0.5, 1, 2}; the
+    # last two triples are checked against shooting
+    @pytest.mark.parametrize("triple", [
+        (5, 1.0, 1.0), (2, -9.5, 1.0), (8, 12.0, 0.5), (8, 2.375, 2.0),
+        (5, 9.8, 1.0), (2, 9.86, 1.0), (5, -5.0, 2.0), (8, -40.0, 0.5),
+    ], ids=str)
+    def test_seed_within_delta(self, triple):
+        D = triple[2]
+        for idx in (1, 2):
+            if triple in COLLOCATION:
+                ref = COLLOCATION[triple][idx - 1]
+            else:
+                ref = eigen_shoot(triple, idx).eigenvalue
+            seed, ladder = spectral._colloc_seed(ModelParams(*triple), idx)
+            # the half-width _shoot_root uses, with a scale no larger
+            delta = max(10.0 * ladder, 1e-9 * max(abs(ref), (math.pi / D) ** 2))
+            assert abs(seed - ref) <= delta
+
+    def test_failed_eigensolve_gives_nan(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        seed, ladder = spectral._colloc_seed(ModelParams(5, 1.0, 1.0), 1)
+        assert math.isnan(seed) and math.isnan(ladder)
+
+    # extra angle shots over the unseeded solve: the seeded interval of a
+    # NaN, and of a seed below the bracket's lower end (at least -1e-9 of
+    # its scale), fails before any shot; one 1e-3 below the eigenvalue lies
+    # inside the bracket, and its two end shots do not straddle the target
+    @pytest.mark.parametrize("case,extra", [("nan", 0), ("off", 2), ("below", 0)])
+    def test_fallback(self, monkeypatch, ode_work, case, extra):
+        for idx in (1, 2):
+            monkeypatch.setattr(spectral, "_colloc_seed", lambda p, i: (math.nan, 0.0))
+            ode_work.clear()
+            unseeded = eigen_shoot((5, 1.0, 1.0), idx)
+            solves = len(ode_work)
+            seed = {"nan": math.nan, "off": unseeded.eigenvalue * (1 - 1e-3),
+                    "below": -1.0}[case]
+            monkeypatch.setattr(spectral, "_colloc_seed", lambda p, i: (seed, 0.0))
+            ode_work.clear()
+            r = eigen_shoot((5, 1.0, 1.0), idx)
+            assert abs(r.eigenvalue - unseeded.eigenvalue) <= r.error_estimate
+            assert len(ode_work) == solves + extra
 
 
 class TestNearCap:
@@ -383,6 +434,15 @@ class TestCompiledSolvers:
             raise np.linalg.LinAlgError("stebz failed")
 
         monkeypatch.setattr(spectral, "tridiagonal_eigenpair", failing)
+        with pytest.raises(NonConvergenceError, match="stebz failed"):
+            eigen_fd((6, -4.0, 1.0), 1)
+
+    def test_failed_coarse_stebz_is_reported(self, monkeypatch):
+        # the coarse grid takes its eigenvalue alone
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("stebz failed")
+
+        monkeypatch.setattr(spectral, "tridiagonal_eigenvalue", failing)
         with pytest.raises(NonConvergenceError, match="stebz failed"):
             eigen_fd((6, -4.0, 1.0), 1)
 
