@@ -4,6 +4,12 @@ Subcommands: eigen, series, pruefer, flow, bounds.  Tables render as CSV
 (17 significant digits) or JSON with a top-level schema_version; identical
 invocations produce byte-identical output.  Exit codes: 0 success, 2 invalid
 parameters, 3 solver failure, 4 root bracketing failure.
+
+Building the parser imports only the standard library and gapmodel.errors.
+Each subcommand imports the modules it runs when it runs, so ``series`` and
+``--help`` never load numpy, and ``eigen`` never loads the flow.  The modules
+are called through their attributes (``spectral.eigen_shoot``), so a name
+rebound on the module is what the command calls.
 """
 
 import argparse
@@ -14,13 +20,6 @@ import math
 import re
 import sys
 
-import numpy as np
-
-from . import bounds as bounds_mod
-from . import flow as flow_mod
-from . import pruefer as pruefer_mod
-from . import series as series_mod
-from . import spectral
 from .errors import (
     BracketError,
     DomainError,
@@ -28,7 +27,6 @@ from .errors import (
     HypothesisError,
     PoleError,
 )
-from .model import ModelParams, validate
 
 SCHEMA_VERSION = 2
 
@@ -71,6 +69,8 @@ def _nonempty(values, text):
 
 def _collect_triples(args):
     """Cartesian triples in input order, all validated before any dispatch."""
+    from .model import validate
+
     ns = _parse_ints(args.n)
     Ks = _parse_floats(args.K)
     Ds = _parse_floats(args.D)
@@ -118,6 +118,9 @@ def _render_table(rows, args, command):
 
 
 def _eigen_row(n, K, D, method):
+    from . import spectral
+    from .model import ModelParams
+
     params = ModelParams(n, K, D)
     if method == "fd":
         r1 = spectral.eigen_fd(params, 1)
@@ -176,6 +179,8 @@ def cmd_series(args):
     M = args.order
     if M < 0:
         raise DomainError(f"order must be >= 0, got {M}")
+    from . import series as series_mod
+
     n_values = _parse_ints(args.n) if args.n else [2, 5]
     branches = (
         ["first", "second", "gap"] if args.branch == "all" else [args.branch]
@@ -226,6 +231,11 @@ def cmd_series(args):
 
 
 def _pruefer_row(k, n, K, D):
+    import numpy as np
+
+    from . import pruefer as pruefer_mod
+    from .model import ModelParams
+
     params = ModelParams(n, K, D)
     try:
         report = pruefer_mod.robin_boundary_report(k, params)
@@ -278,6 +288,12 @@ def _pick_snapshots(history, snap_times):
 
 
 def cmd_flow(args):
+    import numpy as np
+
+    from . import flow as flow_mod
+    from . import pruefer as pruefer_mod
+    from .model import ModelParams
+
     triples = _collect_triples(args)
     if len(triples) != 1:
         raise DomainError("flow runs one parameter triple at a time")
@@ -290,7 +306,8 @@ def cmd_flow(args):
         s = float(args.s)
     else:
         s = 1.01 * pruefer_mod.threshold_s(k, params)
-    state = flow_mod.initial_supersolution(k, s, params, mesh_tol=args.mesh_tol)
+    mesh_tol = flow_mod.DEFAULT_MESH_TOL if args.mesh_tol is None else args.mesh_tol
+    state = flow_mod.initial_supersolution(k, s, params, mesh_tol=mesh_tol)
     # snapshot times depend on the run's length, so the plot's strided
     # values are kept for every step and picked once the run ends
     stride = max(1, len(state.psi.z) // 2000)
@@ -328,6 +345,10 @@ def cmd_flow(args):
 
 
 def _bounds_row(n, K, D, index):
+    from . import bounds as bounds_mod
+    from . import spectral
+    from .model import ModelParams
+
     params = ModelParams(n, K, D)
     lam = spectral.eigen_shoot(params, index).eigenvalue
     if n >= 3:
@@ -412,7 +433,7 @@ def build_parser():
                    help="supersolution shift (default 1.01x threshold)")
     f.add_argument("--tol", type=float, default=1e-6)
     f.add_argument("--t-max", type=float, default=None)
-    f.add_argument("--mesh-tol", type=float, default=flow_mod.DEFAULT_MESH_TOL)
+    f.add_argument("--mesh-tol", type=float, default=None)
     f.add_argument("--emit-plot", default=None,
                    help="write (t, z, psi) snapshots at log-spaced times")
     f.add_argument("--snapshots", type=int, default=9)

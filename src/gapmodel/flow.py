@@ -195,15 +195,19 @@ class FlowState:
 def make_state(psi, k, params):
     """Wrap grid samples as a FlowState, checking the boundary pinning.
 
-    psi(0) must be 0 and psi at the last node must be -k; interior values
-    must be nonpositive (tiny positive roundoff is tolerated).  The grid may
-    end short of D/2 (used by truncated-interval checks), in which case k is
-    read as minus the right boundary value.
+    Nodes and values must be finite; psi(0) must be 0 and psi at the last
+    node must be -k; interior values must be nonpositive (tiny positive
+    roundoff is tolerated).  The grid may end short of D/2 (used by
+    truncated-interval checks), in which case k is read as minus the right
+    boundary value.
     """
     params = validate(params)
     if not isinstance(psi, GridFunction):
         raise DomainError("make_state expects a GridFunction")
     z, v = psi.z, psi.values
+    # every comparison below is False on NaN, so NaN would pass them all
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
+        raise DomainError("grid nodes and values must be finite")
     if z[0] != 0.0 or z[-1] > params.half * (1.0 + 1e-12):
         raise DomainError(f"grid must start at 0 and end at or before D/2 = {params.half}")
     if np.any(np.diff(z) <= 0.0):

@@ -39,7 +39,9 @@ from .exact import (
     solve_resonant,
     trig_integrate,
 )
-from .model import validate
+
+# the functions that take params import model's validate themselves, so the
+# exact engine (series and exact) runs without numpy
 
 DEFAULT_ORDER_CAP = 8
 # largest n searched for the order-5 sign change, and the sample count of
@@ -169,16 +171,22 @@ def _horner(series, M, params, mp=None):
 
 def eval_series(params, M, branch="first"):
     """Float evaluation of the order-M truncation of lam_bar at (n, K, D)."""
+    from .model import validate
+
     return _horner(lambda_series(branch, M), M, validate(params))
 
 
 def eval_gap_series(params, M):
+    from .model import validate
+
     return _horner(gap_series(M), M, validate(params))
 
 
 def eval_series_mp(params, M, branch="first", dps=50):
     """Arbitrary-precision evaluation (same truncation as eval_series)."""
     import mpmath
+
+    from .model import validate
 
     with mpmath.workdps(dps):
         return _horner(lambda_series(branch, M), M, validate(params), mpmath)
@@ -470,6 +478,8 @@ def modulus_expansion(params):
     Returns sample data and summary facts (value at 0, sign pattern,
     endpoint behavior).  For n = 3 the difference vanishes identically.
     """
+    from .model import validate
+
     params = validate(params)
     n, D = params.n, params.D
     An = (n - 1) * (n - 3) / 24.0

@@ -295,10 +295,14 @@ def _shoot_root(params, index, form):
 
     # theta(0; lam) is strictly increasing in lam, so a sign change over a
     # seeded interval inside (lo, hi) holds the one root the comparison
-    # bracket holds; a seed that fails any test costs at most two shots
-    seed, ladder = _colloc_seed(params, index)
-    delta = max(10.0 * ladder, 1e-9 * scale)
-    a, b = seed - delta, seed + delta
+    # bracket holds; a seed that fails any test costs at most two shots.
+    # Where V is constant ((n-1)(n-3)K = 0) the bracket is 2 pad wide and
+    # no seeded interval, at least 2 pad wide, fits inside it
+    a = b = math.nan
+    if (params.n - 1) * (params.n - 3) * params.K != 0:
+        seed, ladder = _colloc_seed(params, index)
+        delta = max(10.0 * ladder, 1e-9 * scale)
+        a, b = seed - delta, seed + delta
     if not (lo < a and b < hi and g(a) < 0 < g(b)):
         a, b = lo, hi
         if g(lo) >= 0 or g(hi) <= 0:

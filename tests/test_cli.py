@@ -517,50 +517,107 @@ def test_module_entry_point():
     assert row["gap"] == pytest.approx(3 * math.pi**2, rel=1e-12)
 
 
-# Runs CLI commands in a fresh interpreter and reports, after each, the
-# scipy modules loaded so far.  argv of the eigen run comes in sys.argv[1].
+# Runs start-up steps in a fresh interpreter and reports, after each, its
+# exit code, its output and the numpy, scipy and gapmodel modules loaded so
+# far.  The steps come as JSON in sys.argv[1]: "import" (import gapmodel),
+# "parser" (import gapmodel.cli and build a parser), or a CLI argv in which
+# "{plot}" stands for a file whose text is reported as "plot".
 _STARTUP_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys, tempfile
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("numpy", "scipy", "gapmodel"))
 
-import gapmodel
-import gapmodel.cli as cli
-
-report = {"import": scipy_modules()}
-for name, argv in (("series", ["series", "--order", "3"]), ("help", ["--help"]),
-                   ("eigen", json.loads(sys.argv[1]))):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    report[name] = {"code": code, "stdout": out.getvalue(), "scipy": scipy_modules()}
+plot = os.path.join(tempfile.mkdtemp(), "plot.csv")
+report = []
+for step in json.loads(sys.argv[1]):
+    entry = {}
+    if step == "import":
+        import gapmodel
+    elif step == "parser":
+        import gapmodel.cli
+        gapmodel.cli.build_parser()
+    else:
+        import gapmodel.cli
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            try:
+                entry["code"] = gapmodel.cli.main([plot if a == "{plot}" else a for a in step])
+            except SystemExit as exc:
+                entry["code"] = exc.code
+        entry["stdout"] = out.getvalue()
+        if "{plot}" in step:
+            with open(plot) as fh:
+                entry["plot"] = fh.read()
+    entry["modules"] = loaded()
+    report.append(entry)
 print(json.dumps(report))
 """
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# golden cases (tests/golden/regenerate.py) as the start-up script runs them
+STARTUP_CASES = {
+    "eigen_shoot": ["eigen", "--n", "2,3,5", "--K", "-2,1", "--D", "1"],
+    "series": ["series", "--order", "5", "--check-reference", "--n", "2,5"],
+    "pruefer": ["pruefer", "--k", "10", "--n", "2", "--K", "0,0.5", "--D", "1"],
+    "flow": ["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10", "--tol", "1e-4",
+             "--mesh-tol", "1e-3", "--emit-plot", "{plot}", "--snapshots", "2"],
+}
+
+
+def startup_report(*steps):
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(steps)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def light_start():
+    """import gapmodel, the parser, --help, series and then eigen in one process."""
+    return startup_report(
+        "import", "parser", ["--help"], STARTUP_CASES["series"], STARTUP_CASES["eigen_shoot"]
+    )
+
 
 class TestStartUp:
-    def test_scipy_loads_on_the_first_solver_call(self):
-        eigen_argv = ["eigen", "--n", "2,3,5", "--K", "-2,1", "--D", "1"]
-        proc = subprocess.run(
-            [sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(eigen_argv)],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
-        assert report["import"] == []
-        for name in ("series", "help"):
-            assert report[name]["code"] == 0
-            assert report[name]["stdout"]
-            assert report[name]["scipy"] == [], f"{name} loaded scipy"
-        eigen = report["eigen"]
+    def test_scipy_loads_on_the_first_solver_call(self, light_start):
+        *light, eigen = light_start
+        for step in light:
+            assert not any(m.startswith("scipy") for m in step["modules"])
+        for step in light[2:]:  # --help and series
+            assert step["code"] == 0 and step["stdout"]
         assert eigen["code"] == 0
-        assert "scipy.integrate" in eigen["scipy"]
-        golden = Path(__file__).resolve().parent / "golden" / "eigen_shoot.csv"
-        assert eigen["stdout"] == golden.read_text()
+        assert "scipy.integrate" in eigen["modules"]
+        assert eigen["stdout"] == (GOLDEN / "eigen_shoot.csv").read_text()
+
+    def test_help_and_series_load_no_numpy(self, light_start):
+        # the exact lists: no numpy, no scipy, no numeric gapmodel module
+        imported, parser, help_, series, _ = light_start
+        assert imported["modules"] == ["gapmodel", "gapmodel.errors"]
+        assert parser["modules"] == help_["modules"] == [
+            "gapmodel", "gapmodel.cli", "gapmodel.errors"]
+        assert help_["stdout"].startswith("usage: gapmodel")
+        assert series["code"] == 0
+        assert series["stdout"] == (GOLDEN / "series.json").read_text()
+        assert series["modules"] == ["gapmodel", "gapmodel.cli", "gapmodel.errors",
+                                     "gapmodel.exact", "gapmodel.series"]
+
+    @pytest.mark.parametrize("case,idle", [
+        ("eigen_shoot", ("flow", "pruefer", "series", "exact")),
+        ("pruefer", ("spectral", "series", "exact")),
+        ("flow", ("spectral", "series", "exact")),
+    ])
+    def test_command_loads_only_its_modules(self, case, idle):
+        _, run = startup_report("parser", STARTUP_CASES[case])
+        assert run["code"] == 0
+        assert not {f"gapmodel.{m}" for m in idle} & set(run["modules"])
+        assert run["stdout"] == (GOLDEN / f"{case}.csv").read_text()
+        if "plot" in run:
+            assert run["plot"] == (GOLDEN / f"{case}.plot.csv").read_text()
 
     def test_solvers_are_module_attributes(self):
         """The names a tracer rebinds exist and behave as scipy's own."""

@@ -181,6 +181,20 @@ class TestStateConstruction:
         with pytest.raises(DomainError):
             make_state(GridFunction(z=z, values=np.abs(good)), 10.0, P_FLOW)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["z", "values"])
+    @pytest.mark.parametrize("node", [300, -1])
+    def test_non_finite_data_is_a_domain_error(self, bad, where, node):
+        # NaN fails every comparison, so the sign and boundary checks let it by
+        z = np.linspace(0.0, 0.5, 600)
+        data = {"z": z, "values": -10.0 * (z / 0.5) ** 3}
+        data[where][node] = bad
+        psi = GridFunction(**data)
+        with pytest.raises(DomainError, match="must be finite"):
+            make_state(psi, 10.0, P_FLOW)
+        with pytest.raises(DomainError, match="must be finite"):
+            flow_to_stationary(psi, 10.0, P_FLOW)
+
     def test_grid_validation(self):
         z = np.linspace(0.1, 0.5, 300)
         with pytest.raises(DomainError):

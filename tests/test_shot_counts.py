@@ -1,7 +1,11 @@
-"""Smoke test of the shot-count script (sweeps/shot_counts.py)."""
+"""Smoke test of the shot-count script (sweeps/shot_counts.py), and which
+shots skip the collocation seed."""
 
 import importlib.util
 from pathlib import Path
+
+from gapmodel import spectral
+from gapmodel.model import ModelParams
 
 SCRIPT = Path(__file__).resolve().parents[1] / "sweeps" / "shot_counts.py"
 _spec = importlib.util.spec_from_file_location("shot_counts", SCRIPT)
@@ -22,3 +26,21 @@ def test_counts_repeat_exactly():
 def test_seed_ranges():
     assert shot_counts.parse_seeds("2701-2703") == [2701, 2702, 2703]
     assert shot_counts.parse_seeds("5") == [5]
+
+
+def test_flat_triples_skip_the_collocation_seed(monkeypatch):
+    # a constant V leaves the comparison bracket too narrow for any seed
+    calls = []
+    colloc_seed = spectral._colloc_seed
+
+    def counting(params, index):
+        calls.append((params, index))
+        return colloc_seed(params, index)
+
+    monkeypatch.setattr(spectral, "_colloc_seed", counting)
+    for params in (ModelParams(1, 2.0, 1.0), ModelParams(3, -1.5, 2.0), ModelParams(5, 0.0, 1.0)):
+        for index in (1, 2):
+            spectral.eigen_shoot(params, index)
+    assert calls == []
+    spectral.eigen_shoot(ModelParams(5, 1.0, 1.0), 1)
+    assert len(calls) == 1
