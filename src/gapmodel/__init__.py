@@ -7,8 +7,8 @@ engine, closed-form bounds, and a stabilizing parabolic flow.
 ``import gapmodel`` loads only the exception classes of ``errors``.  Every
 other public name is looked up in ``_API`` and its module is imported on
 first access (PEP 562), so ``gapmodel.gap_series`` loads ``series`` and
-``exact`` only, while ``gapmodel.gap`` or ``gapmodel.ModelParams`` loads
-numpy with the numeric modules; scipy follows at the first solver call.
+``exact`` only, ``gapmodel.ModelParams`` loads numpy with ``model``, and
+``gapmodel.gap`` loads scipy too, with the solver modules.
 Submodules (``gapmodel.spectral``, ...) load the same way.
 """
 

@@ -1,30 +1,30 @@
-"""The scipy solvers gapmodel calls, imported on their first call.
+"""The compiled scipy solvers gapmodel calls, each wrapped in a narrower call.
 
-Importing scipy.integrate, scipy.optimize and scipy.linalg takes most of a
-second, and the exact series engine, ``gapmodel series`` and ``--help``
-need none of them.  Each forwarder imports scipy's function when it is
-called; ``solve_ivp``, ``quad``, ``brentq`` and ``solve_banded`` pass their
-arguments and result through unchanged, while ``dop853_end``,
-``dop853_dense``, ``lsoda_samples``, ``tridiagonal_eigenpair`` and
-``tridiagonal_eigenvalue`` wrap compiled routines in a narrower call.
 ``dop853_end`` runs every end-value shot: spectral's angle shots and
 ``ball_first_eigen``'s radial solve, and pruefer's end-angle shots behind
 ``find_ck``.
 ``dop853_dense`` runs pruefer's Riccati branches, each stopped at its
-pole, and flow's equidistribution ODE behind ``build_grid``, stopped where
-the grid reaches z = 0, and rebuilds their dense output from the Fortran
-steps.
-``solve_ivp`` is left with pruefer's Robin profile, whose dense output
-``dop853_interpolant`` evaluates for many points at once; both dense
-paths share one evaluator.  Spectral's finite-difference route takes
-its coarse grid's eigenvalue from ``tridiagonal_eigenvalue`` (``stebz``)
-and its fine grid's eigenpair from ``tridiagonal_eigenpair`` (``stebz`` +
-``stein``); ``solve_banded`` serves flow alone.  Modules bind these names
-at import time (``from ._scipy import solve_ivp``), so each solver stays a
-module attribute that can be rebound or patched.
+pole, pruefer's Robin profile, which runs to D/2 without an event, and
+flow's equidistribution ODE behind ``build_grid``, stopped where the grid
+reaches z = 0, and rebuilds their dense output from the Fortran steps.
+``lsoda_samples`` samples spectral's eigenfunction shot.  Spectral's
+finite-difference route takes its coarse grid's eigenvalue from
+``tridiagonal_eigenvalue`` (``stebz``) and its fine grid's eigenpair from
+``tridiagonal_eigenpair`` (``stebz`` + ``stein``).
+
+scipy is imported at the top of this module and of every module that
+calls it; ``import gapmodel`` and the command line import those modules
+only when a command that solves runs.
 """
 
+import warnings
 from types import SimpleNamespace
+
+import numpy as np
+from scipy.integrate import ODEintWarning, ode, odeint
+from scipy.integrate._ivp import dop853_coefficients as tableau
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.optimize import brentq
 
 # step budget of one dop853_end run; the longest angle shot within 5e-6 of
 # the cap, at (n, K, D) = (8, 9.8696, 1), takes about 19k steps, and a run
@@ -38,12 +38,6 @@ DOP853_MAX_STEPS = 100_000
 LSODA_MAX_STEPS = 50_000
 
 
-def solve_ivp(*args, **kwargs):
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
-
-
 def _dop853(fun, t0, t1, y0, rtol, atol, solout=None):
     """Scipy's Fortran ``dop853`` run from y(t0) = y0 toward t1.
 
@@ -51,10 +45,6 @@ def _dop853(fun, t0, t1, y0, rtol, atol, solout=None):
     is left to the caller instead of scipy's warning; an exception raised by
     fun or solout propagates.
     """
-    import warnings
-
-    from scipy.integrate import ode
-
     solver = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol,
                                      nsteps=DOP853_MAX_STEPS)
     if solout is not None:
@@ -107,35 +97,34 @@ def dop853_dense(fun, fun_array, t0, t1, y0, rtol, atol, rows, event):
     The Fortran ``dop853`` records t and y at t0 and at the end of every
     accepted step.  It stops at t1, or at the first step over which the
     event g(t, y) changes sign in the direction given by its ``direction``
-    attribute, read as in ``solve_ivp``.  All 16 stages of every step are
-    then rebuilt at once from the recorded states by fun_array, the
-    right-hand side evaluated on a (len(y0), steps) array, one column per
-    step, and the 7 coefficients of each step's continuous extension are
-    formed as in scipy's ``DOP853`` (Hairer, Norsett & Wanner, Solving
-    ODEs I, sec. II.5-6).  The event's root is found by ``brentq`` on the
-    stopping step's interpolant, with solve_ivp's tolerances.  Two callers
-    use it: pruefer's Riccati branches, whose event is the angle's pole,
-    and flow's ``build_grid``, whose event is the grid reaching z = 0 and
-    whose t1 is the cell budget.
+    attribute, read as in ``solve_ivp``; event=None never stops the run.
+    All 16 stages of every step are then rebuilt at once from the recorded
+    states by fun_array, the right-hand side evaluated on a (len(y0),
+    steps) array, one column per step, and the 7 coefficients of each
+    step's continuous extension are formed as in scipy's ``DOP853``
+    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5-6).  The event's
+    root is found by ``brentq`` on the stopping step's interpolant, with
+    solve_ivp's tolerances.  Three callers use it: pruefer's Riccati
+    branches, whose event is the angle's pole, pruefer's Robin profile,
+    which has none, and flow's ``build_grid``, whose event is the grid
+    reaching z = 0 and whose t1 is the cell budget.
 
     Returns ``t`` and ``y``, the recorded points and the states there (one
     row of y per component), ``t_event``, the root or None, and ``sol``,
-    the evaluator of the given rows (see ``dop853_interpolant``) on the
-    span from t0 to t_event or to the last point.  ``nfev`` counts the
+    the evaluator of the given rows (see ``_dense_evaluator``) on the span
+    from t0 to t_event or to the last point.  ``nfev`` counts the
     right-hand side's points: the Fortran calls plus the rebuilt stages.
     ``success`` and ``message`` are those of ``dop853_end``; a failed run
     has ``sol = None``.  An exception raised by fun, fun_array or the event
     propagates.
     """
-    import numpy as np
-
-    from scipy.integrate._ivp import dop853_coefficients as tableau
-
     ts, ys, gs = [], [], []
 
     def solout(t, y):
         ts.append(t)
         ys.append(y.copy())
+        if event is None:
+            return 0
         gs.append(event(t, y))
         if len(gs) > 1:
             old, new, d = gs[-2], gs[-1], event.direction
@@ -169,8 +158,6 @@ def dop853_dense(fun, fun_array, t0, t1, y0, rtol, atol, rows, event):
 
     knots, t_event = t, None
     if code == 2:  # stopped by the event
-        from scipy.optimize import brentq
-
         last = _dense_evaluator(t[-2:], t_old[-1:], h[-1:], starts[-1:], coeffs[:, -1:])
         eps4 = 4 * np.finfo(float).eps
         t_event = brentq(lambda z: event(z, last(z)), t[-2], t[-1], xtol=eps4, rtol=eps4)
@@ -194,10 +181,6 @@ def lsoda_samples(fun, t, y0, rtol, atol):
     instead of scipy's warning, and t and y end before the first point not
     reached.  An exception raised by fun propagates.
     """
-    import warnings
-
-    from scipy.integrate import ODEintWarning, odeint
-
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", category=ODEintWarning)
         y, info = odeint(fun, y0, t, rtol=rtol, atol=atol, tcrit=[t[-1]],
@@ -214,35 +197,8 @@ def lsoda_samples(fun, t, y0, rtol, atol):
                            success=False, message=message)
 
 
-def dop853_interpolant(solution, rows):
-    """Evaluator z -> rows of y(z) for one DOP853 dense solution, in one pass.
-
-    solution is the ``sol`` of ``solve_ivp(..., method="DOP853",
-    dense_output=True)``.  The given rows of every step's interpolant are
-    gathered once; a call then picks each point's step with one
-    ``searchsorted`` and runs the Horner loop of scipy's
-    ``Dop853DenseOutput`` on all points together, where scipy's
-    ``OdeSolution`` walks the points step by step in Python.  The step
-    rule (side, ascending, clip to the first and last step) and the order
-    of every floating-point operation are scipy's, so the result equals
-    ``solution(z)[rows]`` bit for bit.  z is a scalar or a 1-D array, and
-    the result has shape (len(rows),) + shape of z.
-    """
-    import numpy as np
-
-    steps = solution.interpolants
-    return _dense_evaluator(
-        solution.ts,
-        np.array([s.t_old for s in steps]),
-        np.array([s.h for s in steps]),
-        np.array([s.y_old[rows] for s in steps]),
-        # scipy's reversed(F), highest coefficient first
-        np.array([s.F[::-1][:, rows] for s in steps]).transpose(1, 0, 2),
-    )
-
-
 def _dense_evaluator(ts, t_old, h, y_old, coeffs):
-    """The evaluator behind ``dop853_interpolant`` and ``dop853_dense``.
+    """z -> the rows of y(z) on the dense output of ``dop853_dense``.
 
     ts are the knots in the order of integration; t_old and h hold each
     step's start and length, y_old its start state (step, row), and
@@ -250,8 +206,6 @@ def _dense_evaluator(ts, t_old, h, y_old, coeffs):
     highest first.  A point takes its step as scipy's ``OdeSolution``
     does.
     """
-    import numpy as np
-
     ascending = ts[-1] >= ts[0]
     ts, side = (ts, "left") if ascending else (ts[::-1], "right")
     last = len(t_old) - 1
@@ -276,24 +230,6 @@ def _dense_evaluator(ts, t_old, h, y_old, coeffs):
     return evaluate
 
 
-def quad(*args, **kwargs):
-    from scipy.integrate import quad
-
-    return quad(*args, **kwargs)
-
-
-def brentq(*args, **kwargs):
-    from scipy.optimize import brentq
-
-    return brentq(*args, **kwargs)
-
-
-def solve_banded(*args, **kwargs):
-    from scipy.linalg import solve_banded
-
-    return solve_banded(*args, **kwargs)
-
-
 def tridiagonal_eigenpair(d, e, index, tol):
     """index-th smallest eigenpair (1-based) of a symmetric tridiagonal matrix.
 
@@ -304,8 +240,6 @@ def tridiagonal_eigenpair(d, e, index, tol):
     iteration.  Returns (lam, v); a failure of either raises
     ``numpy.linalg.LinAlgError``.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     w, v = eigh_tridiagonal(
         d, e, select="i", select_range=(index - 1, index - 1),
         lapack_driver="stebz", tol=tol)
@@ -319,8 +253,6 @@ def tridiagonal_eigenvalue(d, e, index, tol):
     call through ``eigvalsh_tridiagonal``, without ``stein``'s eigenvector.
     A failure raises ``numpy.linalg.LinAlgError``.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-
     w = eigvalsh_tridiagonal(d, e, select="i", select_range=(index - 1, index - 1),
                              lapack_driver="stebz", tol=tol)
     return float(w[0])

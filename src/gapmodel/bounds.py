@@ -17,7 +17,8 @@ majorizes the quotient).
 import math
 from dataclasses import dataclass
 
-from ._scipy import quad
+from scipy.integrate import quad
+
 from .errors import HypothesisError, OrderingViolation
 from .kernels import cs_at
 from .model import validate

@@ -46,8 +46,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
-from ._scipy import dop853_dense, solve_banded
+from ._scipy import dop853_dense
 from .errors import (
     DomainError,
     HypothesisError,
@@ -446,26 +447,23 @@ class FlowRun:
         return list(zip(self.times, self.distances, self.residuals))
 
 
-def flow_to_stationary(
-    initial, k, params, tol=1e-6, dt=None, t_max=None, on_step=None,
-):
+def flow_to_stationary(initial, k, params, tol=1e-6, t_max=None, on_step=None):
     """Evolve until the sup distance to (log phi)' on the grid is <= tol.
 
     initial is a GridFunction satisfying the boundary data, or a FlowState
     of the same k and params (DomainError otherwise).  DomainError also if
     c_k + pi^2/D^2 < 0, where the target is positive near z = 0.
 
-    Without dt the step follows switched evolution relaxation (SER): it
-    starts at dt0 = default_dt(initial), doubles after every accepted step
-    up to D^2, and is halved and redone, never below dt0, when the step
-    would raise the distance by more than 1e-12 max(1, k).  That guard,
-    not the M-matrix property of the step, is what keeps the recorded
-    distance from rising.  Each SER step is also cut to the largest dt at
-    which I - dt J keeps its M-matrix row condition.  A rejected step at
-    or below dt0 raises NonConvergenceError ("stalled at distance ...");
-    this is how a tol below the grid's discretisation error ends.  An
-    explicit dt is used for every step and nothing is rejected.  Every
-    step raises StabilityError if I - dt J is not an M-matrix (see
+    The step follows switched evolution relaxation (SER): it starts at
+    dt0 = default_dt(initial), doubles after every accepted step up to
+    D^2, and is halved and redone, never below dt0, when the step would
+    raise the distance by more than 1e-12 max(1, k).  That guard, not the
+    M-matrix property of the step, is what keeps the recorded distance
+    from rising.  Each step is also cut to the largest dt at which
+    I - dt J keeps its M-matrix row condition.  A rejected step at or
+    below dt0 raises NonConvergenceError ("stalled at distance ..."); this
+    is how a tol below the grid's discretisation error ends.  A step
+    raises StabilityError if I - dt J is not an M-matrix (see
     _Workspace.step).
 
     Returns a FlowRun whose trajectory records every accepted step and
@@ -486,8 +484,6 @@ def flow_to_stationary(
         t_max = T_MAX_FACTOR * params.D**2
     _check_positive("tol", tol)
     _check_positive("t_max", t_max)
-    if dt is not None:
-        _check_positive("dt", dt)
     ck = _flow_ck(k, params)
     z = state.psi.z
     target = stationary_reference(k, params, z)
@@ -504,22 +500,17 @@ def flow_to_stationary(
     max_uptick = 0.0
     rejected = 0
     t = state.t
-    ser = dt is None
-    if ser:
-        dt0 = dt = default_dt(state)
-        dt_cap = params.D**2
-        rise_slack = 1e-12 * max(1.0, k)
+    dt0 = dt = default_dt(state)
+    rise_slack = 1e-12 * max(1.0, k)
     while dists[-1] > tol and t < t_max:
         bands = ws.jacobian(v, d1)
-        step_dt = min(dt, t_max - t)
-        if ser:
-            step_dt = min(step_dt, _row_sum_dt(bands))
+        step_dt = min(dt, t_max - t, _row_sum_dt(bands))
         new = ws.step(v, step_dt, d1, bands)
         new[0] = v[0]
         new[-1] = v[-1]
         new = _project(new, k)
         d = dist(new)
-        if ser and d - dists[-1] > rise_slack:
+        if d - dists[-1] > rise_slack:
             if step_dt <= dt0:
                 raise NonConvergenceError(
                     f"flow stalled at distance {dists[-1]:.6e} (tol {tol:.1e}): "
@@ -537,8 +528,7 @@ def flow_to_stationary(
         resids.append(ws.riccati(v, d1, ck))
         if on_step is not None:
             on_step(t, v)
-        if ser:
-            dt = min(2.0 * step_dt, dt_cap)
+        dt = min(2.0 * step_dt, params.D**2)
     final = FlowState(psi=GridFunction(z=z, values=v), t=t, k=k, params=params)
     run = FlowRun(
         state=final,
@@ -587,7 +577,7 @@ def discrete_stationary(k, params, z=None, mesh_tol=DEFAULT_MESH_TOL):
 # -- comparison principle in the difference variable --------------------------
 
 
-def comparison_check(u, v, params, k, T, dt=None):
+def comparison_check(u, v, params, k, T):
     """Evolve two sets of data under the difference-variable equation and
     confirm the parabolic ordering u <= v is preserved.
 
@@ -599,8 +589,6 @@ def comparison_check(u, v, params, k, T, dt=None):
     ordering fails beyond roundoff slack.
     """
     params = validate(params)
-    if dt is not None:
-        _check_positive("dt", dt)
     if not (isinstance(u, GridFunction) and isinstance(v, GridFunction)):
         raise DomainError("comparison_check expects GridFunction inputs")
     if u.z.shape != v.z.shape or not np.array_equal(u.z, v.z):
@@ -635,11 +623,7 @@ def comparison_check(u, v, params, k, T, dt=None):
     checked = [0.0]
     worst = float(np.max(uu - vv))
     while t < T:
-        if dt is None:
-            dtau = _advective_dt(params.D, 2.0 * uu + np.pad(a1, 1, mode="edge"))
-        else:
-            dtau = dt
-        dtau = min(dtau, T - t)
+        dtau = min(_advective_dt(params.D, 2.0 * uu + np.pad(a1, 1, mode="edge")), T - t)
         uu = step(uu, dtau)
         vv = step(vv, dtau)
         t += dtau

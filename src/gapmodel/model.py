@@ -15,6 +15,8 @@ eigenvalue, so anything computed in one form can be checked in the other.
 Parameters live in ModelParams, which validates on construction:
 n is an integer >= 1, D > 0, and for K > 0 the strict cap K D^2 < pi^2
 keeps the interval inside the kernel's pole (cs > 0 on [-D/2, D/2]).
+For K < 0, cs(D/2)^2 = cosh(sqrt(-K) D/2)^2 must be a finite double,
+which holds down to K D^2 of about -5.058e5.
 """
 
 import math
@@ -28,7 +30,12 @@ from .kernels import cs, cs_array, cs_at, tn
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimension n (integer >= 1), curvature K, diameter D (> 0, K D^2 < pi^2)."""
+    """Dimension n (integer >= 1), curvature K, diameter D (> 0, K D^2 < pi^2).
+
+    K D^2 below about -5.058e5 is rejected as well (DomainError): there
+    cs_K(D/2)^2 overflows a double, and with it the potential, the
+    Rayleigh bound's integrand and the Robin angle equation.
+    """
 
     n: int
     K: float
@@ -57,6 +64,13 @@ class ModelParams:
                 f"need K D^2 < pi^2 strictly (K = {self.K!r}, D = {self.D!r}, "
                 f"K D^2 = {self.K * self.D**2!r})"
             )
+        try:
+            cs(self.half, self.K) ** 2
+        except OverflowError:
+            raise DomainError(
+                f"need cs_K(D/2)^2 finite, so K D^2 above about -5.058e5 "
+                f"(K = {self.K!r}, D = {self.D!r}, K D^2 = {self.K * self.D**2!r})"
+            ) from None
 
     @property
     def half(self):

@@ -26,8 +26,10 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.integrate import solve_ivp  # called by no route; perfbench/tracing.py rebinds it
+from scipy.optimize import brentq
 
-from ._scipy import brentq, dop853_dense, dop853_end, dop853_interpolant, solve_ivp
+from ._scipy import dop853_dense, dop853_end
 from .errors import BlowupError, BracketError, CoverageError, DomainError, HypothesisError
 from .kernels import cs, cs_array, cs_at
 from .model import GridFunction, ModelParams, validate
@@ -300,13 +302,13 @@ def _phi(qr):
 
 
 def _robin(k, params):
-    """The interpolant z -> (q, log r) of one dense solve_ivp solve at c_k
-    from q(0) = 0, r(0) = 1, gathered once (_scipy.dop853_interpolant), and
-    phi at uniform points scaled to phi(D/2) = 1/k."""
-    sol = _succeeded(solve_ivp(
-        _angle_rhs(find_ck(k, params), params), (0.0, params.half), [0.0, 0.0],
-        method="DOP853", dense_output=True, rtol=_ODE_TOL, atol=_ODE_TOL))
-    profile = dop853_interpolant(sol.sol, [0, 1])
+    """The evaluator z -> (q, log r) of one compiled DOP853 run at c_k from
+    q(0) = 0, r(0) = 1 to D/2 (_scipy.dop853_dense, no event), and phi at
+    uniform points scaled to phi(D/2) = 1/k."""
+    c = find_ck(k, params)
+    profile = _succeeded(dop853_dense(
+        _angle_rhs(c, params), _angle_rhs(c, params, array=True), 0.0, params.half,
+        [0.0, 0.0], rtol=_ODE_TOL, atol=_ODE_TOL, rows=[0, 1], event=None)).sol
     z = np.linspace(0.0, params.half, _N_SAMPLES)
     phi = _phi(profile(z))
     scale = (1.0 / float(k)) / phi[-1]

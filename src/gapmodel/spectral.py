@@ -68,15 +68,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp  # called by no route; perfbench/tracing.py rebinds it
+from scipy.optimize import brentq
 
-from ._scipy import (
-    brentq,
-    dop853_end,
-    lsoda_samples,
-    solve_ivp,  # called by no route here; kept as the attribute tracers rebind
-    tridiagonal_eigenpair,
-    tridiagonal_eigenvalue,
-)
+from ._scipy import dop853_end, lsoda_samples, tridiagonal_eigenpair, tridiagonal_eigenvalue
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError
 from .kernels import tn

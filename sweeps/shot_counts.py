@@ -1,20 +1,23 @@
-"""Angle and eigenfunction shot counts of a benchmark workload, run in process.
+"""ODE solve counts of a benchmark workload, run in process.
 
 Builds each seed's operation list with perfbench's own workloads.build, at
 the run length BENCHMARK.json sets, and runs every operation through
-gapmodel.cli.main in this process with its output discarded.  The compiled
-ODE calls of spectral are counted by wrapping spectral.dop853_end (angle
-shots) and spectral.lsoda_samples (eigenfunction shots): calls and
+gapmodel.cli.main in this process with its output discarded.  The ODE
+calls are counted by wrapping the solver names the modules call:
+spectral.dop853_end (angle shots), spectral.lsoda_samples (eigenfunction
+shots), pruefer.dop853_end (find_ck's end-angle shots),
+pruefer.dop853_dense (Riccati branches and the Robin profile),
+flow.dop853_dense (the grid ODE) and pruefer.solve_ivp: calls and
 right-hand-side evaluations (nfev), summed by the slot kind perfbench gives
-each operation and over all of them.  The counts do not depend on the host
-and repeat exactly from run to run, so a claim about shots or RHS calls
-rests on this one command:
+each operation and over all of them.  Every operation starts with an empty
+Robin-constant cache, as a command-line run does, so the counts do not
+depend on the host or on the order of operations and repeat exactly from
+run to run; a claim about shots or RHS calls rests on this one command:
 
     PYTHONPATH=src python sweeps/shot_counts.py --workload eigen_sweep --seeds 2701-2710
 
-prints one JSON object: the workload, the seeds, and the counts ("ops",
-"angle_shots", "angle_rhs", "lsoda_shots", "lsoda_rhs") in "total" and
-per kind in "by_kind".
+prints one JSON object: the workload, the seeds, and the counts (FIELDS)
+in "total" and per kind in "by_kind".
 """
 
 import argparse
@@ -26,7 +29,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from gapmodel import cli, spectral
+from gapmodel import cli, flow, pruefer, spectral
 
 ROOT = Path(__file__).resolve().parents[1]
 # perfbench's operation lists, loaded from its file as they stand
@@ -35,10 +38,14 @@ _spec = importlib.util.spec_from_file_location(
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
-FIELDS = ("ops", "angle_shots", "angle_rhs", "lsoda_shots", "lsoda_rhs")
-# (wrapped spectral name, call counter, nfev counter)
-SOLVERS = (("dop853_end", "angle_shots", "angle_rhs"),
-           ("lsoda_samples", "lsoda_shots", "lsoda_rhs"))
+# (module, wrapped name, call counter, nfev counter)
+SOLVERS = ((spectral, "dop853_end", "angle_shots", "angle_rhs"),
+           (spectral, "lsoda_samples", "lsoda_shots", "lsoda_rhs"),
+           (pruefer, "dop853_end", "ck_shots", "ck_rhs"),
+           (pruefer, "dop853_dense", "dense_runs", "dense_rhs"),
+           (flow, "dop853_dense", "grid_runs", "grid_rhs"),
+           (pruefer, "solve_ivp", "ivp_solves", "ivp_rhs"))
+FIELDS = ("ops", *(field for *_, calls, rhs in SOLVERS for field in (calls, rhs)))
 
 
 def parse_seeds(text):
@@ -64,14 +71,15 @@ def count(workload, seeds):
             return sol
         return solve
 
-    saved = [(name, getattr(spectral, name)) for name, _, _ in SOLVERS]
-    for name, calls, rhs in SOLVERS:
-        setattr(spectral, name, counting(getattr(spectral, name), calls, rhs))
+    saved = [(module, name, getattr(module, name)) for module, name, _, _ in SOLVERS]
+    for module, name, calls, rhs in SOLVERS:
+        setattr(module, name, counting(getattr(module, name), calls, rhs))
     try:
         for seed in seeds:
             for op in workloads.build(workload, seed, run_seconds()):
                 current = by_kind.setdefault(op["kind"], Counter())
                 current["ops"] += 1
+                pruefer._robin_constant.cache_clear()
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):
                     try:
@@ -79,8 +87,8 @@ def count(workload, seeds):
                     except SystemExit:  # argparse rejected the command line
                         pass
     finally:
-        for name, real in saved:
-            setattr(spectral, name, real)
+        for module, name, real in saved:
+            setattr(module, name, real)
     total = sum(by_kind.values(), Counter())
     return {"total": _table(total),
             "by_kind": {kind: _table(c) for kind, c in by_kind.items()}}

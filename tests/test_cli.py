@@ -434,6 +434,30 @@ class TestExitCodes:
         )
         assert code == 2 and "K > 0" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--n", "2", "--K=-5.2e5", "--D", "1"],
+        ["eigen", "--n", "2", "--K=-1e8", "--D", "1"],
+        ["eigen", "--method", "fd", "--n", "2", "--K=-5.2e5", "--D", "1"],
+        ["eigen", "--method", "fd", "--n", "5", "--K=-1e8", "--D", "1"],
+        ["pruefer", "--n", "2", "--K=-1e8", "--D", "1", "--k", "1"],
+    ])
+    def test_overflowing_curvature_is_invalid_params(self, argv, capsys):
+        # cs_K(D/2)^2 overflows a double below K D^2 of about -5.058e5
+        code, out, err = run_main(argv, capsys)
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: invalid parameter triples:"]
+        assert "-5.058e5" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n", ["2", "5"])
+    @pytest.mark.parametrize("method", ["shoot", "fd"])
+    def test_large_negative_curvature_still_returns(self, n, method, capsys):
+        code, out, _ = run_main(
+            ["eigen", "--method", method, "--n", n, "--K=-4e5", "--D", "1"], capsys)
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert float(row["lambda1"]) < float(row["lambda2"])
+
     def test_flow_nonconvergence_is_solver_failure(self, capsys):
         code, out, err = run_main(
             ["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10",
@@ -620,35 +644,15 @@ class TestStartUp:
             assert run["plot"] == (GOLDEN / f"{case}.plot.csv").read_text()
 
     def test_solvers_are_module_attributes(self):
-        """The names a tracer rebinds exist and behave as scipy's own."""
+        """The names a tracer rebinds are scipy's own functions."""
         from scipy.integrate import quad, solve_ivp
         from scipy.linalg import solve_banded
         from scipy.optimize import brentq
 
-        def rhs(t, y):
-            return [-2.0 * t * y[0]]
-
-        ivp = solve_ivp(rhs, (0.0, 1.0), [1.0], method="DOP853", rtol=1e-10)
-        for module in (spectral, pruefer):
-            got = module.solve_ivp(rhs, (0.0, 1.0), [1.0], method="DOP853", rtol=1e-10)
-            assert got.nfev == ivp.nfev
-            assert np.array_equal(got.t, ivp.t) and np.array_equal(got.y, ivp.y)
-
-        def f(x):
-            return math.cos(x) - x
-
-        root = brentq(f, 0.0, 1.0, xtol=1e-14)
-        for module in (spectral, pruefer):
-            assert module.brentq(f, 0.0, 1.0, xtol=1e-14) == root
-
-        ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
-        b = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(flow.solve_banded((1, 1), ab, b),
-                              solve_banded((1, 1), ab, b))
-
-        assert bounds.quad(math.exp, 0.0, 1.0, epsabs=1e-12) == quad(
-            math.exp, 0.0, 1.0, epsabs=1e-12
-        )
+        assert spectral.solve_ivp is solve_ivp and pruefer.solve_ivp is solve_ivp
+        assert spectral.brentq is brentq and pruefer.brentq is brentq
+        assert flow.solve_banded is solve_banded
+        assert bounds.quad is quad
 
     def test_compiled_solvers_are_module_attributes(self):
         """spectral's compiled-solver forwarders give scipy's own results."""

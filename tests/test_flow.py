@@ -240,11 +240,11 @@ class TestStepping:
             flow_step(st, 0.0)
 
     @pytest.mark.parametrize("control", [
-        {"dt": 0.0}, {"dt": math.nan}, {"tol": -1.0}, {"tol": math.nan},
+        {"tol": -1.0}, {"tol": math.nan},
         {"t_max": -1.0}, {"t_max": math.nan}, {"t_max": math.inf},
     ], ids=str)
     def test_flow_rejects_bad_step_control(self, control):
-        # unchecked, dt = 0 never advances t and tol < 0 is never reached
+        # unchecked, tol < 0 is never reached
         st = discrete_stationary(10.0, P_FLOW)
         with pytest.raises(DomainError, match=next(iter(control))):
             flow_to_stationary(st, 10.0, P_FLOW, **control)
@@ -344,14 +344,14 @@ class TestConvergence:
 
     def test_ser_steps_keep_the_row_sum_bound(self):
         # at K D^2 = 3 and small k a row sum of J is positive: doubling dt
-        # alone would leave the M-matrix condition, a fixed dt of D^2 does
+        # alone would leave the M-matrix condition, a step of D^2 does
         k, params = 0.5, ModelParams(2, 12.0, 0.5)
         init = initial_supersolution(k, 1.01 * threshold_s(k, params), params)
         run = flow_to_stationary(init, k, params)
         assert run.converged and run.max_uptick == 0.0
         assert np.max(np.diff(run.times)) < 0.1 * params.D**2
         with pytest.raises(StabilityError, match="row sum"):
-            flow_to_stationary(init, k, params, dt=params.D**2)
+            flow_step(init, params.D**2)
 
     def test_time_cap_raises(self):
         k = 10.0
@@ -425,8 +425,3 @@ class TestComparison:
         shifted = GridFunction(z=v.z, values=v.values + 1e-6)
         with pytest.raises(DomainError):
             comparison_check(u, shifted, P_FLOW, 10.0, T=0.02)
-
-    def test_rejects_nonpositive_dt(self):
-        u, v = self._stationary_pair()
-        with pytest.raises(DomainError, match="dt"):
-            comparison_check(u, v, P_FLOW, 10.0, T=0.02, dt=0.0)

@@ -50,6 +50,18 @@ class TestParams:
         # just inside is fine
         ModelParams(n=3, K=1.0, D=math.pi * (1 - 1e-12))
 
+    @pytest.mark.parametrize("K,D", [(-5.2e5, 1.0), (-1e8, 1.0), (-1.3e5, 2.0)])
+    def test_rejects_overflowing_cs(self, K, D):
+        # cs_K(D/2)^2 = cosh(sqrt(-K) D/2)^2 passes the largest double near
+        # K D^2 = -5.058e5
+        with pytest.raises(DomainError, match="K D\\^2 above about -5.058e5"):
+            ModelParams(n=2, K=K, D=D)
+
+    def test_accepts_large_negative_curvature(self):
+        for K, D in ((-4e5, 1.0), (-5.05e5, 1.0), (-1.26e5, 2.0)):
+            p = ModelParams(n=5, K=K, D=D)
+            assert math.isfinite(cs(p.half, p.K) ** 2)
+
     def test_frozen(self):
         p = ModelParams(n=3, K=1.0, D=1.0)
         with pytest.raises(Exception):

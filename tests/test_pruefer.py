@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from gapmodel import cli, pruefer
+from gapmodel import _scipy, cli, pruefer
 from gapmodel.errors import BlowupError, BracketError, DomainError, HypothesisError
 from gapmodel.flow import build_grid, stationary_reference
 from gapmodel.model import ModelParams
@@ -86,9 +86,9 @@ CK_30 = {
 
 @pytest.fixture
 def ode_calls(monkeypatch):
-    """Counts of pruefer's calls into the two ODE forwarders, by name."""
+    """Counts of pruefer's calls into its ODE solvers, by name."""
     calls = collections.Counter()
-    for name in ("solve_ivp", "dop853_end"):
+    for name in ("solve_ivp", "dop853_end", "dop853_dense"):
         solver = getattr(pruefer, name)
 
         def counting(*args, _name=name, _solver=solver, **kwargs):
@@ -117,13 +117,12 @@ class TestRobinConstantSolve:
     @pytest.mark.parametrize("n,K,D,k", [(2, 0.5, 1.0, 10.0), (5, 1.0, 1.0, 60.0)])
     def test_boundary_report_adds_one_solve(self, n, K, D, k, ode_calls):
         # with c_k cached, the eigenfunction and its boundary values come
-        # from one dense solve and no shot
+        # from one compiled dense run and no shot
         find_ck(k, ModelParams(n, K, D))
         assert ode_calls["dop853_end"] >= 1
         ode_calls.clear()
         robin_boundary_report(k, ModelParams(n, K, D))
-        assert ode_calls["solve_ivp"] == 1
-        assert ode_calls["dop853_end"] == 0
+        assert ode_calls == {"dop853_dense": 1}
 
     def test_angle_check_is_a_bracket_error(self, monkeypatch):
         # Brent often ends on an exactly zero defect, so only a negative
@@ -248,35 +247,7 @@ class TestLazySamples:
 
 
 class TestAngleInterpolant:
-    """_scipy.dop853_interpolant gives scipy's dense output bit for bit."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        # each dense solve's OdeSolution, its rows and its gathered evaluator
-        made = []
-        interpolant = pruefer.dop853_interpolant
-
-        def keeping(solution, rows):
-            made.append((solution, rows, interpolant(solution, rows)))
-            return made[-1][2]
-
-        monkeypatch.setattr(pruefer, "dop853_interpolant", keeping)
-        return made
-
-    def test_profile_matches_scipy(self, solves):
-        p = ModelParams(5, 3.0, 1.0)
-        robin_boundary_report(300.0, p)
-        grid = build_grid(p, 300.0)
-        assert [rows for _, rows, _ in solves] == [[0, 1]]
-        for sol, rows, evaluate in solves:
-            assert sol.ascending
-            ends = [sol.t_min, sol.t_max]
-            inside = grid[(grid >= sol.t_min) & (grid <= sol.t_max)]
-            for z in (np.array(ends), sol.ts, inside):
-                assert evaluate(z).tobytes() == sol(z)[rows].tobytes()
-            for z in [*ends, 0.5 * sum(ends)]:
-                assert evaluate(z).shape == (len(rows),)
-                assert evaluate(z).tobytes() == sol(z)[rows].tobytes()
+    """_scipy._dense_evaluator picks each point's step as scipy's OdeSolution does."""
 
     @pytest.mark.parametrize("ascending", [True, False])
     def test_step_choice_is_scipys(self, ascending):
@@ -292,7 +263,14 @@ class TestAngleInterpolant:
         steps = [Dop853DenseOutput(a, b, gen.normal(size=2), gen.normal(size=(7, 2)))
                  for a, b in zip(ts[:-1], ts[1:])]
         sol = OdeSolution(ts, steps)
-        evaluate = pruefer.dop853_interpolant(sol, [0, 1])
+        evaluate = _scipy._dense_evaluator(
+            ts,
+            np.array([s.t_old for s in steps]),
+            np.array([s.h for s in steps]),
+            np.array([s.y_old for s in steps]),
+            # scipy's reversed(F), highest coefficient first
+            np.array([s.F[::-1] for s in steps]).transpose(1, 0, 2),
+        )
         z = np.concatenate((ts, [ts.min() - 0.3, ts.max() + 0.3],
                             gen.uniform(ts.min(), ts.max(), 50)))
         assert evaluate(z).tobytes() == sol(z).tobytes()
@@ -430,8 +408,6 @@ class TestCompiledBranches:
         assert info.value is raised
 
     def test_step_budget_is_a_domain_error(self, monkeypatch):
-        from gapmodel import _scipy
-
         p = ModelParams(5, 3.0, 1.0)
         c = find_ck(300.0, p) + 3000.0
         monkeypatch.setattr(_scipy, "DOP853_MAX_STEPS", 5)
@@ -441,6 +417,34 @@ class TestCompiledBranches:
                 side()
         monkeypatch.undo()
         assert psi_right(300.0, c, p, allow_partial=True).interval[0] > 0.0
+
+
+# The Robin profile (q, log r) at seven interior points z = j/8 D/2,
+# j = 1..7, to 30 digits, keyed by (n, K, D, k): the float c_k, then the
+# pairs.  mpmath's Taylor integration (odefun) at 30 digits of
+# q' = -w cos^2 q - sin^2 q, (log r)' = (1 - w) sin q cos q, with
+# w = c/cs_K^2 + pi^2/D^2, from q(0) = log r(0) = 0 at that c.  A rerun at
+# 40 digits agrees to 1e-31.
+PROFILE_30 = {
+    (5, 3.0, 1.0, 300.0): (-0.11644227190369943, [
+        ("-0.553118852104712620843659956599", "0.142301295742437689674138933358"),
+        ("-0.909427736286198559950345123943", "0.409231964290399703922437603952"),
+        ("-1.12078266138295130927315674713", "0.650260501384741223881559827119"),
+        ("-1.25794782492229921046774590864", "0.83659897967370682793507715166"),
+        ("-1.35713045162741382448143005986", "0.972263241083999185340479990852"),
+        ("-1.43601078637060707276701149234", "1.06437816375596070959754171553"),
+        ("-1.50413004461888588969538354812", "1.11822764116410427746102999711"),
+    ]),
+    (5, -8.0, 1.0, 1.0): (-12.733607673486055, [
+        ("0.168568826308626334498543397155", "0.019730796601717552552138624925"),
+        ("0.282847119088198423351386075778", "0.0607729748199766211559866724263"),
+        ("0.314526924527085423569003171545", "0.0902853597021957467946060448977"),
+        ("0.252102657956791638440974002766", "0.0908674802799284279624774418105"),
+        ("0.0862802964806666241144494741573", "0.0737506928723677597295357761598"),
+        ("-0.179707861147000335947760264359", "0.0837730864209206757398177688216"),
+        ("-0.496906520037485640025412557517", "0.174296035349560227126430900454"),
+    ]),
+}
 
 
 class TestRobinEigenfunction:
@@ -456,6 +460,17 @@ class TestRobinEigenfunction:
         gf = robin_eigenfunction(10.0, (2, 0.5, 1.0))
         assert gf.values[-1] == pytest.approx(0.1, rel=1e-12)
         assert np.all(gf.values > 0)
+
+    @pytest.mark.parametrize("n,K,D,k", list(PROFILE_30))
+    def test_profile_oracle(self, n, K, D, k, monkeypatch):
+        # the profile alone, run at the frozen c_k whatever find_ck returns
+        p = ModelParams(n, K, D)
+        c, qr30 = PROFILE_30[n, K, D, k]
+        monkeypatch.setattr(pruefer, "find_ck", lambda k, params: c)
+        profile, _ = pruefer._robin(k, p)
+        z = p.half * np.arange(1, 8) / 8
+        expected = [[float(x) for x in row] for row in zip(*qr30)]
+        np.testing.assert_allclose(profile(z), expected, rtol=0, atol=1e-12)
 
 
 class TestSupersolution:

@@ -1,5 +1,5 @@
-"""Smoke test of the shot-count script (sweeps/shot_counts.py), and which
-shots skip the collocation seed."""
+"""Smoke tests of the ODE solve-count script (sweeps/shot_counts.py), and
+which shots skip the collocation seed."""
 
 import importlib.util
 from pathlib import Path
@@ -21,6 +21,17 @@ def test_counts_repeat_exactly():
     assert total["angle_shots"] > 0 and total["lsoda_shots"] > 0
     # the finite-difference route makes no ODE shot
     assert first["by_kind"]["fd"]["angle_shots"] == 0
+
+
+def test_robin_counts_repeat_exactly():
+    # every op starts from an empty Robin-constant cache, so a second pass
+    # in the same process makes the same shots; the profile left solve_ivp
+    first = shot_counts.count("robin_flow", [1])
+    assert shot_counts.count("robin_flow", [1]) == first
+    total = first["total"]
+    for field in ("ck_shots", "ck_rhs", "dense_runs", "dense_rhs", "grid_runs", "grid_rhs"):
+        assert total[field] > 0, field
+    assert total["ivp_solves"] == total["ivp_rhs"] == 0
 
 
 def test_seed_ranges():

@@ -34,7 +34,8 @@ def test_tracer_installs_counts_and_restores(capsys):
     try:
         restore = tracing.install(tracer)
         try:
-            code = cli.main(["pruefer", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10"])
+            codes = [cli.main([command, "--n", "2", "--K", "0.5", "--D", "1", "--k", "10"])
+                     for command in ("pruefer", "flow")]
         finally:
             restore()
         after = _bound_objects()
@@ -43,7 +44,11 @@ def test_tracer_installs_counts_and_restores(capsys):
         for owner, attr, original in before:
             setattr(owner, attr, original)
     capsys.readouterr()
-    assert code == 0
-    assert tracer.counts["pruefer.ode.rhs_evals"] > 0
+    assert codes == [0, 0]
+    # the Robin path runs on compiled solvers the tracer does not wrap, so
+    # what it sees of it is spans and the flow's own counters
+    spans = {name for name, *_ in tracer.spans}
+    assert {"pruefer.find_ck", "pruefer.robin_boundary_report"} <= spans
+    assert tracer.counts["flow.steps"] > 0 and tracer.counts["flow.grid_nodes"] > 0
     for (owner, attr, original), (_, _, got) in zip(before, after):
         assert got is original, f"{owner.__name__}.{attr} was not restored"
