@@ -153,16 +153,15 @@ def dop853_dense(fun, fun_array, t0, t1, y0, rtol, atol, rows, event):
     F[1] = h * K[0] - delta
     F[2] = 2 * delta - h * (K[tableau.N_STAGES] + K[0])
     F[3:] = h * np.tensordot(tableau.D, K, axes=1)
-    # step, component; and coefficient, step, component, highest first
-    starts, coeffs = y_old.T, F[::-1].transpose(0, 2, 1)
+    coeffs = F[::-1]  # coefficient, component, step; highest first
 
     knots, t_event = t, None
     if code == 2:  # stopped by the event
-        last = _dense_evaluator(t[-2:], t_old[-1:], h[-1:], starts[-1:], coeffs[:, -1:])
+        last = _dense_evaluator(t[-2:], t_old[-1:], h[-1:], y_old[:, -1:], coeffs[:, :, -1:])
         eps4 = 4 * np.finfo(float).eps
         t_event = brentq(lambda z: event(z, last(z)), t[-2], t[-1], xtol=eps4, rtol=eps4)
         knots = np.append(t[:-1], t_event)
-    sol = _dense_evaluator(knots, t_old, h, starts[:, rows], coeffs[:, :, rows])
+    sol = _dense_evaluator(knots, t_old, h, y_old[rows], coeffs[:, rows])
     # the rebuild evaluates fun_array once per knot and 14 times per step
     return _outcome(solver, nfev=t.size + (len(K) - 2) * h.size,
                     t=t, y=y, t_event=t_event, sol=sol)
@@ -201,10 +200,12 @@ def _dense_evaluator(ts, t_old, h, y_old, coeffs):
     """z -> the rows of y(z) on the dense output of ``dop853_dense``.
 
     ts are the knots in the order of integration; t_old and h hold each
-    step's start and length, y_old its start state (step, row), and
-    coeffs its continuous-extension coefficients (coefficient, step, row),
+    step's start and length, y_old its start state (row, step), and
+    coeffs its continuous-extension coefficients (coefficient, row, step),
     highest first.  A point takes its step as scipy's ``OdeSolution``
-    does.
+    does.  Each coefficient's values at the points' steps are gathered by
+    one ``take`` from its rows, which run contiguously over the steps, and
+    1 - x is formed once per call.
     """
     ascending = ts[-1] >= ts[0]
     ts, side = (ts, "left") if ascending else (ts[::-1], "right")
@@ -213,19 +214,22 @@ def _dense_evaluator(ts, t_old, h, y_old, coeffs):
     def evaluate(z):
         z = np.asarray(z, dtype=float)
         t = z.reshape(-1)
-        step = np.clip(np.searchsorted(ts, t, side=side) - 1, 0, last)
+        step = np.searchsorted(ts, t, side=side)
+        step -= 1
+        np.clip(step, 0, last, out=step)
         if not ascending:
-            step = last - step
-        x = ((t - t_old[step]) / h[step])[:, None]
-        y = np.zeros((t.size, y_old.shape[1]))
+            np.subtract(last, step, out=step)
+        x = (t - t_old.take(step)) / h.take(step)
+        one_minus_x = 1 - x
+        gathered = np.empty((len(y_old), t.size))
+        y = np.zeros_like(gathered)
+        # the steps are in range; take's default mode="raise" would gather
+        # into a temporary copy and then copy that into out
         for i, f in enumerate(coeffs):
-            y += f[step]
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += y_old[step]
-        return y.T.reshape((y_old.shape[1],) + z.shape)
+            y += f.take(step, axis=1, out=gathered, mode="clip")
+            y *= one_minus_x if i % 2 else x
+        y += y_old.take(step, axis=1, out=gathered, mode="clip")
+        return y.reshape((len(y_old),) + z.shape)
 
     return evaluate
 

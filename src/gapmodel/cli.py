@@ -243,8 +243,7 @@ def _pruefer_row(k, n, K, D):
         raise BracketError(
             f"Robin constant solve failed for k={k} at n={n}, K={K}, D={D}: {exc}"
         ) from exc
-    ck = report["c_k"]
-    left = pruefer_mod.psi_left(ck, params)
+    ck, left = report["c_k"], report["left"]
     right = pruefer_mod.psi_right(k, ck, params)
     half = params.half
     zs = np.linspace(0.05 * half, 0.95 * half, 257)

@@ -40,6 +40,12 @@ J is positive (large K D^2 at small k), the step is also cut to the
 largest dt that keeps the row condition.  A rejected step at or below the
 start dt raises NonConvergenceError ("stalled at distance ..."); that is
 how a tol below the grid's discretisation error ends.
+
+Every step, Newton update and comparison step runs in place on one
+`_Workspace` per run: the Jacobian bands and the residual are written
+into the band matrix and right-hand side that LAPACK's gtsv (through
+`solve_banded`) overwrites with the update, so a step makes no new array
+of the grid's size.
 """
 
 import math
@@ -283,95 +289,143 @@ def default_dt(state):
 
 
 class _Workspace:
-    """Per-grid arrays shared across steps of one run.
+    """Per-grid coefficients and buffers of one run, written in place.
 
-    The stencil derivative d1 of the current values is passed in rather than
-    recomputed, so a run evaluates it once per step and shares it between
-    the step's residual, its Jacobian and the Riccati defect.  The band
-    matrix and right-hand side of the implicit solve are allocated once;
-    their boundary rows never change.
+    The stencils, 2 tn_K, 4 tn_K and, given c_k, c_k/cs_K^2 are formed once
+    per run.  `d1` writes the stencil derivative of the current values into
+    a buffer, so a run evaluates it once per accepted step and shares it
+    between the step's residual, its Jacobian and the Riccati defect.
+    `jacobian` writes the three bands of J into the rows of the band matrix
+    ab, `residual` writes F into the interior of the right-hand side rhs,
+    and `solve` scales both by the step and solves in place, so a step makes
+    no array of the grid's size.  Each result stays in its buffer until the
+    next call that writes it.
     """
 
-    def __init__(self, z, params):
-        self.z = z
-        (self.c_m, self.c_0, self.c_p), (self.d_m, self.d_0, self.d_p) = _stencils(z)
-        self.tn_int = tn_array(z[1:-1], params.K)
-        self.cs2_int = cs_array(z[1:-1], params.K) ** 2
+    def __init__(self, z, params, ck=None):
+        self.c, self.d = _stencils(z)
+        self.tn2 = 2.0 * tn_array(z, params.K)
+        self.tn4 = 2.0 * self.tn2[1:-1]
+        if ck is not None:
+            self.ck_cs2 = ck / cs_array(z, params.K) ** 2
         self.lam = math.pi**2 / params.D**2
-        self.n = len(z)
-        self.ab = np.zeros((3, self.n))
-        self.ab[1, 0] = 1.0
-        self.ab[1, -1] = 1.0
-        self.rhs = np.zeros(self.n)
+        n = len(z)
+        self.ab = np.empty((3, n))
+        self.rhs = np.empty(n)
+        self._d1, self._a, self._s = np.empty((3, n - 2))
+
+    def _stencil(self, w, v, out):
+        """w[0] v[:-2] + w[1] v[1:-1] + w[2] v[2:], into out."""
+        np.multiply(w[0], v[:-2], out=out)
+        out += np.multiply(w[1], v[1:-1], out=self._s)
+        out += np.multiply(w[2], v[2:], out=self._s)
+        return out
 
     def d1(self, v):
-        return self.c_m * v[:-2] + self.c_0 * v[1:-1] + self.c_p * v[2:]
-
-    def d2(self, v):
-        return self.d_m * v[:-2] + self.d_0 * v[1:-1] + self.d_p * v[2:]
+        return self._stencil(self.c, v, self._d1)
 
     def residual(self, v, d1):
-        """Interior residual of the stationary equation for current values."""
-        return self.d2(v) + 2.0 * v[1:-1] * d1 - 2.0 * self.tn_int * (
-            d1 + v[1:-1] ** 2 + self.lam
-        )
+        """Interior residual d2 + 2 psi d1 - 2 tn (d1 + psi^2 + pi^2/D^2) of
+        the stationary equation, into rhs[1:-1]."""
+        vi, F, s = v[1:-1], self.rhs[1:-1], self._s
+        self._stencil(self.d, v, F)
+        np.multiply(vi, 2.0, out=s)
+        F += np.multiply(s, d1, out=s)
+        np.multiply(vi, vi, out=s)
+        s += d1
+        s += self.lam
+        F -= np.multiply(self.tn2[1:-1], s, out=s)
 
-    def jacobian(self, v, d1):
-        """Tridiagonal Jacobian bands of the interior residual."""
-        vi = v[1:-1]
-        a = 2.0 * vi - 2.0 * self.tn_int
-        Jm = self.d_m + a * self.c_m
-        J0 = self.d_0 + a * self.c_0 + 2.0 * d1 - 4.0 * self.tn_int * vi
-        Jp = self.d_p + a * self.c_p
-        return Jm, J0, Jp
+    def jacobian(self, v, d1, a1=None, a2=None):
+        """Tridiagonal Jacobian bands of the interior residual, into ab.
 
-    def riccati(self, v, d1, ck):
+        J+ goes to ab[0, 2:], J0 to ab[1, 1:-1] and J- to ab[2, :-2], and
+        dt_max becomes the largest dt with every row sum of dt J at most 1
+        (inf if none is positive).  The advection coefficient is 2 psi -
+        2 tn; comparison_check's difference equation passes its a1 in place
+        of -2 tn and the reaction a2 that J0 gains.
+        """
+        vi, a, s = v[1:-1], self._a, self._s
+        np.multiply(vi, 2.0, out=a)
+        if a1 is None:
+            a -= self.tn2[1:-1]
+        else:
+            a += a1
+        (c_m, c_0, c_p), (d_m, d_0, d_p) = self.c, self.d
+        Jp, J0, Jm = self.ab[0, 2:], self.ab[1, 1:-1], self.ab[2, :-2]
+        np.multiply(a, c_m, out=Jm)
+        Jm += d_m
+        np.multiply(a, c_p, out=Jp)
+        Jp += d_p
+        np.multiply(a, c_0, out=J0)
+        J0 += d_0
+        J0 += np.multiply(d1, 2.0, out=s)
+        if a2 is not None:
+            J0 += a2
+        J0 -= np.multiply(self.tn4, vi, out=s)
+        np.add(Jm, J0, out=s)
+        s += Jp
+        top = float(np.max(s))
+        self.dt_max = 1.0 / top if top > 0.0 else math.inf
+
+    def riccati(self, v, d1):
         """Largest |psi' + psi^2 + pi^2/D^2 + c_k/cs^2| / (1 + psi^2) inside."""
-        res = d1 + v[1:-1] ** 2 + self.lam + ck / self.cs2_int
-        return float(np.max(np.abs(res) / (1.0 + v[1:-1] ** 2)))
+        vi, res, s = v[1:-1], self._a, self._s
+        np.multiply(vi, vi, out=s)
+        np.add(d1, s, out=res)
+        res += self.lam
+        res += self.ck_cs2[1:-1]
+        s += 1.0
+        return float(np.max(np.divide(np.abs(res, out=res), s, out=res)))
 
-    def solve(self, a, b, F, bands):
-        """delta with (a I - b J) delta = b F inside, delta = 0 at both ends."""
-        Jm, J0, Jp = bands
-        ab = self.ab
-        ab[1, 1:-1] = a - b * J0
-        ab[0, 2:] = -b * Jp
-        ab[2, :-2] = -b * Jm
-        self.rhs[1:-1] = b * F
-        delta = solve_banded((1, 1), ab, self.rhs)
+    def solve(self, a, b):
+        """delta with (a I - b J) delta = b F inside, delta = 0 at both ends.
+
+        J's bands are those `jacobian` left in ab and F is what `residual`
+        left in rhs[1:-1].  Both are scaled in place and handed to LAPACK's
+        gtsv, which overwrites them; delta is returned in rhs.
+        """
+        ab, rhs = self.ab, self.rhs
+        J0 = ab[1, 1:-1]
+        J0 *= b
+        np.subtract(a, J0, out=J0)
+        ab[0, 2:] *= -b
+        ab[2, :-2] *= -b
+        rhs[1:-1] *= b
+        # the boundary rows are the identity; the last solve overwrote them
+        ab[0, :2] = ab[2, -2:] = 0.0
+        ab[1, 0] = ab[1, -1] = 1.0
+        rhs[0] = rhs[-1] = 0.0
+        delta = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                             check_finite=False)
         if not np.all(np.isfinite(delta)):
             raise StabilityError("band solve produced non-finite values")
         return delta
 
-    def step(self, v, dt, d1, bands):
-        """Linearized implicit Euler: solve (I - dt J) delta = dt F, add delta.
+    def step(self, v, dt, d1, out):
+        """Linearized implicit Euler: solve (I - dt J) delta = dt F, and
+        write v + delta into out.
 
         Freezing only the advection coefficient leaves the 2 psi' part of
         the Jacobian explicit, and inside the layer that term is of order
         k^2; taking the whole Jacobian implicit keeps the step stable at
         large dt and makes the exact discrete stationary state a fixed
-        point.  d1 is self.d1(v) and bands is self.jacobian(v, d1).
+        point.  d1 is self.d1(v), and ab holds self.jacobian(v, d1).
         Raises StabilityError unless I - dt J is an M-matrix: nonnegative
-        off-diagonal bands of J and dt at most _row_sum_dt(bands).
+        off-diagonal bands of J and dt at most dt_max.
         """
-        Jm, _, Jp = bands
-        if min(np.min(Jm), np.min(Jp)) < 0.0:
+        if min(np.min(self.ab[2, :-2]), np.min(self.ab[0, 2:])) < 0.0:
             raise StabilityError(
                 "I - dt J is not an M-matrix: a cell Peclet number |2 psi - 2 tn| h / 2 "
                 "exceeds 1, so the grid is too coarse for the advection"
             )
-        if dt > _row_sum_dt(bands):
+        if dt > self.dt_max:
             raise StabilityError(
                 f"I - dt J is not an M-matrix: dt = {dt:.6g} times the largest "
                 "row sum of J exceeds 1"
             )
-        return v + self.solve(1.0, dt, self.residual(v, d1), bands)
-
-
-def _row_sum_dt(bands):
-    """Largest dt with every row sum of dt J at most 1 (inf if none is positive)."""
-    top = float(np.max(bands[0] + bands[1] + bands[2]))
-    return 1.0 / top if top > 0.0 else math.inf
+        self.residual(v, d1)
+        return np.add(v, self.solve(1.0, dt), out=out)
 
 
 def _project(v, k):
@@ -380,7 +434,7 @@ def _project(v, k):
     The continuum solution is nonpositive (zero is a supersolution when
     K >= 0), so projecting onto that constraint cannot increase the sup
     distance to the target.  Anything beyond roundoff-scale overshoot means
-    the scheme is actually unstable.
+    the scheme is actually unstable.  v is clipped in place.
     """
     top = float(np.max(v))
     if top > 1e-4 * max(1.0, k):
@@ -389,7 +443,7 @@ def _project(v, k):
         )
     if np.min(v) < -10.0 * max(1.0, k):
         raise StabilityError(f"blow-up guard tripped, min = {np.min(v):.3e}")
-    return np.minimum(v, 0.0)
+    np.minimum(v, 0.0, out=v)
 
 
 def flow_step(state, dt):
@@ -398,10 +452,11 @@ def flow_step(state, dt):
     ws = _Workspace(state.psi.z, state.params)
     v = state.psi.values
     d1 = ws.d1(v)
-    out = ws.step(v, dt, d1, ws.jacobian(v, d1))
+    ws.jacobian(v, d1)
+    out = ws.step(v, dt, d1, np.empty_like(v))
     out[0] = v[0]
     out[-1] = v[-1]
-    out = _project(out, state.k)
+    _project(out, state.k)
     return FlowState(
         psi=GridFunction(z=state.psi.z, values=out),
         t=state.t + dt,
@@ -422,9 +477,9 @@ def riccati_residual(state):
     how hard finite differences find the layer, not how stationary the state
     is.
     """
-    ws = _Workspace(state.psi.z, state.params)
+    ws = _Workspace(state.psi.z, state.params, find_ck(state.k, state.params))
     v = state.psi.values
-    return ws.riccati(v, ws.d1(v), find_ck(state.k, state.params))
+    return ws.riccati(v, ws.d1(v))
 
 
 @dataclass(frozen=True)
@@ -464,12 +519,15 @@ def flow_to_stationary(initial, k, params, tol=1e-6, t_max=None, on_step=None):
     below dt0 raises NonConvergenceError ("stalled at distance ..."); this
     is how a tol below the grid's discretisation error ends.  A step
     raises StabilityError if I - dt J is not an M-matrix (see
-    _Workspace.step).
+    _Workspace.step).  The steps run in place on one _Workspace, with the
+    values in two buffers that trade places on every accepted step; the
+    initial values are copied, never written.
 
     Returns a FlowRun whose trajectory records every accepted step and
     counts the rejected ones.  on_step(t, values), if given, is called
     after every accepted step; values is the new state and must be copied
-    to be kept, which is how the CLI records plot snapshots.  Raises
+    to be kept (the next accepted step but one overwrites it), which is how
+    the CLI records plot snapshots.  Raises
     NonConvergenceError with the final distance if the time cap 50 D^2
     is hit first.
     """
@@ -487,28 +545,31 @@ def flow_to_stationary(initial, k, params, tol=1e-6, t_max=None, on_step=None):
     ck = _flow_ck(k, params)
     z = state.psi.z
     target = stationary_reference(k, params, z)
-    ws = _Workspace(z, params)
+    ws = _Workspace(z, params, ck)
+    v = state.psi.values.copy()
+    new, gap = np.empty_like(v), np.empty_like(v)
 
     def dist(v):
-        return float(np.max(np.abs(v - target)))
+        return float(np.max(np.abs(np.subtract(v, target, out=gap), out=gap)))
 
-    v = state.psi.values
     d1 = ws.d1(v)
     times = [state.t]
     dists = [dist(v)]
-    resids = [ws.riccati(v, d1, ck)]
+    resids = [ws.riccati(v, d1)]
     max_uptick = 0.0
     rejected = 0
     t = state.t
-    dt0 = dt = default_dt(state)
+    # default_dt(state), from the workspace's 2 tn
+    np.subtract(np.multiply(v, 2.0, out=gap), ws.tn2, out=gap)
+    dt0 = dt = _advective_dt(params.D, gap)
     rise_slack = 1e-12 * max(1.0, k)
     while dists[-1] > tol and t < t_max:
-        bands = ws.jacobian(v, d1)
-        step_dt = min(dt, t_max - t, _row_sum_dt(bands))
-        new = ws.step(v, step_dt, d1, bands)
+        ws.jacobian(v, d1)
+        step_dt = min(dt, t_max - t, ws.dt_max)
+        ws.step(v, step_dt, d1, new)
         new[0] = v[0]
         new[-1] = v[-1]
-        new = _project(new, k)
+        _project(new, k)
         d = dist(new)
         if d - dists[-1] > rise_slack:
             if step_dt <= dt0:
@@ -520,12 +581,12 @@ def flow_to_stationary(initial, k, params, tol=1e-6, t_max=None, on_step=None):
             dt = max(0.5 * step_dt, dt0)
             continue
         t += step_dt
-        v = new
+        v, new = new, v
         d1 = ws.d1(v)
         max_uptick = max(max_uptick, d - dists[-1])
         times.append(t)
         dists.append(d)
-        resids.append(ws.riccati(v, d1, ck))
+        resids.append(ws.riccati(v, d1))
         if on_step is not None:
             on_step(t, v)
         dt = min(2.0 * step_dt, params.D**2)
@@ -563,7 +624,9 @@ def discrete_stationary(k, params, z=None, mesh_tol=DEFAULT_MESH_TOL):
     prev = math.inf
     for _ in range(60):
         d1 = ws.d1(v)
-        delta = ws.solve(0.0, 1.0, ws.residual(v, d1), ws.jacobian(v, d1))[1:-1]
+        ws.residual(v, d1)
+        ws.jacobian(v, d1)
+        delta = ws.solve(0.0, 1.0)[1:-1]
         v[1:-1] += delta
         nrm = float(np.max(np.abs(delta)))
         if nrm < 1e-12 * max(1.0, k) or nrm > 0.5 * prev and prev < 1e-6:
@@ -600,22 +663,24 @@ def comparison_check(u, v, params, k, T):
     if np.max(u.values - v.values) > 1e-12:
         raise HypothesisError("initial data are not ordered u <= v")
     z = u.z
-    ws = _Workspace(z, params)
+    ws = _Workspace(z, params, find_ck(k, params))
     f = stationary_reference(k, params, z)
-    fp = -(f**2) - ws.lam - find_ck(k, params) / cs_array(z, params.K) ** 2
-    a1 = 2.0 * f[1:-1] - 2.0 * ws.tn_int
-    a2 = 2.0 * fp[1:-1] - 4.0 * ws.tn_int * f[1:-1]
+    fp = -(f**2) - ws.lam - ws.ck_cs2
+    a1 = 2.0 * f[1:-1] - ws.tn2[1:-1]
+    a2 = 2.0 * fp[1:-1] - ws.tn4 * f[1:-1]
     slack = 1e-9 * max(1.0, k)
 
     def step(vals, dtau):
+        """One linearly-implicit step of the difference equation, in place."""
         wi = vals[1:-1]
         d1 = ws.d1(vals)
-        F = ws.d2(vals) + 2.0 * wi * d1 + a1 * d1 + a2 * wi - 2.0 * ws.tn_int * wi**2
-        a = 2.0 * wi + a1
-        Jm = ws.d_m + a * ws.c_m
-        J0 = ws.d_0 + a * ws.c_0 + 2.0 * d1 + a2 - 4.0 * ws.tn_int * wi
-        Jp = ws.d_p + a * ws.c_p
-        return vals + ws.solve(1.0, dtau, F, (Jm, J0, Jp))
+        F = ws._stencil(ws.d, vals, ws.rhs[1:-1])
+        F += 2.0 * wi * d1
+        F += a1 * d1
+        F += a2 * wi
+        F -= ws.tn2[1:-1] * wi**2
+        ws.jacobian(vals, d1, a1, a2)
+        vals += ws.solve(1.0, dtau)
 
     uu = u.values.copy()
     vv = v.values.copy()
@@ -624,8 +689,8 @@ def comparison_check(u, v, params, k, T):
     worst = float(np.max(uu - vv))
     while t < T:
         dtau = min(_advective_dt(params.D, 2.0 * uu + np.pad(a1, 1, mode="edge")), T - t)
-        uu = step(uu, dtau)
-        vv = step(vv, dtau)
+        step(uu, dtau)
+        step(vv, dtau)
         t += dtau
         gap = float(np.max(uu - vv))
         worst = max(worst, gap)

@@ -326,21 +326,31 @@ def robin_eigenfunction(k, params):
 
 
 def robin_boundary_report(k, params):
-    """Measured defects of the three boundary conditions plus positivity."""
+    """Measured defects of the three boundary conditions plus positivity,
+    and the left branch psi_left(c_k) read off the same profile run.
+
+    The profile is the run psi_left(c_k) makes, with the same system, start,
+    interval and tolerances, and at c_k its angle ends at -pi/2 +
+    arctan(1/k), short of the pole; so "left" equals psi_left(c_k)
+    wherever it is evaluated, without a second run.
+    """
     params = validate(params)
     profile, gf = _robin(k, params)
     k = float(k)
+    ck = find_ck(k, params)
     end, start = profile(params.half), profile(0.0)
     scale = (1.0 / k) / _phi(end)
     phi_end = _phi(end) * scale
     dphi_end = phi_end * math.tan(end[0])
     dphi_0 = _phi(start) * scale * math.tan(start[0])
     return {
-        "c_k": find_ck(k, params),
+        "c_k": ck,
         "phi_right_defect": abs(phi_end - 1.0 / k),
         "dphi_right_defect": abs(dphi_end + 1.0),
         "dphi_left_defect": abs(dphi_0),
         "positive": bool(np.all(gf.values > 0)),
+        "left": RiccatiSolution(side="left", c=ck, k=float("nan"),
+                                interval=(0.0, params.half), params=params, _q=profile),
     }
 
 

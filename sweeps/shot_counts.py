@@ -8,11 +8,14 @@ spectral.dop853_end (angle shots), spectral.lsoda_samples (eigenfunction
 shots), pruefer.dop853_end (find_ck's end-angle shots),
 pruefer.dop853_dense (Riccati branches and the Robin profile),
 flow.dop853_dense (the grid ODE) and pruefer.solve_ivp: calls and
-right-hand-side evaluations (nfev), summed by the slot kind perfbench gives
-each operation and over all of them.  Every operation starts with an empty
-Robin-constant cache, as a command-line run does, so the counts do not
-depend on the host or on the order of operations and repeat exactly from
-run to run; a claim about shots or RHS calls rests on this one command:
+right-hand-side evaluations (nfev).  The flow's work is counted beside
+them: flow._Workspace.step (attempted time steps), flow.solve_banded (band
+solves) and flow.build_grid (grids and their nodes).  The counts are summed
+by the slot kind perfbench gives each operation and over all of them.
+Every operation starts with an empty Robin-constant cache, as a
+command-line run does, so the counts do not depend on the host or on the
+order of operations and repeat exactly from run to run; a claim about
+shots, RHS calls or flow steps rests on this one command:
 
     PYTHONPATH=src python sweeps/shot_counts.py --workload eigen_sweep --seeds 2701-2710
 
@@ -38,14 +41,23 @@ _spec = importlib.util.spec_from_file_location(
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
-# (module, wrapped name, call counter, nfev counter)
-SOLVERS = ((spectral, "dop853_end", "angle_shots", "angle_rhs"),
-           (spectral, "lsoda_samples", "lsoda_shots", "lsoda_rhs"),
-           (pruefer, "dop853_end", "ck_shots", "ck_rhs"),
-           (pruefer, "dop853_dense", "dense_runs", "dense_rhs"),
-           (flow, "dop853_dense", "grid_runs", "grid_rhs"),
-           (pruefer, "solve_ivp", "ivp_solves", "ivp_rhs"))
-FIELDS = ("ops", *(field for *_, calls, rhs in SOLVERS for field in (calls, rhs)))
+
+def _nfev(sol):
+    return sol.nfev
+
+
+# (owner, wrapped name, call counter, size counter, size of one call's result)
+COUNTED = ((spectral, "dop853_end", "angle_shots", "angle_rhs", _nfev),
+           (spectral, "lsoda_samples", "lsoda_shots", "lsoda_rhs", _nfev),
+           (pruefer, "dop853_end", "ck_shots", "ck_rhs", _nfev),
+           (pruefer, "dop853_dense", "dense_runs", "dense_rhs", _nfev),
+           (flow, "dop853_dense", "grid_runs", "grid_rhs", _nfev),
+           (pruefer, "solve_ivp", "ivp_solves", "ivp_rhs", _nfev),
+           (flow._Workspace, "step", "flow_steps", None, None),
+           (flow, "solve_banded", "band_solves", None, None),
+           (flow, "build_grid", "grids", "grid_nodes", len))
+FIELDS = ("ops", *(field for *_, calls, size, _ in COUNTED
+                   for field in (calls, size) if field))
 
 
 def parse_seeds(text):
@@ -63,17 +75,18 @@ def count(workload, seeds):
     by_kind = {}
     current = Counter()  # the running op's kind's counts, rebound per op
 
-    def counting(real, calls, rhs):
-        def solve(*args, **kwargs):
-            sol = real(*args, **kwargs)
+    def counting(real, calls, size, measure):
+        def call(*args, **kwargs):
+            result = real(*args, **kwargs)
             current[calls] += 1
-            current[rhs] += sol.nfev
-            return sol
-        return solve
+            if size:
+                current[size] += measure(result)
+            return result
+        return call
 
-    saved = [(module, name, getattr(module, name)) for module, name, _, _ in SOLVERS]
-    for module, name, calls, rhs in SOLVERS:
-        setattr(module, name, counting(getattr(module, name), calls, rhs))
+    saved = [(owner, name, getattr(owner, name)) for owner, name, *_ in COUNTED]
+    for owner, name, calls, size, measure in COUNTED:
+        setattr(owner, name, counting(getattr(owner, name), calls, size, measure))
     try:
         for seed in seeds:
             for op in workloads.build(workload, seed, run_seconds()):
@@ -87,8 +100,8 @@ def count(workload, seeds):
                     except SystemExit:  # argparse rejected the command line
                         pass
     finally:
-        for module, name, real in saved:
-            setattr(module, name, real)
+        for owner, name, real in saved:
+            setattr(owner, name, real)
     total = sum(by_kind.values(), Counter())
     return {"total": _table(total),
             "by_kind": {kind: _table(c) for kind, c in by_kind.items()}}

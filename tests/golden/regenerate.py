@@ -37,6 +37,10 @@ CASES = [
     ("flow", ["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10",
               "--tol", "1e-4", "--mesh-tol", "1e-3", "--emit-plot", PLOT, "--snapshots", "2"],
      "csv"),
+    # the benchmark's largest flow: default mesh_tol, 62,928 nodes, 11 steps
+    ("flow_k300", ["flow", "--n", "5", "--K", "3", "--D", "1", "--k", "300"], "csv"),
+    # large K D^2 at small k: the M-matrix row-sum cut sets the step
+    ("flow_row_sum_cut", ["flow", "--n", "2", "--K", "12", "--D", "0.5", "--k", "0.5"], "csv"),
     ("bounds", ["bounds", "--n", "2,4", "--K", "0.5", "--D", "1"], "csv"),
 ]
 

@@ -4,6 +4,7 @@ stationary states, and the order-preservation check."""
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,13 @@ class TestStepping:
             moved = flow_step(state, dt)
             assert state.psi.sup_distance(moved.psi) < cap
 
+    def test_overflowing_step_is_a_stability_error(self):
+        # no row sum of J is positive here, so no dt is cut; dt J overflows
+        # and the band solve's result is not finite
+        st = discrete_stationary(10.0, P_FLOW, mesh_tol=1e-3)
+        with np.errstate(over="ignore"), pytest.raises(StabilityError, match="non-finite"):
+            flow_step(st, 1.7e308)
+
     def test_rejects_nonpositive_dt(self):
         st = discrete_stationary(10.0, P_FLOW)
         with pytest.raises(DomainError):
@@ -425,3 +433,71 @@ class TestComparison:
         shifted = GridFunction(z=v.z, values=v.values + 1e-6)
         with pytest.raises(DomainError):
             comparison_check(u, shifted, P_FLOW, 10.0, T=0.02)
+
+
+def _run_bytes(run):
+    """Every array of a FlowRun, as bytes."""
+    return [a.tobytes() for a in (run.state.psi.z, run.state.psi.values, run.times,
+                                   run.distances, run.residuals)]
+
+
+class TestInPlaceSteps:
+    """The steps write into buffers of their own run, never into the caller's
+    arrays or into what an earlier run returned."""
+
+    K_SLOPE = 10.0
+
+    def _initial(self):
+        k = self.K_SLOPE
+        return initial_supersolution(k, 1.01 * threshold_s(k, P_FLOW), P_FLOW)
+
+    def test_initial_values_are_not_written(self):
+        init = self._initial()
+        before = init.psi.values.copy()
+        run = flow_to_stationary(init, self.K_SLOPE, P_FLOW)
+        assert len(run.times) > 2
+        assert init.psi.values.tobytes() == before.tobytes()
+        gf = GridFunction(z=init.psi.z, values=before.copy())
+        flow_to_stationary(gf, self.K_SLOPE, P_FLOW)
+        assert gf.values.tobytes() == before.tobytes()
+        moved = flow_step(init, 1e-3)
+        assert init.psi.values.tobytes() == before.tobytes()
+        assert moved.psi.values is not init.psi.values
+
+    def test_runs_back_to_back_are_equal(self):
+        k = self.K_SLOPE
+        init = self._initial()
+        first = flow_to_stationary(init, k, P_FLOW)
+        kept = _run_bytes(first)
+        stationary = discrete_stationary(k, P_FLOW)
+        stepped = flow_step(stationary, 1e-3)
+        z = stationary.psi.z
+        bump = 0.1 * np.sin(math.pi * z / P_FLOW.half) ** 2
+        u = GridFunction(z=z, values=stationary.psi.values - bump)
+        checked = comparison_check(u, stationary.psi, P_FLOW, k, T=0.01)
+        second = flow_to_stationary(init, k, P_FLOW)
+        assert _run_bytes(second) == kept
+        # the later run did not write into what the first returned
+        assert _run_bytes(first) == kept
+        # and the calls between them repeat too
+        again = discrete_stationary(k, P_FLOW)
+        assert again.psi.values.tobytes() == stationary.psi.values.tobytes()
+        assert flow_step(stationary, 1e-3).psi.values.tobytes() == stepped.psi.values.tobytes()
+        assert comparison_check(u, stationary.psi, P_FLOW, k, T=0.01) == checked
+
+
+def test_flow_memory_at_the_benchmark_mesh():
+    """tracemalloc peak of a warm flow_to_stationary at (5, 3, 1), k = 300
+    (62,928 nodes, 11 steps), in arrays of the grid's size.  The steps ran on
+    fresh arrays before they ran in place, and peaked at 23.03 then; in
+    place they peak at 21.03."""
+    k, params = 300.0, ModelParams(5, 3.0, 1.0)
+    init = initial_supersolution(k, 1.01 * threshold_s(k, params), params)
+    flow_to_stationary(init, k, params)  # c_k and the first imports
+    tracemalloc.start()
+    try:
+        flow_to_stationary(init, k, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * init.psi.z.size) <= 23.0

@@ -267,15 +267,67 @@ class TestAngleInterpolant:
             ts,
             np.array([s.t_old for s in steps]),
             np.array([s.h for s in steps]),
-            np.array([s.y_old for s in steps]),
-            # scipy's reversed(F), highest coefficient first
-            np.array([s.F[::-1] for s in steps]).transpose(1, 0, 2),
+            np.array([s.y_old for s in steps]).T,
+            # scipy's reversed(F), highest coefficient first: (coefficient, row, step)
+            np.array([s.F[::-1] for s in steps]).transpose(1, 2, 0),
         )
         z = np.concatenate((ts, [ts.min() - 0.3, ts.max() + 0.3],
                             gen.uniform(ts.min(), ts.max(), 50)))
         assert evaluate(z).tobytes() == sol(z).tobytes()
         for point in z[:8]:
             assert evaluate(point).tobytes() == sol(point).tobytes()
+
+    @staticmethod
+    def _fancy_indexed(ts, t_old, h, y_old, coeffs):
+        """The evaluator as it was written with one fancy-indexed (points,
+        rows) gather per coefficient: y_old is (step, row) and coeffs
+        (coefficient, step, row)."""
+        ascending = ts[-1] >= ts[0]
+        ts, side = (ts, "left") if ascending else (ts[::-1], "right")
+        last = len(t_old) - 1
+
+        def evaluate(z):
+            z = np.asarray(z, dtype=float)
+            t = z.reshape(-1)
+            step = np.clip(np.searchsorted(ts, t, side=side) - 1, 0, last)
+            if not ascending:
+                step = last - step
+            x = ((t - t_old[step]) / h[step])[:, None]
+            y = np.zeros((t.size, y_old.shape[1]))
+            for i, f in enumerate(coeffs):
+                y += f[step]
+                if i % 2 == 0:
+                    y *= x
+                else:
+                    y *= 1 - x
+            y += y_old[step]
+            return y.T.reshape((y_old.shape[1],) + z.shape)
+
+        return evaluate
+
+    @pytest.mark.parametrize("rows", [[0], [0, 1]])
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_gathers_match_the_fancy_indexed_formula(self, ascending, rows):
+        gen = np.random.default_rng(11)
+        steps = 40
+        ts = np.cumsum(gen.uniform(0.5, 1.5, steps + 1))
+        if not ascending:
+            ts = -ts
+        t_old, h = ts[:-1], np.diff(ts)
+        y_old = gen.normal(size=(2, steps))  # (row, step)
+        coeffs = gen.normal(size=(7, 2, steps))  # (coefficient, row, step)
+        evaluate = _scipy._dense_evaluator(ts, t_old, h, y_old[rows], coeffs[:, rows])
+        reference = self._fancy_indexed(ts, t_old, h, y_old[rows].T,
+                                        coeffs[:, rows].transpose(0, 2, 1))
+        lo, hi = min(ts[0], ts[-1]), max(ts[0], ts[-1])
+        z = np.concatenate((ts, [lo, hi], gen.uniform(lo, hi, 500)))
+        assert evaluate(z).shape == (len(rows), z.size)
+        assert evaluate(z).tobytes() == reference(z).tobytes()
+        for point in (ts[0], ts[-1], ts[5], 0.5 * (ts[3] + ts[4])):
+            assert evaluate(point).shape == (len(rows),)
+            assert evaluate(point).tobytes() == reference(point).tobytes()
+        grid = z[:60].reshape(6, 10)
+        assert evaluate(grid).tobytes() == reference(grid).tobytes()
 
 
 # The angle q of a branch at seven interior points z = j/8 D/2, j = 1..7,
@@ -455,6 +507,20 @@ class TestRobinEigenfunction:
             assert rep["dphi_right_defect"] < 1e-8
             assert rep["dphi_left_defect"] < 1e-8
             assert rep["positive"]
+
+    @pytest.mark.parametrize("n,K,D,k", [(2, 0.5, 1.0, 10.0), (5, -8.0, 1.0, 1.0),
+                                         (2, 0.0, 1.0, 10.0), (5, 3.0, 1.0, 300.0),
+                                         (3, 12.0, 0.5, 0.5), (4, -2.0, 1.5, 20.0)])
+    def test_report_left_branch_is_psi_left(self, n, K, D, k):
+        # the profile is psi_left's run at c_k, so the report's left branch
+        # is psi_left(c_k) bit for bit, on the pruefer row's points and the ends
+        p = ModelParams(n, K, D)
+        rep = robin_boundary_report(k, p)
+        left, direct = rep["left"], psi_left(rep["c_k"], p)
+        assert (left.side, left.c, left.interval) == (direct.side, direct.c, direct.interval)
+        zs = np.concatenate((np.linspace(0.05 * p.half, 0.95 * p.half, 257), [0.0, p.half]))
+        assert left.psi_at(zs).tobytes() == direct.psi_at(zs).tobytes()
+        assert left.psi.tobytes() == direct.psi.tobytes()
 
     def test_normalization(self):
         gf = robin_eigenfunction(10.0, (2, 0.5, 1.0))

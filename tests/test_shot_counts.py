@@ -1,11 +1,13 @@
-"""Smoke tests of the ODE solve-count script (sweeps/shot_counts.py), and
+"""Smoke tests of the solve-count script (sweeps/shot_counts.py), and
 which shots skip the collocation seed."""
 
 import importlib.util
 from pathlib import Path
 
-from gapmodel import spectral
+from gapmodel import flow, spectral
 from gapmodel.model import ModelParams
+
+_STEP, _SOLVE_BANDED = flow._Workspace.step, flow.solve_banded
 
 SCRIPT = Path(__file__).resolve().parents[1] / "sweeps" / "shot_counts.py"
 _spec = importlib.util.spec_from_file_location("shot_counts", SCRIPT)
@@ -32,6 +34,20 @@ def test_robin_counts_repeat_exactly():
     for field in ("ck_shots", "ck_rhs", "dense_runs", "dense_rhs", "grid_runs", "grid_rhs"):
         assert total[field] > 0, field
     assert total["ivp_solves"] == total["ivp_rhs"] == 0
+
+
+def test_flow_work_is_counted():
+    # every attempted step makes one band solve, and each flow op builds one
+    # graded grid; pruefer ops make no flow work
+    by_kind = shot_counts.count("robin_flow", [1])["by_kind"]
+    flows = by_kind["flow"]
+    assert flows["flow_steps"] == flows["band_solves"] > flows["ops"]
+    assert flows["grids"] == flows["grid_runs"] == flows["ops"]
+    assert flows["grid_nodes"] > flows["grids"] * flow.MIN_CELLS
+    for field in ("flow_steps", "band_solves", "grids", "grid_nodes"):
+        assert by_kind["pruefer"][field] == 0, field
+    # the wrappers are gone once the count ends
+    assert flow._Workspace.step is _STEP and flow.solve_banded is _SOLVE_BANDED
 
 
 def test_seed_ranges():
