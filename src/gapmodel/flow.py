@@ -276,6 +276,13 @@ def _advective_dt(D, a):
     return 0.02 * D**2 / (1.0 + 0.05 * D * amax)
 
 
+def _dt0(D, v, tn2, out=None):
+    """`_advective_dt` of the flow's coefficient 2 psi - 2 tn, given 2 tn;
+    the coefficient is formed in out if given."""
+    a = np.multiply(v, 2.0, out=out)
+    return _advective_dt(D, np.subtract(a, tn2, out=a))
+
+
 def default_dt(state):
     """Advection-limited step 0.02 D^2 / (1 + 0.05 D sup|2 psi - 2 tn|).
 
@@ -284,8 +291,7 @@ def default_dt(state):
     condition is checked on every step instead).
     """
     params = state.params
-    z, v = state.psi.z, state.psi.values
-    return _advective_dt(params.D, 2.0 * v - 2.0 * tn_array(z, params.K))
+    return _dt0(params.D, state.psi.values, 2.0 * tn_array(state.psi.z, params.K))
 
 
 class _Workspace:
@@ -336,21 +342,12 @@ class _Workspace:
         s += self.lam
         F -= np.multiply(self.tn2[1:-1], s, out=s)
 
-    def jacobian(self, v, d1, a1=None, a2=None):
-        """Tridiagonal Jacobian bands of the interior residual, into ab.
-
-        J+ goes to ab[0, 2:], J0 to ab[1, 1:-1] and J- to ab[2, :-2], and
-        dt_max becomes the largest dt with every row sum of dt J at most 1
-        (inf if none is positive).  The advection coefficient is 2 psi -
-        2 tn; comparison_check's difference equation passes its a1 in place
-        of -2 tn and the reaction a2 that J0 gains.
-        """
+    def jacobian(self, v, d1):
+        """Tridiagonal Jacobian bands of the interior residual, into ab:
+        J+ to ab[0, 2:], J0 to ab[1, 1:-1] and J- to ab[2, :-2]."""
         vi, a, s = v[1:-1], self._a, self._s
         np.multiply(vi, 2.0, out=a)
-        if a1 is None:
-            a -= self.tn2[1:-1]
-        else:
-            a += a1
+        a -= self.tn2[1:-1]
         (c_m, c_0, c_p), (d_m, d_0, d_p) = self.c, self.d
         Jp, J0, Jm = self.ab[0, 2:], self.ab[1, 1:-1], self.ab[2, :-2]
         np.multiply(a, c_m, out=Jm)
@@ -360,13 +357,16 @@ class _Workspace:
         np.multiply(a, c_0, out=J0)
         J0 += d_0
         J0 += np.multiply(d1, 2.0, out=s)
-        if a2 is not None:
-            J0 += a2
         J0 -= np.multiply(self.tn4, vi, out=s)
-        np.add(Jm, J0, out=s)
-        s += Jp
+
+    def row_sum_dt(self):
+        """Largest dt with every row sum of dt J at most 1 (inf if none is
+        positive), for the bands `jacobian` left in ab."""
+        ab, s = self.ab, self._s
+        np.add(ab[2, :-2], ab[1, 1:-1], out=s)
+        s += ab[0, 2:]
         top = float(np.max(s))
-        self.dt_max = 1.0 / top if top > 0.0 else math.inf
+        return 1.0 / top if top > 0.0 else math.inf
 
     def riccati(self, v, d1):
         """Largest |psi' + psi^2 + pi^2/D^2 + c_k/cs^2| / (1 + psi^2) inside."""
@@ -402,7 +402,7 @@ class _Workspace:
             raise StabilityError("band solve produced non-finite values")
         return delta
 
-    def step(self, v, dt, d1, out):
+    def step(self, v, dt, d1, out, dt_max):
         """Linearized implicit Euler: solve (I - dt J) delta = dt F, and
         write v + delta into out.
 
@@ -410,16 +410,17 @@ class _Workspace:
         the Jacobian explicit, and inside the layer that term is of order
         k^2; taking the whole Jacobian implicit keeps the step stable at
         large dt and makes the exact discrete stationary state a fixed
-        point.  d1 is self.d1(v), and ab holds self.jacobian(v, d1).
-        Raises StabilityError unless I - dt J is an M-matrix: nonnegative
-        off-diagonal bands of J and dt at most dt_max.
+        point.  d1 is self.d1(v), ab holds self.jacobian(v, d1) and dt_max
+        is self.row_sum_dt() of those bands.  Raises StabilityError unless
+        I - dt J is an M-matrix: nonnegative off-diagonal bands of J and dt
+        at most dt_max.
         """
         if min(np.min(self.ab[2, :-2]), np.min(self.ab[0, 2:])) < 0.0:
             raise StabilityError(
                 "I - dt J is not an M-matrix: a cell Peclet number |2 psi - 2 tn| h / 2 "
                 "exceeds 1, so the grid is too coarse for the advection"
             )
-        if dt > self.dt_max:
+        if dt > dt_max:
             raise StabilityError(
                 f"I - dt J is not an M-matrix: dt = {dt:.6g} times the largest "
                 "row sum of J exceeds 1"
@@ -453,7 +454,7 @@ def flow_step(state, dt):
     v = state.psi.values
     d1 = ws.d1(v)
     ws.jacobian(v, d1)
-    out = ws.step(v, dt, d1, np.empty_like(v))
+    out = ws.step(v, dt, d1, np.empty_like(v), ws.row_sum_dt())
     out[0] = v[0]
     out[-1] = v[-1]
     _project(out, state.k)
@@ -559,14 +560,13 @@ def flow_to_stationary(initial, k, params, tol=1e-6, t_max=None, on_step=None):
     max_uptick = 0.0
     rejected = 0
     t = state.t
-    # default_dt(state), from the workspace's 2 tn
-    np.subtract(np.multiply(v, 2.0, out=gap), ws.tn2, out=gap)
-    dt0 = dt = _advective_dt(params.D, gap)
+    dt0 = dt = _dt0(params.D, v, ws.tn2, out=gap)  # default_dt(state)
     rise_slack = 1e-12 * max(1.0, k)
     while dists[-1] > tol and t < t_max:
         ws.jacobian(v, d1)
-        step_dt = min(dt, t_max - t, ws.dt_max)
-        ws.step(v, step_dt, d1, new)
+        dt_max = ws.row_sum_dt()
+        step_dt = min(dt, t_max - t, dt_max)
+        ws.step(v, step_dt, d1, new, dt_max)
         new[0] = v[0]
         new[-1] = v[-1]
         _project(new, k)
@@ -670,8 +670,11 @@ def comparison_check(u, v, params, k, T):
     a2 = 2.0 * fp[1:-1] - ws.tn4 * f[1:-1]
     slack = 1e-9 * max(1.0, k)
 
+    (c_m, c_0, c_p), (d_m, d_0, d_p) = ws.c, ws.d
+
     def step(vals, dtau):
-        """One linearly-implicit step of the difference equation, in place."""
+        """One linearly-implicit step of the difference equation, in place:
+        its residual and Jacobian bands go where `ws.solve` reads them."""
         wi = vals[1:-1]
         d1 = ws.d1(vals)
         F = ws._stencil(ws.d, vals, ws.rhs[1:-1])
@@ -679,7 +682,10 @@ def comparison_check(u, v, params, k, T):
         F += a1 * d1
         F += a2 * wi
         F -= ws.tn2[1:-1] * wi**2
-        ws.jacobian(vals, d1, a1, a2)
+        a = 2.0 * wi + a1
+        ws.ab[2, :-2] = d_m + a * c_m
+        ws.ab[1, 1:-1] = d_0 + a * c_0 + 2.0 * d1 + a2 - ws.tn4 * wi
+        ws.ab[0, 2:] = d_p + a * c_p
         vals += ws.solve(1.0, dtau)
 
     uu = u.values.copy()

@@ -219,8 +219,7 @@ def test_criterion_7_pruefer_consistency(capsys):
             for k in (10.0, 100.0, 1000.0):
                 params = ModelParams(n, kappa, 1.0)
                 report = pruefer.robin_boundary_report(k, params)
-                ck = report["c_k"]
-                left = pruefer.psi_left(ck, params)
+                ck, left = report["c_k"], report["left"]
                 right = pruefer.psi_right(k, ck, params)
                 zs = np.linspace(
                     0.05 * params.half, 0.95 * params.half, 257
