@@ -1,8 +1,7 @@
 """The compiled scipy solvers gapmodel calls, each wrapped in a narrower call.
 
 ``dop853_end`` runs every end-value shot: spectral's angle shots and
-``ball_first_eigen``'s radial solve, and pruefer's end-angle shots behind
-``find_ck``.
+pruefer's end-angle shots behind ``find_ck``.
 ``dop853_dense`` runs pruefer's Riccati branches, each stopped at its
 pole, pruefer's Robin profile, which runs to D/2 without an event, and
 flow's equidistribution ODE behind ``build_grid``, stopped where the grid

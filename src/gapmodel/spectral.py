@@ -59,8 +59,9 @@ The two routes share no integration machinery, which is the point: their
 agreement is evidence, not tautology.
 
 Also here: the same shooting applied to the first-order form (with the
-drift term, no gauge), an arbitrary-precision variant of the half-interval
-shooter, and the radial spherical-cap ground state.
+drift term, no gauge), and two roots of Gauss hypergeometric functions,
+found without an ODE solve: the eigenvalue in arbitrary precision (V is a
+Pöschl-Teller potential) and the radial spherical-cap ground state.
 """
 
 import functools
@@ -237,7 +238,8 @@ def eigen_shoot(params, index, form="normal"):
     small D it bounds the error against mpmath collocation or closed forms
     and stays below 1e-9 max(|lam|, (pi / D)^2), with one measured
     exception: n = 2 at the cap, where at (2, 39.4784, 0.5) it reads
-    2.4e-6 for index 1 and 1.8e-6 for index 2, against 3.9e-8 and 8.7e-8.
+    2.4e-6 for index 1 and 1.8e-6 for index 2, against errors of -1.2e-6
+    and +8.9e-7 from the closed form (eigen_shoot_mp).
 
     The result carries the eigenfunction (sup-normalized, one LSODA shot
     of (y, y') across the whole interval from y(-D/2) = 0, y'(-D/2) = 1,
@@ -447,44 +449,37 @@ def gap(params):
 def ball_first_eigen(n, D):
     """Ground state of the radial problem on a spherical cap of radius D/2.
 
-    Solves y'' + (n-1) cot(x) y' + lam y = 0 with a regular center and
-    y(D/2) = 0, starting the integration at eps = 1e-6 from the two-term
-    series around the removable singularity; each end value is one
-    compiled DOP853 shot (_scipy.dop853_end), and a failed shot raises
-    NonConvergenceError.  The returned value always satisfies
-    lam >= pi^2/D^2.
+    y'' + (n-1) cot(x) y' + lam y = 0 with a regular center is solved by
+    2F1(-nu, nu + n - 1; n/2; sin^2(x/2)), lam = nu (nu + n - 1); Brent's
+    method finds its first root in nu at x = D/2, with mpmath.hyp2f1 at
+    double precision, which sums the series in as many digits as its
+    cancellation needs.  For n from 2 to 200 and D from 1e-3 to pi - 1e-3
+    it is within 2.3e-15 relative of the 40-digit root, in 0.5-2 ms for
+    n <= 10 and up to 14 ms at n = 200.  The returned value always
+    satisfies lam >= pi^2/D^2.
     """
+    import mpmath
+
     if not (0 < D < math.pi):
         raise DomainError(f"cap diameter D must lie in (0, pi), got {D}")
     if n < 2:
         raise DomainError(f"dimension n must be at least 2, got {n}")
-    eps = 1e-6
-    half = D / 2
+    x = math.sin(D / 4) ** 2
 
-    def end_value(lam):
-        def rhs(x, y):
-            return [y[1], -(n - 1) / math.tan(x) * y[1] - lam * y[0]]
+    def end_value(nu):
+        return float(mpmath.hyp2f1(-nu, nu + n - 1, n / 2, x))
 
-        y0 = [1.0 - lam * eps**2 / (2 * n), -lam * eps / n]
-        sol = dop853_end(rhs, eps, half, y0, rtol=_ODE_TOL, atol=_ODE_TOL)
-        if not sol.success:
-            raise NonConvergenceError(f"radial integration failed: {sol.message}")
-        return float(sol.y[0])
-
-    lo = math.pi**2 / D**2 * 0.999
-    g_lo = end_value(lo)
-    if g_lo <= 0:
-        raise GapModelError(
-            "radial end value nonpositive at the lower comparison bound"
-        )
-    hi = lo
-    for _ in range(100):
-        hi *= 1.5
+    # consecutive roots lie about 2 pi / D apart in nu (exactly for n = 3),
+    # and the first lies below the flat ball's, about n / pi such steps up
+    hi = 0.0
+    for _ in range(100 * n):
+        lo, hi = hi, hi + math.pi / D
         if end_value(hi) < 0:
             break
     else:
         raise NonConvergenceError("no sign change while expanding the bracket")
-    lam = brentq(end_value, hi / 1.5, hi, xtol=1e-13, rtol=8.9e-16)
+    nu = brentq(end_value, lo, hi, xtol=1e-16, rtol=8.9e-16)
+    lam = nu * (nu + n - 1)
     if lam < math.pi**2 / D**2 * (1 - 1e-12):
         raise GapModelError(
             f"computed cap eigenvalue {lam:.12g} fell below pi^2/D^2"
@@ -493,14 +488,20 @@ def ball_first_eigen(n, D):
 
 
 def eigen_shoot_mp(params, index, dps=40):
-    """Half-interval shooting in arbitrary precision.
+    """Index-th Dirichlet eigenvalue in arbitrary precision, from the exact solution.
 
-    Uses the parity of the normal-form eigenfunctions: even (y(0)=1,
-    y'(0)=0) for index 1, odd (y(0)=0, y'(0)=1) for index 2, with a root of
-    y(D/2) = 0 polished by secant from eigen_shoot's float64 root, taken
-    without its eigenfunction shot and node check.  Built for
-    studying truncation remainders far below float64 noise; much slower
-    than eigen_shoot.
+    V is a Pöschl-Teller potential (Z. Phys. 83, 1933): with t = sqrt(K) z,
+    l + 1 = (n - 1) / 2 and a, b = (l + 1 +- sqrt(lam / K + (l + 1)^2)) / 2,
+    the even (index 1) and odd (index 2) solutions are cos^(l+1) t times
+    2F1(a, b; 1/2; sin^2 t) and sin t / sqrt(K) 2F1(a + 1/2, b + 1/2; 3/2;
+    sin^2 t), real parts for K < 0.  Secant from eigen_shoot's float64 root
+    (without its eigenfunction shot and node check) polishes their root at
+    z = D/2 until two iterates agree to 10^-(dps-5) relative, in dps digits
+    plus those cos^2 t = 1 - sin^2 t loses (13 at (2, 9.8696, 1)).  Runs at
+    dps and dps + 10 agree within 10^-dps max(|lam|, (pi/D)^2), the
+    accuracy's scale: at (10, 9.8, 1), 30 and 40 digits agree to 1.5e-19 of
+    lambda1 = 1.7e-16.  1-60 ms per root; near the cap, for even n (an
+    integer c - a - b, which mpmath's 2F1 perturbs), up to a few seconds.
     """
     import mpmath
 
@@ -508,29 +509,24 @@ def eigen_shoot_mp(params, index, dps=40):
     _check_index(index)
     n, K, D = params.n, params.K, params.D
     seed = max(_shoot_root(params, index, "normal")[0], 0.0)
-    with mpmath.workdps(dps):
-        Kmp = mpmath.mpf(K)
-        half = mpmath.mpf(D) / 2
-        coef = mpmath.mpf(n - 1) * Kmp / 4
-
-        def V(z):
-            if Kmp == 0:
-                return mpmath.mpf(0)
-            if Kmp > 0:
-                cs_val = mpmath.cos(mpmath.sqrt(Kmp) * z)
-            else:
-                cs_val = mpmath.cosh(mpmath.sqrt(-Kmp) * z)
-            return coef * ((n - 3) / cs_val**2 - (n - 1))
+    guard = 0 if K <= 0 else -math.log10(math.cos(math.sqrt(K) * D / 2) ** 2)
+    with mpmath.workdps(dps + math.ceil(guard)):
+        half, root_k = mpmath.mpf(D) / 2, mpmath.sqrt(K)
+        l1 = mpmath.mpf(n - 1) / 2  # l + 1
+        t = root_k * half
+        w = mpmath.sin(t) ** 2
 
         def end_value(lam):
-            lam = mpmath.mpf(lam)
-
-            def rhs(z, y):
-                return [y[1], (V(z) - lam) * y[0]]
-
-            y0 = [mpmath.mpf(1), mpmath.mpf(0)] if index == 1 else [mpmath.mpf(0), mpmath.mpf(1)]
-            f = mpmath.odefun(rhs, 0, y0, tol=mpmath.mpf(10) ** (-dps))
-            return f(half)[0]
+            if K == 0:
+                r = mpmath.sqrt(lam) * half
+                return mpmath.cos(r) if index == 1 else mpmath.sin(r)
+            a = (l1 + mpmath.sqrt(lam / K + l1 * l1)) / 2
+            b = l1 - a
+            if index == 1:
+                y = mpmath.hyp2f1(a, b, 0.5, w)
+            else:
+                y = mpmath.sin(t) / root_k * mpmath.hyp2f1(a + 0.5, b + 0.5, 1.5, w)
+            return mpmath.re(mpmath.cos(t) ** l1 * y)
 
         a = mpmath.mpf(seed) * (1 - mpmath.mpf(10) ** -9)
         b = mpmath.mpf(seed) * (1 + mpmath.mpf(10) ** -9)

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -517,6 +518,42 @@ class TestCapProblem:
             for D in (0.5, 1.5, 3.0):
                 assert ball_first_eigen(n, D) >= math.pi**2 / D**2
 
+    @pytest.mark.parametrize("D", [1e-3, 0.01, 0.5, 1.5, 3.0, math.pi - 1e-3])
+    def test_n3_closed_form(self, D):
+        # for n = 3 the regular radial solution is sin((nu + 1) x) / sin x,
+        # which vanishes at D/2 for nu + 1 = 2 pi / D
+        expected = (2 * math.pi / D) ** 2 - 1
+        assert abs(ball_first_eigen(3, D) - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_matches_30_digit_root(self, n):
+        for D in (1e-3, 0.01, 0.5, 1.5, 3.0, math.pi - 1e-3):
+            lam = ball_first_eigen(n, D)
+            with mpmath.workdps(30):
+                x = mpmath.sin(mpmath.mpf(D) / 4) ** 2
+                m = mpmath.mpf(n - 1) / 2
+                nu = mpmath.findroot(
+                    lambda v: mpmath.hyp2f1(-v, v + n - 1, mpmath.mpf(n) / 2, x),
+                    mpmath.sqrt(lam + m * m) - m)
+                ref = nu * (nu + n - 1)
+                assert abs(lam - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 60, 200])
+    def test_below_flat_ball(self, n):
+        # a cap's first eigenvalue lies below that of the flat ball of the
+        # same radius (Cheng 1975), (2 j / D)^2 with j the first zero of
+        # J_(n/2 - 1); a bracket that skipped the first root lands far above
+        j = float(mpmath.besseljzero(mpmath.mpf(n) / 2 - 1, 1))
+        for D in (1e-3, 0.5, 2.0, 3.0):
+            assert math.pi**2 / D**2 <= ball_first_eigen(n, D) <= (2 * j / D) ** 2
+
+    def test_runs_no_ode_solve(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise AssertionError("ODE solve")
+
+        monkeypatch.setattr(spectral, "dop853_end", failing)
+        assert ball_first_eigen(5, 0.5) == pytest.approx(319.72145974041115, rel=1e-9)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             ball_first_eigen(2, math.pi)
@@ -537,3 +574,39 @@ class TestHighPrecision:
     def test_second_index(self):
         lam = eigen_shoot_mp((5, 1.0, 1.0), 2, dps=30)
         assert float(lam) == pytest.approx(LAM_5_1_1[1], rel=1e-12)
+
+    def test_cap_n2_shooting_error_within_estimate(self):
+        # 20 digits of each eigenvalue; float shooting is off by -1.2e-6 and
+        # +8.9e-7 here, inside its estimates of 2.4e-6 and 1.8e-6
+        p = ModelParams(2, 39.4784, 0.5)
+        for idx, ref in ((1, "2.7095431861898419982"), (2, "87.270898028647964174")):
+            with mpmath.workdps(30):
+                ref = mpmath.mpf(ref)
+                assert abs(eigen_shoot_mp(p, idx, dps=25) - ref) <= 1e-19 * ref
+            r = eigen_shoot(p, idx)
+            assert abs(r.eigenvalue - ref) <= r.error_estimate
+
+    def test_large_negative_curvature(self):
+        # eigen_shoot's node check fails for index 1 here; the closed form
+        # needs only the float angle root, which lies within its estimate
+        p = ModelParams(6, -400.0, 1.0)
+        for idx, ref in ((1, "1600.000000001143791557"), (2, "2400.046328312334504725")):
+            with mpmath.workdps(30):
+                ref = mpmath.mpf(ref)
+                assert abs(eigen_shoot_mp(p, idx, dps=25) - ref) <= 1e-21 * ref
+            lam, err = spectral._shoot_root(p, idx, "normal")
+            assert abs(lam - ref) <= err
+
+    @pytest.mark.parametrize("triple", [
+        (6, -400.0, 1.0), (5, 0.0, 1.0), (1, 5.0, 1.0), (4, 9.86, 1.0),
+        # lambda1 is about 1.7e-16 here, so the scale is (pi / D)^2
+        (10, 9.8, 1.0),
+    ], ids=str)
+    def test_more_digits_agree(self, triple):
+        dps = 20
+        for idx in (1, 2):
+            lam = eigen_shoot_mp(triple, idx, dps=dps)
+            finer = eigen_shoot_mp(triple, idx, dps=dps + 10)
+            with mpmath.workdps(dps + 10):
+                scale = max(abs(finer), (math.pi / triple[2]) ** 2)
+                assert abs(lam - finer) <= mpmath.mpf(10) ** -(dps - 5) * scale
