@@ -4,18 +4,20 @@ Three small algebraic types:
 
   PiLaurent  -- finite sums  sum_e  q_e * pi^e  with rational q_e and
                 integer (possibly negative) exponents e.
-  NPoly      -- polynomials in the dimension symbol n with PiLaurent
-                coefficients, i.e. finite sums of q * n^d * pi^e.  The
-                expansion coefficients are polynomials in n (they enter
-                through (n-1)(n-3) and its powers), and a polynomial in n
-                is closed under the recurrence.
+  NPoly      -- polynomials in one symbol with PiLaurent coefficients,
+                i.e. finite sums of q * s^d * pi^e.  The dimension n enters
+                the expansion only through the coupling A = (n-1)(n-3), so
+                the series engine works in s = A, where every coefficient
+                has half its degree in n, and rewrites its results into
+                s = n with substitute(A_POLY).  Methods named for n (eval_n,
+                the n in repr) evaluate or print whichever symbol is held.
   TrigPoly   -- finite sums of  c x^j cos(m x)  and  c x^j sin(m x)  with
                 NPoly coefficients c, held as one sparse map from
                 (kind, m, j) to c.  Houses the eigenfunction corrections.
 
 PiLaurent and NPoly share one flat form: a map from each term to an integer
 numerator over one positive denominator, in lowest terms.  A PiLaurent term
-is its exponent e; an NPoly term n^d pi^e is the single integer d * 2^32 + e,
+is its exponent e; an NPoly term s^d pi^e is the single integer d * 2^32 + e,
 so multiplying two terms adds their keys and a PiLaurent is an NPoly of
 degree 0.  Every sum and product of these values, from the operators of
 both types to the series engine's integrals, projections, derivatives,
@@ -314,12 +316,14 @@ def _pi_power_mpf(e, prec):
 
 
 class NPoly(_Terms):
-    """A polynomial in the dimension symbol n with PiLaurent coefficients.
+    """A polynomial in one symbol with PiLaurent coefficients.
 
-    Stored flat, as numerators num[(d << 32) + e] of the terms n^d pi^e over
-    the one denominator den; the coefficient of n^d is read back from the
-    terms of that degree.  Degrees are ints >= 0 and pi exponents must stay
-    below 2^31 in size.
+    The symbol is the dimension n in every value the package returns, and
+    the coupling A = (n-1)(n-3) inside the series engine.  Stored flat, as
+    numerators num[(d << 32) + e] of the terms n^d pi^e over the one
+    denominator den; the coefficient of n^d is read back from the terms of
+    that degree.  Degrees are ints >= 0 and pi exponents must stay below
+    2^31 in size.
     """
 
     __slots__ = ()
@@ -350,13 +354,25 @@ class NPoly(_Terms):
         # the largest key holds the largest degree
         return (max(self.num) + _HALF) >> _SHIFT if self.num else -1
 
-    def _by_degree(self):
+    def by_degree(self):
         """{d: the PiLaurent coefficient of n^d}, for the nonzero ones."""
         parts = {}
         for k, v in self.num.items():
             d = (k + _HALF) >> _SHIFT
             parts.setdefault(d, {})[k - (d << _SHIFT)] = v
         return {d: _reduced(PiLaurent, num, self.den) for d, num in parts.items()}
+
+    def substitute(self, inner):
+        """self(inner), the NPoly inner put for the symbol, by Horner's rule."""
+        coeffs = self.by_degree()
+        out = NPoly()
+        for d in range(self.degree(), -1, -1):
+            step = [(out, inner, 1, 1)]
+            if d in coeffs:
+                # a PiLaurent is an NPoly of degree 0, term for term
+                step.append((coeffs[d], None, 1, 1))
+            out = _lincomb(NPoly, step)
+        return out
 
     def eval_n(self, n):
         """Exact evaluation at a rational n: returns a PiLaurent.
@@ -382,13 +398,13 @@ class NPoly(_Terms):
         return self.eval_n(n).eval_mp(mp)
 
     def to_json(self):
-        return {str(d): v.to_json() for d, v in sorted(self._by_degree().items())}
+        return {str(d): v.to_json() for d, v in sorted(self.by_degree().items())}
 
     def __repr__(self):
         if not self.num:
             return "0"
         parts = []
-        for d, v in sorted(self._by_degree().items(), reverse=True):
+        for d, v in sorted(self.by_degree().items(), reverse=True):
             if d == 0:
                 parts.append(f"({v!r})")
             elif d == 1:

@@ -19,7 +19,10 @@ General D enters through kappa = K D^2:
     D^2 lam_bar = sum_m c_m kappa^m,
     c_0 = mode^2 pi^2,  c_1 = lam_1 - (n-1)^2/4,  c_m = lam_m pi^{2-2m}.
 
-All coefficients are NPoly values (polynomials in n over PiLaurent).
+The potential holds n only through A, so every lam_m and every coefficient
+of y_m is a polynomial in A, of half its degree in n.  The engine solves in
+the symbol A and rewrites each lam_m into n once, when its order is solved;
+every coefficient it returns is an NPoly in n (a polynomial over PiLaurent).
 """
 
 import math
@@ -49,6 +52,9 @@ DEFAULT_ORDER_CAP = 8
 SIGN_CHANGE_N_MAX = 100
 MODULUS_SAMPLES = 257
 
+# the engine's symbol, the coupling A = (n-1)(n-3)
+_A = NPoly({1: 1})
+
 _BRANCHES = {
     "first": (1, "even", "cos"),
     "second": (2, "odd", "sin"),
@@ -57,7 +63,8 @@ _BRANCHES = {
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Expansion of one branch: orders[m] = (lam_m: NPoly, y_m: TrigPoly)."""
+    """Expansion of one branch: orders[m] = (lam_m in n, lam_m in A, y_m in A),
+    the NPoly lam_m and the TrigPoly y_m, with A = (n-1)(n-3)."""
 
     branch: str
     mode: int
@@ -69,8 +76,16 @@ class SeriesResult:
     def lam_poly(self, m):
         return self.orders[m][0]
 
-    def correction(self, m):
+    def lam_in_A(self, m):
+        """lam_m as the engine holds it, an NPoly in A = (n-1)(n-3)."""
         return self.orders[m][1]
+
+    def correction_in_A(self, m):
+        return self.orders[m][2]
+
+    def correction(self, m):
+        """y_m with its coefficients rewritten into n."""
+        return TrigPoly({key: c.substitute(A_POLY) for key, c in self.correction_in_A(m).terms.items()})
 
     def kappa_coefficient(self, m):
         """Coefficient of kappa^m in D^2 lam_bar, as an NPoly."""
@@ -98,14 +113,15 @@ def lambda_series(branch, M, cap=DEFAULT_ORDER_CAP):
 
 @lru_cache(maxsize=None)
 def _orders(branch, M):
-    """The (lam_m, y_m) pairs for m = 0..M: the cached pairs through M - 1
-    extended by one order, so every order is solved once per branch."""
+    """The orders m = 0..M as SeriesResult holds them: the cached orders
+    through M - 1 extended by one, so every order is solved once per branch."""
     mode, parity, kind = _branch_data(branch)
     base = TrigPoly.basis(kind, mode)
     if M == 0:
-        return ((NPoly.from_scalar(mode * mode), base),)
+        lam_0 = NPoly.from_scalar(mode * mode)
+        return ((lam_0, lam_0, base),)
     prev = _orders(branch, M - 1)
-    lams, ys = zip(*prev)
+    _, lams, ys = zip(*prev)
     a = sec2_coeffs(M - 1)
     # per term x^j trig(mx) of F: the sec^2 convolution sum_i a_i x^{2i} y_{M-1-i}
     # (A/4 is factored out) and the terms lam_i y_{M-i}
@@ -121,14 +137,14 @@ def _orders(branch, M):
     for key in {**sec2, **lam}:
         terms = lam.get(key, [])
         if key in sec2:
-            terms = [(_lincomb(NPoly, sec2[key]), A_POLY, 1, 4)] + terms
+            terms = [(_lincomb(NPoly, sec2[key]), _A, 1, 4)] + terms
         c = _lincomb(NPoly, terms)
         if c:
             forcing[key] = c
     F = TrigPoly(forcing)
     lam_M = F.project(kind, mode) * PiLaurent.pi_power(-1, 2)
     y_M = solve_resonant(F - base.scale(lam_M), mode, parity)
-    return prev + ((lam_M, y_M),)
+    return prev + ((lam_M.substitute(A_POLY), lam_M, y_M),)
 
 
 @dataclass(frozen=True)
@@ -213,20 +229,17 @@ def coefficient_sign(npoly, n, dps=120):
 def gap5_factors():
     """Split the fifth-order gap coefficient into its A^2 and A parts.
 
-    The coefficient is exactly (alpha A^2 + beta A) / pi^8 with
-    A = (n-1)(n-3); the conventional rendering scales these as
-    [(A^2/576) u + (A/(2 pi)) v] / pi^8, so u and v are the two decimal
-    factors reported for this order.
+    The coefficient is exactly alpha A^2 + beta A with A = (n-1)(n-3),
+    read off the engine's polynomial in A; the conventional rendering
+    scales these as [(A^2/576) u + (A/(2 pi)) v] / pi^8, so u and v are the
+    two decimal factors reported for this order.
     """
-    c5 = gap_series(5).kappa_coefficient(5)
-    v1 = c5.eval_n(0)  # A = 3
-    v2 = c5.eval_n(5)  # A = 8
-    det = Fraction(9 * 8 - 3 * 64)
-    alpha = (v1 * 8 - v2 * 3) / det
-    beta = (v2 * 9 - v1 * 64) / det
-    rebuilt = A_POLY * A_POLY * alpha + A_POLY * beta
-    if rebuilt != c5:
+    g = gap_series(5)
+    c5 = (g.second.lam_in_A(5) - g.first.lam_in_A(5)) * PiLaurent.pi_power(-8)
+    parts = c5.by_degree()
+    if not set(parts) <= {1, 2}:
         raise DomainError("fifth-order gap coefficient is not quadratic in A")
+    alpha, beta = parts.get(2, PiLaurent()), parts.get(1, PiLaurent())
     pi8 = PiLaurent.pi_power(8)
     return {
         "alpha": alpha,
@@ -379,13 +392,14 @@ PUBLISHED_DECIMALS = {
 
 
 def engine_inner_products():
-    """The order-5 inner products recomputed from the engine's own corrections."""
+    """The order-5 inner products recomputed from the engine's own corrections,
+    formed in A and returned in n."""
     s1 = lambda_series("first", 3)
     s2 = lambda_series("second", 3)
-    y12, y13 = s1.correction(2), s1.correction(3)
-    y22, y23 = s2.correction(2), s2.correction(3)
+    y12, y13 = s1.correction_in_A(2), s1.correction_in_A(3)
+    y22, y23 = s2.correction_in_A(2), s2.correction_in_A(3)
     x8 = TrigPoly({("cos", 0, 8): F(62, 315)})
-    return {
+    inner = {
         "y12_y13": trig_integrate(y12 * y13),
         "dy12_dy13": trig_integrate(y12.derivative() * y13.derivative()),
         "y22_y23": trig_integrate(y22 * y23),
@@ -397,6 +411,7 @@ def engine_inner_products():
             x8 * TrigPoly.basis("sin", 2) * TrigPoly.basis("sin", 2)
         ),
     }
+    return {name: v.substitute(A_POLY) for name, v in inner.items()}
 
 
 def check_reference(M=5):

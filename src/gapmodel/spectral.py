@@ -495,7 +495,8 @@ def eigen_shoot_mp(params, index, dps=40):
     the even (index 1) and odd (index 2) solutions are cos^(l+1) t times
     2F1(a, b; 1/2; sin^2 t) and sin t / sqrt(K) 2F1(a + 1/2, b + 1/2; 3/2;
     sin^2 t), real parts for K < 0.  Secant from eigen_shoot's float64 root
-    (without its eigenfunction shot and node check) polishes their root at
+    (without its eigenfunction shot and node check; from 0 and 1e-9 (pi/D)^2
+    where that root clamps to 0) polishes their root at
     z = D/2 until two iterates agree to 10^-(dps-5) relative, in dps digits
     plus those cos^2 t = 1 - sin^2 t loses (13 at (2, 9.8696, 1)).  Runs at
     dps and dps + 10 agree within 10^-dps max(|lam|, (pi/D)^2), the
@@ -528,8 +529,11 @@ def eigen_shoot_mp(params, index, dps=40):
                 y = mpmath.sin(t) / root_k * mpmath.hyp2f1(a + 0.5, b + 0.5, 1.5, w)
             return mpmath.re(mpmath.cos(t) ** l1 * y)
 
-        a = mpmath.mpf(seed) * (1 - mpmath.mpf(10) ** -9)
-        b = mpmath.mpf(seed) * (1 + mpmath.mpf(10) ** -9)
+        if seed:
+            a = mpmath.mpf(seed) * (1 - mpmath.mpf(10) ** -9)
+            b = mpmath.mpf(seed) * (1 + mpmath.mpf(10) ** -9)
+        else:
+            a, b = mpmath.mpf(0), mpmath.mpf(10) ** -9 * (mpmath.pi / D) ** 2
         ga, gb = end_value(a), end_value(b)
         for _ in range(60):
             if gb == ga:

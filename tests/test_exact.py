@@ -408,7 +408,7 @@ class TestLinearCombinationKernel:
         x = _npoly(a)
         for n in (0, 2, 5, Fraction(7, 2)):
             want = PiLaurent()
-            for d, v in x._by_degree().items():
+            for d, v in x.by_degree().items():
                 want = want + v * Fraction(n) ** d
             got = x.eval_n(n)
             assert got == want and got.num == want.num and got.den == want.den
@@ -446,6 +446,20 @@ class TestNPoly:
         p = NPoly({2: Fraction(1, 2), 0: Fraction(-3)})
         r = repr(p)
         assert "n^2" in r and "1/2" in r
+
+
+class TestSubstitution:
+    """The series engine solves in A = (n-1)(n-3) and rewrites into n by
+    substitute(A_POLY); the rewrite must commute with evaluation."""
+
+    @given(p=npoly_st, q=fractions_st)
+    @example(p=NPoly(), q=Fraction(2))
+    @example(p=NPoly({3: PiLaurent({-2: 1})}), q=Fraction(1))
+    def test_rewrite_into_n_matches_evaluation_at_A(self, p, q):
+        in_n = p.substitute(A_POLY)
+        assert in_n.eval_n(q) == p.eval_n((q - 1) * (q - 3))
+        assert in_n.degree() == 2 * p.degree() if p else not in_n
+        assert in_n.den > 0 and 0 not in in_n.num.values()
 
 
 def _mp_eval_trigpoly(coeffs, x):

@@ -189,17 +189,30 @@ class TestEvaluation:
             assert expect / 3.0 < ratio < expect * 3.0
 
 
-def test_order_twelve_coefficients_are_frozen():
-    """Every exact kappa^m coefficient of both branches through order 12,
-    as JSON, hashes to the digest of the Fraction-per-term engine."""
-    g = gap_series(12, cap=20)
+def kappa_digest(M):
+    """sha256 of every exact kappa^m coefficient of both branches through
+    order M, as JSON."""
+    g = gap_series(M, cap=20)
     doc = json.dumps(
-        {b: [getattr(g, b).kappa_coefficient(m).to_json() for m in range(13)]
+        {b: [getattr(g, b).kappa_coefficient(m).to_json() for m in range(M + 1)]
          for b in ("first", "second")},
         sort_keys=True,
     )
-    assert hashlib.sha256(doc.encode()).hexdigest() == (
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def test_order_twelve_coefficients_are_frozen():
+    """The digest of the Fraction-per-term engine."""
+    assert kappa_digest(12) == (
         "fd65a0ab41234d458902ebeae6a51a7092dcc1ae83afdae8085f82f4133ae065"
+    )
+
+
+def test_order_sixteen_coefficients_are_frozen():
+    """The digest of the engine that solved in n, before it solved in
+    A = (n-1)(n-3)."""
+    assert kappa_digest(16) == (
+        "46338af911afe39c16e2067455c6717139faba8fe8d50f40f75d3574a09d1757"
     )
 
 

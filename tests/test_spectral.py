@@ -597,6 +597,16 @@ class TestHighPrecision:
             lam, err = spectral._shoot_root(p, idx, "normal")
             assert abs(lam - ref) <= err
 
+    def test_zero_seed(self):
+        # the float root is -9.8e-12 and clamps to 0; the secant must still
+        # step, from 0 and 1e-9 (pi / D)^2
+        p = ModelParams(5, 9.8695, 1.0)
+        assert spectral._shoot_root(p, 1, "normal")[0] < 0
+        lam = eigen_shoot_mp(p, 1, dps=30)
+        assert float(lam) == pytest.approx(2.88239971078067e-14, rel=1e-14)
+        with mpmath.workdps(40):
+            assert abs(lam - eigen_shoot_mp(p, 1, dps=40)) <= mpmath.mpf(10) ** -40
+
     @pytest.mark.parametrize("triple", [
         (6, -400.0, 1.0), (5, 0.0, 1.0), (1, 5.0, 1.0), (4, 9.86, 1.0),
         # lambda1 is about 1.7e-16 here, so the scale is (pi / D)^2
