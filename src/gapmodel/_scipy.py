@@ -3,10 +3,11 @@
 ``dop853_end`` runs every end-value shot: spectral's angle shots and
 pruefer's end-angle shots behind ``find_ck``.
 ``dop853_dense`` runs pruefer's Riccati branches, each stopped at its
-pole, pruefer's Robin profile, which runs to D/2 without an event, and
-flow's equidistribution ODE behind ``build_grid``, stopped where the grid
+pole, pruefer's Robin profile, which runs to D/2 without an event,
+spectral's (theta, log r) eigenfunction run from -D/2 to 0, and flow's
+equidistribution ODE behind ``build_grid``, stopped where the grid
 reaches z = 0, and rebuilds their dense output from the Fortran steps.
-``lsoda_samples`` samples spectral's eigenfunction shot.  Spectral's
+Every ODE gapmodel solves runs on DOP853 through these two.  Spectral's
 finite-difference route takes its coarse grid's eigenvalue from
 ``tridiagonal_eigenvalue`` (``stebz``) and its fine grid's eigenpair from
 ``tridiagonal_eigenpair`` (``stebz`` + ``stein``).
@@ -20,7 +21,7 @@ import warnings
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import ODEintWarning, ode, odeint
+from scipy.integrate import ode
 from scipy.integrate._ivp import dop853_coefficients as tableau
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.optimize import brentq
@@ -29,12 +30,6 @@ from scipy.optimize import brentq
 # the cap, at (n, K, D) = (8, 9.8696, 1), takes about 19k steps, and a run
 # that exhausts the budget fails instead of stalling
 DOP853_MAX_STEPS = 100_000
-
-# step budget of lsoda_samples between two neighbouring points; the last of
-# the 1000 intervals of an eigenfunction shot within 5e-6 of the cap takes
-# up to 23k steps, at (n, K, D) = (12, 9.8696, 1), and a run that exhausts
-# the budget fails instead of stepping on into a blow-up
-LSODA_MAX_STEPS = 50_000
 
 
 def _dop853(fun, t0, t1, y0, rtol, atol, solout=None):
@@ -103,10 +98,11 @@ def dop853_dense(fun, fun_array, t0, t1, y0, rtol, atol, rows, event):
     step's continuous extension are formed as in scipy's ``DOP853``
     (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5-6).  The event's
     root is found by ``brentq`` on the stopping step's interpolant, with
-    solve_ivp's tolerances.  Three callers use it: pruefer's Riccati
-    branches, whose event is the angle's pole, pruefer's Robin profile,
-    which has none, and flow's ``build_grid``, whose event is the grid
-    reaching z = 0 and whose t1 is the cell budget.
+    solve_ivp's tolerances.  Four callers use it: pruefer's Riccati
+    branches, whose event is the angle's pole, pruefer's Robin profile and
+    spectral's eigenfunction run, which have none, and flow's
+    ``build_grid``, whose event is the grid reaching z = 0 and whose t1 is
+    the cell budget.
 
     Returns ``t`` and ``y``, the recorded points and the states there (one
     row of y per component), ``t_event``, the root or None, and ``sol``,
@@ -164,35 +160,6 @@ def dop853_dense(fun, fun_array, t0, t1, y0, rtol, atol, rows, event):
     # the rebuild evaluates fun_array once per knot and 14 times per step
     return _outcome(solver, nfev=t.size + (len(K) - 2) * h.size,
                     t=t, y=y, t_event=t_event, sol=sol)
-
-
-def lsoda_samples(fun, t, y0, rtol, atol):
-    """Samples of y' = fun(t, y) at the increasing points t by ODEPACK's LSODA.
-
-    One call of scipy's compiled ``odeint`` from y(t[0]) = y0, with
-    tcrit = t[-1] so that no step passes the last point, where fun may have
-    a pole.  Returns the attribute names of ``solve_ivp``'s result: ``t``
-    and ``y`` are the points reached and the states there, one row of y per
-    component; ``nfev`` counts right-hand-side calls, and ``success`` and
-    ``message`` report LSODA's outcome.  A failure (excess work, excess
-    accuracy requested, ...) gives ``success = False`` with LSODA's message
-    instead of scipy's warning, and t and y end before the first point not
-    reached.  An exception raised by fun propagates.
-    """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", category=ODEintWarning)
-        y, info = odeint(fun, y0, t, rtol=rtol, atol=atol, tcrit=[t[-1]],
-                         mxstep=LSODA_MAX_STEPS, full_output=True, tfirst=True)
-    message = info["message"]
-    if message == "Integration successful.":
-        return SimpleNamespace(t=t, y=y.T, nfev=int(info["nfe"][-1]),
-                               success=True, message=message)
-    # odeint fills its per-point records in order and stops at the point it
-    # fails to reach, the first whose record shows LSODA's time tcur short
-    # of it; nothing past that record is written
-    k = int((info["tcur"] < t[1:]).argmax()) + 1
-    return SimpleNamespace(t=t[:k], y=y[:k].T, nfev=int(info["nfe"][k - 1]),
-                           success=False, message=message)
 
 
 def _dense_evaluator(ts, t_old, h, y_old, coeffs):

@@ -28,6 +28,15 @@ from .errors import DomainError, PoleError
 from .kernels import cs, cs_array, cs_at, tn
 
 
+def as_integer(value, minimum, requirement):
+    """value as an int >= minimum, from an int or an integral float; else DomainError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise DomainError(f"{requirement}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Dimension n (integer >= 1), curvature K, diameter D (> 0, K D^2 < pi^2).
@@ -42,15 +51,8 @@ class ModelParams:
     D: float
 
     def __post_init__(self):
-        n, K, D = self.n, self.K, self.D
-        if isinstance(n, bool) or not isinstance(n, int):
-            if isinstance(n, float) and n.is_integer():
-                object.__setattr__(self, "n", int(n))
-                n = int(n)
-            else:
-                raise DomainError(f"n must be an integer >= 1, got {n!r}")
-        if n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "n", as_integer(self.n, 1, "n must be an integer >= 1"))
+        K, D = self.K, self.D
         if not (isinstance(K, (int, float)) and math.isfinite(K)):
             raise DomainError(f"K must be a finite real number, got {K!r}")
         object.__setattr__(self, "K", float(K))
@@ -117,16 +119,6 @@ def validate(params):
 def model_rhs(s, phi, dphi, lam, params):
     """phi'' at a point, from phi'' - (n-1) tn phi' + lam phi = 0."""
     return (params.n - 1) * tn(s, params.K) * dphi - lam * phi
-
-
-def normal_rhs(lam, params):
-    """First-order system for the normal form: y = (psi, psi')."""
-    V = potential_at(params)
-
-    def rhs(z, y):
-        return (y[1], (V(z) - lam) * y[0])
-
-    return rhs
 
 
 def gauge_factor(z, params):

@@ -29,10 +29,10 @@ only [-D/2, 0], inward from the endpoint, and matches at z = 0; each angle
 shot runs Hairer's compiled DOP853 (_scipy.dop853_end) and keeps only the
 end state.  Its right-hand side evaluates V through the closure
 model.potential_at builds once per shot and returns theta' as a bare
-float.  The eigenfunction returned with the eigenvalue checks the parity
-this assumes: one (y, y') shot across the whole interval, sampled at 1001
-points by one compiled LSODA call (_scipy.lsoda_samples), whose
-right-hand side (model.normal_rhs) builds its own potential_at closure.
+float.  At the root one (theta, log r) run over [-D/2, 0], S y = r sin(theta),
+y' = r cos(theta) (_scipy.dop853_dense), gives the angle noise, the parity
+defect and the eigenfunction, mirrored onto [0, D/2] by parity; no shot
+runs toward an end, where the eigenfunction decays and the other grows.
 
 Brent's method finds the root of the midpoint angle, starting inside an
 interval about 1e-9 wide that Chebyshev collocation proposes and two angle
@@ -65,6 +65,7 @@ Pöschl-Teller potential) and the radial spherical-cap ground state.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -72,26 +73,26 @@ import numpy as np
 from scipy.integrate import solve_ivp  # called by no route; perfbench/tracing.py rebinds it
 from scipy.optimize import brentq
 
-from ._scipy import dop853_end, lsoda_samples, tridiagonal_eigenpair, tridiagonal_eigenvalue
+from ._scipy import dop853_dense, dop853_end, tridiagonal_eigenpair, tridiagonal_eigenvalue
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError
-from .kernels import tn
-from .model import (
-    GridFunction,
-    model_rhs,
-    normal_rhs,
-    potential,
-    potential_array,
-    potential_at,
-    validate,
-)
+from .kernels import tn, tn_array
+from .model import GridFunction, as_integer, potential, potential_array, potential_at, validate
 
 _ODE_TOL = 1e-12
 _N_SAMPLES = 1001  # points in a shot eigenfunction on [-D/2, D/2]
+_PARITY_TOL = 1e-5  # bound on |sin(theta(0) - index pi/2)| at the root
 
 
 @dataclass(frozen=True)
 class EigenResult:
+    """One eigenvalue, its error estimate and its sup-normalized eigenfunction.
+
+    symmetry_residual is the parity defect: for shooting, |sin(theta(0) -
+    index pi/2)| of the run at the root, at most _PARITY_TOL; for finite
+    differences, sup|y(z) -+ y(-z)| over the samples, unchecked.
+    """
+
     eigenvalue: float
     index: int
     method: str
@@ -107,7 +108,7 @@ def _check_index(index):
         raise DomainError(f"index must be 1 or 2, got {index}")
 
 
-def _angle_mid(lam, params, form, S, tol=_ODE_TOL):
+def _angle_mid(lam, params, form, S):
     """Prüfer angle of (S y, y') at z = 0, shot from theta(-D/2) = 0.
 
     Any fixed S > 0 keeps the angle monotone in lam and its midpoint
@@ -133,29 +134,55 @@ def _angle_mid(lam, params, form, S, tol=_ODE_TOL):
             c = math.cos(th)
             return [S * c * c + lam_s * s * s - (n - 1) * tn(z, K) * s * c]
 
-    sol = dop853_end(rhs, -params.half, 0.0, [0.0], rtol=tol, atol=tol)
+    sol = dop853_end(rhs, -params.half, 0.0, [0.0], rtol=_ODE_TOL, atol=_ODE_TOL)
     if not sol.success:
         raise NonConvergenceError(f"angle integration failed: {sol.message}")
     return float(sol.y[0])
 
 
-def _shoot_eigenfunction(lam, params, form):
-    half = params.half
+def _polar_rhs(lam, params, form, S, array):
+    """(theta, log r)' for S y = r sin(theta), y' = r cos(theta), on floats
+    or, for dop853_dense's stage rebuild, on (2, points) arrays."""
+    sin, cos = (np.sin, np.cos) if array else (math.sin, math.cos)
     if form == "normal":
-        rhs = normal_rhs(lam, params)
-    else:
+        V = functools.partial(potential_array, params=params) if array else potential_at(params)
 
         def rhs(z, y):
-            return [y[1], model_rhs(z, y[0], y[1], lam, params)]
+            s, c = sin(y[0]), cos(y[0])
+            q = (lam - V(z)) / S
+            return [S * c * c + q * s * s, (S - q) * s * c]
 
-    z = np.linspace(-half, half, _N_SAMPLES)
-    # LSODA refuses rtol much below 2e-14; atol follows y, whose scale is
-    # D/2 since y'(-D/2) = 1
-    sol = lsoda_samples(rhs, z, [0.0, 1.0], rtol=0.1 * _ODE_TOL,
-                        atol=0.01 * _ODE_TOL * half)
+    else:
+        n1, q = params.n - 1, lam / S
+        tn_K = functools.partial(tn_array if array else tn, K=params.K)
+
+        def rhs(z, y):
+            s, c = sin(y[0]), cos(y[0])
+            d = n1 * tn_K(z) * c
+            return [S * c * c + q * s * s - d * s, (S - q) * s * c + d * c]
+
+    return rhs
+
+
+def _shoot_eigenfunction(lam, params, form, S, index):
+    """The eigenfunction and theta(0) - index pi/2 of one run at the root.
+
+    (theta, log r) runs from 0 (y = 0, y' = 1) at -D/2 to 0, ten times
+    tighter than the angle shots; y = e^(log r - max log r) sin(theta) at
+    501 points, mirrored with the index's parity on an exactly symmetric
+    grid, gives the 1001 samples on [-D/2, D/2].
+    """
+    rhs = functools.partial(_polar_rhs, lam, params, form, S)
+    sol = dop853_dense(rhs(False), rhs(True), -params.half, 0.0, [0.0, 0.0],
+                       rtol=0.1 * _ODE_TOL, atol=0.1 * _ODE_TOL, rows=[0, 1], event=None)
     if not sol.success:
         raise NonConvergenceError(f"eigenfunction integration failed: {sol.message}")
-    return GridFunction(z=z, values=sol.y[0])
+    left = np.linspace(-params.half, 0.0, _N_SAMPLES // 2 + 1)
+    theta, log_r = sol.sol(left)
+    y = np.exp(log_r - log_r.max()) * np.sin(theta)
+    gf = GridFunction(z=np.concatenate([left, -left[-2::-1]]),
+                      values=np.concatenate([y, (-1.0) ** (index - 1) * y[-2::-1]]))
+    return gf, float(sol.y[0, -1]) - 0.5 * index * math.pi
 
 
 def _count_interior_nodes(values):
@@ -165,8 +192,8 @@ def _count_interior_nodes(values):
     return int(np.sum(v[:-1] * v[1:] < 0))
 
 
-def _eigen_result(lam, err, gf, index, method, form):
-    """EigenResult after checking the node count; parity goes into the result.
+def _eigen_result(lam, err, gf, index, method, form, sym):
+    """EigenResult after checking the node count; sym is the parity defect.
 
     The eigenfunction's samples are divided by their largest magnitude,
     signed so that the first interior sample is positive.
@@ -179,8 +206,6 @@ def _eigen_result(lam, err, gf, index, method, form):
             f"{method} index-{index} eigenfunction shows {nodes} interior "
             f"nodes, expected {index - 1}"
         )
-    sign = 1.0 if index == 1 else -1.0
-    sym = float(np.max(np.abs(values - sign * values[::-1])))
     return EigenResult(
         eigenvalue=float(lam), index=index, method=method,
         error_estimate=float(err), eigenfunction=gf, node_count=nodes,
@@ -193,14 +218,18 @@ def _shoot_error(lam, evals, tight):
 
     evals maps each shot lam to theta(0; lam) - target, and tight is that
     value at the root under a ten times tighter ODE tolerance.  The noise
-    in theta(0) is twice their difference plus _ODE_TOL.  The slope is the
-    secant to the nearest shot whose angle differs by well over the noise,
-    so that neither the noise nor the curvature of theta(0; lam) sways it.
+    in theta(0) is twice their difference or, if larger, the largest fall
+    of the angle between shots in increasing lam, plus _ODE_TOL.  The
+    slope is the secant to the nearest shot whose angle differs by well
+    over the noise, so that neither the noise nor the curvature of theta(0;
+    lam) sways it.
     """
     a = max(x for x, gx in evals.items() if gx <= 0)
     b = min(x for x, gx in evals.items() if gx >= 0)
     g0 = evals[lam]
-    noise = 2.0 * abs(g0 - tight) + _ODE_TOL
+    angles = [evals[x] for x in sorted(evals)]
+    fall = max(top - g for top, g in zip(itertools.accumulate(angles, max), angles))
+    noise = max(2.0 * abs(g0 - tight), fall) + _ODE_TOL
     near = sorted(evals, key=lambda x: abs(x - lam))
     x1 = next((x for x in near if abs(evals[x] - g0) > 1e3 * noise), near[-1])
     slope = (evals[x1] - g0) / (x1 - lam)
@@ -233,36 +262,45 @@ def eigen_shoot(params, index, form="normal"):
     both cases, and the seed never enters it.
     error_estimate is the width of the final sign-change bracket plus
     the ODE noise in theta(0) divided by the measured slope d theta(0) / d
-    lam; the noise is measured by one more shot at the root under a ten
-    times tighter tolerance.  Over the tested grid, near the cap and at
-    small D it bounds the error against mpmath collocation or closed forms
-    and stays below 1e-9 max(|lam|, (pi / D)^2), with one measured
-    exception: n = 2 at the cap, where at (2, 39.4784, 0.5) it reads
-    2.4e-6 for index 1 and 1.8e-6 for index 2, against errors of -1.2e-6
-    and +8.9e-7 from the closed form (eigen_shoot_mp).
+    lam; the noise is measured by the eigenfunction run and by any fall of
+    the angle between Brent's shots.  Over the tested grid, near the cap,
+    at small D and at (10, 9.8696, 1), (8, -400, 1), (6, -400, 1) and
+    (1000, 1, 1) it bounds the error against mpmath collocation or closed
+    forms and stays below 1e-9 max(|lam|, (pi / D)^2), with one measured
+    exception: n = 2 at the cap, where at (2, 39.4784, 0.5) it reads 2.4e-6
+    for index 1 and 1.8e-6 for index 2, against errors of -1.2e-6 and
+    +8.9e-7 from the closed form (eigen_shoot_mp).
 
-    The result carries the eigenfunction (sup-normalized, one LSODA shot
-    of (y, y') across the whole interval from y(-D/2) = 0, y'(-D/2) = 1,
-    sampled at 1001 points), its interior node count, and the parity defect
-    sup|y(z) -+ y(-z)| / sup|y| (even for index 1, odd for index 2); both
-    check the parity the midpoint condition assumes rather than feed it.
+    The eigenfunction comes from the (theta, log r) run at the root (see
+    _shoot_eigenfunction).  A parity defect (symmetry_residual, 0 when y
+    or y' vanishes at z = 0 as the index's parity asks) above _PARITY_TOL
+    = 1e-5 raises GapModelError; the largest on sweeps/eigen_near_cap.py's
+    map is 3.4e-7, and a wrong parity gives about 1.  So does a node count,
+    recounted on the samples, other than index - 1.
     """
     params = validate(params)
     _check_index(index)
     if form not in ("normal", "direct"):
         raise DomainError(f"form must be 'normal' or 'direct', got {form}")
-    lam, err = _shoot_root(params, index, form)
-    gf = _shoot_eigenfunction(lam, params, form)
+    lam, evals, S = _shoot_root(params, index, form)
+    gf, tight = _shoot_eigenfunction(lam, params, form, S, index)
+    defect = abs(math.sin(tight))
+    if not defect <= _PARITY_TOL:
+        raise GapModelError(f"shooting index-{index} eigenfunction misses its parity "
+                            f"at z = 0 by {defect:.3g} > {_PARITY_TOL:g}")
     # every eigenvalue is positive; near the cap Brent can settle in the
     # noise just below the padded lower end 0, and clamping only shrinks
-    # the error that err bounds
-    return _eigen_result(max(lam, 0.0), err, gf, index, "shooting", form)
+    # the error that the estimate bounds
+    return _eigen_result(max(lam, 0.0), _shoot_error(lam, evals, tight), gf, index,
+                         "shooting", form, defect)
 
 
 def _shoot_root(params, index, form):
-    """eigen_shoot's Brent root of the midpoint angle and its error estimate.
+    """eigen_shoot's Brent root of the midpoint angle, its shots and S.
 
-    Seeded by _colloc_seed when its interval checks out; see eigen_shoot.
+    Returns the root, the dict of every shot lam -> theta(0; lam) - index
+    pi / 2 and the angle scale S.  Seeded by _colloc_seed when its interval
+    checks out; see eigen_shoot.
     """
     # cs^2 is monotone on [0, D/2], so V takes its extremes at z = 0 and D/2;
     # lam > 0 because the direct form's quadratic form is int phi'^2 cs^(n-1),
@@ -308,8 +346,7 @@ def _shoot_root(params, index, form):
                 f"index-{index} angle target"
             )
     lam = brentq(g, a, b, xtol=1e-14 * (math.pi / params.D) ** 2, rtol=1e-14)
-    tight = _angle_mid(lam, params, form, S, tol=0.1 * _ODE_TOL) - target
-    return lam, _shoot_error(lam, evals, tight)
+    return lam, evals, S
 
 
 _COLLOC_SIZES = (32, 48)  # Chebyshev collocation ladder of _colloc_seed
@@ -404,7 +441,8 @@ def eigen_fd(params, index, grid_size=1024):
     """
     params = validate(params)
     _check_index(index)
-    if grid_size < 64 or grid_size & (grid_size - 1) != 0:
+    grid_size = as_integer(grid_size, 64, "grid_size must be a power of two >= 64")
+    if grid_size & (grid_size - 1) != 0:
         raise DomainError(f"grid_size must be a power of two >= 64, got {grid_size}")
     # stebz stops once the eigenvalue lies in an interval no wider than
     # max(tol, 2 eps |lam|) <= 1e-14 max(1, |lam|)
@@ -418,7 +456,8 @@ def eigen_fd(params, index, grid_size=1024):
     gf = GridFunction(z=z, values=np.concatenate([[0.0], v, [0.0]]))
     lam = (4.0 * lam_2n - lam_n) / 3.0
     err = abs(lam_2n - lam_n) / 3.0
-    return _eigen_result(lam, err, gf, index, "finite-difference", "normal")
+    sym = np.max(np.abs(v - (-1.0) ** (index - 1) * v[::-1])) / np.max(np.abs(v))
+    return _eigen_result(lam, err, gf, index, "finite-difference", "normal", float(sym))
 
 
 @dataclass(frozen=True)
@@ -462,8 +501,7 @@ def ball_first_eigen(n, D):
 
     if not (0 < D < math.pi):
         raise DomainError(f"cap diameter D must lie in (0, pi), got {D}")
-    if n < 2:
-        raise DomainError(f"dimension n must be at least 2, got {n}")
+    n = as_integer(n, 2, "dimension n must be an integer >= 2")
     x = math.sin(D / 4) ** 2
 
     def end_value(nu):
@@ -495,8 +533,9 @@ def eigen_shoot_mp(params, index, dps=40):
     the even (index 1) and odd (index 2) solutions are cos^(l+1) t times
     2F1(a, b; 1/2; sin^2 t) and sin t / sqrt(K) 2F1(a + 1/2, b + 1/2; 3/2;
     sin^2 t), real parts for K < 0.  Secant from eigen_shoot's float64 root
-    (without its eigenfunction shot and node check; from 0 and 1e-9 (pi/D)^2
-    where that root clamps to 0) polishes their root at
+    (Brent's angle root alone, with no eigenfunction run, parity or node
+    check; from 0 and 1e-9 (pi/D)^2 where that root clamps to 0) polishes
+    their root at
     z = D/2 until two iterates agree to 10^-(dps-5) relative, in dps digits
     plus those cos^2 t = 1 - sin^2 t loses (13 at (2, 9.8696, 1)).  Runs at
     dps and dps + 10 agree within 10^-dps max(|lam|, (pi/D)^2), the

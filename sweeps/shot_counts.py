@@ -4,8 +4,8 @@ Builds each seed's operation list with perfbench's own workloads.build, at
 the run length BENCHMARK.json sets, and runs every operation through
 gapmodel.cli.main in this process with its output discarded.  The ODE
 calls are counted by wrapping the solver names the modules call:
-spectral.dop853_end (angle shots), spectral.lsoda_samples (eigenfunction
-shots), pruefer.dop853_end (find_ck's end-angle shots),
+spectral.dop853_end (angle shots), spectral.dop853_dense (eigenfunction
+runs), pruefer.dop853_end (find_ck's end-angle shots),
 pruefer.dop853_dense (Riccati branches and the Robin profile),
 flow.dop853_dense (the grid ODE) and pruefer.solve_ivp: calls and
 right-hand-side evaluations (nfev).  The flow's work is counted beside
@@ -48,7 +48,7 @@ def _nfev(sol):
 
 # (owner, wrapped name, call counter, size counter, size of one call's result)
 COUNTED = ((spectral, "dop853_end", "angle_shots", "angle_rhs", _nfev),
-           (spectral, "lsoda_samples", "lsoda_shots", "lsoda_rhs", _nfev),
+           (spectral, "dop853_dense", "eigenfunction_runs", "eigenfunction_rhs", _nfev),
            (pruefer, "dop853_end", "ck_shots", "ck_rhs", _nfev),
            (pruefer, "dop853_dense", "dense_runs", "dense_rhs", _nfev),
            (flow, "dop853_dense", "grid_runs", "grid_rhs", _nfev),

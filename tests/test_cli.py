@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gapmodel import _scipy, bounds, cli, flow, pruefer, spectral
+from gapmodel import bounds, cli, flow, pruefer, spectral
 from gapmodel.errors import DomainError
 from gapmodel.model import ModelParams
 
@@ -656,7 +656,7 @@ class TestStartUp:
 
     def test_compiled_solvers_are_module_attributes(self):
         """spectral's compiled-solver forwarders give scipy's own results."""
-        from scipy.integrate import ode, odeint
+        from scipy.integrate import ode
         from scipy.linalg import eigh_tridiagonal
 
         def rhs(t, y):
@@ -667,12 +667,6 @@ class TestStartUp:
         end = solver.integrate(1.0)
         got = spectral.dop853_end(rhs, 0.0, 1.0, [1.0], rtol=1e-10, atol=1e-10)
         assert got.success and np.array_equal(got.y, end)
-
-        t = np.linspace(0.0, 1.0, 11)
-        samples = odeint(rhs, [1.0], t, rtol=1e-10, atol=1e-10, tcrit=[1.0],
-                         mxstep=_scipy.LSODA_MAX_STEPS, tfirst=True)
-        got = spectral.lsoda_samples(rhs, t, [1.0], rtol=1e-10, atol=1e-10)
-        assert got.success and np.array_equal(got.y, samples.T)
 
         d, e = np.array([2.0, 3.0, 4.0, 5.0]), np.array([-1.0, -1.0, -1.0])
         for index in (1, 2):

@@ -160,12 +160,14 @@ class TestGauge:
         solution by finite differences."""
         from scipy.integrate import solve_ivp
 
-        from gapmodel.model import normal_rhs
-
         p = ModelParams(n=6, K=0.9, D=1.6)
         lam = 11.0
+
+        def normal_rhs(z, y):
+            return (y[1], (potential(z, p) - lam) * y[0])
+
         sol = solve_ivp(
-            normal_rhs(lam, p), (-p.half, p.half), [0.0, 1.0],
+            normal_rhs, (-p.half, p.half), [0.0, 1.0],
             method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True,
         )
         h = 1e-5

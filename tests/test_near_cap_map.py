@@ -36,11 +36,16 @@ def test_check_fails_only_on_a_stable_class_change(capsys):
     rows = list(COMMITTED.values())
     assert near_cap.check(rows, COMMITTED)
     assert capsys.readouterr().out == ""
-    for kappa, fails in (("9.6", True), ("9.8", False)):
+    for kappa in ("9.6", "9.8", "9.8696"):
         flipped = [dict(r, outcome="NonConvergenceError", message="x")
                    if near_cap.key(r) == ("4", kappa, "1.0", "1")
                    else r for r in rows]
-        assert near_cap.check(flipped, COMMITTED) is not fails
+        assert not near_cap.check(flipped, COMMITTED)
         out = capsys.readouterr().out
-        assert out.startswith("FAIL" if fails else "changed")
+        assert out.startswith("FAIL")
         assert out.count("\n") == 1
+    # a changed message within the same class is reported without failing
+    reworded = [dict(r, message="x") if near_cap.key(r) == ("4", "9.8", "1.0", "1")
+                else r for r in rows]
+    assert near_cap.check(reworded, COMMITTED)
+    assert capsys.readouterr().out.startswith("changed")

@@ -20,7 +20,7 @@ def test_counts_repeat_exactly():
     assert shot_counts.count("eigen_sweep", [1]) == first
     total = first["total"]
     assert total["ops"] == sum(c["ops"] for c in first["by_kind"].values()) > 0
-    assert total["angle_shots"] > 0 and total["lsoda_shots"] > 0
+    assert total["angle_shots"] > 0 and total["eigenfunction_runs"] > 0
     # the finite-difference route makes no ODE shot
     assert first["by_kind"]["fd"]["angle_shots"] == 0
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gapmodel import _scipy, spectral
-from gapmodel.errors import DomainError, NonConvergenceError, PoleError
+from gapmodel.errors import DomainError, GapModelError, NonConvergenceError, PoleError
 from gapmodel.model import ModelParams
 from gapmodel.spectral import (
     ball_first_eigen,
@@ -72,7 +72,7 @@ def ode_work(monkeypatch):
     """Right-hand-side evaluations of each ODE solve in spectral, in order.
 
     Counts the compiled angle shots (dop853_end) and the compiled
-    eigenfunction shots (lsoda_samples) alike.
+    eigenfunction runs (dop853_dense) alike.
     """
     nfev = []
 
@@ -83,7 +83,7 @@ def ode_work(monkeypatch):
             return sol
         return solve
 
-    for name in ("dop853_end", "lsoda_samples"):
+    for name in ("dop853_end", "dop853_dense"):
         monkeypatch.setattr(spectral, name, counting(getattr(spectral, name)))
     return nfev
 
@@ -108,9 +108,9 @@ class TestShoot:
     @pytest.mark.parametrize("triple", [(2, 1.0, 1.0), *ERROR_TRIPLES], ids=str)
     def test_eigenfunction_shape(self, triple):
         n, K, D = triple
-        # measured: at most 3.7e-12 below K D^2 = 9.4, and 8.4e-10 at
-        # (8, 9.4, 1), where the whole-interval shot runs into the large V
-        # near both ends
+        # the parity defect of the run at the root, measured: at most
+        # 1.9e-12 below K D^2 = 9.4, and 4.3e-10 at (2, 9.8696, 1), where
+        # the angle is noisiest
         tol = 1e-8 if K * D**2 >= 9.4 else 1e-9
         for idx in (1, 2):
             r = eigen_shoot(triple, idx)
@@ -180,12 +180,13 @@ class TestErrorEstimate:
         for idx, max_rhs in ((1, 1250), (2, 1700)):
             ode_work.clear()
             eigen_shoot((5, 1.0, 1.0), idx)
-            # two seeded bracket ends, Brent's steps, the tighter noise shot
-            # and the eigenfunction
-            assert len(ode_work) <= 6
-            # measured: 6 and 6 solves, 1170 and 1599 right-hand-side
-            # evaluations, 206 and 328 of them in the eigenfunction; 8 and 7
-            # solves, 1532 and 1864 evaluations from the comparison bracket
+            # two seeded bracket ends, Brent's steps, and the eigenfunction
+            # run, which also measures the noise
+            assert len(ode_work) <= 5
+            # measured: 5 and 5 solves, 1132 and 1606 right-hand-side
+            # evaluations, 408 and 646 of them in the eigenfunction run; 7
+            # and 6 solves, 1494 and 1869 evaluations from the comparison
+            # bracket
             assert sum(ode_work) <= max_rhs
 
     @pytest.mark.parametrize("triple", [(3, 1.0, 1.0), (6, 0.0, 2.0)], ids=str)
@@ -285,6 +286,40 @@ class TestNearCap:
         assert eigen_shoot((5, 9.8696, 1.0), 1).eigenvalue >= 0
 
 
+# three edges of the box: the cap at n = 10, large negative kappa and large
+# n.  (lambda1, lambda2) from the closed forms of eigen_shoot_mp at 30
+# digits, 20 digits shown; lambda1 at (10, 9.8696, 1) is 1.2e-41 and at
+# (1000, 1, 1) 3.6e-27
+EDGES = {
+    (10, 9.8696, 1.0): ("0", "98.696000000000001506"),
+    (8, -400.0, 1.0): ("2400.0000000000000000", "4000.0000000045751661"),
+    (6, -400.0, 1.0): ("1600.0000000011437916", "2400.0463283123345047"),
+    (1000, 1.0, 1.0): ("0", "1000.0"),
+}
+
+
+class TestEdges:
+    """Every shot's eigenfunction comes from the half interval, so the edges return."""
+
+    @pytest.mark.parametrize("triple,forms", [
+        ((10, 9.8696, 1.0), ("normal", "direct")),
+        ((8, -400.0, 1.0), ("normal", "direct")),
+        ((6, -400.0, 1.0), ("normal", "direct")),
+        ((1000, 1.0, 1.0), ("normal",)),
+    ], ids=str)
+    def test_error_within_estimate(self, triple, forms):
+        # measured: error / estimate at most 0.48, except for lambda2 at
+        # (10, 9.8696, 1): 0.96 in the normal form and 0.88 in the direct
+        for form in forms:
+            for idx in (1, 2):
+                r = eigen_shoot(triple, idx, form=form)
+                assert r.node_count == idx - 1
+                assert r.symmetry_residual <= spectral._PARITY_TOL
+                with mpmath.workdps(30):
+                    ref = mpmath.mpf(EDGES[triple][idx - 1])
+                    assert abs(r.eigenvalue - ref) <= r.error_estimate
+
+
 def tan_blowup(fun, t0, t1, y0, rtol, atol):
     """dop853_end with the right-hand side swapped for y' = 1 + y^2.
 
@@ -294,22 +329,20 @@ def tan_blowup(fun, t0, t1, y0, rtol, atol):
     return _scipy.dop853_end(lambda z, y: [1.0 + y[0] ** 2], t0, t1, y0, rtol, atol)
 
 
-def tan_blowup_samples(fun, t, y0, rtol, atol):
-    """lsoda_samples with the right-hand side swapped for y' = 1 + y^2.
+def tan_blowup_dense(fun, fun_array, t0, t1, y0, rtol, atol, rows, event):
+    """dop853_dense with the right-hand side swapped for (1 + y0^2, 0).
 
     From y(-D/2) = 0 the first component is tan(z + D/2), infinite at
-    z = pi/2 - D/2, inside the eigenfunction shot's [-D/2, D/2] once
-    D > pi/2.  Python floats overflow to inf without a warning.
+    z = pi/2 - D/2, inside the eigenfunction run's [-D/2, 0] once D > pi.
     """
     def rhs(z, y):
-        y0 = float(y[0])
-        return [1.0 + y0 * y0, 0.0]
+        return [1.0 + y[0] ** 2, 0.0]
 
-    return _scipy.lsoda_samples(rhs, t, y0, rtol, atol)
+    return _scipy.dop853_dense(rhs, rhs, t0, t1, y0, rtol, atol, rows, event)
 
 
 class TestCompiledSolvers:
-    """Failures of the compiled DOP853, LSODA and stebz calls come back typed."""
+    """Failures of the compiled DOP853 and stebz calls come back typed."""
 
     def test_dop853_reports_blowup_without_warning(self):
         with warnings.catch_warnings():
@@ -368,67 +401,27 @@ class TestCompiledSolvers:
             with pytest.raises(NonConvergenceError, match="step size becomes too small"):
                 eigen_shoot((2, 0.01, 4.0), 1)
 
-    def test_lsoda_samples_and_count(self):
-        calls = []
-
-        def rhs(t, y):
-            calls.append(t)
-            return [-2.0 * t * y[0], y[0]]
-
-        t = np.linspace(0.0, 1.0, 11)
-        sol = _scipy.lsoda_samples(rhs, t, [1.0, 0.0], rtol=1e-12, atol=1e-14)
-        assert sol.success and sol.message == "Integration successful."
-        assert sol.t is t and sol.y.shape == (2, 11)
-        assert np.max(np.abs(sol.y[0] - np.exp(-t**2))) <= 1e-11
-        assert sol.nfev == len(calls)
-        # no step passes the last point, where a pole may lie
-        assert max(calls) <= t[-1]
-
-    def test_lsoda_reports_blowup_without_warning(self):
-        calls = []
-
-        def rhs(t, y):
-            calls.append(t)
-            y0 = float(y[0])
-            return [y0 * y0]
-
-        t = np.linspace(0.0, 2.0, 11)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sol = _scipy.lsoda_samples(rhs, t, [1.0], rtol=1e-12, atol=1e-12)
-        # y = 1 / (1 - t) is infinite at t = 1; LSODA steps on towards it
-        # until y^2 overflows to inf, and the samples before t = 1 are kept
-        assert not sol.success
-        assert sol.message == "Illegal input detected (internal error)."
-        assert np.array_equal(sol.t, t[:5])
-        assert np.max(np.abs(sol.y[0] - 1.0 / (1.0 - sol.t))) <= 1e-9
-        assert sol.nfev == len(calls)
-
-    def test_lsoda_step_budget(self, monkeypatch):
-        monkeypatch.setattr(_scipy, "LSODA_MAX_STEPS", 5)
-        sol = _scipy.lsoda_samples(lambda t, y: [math.cos(40.0 * t)],
-                                   np.linspace(0.0, 10.0, 3), [0.0],
-                                   rtol=1e-12, atol=1e-12)
-        assert not sol.success and sol.message.startswith("Excess work done")
-        assert list(sol.t) == [0.0]
-
-    def test_lsoda_passes_on_an_exception_from_fun(self):
-        def pole(t, y):
-            if t > 0.5:
-                raise PoleError("pole at t = 0.5")
-            return [1.0]
-
-        with pytest.raises(PoleError, match="pole at t = 0.5"):
-            _scipy.lsoda_samples(pole, np.linspace(0.0, 1.0, 5), [0.0],
-                                 rtol=1e-12, atol=1e-12)
-
     def test_failed_eigenfunction_shot_is_reported(self, monkeypatch):
-        monkeypatch.setattr(spectral, "lsoda_samples", tan_blowup_samples)
+        monkeypatch.setattr(spectral, "dop853_dense", tan_blowup_dense)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergenceError,
                                match="eigenfunction integration failed: "):
                 eigen_shoot((2, 0.01, 4.0), 1)
+
+    def test_parity_defect_is_checked(self, monkeypatch):
+        # an end angle 0.1 off index pi/2 leaves y(0) or y'(0) far from 0
+        real = spectral.dop853_dense
+
+        def pushed(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            sol.y[0, -1] += 0.1
+            return sol
+
+        monkeypatch.setattr(spectral, "dop853_dense", pushed)
+        for idx in (1, 2):
+            with pytest.raises(GapModelError, match="misses its parity at z = 0"):
+                eigen_shoot((5, 1.0, 1.0), idx)
 
     def test_failed_stebz_is_reported(self, monkeypatch):
         def failing(*args, **kwargs):
@@ -467,6 +460,15 @@ class TestFiniteDifference:
                 a = eigen_shoot(p, idx).eigenvalue
                 b = eigen_fd(p, idx).eigenvalue
                 assert a == pytest.approx(b, rel=1e-7)
+
+    def test_integral_float_grid_size(self):
+        # taken as the integer, as ModelParams takes an integral float n
+        a = eigen_fd((5, 1.0, 1.0), 1, grid_size=1024.0)
+        b = eigen_fd((5, 1.0, 1.0), 1, grid_size=1024)
+        assert (a.eigenvalue, a.error_estimate) == (b.eigenvalue, b.error_estimate)
+        for size in (1024.5, "1024", True, 32.0, 96):
+            with pytest.raises(DomainError):
+                eigen_fd((5, 1.0, 1.0), 1, grid_size=size)
 
     def test_eigenvector_nodes(self):
         # near the cap the ground state is tiny next to the ends, yet its
@@ -560,14 +562,21 @@ class TestCapProblem:
         with pytest.raises(DomainError):
             ball_first_eigen(1, 1.0)
 
+    def test_integral_float_dimension(self):
+        # taken as the integer, as ModelParams takes an integral float n
+        assert ball_first_eigen(2.0, 1.0) == ball_first_eigen(2, 1.0)
+        for n in (2.5, math.nan, "2", True, 1.0):
+            with pytest.raises(DomainError):
+                ball_first_eigen(n, 1.0)
+
 
 class TestHighPrecision:
     def test_matches_double_shooting(self, monkeypatch):
-        # the seed is the float root alone: no eigenfunction shot, no node check
+        # the seed is the float root alone: no eigenfunction run, no node check
         def failing(*args, **kwargs):
-            raise AssertionError("eigenfunction shot")
+            raise AssertionError("eigenfunction run")
 
-        monkeypatch.setattr(spectral, "lsoda_samples", failing)
+        monkeypatch.setattr(spectral, "dop853_dense", failing)
         lam = eigen_shoot_mp((2, 1.0, 1.0), 1, dps=30)
         assert float(lam) == pytest.approx(LAM_2_1_1[0], rel=1e-12)
 
@@ -587,15 +596,13 @@ class TestHighPrecision:
             assert abs(r.eigenvalue - ref) <= r.error_estimate
 
     def test_large_negative_curvature(self):
-        # eigen_shoot's node check fails for index 1 here; the closed form
-        # needs only the float angle root, which lies within its estimate
         p = ModelParams(6, -400.0, 1.0)
         for idx, ref in ((1, "1600.000000001143791557"), (2, "2400.046328312334504725")):
             with mpmath.workdps(30):
                 ref = mpmath.mpf(ref)
                 assert abs(eigen_shoot_mp(p, idx, dps=25) - ref) <= 1e-21 * ref
-            lam, err = spectral._shoot_root(p, idx, "normal")
-            assert abs(lam - ref) <= err
+            r = eigen_shoot(p, idx)
+            assert abs(r.eigenvalue - ref) <= r.error_estimate
 
     def test_zero_seed(self):
         # the float root is -9.8e-12 and clamps to 0; the secant must still
