@@ -26,6 +26,11 @@ kernel, _lincomb, which puts  sum x_i * y_i * (a_i / b_i)  over one common
 denominator and reduces it to lowest terms once.
 
 Everything here is exact: no floats enter until an eval method is called.
+PiLaurent.evalf and PiLaurent.sign stay in integers: pi comes from Machin's
+formula as an integer with a proven error bound at P bits, each value as
+an integer interval, and P doubles until the interval's ends round to the
+same double (evalf, correctly rounded) or share a sign (sign).  Only
+eval_mp, for the callers that want mpmath numbers, uses mpmath.
 The definite integrals over [-pi/2, pi/2] are done by recursive integration
 by parts, so quantities like  int x^2 cos^2 x = pi^3/24 - pi/4  come out as
 exact PiLaurent values.
@@ -257,30 +262,48 @@ class PiLaurent(_Terms):
         raise TypeError("PiLaurent division only by rationals or pi-monomials")
 
     def evalf(self):
-        """The float nearest the exact value.
+        """The float nearest the exact value, correctly rounded.
 
-        The terms can cancel to far below their own size, so they are
-        summed in mpmath with enough bits to cover the cancellation, and
-        the sum is rounded to float once.
+        A lone rational term is one correctly rounded int / int division.
+        Otherwise the value lies in the integer interval of _bounds at P
+        bits, and P doubles until both ends of that interval round to the
+        same double; rounding is monotone, so the value rounds there too.
+        A term pi^e with e != 0 makes the value transcendental, hence never
+        a double nor halfway between two, and some P always settles it.
         """
-        if not self.num:
+        num, den = self.num, self.den
+        if not num:
             return 0.0
-        import mpmath
-
-        prec = 96
+        if len(num) == 1 and 0 in num:
+            return _ratio(num[0], den)
+        P = _START_BITS
         while True:
-            with mpmath.workprec(prec):
-                terms = [mpmath.mpf(v.numerator) / v.denominator * _pi_power_mpf(e, prec)
-                         for e, v in self._terms()]
-                total = mpmath.fsum(terms)
-            # bits lost to cancellation and to rounding each term; pi is
-            # transcendental, so a nonempty sum is never exactly zero
-            lost = prec if not total else (
-                max(mpmath.mag(t) for t in terms) - mpmath.mag(total)
-                + len(terms).bit_length())
-            if prec - lost >= 53 + 16:
-                return float(total)
-            prec = lost + 53 + 32
+            lo, hi = _bounds(num, P)
+            a, b = _ratio(lo, den << P), _ratio(hi, den << P)
+            # a == b == 0.0 also when the interval holds zero and both ends
+            # underflow, so the sign is checked as well
+            if a == b and (lo > 0) == (hi > 0):
+                return a
+            P *= 2
+
+    def sign(self):
+        """-1, 0 or +1, the sign of the exact value.
+
+        Zero only for the empty sum; otherwise P doubles until the interval
+        of _bounds excludes 0, which it does at some P since pi is
+        transcendental.
+        """
+        num = self.num
+        if not num:
+            return 0
+        P = _START_BITS
+        while True:
+            lo, hi = _bounds(num, P)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            P *= 2
 
     def eval_mp(self, mp):
         """Evaluate with an mpmath context (arbitrary precision)."""
@@ -293,26 +316,103 @@ class PiLaurent(_Terms):
         return {str(e): [v.numerator, v.denominator] for e, v in sorted(self._terms())}
 
     def __repr__(self):
-        if not self.num:
-            return "0"
-        parts = []
-        for e, v in sorted(self._terms(), reverse=True):
-            if e == 0:
-                parts.append(f"{v}")
-            elif e == 1:
-                parts.append(f"{v}*pi")
-            else:
-                parts.append(f"{v}*pi^{e}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _format(self.num.items(), self.den) if self.num else "0"
+
+
+def _format(terms, den):
+    """(e, v) terms as ' + '-joined q*pi^e, highest e first, q = v / den in
+    lowest terms by one gcd each, written as Fraction writes it."""
+    parts = []
+    for e, v in sorted(terms, reverse=True):
+        g = math.gcd(v, den)
+        q = f"{v // g}" if g == den else f"{v // g}/{den // g}"
+        parts.append(q if e == 0 else f"{q}*pi" if e == 1 else f"{q}*pi^{e}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def _ratio(a, b):
+    """a / b for ints a and b > 0, correctly rounded to a double (int / int
+    in CPython), or the infinity of a's sign where the double overflows."""
+    try:
+        return a / b
+    except OverflowError:
+        return math.inf if a > 0 else -math.inf
+
+
+def _arctan_inv(x, W):
+    """(s, k): |s - 2^W arctan(1/x)| < k + 1 for the integer x >= 2.
+
+    Sums the first k terms of the Taylor series, each floor(2^W / x^(2j+1))
+    // (2j + 1) with an error in [0, 1), up to the first that is 0; the
+    alternating tail after it is below that term's true value, under 1.
+    """
+    power, x2 = (1 << W) // x, x * x
+    s = k = 0
+    while power:
+        term = power // (2 * k + 1)
+        s += -term if k & 1 else term
+        power //= x2
+        k += 1
+    return s, k
 
 
 @lru_cache(maxsize=None)
-def _pi_power_mpf(e, prec):
-    """pi^e as an mpmath number at prec bits, computed as evalf would."""
-    import mpmath
+def _pi_fixed(P):
+    """(p, err): integers with |p - 2^P pi| < err, from Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239) at P plus guard bits.
 
-    with mpmath.workprec(prec):
-        return mpmath.pi**e
+    With _arctan_inv's bounds the guarded sum is off by less than
+    E = 16 (k5 + 1) + 4 (k239 + 1) units, and the floor that drops the
+    G guard bits adds less than one unit more, so err = 1 + ceil(E / 2^G).
+    """
+    G = P.bit_length() + 8
+    a, k5 = _arctan_inv(5, P + G)
+    b, k239 = _arctan_inv(239, P + G)
+    E = 16 * (k5 + 1) + 4 * (k239 + 1)
+    return (16 * a - 4 * b) >> G, 1 - (-E >> G)
+
+
+@lru_cache(maxsize=None)
+def _pi_power_bounds(e, P):
+    """(lo, hi) with lo <= 2^P pi^e <= hi, for an integer e and P >= 8.
+
+    pi^e is the square of pi^(e // 2), times pi if e is odd, and 1/pi
+    lies between 2^(2P) over the ends of pi's interval; each product
+    rounds its lower end down and its upper end up.
+    """
+    if e == 0:
+        return 1 << P, 1 << P
+    if e in (1, -1):
+        p, err = _pi_fixed(P)
+        if e == 1:
+            return p - err, p + err
+        sq = 1 << 2 * P
+        return sq // (p + err), -(-sq // (p - err))
+    lo, hi = _pi_power_bounds(e // 2, P)
+    lo, hi = lo * lo >> P, -(-hi * hi >> P)
+    if e % 2:
+        a, b = _pi_power_bounds(1, P)
+        lo, hi = lo * a >> P, -(-hi * b >> P)
+    return lo, hi
+
+
+# the first precision evalf and sign try; it settles every coefficient that
+# gapmodel series prints or signs through order 8 in one pass
+_START_BITS = 128
+
+
+def _bounds(num, P):
+    """(lo, hi) with lo <= 2^P sum_e num[e] pi^e <= hi, integers."""
+    lo = hi = 0
+    for e, v in num.items():
+        a, b = _pi_power_bounds(e, P)
+        if v > 0:
+            lo += v * a
+            hi += v * b
+        else:
+            lo += v * b
+            hi += v * a
+    return lo, hi
 
 
 class NPoly(_Terms):
@@ -354,13 +454,17 @@ class NPoly(_Terms):
         # the largest key holds the largest degree
         return (max(self.num) + _HALF) >> _SHIFT if self.num else -1
 
-    def by_degree(self):
-        """{d: the PiLaurent coefficient of n^d}, for the nonzero ones."""
+    def _degrees(self):
+        """{d: {e: numerator of n^d pi^e}} over the one denominator den."""
         parts = {}
         for k, v in self.num.items():
             d = (k + _HALF) >> _SHIFT
             parts.setdefault(d, {})[k - (d << _SHIFT)] = v
-        return {d: _reduced(PiLaurent, num, self.den) for d, num in parts.items()}
+        return parts
+
+    def by_degree(self):
+        """{d: the PiLaurent coefficient of n^d}, for the nonzero ones."""
+        return {d: _reduced(PiLaurent, num, self.den) for d, num in self._degrees().items()}
 
     def substitute(self, inner):
         """self(inner), the NPoly inner put for the symbol, by Horner's rule."""
@@ -404,13 +508,9 @@ class NPoly(_Terms):
         if not self.num:
             return "0"
         parts = []
-        for d, v in sorted(self.by_degree().items(), reverse=True):
-            if d == 0:
-                parts.append(f"({v!r})")
-            elif d == 1:
-                parts.append(f"({v!r})*n")
-            else:
-                parts.append(f"({v!r})*n^{d}")
+        for d, num in sorted(self._degrees().items(), reverse=True):
+            v = _format(num.items(), self.den)
+            parts.append(f"({v})" if d == 0 else f"({v})*n" if d == 1 else f"({v})*n^{d}")
         return " + ".join(parts)
 
 

@@ -43,7 +43,9 @@ class ModelParams:
 
     K D^2 below about -5.058e5 is rejected as well (DomainError): there
     cs_K(D/2)^2 overflows a double, and with it the potential, the
-    Rayleigh bound's integrand and the Robin angle equation.
+    Rayleigh bound's integrand and the Robin angle equation.  So is a D
+    whose D^2 or (pi/D)^2 is not a finite double (D above about 1.3e154
+    or below about 2.4e-154).
     """
 
     n: int
@@ -59,6 +61,14 @@ class ModelParams:
         if not (isinstance(D, (int, float)) and math.isfinite(D) and D > 0):
             raise DomainError(f"D must be a finite positive number, got {D!r}")
         object.__setattr__(self, "D", float(D))
+        # D^2 and (pi/D)^2 set the interval's and the eigenvalues' scales;
+        # a float power that overflows raises OverflowError
+        try:
+            finite = math.isfinite(self.D**2 + (math.pi / self.D) ** 2)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DomainError(f"need D^2 and (pi/D)^2 finite doubles, got D = {self.D!r}")
         if self.K * self.D**2 >= math.pi**2:
             # the potential's cs^-2 pole enters the closed interval exactly at
             # K D^2 = pi^2, so the cap is strict

@@ -30,7 +30,14 @@ from scipy.integrate import solve_ivp  # called by no route; perfbench/tracing.p
 from scipy.optimize import brentq
 
 from ._scipy import dop853_dense, dop853_end
-from .errors import BlowupError, BracketError, CoverageError, DomainError, HypothesisError
+from .errors import (
+    BlowupError,
+    BracketError,
+    CoverageError,
+    DomainError,
+    HypothesisError,
+    NonConvergenceError,
+)
 from .kernels import cs, cs_array, cs_at
 from .model import GridFunction, ModelParams, validate
 
@@ -220,6 +227,15 @@ def psi_right(k, c, params, allow_partial=False):
                    1.0, allow_partial)
 
 
+def _brent(f, lo, hi, **tol):
+    """brentq(f, lo, hi, **tol), with its iteration cap raised as
+    NonConvergenceError."""
+    try:
+        return brentq(f, lo, hi, **tol)
+    except RuntimeError as exc:
+        raise NonConvergenceError(f"Brent's method on [{lo:.6g}, {hi:.6g}]: {exc}") from None
+
+
 def flat_ck(k, D):
     """Closed-form flat-space (K = 0) Robin constant: nu tan(nu D/2) = k.
 
@@ -232,7 +248,7 @@ def flat_ck(k, D):
 
     if not f(lo) < 0.0 < f(hi):
         raise BracketError(f"flat bracket [{lo:.6g}, {hi:.6g}] does not straddle nu for k = {k}")
-    nu = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    nu = _brent(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return nu * nu - math.pi**2 / D**2
 
 
@@ -289,7 +305,7 @@ def _robin_constant(k, K, D):
         raise BracketError(
             f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle c_k for k = {k}"
         )
-    c = brentq(g, lo, hi, xtol=xtol, rtol=1e-13)
+    c = _brent(g, lo, hi, xtol=xtol, rtol=1e-13)
     gc = g(c)
     if abs(gc) > _ANGLE_TOL:
         raise BracketError(f"end-angle defect {abs(gc):.3e} exceeds {_ANGLE_TOL}")

@@ -208,22 +208,14 @@ def eval_series_mp(params, M, branch="first", dps=50):
         return _horner(lambda_series(branch, M), M, validate(params), mpmath)
 
 
-def coefficient_sign(npoly, n, dps=120):
+def coefficient_sign(npoly, n):
     """Sign of an exact coefficient at integer n (-1, 0, +1).
 
-    Exact zeros are detected symbolically; nonzero values are signed by a
-    high-precision evaluation with a wide safety margin.
+    The value at n is a PiLaurent; its exact zeros are the empty sum, and
+    any other value is signed by integer interval arithmetic on an integer
+    pi, refined until the interval excludes 0 (PiLaurent.sign).
     """
-    import mpmath
-
-    value = npoly.eval_n(n)
-    if value.is_zero():
-        return 0
-    with mpmath.workdps(dps):
-        v = value.eval_mp(mpmath)
-        if abs(v) < mpmath.mpf(10) ** (-dps // 2):
-            raise DomainError(f"sign of {value!r} too close to zero to certify")
-        return 1 if v > 0 else -1
+    return npoly.eval_n(n).sign()
 
 
 def gap5_factors():

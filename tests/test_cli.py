@@ -449,6 +449,21 @@ class TestExitCodes:
             "error: invalid parameter triples:"]
         assert "-5.058e5" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("K", ["0", "1"])
+    @pytest.mark.parametrize("D", ["1e-200", "1e-100", "1e100", "1e200"])
+    @pytest.mark.parametrize("command", [
+        ["eigen"], ["eigen", "--method", "fd"], ["bounds"], ["pruefer", "--k", "1"],
+        ["flow", "--k", "1"]], ids=" ".join)
+    def test_extreme_diameter_ends_in_a_typed_outcome(self, command, D, K, capsys):
+        # D^2 or (pi/D)^2 overflowed (OverflowError, ZeroDivisionError) and
+        # the flat Robin bracket at D = 1e-100 exhausted Brent's iterations
+        # (RuntimeError); each now returns or takes the typed-error path
+        code, _, err = run_main(command + ["--n", "5", "--K", K, "--D", D], capsys)
+        assert code in (0, 2, 3, 4)
+        assert (code == 0) == (err == "") and "Traceback" not in err
+        if D in ("1e-200", "1e200"):
+            assert code == 2 and "(pi/D)^2 finite" in err
+
     @pytest.mark.parametrize("n", ["2", "5"])
     @pytest.mark.parametrize("method", ["shoot", "fd"])
     def test_large_negative_curvature_still_returns(self, n, method, capsys):
@@ -542,8 +557,8 @@ def test_module_entry_point():
 
 
 # Runs start-up steps in a fresh interpreter and reports, after each, its
-# exit code, its output and the numpy, scipy and gapmodel modules loaded so
-# far.  The steps come as JSON in sys.argv[1]: "import" (import gapmodel),
+# exit code, its output and the numpy, scipy, mpmath and gapmodel modules
+# loaded so far.  The steps come as JSON in sys.argv[1]: "import" (import gapmodel),
 # "parser" (import gapmodel.cli and build a parser), or a CLI argv in which
 # "{plot}" stands for a file whose text is reported as "plot".
 _STARTUP_SCRIPT = """
@@ -551,7 +566,7 @@ import contextlib, io, json, os, sys, tempfile
 
 def loaded():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("numpy", "scipy", "gapmodel"))
+                  if m.split(".")[0] in ("numpy", "scipy", "mpmath", "gapmodel"))
 
 plot = os.path.join(tempfile.mkdtemp(), "plot.csv")
 report = []
@@ -629,6 +644,13 @@ class TestStartUp:
         assert series["stdout"] == (GOLDEN / "series.json").read_text()
         assert series["modules"] == ["gapmodel", "gapmodel.cli", "gapmodel.errors",
                                      "gapmodel.exact", "gapmodel.series"]
+
+    def test_series_to_order_8_loads_no_mpmath_or_numpy(self):
+        # coefficients become floats and signs in integer arithmetic
+        _, run = startup_report("parser", ["series", "--order", "8", "--check-reference"])
+        assert run["code"] == 0 and json.loads(run["stdout"])["order"] == 8
+        assert run["modules"] == ["gapmodel", "gapmodel.cli", "gapmodel.errors",
+                                  "gapmodel.exact", "gapmodel.series"]
 
     @pytest.mark.parametrize("case,idle", [
         ("eigen_shoot", ("flow", "pruefer", "series", "exact")),

@@ -96,6 +96,107 @@ class TestPiLaurent:
             PiLaurent({exponent: 1})
 
 
+def mp_value(x, bits=4000):
+    """The exact value of a PiLaurent in mpmath at bits of precision."""
+    with mpmath.workprec(bits):
+        return x.eval_mp(mpmath)
+
+
+def near_pi_terms(den_max):
+    """q pi - p with p/q the best rational approximation of pi with
+    q <= den_max: two terms of size about q that cancel to about 1/q."""
+    with mpmath.workprec(1000):
+        approx = Fraction(int(mpmath.pi * 2**900), 2**900).limit_denominator(den_max)
+    return PiLaurent({1: approx.denominator, 0: -approx.numerator})
+
+
+# values near the midpoint between two doubles: (2 m + 1) / 2^54 lies halfway
+# between m / 2^53 and (m + 1) / 2^53, and c pi^e / 2^shift moves it off the tie
+near_midpoint_st = st.builds(
+    lambda m, c, e, shift, scale: PiLaurent({
+        0: Fraction(2 * m + 1, 2**54) * Fraction(2) ** scale,
+        e: Fraction(c, 2**shift) * Fraction(2) ** scale}),
+    st.integers(min_value=2**52, max_value=2**53 - 1),
+    st.integers(min_value=-5, max_value=5).filter(bool),
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.integers(min_value=56, max_value=400),
+    st.integers(min_value=-60, max_value=60),
+)
+near_pi_st = st.builds(near_pi_terms, st.integers(min_value=1, max_value=10**40))
+wide_pilaurent_st = st.dictionaries(
+    st.integers(min_value=-20, max_value=20),
+    st.fractions(max_denominator=10**30).filter(bool).map(lambda q: q * 10**30),
+    min_size=1, max_size=6,
+).map(PiLaurent)
+
+
+class TestIntegerEvaluation:
+    """evalf and sign from the integer pi, against mpmath at 4,000 bits."""
+
+    def test_near_midpoint_example_rounds_up(self):
+        # 1 + 2^-53 is the tie between 1 and 1 + 2^-52, and pi / 2^100 lifts
+        # the value above it; summing in 96-bit floats rounded to 1.0
+        x = PiLaurent({0: Fraction(2**53 + 1, 2**53), 1: Fraction(1, 2**100)})
+        assert x.evalf() == 1.0000000000000002
+        assert (-x).evalf() == -1.0000000000000002
+
+    @pytest.mark.parametrize("P", [8, 53, 128, 1000, 4096])
+    def test_machin_pi_within_its_bound(self, P):
+        p, err = exact._pi_fixed(P)
+        with mpmath.workprec(P + 200):
+            assert abs(p - mpmath.pi * mpmath.mpf(2) ** P) < err <= 2
+
+    @pytest.mark.parametrize("e", [-30, -7, -1, 0, 1, 2, 9, 31])
+    def test_pi_power_bounds_enclose(self, e):
+        lo, hi = exact._pi_power_bounds(e, 128)
+        with mpmath.workprec(800):
+            exact_value = mpmath.pi**e * mpmath.mpf(2) ** 128
+            assert lo <= exact_value <= hi
+        # a few units of 2^-128 in the value, relative to pi^e where it exceeds 1
+        assert hi - lo <= (4 * abs(e) + 4) * max(1, hi >> 128)
+
+    @pytest.mark.parametrize("x, expected", [
+        (PiLaurent({0: Fraction(3, 7)}), 3 / 7),
+        (PiLaurent({0: 2**53 + 1}), 9007199254740992.0),
+        (PiLaurent({0: 10**400}), math.inf),
+        (PiLaurent({0: -(10**400), 1: 1}), -math.inf),
+        (PiLaurent({700: 1}), math.inf),
+        (PiLaurent({-700: -1}), -0.0),
+    ], ids=["rational", "rational-tie", "overflow", "overflow-negative",
+            "pi-power-overflow", "underflow"])
+    def test_exact_edges(self, x, expected):
+        got = x.evalf()
+        assert got == expected and math.copysign(1, got) == math.copysign(1, expected)
+
+    @given(x=st.one_of(pilaurent_st, wide_pilaurent_st, near_pi_st, near_midpoint_st))
+    @example(x=PiLaurent({0: Fraction(2**53 + 1, 2**53), 1: Fraction(-1, 2**100)}))
+    def test_evalf_is_correctly_rounded(self, x):
+        # float() rounds an mpf to the nearest double
+        assert x.evalf() == float(mp_value(x))
+
+    @given(x=st.one_of(pilaurent_st, wide_pilaurent_st, near_pi_st, near_midpoint_st))
+    def test_sign_matches_mpmath(self, x):
+        value = mp_value(x)
+        assert x.sign() == (0 if x.is_zero() else 1 if value > 0 else -1)
+        assert value != 0 or x.is_zero()
+
+    @given(x=npoly_st, n=st.integers(min_value=-50, max_value=200))
+    def test_coefficient_sign_matches_mpmath(self, x, n):
+        from gapmodel.series import coefficient_sign
+
+        value = x.eval_n(n)
+        expected = 0 if value.is_zero() else 1 if mp_value(value) > 0 else -1
+        assert coefficient_sign(x, n) == expected
+
+    @given(den_max=st.integers(min_value=10, max_value=10**60))
+    def test_sign_of_near_cancelling_terms(self, den_max):
+        # q pi - p has the sign of pi - p/q, which the convergents alternate
+        x = near_pi_terms(den_max)
+        with mpmath.workprec(4000):
+            expected = 1 if mpmath.pi * x.num[1] > -x.num[0] else -1
+        assert x.sign() == expected == (1 if x.evalf() > 0 else -1)
+
+
 # denominators built from a few small primes, so that terms share factors
 # and sums and products reduce
 shared_fraction_st = st.builds(

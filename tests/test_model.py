@@ -57,6 +57,18 @@ class TestParams:
         with pytest.raises(DomainError, match="K D\\^2 above about -5.058e5"):
             ModelParams(n=2, K=K, D=D)
 
+    @pytest.mark.parametrize("K", [0.0, 1.0, -1.0])
+    @pytest.mark.parametrize("D", [1e200, 1.4e154, 2.3e-154, 1e-200, 5e-324])
+    def test_rejects_d_with_overflowing_scales(self, K, D):
+        # D^2 or (pi/D)^2 overflows a double; D**2 used to raise OverflowError
+        with pytest.raises(DomainError, match="D\\^2 and \\(pi/D\\)\\^2 finite"):
+            ModelParams(n=5, K=K, D=D)
+
+    @pytest.mark.parametrize("D", [1.3e154, 2.4e-154, 1e-100])
+    def test_accepts_d_with_finite_scales(self, D):
+        p = ModelParams(n=5, K=0.0, D=D)
+        assert math.isfinite(p.D**2) and math.isfinite((math.pi / p.D) ** 2)
+
     def test_accepts_large_negative_curvature(self):
         for K, D in ((-4e5, 1.0), (-5.05e5, 1.0), (-1.26e5, 2.0)):
             p = ModelParams(n=5, K=K, D=D)

@@ -3,12 +3,19 @@
 import collections
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from gapmodel import _scipy, cli, pruefer
-from gapmodel.errors import BlowupError, BracketError, DomainError, HypothesisError
+from gapmodel.errors import (
+    BlowupError,
+    BracketError,
+    DomainError,
+    HypothesisError,
+    NonConvergenceError,
+)
 from gapmodel.flow import build_grid, stationary_reference
 from gapmodel.model import ModelParams
 from gapmodel.pruefer import (
@@ -101,6 +108,15 @@ def ode_calls(monkeypatch):
 
 @pytest.mark.usefixtures("cold_ck")
 class TestRobinConstantSolve:
+    def test_exhausted_brent_is_non_convergence(self):
+        # at D = 1e-100 the flat bracket spans 1e-12 to 3e100, more than
+        # Brent's 100 iterations resolve at its tolerance
+        with pytest.raises(NonConvergenceError, match="Brent"):
+            pruefer.flat_ck(1.0, 1e-100)
+        with pytest.raises(NonConvergenceError, match="Brent"):
+            find_ck(1.0, (5, 0.0, 1e-100))
+
+
     @pytest.mark.parametrize("n,K,D,k", list(CK_30))
     def test_high_precision_oracle(self, n, K, D, k):
         c = find_ck(k, ModelParams(n, K, D))
@@ -537,6 +553,32 @@ class TestRobinEigenfunction:
         z = p.half * np.arange(1, 8) / 8
         expected = [[float(x) for x in row] for row in zip(*qr30)]
         np.testing.assert_allclose(profile(z), expected, rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("n,K,D,k", [(5, 3.0, 1.0, 300.0), (5, -8.0, 1.0, 1.0),
+                                         (2, 0.5, 1.0, 10.0)])
+    def test_profile_matches_closed_form(self, n, K, D, k):
+        # with t = sqrt(K) z, phi'' + (pi^2/D^2 + c / cos^2 t) phi = 0 is the
+        # Poschl-Teller equation phi_tt + (E - l(l+1) / cos^2 t) phi = 0 with
+        # l(l+1) = -c/K and E = pi^2/(D^2 K), whose even solution is
+        # cos^(l+1) t 2F1(a, b; 1/2; sin^2 t), a, b = (l + 1 +- sqrt(E)) / 2
+        # (real part for K < 0); both are scaled to agree at z = D/2
+        p = ModelParams(n, K, D)
+        gf = robin_eigenfunction(k, p)
+        with mpmath.workdps(30):
+            l1 = (1 + mpmath.sqrt(1 - 4 * mpmath.mpf(find_ck(k, p)) / K)) / 2
+            root_e = mpmath.sqrt(mpmath.pi**2 / (mpmath.mpf(D) ** 2 * K))
+            a, b, root_k = (l1 + root_e) / 2, (l1 - root_e) / 2, mpmath.sqrt(K)
+
+            def closed(z):
+                t = root_k * mpmath.mpf(z)
+                return float(mpmath.re(mpmath.cos(t) ** l1
+                                       * mpmath.hyp2f1(a, b, 0.5, mpmath.sin(t) ** 2)))
+
+            ref = np.array([closed(z) for z in gf.z[::20]]) * (gf.values[-1] / closed(D / 2))
+        assert gf.z[-1] == D / 2
+        err = np.max(np.abs(gf.values[::20] - ref)) / np.max(np.abs(gf.values))
+        assert err < 1e-10
 
 
 class TestSupersolution:

@@ -157,6 +157,36 @@ class TestShoot:
             eigen_shoot((2, 1.0, 1.0), 3)
 
 
+    @pytest.mark.parametrize("triple", [(5, 1.0, 1.0), (4, 9.0, 1.0), (8, -10.0, 1.0)])
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_eigenfunction_matches_closed_form(self, triple, index):
+        # the 2F1 forms eigen_shoot_mp evaluates, at the returned eigenvalue,
+        # scaled to agree at z = -D/4; the error is taken against the sup of
+        # all samples, since a subsample's sup is not the result's
+        p = ModelParams(*triple)
+        r = eigen_shoot(p, index)
+        z, y = r.eigenfunction.z, r.eigenfunction.values
+        n, K, D = triple
+        with mpmath.workdps(30):
+            l1 = mpmath.mpf(n - 1) / 2
+            a = (l1 + mpmath.sqrt(mpmath.mpf(r.eigenvalue) / K + l1 * l1)) / 2
+            b, root_k = l1 - a, mpmath.sqrt(K)
+
+            def closed(zv):
+                t = root_k * mpmath.mpf(zv)
+                w = mpmath.sin(t) ** 2
+                if index == 1:
+                    f = mpmath.hyp2f1(a, b, 0.5, w)
+                else:
+                    f = mpmath.sin(t) / root_k * mpmath.hyp2f1(a + 0.5, b + 0.5, 1.5, w)
+                return float(mpmath.re(mpmath.cos(t) ** l1 * f))
+
+            quarter = int(np.flatnonzero(z == -D / 4)[0])
+            ref = np.array([closed(zv) for zv in z[::20]]) * (y[quarter] / closed(-D / 4))
+        err = np.max(np.abs(y[::20] - ref)) / np.max(np.abs(y))
+        assert err < 1e-11
+
+
 class TestErrorEstimate:
     """error_estimate bounds the error and stays below 1e-9 max(|lam|, (pi/D)^2)."""
 
