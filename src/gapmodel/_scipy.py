@@ -6,7 +6,7 @@ pruefer's end-angle shots behind ``find_ck``.
 pole, pruefer's Robin profile, which runs to D/2 without an event,
 spectral's (theta, log r) eigenfunction run from -D/2 to 0, and flow's
 equidistribution ODE behind ``build_grid``, stopped where the grid
-reaches z = 0, and rebuilds their dense output from the Fortran steps.
+reaches z = 0, and forms their dense output from the Fortran's own stages.
 Every ODE gapmodel solves runs on DOP853 through these two.  Spectral's
 finite-difference route takes its coarse grid's eigenvalue from
 ``tridiagonal_eigenvalue`` (``stebz``) and its fine grid's eigenpair from
@@ -18,6 +18,7 @@ only when a command that solves runs.
 """
 
 import warnings
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,17 +86,18 @@ def dop853_end(fun, t0, t1, y0, rtol, atol):
     return _outcome(solver, t=solver.t, y=y)
 
 
-def dop853_dense(fun, fun_array, t0, t1, y0, rtol, atol, rows, event):
+def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
     """Dense solution of y' = fun(t, y) from t0 toward t1 by the compiled DOP853.
 
     The Fortran ``dop853`` records t and y at t0 and at the end of every
     accepted step.  It stops at t1, or at the first step over which the
     event g(t, y) changes sign in the direction given by its ``direction``
     attribute, read as in ``solve_ivp``; event=None never stops the run.
-    All 16 stages of every step are then rebuilt at once from the recorded
-    states by fun_array, the right-hand side evaluated on a (len(y0),
-    steps) array, one column per step, and the 7 coefficients of each
-    step's continuous extension are formed as in scipy's ``DOP853``
+    fun returns a sequence of len(y0) floats.  The last 12 it returns to
+    the Fortran during a step are the stages K[1..11] of scipy's tableau
+    and K[12], f at the step's end, and K[0] is the previous step's K[12]
+    or f(t0); only K[13..15] are computed here, and the 7 coefficients of
+    each step's continuous extension are formed as in scipy's ``DOP853``
     (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5-6).  The event's
     root is found by ``brentq`` on the stopping step's interpolant, with
     solve_ivp's tolerances.  Four callers use it: pruefer's Riccati
@@ -108,14 +110,23 @@ def dop853_dense(fun, fun_array, t0, t1, y0, rtol, atol, rows, event):
     row of y per component), ``t_event``, the root or None, and ``sol``,
     the evaluator of the given rows (see ``_dense_evaluator``) on the span
     from t0 to t_event or to the last point.  ``nfev`` counts the
-    right-hand side's points: the Fortran calls plus the rebuilt stages.
+    right-hand side's points: the Fortran's calls plus 3 per step.
     ``success`` and ``message`` are those of ``dop853_end``; a failed run
-    has ``sol = None``.  An exception raised by fun, fun_array or the event
-    propagates.
+    has ``sol = None``.  An exception raised by fun or the event propagates.
     """
+    dim, tail = len(y0), -tableau.N_STAGES * len(y0)
+    calls, stages = array("d"), array("d")  # stages: f(t0), then K[1..12] per step
     ts, ys, gs = [], [], []
 
+    def recorded(t, y):
+        f = fun(t, y)
+        calls.extend(f)
+        return f
+
     def solout(t, y):
+        # before the first step, the first call holds f(t0)
+        stages.extend(calls[tail:] if ts else calls[:dim])
+        del calls[:]
         ts.append(t)
         ys.append(y.copy())
         if event is None:
@@ -127,26 +138,27 @@ def dop853_dense(fun, fun_array, t0, t1, y0, rtol, atol, rows, event):
                 return -1
         return 0
 
-    solver, _ = _dop853(fun, t0, t1, y0, rtol, atol, solout)
+    solver, _ = _dop853(recorded, t0, t1, y0, rtol, atol, solout)
     code = solver.get_return_code()
     t, y = np.array(ts), np.array(ys).T
     if code < 0:
         return _outcome(solver, t=t, y=y, t_event=None, sol=None)
 
-    # stages in rows, components next, steps last; f at a knot ends one
-    # step (stage 12) and starts the next (stage 0)
+    # stages in rows, components next, steps last; K[0..12] of a step are
+    # the 13 values from the one before its K[1]
     h, t_old, y_old = np.diff(t), t[:-1], y[:, :-1]
-    f = np.asarray(fun_array(t, y), dtype=float)
+    n, f = tableau.N_STAGES, np.frombuffer(stages).reshape(-1, dim)
     K = np.empty((tableau.N_STAGES_EXTENDED,) + y_old.shape)
-    K[0], K[tableau.N_STAGES] = f[:, :-1], f[:, 1:]
-    for s in (*range(1, tableau.N_STAGES), *range(tableau.N_STAGES + 1, len(K))):
-        dy = np.tensordot(tableau.A[s, :s], K[:s], axes=1) * h
-        K[s] = fun_array(t_old + tableau.C[s] * h, y_old + dy)
+    K[:n + 1] = np.lib.stride_tricks.sliding_window_view(f, n + 1, axis=0)[::n].T
+    del f, stages[:]  # the stepper holds solout, and its buffer, until its next run
+    for s in range(n + 1, len(K)):  # fun once per step, on floats
+        y_s = y_old + np.tensordot(tableau.A[s, :s], K[:s], axes=1) * h
+        K[s] = np.array([*map(fun, (t_old + tableau.C[s] * h).tolist(), y_s.T.tolist())]).T
     delta = y[:, 1:] - y_old
     F = np.empty((tableau.INTERPOLATOR_POWER,) + y_old.shape)
     F[0] = delta
     F[1] = h * K[0] - delta
-    F[2] = 2 * delta - h * (K[tableau.N_STAGES] + K[0])
+    F[2] = 2 * delta - h * (K[n] + K[0])
     F[3:] = h * np.tensordot(tableau.D, K, axes=1)
     coeffs = F[::-1]  # coefficient, component, step; highest first
 
@@ -157,8 +169,7 @@ def dop853_dense(fun, fun_array, t0, t1, y0, rtol, atol, rows, event):
         t_event = brentq(lambda z: event(z, last(z)), t[-2], t[-1], xtol=eps4, rtol=eps4)
         knots = np.append(t[:-1], t_event)
     sol = _dense_evaluator(knots, t_old, h, y_old[rows], coeffs[:, rows])
-    # the rebuild evaluates fun_array once per knot and 14 times per step
-    return _outcome(solver, nfev=t.size + (len(K) - 2) * h.size,
+    return _outcome(solver, nfev=(len(K) - n - 1) * h.size,
                     t=t, y=y, t_event=t_event, sol=sol)
 
 

@@ -94,20 +94,17 @@ _GRID_TOL = 1e-11  # DOP853 rtol and atol of the equidistribution ODE
 # -- grid ---------------------------------------------------------------------
 
 
-def _monitor(params, mesh_tol, array=False):
+def _monitor(params, mesh_tol):
     """Right-hand side (i, (w,)) -> (h(w),) of the equidistribution ODE
-    dw/di = h(w).  One formula serves floats, through math and min, for the
-    compiled stepper's calls, and with array=True numpy arrays, one column
-    per point, through numpy for the rebuilt stages."""
+    dw/di = h(w), on floats through math and min."""
     D = params.D
     lam2 = 2.0 * math.pi**2 / D**2
     B = 10.0 * (2.0 * math.pi / D) ** 4
-    tol12, h_max = 12.0 * mesh_tol, D / 64.0
-    sqrt, minimum = (np.sqrt, np.minimum) if array else (math.sqrt, min)
+    tol12, h_max, sqrt = 12.0 * mesh_tol, D / 64.0, math.sqrt
 
     def rhs(i, y):
         w = y[0]
-        return (minimum(sqrt(tol12 * (2.0 / w**2 + lam2) / (96.0 / w**5 + B)), h_max),)
+        return (min(sqrt(tol12 * (2.0 / w**2 + lam2) / (96.0 / w**5 + B)), h_max),)
 
     return rhs
 
@@ -147,10 +144,8 @@ def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL):
 
     reach_origin.direction = 1.0
 
-    sol = dop853_dense(
-        _monitor(params, mesh_tol), _monitor(params, mesh_tol, array=True),
-        0.0, float(MAX_CELLS), [wk], rtol=_GRID_TOL, atol=_GRID_TOL, rows=[0],
-        event=reach_origin)
+    sol = dop853_dense(_monitor(params, mesh_tol), 0.0, float(MAX_CELLS), [wk],
+                       rtol=_GRID_TOL, atol=_GRID_TOL, rows=[0], event=reach_origin)
     if not sol.success:
         raise DomainError(f"grid integration failed: {sol.message}")
     if sol.t_event is None:

@@ -38,7 +38,7 @@ from .errors import (
     HypothesisError,
     NonConvergenceError,
 )
-from .kernels import cs, cs_array, cs_at
+from .kernels import cs, cs_at
 from .model import GridFunction, ModelParams, validate
 
 _ODE_TOL = 1e-13
@@ -55,19 +55,12 @@ def _check_positive(name, value):
         raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
-def _angle_rhs(c, params, array=False):
+def _angle_rhs(c, params):
     """Right-hand side (z, (q, log r)) -> (q', (log r)') of the angle-radius
-    system at c.  One formula serves floats, through math and the closure
-    cs_at(K) built once per call of _angle_rhs, for the stepper's calls, and
-    with array=True numpy arrays, one column per point, through numpy and
-    cs_array for the rebuilt stages."""
-    K, D = params.K, params.D
-    if array:
-        xp, cs_K = np, lambda z: cs_array(z, K)
-    else:
-        xp, cs_K = math, cs_at(K)
-    cos, sin = xp.cos, xp.sin
-    pi2_over_D2 = math.pi**2 / D**2
+    system at c, on floats through math and the closure cs_at(K) built once
+    per call of _angle_rhs."""
+    cs_K, cos, sin = cs_at(params.K), math.cos, math.sin
+    pi2_over_D2 = math.pi**2 / params.D**2
 
     def rhs(z, y):
         q = y[0]
@@ -94,7 +87,7 @@ class RiccatiSolution:
 
     side is "left" (psi(0) = 0, integrated forward) or "right"
     (psi(D/2) = -k, integrated backward).  psi_at evaluates the dense angle
-    interpolant rebuilt from the compiled DOP853 steps of the branch
+    interpolant formed from the compiled DOP853 steps of the branch
     (_scipy.dop853_dense), anywhere in the interval.  The samples z and psi
     cover the part of the interval where |q| < pi/2 - 1e-3; they are taken
     from that interpolant on first read and kept, since the flow and the
@@ -185,9 +178,8 @@ def _branch(side, k, c, params, z0, q0, direction, allow_partial):
 
     reach_pole.direction = direction
 
-    sol = _succeeded(dop853_dense(
-        _angle_rhs(c, params), _angle_rhs(c, params, array=True), z0, z1, [q0, 0.0],
-        rtol=_ODE_TOL, atol=_ODE_TOL, rows=[0], event=reach_pole))
+    sol = _succeeded(dop853_dense(_angle_rhs(c, params), z0, z1, [q0, 0.0], rtol=_ODE_TOL,
+                                  atol=_ODE_TOL, rows=[0], event=reach_pole))
     q = sol.sol
     z_cease = z1 if sol.t_event is None else float(sol.t_event)
     interval = (min(z0, z_cease), max(z0, z_cease))
@@ -322,9 +314,8 @@ def _robin(k, params):
     q(0) = 0, r(0) = 1 to D/2 (_scipy.dop853_dense, no event), and phi at
     uniform points scaled to phi(D/2) = 1/k."""
     c = find_ck(k, params)
-    profile = _succeeded(dop853_dense(
-        _angle_rhs(c, params), _angle_rhs(c, params, array=True), 0.0, params.half,
-        [0.0, 0.0], rtol=_ODE_TOL, atol=_ODE_TOL, rows=[0, 1], event=None)).sol
+    profile = _succeeded(dop853_dense(_angle_rhs(c, params), 0.0, params.half, [0.0, 0.0],
+                                      rtol=_ODE_TOL, atol=_ODE_TOL, rows=[0, 1], event=None)).sol
     z = np.linspace(0.0, params.half, _N_SAMPLES)
     phi = _phi(profile(z))
     scale = (1.0 / float(k)) / phi[-1]

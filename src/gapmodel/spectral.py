@@ -76,7 +76,7 @@ from scipy.optimize import brentq
 from ._scipy import dop853_dense, dop853_end, tridiagonal_eigenpair, tridiagonal_eigenvalue
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError
-from .kernels import tn, tn_array
+from .kernels import tn
 from .model import GridFunction, as_integer, potential, potential_array, potential_at, validate
 
 _ODE_TOL = 1e-12
@@ -140,12 +140,11 @@ def _angle_mid(lam, params, form, S):
     return float(sol.y[0])
 
 
-def _polar_rhs(lam, params, form, S, array):
-    """(theta, log r)' for S y = r sin(theta), y' = r cos(theta), on floats
-    or, for dop853_dense's stage rebuild, on (2, points) arrays."""
-    sin, cos = (np.sin, np.cos) if array else (math.sin, math.cos)
+def _polar_rhs(lam, params, form, S):
+    """(theta, log r)' for S y = r sin(theta), y' = r cos(theta), on floats."""
+    sin, cos = math.sin, math.cos
     if form == "normal":
-        V = functools.partial(potential_array, params=params) if array else potential_at(params)
+        V = potential_at(params)
 
         def rhs(z, y):
             s, c = sin(y[0]), cos(y[0])
@@ -153,12 +152,11 @@ def _polar_rhs(lam, params, form, S, array):
             return [S * c * c + q * s * s, (S - q) * s * c]
 
     else:
-        n1, q = params.n - 1, lam / S
-        tn_K = functools.partial(tn_array if array else tn, K=params.K)
+        n1, q, K = params.n - 1, lam / S, params.K
 
         def rhs(z, y):
             s, c = sin(y[0]), cos(y[0])
-            d = n1 * tn_K(z) * c
+            d = n1 * tn(z, K) * c
             return [S * c * c + q * s * s - d * s, (S - q) * s * c + d * c]
 
     return rhs
@@ -172,8 +170,7 @@ def _shoot_eigenfunction(lam, params, form, S, index):
     501 points, mirrored with the index's parity on an exactly symmetric
     grid, gives the 1001 samples on [-D/2, D/2].
     """
-    rhs = functools.partial(_polar_rhs, lam, params, form, S)
-    sol = dop853_dense(rhs(False), rhs(True), -params.half, 0.0, [0.0, 0.0],
+    sol = dop853_dense(_polar_rhs(lam, params, form, S), -params.half, 0.0, [0.0, 0.0],
                        rtol=0.1 * _ODE_TOL, atol=0.1 * _ODE_TOL, rows=[0, 1], event=None)
     if not sol.success:
         raise NonConvergenceError(f"eigenfunction integration failed: {sol.message}")
@@ -407,11 +404,16 @@ def _colloc_seed(params, index):
 # -- finite-difference route --------------------------------------------------
 
 
-def _fd_matrix(params, N):
-    """Diagonal and off-diagonal of the central differences on N cells."""
+def _fd_matrix(params, N, k):
+    """Diagonal and off-diagonal of the central differences on N cells, in
+    units of 4^k: h 2^-k is formed exactly and 1/h^2, whose square
+    overflows a double once h is below about 1e-77, never is."""
     h = params.D / N
+    hk = math.ldexp(h, -k)
     z = -params.half + h * np.arange(1, N)
-    return 2.0 / h**2 + potential_array(z, params), np.full(N - 2, -1.0 / h**2)
+    d = potential_array(z, params) * math.ldexp(1.0, 2 * k)
+    d += 2.0 / hk**2
+    return d, np.full(N - 2, -1.0 / hk**2)
 
 
 def eigen_fd(params, index, grid_size=1024):
@@ -444,18 +446,25 @@ def eigen_fd(params, index, grid_size=1024):
     grid_size = as_integer(grid_size, 64, "grid_size must be a power of two >= 64")
     if grid_size & (grid_size - 1) != 0:
         raise DomainError(f"grid_size must be a power of two >= 64, got {grid_size}")
-    # stebz stops once the eigenvalue lies in an interval no wider than
-    # max(tol, 2 eps |lam|) <= 1e-14 max(1, |lam|)
+    # both grids in units of 4^k, 2^k the power of two nearest the coarse
+    # h; stebz stops once the eigenvalue lies in an interval no wider than
+    # max(tol, 2 eps |lam|) <= 1e-14 max(1, |lam|) in the unscaled units
+    k = round(math.log2(params.D / grid_size))
+    tol = math.ldexp(1e-14, 2 * k)
     try:
-        lam_n = tridiagonal_eigenvalue(*_fd_matrix(params, grid_size), index, tol=1e-14)
-        lam_2n, v = tridiagonal_eigenpair(*_fd_matrix(params, 2 * grid_size), index,
-                                          tol=1e-14)
+        lam_n = tridiagonal_eigenvalue(*_fd_matrix(params, grid_size, k), index, tol=tol)
+        lam_2n, v = tridiagonal_eigenpair(*_fd_matrix(params, 2 * grid_size, k), index,
+                                          tol=tol)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
     z = np.linspace(-params.half, params.half, 2 * grid_size + 1)
     gf = GridFunction(z=z, values=np.concatenate([[0.0], v, [0.0]]))
-    lam = (4.0 * lam_2n - lam_n) / 3.0
-    err = abs(lam_2n - lam_n) / 3.0
+    try:
+        lam = math.ldexp((4.0 * lam_2n - lam_n) / 3.0, -2 * k)
+        err = math.ldexp(abs(lam_2n - lam_n) / 3.0, -2 * k)
+    except OverflowError:
+        raise DomainError(f"eigenvalue {index} exceeds the largest double "
+                          f"at D = {params.D:g}") from None
     sym = np.max(np.abs(v - (-1.0) ** (index - 1) * v[::-1])) / np.max(np.abs(v))
     return _eigen_result(lam, err, gf, index, "finite-difference", "normal", float(sym))
 

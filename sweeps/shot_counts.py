@@ -8,9 +8,13 @@ spectral.dop853_end (angle shots), spectral.dop853_dense (eigenfunction
 runs), pruefer.dop853_end (find_ck's end-angle shots),
 pruefer.dop853_dense (Riccati branches and the Robin profile),
 flow.dop853_dense (the grid ODE) and pruefer.solve_ivp: calls and
-right-hand-side evaluations (nfev).  The flow's work is counted beside
-them: flow._Workspace.step (attempted time steps), flow.solve_banded (band
-solves) and flow.build_grid (grids and their nodes).  The counts are summed
+right-hand-side evaluations (nfev).  For a dense run (eigenfunction_rhs,
+dense_rhs, grid_rhs) that is the compiled stepper's calls plus the three
+stages per step that dop853_dense adds for the dense output; the stepper's
+own stage values are reused, not counted twice.  The flow's work is
+counted beside them: flow._Workspace.step (attempted time steps),
+flow.solve_banded (band solves) and flow.build_grid (grids and their
+nodes).  The counts are summed
 by the slot kind perfbench gives each operation and over all of them.
 Every operation starts with an empty Robin-constant cache, as a
 command-line run does, so the counts do not depend on the host or on the

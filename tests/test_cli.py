@@ -450,7 +450,7 @@ class TestExitCodes:
         assert "-5.058e5" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("K", ["0", "1"])
-    @pytest.mark.parametrize("D", ["1e-200", "1e-100", "1e100", "1e200"])
+    @pytest.mark.parametrize("D", ["1e-200", "3e-154", "1e-100", "1e100", "1e200"])
     @pytest.mark.parametrize("command", [
         ["eigen"], ["eigen", "--method", "fd"], ["bounds"], ["pruefer", "--k", "1"],
         ["flow", "--k", "1"]], ids=" ".join)

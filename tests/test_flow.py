@@ -82,9 +82,9 @@ class TestGrid:
     # MIN_CELLS cells
     @pytest.mark.parametrize("params,k,mesh_tol,nodes,digest,rescaled", [
         (ModelParams(5, 3.0, 1.0), 300.0, 1e-6, 62_928,
-         "0acd1874c4ac826d544959910965f0c5241f3f830e2005a92bf33a2e690c0f4c", False),
+         "a63c84fa664b26e4651e10810e1399a806adbb7e6c36090ff06f0ecda004727c", False),
         (P_FLOW, 10.0, 1e-2, 513,
-         "1071d7f371718a2ea7bb51758bddf53b48a86f1ae3db22479771e967a90ef487", True),
+         "d090eaa78f1891833ce7eaae1b62b2fb56bd477be0c81ffad6f86b5c4c92f72b", True),
     ], ids=["k300", "coarse"])
     def test_grid_bytes_are_pinned(self, params, k, mesh_tol, nodes, digest, rescaled,
                                    monkeypatch):

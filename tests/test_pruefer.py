@@ -407,7 +407,7 @@ def _pole_by_solve_ivp(k, c, params):
 
 
 class TestCompiledBranches:
-    """Branches from the compiled DOP853 steps and their rebuilt dense output."""
+    """Branches from the compiled DOP853 steps and their dense output."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -471,9 +471,32 @@ class TestCompiledBranches:
 
         never.direction = 0.0
         with pytest.raises(ZeroDivisionError) as info:
-            pruefer.dop853_dense(rhs, rhs, 0.0, 1.0, [0.0], rtol=1e-12, atol=1e-12, rows=[0],
+            pruefer.dop853_dense(rhs, 0.0, 1.0, [0.0], rtol=1e-12, atol=1e-12, rows=[0],
                                  event=never)
         assert info.value is raised
+
+    def test_dense_output_uses_each_accepted_steps_stages(self):
+        """y' = (1 / (1 + ((t - 1/2) / eps)^2), cos t) from y(0) = 0, whose
+        first component is eps (atan((t - 1/2) / eps) + atan(1 / (2 eps))).
+        The bump at t = 1/2 makes the controller reject steps, so the calls
+        the Fortran makes between two accepted steps are not only that
+        step's stages; the interpolant at every step's midpoint must still
+        match the closed form."""
+        eps, rtol = 1e-3, 1e-10
+
+        def rhs(t, y):
+            return (1.0 / (1.0 + ((t - 0.5) / eps) ** 2), math.cos(t))
+
+        sol = _scipy.dop853_dense(rhs, 0.0, 1.0, [0.0, 0.0], rtol=rtol, atol=rtol,
+                                  rows=[0, 1], event=None)
+        assert sol.success
+        steps = sol.t.size - 1
+        # nfev is the Fortran's calls plus 3 per step; each accepted step
+        # takes 12 calls, each rejected one 11, and the run starts with 2
+        assert sol.nfev - 3 * steps > 12 * steps + 2
+        mid = 0.5 * (sol.t[1:] + sol.t[:-1])
+        exact = [eps * (np.arctan((mid - 0.5) / eps) + math.atan(0.5 / eps)), np.sin(mid)]
+        np.testing.assert_allclose(sol.sol(mid), exact, rtol=0, atol=10 * rtol)
 
     def test_step_budget_is_a_domain_error(self, monkeypatch):
         p = ModelParams(5, 3.0, 1.0)
