@@ -4,7 +4,8 @@
 pruefer's end-angle shots behind ``find_ck``.
 ``dop853_dense`` runs pruefer's Riccati branches, each stopped at its
 pole, pruefer's Robin profile, which runs to D/2 without an event,
-spectral's (theta, log r) eigenfunction run from -D/2 to 0, and flow's
+spectral's (theta, log r) runs from -D/2 to 0, at one eigenvalue or
+stacked at two, and flow's
 equidistribution ODE behind ``build_grid``, stopped where the grid
 reaches z = 0, and forms their dense output from the Fortran's own stages.
 Every ODE gapmodel solves runs on DOP853 through these two.  Spectral's
@@ -102,7 +103,7 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
     root is found by ``brentq`` on the stopping step's interpolant, with
     solve_ivp's tolerances.  Four callers use it: pruefer's Riccati
     branches, whose event is the angle's pole, pruefer's Robin profile and
-    spectral's eigenfunction run, which have none, and flow's
+    spectral's (theta, log r) runs, which have none, and flow's
     ``build_grid``, whose event is the grid reaching z = 0 and whose t1 is
     the cell budget.
 
@@ -141,6 +142,7 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
     solver, _ = _dop853(recorded, t0, t1, y0, rtol, atol, solout)
     code = solver.get_return_code()
     t, y = np.array(ts), np.array(ys).T
+    del ts[:], ys[:], gs[:]  # the stepper holds solout, and its lists, until its next run
     if code < 0:
         return _outcome(solver, t=t, y=y, t_event=None, sol=None)
 
@@ -150,7 +152,7 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
     n, f = tableau.N_STAGES, np.frombuffer(stages).reshape(-1, dim)
     K = np.empty((tableau.N_STAGES_EXTENDED,) + y_old.shape)
     K[:n + 1] = np.lib.stride_tricks.sliding_window_view(f, n + 1, axis=0)[::n].T
-    del f, stages[:]  # the stepper holds solout, and its buffer, until its next run
+    del f, stages[:]  # as the lists above
     for s in range(n + 1, len(K)):  # fun once per step, on floats
         y_s = y_old + np.tensordot(tableau.A[s, :s], K[:s], axes=1) * h
         K[s] = np.array([*map(fun, (t_old + tableau.C[s] * h).tolist(), y_s.T.tolist())]).T

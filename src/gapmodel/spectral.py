@@ -25,29 +25,38 @@ n = 3 or K = 0, V is constant.
 V is even, so the index-th eigenfunction has parity (-1)^(index-1), and
 the condition theta(D/2) = index*pi is the same as the midpoint condition
 theta(0) = index*pi/2, whatever S is.  Shooting therefore integrates
-only [-D/2, 0], inward from the endpoint, and matches at z = 0; each angle
-shot runs Hairer's compiled DOP853 (_scipy.dop853_end) and keeps only the
-end state.  Its right-hand side evaluates V through the closure
-model.potential_at builds once per shot and returns theta' as a bare
-float.  At the root one (theta, log r) run over [-D/2, 0], S y = r sin(theta),
-y' = r cos(theta) (_scipy.dop853_dense), gives the angle noise, the parity
-defect and the eigenfunction, mirrored onto [0, D/2] by parity; no shot
+only [-D/2, 0], inward from the endpoint, and matches at z = 0; no shot
 runs toward an end, where the eigenfunction decays and the other grows.
+A theta-only angle shot runs Hairer's compiled DOP853 (_scipy.dop853_end),
+keeps only the end state, and returns theta' as a bare float from a
+right-hand side that evaluates V through the closure model.potential_at
+builds once per shot.  The eigenfunction comes from the polar pair
+S y = r sin(theta), y' = r cos(theta): (theta, log r) over [-D/2, 0] at
+ten times the angle shots' tolerance (_scipy.dop853_dense), mirrored onto
+[0, D/2] by parity.
 
-Brent's method finds the root of the midpoint angle, starting inside an
-interval about 1e-9 wide that Chebyshev collocation proposes and two angle
-shots confirm, or else inside a Rayleigh-Sturm bracket.  cs^2 is monotone
-on [0, D/2], so V takes its extremes at z = 0 and z = D/2, and min-max
-puts the index-th eigenvalue within [min V, max V] + (index pi/D)^2
-(Sturm comparison).  Min-max on each parity class also bounds it above by
-the Rayleigh quotient of the flat eigenfunction of that index
-(bounds.lambda_upper_rayleigh), which near the cap K D^2 -> pi^2 is smaller
-than the Sturm upper end by orders of magnitude.  Every eigenvalue is
-positive, which caps the lower end at 0 where min V -> -inf (n = 2 near
-the cap).  The bracket fixes S and bounds the seed: the collocation value
-at N = 48 points, folded by the index's parity onto [0, D/2], and its
-difference from N = 32 (Trefethen, Spectral Methods in MATLAB, 2000,
-ch. 6-9) set the interval, and the answer is the angle's root either way.
+Chebyshev collocation proposes an interval about 1e-9 wide around each
+eigenvalue: the collocation value at N = 48 points, folded by the
+index's parity onto [0, D/2], and its difference from N = 32 (Trefethen,
+Spectral Methods in MATLAB, 2000, ch. 6-9).  When it lies inside the
+comparison bracket below and is narrow, one stacked pass integrates
+(theta, log r) at both of its ends together, sharing each V(z); the root
+is the linear interpolation of theta(0) between them, the eigenfunction
+the same interpolation of the pass's dense output, and one angle shot at
+the root measures the residual that accepts it.  Otherwise, or when that
+residual is too large, Brent's method finds the root of the midpoint
+angle from angle shots, inside the interval or inside the comparison
+bracket, and a (theta, log r) run at the root gives the eigenfunction
+(see eigen_shoot).  The comparison bracket is Rayleigh-Sturm: cs^2 is
+monotone on [0, D/2], so V takes its extremes at z = 0 and z = D/2, and
+min-max puts the index-th eigenvalue within [min V, max V] + (index
+pi/D)^2 (Sturm comparison).  Min-max on each parity class also bounds it
+above by the Rayleigh quotient of the flat eigenfunction of that index
+(bounds.lambda_upper_rayleigh), which near the cap K D^2 -> pi^2 is
+smaller than the Sturm upper end by orders of magnitude.  Every
+eigenvalue is positive, which caps the lower end at 0 where min V -> -inf
+(n = 2 near the cap).  The bracket fixes S, and the answer is the angle's
+root on every branch.
 
 The cross-check route discretizes the same operator with second-order
 central differences on N and 2N cells and Richardson-extrapolates the
@@ -82,6 +91,8 @@ from .model import GridFunction, as_integer, potential, potential_array, potenti
 _ODE_TOL = 1e-12
 _N_SAMPLES = 1001  # points in a shot eigenfunction on [-D/2, D/2]
 _PARITY_TOL = 1e-5  # bound on |sin(theta(0) - index pi/2)| at the root
+_PASS_WIDTH = 5e-6  # widest seed half-width, over the accuracy scale, given a stacked pass
+_ACCEPT = 1e-11  # largest accepted stacked-pass error estimate, over the accuracy scale
 
 
 @dataclass(frozen=True)
@@ -140,46 +151,74 @@ def _angle_mid(lam, params, form, S):
     return float(sol.y[0])
 
 
-def _polar_rhs(lam, params, form, S):
-    """(theta, log r)' for S y = r sin(theta), y' = r cos(theta), on floats."""
+def _polar_rhs(lams, params, form, S):
+    """(theta, log r)' at every lam in lams, for S y = r sin(theta), y' = r cos(theta).
+
+    The state stacks one (theta, log r) pair per lam, in the order of lams,
+    and each point's V(z) (tn(z) in the direct form) serves every pair.
+    """
     sin, cos = math.sin, math.cos
     if form == "normal":
-        V = potential_at(params)
+        V, pairs = potential_at(params), [(2 * i, lam) for i, lam in enumerate(lams)]
 
         def rhs(z, y):
-            s, c = sin(y[0]), cos(y[0])
-            q = (lam - V(z)) / S
-            return [S * c * c + q * s * s, (S - q) * s * c]
+            v, f = V(z), _floats(y)
+            for i, lam in pairs:
+                s, c = sin(f[i]), cos(f[i])
+                q = (lam - v) / S
+                f[i], f[i + 1] = S * c * c + q * s * s, (S - q) * s * c
+            return f
 
     else:
-        n1, q, K = params.n - 1, lam / S, params.K
+        n1, K, pairs = params.n - 1, params.K, [(2 * i, lam / S) for i, lam in enumerate(lams)]
 
         def rhs(z, y):
-            s, c = sin(y[0]), cos(y[0])
-            d = n1 * tn(z, K) * c
-            return [S * c * c + q * s * s - d * s, (S - q) * s * c + d * c]
+            t, f = n1 * tn(z, K), _floats(y)
+            for i, q in pairs:
+                s, c = sin(f[i]), cos(f[i])
+                d = t * c
+                f[i], f[i + 1] = S * c * c + q * s * s - d * s, (S - q) * s * c + d * c
+            return f
 
     return rhs
 
 
-def _shoot_eigenfunction(lam, params, form, S, index):
-    """The eigenfunction and theta(0) - index pi/2 of one run at the root.
+def _floats(y):
+    """A new list of y's floats, which the right-hand side overwrites pair by pair.
 
-    (theta, log r) runs from 0 (y = 0, y' = 1) at -D/2 to 0, ten times
-    tighter than the angle shots; y = e^(log r - max log r) sin(theta) at
-    501 points, mirrored with the index's parity on an exactly symmetric
-    grid, gives the 1001 samples on [-D/2, D/2].
+    The Fortran passes y as an array, dop853_dense's dense stages as a list.
     """
-    sol = dop853_dense(_polar_rhs(lam, params, form, S), -params.half, 0.0, [0.0, 0.0],
-                       rtol=0.1 * _ODE_TOL, atol=0.1 * _ODE_TOL, rows=[0, 1], event=None)
+    return y.tolist() if isinstance(y, np.ndarray) else list(y)
+
+
+def _polar_run(lams, params, form, S):
+    """Dense (theta, log r) solution at every lam in lams over [-D/2, 0].
+
+    Each pair runs from 0 (y = 0, y' = 1) at -D/2, in one dop853_dense
+    run ten times tighter than the angle shots.
+    """
+    dim = 2 * len(lams)
+    sol = dop853_dense(_polar_rhs(lams, params, form, S), -params.half, 0.0, [0.0] * dim,
+                       rtol=0.1 * _ODE_TOL, atol=0.1 * _ODE_TOL, rows=range(dim), event=None)
     if not sol.success:
         raise NonConvergenceError(f"eigenfunction integration failed: {sol.message}")
+    return sol
+
+
+def _eigenfunction(sol, w, params, index):
+    """The eigenfunction of a _polar_run, interpolated by w from its first lam to its last.
+
+    theta and log r are (1 - w) times the first pair's plus w times the
+    last pair's, on 501 points of [-D/2, 0]; y = e^(log r - max log r)
+    sin(theta) there, mirrored with the index's parity on an exactly
+    symmetric grid, gives the 1001 samples on [-D/2, D/2].
+    """
     left = np.linspace(-params.half, 0.0, _N_SAMPLES // 2 + 1)
-    theta, log_r = sol.sol(left)
+    rows = sol.sol(left)
+    theta, log_r = rows[:2] + w * (rows[-2:] - rows[:2])
     y = np.exp(log_r - log_r.max()) * np.sin(theta)
-    gf = GridFunction(z=np.concatenate([left, -left[-2::-1]]),
-                      values=np.concatenate([y, (-1.0) ** (index - 1) * y[-2::-1]]))
-    return gf, float(sol.y[0, -1]) - 0.5 * index * math.pi
+    return GridFunction(z=np.concatenate([left, -left[-2::-1]]),
+                        values=np.concatenate([y, (-1.0) ** (index - 1) * y[-2::-1]]))
 
 
 def _count_interior_nodes(values):
@@ -236,68 +275,115 @@ def _shoot_error(lam, evals, tight):
 def eigen_shoot(params, index, form="normal"):
     """Index-th Dirichlet eigenvalue by monotone angle shooting to the midpoint.
 
-    Brent's method on theta(0; lam) = index * pi / 2, theta the Prüfer angle
-    scaled by S, to 1e-14 max(|lam|, (pi / D)^2).  The comparison bracket
-    is the Sturm bracket [min V, max V] + (index pi / D)^2 with its lower
-    end raised to 0 and its upper end lowered to the Rayleigh quotient of
-    the flat index-th eigenfunction when these are tighter; both ends are
-    padded by 1e-9 of the bracket's scale.  S is set once per call from
-    that bracket, S^2 = max(hi - V(0), (pi / D)^2), the squared wavenumber
-    at the midpoint where the angle is matched, and every shot of the call
-    uses it; the angle is exactly linear in z for constant V.
-    Brent starts from the collocation seed instead when it checks out:
-    lam_seed from the parity-folded Chebyshev collocation at N = 48, and
-    delta = max(10 |lam_48 - lam_32|, 1e-9 scale).  If [lam_seed - delta,
-    lam_seed + delta] lies inside the comparison bracket and the angle
-    shots at its ends straddle the target, Brent runs there (about 2.5
-    shots fewer per eigenvalue on the benchmark's shooting slots).  A seed
-    that is not finite, an interval outside the bracket or end shots that
-    do not straddle fall back to the comparison bracket, whose ends are
-    then shot (at most two shots wasted).
-    theta(0; lam) is strictly increasing in lam for fixed S, so a verified
-    sign change holds the one crossing: the answer is the shooting root in
-    both cases, and the seed never enters it.
-    error_estimate is the width of the final sign-change bracket plus
-    the ODE noise in theta(0) divided by the measured slope d theta(0) / d
-    lam; the noise is measured by the eigenfunction run and by any fall of
-    the angle between Brent's shots.  Over the tested grid, near the cap,
-    at small D and at (10, 9.8696, 1), (8, -400, 1), (6, -400, 1) and
-    (1000, 1, 1) it bounds the error against mpmath collocation or closed
-    forms and stays below 1e-9 max(|lam|, (pi / D)^2), with one measured
-    exception: n = 2 at the cap, where at (2, 39.4784, 0.5) it reads 2.4e-6
-    for index 1 and 1.8e-6 for index 2, against errors of -1.2e-6 and
-    +8.9e-7 from the closed form (eigen_shoot_mp).
+    The root of theta(0; lam) = index * pi / 2, theta the Prüfer angle
+    scaled by S.  The comparison bracket is the Sturm bracket
+    [min V, max V] + (index pi / D)^2 with its lower end raised to 0 and
+    its upper end lowered to the Rayleigh quotient of the flat index-th
+    eigenfunction when these are tighter; both ends are padded by 1e-9 of
+    the bracket's scale.  S is set once per call from that bracket,
+    S^2 = max(hi - V(0), (pi / D)^2), the squared wavenumber at the
+    midpoint where the angle is matched, and every shot of the call uses
+    it; the angle is exactly linear in z for constant V.  theta(0; lam) is
+    strictly increasing in lam for fixed S, so a verified sign change holds
+    the one crossing, and every branch below returns that root; the seed
+    never enters it.  The accuracy scale is max(|lam|, (pi / D)^2).
 
-    The eigenfunction comes from the (theta, log r) run at the root (see
-    _shoot_eigenfunction).  A parity defect (symmetry_residual, 0 when y
-    or y' vanishes at z = 0 as the index's parity asks) above _PARITY_TOL
-    = 1e-5 raises GapModelError; the largest on sweeps/eigen_near_cap.py's
-    map is 3.4e-7, and a wrong parity gives about 1.  So does a node count,
+    The collocation seed gives lam_seed at N = 48 and the half-width
+    delta = max(10 |lam_48 - lam_32|, 1e-9 bracket scale); [a, b] =
+    [lam_seed - delta, lam_seed + delta].  The branches:
+
+    - Stacked pass.  If [a, b] lies inside the comparison bracket and
+      delta is at most _PASS_WIDTH = 5e-6 of the accuracy scale, one
+      dop853_dense run at 0.1 _ODE_TOL integrates (theta_a, log r_a,
+      theta_b, log r_b).  If its end angles straddle the target, the root
+      lam* interpolates theta(0) linearly between a and b, with weight w on
+      b, and one theta-only check shot at lam* gives r = theta(0; lam*) -
+      index pi / 2.  The estimate (2 |r| + _ODE_TOL) / slope, slope the
+      secant of the pass's end angles, is accepted when it is at most
+      _ACCEPT = 1e-11 of the accuracy scale.  The eigenfunction is then
+      the same interpolation of the pass's dense output, and the parity
+      defect is |sin r|.
+    - Brent's continuation.  An estimate above _ACCEPT sends Brent into
+      [lam*, b] or [a, lam*], the side r's sign picks, with one more angle
+      shot at that end; the dict of shots Brent and _shoot_error read
+      holds theta-only shots at _ODE_TOL alone, since one angle of the
+      tighter pass among them reads as a fall and inflates the estimate
+      about 1e5-fold.
+    - Brent from the seed.  A seed wider than _PASS_WIDTH goes straight
+      to Brent on [a, b] when the angle shots at its ends straddle the
+      target.  On a sweep of 542 calls (every shooting call of the
+      benchmark's eigen_sweep seeds 1-8, the near-cap map of
+      sweeps/eigen_near_cap.py and the edge and test triples), with every
+      seed inside the bracket given a pass: 307 were accepted, all with
+      delta at most 4.7e-6 of the accuracy scale, and 193 were refined,
+      all but 6 distinct calls with delta above 5e-6.  The 6 are
+      (4, 1.671925, 2) index 2, where the check shot reads 9e-12 below
+      the pass (delta 2.7e-9), and index 1 of (8, 9, 1), (10, 9, 1),
+      (7, 9.4, D) at D = 1 and 0.5, and (4, 9.4139, 1) (1.6e-6 to
+      5.0e-6).  Near the cap a wide pass's root is off by far more than
+      the accept rule allows: 2e-6 at (4, 9.86, 1), index 2.
+    - Comparison bracket.  A seed that is not finite, an interval outside
+      the bracket (every flat triple, (n - 1)(n - 3) K = 0, whose bracket
+      is narrower than any interval), a pass or a pair of end shots that
+      does not straddle, sends Brent to the comparison bracket, whose
+      ends are then shot.
+    Brent stops at 1e-14 max(|lam|, (pi / D)^2), and a (theta, log r) run
+    at its root gives the eigenfunction and the angle there under the
+    tighter tolerance.
+
+    On Brent's branches error_estimate is the width of the final
+    sign-change bracket plus the ODE noise in theta(0) divided by the
+    measured slope d theta(0) / d lam; the noise is measured by the run
+    at the root and by any fall of the angle between Brent's shots.  On
+    the stacked pass it is the accept rule's estimate.  Against the closed
+    forms of eigen_shoot_mp at 25 digits, over 318 eigenvalues (the sweep
+    above without the near-cap map), the error is at most 0.72 of the
+    estimate on the 253 accepted passes (median 0.005) and 0.96 on
+    Brent's branches, at (10, 9.8696, 1), index 2; over the tested grid,
+    near the cap, at small D and at (10, 9.8696, 1), (8, -400, 1), (6,
+    -400, 1) and (1000, 1, 1), it bounds the error and stays below 1e-9
+    max(|lam|, (pi / D)^2), with one measured exception: n = 2 at the
+    cap, where at (2, 39.4784, 0.5) it reads 2.4e-6 for index 1 and
+    1.8e-6 for index 2, against errors of -1.2e-6 and +8.9e-7 from the
+    closed form.
+
+    A parity defect (symmetry_residual, 0 when y or y' vanishes at z = 0
+    as the index's parity asks) above _PARITY_TOL = 1e-5 raises
+    GapModelError; the largest on sweeps/eigen_near_cap.py's map is
+    3.4e-7, and a wrong parity gives about 1.  So does a node count,
     recounted on the samples, other than index - 1.
     """
     params = validate(params)
     _check_index(index)
     if form not in ("normal", "direct"):
         raise DomainError(f"form must be 'normal' or 'direct', got {form}")
-    lam, evals, S = _shoot_root(params, index, form)
-    gf, tight = _shoot_eigenfunction(lam, params, form, S, index)
-    defect = abs(math.sin(tight))
+    lam, S, evals, passed = _shoot_root(params, index, form)
+    if passed is None:
+        sol, w = _polar_run([lam], params, form, S), 0.0
+        residual = float(sol.y[0, -1]) - 0.5 * index * math.pi
+        err = _shoot_error(lam, evals, residual)
+    else:
+        sol, w, residual, err = passed
+    defect = abs(math.sin(residual))
     if not defect <= _PARITY_TOL:
         raise GapModelError(f"shooting index-{index} eigenfunction misses its parity "
                             f"at z = 0 by {defect:.3g} > {_PARITY_TOL:g}")
     # every eigenvalue is positive; near the cap Brent can settle in the
     # noise just below the padded lower end 0, and clamping only shrinks
     # the error that the estimate bounds
-    return _eigen_result(max(lam, 0.0), _shoot_error(lam, evals, tight), gf, index,
-                         "shooting", form, defect)
+    return _eigen_result(max(lam, 0.0), err, _eigenfunction(sol, w, params, index),
+                         index, "shooting", form, defect)
 
 
 def _shoot_root(params, index, form):
-    """eigen_shoot's Brent root of the midpoint angle, its shots and S.
+    """eigen_shoot's root of the midpoint angle, S, and how the root was found.
 
-    Returns the root, the dict of every shot lam -> theta(0; lam) - index
-    pi / 2 and the angle scale S.  Seeded by _colloc_seed when its interval
-    checks out; see eigen_shoot.
+    Returns (lam, S, evals, passed).  passed is (sol, w, r, err) when the
+    stacked pass's interpolated root was accepted: the pass, the weight of
+    its upper lam in lam, the check shot's theta(0) - index pi / 2 and the
+    error estimate.  Otherwise passed is None, lam is Brent's root and
+    evals maps each of its angle shots' lam to theta(0; lam) - index pi /
+    2.  See eigen_shoot.
     """
     # cs^2 is monotone on [0, D/2], so V takes its extremes at z = 0 and D/2;
     # lam > 0 because the direct form's quadratic form is int phi'^2 cs^(n-1),
@@ -320,21 +406,36 @@ def _shoot_root(params, index, form):
     evals = {}
 
     def g(lam):
-        # brentq re-evaluates the bracket ends; serve them from the cache
+        # theta-only shots at _ODE_TOL alone, so that _shoot_error compares
+        # like with like; brentq re-evaluates the bracket ends from here
         if lam not in evals:
             evals[lam] = _angle_mid(lam, params, form, S) - target
         return evals[lam]
 
     # theta(0; lam) is strictly increasing in lam, so a sign change over a
     # seeded interval inside (lo, hi) holds the one root the comparison
-    # bracket holds; a seed that fails any test costs at most two shots.
-    # Where V is constant ((n-1)(n-3)K = 0) the bracket is 2 pad wide and
-    # no seeded interval, at least 2 pad wide, fits inside it
+    # bracket holds.  Where V is constant ((n-1)(n-3)K = 0) the bracket is
+    # 2 pad wide and no seeded interval, at least 2 pad wide, fits inside it
     a = b = math.nan
     if (params.n - 1) * (params.n - 3) * params.K != 0:
         seed, ladder = _colloc_seed(params, index)
         delta = max(10.0 * ladder, 1e-9 * scale)
         a, b = seed - delta, seed + delta
+    # a narrow seeded interval gets one stacked pass (see eigen_shoot)
+    if lo < a and b < hi and delta <= _PASS_WIDTH * max(abs(seed), (math.pi / params.D) ** 2):
+        sol = _polar_run([a, b], params, form, S)
+        ga, gb = float(sol.y[0, -1]) - target, float(sol.y[2, -1]) - target
+        if ga < 0 < gb:
+            # theta(0) interpolated linearly, and the residual measured there
+            w = -ga / (gb - ga)
+            lam = a + w * (b - a)
+            r = g(lam)
+            err = (2.0 * abs(r) + _ODE_TOL) * (b - a) / (gb - ga)
+            if err <= _ACCEPT * max(abs(lam), (math.pi / params.D) ** 2):
+                return lam, S, evals, (sol, w, r, err)
+            a, b = (lam, b) if r < 0 else (a, lam)  # Brent on the root's side
+        else:
+            a = b = math.nan  # the comparison bracket
     if not (lo < a and b < hi and g(a) < 0 < g(b)):
         a, b = lo, hi
         if g(lo) >= 0 or g(hi) <= 0:
@@ -343,7 +444,7 @@ def _shoot_root(params, index, form):
                 f"index-{index} angle target"
             )
     lam = brentq(g, a, b, xtol=1e-14 * (math.pi / params.D) ** 2, rtol=1e-14)
-    return lam, evals, S
+    return lam, S, evals, None
 
 
 _COLLOC_SIZES = (32, 48)  # Chebyshev collocation ladder of _colloc_seed
@@ -385,14 +486,18 @@ def _colloc_seed(params, index):
     index's parity class (even for index 1, odd for index 2) at each size
     of _COLLOC_SIZES; returns the largest size's value and its distance to
     the smaller size's.  Neither need be right near the cap, where V's pole
-    is close to D/2: _shoot_root checks both with two angle shots.  A
-    failed eigensolve gives NaN, which _shoot_root never uses.
+    is close to D/2: _shoot_root checks both.  A failed eigensolve, or a
+    matrix that overflows a double (D below about 1e-151), gives NaN,
+    which _shoot_root never uses.
     """
     lams = []
     for N in _COLLOC_SIZES:
         x, d2 = _colloc_matrix(N, index - 1)
         V = potential_array(params.half * x, params)
-        A = -(2.0 / params.D) ** 2 * d2 + np.diag(V)
+        with np.errstate(over="ignore"):
+            A = -(2.0 / params.D) ** 2 * d2 + np.diag(V)
+        if not np.isfinite(A).all():
+            return math.nan, math.nan
         try:
             w = np.linalg.eigvals(A)
         except np.linalg.LinAlgError:
@@ -402,6 +507,9 @@ def _colloc_seed(params, index):
 
 
 # -- finite-difference route --------------------------------------------------
+
+
+_FD_POLE_RATIO = 0.2  # largest coarse h over the n = 2 pole's distance to D/2; see eigen_fd
 
 
 def _fd_matrix(params, N, k):
@@ -433,10 +541,20 @@ def eigen_fd(params, index, grid_size=1024):
     against the shooting angle root, whose own estimate stays below
     1.2e-11 max(|lam|, (pi / D)^2) there.  Near the cap, kappa = K D^2 in
     {9.8, 9.86}, the error is 4.6e-9 to 8.1e-8 for n = 5 (estimates 1.0e-5
-    to 7.9e-5; 7.9e-5 for lambda2 at (5, 9.86, 1)), 3.8e-7 to 4.7e-6 for
-    n = 4 and 2.9e-5 to 4.4e-3 for n = 2, so n = 2 and 4 miss 1e-9
-    relative, and at (2, 9.8, 1) the estimate (3.3e-6 and 3.7e-5) is below
-    the error (2.9e-5 and 9.8e-5).
+    to 7.9e-5; 7.9e-5 for lambda2 at (5, 9.86, 1)) and 3.8e-7 to 4.7e-6
+    for n = 4, so n = 4 misses 1e-9 relative.
+    For n = 2 and K > 0 the pole of V lies eps = pi / (2 sqrt K) - D/2
+    outside D/2, and V ~ -(1/4) / (distance to the pole)^2 there (the
+    Hardy-critical coupling), which the h^2 error model does not see
+    until h is well below eps.  A coarse h = D / grid_size above
+    _FD_POLE_RATIO eps = 0.2 eps raises NonConvergenceError before any
+    solve.  Measured at D = 1 for both indices, eps / D from 1e-1 to 1e-7
+    in quarter decades and grid_size 64 to 4096, against eigen_shoot_mp at
+    20 digits: the estimate bounds the error wherever h / eps <= 0.41, with
+    error / estimate at most 0.08 for h / eps <= 0.2, and first fails at
+    h / eps = 0.43 (1.4 times the estimate, kappa = 9.847, grid_size
+    4096); at (2, 9.8, 1) with the default grid, h / eps = 0.55 and the
+    errors were 2.6 and 8.3 times the estimates.
     At large negative kappa, -4000 to -100 for n in {2, 4, 5, 8}, the
     error is 8.4e-11 to 5.7e-3 and grows with n and |kappa|, while the
     estimate reads 3.6e-6 to 3.0, 500 to 4e5 times the error.
@@ -446,6 +564,14 @@ def eigen_fd(params, index, grid_size=1024):
     grid_size = as_integer(grid_size, 64, "grid_size must be a power of two >= 64")
     if grid_size & (grid_size - 1) != 0:
         raise DomainError(f"grid_size must be a power of two >= 64, got {grid_size}")
+    if params.n == 2 and params.K > 0:
+        eps = math.pi / (2.0 * math.sqrt(params.K)) - params.half
+        if params.D / grid_size > _FD_POLE_RATIO * eps:
+            raise NonConvergenceError(
+                f"finite differences cannot resolve the n = 2 pole {eps:.3g} beyond D/2 "
+                f"with h = D/{grid_size}: h must be at most {_FD_POLE_RATIO:g} times "
+                f"that distance"
+            )
     # both grids in units of 4^k, 2^k the power of two nearest the coarse
     # h; stebz stops once the eigenvalue lies in an interval no wider than
     # max(tol, 2 eps |lam|) <= 1e-14 max(1, |lam|) in the unscaled units
@@ -542,8 +668,8 @@ def eigen_shoot_mp(params, index, dps=40):
     the even (index 1) and odd (index 2) solutions are cos^(l+1) t times
     2F1(a, b; 1/2; sin^2 t) and sin t / sqrt(K) 2F1(a + 1/2, b + 1/2; 3/2;
     sin^2 t), real parts for K < 0.  Secant from eigen_shoot's float64 root
-    (Brent's angle root alone, with no eigenfunction run, parity or node
-    check; from 0 and 1e-9 (pi/D)^2 where that root clamps to 0) polishes
+    (the angle root of _shoot_root alone, with no eigenfunction, parity or
+    node check; from 0 and 1e-9 (pi/D)^2 where that root clamps to 0) polishes
     their root at
     z = D/2 until two iterates agree to 10^-(dps-5) relative, in dps digits
     plus those cos^2 t = 1 - sin^2 t loses (13 at (2, 9.8696, 1)).  Runs at

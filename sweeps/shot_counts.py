@@ -4,8 +4,10 @@ Builds each seed's operation list with perfbench's own workloads.build, at
 the run length BENCHMARK.json sets, and runs every operation through
 gapmodel.cli.main in this process with its output discarded.  The ODE
 calls are counted by wrapping the solver names the modules call:
-spectral.dop853_end (angle shots), spectral.dop853_dense (eigenfunction
-runs), pruefer.dop853_end (find_ck's end-angle shots),
+spectral.dop853_end (angle shots: the check shot of a stacked pass, and
+Brent's shots), spectral.dop853_dense (eigenfunction runs: a stacked
+(theta, log r) pass at a seeded interval's two ends, and a run at Brent's
+root), pruefer.dop853_end (find_ck's end-angle shots),
 pruefer.dop853_dense (Riccati branches and the Robin profile),
 flow.dop853_dense (the grid ODE) and pruefer.solve_ivp: calls and
 right-hand-side evaluations (nfev).  For a dense run (eigenfunction_rhs,

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from array import array
 
 import mpmath
 import numpy as np
@@ -86,6 +87,26 @@ def ode_work(monkeypatch):
     for name in ("dop853_end", "dop853_dense"):
         monkeypatch.setattr(spectral, name, counting(getattr(spectral, name)))
     return nfev
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The kind of each ODE solve in spectral, in order: "pass" for a
+    dense (theta, log r) run at two lam, "dense" at one, "shot" for a
+    theta-only angle shot."""
+    kinds = []
+
+    def shot(*args, **kwargs):
+        kinds.append("shot")
+        return _scipy.dop853_end(*args, **kwargs)
+
+    def dense(fun, t0, t1, y0, *args, **kwargs):
+        kinds.append("pass" if len(y0) == 4 else "dense")
+        return _scipy.dop853_dense(fun, t0, t1, y0, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "dop853_end", shot)
+    monkeypatch.setattr(spectral, "dop853_dense", dense)
+    return kinds
 
 
 class TestShoot:
@@ -207,16 +228,17 @@ class TestErrorEstimate:
             assert r.error_estimate <= 1e-9 * max(abs(ref), (math.pi / D) ** 2)
 
     def test_solve_count(self, ode_work):
-        for idx, max_rhs in ((1, 1050), (2, 1450)):
+        for idx, max_rhs in ((1, 450), (2, 670)):
             ode_work.clear()
             eigen_shoot((5, 1.0, 1.0), idx)
-            # two seeded bracket ends, Brent's steps, and the eigenfunction
-            # run, which also measures the noise
-            assert len(ode_work) <= 5
-            # measured: 5 and 5 solves, 951 and 1329 right-hand-side
-            # evaluations, 227 and 369 of them in the eigenfunction run,
-            # which adds 3 stages per step to the stepper's own; 7 and 6
-            # solves, 1313 and 1592 evaluations from the comparison bracket
+            # one stacked pass at the seeded interval's ends, which gives the
+            # root and the eigenfunction, and one check shot at the root
+            assert len(ode_work) == 2
+            # measured: 408 and 609 right-hand-side evaluations, 227 and 369
+            # of them in the stacked pass, which adds 3 stages per step to
+            # the stepper's own; 951 and 1329 in 5 solves each with Brent
+            # from the seeded interval, 1313 and 1592 in 7 and 6 solves from
+            # the comparison bracket
             assert sum(ode_work) <= max_rhs
 
     @pytest.mark.parametrize("triple", [(3, 1.0, 1.0), (6, 0.0, 2.0)], ids=str)
@@ -230,11 +252,13 @@ class TestErrorEstimate:
 
     def test_wide_potential_angle_rhs_count(self, ode_work):
         """At (8, 12, 0.5) V runs from -42 at z = 0 to 103 at z = D/2.
-        Measured: 2829 angle right-hand-side evaluations for index 2 with S
-        the wavenumber at z = 0; 6168 with S^2 = hi - max V, 4922 with the
-        fixed S = pi / D."""
+        Measured for index 2 with S the wavenumber at z = 0: 913
+        right-hand-side evaluations, 519 in the stacked pass and 394 in the
+        check shot.  With Brent from the seeded interval, the angle shots
+        took 2829; 6168 with S^2 = hi - max V, 4922 with the fixed
+        S = pi / D."""
         eigen_shoot((8, 12.0, 0.5), 2)
-        assert sum(ode_work[:-1]) <= 4000
+        assert sum(ode_work) <= 1400
 
 
 class TestCollocationSeed:
@@ -266,11 +290,12 @@ class TestCollocationSeed:
         seed, ladder = spectral._colloc_seed(ModelParams(5, 1.0, 1.0), 1)
         assert math.isnan(seed) and math.isnan(ladder)
 
-    # extra angle shots over the unseeded solve: the seeded interval of a
-    # NaN, and of a seed below the bracket's lower end (at least -1e-9 of
-    # its scale), fails before any shot; one 1e-3 below the eigenvalue lies
-    # inside the bracket, and its two end shots do not straddle the target
-    @pytest.mark.parametrize("case,extra", [("nan", 0), ("off", 2), ("below", 0)])
+    # extra solves over the unseeded solve: the seeded interval of a NaN,
+    # and of a seed below the bracket's lower end (at least -1e-9 of its
+    # scale), fails before any solve; one 1e-3 below the eigenvalue lies
+    # inside the bracket, and the ends of its one stacked pass do not
+    # straddle the target
+    @pytest.mark.parametrize("case,extra", [("nan", 0), ("off", 1), ("below", 0)])
     def test_fallback(self, monkeypatch, ode_work, case, extra):
         for idx in (1, 2):
             monkeypatch.setattr(spectral, "_colloc_seed", lambda p, i: (math.nan, 0.0))
@@ -284,6 +309,103 @@ class TestCollocationSeed:
             r = eigen_shoot((5, 1.0, 1.0), idx)
             assert abs(r.eigenvalue - unseeded.eigenvalue) <= r.error_estimate
             assert len(ode_work) == solves + extra
+
+
+class TestStackedPass:
+    """Each branch of eigen_shoot's root: the accepted stacked pass, Brent's
+    continuation after it, Brent from a seed too wide for a pass, and the
+    comparison bracket."""
+
+    def test_accepted_pass(self, solves):
+        for idx in (1, 2):
+            solves.clear()
+            r = eigen_shoot((5, 1.0, 1.0), idx)
+            assert solves == ["pass", "shot"]
+            ref = COLLOCATION[(5, 1.0, 1.0)][idx - 1]
+            assert abs(r.eigenvalue - ref) <= r.error_estimate <= 1e-11 * max(ref, math.pi**2)
+
+    def test_interpolated_eigenfunction_matches_a_run_at_the_root(self):
+        p = ModelParams(5, 1.0, 1.0)
+        for idx in (1, 2):
+            lam, S, _, passed = spectral._shoot_root(p, idx, "normal")
+            sol, w, _, _ = passed
+            assert 0 < w < 1
+            y = spectral._eigenfunction(sol, w, p, idx).values
+            ref = spectral._eigenfunction(spectral._polar_run([lam], p, "normal", S), 0.0,
+                                          p, idx).values
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_brent_continues_inside_the_pass(self, monkeypatch, solves):
+        # no estimate is accepted: Brent runs between the check shot's lam
+        # and the pass's end on the other side of the root, one new shot
+        accepted = {idx: eigen_shoot((5, 1.0, 1.0), idx) for idx in (1, 2)}
+        monkeypatch.setattr(spectral, "_ACCEPT", 0.0)
+        for idx in (1, 2):
+            solves.clear()
+            r = eigen_shoot((5, 1.0, 1.0), idx)
+            assert solves[:3] == ["pass", "shot", "shot"] and solves[-1] == "dense"
+            assert "pass" not in solves[1:]
+            ref = COLLOCATION[(5, 1.0, 1.0)][idx - 1]
+            assert abs(r.eigenvalue - ref) <= r.error_estimate
+            assert abs(r.eigenvalue - accepted[idx].eigenvalue) <= r.error_estimate
+            # Brent's dict holds theta-only shots alone: an angle of the
+            # tighter pass among them reads as a fall of about 1e-11 and
+            # inflates the estimate about 1e5-fold
+            assert r.error_estimate <= 1e-11 * max(ref, math.pi**2)
+
+    def test_refined_seed(self, solves):
+        # the one seed on the measured sweep that gets a pass and is refined
+        # while its half-width is far below _PASS_WIDTH: the check shot reads
+        # 9e-12 below the pass's angle, too far for the accept rule
+        r = eigen_shoot((4, 1.671925, 2.0), 2)
+        assert solves[:2] == ["pass", "shot"] and solves[-1] == "dense"
+        assert r.error_estimate <= 1e-10 * r.eigenvalue
+
+    def test_accept_on_the_accuracy_scale(self, monkeypatch, solves):
+        # with every seed given a pass, the one near the cap is 2e-6 off the
+        # root; the bracket's scale there, 1.3e7, would have accepted it
+        monkeypatch.setattr(spectral, "_PASS_WIDTH", math.inf)
+        r = eigen_shoot((4, 9.86, 1.0), 2)
+        assert solves[:2] == ["pass", "shot"] and solves[-1] == "dense"
+        ref = eigen_shoot_mp((4, 9.86, 1.0), 2, dps=20)
+        assert abs(r.eigenvalue - ref) <= r.error_estimate <= 1e-9 * r.eigenvalue
+
+    def test_wide_seed_goes_straight_to_brent(self, monkeypatch, solves):
+        # (4, 9.42, 1) is the benchmark's near-cap slot: its seeds are wider
+        # than _PASS_WIDTH, and so is a seed whose ladder is widened
+        for idx in (1, 2):
+            solves.clear()
+            eigen_shoot((4, 9.42, 1.0), idx)
+            assert "pass" not in solves and solves[-1] == "dense"
+        real = spectral._colloc_seed
+
+        def wide(p, i):
+            seed, _ = real(p, i)
+            return seed, 1e-6 * seed
+
+        monkeypatch.setattr(spectral, "_colloc_seed", wide)
+        solves.clear()
+        r = eigen_shoot((5, 1.0, 1.0), 1)
+        assert solves[:2] == ["shot", "shot"] and "pass" not in solves
+        assert abs(r.eigenvalue - COLLOCATION[(5, 1.0, 1.0)][0]) <= r.error_estimate
+
+    @pytest.mark.parametrize("triple", [(3, 1.0, 1.0), (6, 0.0, 2.0), (1, 5.0, 1.0)], ids=str)
+    def test_flat_triples_take_the_comparison_bracket(self, solves, triple):
+        for idx in (1, 2):
+            solves.clear()
+            eigen_shoot(triple, idx)
+            assert "pass" not in solves and solves[-1] == "dense"
+
+    def test_nan_seed_takes_the_comparison_bracket(self, monkeypatch, solves):
+        monkeypatch.setattr(spectral, "_colloc_seed", lambda p, i: (math.nan, math.nan))
+        r = eigen_shoot((5, 1.0, 1.0), 1)
+        assert "pass" not in solves and solves[-1] == "dense"
+        assert abs(r.eigenvalue - COLLOCATION[(5, 1.0, 1.0)][0]) <= r.error_estimate
+
+    def test_direct_form_takes_the_pass(self, solves):
+        r = eigen_shoot((5, 1.0, 1.0), 2, form="direct")
+        assert solves == ["pass", "shot"]
+        assert abs(r.eigenvalue - COLLOCATION[(5, 1.0, 1.0)][1]) <= r.error_estimate
 
 
 class TestNearCap:
@@ -453,6 +575,23 @@ class TestCompiledSolvers:
             with pytest.raises(GapModelError, match="misses its parity at z = 0"):
                 eigen_shoot((5, 1.0, 1.0), idx)
 
+    def test_dense_run_releases_its_step_lists(self, monkeypatch):
+        # scipy's stepper keeps the solout closure until its next run
+        closures = []
+        real = _scipy._dop853
+
+        def keep(fun, t0, t1, y0, rtol, atol, solout=None):
+            closures.append(solout)
+            return real(fun, t0, t1, y0, rtol, atol, solout)
+
+        monkeypatch.setattr(_scipy, "_dop853", keep)
+        sol = _scipy.dop853_dense(lambda t, y: [-y[0]], 0.0, 1.0, [1.0], rtol=1e-12,
+                                  atol=1e-12, rows=[0], event=None)
+        assert sol.success and sol.t.size > 2
+        kept = [c.cell_contents for c in closures[0].__closure__]
+        lists = [c for c in kept if isinstance(c, list | array)]
+        assert len(lists) == 5 and not any(lists)
+
     def test_failed_stebz_is_reported(self, monkeypatch):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("stebz failed")
@@ -498,6 +637,28 @@ class TestFiniteDifference:
         for idx in (1, 2):
             r = eigen_fd((5, 0.0, D), idx)
             assert abs(r.eigenvalue - (idx * math.pi / D) ** 2) <= r.error_estimate
+
+    @pytest.mark.parametrize("triple", [(2, 9.8696, 1.0), (2, 9.8, 1.0), (2, 39.2, 0.5)],
+                             ids=str)
+    def test_refuses_the_n2_pole(self, monkeypatch, triple):
+        # the coarse h is 9e3, 0.55 and 0.55 times the pole's distance to
+        # D/2; at (2, 9.8696, 1) FD used to return 1.0747 +- 0.031 against
+        # the closed form's 0.67739, and no grid is solved before refusing
+        def no_solve(*args, **kwargs):
+            raise AssertionError("grid solved")
+
+        monkeypatch.setattr(spectral, "tridiagonal_eigenvalue", no_solve)
+        for idx in (1, 2):
+            with pytest.raises(NonConvergenceError, match="cannot resolve the n = 2 pole"):
+                eigen_fd(triple, idx)
+
+    def test_bounds_its_error_below_the_pole_ratio(self):
+        # h / eps = 0.19 at (2, 9.67, 1), and 0.04 at the golden (2, 9, 1)
+        for triple in ((2, 9.67, 1.0), (2, 9.0, 1.0)):
+            for idx in (1, 2):
+                r = eigen_fd(triple, idx)
+                ref = eigen_shoot_mp(triple, idx, dps=20)
+                assert abs(r.eigenvalue - ref) <= r.error_estimate
 
     def test_integral_float_grid_size(self):
         # taken as the integer, as ModelParams takes an integral float n
@@ -610,11 +771,12 @@ class TestCapProblem:
 
 class TestHighPrecision:
     def test_matches_double_shooting(self, monkeypatch):
-        # the seed is the float root alone: no eigenfunction run, no node check
+        # the seed is the float root alone: no eigenfunction, no node check
         def failing(*args, **kwargs):
-            raise AssertionError("eigenfunction run")
+            raise AssertionError("eigenfunction")
 
-        monkeypatch.setattr(spectral, "dop853_dense", failing)
+        monkeypatch.setattr(spectral, "_eigenfunction", failing)
+        monkeypatch.setattr(spectral, "_eigen_result", failing)
         lam = eigen_shoot_mp((2, 1.0, 1.0), 1, dps=30)
         assert float(lam) == pytest.approx(LAM_2_1_1[0], rel=1e-12)
 
