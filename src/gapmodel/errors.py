@@ -62,3 +62,15 @@ class StabilityError(GapModelError):
 
 class OrderingViolation(GapModelError):
     """A quantity that must be monotone in a parameter failed an ordering check."""
+
+
+def as_integer(value, minimum, requirement, maximum=float("inf")):
+    """value as an int in [minimum, maximum], from an int or an integral float.
+
+    Anything else, a bool included, raises DomainError with the requirement.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= maximum:
+        raise DomainError(f"{requirement}, got {value!r}")
+    return value

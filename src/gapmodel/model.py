@@ -24,17 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, as_integer
 from .kernels import cs, cs_array, cs_at, tn
-
-
-def as_integer(value, minimum, requirement):
-    """value as an int >= minimum, from an int or an integral float; else DomainError."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise DomainError(f"{requirement}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

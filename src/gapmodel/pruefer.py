@@ -245,7 +245,13 @@ def flat_ck(k, D):
 
 
 def _end_angle(c, params):
-    """q(D/2) shot from q(0) = 0 by the compiled DOP853 (end state only)."""
+    """q(D/2) shot from q(0) = 0 by the compiled DOP853 (end state only).
+
+    The shot carries log r, which no caller reads, because DOP853's RMS
+    error norm runs over the whole state: a q-only shot chooses other
+    steps, and changed find_ck's right-hand-side points by -33 % to +93 %
+    over 20 (k, K, D) cases, no saving to take.
+    """
     sol = _succeeded(dop853_end(_angle_rhs(c, params), 0.0, params.half, [0.0, 0.0],
                                 rtol=_ODE_TOL, atol=_ODE_TOL))
     return float(sol.y[0])

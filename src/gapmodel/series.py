@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, as_integer
 from .exact import (
     A_POLY,
     N_MINUS_1,
@@ -106,8 +106,7 @@ def _branch_data(branch):
 def lambda_series(branch, M, cap=DEFAULT_ORDER_CAP):
     """Exact expansion of one eigenvalue branch through order M."""
     mode, _, _ = _branch_data(branch)
-    if not (0 <= M <= cap):
-        raise DomainError(f"order M = {M} outside [0, {cap}]")
+    M = as_integer(M, 0, f"order M must be an integer in [0, {cap}]", maximum=cap)
     return SeriesResult(branch=branch, mode=mode, orders=_orders(branch, M))
 
 
@@ -169,8 +168,8 @@ def gap_series(M, cap=DEFAULT_ORDER_CAP):
                      second=lambda_series("second", M, cap))
 
 
-def _horner(series, M, params, mp=None):
-    """sum_m c_m kappa^m / D^2 over m <= M by Horner's rule, kappa = K D^2.
+def _horner(series, params, mp=None):
+    """sum_m c_m kappa^m / D^2 over the series' orders by Horner's rule, kappa = K D^2.
 
     c_m is series.kappa_coefficient(m) at params.n.  Floats throughout, or
     mpmath numbers at the working precision when mp is the mpmath module.
@@ -179,7 +178,7 @@ def _horner(series, M, params, mp=None):
     D = num(params.D)
     kappa = num(params.K) * D**2
     total = num(0)
-    for m in range(M, -1, -1):
+    for m in range(series.order(), -1, -1):
         c = series.kappa_coefficient(m)
         total = total * kappa + (c.evalf(params.n) if mp is None else c.eval_mp(params.n, mp))
     return total / D**2
@@ -189,13 +188,13 @@ def eval_series(params, M, branch="first"):
     """Float evaluation of the order-M truncation of lam_bar at (n, K, D)."""
     from .model import validate
 
-    return _horner(lambda_series(branch, M), M, validate(params))
+    return _horner(lambda_series(branch, M), validate(params))
 
 
 def eval_gap_series(params, M):
     from .model import validate
 
-    return _horner(gap_series(M), M, validate(params))
+    return _horner(gap_series(M), validate(params))
 
 
 def eval_series_mp(params, M, branch="first", dps=50):
@@ -205,7 +204,7 @@ def eval_series_mp(params, M, branch="first", dps=50):
     from .model import validate
 
     with mpmath.workdps(dps):
-        return _horner(lambda_series(branch, M), M, validate(params), mpmath)
+        return _horner(lambda_series(branch, M), validate(params), mpmath)
 
 
 def coefficient_sign(npoly, n):

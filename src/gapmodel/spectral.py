@@ -35,19 +35,22 @@ S y = r sin(theta), y' = r cos(theta): (theta, log r) over [-D/2, 0] at
 ten times the angle shots' tolerance (_scipy.dop853_dense), mirrored onto
 [0, D/2] by parity.
 
-Chebyshev collocation proposes an interval about 1e-9 wide around each
-eigenvalue: the collocation value at N = 48 points, folded by the
-index's parity onto [0, D/2], and its difference from N = 32 (Trefethen,
-Spectral Methods in MATLAB, 2000, ch. 6-9).  When it lies inside the
-comparison bracket below and is narrow, one stacked pass integrates
-(theta, log r) at both of its ends together, sharing each V(z); the root
-is the linear interpolation of theta(0) between them, the eigenfunction
-the same interpolation of the pass's dense output, and one angle shot at
-the root measures the residual that accepts it.  Otherwise, or when that
-residual is too large, Brent's method finds the root of the midpoint
-angle from angle shots, inside the interval or inside the comparison
-bracket, and a (theta, log r) run at the root gives the eigenfunction
-(see eigen_shoot).  The comparison bracket is Rayleigh-Sturm: cs^2 is
+Every eigenvalue takes one path (see eigen_shoot).  Its interval is the
+one Chebyshev collocation proposes, about 1e-9 wide, when that lies
+strictly inside the comparison bracket below: the collocation value at
+N = 48 points, folded by the index's parity onto [0, D/2], and its
+difference from N = 32 (Trefethen, Spectral Methods in MATLAB, 2000,
+ch. 6-9).  Otherwise, and always where V is constant, the interval is
+the comparison bracket itself, which for constant V is 2e-9 of its
+scale wide around the closed form.  A narrow interval gets one stacked
+pass, which integrates (theta, log r) at both of its ends together,
+sharing each V(z); the root is the linear interpolation of theta(0)
+between them, the eigenfunction the same interpolation of the pass's
+dense output, and one angle shot at the root measures the residual that
+accepts it.  A wide interval, or a pass whose residual is too large,
+goes to Brent's method on angle shots of the midpoint angle, and a
+(theta, log r) run at its root gives the eigenfunction.  The comparison
+bracket is Rayleigh-Sturm: cs^2 is
 monotone on [0, D/2], so V takes its extremes at z = 0 and z = D/2, and
 min-max puts the index-th eigenvalue within [min V, max V] + (index
 pi/D)^2 (Sturm comparison).  Min-max on each parity class also bounds it
@@ -84,9 +87,9 @@ from scipy.optimize import brentq
 
 from ._scipy import dop853_dense, dop853_end, tridiagonal_eigenpair, tridiagonal_eigenvalue
 from .bounds import lambda_upper_rayleigh
-from .errors import DomainError, GapModelError, NonConvergenceError
+from .errors import DomainError, GapModelError, NonConvergenceError, as_integer
 from .kernels import tn
-from .model import GridFunction, as_integer, potential, potential_array, potential_at, validate
+from .model import GridFunction, potential, potential_array, potential_at, validate
 
 _ODE_TOL = 1e-12
 _N_SAMPLES = 1001  # points in a shot eigenfunction on [-D/2, D/2]
@@ -115,8 +118,8 @@ class EigenResult:
 
 
 def _check_index(index):
-    if index not in (1, 2):
-        raise DomainError(f"index must be 1 or 2, got {index}")
+    """index as the int 1 or 2, from an int or an integral float; else DomainError."""
+    return as_integer(index, 1, "index must be 1 or 2", maximum=2)
 
 
 def _angle_mid(lam, params, form, S):
@@ -124,10 +127,15 @@ def _angle_mid(lam, params, form, S):
 
     Any fixed S > 0 keeps the angle monotone in lam and its midpoint
     targets index * pi / 2; eigen_shoot fits S to the eigenvalue so the
-    angle stays close to linear in z.
+    angle stays close to linear in z.  The shot integrates theta alone,
+    not a one-pair _polar_rhs: DOP853's RMS error norm over (theta, log r)
+    loosens theta's share of the tolerance, and at (2, 9.8696, 1), index
+    2, the root of such a polar shot's angle missed by 5.1e-10 against an
+    estimate of 2.9e-10.
     """
+    sin, cos = math.sin, math.cos
     if form == "normal":
-        V, sin, cos = potential_at(params), math.sin, math.cos
+        V = potential_at(params)
 
         def rhs(z, y):
             th = y[0]
@@ -141,9 +149,9 @@ def _angle_mid(lam, params, form, S):
 
         def rhs(z, y):
             th = y[0]
-            s = math.sin(th)
-            c = math.cos(th)
-            return [S * c * c + lam_s * s * s - (n - 1) * tn(z, K) * s * c]
+            s = sin(th)
+            c = cos(th)
+            return S * c * c + lam_s * s * s - (n - 1) * tn(z, K) * s * c
 
     sol = dop853_end(rhs, -params.half, 0.0, [0.0], rtol=_ODE_TOL, atol=_ODE_TOL)
     if not sol.success:
@@ -288,44 +296,52 @@ def eigen_shoot(params, index, form="normal"):
     the one crossing, and every branch below returns that root; the seed
     never enters it.  The accuracy scale is max(|lam|, (pi / D)^2).
 
-    The collocation seed gives lam_seed at N = 48 and the half-width
-    delta = max(10 |lam_48 - lam_32|, 1e-9 bracket scale); [a, b] =
-    [lam_seed - delta, lam_seed + delta].  The branches:
+    The interval [a, b] is the collocation seed's [lam_seed - delta,
+    lam_seed + delta], with lam_seed the value at N = 48 and the
+    half-width delta = max(10 |lam_48 - lam_32|, 1e-9 bracket scale), when
+    it lies strictly inside the comparison bracket.  Otherwise, and always
+    for constant V ((n - 1)(n - 3) K = 0, which computes no seed), it is
+    the comparison bracket, 2 pad wide around the closed form for constant
+    V.  Every call then takes one path:
 
-    - Stacked pass.  If [a, b] lies inside the comparison bracket and
-      delta is at most _PASS_WIDTH = 5e-6 of the accuracy scale, one
-      dop853_dense run at 0.1 _ODE_TOL integrates (theta_a, log r_a,
-      theta_b, log r_b).  If its end angles straddle the target, the root
-      lam* interpolates theta(0) linearly between a and b, with weight w on
-      b, and one theta-only check shot at lam* gives r = theta(0; lam*) -
-      index pi / 2.  The estimate (2 |r| + _ODE_TOL) / slope, slope the
-      secant of the pass's end angles, is accepted when it is at most
-      _ACCEPT = 1e-11 of the accuracy scale.  The eigenfunction is then
-      the same interpolation of the pass's dense output, and the parity
-      defect is |sin r|.
+    - Stacked pass.  If the half-width of [a, b] is at most _PASS_WIDTH =
+      5e-6 of max(|midpoint|, (pi / D)^2), one dop853_dense run at
+      0.1 _ODE_TOL integrates (theta_a, log r_a, theta_b, log r_b).  If its
+      end angles straddle the target, the root lam* interpolates theta(0)
+      linearly between a and b, with weight w on b, and one theta-only
+      check shot at lam* gives r = theta(0; lam*) - index pi / 2.  The
+      estimate (2 |r| + _ODE_TOL) / slope, slope the secant of the pass's
+      end angles, is accepted when it is at most _ACCEPT = 1e-11 of the
+      accuracy scale.  The eigenfunction is then the same interpolation of
+      the pass's dense output, and the parity defect is |sin r|.  Every
+      constant-V call takes this branch: on 44 calls (11 flat triples of
+      eigen_sweep seeds 1-8 and the tests, both forms and indices, n = 1 to
+      6, D from 1e-5 to 2, (3, 9.8696, 1) at the cap) every pass was
+      accepted, within 3.2e-15 of the accuracy scale of (index pi / D)^2 -
+      (n - 1)^2 K / 4 in the normal form and 4.0e-14 in the direct form,
+      the error at most 0.045 of the estimate.  Brent on the bracket
+      reaches only 1.2e-12 there, with 4 to 7 angle shots and a run at the
+      root per eigenvalue.
     - Brent's continuation.  An estimate above _ACCEPT sends Brent into
       [lam*, b] or [a, lam*], the side r's sign picks, with one more angle
       shot at that end; the dict of shots Brent and _shoot_error read
       holds theta-only shots at _ODE_TOL alone, since one angle of the
       tighter pass among them reads as a fall and inflates the estimate
       about 1e5-fold.
-    - Brent from the seed.  A seed wider than _PASS_WIDTH goes straight
-      to Brent on [a, b] when the angle shots at its ends straddle the
-      target.  On a sweep of 542 calls (every shooting call of the
-      benchmark's eigen_sweep seeds 1-8, the near-cap map of
-      sweeps/eigen_near_cap.py and the edge and test triples), with every
-      seed inside the bracket given a pass: 307 were accepted, all with
-      delta at most 4.7e-6 of the accuracy scale, and 193 were refined,
-      all but 6 distinct calls with delta above 5e-6.  The 6 are
-      (4, 1.671925, 2) index 2, where the check shot reads 9e-12 below
-      the pass (delta 2.7e-9), and index 1 of (8, 9, 1), (10, 9, 1),
-      (7, 9.4, D) at D = 1 and 0.5, and (4, 9.4139, 1) (1.6e-6 to
-      5.0e-6).  Near the cap a wide pass's root is off by far more than
-      the accept rule allows: 2e-6 at (4, 9.86, 1), index 2.
-    - Comparison bracket.  A seed that is not finite, an interval outside
-      the bracket (every flat triple, (n - 1)(n - 3) K = 0, whose bracket
-      is narrower than any interval), a pass or a pair of end shots that
-      does not straddle, sends Brent to the comparison bracket, whose
+    - Brent on the interval.  A wider interval goes straight to Brent when
+      the angle shots at its ends straddle the target.  On a sweep of 542
+      calls (every shooting call of the benchmark's eigen_sweep seeds 1-8,
+      the near-cap map of sweeps/eigen_near_cap.py and the edge and test
+      triples), with every seed inside the bracket given a pass: 307 were
+      accepted, all with delta at most 4.7e-6 of the accuracy scale, and
+      193 were refined, all but 6 distinct calls with delta above 5e-6.
+      The 6 are (4, 1.671925, 2) index 2, where the check shot reads 9e-12
+      below the pass (delta 2.7e-9), and index 1 of (8, 9, 1), (10, 9, 1),
+      (7, 9.4, D) at D = 1 and 0.5, and (4, 9.4139, 1) (1.6e-6 to 5.0e-6).
+      Near the cap a wide pass's root is off by far more than the accept
+      rule allows: 2e-6 at (4, 9.86, 1), index 2.
+    - Comparison bracket.  A pass or a pair of end shots that does not
+      straddle the target sends Brent to the comparison bracket, whose
       ends are then shot.
     Brent stops at 1e-14 max(|lam|, (pi / D)^2), and a (theta, log r) run
     at its root gives the eigenfunction and the angle there under the
@@ -338,7 +354,7 @@ def eigen_shoot(params, index, form="normal"):
     the stacked pass it is the accept rule's estimate.  Against the closed
     forms of eigen_shoot_mp at 25 digits, over 318 eigenvalues (the sweep
     above without the near-cap map), the error is at most 0.72 of the
-    estimate on the 253 accepted passes (median 0.005) and 0.96 on
+    estimate on the 253 accepted seeded passes (median 0.005) and 0.96 on
     Brent's branches, at (10, 9.8696, 1), index 2; over the tested grid,
     near the cap, at small D and at (10, 9.8696, 1), (8, -400, 1), (6,
     -400, 1) and (1000, 1, 1), it bounds the error and stays below 1e-9
@@ -354,16 +370,10 @@ def eigen_shoot(params, index, form="normal"):
     recounted on the samples, other than index - 1.
     """
     params = validate(params)
-    _check_index(index)
+    index = _check_index(index)
     if form not in ("normal", "direct"):
         raise DomainError(f"form must be 'normal' or 'direct', got {form}")
-    lam, S, evals, passed = _shoot_root(params, index, form)
-    if passed is None:
-        sol, w = _polar_run([lam], params, form, S), 0.0
-        residual = float(sol.y[0, -1]) - 0.5 * index * math.pi
-        err = _shoot_error(lam, evals, residual)
-    else:
-        sol, w, residual, err = passed
+    lam, err, sol, w, residual = _shoot_root(params, index, form)
     defect = abs(math.sin(residual))
     if not defect <= _PARITY_TOL:
         raise GapModelError(f"shooting index-{index} eigenfunction misses its parity "
@@ -376,14 +386,14 @@ def eigen_shoot(params, index, form="normal"):
 
 
 def _shoot_root(params, index, form):
-    """eigen_shoot's root of the midpoint angle, S, and how the root was found.
+    """eigen_shoot's root of the midpoint angle, with the run that gives its eigenfunction.
 
-    Returns (lam, S, evals, passed).  passed is (sol, w, r, err) when the
-    stacked pass's interpolated root was accepted: the pass, the weight of
-    its upper lam in lam, the check shot's theta(0) - index pi / 2 and the
-    error estimate.  Otherwise passed is None, lam is Brent's root and
-    evals maps each of its angle shots' lam to theta(0; lam) - index pi /
-    2.  See eigen_shoot.
+    Returns (lam, err, sol, w, r) on every path: the root, its error
+    estimate, a dense (theta, log r) run, the weight of the run's last lam
+    in lam, and theta(0) - index pi / 2 at lam.  For an accepted stacked
+    pass, sol is the pass, w the weight of its upper end and r the check
+    shot's; at Brent's root, sol is a run at lam alone, w = 0 and r that
+    run's.  See eigen_shoot.
     """
     # cs^2 is monotone on [0, D/2], so V takes its extremes at z = 0 and D/2;
     # lam > 0 because the direct form's quadratic form is int phi'^2 cs^(n-1),
@@ -415,14 +425,16 @@ def _shoot_root(params, index, form):
     # theta(0; lam) is strictly increasing in lam, so a sign change over a
     # seeded interval inside (lo, hi) holds the one root the comparison
     # bracket holds.  Where V is constant ((n-1)(n-3)K = 0) the bracket is
-    # 2 pad wide and no seeded interval, at least 2 pad wide, fits inside it
-    a = b = math.nan
+    # 2 pad wide and no seeded interval, at least 2 pad wide, fits inside
+    # it, so the bracket is the interval
+    a, b = lo, hi
     if (params.n - 1) * (params.n - 3) * params.K != 0:
         seed, ladder = _colloc_seed(params, index)
         delta = max(10.0 * ladder, 1e-9 * scale)
-        a, b = seed - delta, seed + delta
-    # a narrow seeded interval gets one stacked pass (see eigen_shoot)
-    if lo < a and b < hi and delta <= _PASS_WIDTH * max(abs(seed), (math.pi / params.D) ** 2):
+        if lo < seed - delta and seed + delta < hi:
+            a, b = seed - delta, seed + delta
+    # a narrow interval gets one stacked pass (see eigen_shoot)
+    if (b - a) / 2 <= _PASS_WIDTH * max(abs(a + b) / 2, (math.pi / params.D) ** 2):
         sol = _polar_run([a, b], params, form, S)
         ga, gb = float(sol.y[0, -1]) - target, float(sol.y[2, -1]) - target
         if ga < 0 < gb:
@@ -432,19 +444,21 @@ def _shoot_root(params, index, form):
             r = g(lam)
             err = (2.0 * abs(r) + _ODE_TOL) * (b - a) / (gb - ga)
             if err <= _ACCEPT * max(abs(lam), (math.pi / params.D) ** 2):
-                return lam, S, evals, (sol, w, r, err)
+                return lam, err, sol, w, r
             a, b = (lam, b) if r < 0 else (a, lam)  # Brent on the root's side
         else:
-            a = b = math.nan  # the comparison bracket
-    if not (lo < a and b < hi and g(a) < 0 < g(b)):
+            a, b = lo, hi  # the comparison bracket
+    if not g(a) < 0 < g(b):
         a, b = lo, hi
-        if g(lo) >= 0 or g(hi) <= 0:
+        if not g(a) < 0 < g(b):
             raise NonConvergenceError(
                 f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle the "
                 f"index-{index} angle target"
             )
     lam = brentq(g, a, b, xtol=1e-14 * (math.pi / params.D) ** 2, rtol=1e-14)
-    return lam, S, evals, None
+    sol = _polar_run([lam], params, form, S)
+    r = float(sol.y[0, -1]) - target
+    return lam, _shoot_error(lam, evals, r), sol, 0.0, r
 
 
 _COLLOC_SIZES = (32, 48)  # Chebyshev collocation ladder of _colloc_seed
@@ -560,7 +574,7 @@ def eigen_fd(params, index, grid_size=1024):
     estimate reads 3.6e-6 to 3.0, 500 to 4e5 times the error.
     """
     params = validate(params)
-    _check_index(index)
+    index = _check_index(index)
     grid_size = as_integer(grid_size, 64, "grid_size must be a power of two >= 64")
     if grid_size & (grid_size - 1) != 0:
         raise DomainError(f"grid_size must be a power of two >= 64, got {grid_size}")
@@ -668,9 +682,10 @@ def eigen_shoot_mp(params, index, dps=40):
     the even (index 1) and odd (index 2) solutions are cos^(l+1) t times
     2F1(a, b; 1/2; sin^2 t) and sin t / sqrt(K) 2F1(a + 1/2, b + 1/2; 3/2;
     sin^2 t), real parts for K < 0.  Secant from eigen_shoot's float64 root
-    (the angle root of _shoot_root alone, with no eigenfunction, parity or
-    node check; from 0 and 1e-9 (pi/D)^2 where that root clamps to 0) polishes
-    their root at
+    (_shoot_root's root alone, with no eigenfunction sampled and no parity
+    or node check; at Brent's root that still costs one dense (theta, log
+    r) run, negligible beside mpmath; from 0 and 1e-9 (pi/D)^2 where that
+    root clamps to 0) polishes their root at
     z = D/2 until two iterates agree to 10^-(dps-5) relative, in dps digits
     plus those cos^2 t = 1 - sin^2 t loses (13 at (2, 9.8696, 1)).  Runs at
     dps and dps + 10 agree within 10^-dps max(|lam|, (pi/D)^2), the
@@ -681,7 +696,7 @@ def eigen_shoot_mp(params, index, dps=40):
     import mpmath
 
     params = validate(params)
-    _check_index(index)
+    index = _check_index(index)
     n, K, D = params.n, params.K, params.D
     seed = max(_shoot_root(params, index, "normal")[0], 0.0)
     guard = 0 if K <= 0 else -math.log10(math.cos(math.sqrt(K) * D / 2) ** 2)

@@ -81,6 +81,22 @@ class TestLowOrders:
         with pytest.raises(DomainError):
             lambda_series("first", 9)
 
+    def test_integral_float_order(self):
+        # an integral float is the int it equals, and shares its cache
+        assert lambda_series("first", 3.0) == lambda_series("first", 3)
+        assert gap_series(2.0) == gap_series(2)
+        assert eval_series((5, 1.0, 1.0), 3.0) == eval_series((5, 1.0, 1.0), 3)
+        assert eval_gap_series((5, 1.0, 1.0), 2.0) == eval_gap_series((5, 1.0, 1.0), 2)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.5, "3", 9.0], ids=repr)
+    def test_order_is_an_int(self, bad):
+        # a bool or a non-integer order is a DomainError, not a TypeError
+        # or the order the bool equals
+        with pytest.raises(DomainError):
+            lambda_series("first", bad)
+        with pytest.raises(DomainError):
+            gap_series(bad)
+
 
 class TestOrderFour:
     def test_reference_agreement(self):

@@ -1,5 +1,5 @@
-"""Smoke tests of the solve-count script (sweeps/shot_counts.py), and
-which shots skip the collocation seed."""
+"""Smoke tests of the solve-count script (sweeps/shot_counts.py), seed 1's
+pinned counts, and which shots skip the collocation seed."""
 
 import importlib.util
 from pathlib import Path
@@ -14,11 +14,26 @@ _spec = importlib.util.spec_from_file_location("shot_counts", SCRIPT)
 shot_counts = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(shot_counts)
 
+# seed 1's nonzero totals, pinned: a change that moves any of them changes
+# the ODE work, and names the new figures where it is recorded, as a change
+# to a golden file does
+EIGEN_SWEEP_SEED_1 = {"ops": 21, "angle_shots": 49, "angle_rhs": 17187,
+                      "eigenfunction_runs": 39, "eigenfunction_rhs": 16549}
+ROBIN_FLOW_SEED_1 = {"ops": 26, "ck_shots": 174, "ck_rhs": 76835, "dense_runs": 78,
+                     "dense_rhs": 45657, "grid_runs": 18, "grid_rhs": 13153,
+                     "flow_steps": 168, "band_solves": 168, "grids": 18,
+                     "grid_nodes": 518303}
+
+
+def _nonzero(counts):
+    return {field: value for field, value in counts.items() if value}
+
 
 def test_counts_repeat_exactly():
     first = shot_counts.count("eigen_sweep", [1])
     assert shot_counts.count("eigen_sweep", [1]) == first
     total = first["total"]
+    assert _nonzero(total) == EIGEN_SWEEP_SEED_1
     assert total["ops"] == sum(c["ops"] for c in first["by_kind"].values()) > 0
     assert total["angle_shots"] > 0 and total["eigenfunction_runs"] > 0
     # the finite-difference route makes no ODE shot
@@ -31,6 +46,7 @@ def test_robin_counts_repeat_exactly():
     first = shot_counts.count("robin_flow", [1])
     assert shot_counts.count("robin_flow", [1]) == first
     total = first["total"]
+    assert _nonzero(total) == ROBIN_FLOW_SEED_1
     for field in ("ck_shots", "ck_rhs", "dense_runs", "dense_rhs", "grid_runs", "grid_rhs"):
         assert total[field] > 0, field
     assert total["ivp_solves"] == total["ivp_rhs"] == 0

@@ -120,11 +120,18 @@ class TestShoot:
                 assert r.node_count == idx - 1
 
     def test_flat_case_is_exact(self):
-        # V = 0: eigenvalues are (idx pi / D)^2
-        p = ModelParams(n=4, K=0.0, D=2.0)
-        for idx in (1, 2):
-            r = eigen_shoot(p, idx)
-            assert r.eigenvalue == pytest.approx((idx * math.pi / 2.0) ** 2, rel=1e-11)
+        # (n - 1)(n - 3) K = 0: V is the constant -(n - 1)^2 K / 4, and the
+        # eigenvalues are (idx pi / D)^2 - (n - 1)^2 K / 4.  Measured on the
+        # accuracy scale max(|lam|, (pi / D)^2): within 2.2e-15 in the normal
+        # form, and 4.0e-14 in the direct form at (3, 9.8, 1), index 2
+        for n, K, D in ((4, 0.0, 2.0), (1, 5.0, 1.0), (3, -8.0, 0.5), (6, 0.0, 2.0),
+                        (3, 9.8, 1.0)):
+            for form in ("normal", "direct"):
+                for idx in (1, 2):
+                    r = eigen_shoot((n, K, D), idx, form=form)
+                    exact = (idx * math.pi / D) ** 2 - (n - 1) ** 2 * K / 4
+                    scale = max(abs(exact), (math.pi / D) ** 2)
+                    assert abs(r.eigenvalue - exact) <= 1e-13 * scale
 
     @pytest.mark.parametrize("triple", [(2, 1.0, 1.0), *ERROR_TRIPLES], ids=str)
     def test_eigenfunction_shape(self, triple):
@@ -177,6 +184,22 @@ class TestShoot:
         with pytest.raises(DomainError):
             eigen_shoot((2, 1.0, 1.0), 3)
 
+    def test_integral_float_index(self):
+        # an integral float is the int it equals
+        p = ModelParams(5, 1.0, 1.0)
+        for route in (eigen_shoot, eigen_fd):
+            r = route(p, 2.0)
+            assert type(r.index) is int and r.index == 2
+            assert r.eigenvalue == route(p, 2).eigenvalue
+        assert eigen_shoot_mp(p, 2.0, dps=20) == eigen_shoot_mp(p, 2, dps=20)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.5, "1", 3.0, 0], ids=repr)
+    def test_index_is_the_int_1_or_2(self, bad):
+        # a bool, a non-integer or an int other than 1 and 2 is a
+        # DomainError on every route, before any solve
+        for route in (eigen_shoot, eigen_fd, eigen_shoot_mp):
+            with pytest.raises(DomainError):
+                route((5, 1.0, 1.0), bad)
 
     @pytest.mark.parametrize("triple", [(5, 1.0, 1.0), (4, 9.0, 1.0), (8, -10.0, 1.0)])
     @pytest.mark.parametrize("index", [1, 2])
@@ -244,11 +267,13 @@ class TestErrorEstimate:
     @pytest.mark.parametrize("triple", [(3, 1.0, 1.0), (6, 0.0, 2.0)], ids=str)
     def test_flat_angle_is_linear(self, ode_work, triple):
         """V is constant, so lam - V is S^2 up to the bracket's padding and
-        the index-2 angle grows linearly in z: a few DOP853 steps per shot.  Measured: at most 86 and 98 right-hand-side evaluations per
-        angle shot; with the fixed scale S = pi / D, 832 and 937."""
+        the index-2 angle grows linearly in z: a few DOP853 steps per solve.
+        Measured: 107 and 122 right-hand-side evaluations in the stacked
+        pass, 86 in the check shot; with the fixed scale S = pi / D, an
+        angle shot took 832 and 937."""
         eigen_shoot(triple, 2)
-        angle_shots = ode_work[:-1]  # the last solve is the eigenfunction's
-        assert max(angle_shots) <= 150
+        stacked_pass, check_shot = ode_work
+        assert stacked_pass <= 200 and check_shot <= 150
 
     def test_wide_potential_angle_rhs_count(self, ode_work):
         """At (8, 12, 0.5) V runs from -42 at z = 0 to 103 at z = D/2.
@@ -312,9 +337,10 @@ class TestCollocationSeed:
 
 
 class TestStackedPass:
-    """Each branch of eigen_shoot's root: the accepted stacked pass, Brent's
-    continuation after it, Brent from a seed too wide for a pass, and the
-    comparison bracket."""
+    """Each branch of eigen_shoot's one path: the accepted stacked pass (on
+    a seeded interval, or on a constant V's comparison bracket), Brent's
+    continuation after it, Brent from a seed too wide for a pass, the
+    comparison bracket, and the one result shape of them all."""
 
     def test_accepted_pass(self, solves):
         for idx in (1, 2):
@@ -324,11 +350,18 @@ class TestStackedPass:
             ref = COLLOCATION[(5, 1.0, 1.0)][idx - 1]
             assert abs(r.eigenvalue - ref) <= r.error_estimate <= 1e-11 * max(ref, math.pi**2)
 
-    def test_interpolated_eigenfunction_matches_a_run_at_the_root(self):
+    def test_interpolated_eigenfunction_matches_a_run_at_the_root(self, monkeypatch):
         p = ModelParams(5, 1.0, 1.0)
+        scales, polar_run = [], spectral._polar_run
+
+        def recording(lams, params, form, S):
+            scales.append(S)
+            return polar_run(lams, params, form, S)
+
+        monkeypatch.setattr(spectral, "_polar_run", recording)
         for idx in (1, 2):
-            lam, S, _, passed = spectral._shoot_root(p, idx, "normal")
-            sol, w, _, _ = passed
+            lam, _, sol, w, _ = spectral._shoot_root(p, idx, "normal")
+            S = scales[-1]
             assert 0 < w < 1
             y = spectral._eigenfunction(sol, w, p, idx).values
             ref = spectral._eigenfunction(spectral._polar_run([lam], p, "normal", S), 0.0,
@@ -389,12 +422,37 @@ class TestStackedPass:
         assert solves[:2] == ["shot", "shot"] and "pass" not in solves
         assert abs(r.eigenvalue - COLLOCATION[(5, 1.0, 1.0)][0]) <= r.error_estimate
 
-    @pytest.mark.parametrize("triple", [(3, 1.0, 1.0), (6, 0.0, 2.0), (1, 5.0, 1.0)], ids=str)
-    def test_flat_triples_take_the_comparison_bracket(self, solves, triple):
+    @pytest.mark.parametrize("triple", [(3, 1.0, 1.0), (6, 0.0, 2.0), (1, 5.0, 1.0),
+                                        (3, -8.0, 0.5), (3, 9.8, 1.0)], ids=str)
+    def test_flat_triples_take_the_pass(self, solves, triple):
+        # a constant V's comparison bracket, 2 pad wide around the closed
+        # form, is narrow enough for a pass: no seed and no Brent shot
+        for form in ("normal", "direct"):
+            for idx in (1, 2):
+                solves.clear()
+                eigen_shoot(triple, idx, form=form)
+                assert solves == ["pass", "shot"]
+
+    @pytest.mark.parametrize("branch", ["pass", "continued", "nan seed"])
+    def test_one_result_shape(self, monkeypatch, branch):
+        # (lam, err, sol, w, residual) on every branch: w weighs the pass's
+        # upper end, and is 0 for the run at Brent's root, whose own angle
+        # gives the residual
+        if branch == "continued":
+            monkeypatch.setattr(spectral, "_ACCEPT", 0.0)
+        elif branch == "nan seed":
+            monkeypatch.setattr(spectral, "_colloc_seed", lambda p, i: (math.nan, math.nan))
+        p = ModelParams(5, 1.0, 1.0)
         for idx in (1, 2):
-            solves.clear()
-            eigen_shoot(triple, idx)
-            assert "pass" not in solves and solves[-1] == "dense"
+            lam, err, sol, w, residual = spectral._shoot_root(p, idx, "normal")
+            ref = COLLOCATION[(5, 1.0, 1.0)][idx - 1]
+            assert abs(lam - ref) <= err <= 1e-11 * max(ref, math.pi**2)
+            assert abs(residual) <= 1e-9
+            if branch == "pass":
+                assert sol.y.shape[0] == 4 and 0 < w < 1
+            else:
+                assert sol.y.shape[0] == 2 and w == 0.0
+                assert residual == float(sol.y[0, -1]) - 0.5 * idx * math.pi
 
     def test_nan_seed_takes_the_comparison_bracket(self, monkeypatch, solves):
         monkeypatch.setattr(spectral, "_colloc_seed", lambda p, i: (math.nan, math.nan))
