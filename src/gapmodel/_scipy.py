@@ -1,9 +1,10 @@
 """The compiled scipy solvers gapmodel calls, each wrapped in a narrower call.
 
-``dop853_end`` runs every end-value shot: spectral's angle shots and
-pruefer's end-angle shots behind ``find_ck``.
+``dop853_end`` runs every end-value shot: spectral's angle shots, and
+the stacked end-angle pass and Brent's shots behind pruefer's ``find_ck``.
 ``dop853_dense`` runs pruefer's Riccati branches, each stopped at its
-pole, pruefer's Robin profile, which runs to D/2 without an event,
+pole, pruefer's Robin profile, which runs to D/2 without an event and
+checks ``find_ck``'s root,
 spectral's (theta, log r) runs from -D/2 to 0, at one eigenvalue or
 stacked at two, and flow's
 equidistribution ODE behind ``build_grid``, stopped where the grid
@@ -184,13 +185,15 @@ def _dense_evaluator(ts, t_old, h, y_old, coeffs):
     highest first.  A point takes its step as scipy's ``OdeSolution``
     does.  Each coefficient's values at the points' steps are gathered by
     one ``take`` from its rows, which run contiguously over the steps, and
-    1 - x is formed once per call.
+    1 - x is formed once per call.  ``rows``, a list of indices into the
+    evaluator's rows, evaluates only those, each to the same bits.
     """
     ascending = ts[-1] >= ts[0]
     ts, side = (ts, "left") if ascending else (ts[::-1], "right")
     last = len(t_old) - 1
 
-    def evaluate(z):
+    def evaluate(z, rows=None):
+        start, fs = (y_old, coeffs) if rows is None else (y_old[rows], coeffs[:, rows])
         z = np.asarray(z, dtype=float)
         t = z.reshape(-1)
         step = np.searchsorted(ts, t, side=side)
@@ -200,15 +203,15 @@ def _dense_evaluator(ts, t_old, h, y_old, coeffs):
             np.subtract(last, step, out=step)
         x = (t - t_old.take(step)) / h.take(step)
         one_minus_x = 1 - x
-        gathered = np.empty((len(y_old), t.size))
+        gathered = np.empty((len(start), t.size))
         y = np.zeros_like(gathered)
         # the steps are in range; take's default mode="raise" would gather
         # into a temporary copy and then copy that into out
-        for i, f in enumerate(coeffs):
+        for i, f in enumerate(fs):
             y += f.take(step, axis=1, out=gathered, mode="clip")
             y *= one_minus_x if i % 2 else x
-        y += y_old.take(step, axis=1, out=gathered, mode="clip")
-        return y.reshape((len(y_old),) + z.shape)
+        y += start.take(step, axis=1, out=gathered, mode="clip")
+        return y.reshape((len(start),) + z.shape)
 
     return evaluate
 

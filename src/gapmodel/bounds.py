@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from .errors import HypothesisError, OrderingViolation
+from .errors import HypothesisError, OrderingViolation, as_integer
 from .kernels import cs_at
 from .model import validate
 
@@ -34,20 +34,23 @@ class BoundReport:
 
 
 def _require(params, index, need_n3=False, need_K_positive=True):
-    if index not in (1, 2):
-        raise HypothesisError(f"index must be 1 or 2, got {index}")
+    """index as the int 1 or 2, from an int or an integral float, else
+    DomainError; then HypothesisError unless params meet the bound's
+    hypotheses."""
+    index = as_integer(index, 1, "index must be 1 or 2", maximum=2)
     if need_K_positive and not (params.K > 0):
         raise HypothesisError(f"bounds require K > 0, got K = {params.K}")
     if need_n3 and params.n < 3:
         raise HypothesisError(
             f"lower bounds require n >= 3 (sec^2 >= 1 comparison), got n = {params.n}"
         )
+    return index
 
 
 def lambda_lower(params, index):
     """Comparison lower bound (index pi/D)^2 - (n-1)K/2, valid for K>0, n>=3."""
     params = validate(params)
-    _require(params, index, need_n3=True)
+    index = _require(params, index, need_n3=True)
     return (index * math.pi / params.D) ** 2 - (params.n - 1) * params.K / 2.0
 
 
@@ -61,7 +64,7 @@ def lambda_upper_rayleigh(params, index):
     quadrature runs.
     """
     params = validate(params)
-    _require(params, index, need_K_positive=False)
+    index = _require(params, index, need_K_positive=False)
     n, K, D = params.n, params.K, params.D
     flat = (index * math.pi / D) ** 2 - (n - 1) ** 2 * K / 4.0
     if (n - 1) * (n - 3) * K == 0:
@@ -79,6 +82,7 @@ def lambda_upper_rayleigh(params, index):
 def bound_report(params, index):
     """Two-sided report for K > 0, n >= 3; raises if the sandwich inverts."""
     params = validate(params)
+    index = _require(params, index, need_n3=True)
     lo = lambda_lower(params, index)
     hi = lambda_upper_rayleigh(params, index)
     if lo > hi:

@@ -24,9 +24,14 @@ rather than returning a garbage float.
 cs_at(K) returns s -> cs(s, K) with K's square root and branch bound once,
 for right-hand sides that an ODE solver calls many times at one K; cs itself
 evaluates through it, so the two agree bit for bit.
+
+chebyshev(N) is the one Chebyshev differentiation matrix that both
+collocation seeds fold: spectral's Dirichlet eigenvalues and pruefer's
+Robin constant.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,3 +154,24 @@ def tn_array(s, K):
     else:
         out[big] = 0.0
     return out
+
+
+@lru_cache(maxsize=None)
+def chebyshev(N):
+    """Chebyshev points and differentiation matrices on [-1, 1].
+
+    The points are x_j = cos(j pi / N), j = 0 .. N, from x_0 = 1 down to
+    x_N = -1; d1 is Trefethen's first-derivative matrix on them (Spectral
+    Methods in MATLAB, 2000, ch. 6), with its diagonal the negative row
+    sums, and d2 = d1 @ d1.  Returns (x, d1, d2), read-only since the cache
+    shares them.
+    """
+    j = np.arange(N + 1)
+    x = np.cos(np.pi * j / N)
+    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
+    d1 = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(N + 1))
+    d1 -= np.diag(d1.sum(axis=1))
+    d2 = d1 @ d1
+    for a in (x, d1, d2):
+        a.flags.writeable = False
+    return x, d1, d2

@@ -17,13 +17,20 @@ phi(D/2) = 1/k, phi'(D/2) = -1.  Left and right log-derivative solutions
 around c_k combine into the supersolution min{psi^L_{c_k-s}, psi^R_{k,c_k+s}}
 used as comparison data elsewhere.
 
+find_ck solves for c_k from a Chebyshev collocation seed with one stacked
+end-angle pass and one checked run, and falls back on Brent's method (see
+find_ck).  The checked run, (q, log r) from 0 to D/2 at c_k, is the Robin
+profile and is psi_left(c_k)'s run as well; it is kept with c_k, so
+robin_eigenfunction, robin_boundary_report and flow.stationary_reference
+read it without integrating again.
+
 The angle never enters this module's equations through n; the dimension is
 carried in params only so results can be labeled consistently.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.integrate import solve_ivp  # called by no route; perfbench/tracing.py rebinds it
@@ -38,7 +45,7 @@ from .errors import (
     HypothesisError,
     NonConvergenceError,
 )
-from .kernels import cs, cs_at
+from .kernels import chebyshev, cs, cs_array, cs_at
 from .model import GridFunction, ModelParams, validate
 
 _ODE_TOL = 1e-13
@@ -46,6 +53,7 @@ _ANGLE_GUARD = 1e-3  # samples of tan q only where |q| < pi/2 - guard
 _HALF_PI = math.pi / 2
 _N_SAMPLES = 2001  # points in a uniform sample of [0, D/2] or of a branch
 _ANGLE_TOL = 1e-11  # largest end-angle defect accepted at the Robin constant
+_ACCEPT = 1e-12  # largest accepted stacked-pass estimate, over max(|c|, (pi/D)^2)
 _CK_CACHE_SIZE = 256  # Robin constants kept, one per (k, K, D)
 
 
@@ -55,21 +63,24 @@ def _check_positive(name, value):
         raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
-def _angle_rhs(c, params):
-    """Right-hand side (z, (q, log r)) -> (q', (log r)') of the angle-radius
-    system at c, on floats through math and the closure cs_at(K) built once
-    per call of _angle_rhs."""
+def _angle_rhs(cvals, params):
+    """Right-hand side (z, y) -> y' of the angle-radius system, with one
+    (q, log r) pair of y per c in cvals, in order, on floats through math.
+    cs_K(z)^2 is formed once per point, through the closure cs_at(K) built
+    once per call of _angle_rhs, and serves every pair."""
     cs_K, cos, sin = cs_at(params.K), math.cos, math.sin
     pi2_over_D2 = math.pi**2 / params.D**2
+    pairs = [(2 * i, c) for i, c in enumerate(cvals)]
 
     def rhs(z, y):
-        q = y[0]
-        w = c / cs_K(z) ** 2 + pi2_over_D2
-        cq, sq = cos(q), sin(q)
-        dq = -w * cq * cq - sq * sq
-        # log r instead of r keeps the radius positive by construction
-        dlogr = (1.0 - w) * sq * cq
-        return (dq, dlogr)
+        cs2 = cs_K(z) ** 2
+        f = y.tolist() if isinstance(y, np.ndarray) else list(y)
+        for i, c in pairs:
+            w = c / cs2 + pi2_over_D2
+            cq, sq = cos(f[i]), sin(f[i])
+            # log r instead of r keeps the radius positive by construction
+            f[i], f[i + 1] = -w * cq * cq - sq * sq, (1.0 - w) * sq * cq
+        return f
 
     return rhs
 
@@ -178,7 +189,7 @@ def _branch(side, k, c, params, z0, q0, direction, allow_partial):
 
     reach_pole.direction = direction
 
-    sol = _succeeded(dop853_dense(_angle_rhs(c, params), z0, z1, [q0, 0.0], rtol=_ODE_TOL,
+    sol = _succeeded(dop853_dense(_angle_rhs([c], params), z0, z1, [q0, 0.0], rtol=_ODE_TOL,
                                   atol=_ODE_TOL, rows=[0], event=reach_pole))
     q = sol.sol
     z_cease = z1 if sol.t_event is None else float(sol.t_event)
@@ -244,44 +255,182 @@ def flat_ck(k, D):
     return nu * nu - math.pi**2 / D**2
 
 
-def _end_angle(c, params):
-    """q(D/2) shot from q(0) = 0 by the compiled DOP853 (end state only).
+def _end_angles(cvals, params):
+    """q(D/2) at each c of cvals, all shot from q(0) = 0 in one compiled
+    DOP853 run (_scipy.dop853_end, end state only).
 
     The shot carries log r, which no caller reads, because DOP853's RMS
     error norm runs over the whole state: a q-only shot chooses other
     steps, and changed find_ck's right-hand-side points by -33 % to +93 %
     over 20 (k, K, D) cases, no saving to take.
     """
-    sol = _succeeded(dop853_end(_angle_rhs(c, params), 0.0, params.half, [0.0, 0.0],
-                                rtol=_ODE_TOL, atol=_ODE_TOL))
-    return float(sol.y[0])
+    sol = _succeeded(dop853_end(_angle_rhs(cvals, params), 0.0, params.half,
+                                [0.0] * (2 * len(cvals)), rtol=_ODE_TOL, atol=_ODE_TOL))
+    return sol.y[::2].tolist()
+
+
+def _profile(c, params):
+    """The run at c from q(0) = 0, r(0) = 1 to D/2: one compiled DOP853 run
+    (_scipy.dop853_dense, no event) whose sol evaluates (q, log r).
+
+    It steps as _end_angles([c]) does, so its end angle is that shot's bit
+    for bit, and as psi_left(c) does, whose pole event never fires at
+    c_k, so its q row is psi_left(c_k)'s bit for bit.
+    """
+    return _succeeded(dop853_dense(_angle_rhs([c], params), 0.0, params.half, [0.0, 0.0],
+                                   rtol=_ODE_TOL, atol=_ODE_TOL, rows=[0, 1], event=None))
+
+
+_COLLOC_SIZES = (32, 48)  # Chebyshev collocation ladder of _colloc_seed
+
+
+@lru_cache(maxsize=None)
+def _robin_matrices(N):
+    """kernels.chebyshev at N (even), folded onto even functions on [0, 1].
+
+    An even grid function is fixed by its values at x_0 = 1 .. x_(N/2) = 0;
+    column j gathers x_j and its mirror x_(N-j) = -x_j, and x = 0 is its
+    own mirror.  Returns the interior points x_1 .. x_(N/2), the folded
+    first-derivative row at x = 1 and the folded second-derivative rows at
+    the interior points, all read-only since the cache shares them.
+    """
+    x, d1, d2 = chebyshev(N)
+    half = np.arange(N // 2 + 1)
+
+    def fold(d):
+        folded = d[:, half] + d[:, N - half]
+        folded[:, -1] = d[:, N // 2]
+        return folded
+
+    x, row, d2 = x[1:N // 2 + 1], fold(d1[:1])[0], fold(d2[1:N // 2 + 1])
+    for a in (x, row, d2):
+        a.flags.writeable = False
+    return x, row, d2
+
+
+def _colloc_seed(k, K, D, below):
+    """Collocation estimate of c_k and its ladder difference.
+
+    The smallest eigenvalue c of -cs_K^2 (phi'' + (pi/D)^2 phi) = c phi for
+    even phi on [-D/2, D/2] with phi' = -k phi at D/2, at each size of
+    _COLLOC_SIZES (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6-9):
+    the Robin row at x = 1 gives phi(D/2) in terms of the interior values,
+    and is eliminated from the interior rows before the eigensolve, which
+    is inverse iteration from below, a value under c (_smallest_eigenvalue).
+    Returns the largest size's value and its distance to the smaller
+    size's.  A singular solve, or a matrix or value that is not finite,
+    gives NaN, which _robin_constant never uses.
+    """
+    s, pi2_over_D2 = 2.0 / D, (math.pi / D) ** 2
+    lams = []
+    for N in _COLLOC_SIZES:
+        x, row, d2 = _robin_matrices(N)
+        with np.errstate(all="ignore"):
+            m = d2[:, 1:] + np.outer(d2[:, 0], row[1:] * (-s / (s * row[0] + k)))
+            m *= s * s
+            m[np.diag_indices_from(m)] += pi2_over_D2
+            m *= -cs_array(0.5 * D * x, K)[:, None] ** 2
+            try:
+                lams.append(_smallest_eigenvalue(m, below))
+            except np.linalg.LinAlgError:
+                return math.nan, math.nan
+        if not math.isfinite(lams[-1]):
+            return math.nan, math.nan
+    return lams[-1], abs(lams[-1] - lams[0])
+
+
+_SQUARINGS = 40  # most squarings of the inverse in _smallest_eigenvalue
+
+
+def _smallest_eigenvalue(m, sigma):
+    """The eigenvalue of m nearest sigma, for sigma below every eigenvalue's
+    real part: the smallest eigenvalue, by inverse iteration.
+
+    (m - sigma I)^-1 is solved for once and squared, rescaled, until the
+    Rayleigh quotient mu of the inverse on the largest column of the power
+    stops changing, at most _SQUARINGS times; the eigenvalue is sigma +
+    1/mu.  That sum loses digits where sigma lies far below it, about
+    eps |sigma / c| relative (c_k at K D^2 = -400 is 1e8 times closer to 0
+    than the comparison bracket's lower end), and the ladder difference of
+    _colloc_seed then shows the loss.  numpy.linalg.eigvals agrees (median
+    2e-13 relative on 368 seed matrices), but its first call makes about
+    0.9 MB of LAPACK code resident, against 0.25 MB for the solve, in a
+    process whose other linear solves are tridiagonal.  A singular solve
+    raises numpy.linalg.LinAlgError.
+    """
+    eye = np.eye(len(m))
+    inv = np.linalg.solve(m - sigma * eye, eye)
+    power, mu = inv, math.inf
+    for _ in range(_SQUARINGS):
+        power = power @ power
+        power /= np.abs(power).max()
+        v = power[:, np.abs(power).max(axis=0).argmax()]
+        mu, last = (v @ (inv @ v)) / (v @ v), mu
+        if abs(mu - last) <= 1e-15 * abs(mu):
+            break
+    return float(sigma + 1.0 / mu)
 
 
 def find_ck(k, params):
     """Robin constant: the c < 0 with q(D/2, 0, c) = -pi/2 + arctan(1/k).
 
-    The end angle falls strictly as c grows.  Since cs_K^2 lies between
-    cs_K(D/2)^2 and 1, comparing c / cs_K^2 with the flat coefficient puts
-    c_k between the closed-form flat constant c_flat and c_flat cs_K(D/2)^2,
-    so c_k exists for every k > 0.  Brent's method runs once inside that
+    The end angle q(D/2; c) falls strictly as c grows.  Since cs_K^2 lies
+    between cs_K(D/2)^2 and 1, comparing c / cs_K^2 with the flat
+    coefficient puts c_k between the closed-form flat constant c_flat and
+    c_flat cs_K(D/2)^2, so c_k exists for every k > 0.  That comparison
     bracket, padded by 1e-9 of its scale (at least (pi/D)^2, so the pad
-    outruns the ODE noise when K = 0 makes the bracket a point).  Each end
-    angle is one compiled DOP853 shot (_scipy.dop853_end).  Against the
-    50-digit flat relation (K = 0, D = 1) the relative error is 3.6e-14 at
-    k = 10, 6.9e-13 at k = 1e2, 8.3e-12 at k = 1e3 and 8.4e-11 at k = 1e4,
-    about 8.4e-15 k.  BracketError means
-    the padded bracket does not straddle the root, or the end-angle defect
-    at the root exceeds 1e-11.  c_k does not depend on n, so one solve is
-    kept per (k, K, D); a failed solve is not kept.
+    outruns the ODE noise where K = 0 makes the bracket a point), holds
+    every interval below.
+
+    - Interval.  For K != 0, a Chebyshev collocation seed (_colloc_seed)
+      gives c_seed at N = 48 and the ladder difference |c_48 - c_32|; the
+      interval is c_seed +- max(10 |c_48 - c_32|, pad) if it lies strictly
+      inside the padded bracket.  For K = 0 the padded bracket, 2 pad wide
+      around the closed form, is the interval.
+    - Stacked pass.  One compiled DOP853 run (_scipy.dop853_end) shoots
+      (q, log r) from both ends of the interval together.  End angles that
+      straddle the target prove that the root lies inside; c* interpolates
+      them linearly, and one dense run at c* (_scipy.dop853_dense) checks
+      it: with r its end angle less the target and the slope the secant of
+      the pass's end angles, the estimate (2 |r| + 1e-13) / |slope| is
+      accepted when it is at most _ACCEPT = 1e-12 of max(|c*|, (pi/D)^2).
+      That run is the Robin profile, kept with c_k.
+    - Brent's method.  A rejected estimate sends Brent into [c*, b] or
+      [a, c*], the side r's sign picks.  A NaN seed, a seeded interval
+      outside the bracket, or a pass that does not straddle the target
+      sends it to the padded bracket.  Each of its steps is one end-angle
+      shot, and it stops at 1e-13 relative; the dense run at its root is
+      the profile.
+
+    On 126 constants at k = 0.5 to 1e4, K D^2 = -8 to 9.8 and D = 0.5 to
+    2, 103 take the pass's one shot and one dense run; the 23 others, at
+    K D^2 = 8 with k <= 10 and at K D^2 = 9.8, where the seed's ladder is
+    wide, refine with 4 to 17 shots and a second dense run (Brent alone
+    took 3 to 22 shots, median 8).  Against the 50-digit flat relation (K
+    = 0, D = 1) the relative error is 3.6e-14 at k = 10, 6.9e-13 at k =
+    1e2, 8.1e-12 at k = 1e3 and 8.3e-11 at k = 1e4, about 8e-15 k, the
+    same as Brent's; at K = 2, D = 1 it is 3.7e-15 to 8.2e-11 over k = 10
+    to 1e4 against the Poschl-Teller closed form.  BracketError means the
+    padded bracket does not straddle the root, or the end-angle defect at
+    the accepted root exceeds _ANGLE_TOL = 1e-11.  c_k does not depend on
+    n, so one solve is kept per (k, K, D), with its profile; a failed
+    solve is not kept.
     """
-    params = validate(params)
+    return _robin(k, validate(params))[0]
+
+
+def _robin(k, params):
+    """(c_k, profile) for valid params: the Robin constant and the evaluator
+    z -> (q, log r) of the _profile run at it, from the cache."""
     _check_positive("boundary slope k", k)
     return _robin_constant(float(k), params.K, params.D)
 
 
 @lru_cache(maxsize=_CK_CACHE_SIZE)
 def _robin_constant(k, K, D):
-    """The Brent solve behind find_ck, for a valid slope k and pair (K, D)."""
+    """(c_k, profile) for a valid slope k and pair (K, D), by the
+    interval, stacked pass and check, or Brent's method, that find_ck
+    describes."""
     params = ModelParams(1, K, D)  # the angle equation does not involve n
     target = -_HALF_PI + math.atan(1.0 / k)
     evals = {}
@@ -289,68 +438,96 @@ def _robin_constant(k, K, D):
     def g(c):
         # brentq re-evaluates the bracket ends; serve them from the cache
         if c not in evals:
-            evals[c] = _end_angle(c, params) - target
+            evals[c] = _end_angles([c], params)[0] - target
         return evals[c]
+
+    def checked(c, run):
+        defect = abs(float(run.y[0, -1]) - target)
+        if defect > _ANGLE_TOL:
+            raise BracketError(f"end-angle defect {defect:.3e} exceeds {_ANGLE_TOL}")
+        return float(c), run.sol
 
     c_flat = flat_ck(k, D)
     c_comp = c_flat * cs(params.half, K) ** 2
     lo, hi = min(c_flat, c_comp), max(c_flat, c_comp)
     xtol = 1e-13 * min(abs(lo), abs(hi))
-    pad = 1e-9 * max(abs(lo), abs(hi), (math.pi / D) ** 2)
+    scale = (math.pi / D) ** 2
+    pad = 1e-9 * max(abs(lo), abs(hi), scale)
     lo -= pad
     hi += pad
-    if not g(lo) > 0.0 > g(hi):
-        raise BracketError(
-            f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle c_k for k = {k}"
-        )
-    c = _brent(g, lo, hi, xtol=xtol, rtol=1e-13)
-    gc = g(c)
-    if abs(gc) > _ANGLE_TOL:
-        raise BracketError(f"end-angle defect {abs(gc):.3e} exceeds {_ANGLE_TOL}")
-    return float(c)
+    # K = 0 computes no seed, and its bracket, 2 pad wide, is the interval
+    a, b, seeded = lo, hi, K == 0.0
+    if K != 0.0:
+        seed, ladder = _colloc_seed(k, K, D, lo)
+        delta = max(10.0 * ladder, pad)
+        if lo < seed - delta and seed + delta < hi:  # False for a NaN seed
+            a, b, seeded = seed - delta, seed + delta, True
+    if seeded:
+        ga, gb = (q - target for q in _end_angles([a, b], params))
+        if ga > 0.0 > gb:
+            # the end angle interpolated linearly, and its defect measured there
+            c = a + ga / (ga - gb) * (b - a)
+            run = _profile(c, params)
+            r = float(run.y[0, -1]) - target
+            if (2.0 * abs(r) + _ODE_TOL) * (b - a) / (ga - gb) <= _ACCEPT * max(abs(c), scale):
+                return checked(c, run)
+            evals[c] = r  # the run's end angle is g's shot at c
+            a, b = (c, b) if r > 0.0 else (a, c)  # Brent on the root's side
+        else:
+            a, b = lo, hi
+    if not g(a) > 0.0 > g(b):
+        a, b = lo, hi
+        if not g(a) > 0.0 > g(b):
+            raise BracketError(
+                f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle c_k for k = {k}"
+            )
+    c = _brent(g, a, b, xtol=xtol, rtol=1e-13)
+    return checked(c, _profile(c, params))
 
 
 def _phi(qr):
-    """Unscaled eigenfunction r cos q from the interpolant's (q, log r)."""
+    """Unscaled eigenfunction r cos q from the profile's (q, log r)."""
     return np.exp(qr[1]) * np.cos(qr[0])
 
 
-def _robin(k, params):
-    """The evaluator z -> (q, log r) of one compiled DOP853 run at c_k from
-    q(0) = 0, r(0) = 1 to D/2 (_scipy.dop853_dense, no event), and phi at
-    uniform points scaled to phi(D/2) = 1/k."""
-    c = find_ck(k, params)
-    profile = _succeeded(dop853_dense(_angle_rhs(c, params), 0.0, params.half, [0.0, 0.0],
-                                      rtol=_ODE_TOL, atol=_ODE_TOL, rows=[0, 1], event=None)).sol
-    z = np.linspace(0.0, params.half, _N_SAMPLES)
+def _robin_left(k, params):
+    """psi_left(c_k, params) for valid params, read off the cached profile.
+
+    The profile is the run psi_left(c_k) makes (see _profile), so this
+    equals psi_left(c_k) wherever it is evaluated, without a run.
+    """
+    c, profile = _robin(k, params)
+    return RiccatiSolution(side="left", c=c, k=float("nan"), interval=(0.0, params.half),
+                           params=params, _q=partial(profile, rows=[0]))
+
+
+def _eigenfunction(profile, k, half):
+    """phi on 2001 uniform points of [0, D/2] from the profile, scaled to
+    phi(D/2) = 1/k."""
+    z = np.linspace(0.0, half, _N_SAMPLES)
     phi = _phi(profile(z))
-    scale = (1.0 / float(k)) / phi[-1]
-    return profile, GridFunction(z=z, values=phi * scale)
+    return GridFunction(z=z, values=phi * ((1.0 / k) / phi[-1]))
 
 
 def robin_eigenfunction(k, params):
     """Positive eigenfunction with phi'(0)=0, phi(D/2)=1/k, phi'(D/2)=-1.
 
-    Reconstructed from the angle-radius solve at c_k and rescaled so
-    phi(D/2) = 1/k exactly; the other two conditions then hold up to the
-    root-finding and integration tolerances.
+    Reconstructed from the cached profile at c_k and rescaled so phi(D/2) =
+    1/k exactly; the other two conditions then hold up to the root-finding
+    and integration tolerances.
     """
-    return _robin(k, validate(params))[1]
+    params = validate(params)
+    return _eigenfunction(_robin(k, params)[1], float(k), params.half)
 
 
 def robin_boundary_report(k, params):
     """Measured defects of the three boundary conditions plus positivity,
-    and the left branch psi_left(c_k) read off the same profile run.
-
-    The profile is the run psi_left(c_k) makes, with the same system, start,
-    interval and tolerances, and at c_k its angle ends at -pi/2 +
-    arctan(1/k), short of the pole; so "left" equals psi_left(c_k)
-    wherever it is evaluated, without a second run.
+    and the left branch psi_left(c_k) read off the same cached profile
+    (see _robin_left); once c_k is solved, no ODE runs.
     """
     params = validate(params)
-    profile, gf = _robin(k, params)
+    ck, profile = _robin(k, params)
     k = float(k)
-    ck = find_ck(k, params)
     end, start = profile(params.half), profile(0.0)
     scale = (1.0 / k) / _phi(end)
     phi_end = _phi(end) * scale
@@ -361,9 +538,8 @@ def robin_boundary_report(k, params):
         "phi_right_defect": abs(phi_end - 1.0 / k),
         "dphi_right_defect": abs(dphi_end + 1.0),
         "dphi_left_defect": abs(dphi_0),
-        "positive": bool(np.all(gf.values > 0)),
-        "left": RiccatiSolution(side="left", c=ck, k=float("nan"),
-                                interval=(0.0, params.half), params=params, _q=profile),
+        "positive": bool(np.all(_eigenfunction(profile, k, params.half).values > 0)),
+        "left": _robin_left(k, params),
     }
 
 

@@ -88,7 +88,7 @@ from scipy.optimize import brentq
 from ._scipy import dop853_dense, dop853_end, tridiagonal_eigenpair, tridiagonal_eigenvalue
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError, as_integer
-from .kernels import tn
+from .kernels import chebyshev, tn
 from .model import GridFunction, potential, potential_array, potential_at, validate
 
 _ODE_TOL = 1e-12
@@ -468,9 +468,7 @@ _COLLOC_SIZES = (32, 48)  # Chebyshev collocation ladder of _colloc_seed
 def _colloc_matrix(N, parity):
     """Chebyshev second derivative on [-1, 1], folded onto one parity class.
 
-    The points are x_j = cos(j pi / N), j = 0 .. N with N even, and the
-    matrix is the square of Trefethen's differentiation matrix (Spectral
-    Methods in MATLAB, 2000, ch. 6-7) without its boundary rows and
+    kernels.chebyshev's d2 at N (even) without its boundary rows and
     columns (Dirichlet).  An even (parity 0) or odd (parity 1) grid
     function is fixed by its values at the points in [0, 1), x = 0 dropped
     for the odd class, where the function vanishes; column j then gathers
@@ -478,12 +476,7 @@ def _colloc_matrix(N, parity):
     those points and the folded matrix, both read-only since the cache
     shares them.
     """
-    j = np.arange(N + 1)
-    x = np.cos(np.pi * j / N)
-    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
-    d1 = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(N + 1))
-    d1 -= np.diag(d1.sum(axis=1))
-    d2 = d1 @ d1
+    x, _, d2 = chebyshev(N)
     half = np.arange(1, N // 2 + 1 - parity)
     folded = d2[np.ix_(half, half)] + (-1.0) ** parity * d2[np.ix_(half, N - half)]
     if parity == 0:

@@ -11,7 +11,7 @@ from gapmodel.bounds import (
     lambda_lower,
     lambda_upper_rayleigh,
 )
-from gapmodel.errors import HypothesisError
+from gapmodel.errors import DomainError, HypothesisError
 from gapmodel.model import ModelParams
 from gapmodel.spectral import eigen_shoot
 from conftest import random_valid_pair
@@ -34,8 +34,28 @@ class TestLower:
             lambda_lower(ModelParams(n=2, K=1.0, D=1.0), 1)  # needs n >= 3
         with pytest.raises(HypothesisError):
             lambda_lower(ModelParams(n=4, K=-1.0, D=1.0), 1)  # needs K > 0
-        with pytest.raises(HypothesisError):
+        with pytest.raises(DomainError, match="index must be 1 or 2"):
             lambda_lower(ModelParams(n=4, K=1.0, D=1.0), 3)
+
+
+class TestIndex:
+    """Every bound takes the index as spectral does: 1 or 2, from an int or an
+    integral float, and DomainError for anything else, a bool included."""
+
+    P = ModelParams(n=5, K=1.0, D=1.0)
+
+    @pytest.mark.parametrize("bound", [lambda_lower, lambda_upper_rayleigh, bound_report])
+    @pytest.mark.parametrize("index", [True, 1.5, "1", 3, 0])
+    def test_rejected(self, bound, index):
+        with pytest.raises(DomainError, match="index must be 1 or 2"):
+            bound(self.P, index)
+
+    def test_integral_float(self):
+        assert lambda_upper_rayleigh(self.P, 2.0) == lambda_upper_rayleigh(self.P, 2)
+        assert lambda_lower(self.P, 2.0) == lambda_lower(self.P, 2)
+        report = bound_report(self.P, 2.0)
+        assert report == bound_report(self.P, 2)
+        assert type(report.target) is int
 
 
 class TestRayleigh:

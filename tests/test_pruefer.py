@@ -91,6 +91,11 @@ CK_30 = {
 }
 
 
+def _nan_seed(k, K, D, below):
+    """A collocation seed that failed."""
+    return math.nan, math.nan
+
+
 @pytest.fixture
 def ode_calls(monkeypatch):
     """Counts of pruefer's calls into its ODE solvers, by name."""
@@ -124,26 +129,99 @@ class TestRobinConstantSolve:
 
     @pytest.mark.parametrize("n,K,D,k", list(CK_30))
     def test_angle_solves(self, n, K, D, k, ode_calls):
-        # one Brent solve inside the comparison bracket, ends included, all
-        # of it compiled end-angle shots
+        # the seeded (K != 0) or flat (K = 0) interval takes one stacked
+        # end-angle pass and the accepted check, which is the profile run
         find_ck(k, ModelParams(n, K, D))
-        assert 1 <= ode_calls["dop853_end"] <= 8
-        assert ode_calls["solve_ivp"] == 0
+        assert ode_calls == {"dop853_end": 1, "dop853_dense": 1}
+
+    @pytest.mark.parametrize("n,K,D,k,fault", [
+        (*key, fault) for key in CK_30 for fault in ("nan_seed", "no_straddle")
+        if fault == "no_straddle" or key[1] != 0.0])  # K = 0 computes no seed
+    def test_brent_fallback(self, n, K, D, k, fault, monkeypatch, ode_calls):
+        # a NaN seed, or a pass whose end angles do not straddle the target,
+        # sends Brent to the comparison bracket, to the same root
+        if fault == "nan_seed":
+            monkeypatch.setattr(pruefer, "_colloc_seed", _nan_seed)
+        else:
+            end_angles = pruefer._end_angles
+
+            def swapped(cvals, params):
+                return end_angles(cvals, params)[::-1]
+
+            monkeypatch.setattr(pruefer, "_end_angles", swapped)
+        c = find_ck(k, ModelParams(n, K, D))
+        assert c == pytest.approx(float(CK_30[n, K, D, k]), rel=1e-11)
+        assert ode_calls["dop853_end"] >= 3 and ode_calls["dop853_dense"] == 1
+
+    def test_rejected_estimate_refines_on_the_roots_side(self, monkeypatch, ode_calls):
+        # with no estimate accepted, Brent continues inside the pass's
+        # interval from the check, and only the root's run becomes the profile
+        monkeypatch.setattr(pruefer, "_ACCEPT", 0.0)
+        brackets = []
+        brent = pruefer._brent
+
+        def recording(f, lo, hi, **tol):
+            brackets.append((lo, hi))
+            return brent(f, lo, hi, **tol)
+
+        monkeypatch.setattr(pruefer, "_brent", recording)
+        n, K, D, k = 5, 2.0, 1.0, 40.0
+        c = find_ck(k, ModelParams(n, K, D))
+        assert c == pytest.approx(float(CK_30[n, K, D, k]), rel=1e-11)
+        assert ode_calls["dop853_end"] >= 2 and ode_calls["dop853_dense"] == 2
+        # flat_ck's Brent, then one inside the seeded interval, 2e-8 wide,
+        # not the comparison bracket, 0.3 wide
+        lo, hi = brackets[-1]
+        assert len(brackets) == 2 and lo <= c <= hi and hi - lo < 1e-6
+
+    def test_check_run_ends_on_the_end_angle_shot(self):
+        # the profile run steps as the end-only shot does
+        for k, p in ((40.0, ModelParams(5, 2.0, 1.0)), (10.0, ModelParams(2, 0.0, 1.0)),
+                     (1.0, ModelParams(5, -8.0, 1.0))):
+            c = find_ck(k, p)
+            assert pruefer._profile(c, p).y[0, -1] == pruefer._end_angles([c], p)[0]
+
+    @pytest.mark.parametrize("n,K,D,k", [(5, 2.0, 1.0, 40.0), (5, 2.8, 1.0, 300.0),
+                                         (5, -4.0, 1.0, 20.0), (3, 12.0, 0.5, 0.5)])
+    def test_collocation_seed(self, n, K, D, k):
+        # the seed and its ladder difference, within the pass's half-width
+        c_flat = pruefer.flat_ck(k, D)
+        below = min(c_flat, c_flat * pruefer.cs(D / 2, K) ** 2)
+        seed, ladder = pruefer._colloc_seed(k, K, D, below)
+        c = find_ck(k, ModelParams(n, K, D))
+        assert abs(seed - c) < max(10.0 * ladder, 1e-9 * (math.pi / D) ** 2)
+        assert ladder < 1e-9 * abs(c)
 
     @pytest.mark.parametrize("n,K,D,k", [(2, 0.5, 1.0, 10.0), (5, 1.0, 1.0, 60.0)])
     def test_boundary_report_adds_one_solve(self, n, K, D, k, ode_calls):
-        # with c_k cached, the eigenfunction and its boundary values come
-        # from one compiled dense run and no shot
+        # with c_k cached, the eigenfunction, its boundary values and the
+        # left branch come from the profile cached with it, and nothing runs
         find_ck(k, ModelParams(n, K, D))
-        assert ode_calls["dop853_end"] >= 1
+        assert ode_calls == {"dop853_end": 1, "dop853_dense": 1}
         ode_calls.clear()
         robin_boundary_report(k, ModelParams(n, K, D))
-        assert ode_calls == {"dop853_dense": 1}
+        stationary_reference(k, ModelParams(n, K, D), np.linspace(0.0, 0.5, 11))
+        assert ode_calls == {}
 
-    def test_angle_check_is_a_bracket_error(self, monkeypatch):
-        # Brent often ends on an exactly zero defect, so only a negative
-        # tolerance is sure to be exceeded
+    @pytest.mark.parametrize("n,K,D,k", [(2, 0.5, 1.0, 10.0), (5, 3.0, 1.0, 300.0),
+                                         (2, 0.0, 0.5, 300.0), (4, -2.0, 1.5, 20.0)])
+    def test_stationary_reference_is_psi_left(self, n, K, D, k):
+        p = ModelParams(n, K, D)
+        z = build_grid(p, k)
+        expected = psi_left(find_ck(k, p), p).psi_at(z)
+        assert stationary_reference(k, p, z).tobytes() == expected.tobytes()
+
+    def test_angle_check_is_a_bracket_error(self, monkeypatch, ode_calls):
+        # the pass's check often ends on a defect below 1e-15, so only a
+        # negative tolerance is sure to be exceeded; no Brent shot follows
         monkeypatch.setattr(pruefer, "_ANGLE_TOL", -1.0)
+        with pytest.raises(BracketError, match="end-angle defect"):
+            find_ck(40.0, ModelParams(5, 2.0, 1.0))
+        assert ode_calls == {"dop853_end": 1, "dop853_dense": 1}
+
+    def test_brent_root_check_is_a_bracket_error(self, monkeypatch):
+        monkeypatch.setattr(pruefer, "_ANGLE_TOL", -1.0)
+        monkeypatch.setattr(pruefer, "_colloc_seed", _nan_seed)
         with pytest.raises(BracketError, match="end-angle defect"):
             find_ck(40.0, ModelParams(5, 2.0, 1.0))
 
@@ -290,6 +368,8 @@ class TestAngleInterpolant:
         z = np.concatenate((ts, [ts.min() - 0.3, ts.max() + 0.3],
                             gen.uniform(ts.min(), ts.max(), 50)))
         assert evaluate(z).tobytes() == sol(z).tobytes()
+        # a subset of the rows evaluates to the same bits
+        assert evaluate(z, rows=[1]).tobytes() == sol(z)[1:].tobytes()
         for point in z[:8]:
             assert evaluate(point).tobytes() == sol(point).tobytes()
 
@@ -401,7 +481,7 @@ def _pole_by_solve_ivp(k, c, params):
         return y[0] - math.pi / 2
 
     reach_pole.terminal, reach_pole.direction = True, 1.0
-    sol = solve_ivp(pruefer._angle_rhs(c, params), (params.half, 0.0), [-math.atan(k), 0.0],
+    sol = solve_ivp(pruefer._angle_rhs([c], params), (params.half, 0.0), [-math.atan(k), 0.0],
                     method="DOP853", rtol=1e-13, atol=1e-13, events=reach_pole)
     return float(sol.t_events[0][0])
 
@@ -436,6 +516,7 @@ class TestCompiledBranches:
     def test_knots_are_the_fortran_states(self, runs):
         p = ModelParams(5, 3.0, 1.0)
         ck = find_ck(300.0, p)
+        del runs[:]  # a cold find_ck's profile run
         psi_left(ck - 1.0, p)
         psi_right(300.0, ck + 1.0, p)  # integrated backward
         psi_right(300.0, ck + 3000.0, p, allow_partial=True)  # stopped at its pole
@@ -567,12 +648,11 @@ class TestRobinEigenfunction:
         assert np.all(gf.values > 0)
 
     @pytest.mark.parametrize("n,K,D,k", list(PROFILE_30))
-    def test_profile_oracle(self, n, K, D, k, monkeypatch):
+    def test_profile_oracle(self, n, K, D, k):
         # the profile alone, run at the frozen c_k whatever find_ck returns
         p = ModelParams(n, K, D)
         c, qr30 = PROFILE_30[n, K, D, k]
-        monkeypatch.setattr(pruefer, "find_ck", lambda k, params: c)
-        profile, _ = pruefer._robin(k, p)
+        profile = pruefer._profile(c, p).sol
         z = p.half * np.arange(1, 8) / 8
         expected = [[float(x) for x in row] for row in zip(*qr30)]
         np.testing.assert_allclose(profile(z), expected, rtol=0, atol=1e-12)
