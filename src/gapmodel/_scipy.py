@@ -1,4 +1,5 @@
-"""The compiled scipy solvers gapmodel calls, each wrapped in a narrower call.
+"""The compiled scipy solvers gapmodel calls, each wrapped in a narrower call,
+and the one seeded root path behind eigenvalues and Robin constants.
 
 ``dop853_end`` runs every end-value shot: spectral's angle shots, and
 the stacked end-angle pass and Brent's shots behind pruefer's ``find_ck``.
@@ -13,6 +14,14 @@ Every ODE gapmodel solves runs on DOP853 through these two.  Spectral's
 finite-difference route takes its coarse grid's eigenvalue from
 ``tridiagonal_eigenvalue`` (``stebz``) and its fine grid's eigenpair from
 ``tridiagonal_eigenpair`` (``stebz`` + ``stein``).
+
+``seeded_root`` finds the root of an increasing function from a
+collocation seed: a stacked two-end pass, a checked linear interpolation,
+and ``brentq`` through ``brent``, which raises its iteration cap as
+``NonConvergenceError``.  Spectral's ``eigen_shoot`` and pruefer's
+``find_ck`` both call it, each with its own pass and check runs (through
+its own module's names for the two DOP853 wrappers, where shot counters
+wrap them), accept fraction, noise floor, Brent tolerances and error.
 
 scipy is imported at the top of this module and of every module that
 calls it; ``import gapmodel`` and the command line import those modules
@@ -29,10 +38,13 @@ from scipy.integrate._ivp import dop853_coefficients as tableau
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
+from .errors import NonConvergenceError
+
 # step budget of one dop853_end run; the longest angle shot within 5e-6 of
 # the cap, at (n, K, D) = (8, 9.8696, 1), takes about 19k steps, and a run
 # that exhausts the budget fails instead of stalling
 DOP853_MAX_STEPS = 100_000
+_PASS_WIDTH = 5e-6  # widest interval half-width, over the accuracy scale, given a stacked pass
 
 
 def _dop853(fun, t0, t1, y0, rtol, atol, solout=None):
@@ -242,3 +254,70 @@ def tridiagonal_eigenvalue(d, e, index, tol):
     w = eigvalsh_tridiagonal(d, e, select="i", select_range=(index - 1, index - 1),
                              lapack_driver="stebz", tol=tol)
     return float(w[0])
+
+
+def brent(f, lo, hi, **tol):
+    """brentq(f, lo, hi, **tol), with its iteration cap raised as
+    NonConvergenceError."""
+    try:
+        return brentq(f, lo, hi, **tol)
+    except RuntimeError as exc:
+        raise NonConvergenceError(f"Brent's method on [{lo:.6g}, {hi:.6g}]: {exc}") from None
+
+
+def seeded_root(g, lo, hi, pad, seed, ladder, stacked, check, *, floor, accept, noise,
+                xtol, rtol, unbracketed):
+    """The root of g, increasing, inside the padded bracket [lo, hi], from a seed.
+
+    The interval is seed +- max(10 ladder, pad) if it lies strictly inside
+    the bracket, else the bracket; a NaN seed never does.  The accuracy
+    scale of a point x is max(|x|, floor).
+
+    - Stacked pass.  If the interval [a, b] is at most _PASS_WIDTH of the
+      scale of its midpoint wide on each side, stacked(a, b) returns
+      (g(a), g(b), run) from one pass at both ends.  If g(a) < 0 < g(b),
+      the root x = a + w (b - a) interpolates g linearly, and check(x)
+      returns (g(x), run).  The estimate (2 |g(x)| + noise) (b - a) /
+      (g(b) - g(a)) is accepted when it is at most accept times the scale
+      of x.  A rejected estimate sends Brent into [x, b] or [a, x], the
+      side g(x)'s sign picks; a pass that does not straddle sends it to
+      the bracket.
+    - Brent's method.  A wider interval goes to Brent, on g alone, if g
+      straddles the root at its ends; otherwise, and as above, Brent runs
+      on the bracket.  It stops at xtol + rtol |x|.
+
+    Returns (x, evals, passed): the root, the dict of each point where g
+    was called to its value, and for an accepted pass (estimate, w, g(x),
+    the pass's run, the check's run), else None.  A bracket whose ends do
+    not straddle raises unbracketed; Brent's iteration cap raises
+    NonConvergenceError.
+    """
+    evals = {}
+
+    def shot(x):
+        # brentq re-evaluates the bracket ends; serve them from the cache
+        if x not in evals:
+            evals[x] = g(x)
+        return evals[x]
+
+    a, b, delta = lo, hi, max(10.0 * ladder, pad)
+    if lo < seed - delta and seed + delta < hi:  # False for a NaN seed
+        a, b = seed - delta, seed + delta
+    if (b - a) / 2 <= _PASS_WIDTH * max(abs(a + b) / 2, floor):
+        ga, gb, run = stacked(a, b)
+        if ga < 0 < gb:
+            w = -ga / (gb - ga)
+            x = a + w * (b - a)
+            r, checked = check(x)
+            estimate = (2.0 * abs(r) + noise) * (b - a) / (gb - ga)
+            if estimate <= accept * max(abs(x), floor):
+                return x, evals, (estimate, w, r, run, checked)
+            evals[x] = r
+            a, b = (x, b) if r < 0 else (a, x)  # Brent on the root's side
+        else:
+            a, b = lo, hi
+    if not shot(a) < 0 < shot(b):
+        a, b = lo, hi
+        if not shot(a) < 0 < shot(b):
+            raise unbracketed
+    return brent(shot, a, b, xtol=xtol, rtol=rtol), evals, None

@@ -25,9 +25,11 @@ cs_at(K) returns s -> cs(s, K) with K's square root and branch bound once,
 for right-hand sides that an ODE solver calls many times at one K; cs itself
 evaluates through it, so the two agree bit for bit.
 
-chebyshev(N) is the one Chebyshev differentiation matrix that both
-collocation seeds fold: spectral's Dirichlet eigenvalues and pruefer's
-Robin constant.
+chebyshev(N) is the one Chebyshev differentiation matrix, and
+chebyshev_fold(N, parity) its one fold onto even or odd functions on
+[0, 1], at the sizes _COLLOC_SIZES, behind both collocation seeds:
+spectral's Dirichlet eigenvalues (even and odd, without the x = 1 column)
+and pruefer's Robin constant (even, with the Robin row at x = 1).
 """
 
 import math
@@ -38,6 +40,7 @@ import numpy as np
 from .errors import PoleError
 
 W_SERIES = 1e-4
+_COLLOC_SIZES = (32, 48)  # Chebyshev collocation ladder of both seeds
 
 
 def _check_pole(s, K):
@@ -175,3 +178,33 @@ def chebyshev(N):
     for a in (x, d1, d2):
         a.flags.writeable = False
     return x, d1, d2
+
+
+@lru_cache(maxsize=None)
+def chebyshev_fold(N, parity):
+    """chebyshev at N (even), folded onto even (parity 0) or odd (parity 1)
+    functions on [-1, 1].
+
+    Such a function is fixed by its values at x_0 = 1 .. x_(N/2) = 0, x = 0
+    dropped for the odd class, where the function vanishes; column j
+    gathers x_j and its mirror x_(N-j) = -x_j with the sign of the class,
+    and x = 0 is its own mirror.  Returns the interior points x_1 ..
+    x_(N/2) (x_(N/2-1) for the odd class), the folded first-derivative row
+    at x = 1 and the folded second-derivative rows at the interior points,
+    column 0 that of x = 1, all read-only since the cache shares them.
+    """
+    x, d1, d2 = chebyshev(N)
+    half = np.arange(N // 2 + 1 - parity)
+    sign = (-1.0) ** parity
+
+    def fold(d):
+        folded = d[:, half] + sign * d[:, N - half]
+        if parity == 0:
+            folded[:, -1] = d[:, N // 2]
+        return folded
+
+    inner = half[1:]
+    x, row, d2 = x[inner], fold(d1[:1])[0], fold(d2[inner])
+    for a in (x, row, d2):
+        a.flags.writeable = False
+    return x, row, d2

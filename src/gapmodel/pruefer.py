@@ -17,8 +17,9 @@ phi(D/2) = 1/k, phi'(D/2) = -1.  Left and right log-derivative solutions
 around c_k combine into the supersolution min{psi^L_{c_k-s}, psi^R_{k,c_k+s}}
 used as comparison data elsewhere.
 
-find_ck solves for c_k from a Chebyshev collocation seed with one stacked
-end-angle pass and one checked run, and falls back on Brent's method (see
+find_ck solves for c_k on the seeded root path that spectral's
+eigenvalues take too (_scipy.seeded_root): a Chebyshev collocation seed,
+one stacked end-angle pass and one checked run, or Brent's method (see
 find_ck).  The checked run, (q, log r) from 0 to D/2 at c_k, is the Robin
 profile and is psi_left(c_k)'s run as well; it is kept with c_k, so
 robin_eigenfunction, robin_boundary_report and flow.stationary_reference
@@ -34,18 +35,16 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.integrate import solve_ivp  # called by no route; perfbench/tracing.py rebinds it
-from scipy.optimize import brentq
 
-from ._scipy import dop853_dense, dop853_end
+from ._scipy import brent, dop853_dense, dop853_end, seeded_root
 from .errors import (
     BlowupError,
     BracketError,
     CoverageError,
     DomainError,
     HypothesisError,
-    NonConvergenceError,
 )
-from .kernels import chebyshev, cs, cs_array, cs_at
+from .kernels import _COLLOC_SIZES, chebyshev_fold, cs, cs_array, cs_at
 from .model import GridFunction, ModelParams, validate
 
 _ODE_TOL = 1e-13
@@ -230,15 +229,6 @@ def psi_right(k, c, params, allow_partial=False):
                    1.0, allow_partial)
 
 
-def _brent(f, lo, hi, **tol):
-    """brentq(f, lo, hi, **tol), with its iteration cap raised as
-    NonConvergenceError."""
-    try:
-        return brentq(f, lo, hi, **tol)
-    except RuntimeError as exc:
-        raise NonConvergenceError(f"Brent's method on [{lo:.6g}, {hi:.6g}]: {exc}") from None
-
-
 def flat_ck(k, D):
     """Closed-form flat-space (K = 0) Robin constant: nu tan(nu D/2) = k.
 
@@ -251,7 +241,7 @@ def flat_ck(k, D):
 
     if not f(lo) < 0.0 < f(hi):
         raise BracketError(f"flat bracket [{lo:.6g}, {hi:.6g}] does not straddle nu for k = {k}")
-    nu = _brent(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    nu = brent(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return nu * nu - math.pi**2 / D**2
 
 
@@ -281,33 +271,6 @@ def _profile(c, params):
                                    rtol=_ODE_TOL, atol=_ODE_TOL, rows=[0, 1], event=None))
 
 
-_COLLOC_SIZES = (32, 48)  # Chebyshev collocation ladder of _colloc_seed
-
-
-@lru_cache(maxsize=None)
-def _robin_matrices(N):
-    """kernels.chebyshev at N (even), folded onto even functions on [0, 1].
-
-    An even grid function is fixed by its values at x_0 = 1 .. x_(N/2) = 0;
-    column j gathers x_j and its mirror x_(N-j) = -x_j, and x = 0 is its
-    own mirror.  Returns the interior points x_1 .. x_(N/2), the folded
-    first-derivative row at x = 1 and the folded second-derivative rows at
-    the interior points, all read-only since the cache shares them.
-    """
-    x, d1, d2 = chebyshev(N)
-    half = np.arange(N // 2 + 1)
-
-    def fold(d):
-        folded = d[:, half] + d[:, N - half]
-        folded[:, -1] = d[:, N // 2]
-        return folded
-
-    x, row, d2 = x[1:N // 2 + 1], fold(d1[:1])[0], fold(d2[1:N // 2 + 1])
-    for a in (x, row, d2):
-        a.flags.writeable = False
-    return x, row, d2
-
-
 def _colloc_seed(k, K, D, below):
     """Collocation estimate of c_k and its ladder difference.
 
@@ -324,7 +287,7 @@ def _colloc_seed(k, K, D, below):
     s, pi2_over_D2 = 2.0 / D, (math.pi / D) ** 2
     lams = []
     for N in _COLLOC_SIZES:
-        x, row, d2 = _robin_matrices(N)
+        x, row, d2 = chebyshev_fold(N, 0)
         with np.errstate(all="ignore"):
             m = d2[:, 1:] + np.outer(d2[:, 0], row[1:] * (-s / (s * row[0] + k)))
             m *= s * s
@@ -382,31 +345,37 @@ def find_ck(k, params):
     outruns the ODE noise where K = 0 makes the bracket a point), holds
     every interval below.
 
-    - Interval.  For K != 0, a Chebyshev collocation seed (_colloc_seed)
-      gives c_seed at N = 48 and the ladder difference |c_48 - c_32|; the
-      interval is c_seed +- max(10 |c_48 - c_32|, pad) if it lies strictly
-      inside the padded bracket.  For K = 0 the padded bracket, 2 pad wide
-      around the closed form, is the interval.
-    - Stacked pass.  One compiled DOP853 run (_scipy.dop853_end) shoots
-      (q, log r) from both ends of the interval together.  End angles that
-      straddle the target prove that the root lies inside; c* interpolates
-      them linearly, and one dense run at c* (_scipy.dop853_dense) checks
-      it: with r its end angle less the target and the slope the secant of
-      the pass's end angles, the estimate (2 |r| + 1e-13) / |slope| is
-      accepted when it is at most _ACCEPT = 1e-12 of max(|c*|, (pi/D)^2).
-      That run is the Robin profile, kept with c_k.
-    - Brent's method.  A rejected estimate sends Brent into [c*, b] or
-      [a, c*], the side r's sign picks.  A NaN seed, a seeded interval
-      outside the bracket, or a pass that does not straddle the target
-      sends it to the padded bracket.  Each of its steps is one end-angle
-      shot, and it stops at 1e-13 relative; the dense run at its root is
+    The root comes from _scipy.seeded_root, which spectral's eigenvalues
+    share, on g(c) = target - q(D/2; c), increasing: the interval is the
+    seed +- max(10 ladder, pad) inside the padded bracket, else the
+    bracket; a half-width at most _PASS_WIDTH = 5e-6 of max(|midpoint|,
+    (pi/D)^2) gets a stacked pass, a linear interpolation c* and a check,
+    accepted when (2 |r| + noise) / |slope| is at most the accept
+    fraction of max(|c*|, (pi/D)^2); otherwise Brent runs on the root's
+    side, on the interval, or on the bracket.  Here:
+
+    - The seed, for K != 0, is the Chebyshev collocation value at N = 48
+      (_colloc_seed), and its ladder |c_48 - c_32|.  K = 0 computes none,
+      and its padded bracket, 2 pad wide around the closed form, is the
+      interval.
+    - The pass is one compiled DOP853 run (_scipy.dop853_end) of (q, log
+      r) from both ends of the interval together; the check is one dense
+      run at c* (_scipy.dop853_dense), r its end angle less the target;
+      the noise is _ODE_TOL = 1e-13 and the accept fraction _ACCEPT =
+      1e-12.  An accepted check run is the Robin profile, kept with c_k.
+    - Brent's shots are end-angle shots, the check's end angle among
+      them, and it stops at 1e-13 relative; the dense run at its root is
       the profile.
 
-    On 126 constants at k = 0.5 to 1e4, K D^2 = -8 to 9.8 and D = 0.5 to
-    2, 103 take the pass's one shot and one dense run; the 23 others, at
-    K D^2 = 8 with k <= 10 and at K D^2 = 9.8, where the seed's ladder is
-    wide, refine with 4 to 17 shots and a second dense run (Brent alone
-    took 3 to 22 shots, median 8).  Against the 50-digit flat relation (K
+    On 126 constants, k in {0.5, 1, 10, 1e2, 1e3, 1e4}, K D^2 in {-8, -4,
+    -1, 0, 2, 8, 9.8} and D in {0.5, 1, 2}, 103 take the pass's one shot
+    and one dense run.  13 at K D^2 = 9.8, k <= 100 at every D and k = 1e3
+    at D = 0.5, have a seed ladder too wide for a pass and go straight to
+    Brent with 7 to 16 shots and one dense run.  The other 10, at K D^2 =
+    8 with k <= 1 (and k = 10 at D = 0.5), and at K D^2 = 9.8 with k = 1e3
+    at D = 1 and 2 and k = 1e4 at D = 0.5, refine after the pass with 4
+    to 6 end-angle runs and a second dense run (Brent alone took 3 to 22
+    shots, median 8).  Against the 50-digit flat relation (K
     = 0, D = 1) the relative error is 3.6e-14 at k = 10, 6.9e-13 at k =
     1e2, 8.1e-12 at k = 1e3 and 8.3e-11 at k = 1e4, about 8e-15 k, the
     same as Brent's; at K = 2, D = 1 it is 3.7e-15 to 8.2e-11 over k = 10
@@ -433,56 +402,42 @@ def _robin_constant(k, K, D):
     describes."""
     params = ModelParams(1, K, D)  # the angle equation does not involve n
     target = -_HALF_PI + math.atan(1.0 / k)
-    evals = {}
 
     def g(c):
-        # brentq re-evaluates the bracket ends; serve them from the cache
-        if c not in evals:
-            evals[c] = _end_angles([c], params)[0] - target
-        return evals[c]
+        # the end angle falls as c grows, and seeded_root's g increases
+        return target - _end_angles([c], params)[0]
 
-    def checked(c, run):
-        defect = abs(float(run.y[0, -1]) - target)
-        if defect > _ANGLE_TOL:
-            raise BracketError(f"end-angle defect {defect:.3e} exceeds {_ANGLE_TOL}")
-        return float(c), run.sol
+    def pass_run(a, b):
+        qa, qb = _end_angles([a, b], params)
+        return target - qa, target - qb, None
+
+    def check(c):
+        # the run's end angle is g's shot at c (see _profile), so Brent
+        # may read it
+        run = _profile(c, params)
+        return target - float(run.y[0, -1]), run
 
     c_flat = flat_ck(k, D)
     c_comp = c_flat * cs(params.half, K) ** 2
     lo, hi = min(c_flat, c_comp), max(c_flat, c_comp)
     xtol = 1e-13 * min(abs(lo), abs(hi))
-    scale = (math.pi / D) ** 2
-    pad = 1e-9 * max(abs(lo), abs(hi), scale)
+    floor = (math.pi / D) ** 2
+    pad = 1e-9 * max(abs(lo), abs(hi), floor)
     lo -= pad
     hi += pad
     # K = 0 computes no seed, and its bracket, 2 pad wide, is the interval
-    a, b, seeded = lo, hi, K == 0.0
+    seed = ladder = math.nan
     if K != 0.0:
         seed, ladder = _colloc_seed(k, K, D, lo)
-        delta = max(10.0 * ladder, pad)
-        if lo < seed - delta and seed + delta < hi:  # False for a NaN seed
-            a, b, seeded = seed - delta, seed + delta, True
-    if seeded:
-        ga, gb = (q - target for q in _end_angles([a, b], params))
-        if ga > 0.0 > gb:
-            # the end angle interpolated linearly, and its defect measured there
-            c = a + ga / (ga - gb) * (b - a)
-            run = _profile(c, params)
-            r = float(run.y[0, -1]) - target
-            if (2.0 * abs(r) + _ODE_TOL) * (b - a) / (ga - gb) <= _ACCEPT * max(abs(c), scale):
-                return checked(c, run)
-            evals[c] = r  # the run's end angle is g's shot at c
-            a, b = (c, b) if r > 0.0 else (a, c)  # Brent on the root's side
-        else:
-            a, b = lo, hi
-    if not g(a) > 0.0 > g(b):
-        a, b = lo, hi
-        if not g(a) > 0.0 > g(b):
-            raise BracketError(
-                f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle c_k for k = {k}"
-            )
-    c = _brent(g, a, b, xtol=xtol, rtol=1e-13)
-    return checked(c, _profile(c, params))
+    c, _, passed = seeded_root(
+        g, lo, hi, pad, seed, ladder, pass_run, check, floor=floor, accept=_ACCEPT,
+        noise=_ODE_TOL, xtol=xtol, rtol=1e-13, unbracketed=BracketError(
+            f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle c_k for k = {k}"))
+    run = passed[-1] if passed else _profile(c, params)
+    defect = abs(float(run.y[0, -1]) - target)
+    if defect > _ANGLE_TOL:
+        raise BracketError(f"end-angle defect {defect:.3e} exceeds {_ANGLE_TOL}")
+    return float(c), run.sol
 
 
 def _phi(qr):

@@ -35,22 +35,19 @@ S y = r sin(theta), y' = r cos(theta): (theta, log r) over [-D/2, 0] at
 ten times the angle shots' tolerance (_scipy.dop853_dense), mirrored onto
 [0, D/2] by parity.
 
-Every eigenvalue takes one path (see eigen_shoot).  Its interval is the
-one Chebyshev collocation proposes, about 1e-9 wide, when that lies
-strictly inside the comparison bracket below: the collocation value at
-N = 48 points, folded by the index's parity onto [0, D/2], and its
+Every eigenvalue takes the seeded root path that find_ck's Robin
+constants take too, _scipy.seeded_root (see eigen_shoot).  Its seed is
+the Chebyshev collocation value at N = 48 points, folded by the index's
+parity onto [0, D/2] (kernels.chebyshev_fold), and its ladder the
 difference from N = 32 (Trefethen, Spectral Methods in MATLAB, 2000,
-ch. 6-9).  Otherwise, and always where V is constant, the interval is
-the comparison bracket itself, which for constant V is 2e-9 of its
-scale wide around the closed form.  A narrow interval gets one stacked
-pass, which integrates (theta, log r) at both of its ends together,
-sharing each V(z); the root is the linear interpolation of theta(0)
-between them, the eigenfunction the same interpolation of the pass's
-dense output, and one angle shot at the root measures the residual that
-accepts it.  A wide interval, or a pass whose residual is too large,
-goes to Brent's method on angle shots of the midpoint angle, and a
-(theta, log r) run at its root gives the eigenfunction.  The comparison
-bracket is Rayleigh-Sturm: cs^2 is
+ch. 6-9); where V is constant there is no seed, and the comparison
+bracket, 2e-9 of its scale wide around the closed form, is the interval.
+Here the stacked pass integrates (theta, log r) at both of the
+interval's ends together, sharing each V(z), and the eigenfunction is
+the root's interpolation of the pass's dense output; the check is one
+angle shot at the root, and Brent's method runs on angle shots, after
+which a (theta, log r) run at its root gives the eigenfunction.  The
+comparison bracket is Rayleigh-Sturm: cs^2 is
 monotone on [0, D/2], so V takes its extremes at z = 0 and z = D/2, and
 min-max puts the index-th eigenvalue within [min V, max V] + (index
 pi/D)^2 (Sturm comparison).  Min-max on each parity class also bounds it
@@ -76,7 +73,6 @@ found without an ODE solve: the eigenvalue in arbitrary precision (V is a
 Pöschl-Teller potential) and the radial spherical-cap ground state.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -85,16 +81,21 @@ import numpy as np
 from scipy.integrate import solve_ivp  # called by no route; perfbench/tracing.py rebinds it
 from scipy.optimize import brentq
 
-from ._scipy import dop853_dense, dop853_end, tridiagonal_eigenpair, tridiagonal_eigenvalue
+from ._scipy import (
+    dop853_dense,
+    dop853_end,
+    seeded_root,
+    tridiagonal_eigenpair,
+    tridiagonal_eigenvalue,
+)
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError, as_integer
-from .kernels import chebyshev, tn
+from .kernels import _COLLOC_SIZES, chebyshev_fold, tn
 from .model import GridFunction, potential, potential_array, potential_at, validate
 
 _ODE_TOL = 1e-12
 _N_SAMPLES = 1001  # points in a shot eigenfunction on [-D/2, D/2]
 _PARITY_TOL = 1e-5  # bound on |sin(theta(0) - index pi/2)| at the root
-_PASS_WIDTH = 5e-6  # widest seed half-width, over the accuracy scale, given a stacked pass
 _ACCEPT = 1e-11  # largest accepted stacked-pass error estimate, over the accuracy scale
 
 
@@ -296,56 +297,46 @@ def eigen_shoot(params, index, form="normal"):
     the one crossing, and every branch below returns that root; the seed
     never enters it.  The accuracy scale is max(|lam|, (pi / D)^2).
 
-    The interval [a, b] is the collocation seed's [lam_seed - delta,
-    lam_seed + delta], with lam_seed the value at N = 48 and the
-    half-width delta = max(10 |lam_48 - lam_32|, 1e-9 bracket scale), when
-    it lies strictly inside the comparison bracket.  Otherwise, and always
-    for constant V ((n - 1)(n - 3) K = 0, which computes no seed), it is
-    the comparison bracket, 2 pad wide around the closed form for constant
-    V.  Every call then takes one path:
+    The root comes from _scipy.seeded_root, which find_ck's Robin
+    constants share: the interval [a, b] is the collocation seed +- delta,
+    delta = max(10 |lam_48 - lam_32|, pad), inside the padded bracket, else
+    the bracket, which constant V ((n - 1)(n - 3) K = 0, no seed) makes 2
+    pad wide around the closed form; a half-width at most _PASS_WIDTH = 5e-6
+    of the accuracy scale gets a stacked pass, a linear interpolation lam*
+    (weight w on b) and a check, accepted when (2 |r| + noise) / slope is
+    at most the accept fraction of the accuracy scale; otherwise Brent runs
+    on the root's side, on the interval, or on the bracket.  Here:
 
-    - Stacked pass.  If the half-width of [a, b] is at most _PASS_WIDTH =
-      5e-6 of max(|midpoint|, (pi / D)^2), one dop853_dense run at
-      0.1 _ODE_TOL integrates (theta_a, log r_a, theta_b, log r_b).  If its
-      end angles straddle the target, the root lam* interpolates theta(0)
-      linearly between a and b, with weight w on b, and one theta-only
-      check shot at lam* gives r = theta(0; lam*) - index pi / 2.  The
-      estimate (2 |r| + _ODE_TOL) / slope, slope the secant of the pass's
-      end angles, is accepted when it is at most _ACCEPT = 1e-11 of the
-      accuracy scale.  The eigenfunction is then the same interpolation of
-      the pass's dense output, and the parity defect is |sin r|.  Every
-      constant-V call takes this branch: on 44 calls (11 flat triples of
-      eigen_sweep seeds 1-8 and the tests, both forms and indices, n = 1 to
-      6, D from 1e-5 to 2, (3, 9.8696, 1) at the cap) every pass was
-      accepted, within 3.2e-15 of the accuracy scale of (index pi / D)^2 -
-      (n - 1)^2 K / 4 in the normal form and 4.0e-14 in the direct form,
-      the error at most 0.045 of the estimate.  Brent on the bracket
-      reaches only 1.2e-12 there, with 4 to 7 angle shots and a run at the
-      root per eigenvalue.
-    - Brent's continuation.  An estimate above _ACCEPT sends Brent into
-      [lam*, b] or [a, lam*], the side r's sign picks, with one more angle
-      shot at that end; the dict of shots Brent and _shoot_error read
-      holds theta-only shots at _ODE_TOL alone, since one angle of the
+    - The pass is one dop853_dense run at 0.1 _ODE_TOL of (theta_a, log
+      r_a, theta_b, log r_b); the check is one theta-only angle shot at
+      lam*, r = theta(0; lam*) - index pi / 2; the noise is _ODE_TOL and
+      the accept fraction _ACCEPT = 1e-11.  An accepted root's
+      eigenfunction is the same interpolation of the pass's dense output,
+      and its parity defect is |sin r|.  Every constant-V call is accepted
+      on its pass: on 44 calls (11 flat triples of eigen_sweep seeds 1-8
+      and the tests, both forms and indices, n = 1 to 6, D from 1e-5 to 2,
+      (3, 9.8696, 1) at the cap), within 3.2e-15 of the accuracy scale of
+      (index pi / D)^2 - (n - 1)^2 K / 4 in the normal form and 4.0e-14 in
+      the direct form, the error at most 0.045 of the estimate.  Brent on
+      the bracket reaches only 1.2e-12 there, with 4 to 7 angle shots and a
+      run at the root per eigenvalue.
+    - Brent's shots are theta-only angle shots at _ODE_TOL, and so is
+      every value in the dict that _shoot_error reads: one angle of the
       tighter pass among them reads as a fall and inflates the estimate
-      about 1e5-fold.
-    - Brent on the interval.  A wider interval goes straight to Brent when
-      the angle shots at its ends straddle the target.  On a sweep of 542
-      calls (every shooting call of the benchmark's eigen_sweep seeds 1-8,
-      the near-cap map of sweeps/eigen_near_cap.py and the edge and test
-      triples), with every seed inside the bracket given a pass: 307 were
-      accepted, all with delta at most 4.7e-6 of the accuracy scale, and
-      193 were refined, all but 6 distinct calls with delta above 5e-6.
-      The 6 are (4, 1.671925, 2) index 2, where the check shot reads 9e-12
-      below the pass (delta 2.7e-9), and index 1 of (8, 9, 1), (10, 9, 1),
-      (7, 9.4, D) at D = 1 and 0.5, and (4, 9.4139, 1) (1.6e-6 to 5.0e-6).
-      Near the cap a wide pass's root is off by far more than the accept
-      rule allows: 2e-6 at (4, 9.86, 1), index 2.
-    - Comparison bracket.  A pass or a pair of end shots that does not
-      straddle the target sends Brent to the comparison bracket, whose
-      ends are then shot.
-    Brent stops at 1e-14 max(|lam|, (pi / D)^2), and a (theta, log r) run
-    at its root gives the eigenfunction and the angle there under the
-    tighter tolerance.
+      about 1e5-fold.  It stops at 1e-14 max(|lam|, (pi / D)^2), and a
+      (theta, log r) run at its root gives the eigenfunction and the angle
+      there under the tighter tolerance.
+    - The pass width.  On a sweep of 542 calls (every shooting call of the
+      benchmark's eigen_sweep seeds 1-8, the near-cap map of
+      sweeps/eigen_near_cap.py and the edge and test triples), with every
+      seed inside the bracket given a pass: 307 were accepted, all with
+      delta at most 4.7e-6 of the accuracy scale, and 193 were refined,
+      all but 6 distinct calls with delta above 5e-6.  The 6 are (4,
+      1.671925, 2) index 2, where the check shot reads 9e-12 below the pass
+      (delta 2.7e-9), and index 1 of (8, 9, 1), (10, 9, 1), (7, 9.4, D) at
+      D = 1 and 0.5, and (4, 9.4139, 1) (1.6e-6 to 5.0e-6).  Near the cap a
+      wide pass's root is off by far more than the accept rule allows: 2e-6
+      at (4, 9.86, 1), index 2.
 
     On Brent's branches error_estimate is the width of the final
     sign-change bracket plus the ODE noise in theta(0) divided by the
@@ -401,89 +392,50 @@ def _shoot_root(params, index, form):
     v_mid = potential(0.0, params)
     v_end = potential(params.half, params)
     base = (index * math.pi / params.D) ** 2
+    floor = (math.pi / params.D) ** 2
     lo = max(min(v_mid, v_end) + base, 0.0)
     hi = max(v_mid, v_end) + base
-    scale = max(abs(lo), abs(hi), (math.pi / params.D) ** 2)
-    pad = 1e-9 * scale
+    pad = 1e-9 * max(abs(lo), abs(hi), floor)
     lo -= pad
     # V is even, so min-max on the index-th eigenfunction's parity class
     # bounds lam by the flat eigenfunction's Rayleigh quotient
     hi = min(hi, lambda_upper_rayleigh(params, index)) + pad
     # the angle scale fitted to this eigenvalue: the local wavenumber at the
     # midpoint, where the target angle is read, at lam near hi
-    S = math.sqrt(max(hi - v_mid, (math.pi / params.D) ** 2))
+    S = math.sqrt(max(hi - v_mid, floor))
     target = 0.5 * index * math.pi
-    evals = {}
 
     def g(lam):
-        # theta-only shots at _ODE_TOL alone, so that _shoot_error compares
-        # like with like; brentq re-evaluates the bracket ends from here
-        if lam not in evals:
-            evals[lam] = _angle_mid(lam, params, form, S) - target
-        return evals[lam]
+        # theta-only shots at _ODE_TOL, so that _shoot_error compares like
+        # with like
+        return _angle_mid(lam, params, form, S) - target
+
+    def pass_run(a, b):
+        sol = _polar_run([a, b], params, form, S)
+        return float(sol.y[0, -1]) - target, float(sol.y[2, -1]) - target, sol
+
+    def check(lam):
+        return g(lam), None
 
     # theta(0; lam) is strictly increasing in lam, so a sign change over a
     # seeded interval inside (lo, hi) holds the one root the comparison
     # bracket holds.  Where V is constant ((n-1)(n-3)K = 0) the bracket is
     # 2 pad wide and no seeded interval, at least 2 pad wide, fits inside
-    # it, so the bracket is the interval
-    a, b = lo, hi
+    # it, so no seed is computed
+    seed = ladder = math.nan
     if (params.n - 1) * (params.n - 3) * params.K != 0:
         seed, ladder = _colloc_seed(params, index)
-        delta = max(10.0 * ladder, 1e-9 * scale)
-        if lo < seed - delta and seed + delta < hi:
-            a, b = seed - delta, seed + delta
-    # a narrow interval gets one stacked pass (see eigen_shoot)
-    if (b - a) / 2 <= _PASS_WIDTH * max(abs(a + b) / 2, (math.pi / params.D) ** 2):
-        sol = _polar_run([a, b], params, form, S)
-        ga, gb = float(sol.y[0, -1]) - target, float(sol.y[2, -1]) - target
-        if ga < 0 < gb:
-            # theta(0) interpolated linearly, and the residual measured there
-            w = -ga / (gb - ga)
-            lam = a + w * (b - a)
-            r = g(lam)
-            err = (2.0 * abs(r) + _ODE_TOL) * (b - a) / (gb - ga)
-            if err <= _ACCEPT * max(abs(lam), (math.pi / params.D) ** 2):
-                return lam, err, sol, w, r
-            a, b = (lam, b) if r < 0 else (a, lam)  # Brent on the root's side
-        else:
-            a, b = lo, hi  # the comparison bracket
-    if not g(a) < 0 < g(b):
-        a, b = lo, hi
-        if not g(a) < 0 < g(b):
-            raise NonConvergenceError(
-                f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle the "
-                f"index-{index} angle target"
-            )
-    lam = brentq(g, a, b, xtol=1e-14 * (math.pi / params.D) ** 2, rtol=1e-14)
+    lam, evals, passed = seeded_root(
+        g, lo, hi, pad, seed, ladder, pass_run, check, floor=floor, accept=_ACCEPT,
+        noise=_ODE_TOL, xtol=1e-14 * floor, rtol=1e-14, unbracketed=NonConvergenceError(
+            f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle the "
+            f"index-{index} angle target"))
+    if passed:
+        err, w, r, sol, _ = passed
+        return lam, err, sol, w, r
     sol = _polar_run([lam], params, form, S)
     r = float(sol.y[0, -1]) - target
     return lam, _shoot_error(lam, evals, r), sol, 0.0, r
-
-
-_COLLOC_SIZES = (32, 48)  # Chebyshev collocation ladder of _colloc_seed
-
-
-@functools.lru_cache(maxsize=None)
-def _colloc_matrix(N, parity):
-    """Chebyshev second derivative on [-1, 1], folded onto one parity class.
-
-    kernels.chebyshev's d2 at N (even) without its boundary rows and
-    columns (Dirichlet).  An even (parity 0) or odd (parity 1) grid
-    function is fixed by its values at the points in [0, 1), x = 0 dropped
-    for the odd class, where the function vanishes; column j then gathers
-    x_j and its mirror x_(N-j) = -x_j with the sign of the class.  Returns
-    those points and the folded matrix, both read-only since the cache
-    shares them.
-    """
-    x, _, d2 = chebyshev(N)
-    half = np.arange(1, N // 2 + 1 - parity)
-    folded = d2[np.ix_(half, half)] + (-1.0) ** parity * d2[np.ix_(half, N - half)]
-    if parity == 0:
-        folded[:, -1] = d2[half, N // 2]  # x = 0 is its own mirror
-    x = x[half]
-    x.flags.writeable = folded.flags.writeable = False
-    return x, folded
 
 
 def _colloc_seed(params, index):
@@ -499,10 +451,10 @@ def _colloc_seed(params, index):
     """
     lams = []
     for N in _COLLOC_SIZES:
-        x, d2 = _colloc_matrix(N, index - 1)
+        x, _, d2 = chebyshev_fold(N, index - 1)
         V = potential_array(params.half * x, params)
         with np.errstate(over="ignore"):
-            A = -(2.0 / params.D) ** 2 * d2 + np.diag(V)
+            A = -(2.0 / params.D) ** 2 * d2[:, 1:] + np.diag(V)
         if not np.isfinite(A).all():
             return math.nan, math.nan
         try:

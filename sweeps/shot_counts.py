@@ -3,17 +3,20 @@
 Builds each seed's operation list with perfbench's own workloads.build, at
 the run length BENCHMARK.json sets, and runs every operation through
 gapmodel.cli.main in this process with its output discarded.  The ODE
-calls are counted by wrapping the solver names the modules call:
+calls are counted by wrapping the solver names the modules call.  Both
+eigen_shoot and find_ck find their root on _scipy.seeded_root, whose pass,
+check and Brent shots run through the calling module's names, so the
+wrappers below see every run:
 spectral.dop853_end (angle shots: the check shot of a stacked pass, and
 Brent's shots), spectral.dop853_dense (eigenfunction runs: a stacked
-(theta, log r) pass at a seeded interval's two ends, and a run at Brent's
+(theta, log r) pass at a narrow interval's two ends, and a run at Brent's
 root), pruefer.dop853_end (find_ck's end-angle shots: one stacked
-(q, log r) pass at the two ends of a seeded or flat interval, and Brent's
-shots when the pass falls back), pruefer.dop853_dense (Riccati branches,
-and the Robin profile: the run at find_ck's root that checks it and is
-kept with it, so the eigenfunction, the boundary report and the flow's
-stationary reference read it without a run), flow.dop853_dense (the grid
-ODE) and pruefer.solve_ivp: calls and
+(q, log r) pass at the two ends of a narrow seeded or flat interval, and
+Brent's shots after a rejected or failed pass or from a wide interval),
+pruefer.dop853_dense (Riccati branches, and the Robin profile: the run at
+find_ck's root that checks it and is kept with it, so the eigenfunction,
+the boundary report and the flow's stationary reference read it without
+a run), flow.dop853_dense (the grid ODE) and pruefer.solve_ivp: calls and
 right-hand-side evaluations (nfev).  For a dense run (eigenfunction_rhs,
 dense_rhs, grid_rhs) that is the compiled stepper's calls plus the three
 stages per step that dop853_dense adds for the dense output; the stepper's

@@ -672,7 +672,9 @@ class TestStartUp:
         from scipy.optimize import brentq
 
         assert spectral.solve_ivp is solve_ivp and pruefer.solve_ivp is solve_ivp
-        assert spectral.brentq is brentq and pruefer.brentq is brentq
+        from gapmodel import _scipy
+
+        assert spectral.brentq is brentq and _scipy.brentq is brentq
         assert flow.solve_banded is solve_banded
         assert bounds.quad is quad
 

@@ -158,21 +158,49 @@ class TestRobinConstantSolve:
         # interval from the check, and only the root's run becomes the profile
         monkeypatch.setattr(pruefer, "_ACCEPT", 0.0)
         brackets = []
-        brent = pruefer._brent
+        brent = _scipy.brent
 
         def recording(f, lo, hi, **tol):
             brackets.append((lo, hi))
             return brent(f, lo, hi, **tol)
 
-        monkeypatch.setattr(pruefer, "_brent", recording)
+        # the shared root path's Brent; flat_ck's is pruefer's own binding
+        monkeypatch.setattr(_scipy, "brent", recording)
         n, K, D, k = 5, 2.0, 1.0, 40.0
         c = find_ck(k, ModelParams(n, K, D))
         assert c == pytest.approx(float(CK_30[n, K, D, k]), rel=1e-11)
         assert ode_calls["dop853_end"] >= 2 and ode_calls["dop853_dense"] == 2
-        # flat_ck's Brent, then one inside the seeded interval, 2e-8 wide,
-        # not the comparison bracket, 0.3 wide
+        # one Brent, inside the seeded interval, 2e-8 wide, not the
+        # comparison bracket, 0.3 wide
         lo, hi = brackets[-1]
-        assert len(brackets) == 2 and lo <= c <= hi and hi - lo < 1e-6
+        assert len(brackets) == 1 and lo <= c <= hi and hi - lo < 1e-6
+
+    @pytest.mark.parametrize("k,K,D", [(10.0, 9.8, 1.0), (1.0, -400.0, 1.0)])
+    def test_wide_seed_goes_straight_to_brent(self, k, K, D, monkeypatch, ode_calls):
+        # the seed's ladder is wider than _PASS_WIDTH allows a pass: Brent
+        # starts on the seeded interval, and only its root's run is dense
+        sizes, end_angles = [], pruefer._end_angles
+
+        def recording(cvals, params):
+            sizes.append(len(cvals))
+            return end_angles(cvals, params)
+
+        monkeypatch.setattr(pruefer, "_end_angles", recording)
+        c = find_ck(k, ModelParams(5, K, D))
+        assert sizes and set(sizes) == {1} and ode_calls["dop853_dense"] == 1
+        pruefer._robin_constant.cache_clear()
+        monkeypatch.setattr(pruefer, "_colloc_seed", _nan_seed)
+        assert c == pytest.approx(find_ck(k, ModelParams(5, K, D)), rel=1e-12)
+
+    def test_unbracketed_constant_is_a_bracket_error(self, monkeypatch, ode_calls):
+        # no ODE: a NaN seed leaves the wide bracket to end angles that
+        # never cross the target
+        monkeypatch.setattr(pruefer, "_colloc_seed", _nan_seed)
+        monkeypatch.setattr(pruefer, "_end_angles", lambda cvals, params: [0.0] * len(cvals))
+        with pytest.raises(BracketError, match=r"comparison bracket \[.*\] does not "
+                                               r"straddle c_k for k = 40.0"):
+            find_ck(40.0, ModelParams(5, 2.0, 1.0))
+        assert ode_calls == {}
 
     def test_check_run_ends_on_the_end_angle_shot(self):
         # the profile run steps as the end-only shot does

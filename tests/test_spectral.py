@@ -1,5 +1,6 @@
 """Both eigenvalue routes, the gap, the cap problem, and cross-checks."""
 
+import collections
 import math
 import warnings
 from array import array
@@ -9,7 +10,13 @@ import numpy as np
 import pytest
 
 from gapmodel import _scipy, spectral
-from gapmodel.errors import DomainError, GapModelError, NonConvergenceError, PoleError
+from gapmodel.errors import (
+    BracketError,
+    DomainError,
+    GapModelError,
+    NonConvergenceError,
+    PoleError,
+)
 from gapmodel.model import ModelParams
 from gapmodel.spectral import (
     ball_first_eigen,
@@ -397,7 +404,7 @@ class TestStackedPass:
     def test_accept_on_the_accuracy_scale(self, monkeypatch, solves):
         # with every seed given a pass, the one near the cap is 2e-6 off the
         # root; the bracket's scale there, 1.3e7, would have accepted it
-        monkeypatch.setattr(spectral, "_PASS_WIDTH", math.inf)
+        monkeypatch.setattr(_scipy, "_PASS_WIDTH", math.inf)
         r = eigen_shoot((4, 9.86, 1.0), 2)
         assert solves[:2] == ["pass", "shot"] and solves[-1] == "dense"
         ref = eigen_shoot_mp((4, 9.86, 1.0), 2, dps=20)
@@ -464,6 +471,142 @@ class TestStackedPass:
         r = eigen_shoot((5, 1.0, 1.0), 2, form="direct")
         assert solves == ["pass", "shot"]
         assert abs(r.eigenvalue - COLLOCATION[(5, 1.0, 1.0)][1]) <= r.error_estimate
+
+
+class TestSeededRoot:
+    """_scipy.seeded_root, the one root path of eigen_shoot and find_ck, on
+    closed-form g with no ODE: each branch and both error exits."""
+
+    ROOT = 2.0
+
+    @pytest.fixture
+    def path(self, monkeypatch):
+        """seeded_root on [0, 10] (pad 1e-9, floor 1) with a recorder of the
+        pass, the check, the shots of g and Brent's brackets."""
+        log = collections.defaultdict(list)
+        brent = _scipy.brent
+
+        def recording(f, lo, hi, **tol):
+            log["brent"].append((lo, hi))
+            return brent(f, lo, hi, **tol)
+
+        monkeypatch.setattr(_scipy, "brent", recording)
+
+        def solve(g, seed, ladder, accept=1e-11, lo=0.0, hi=10.0, stacked=None):
+            def shot(x):
+                log["shot"].append(x)
+                return g(x)
+
+            def pass_run(a, b):
+                log["pass"].append((a, b))
+                return g(a), g(b), "pass run"
+
+            def check(x):
+                log["check"].append(x)
+                return g(x), "check run"
+
+            return _scipy.seeded_root(
+                shot, lo, hi, 1e-9, seed, ladder, stacked or pass_run, check, floor=1.0,
+                accept=accept, noise=1e-13, xtol=1e-14, rtol=1e-14,
+                unbracketed=NonConvergenceError("unbracketed"))
+
+        return solve, log
+
+    def test_accepted_pass(self, path):
+        solve, log = path
+        x, evals, passed = solve(lambda x: x - self.ROOT, self.ROOT + 1e-10, 1e-10)
+        a, b = log["pass"][0]
+        assert (a, b) == (self.ROOT + 1e-10 - 1e-9, self.ROOT + 1e-10 + 1e-9)
+        estimate, w, r, run, checked = passed
+        assert 0 < w < 1 and x == a + w * (b - a) and log["check"] == [x]
+        assert abs(x - self.ROOT) <= estimate <= 1e-11 * self.ROOT
+        assert (run, checked) == ("pass run", "check run") and r == x - self.ROOT
+        assert evals == {} and "shot" not in log and "brent" not in log
+
+    # g bends at the root, so the pass's secant misses it on the side its
+    # curvature picks: convex (steeper above) interpolates below the root
+    @pytest.mark.parametrize("below,above,side", [(1.0, 3.0, "upper"), (3.0, 1.0, "lower")])
+    def test_rejected_estimate_refines_on_the_roots_side(self, path, below, above, side):
+        solve, log = path
+
+        def g(x):
+            return (x - self.ROOT) * (below if x < self.ROOT else above)
+
+        x, evals, passed = solve(g, self.ROOT, 1e-7)
+        (a, b), [c] = log["pass"][0], log["check"]
+        assert passed is None and abs(x - self.ROOT) <= 1e-13
+        assert log["brent"] == [(c, b) if side == "upper" else (a, c)]
+        assert evals[c] == g(c) and (g(c) < 0) == (side == "upper")
+        # Brent re-reads the check's value and shoots the pass's other end
+        assert log["shot"][0] == (b if side == "upper" else a)
+
+    def test_rejected_by_the_accept_fraction(self, path):
+        solve, log = path
+        x, _, passed = solve(lambda x: x - self.ROOT, self.ROOT + 1e-10, 1e-10, accept=0.0)
+        assert passed is None and log["pass"] and log["brent"] and x == self.ROOT
+
+    def test_wide_interval_goes_straight_to_brent(self, path):
+        # half-width 1e-3, over _PASS_WIDTH = 5e-6 of the scale 2
+        solve, log = path
+        x, _, passed = solve(lambda x: x - self.ROOT, self.ROOT, 1e-4)
+        assert passed is None and x == self.ROOT and "pass" not in log
+        assert log["brent"] == [(self.ROOT - 1e-3, self.ROOT + 1e-3)]
+
+    def test_pass_that_does_not_straddle_takes_the_bracket(self, path):
+        solve, log = path
+
+        def swapped(a, b):
+            log["pass"].append((a, b))
+            return b - self.ROOT, a - self.ROOT, None
+
+        x, _, passed = solve(lambda x: x - self.ROOT, self.ROOT, 1e-10, stacked=swapped)
+        assert passed is None and x == pytest.approx(self.ROOT, abs=1e-13)
+        assert len(log["pass"]) == 1 and "check" not in log
+        assert log["brent"] == [(0.0, 10.0)]
+
+    @pytest.mark.parametrize("seed", [math.nan, -5.0, 9.9999999999], ids=str)
+    def test_unusable_seed_takes_the_bracket(self, path, seed):
+        # a NaN seed, one outside the bracket, and one whose interval
+        # reaches past it; the bracket is too wide for a pass
+        solve, log = path
+        x, _, passed = solve(lambda x: x - self.ROOT, seed, 1e-10)
+        assert passed is None and x == pytest.approx(self.ROOT, abs=1e-13)
+        assert "pass" not in log and log["brent"] == [(0.0, 10.0)]
+
+    def test_narrow_bracket_takes_the_pass(self, path):
+        # a constant potential's or K = 0's bracket, 2 pad wide, no seed
+        solve, log = path
+        lo, hi = self.ROOT - 1e-9, self.ROOT + 1e-9
+        x, _, passed = solve(lambda x: x - self.ROOT, math.nan, math.nan, lo=lo, hi=hi)
+        assert log["pass"] == [(lo, hi)] and passed is not None
+        assert x == pytest.approx(self.ROOT, abs=1e-15)
+
+    @pytest.mark.parametrize("error", [NonConvergenceError("no sign change"),
+                                       BracketError("no sign change")], ids=repr)
+    def test_unbracketed_raises_the_callers_error(self, error):
+        with pytest.raises(type(error), match="no sign change"):
+            _scipy.seeded_root(lambda x: x + 100.0, 0.0, 10.0, 1e-9, math.nan, math.nan,
+                               None, None, floor=1.0, accept=1e-11, noise=1e-13,
+                               xtol=1e-14, rtol=1e-14, unbracketed=error)
+
+    def test_exhausted_brent_is_non_convergence(self):
+        # a step g defeats interpolation; bisection needs about 1000 steps
+        # to come from 1e300 down to the tolerance, against brentq's 100
+        with pytest.raises(NonConvergenceError, match="Brent's method"):
+            _scipy.seeded_root(lambda x: math.copysign(1.0, x - 0.3), -1e300, 1e300, 1e291,
+                               math.nan, math.nan, None, None, floor=1.0, accept=1e-11,
+                               noise=1e-13, xtol=1e-300, rtol=1e-15,
+                               unbracketed=NonConvergenceError("unbracketed"))
+
+    def test_callers_keep_their_messages(self, monkeypatch):
+        # no ODE: a NaN seed leaves the wide bracket to shots that never
+        # cross the target
+        monkeypatch.setattr(spectral, "_colloc_seed", lambda p, i: (math.nan, math.nan))
+        monkeypatch.setattr(spectral, "_angle_mid", lambda *args: -1.0)
+        with pytest.raises(NonConvergenceError,
+                           match=r"comparison bracket \[.*\] does not straddle the "
+                                 r"index-2 angle target"):
+            spectral._shoot_root(ModelParams(5, 1.0, 1.0), 2, "normal")
 
 
 class TestNearCap:
