@@ -492,7 +492,7 @@ class TestSeededRoot:
 
         monkeypatch.setattr(_scipy, "brent", recording)
 
-        def solve(g, seed, ladder, accept=1e-11, lo=0.0, hi=10.0, stacked=None):
+        def solve(g, seed, ladder, lo=0.0, hi=10.0, stacked=None):
             def shot(x):
                 log["shot"].append(x)
                 return g(x)
@@ -507,7 +507,7 @@ class TestSeededRoot:
 
             return _scipy.seeded_root(
                 shot, lo, hi, 1e-9, seed, ladder, stacked or pass_run, check, floor=1.0,
-                accept=accept, noise=1e-13, xtol=1e-14, rtol=1e-14,
+                accept=1e-11, noise=1e-13, xtol=1e-14, rtol=1e-14,
                 unbracketed=NonConvergenceError("unbracketed"))
 
         return solve, log
@@ -539,11 +539,6 @@ class TestSeededRoot:
         assert evals[c] == g(c) and (g(c) < 0) == (side == "upper")
         # Brent re-reads the check's value and shoots the pass's other end
         assert log["shot"][0] == (b if side == "upper" else a)
-
-    def test_rejected_by_the_accept_fraction(self, path):
-        solve, log = path
-        x, _, passed = solve(lambda x: x - self.ROOT, self.ROOT + 1e-10, 1e-10, accept=0.0)
-        assert passed is None and log["pass"] and log["brent"] and x == self.ROOT
 
     def test_wide_interval_goes_straight_to_brent(self, path):
         # half-width 1e-3, over _PASS_WIDTH = 5e-6 of the scale 2
