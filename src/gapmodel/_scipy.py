@@ -7,7 +7,7 @@ the stacked end-angle pass and Brent's shots behind pruefer's ``find_ck``.
 pole, pruefer's Robin profile, which runs to D/2 without an event and
 checks ``find_ck``'s root,
 spectral's (theta, log r) runs from -D/2 to 0, at one eigenvalue or
-stacked at two, and flow's
+stacked at the ends of one or two eigenvalues' intervals, and flow's
 equidistribution ODE behind ``build_grid``, stopped where the grid
 reaches z = 0, and forms their dense output from the Fortran's own stages.
 Every ODE gapmodel solves runs on DOP853 through these two.  Spectral's
@@ -22,6 +22,8 @@ and ``brentq`` through ``brent``, which raises its iteration cap as
 ``find_ck`` both call it, each with its own pass and check runs (through
 its own module's names for the two DOP853 wrappers, where shot counters
 wrap them), accept fraction, noise floor, Brent tolerances and error.
+``seeded_interval`` is its interval and pass-width rule, which spectral
+reads first for both eigenvalues of a gap, to run their passes together.
 
 scipy is imported at the top of this module and of every module that
 calls it; ``import gapmodel`` and the command line import those modules
@@ -265,19 +267,34 @@ def brent(f, lo, hi, **tol):
         raise NonConvergenceError(f"Brent's method on [{lo:.6g}, {hi:.6g}]: {exc}") from None
 
 
+def seeded_interval(lo, hi, pad, seed, ladder, floor):
+    """seeded_root's interval [a, b] in the padded bracket [lo, hi], and
+    whether it is narrow enough for a stacked pass.
+
+    The interval is seed +- max(10 ladder, pad) if it lies strictly inside
+    the bracket, else the bracket; a NaN seed never does.  It is narrow
+    when its half-width is at most _PASS_WIDTH of max(|midpoint|, floor).
+    Returns (a, b, narrow).
+    """
+    a, b, delta = lo, hi, max(10.0 * ladder, pad)
+    if lo < seed - delta and seed + delta < hi:  # False for a NaN seed
+        a, b = seed - delta, seed + delta
+    return a, b, (b - a) / 2 <= _PASS_WIDTH * max(abs(a + b) / 2, floor)
+
+
 def seeded_root(g, lo, hi, pad, seed, ladder, stacked, check, *, floor, accept, noise,
                 xtol, rtol, unbracketed):
     """The root of g, increasing, inside the padded bracket [lo, hi], from a seed.
 
-    The interval is seed +- max(10 ladder, pad) if it lies strictly inside
-    the bracket, else the bracket; a NaN seed never does.  The accuracy
-    scale of a point x is max(|x|, floor).
+    The interval [a, b] is seeded_interval's.  The accuracy scale of a
+    point x is max(|x|, floor).
 
-    - Stacked pass.  If the interval [a, b] is at most _PASS_WIDTH of the
-      scale of its midpoint wide on each side, stacked(a, b) returns
-      (g(a), g(b), run) from one pass at both ends.  If g(a) < 0 < g(b),
-      the root x = a + w (b - a) interpolates g linearly, and check(x)
-      returns (g(x), run).  The estimate (2 |g(x)| + noise) (b - a) /
+    - Stacked pass.  If the interval is narrow, stacked(a, b) returns
+      (g(a), g(b), run) from one pass at both ends; a caller solving
+      several roots may make every root's pass in one run beforehand and
+      read each root's ends from it.  If g(a) < 0 < g(b), the root
+      x = a + w (b - a) interpolates g linearly, and check(x) returns
+      (g(x), run).  The estimate (2 |g(x)| + noise) (b - a) /
       (g(b) - g(a)) is accepted when it is at most accept times the scale
       of x.  A rejected estimate sends Brent into [x, b] or [a, x], the
       side g(x)'s sign picks; a pass that does not straddle sends it to
@@ -300,10 +317,8 @@ def seeded_root(g, lo, hi, pad, seed, ladder, stacked, check, *, floor, accept, 
             evals[x] = g(x)
         return evals[x]
 
-    a, b, delta = lo, hi, max(10.0 * ladder, pad)
-    if lo < seed - delta and seed + delta < hi:  # False for a NaN seed
-        a, b = seed - delta, seed + delta
-    if (b - a) / 2 <= _PASS_WIDTH * max(abs(a + b) / 2, floor):
+    a, b, narrow = seeded_interval(lo, hi, pad, seed, ladder, floor)
+    if narrow:
         ga, gb, run = stacked(a, b)
         if ga < 0 < gb:
             w = -ga / (gb - ga)

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 
 from .errors import HypothesisError, OrderingViolation, as_integer
 from .kernels import cs_at
-from .model import validate
+from .model import flat_eigenvalue, validate
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,14 @@ def _require(params, index, need_n3=False, need_K_positive=True):
 
 
 def lambda_lower(params, index):
-    """Comparison lower bound (index pi/D)^2 - (n-1)K/2, valid for K>0, n>=3."""
+    """Comparison lower bound (index pi/D)^2 - (n-1)K/2, valid for K>0, n>=3.
+
+    A (index pi/D)^2 that overflows a double raises DomainError
+    (model.flat_eigenvalue), here and in lambda_upper_rayleigh.
+    """
     params = validate(params)
     index = _require(params, index, need_n3=True)
-    return (index * math.pi / params.D) ** 2 - (params.n - 1) * params.K / 2.0
+    return flat_eigenvalue(params, index) - (params.n - 1) * params.K / 2.0
 
 
 def lambda_upper_rayleigh(params, index):
@@ -66,7 +70,7 @@ def lambda_upper_rayleigh(params, index):
     params = validate(params)
     index = _require(params, index, need_K_positive=False)
     n, K, D = params.n, params.K, params.D
-    flat = (index * math.pi / D) ** 2 - (n - 1) ** 2 * K / 4.0
+    flat = flat_eigenvalue(params, index) - (n - 1) ** 2 * K / 4.0
     if (n - 1) * (n - 3) * K == 0:
         return flat
     if index == 1:

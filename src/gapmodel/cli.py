@@ -8,7 +8,7 @@ parameters, 3 solver failure, 4 root bracketing failure.
 Building the parser imports only the standard library and gapmodel.errors.
 Each subcommand imports the modules it runs when it runs, so ``series`` and
 ``--help`` never load numpy, and ``eigen`` never loads the flow.  The modules
-are called through their attributes (``spectral.eigen_shoot``), so a name
+are called through their attributes (``spectral.gap``), so a name
 rebound on the module is what the command calls.
 """
 
@@ -126,8 +126,8 @@ def _eigen_row(n, K, D, method):
         r1 = spectral.eigen_fd(params, 1)
         r2 = spectral.eigen_fd(params, 2)
     else:
-        r1 = spectral.eigen_shoot(params, 1)
-        r2 = spectral.eigen_shoot(params, 2)
+        res = spectral.gap(params)
+        r1, r2 = res.lambda1, res.lambda2
     gap = r2.eigenvalue - r1.eigenvalue
     ref = 3.0 * math.pi**2 / D**2
     excess = gap - ref
@@ -343,13 +343,10 @@ def cmd_flow(args):
 # -- bounds ---------------------------------------------------------------
 
 
-def _bounds_row(n, K, D, index):
+def _bounds_row(params, index, lam):
     from . import bounds as bounds_mod
-    from . import spectral
-    from .model import ModelParams
 
-    params = ModelParams(n, K, D)
-    lam = spectral.eigen_shoot(params, index).eigenvalue
+    n, K, D = params.n, params.K, params.D
     if n >= 3:
         rep = bounds_mod.bound_report(params, index)
     else:
@@ -379,7 +376,15 @@ def cmd_bounds(args):
             raise HypothesisError(
                 f"bounds require K > 0, got K = {K} (n={n}, D={D})"
             )
-    rows = [_bounds_row(n, K, D, i) for n, K, D in triples for i in (1, 2)]
+    from . import spectral
+    from .model import ModelParams
+
+    rows = []
+    for n, K, D in triples:
+        # both shooting eigenvalues from one pair call
+        params = ModelParams(n, K, D)
+        res = spectral.gap(params)
+        rows += [_bounds_row(params, r.index, r.eigenvalue) for r in (res.lambda1, res.lambda2)]
     _emit(_render_table(rows, args, "bounds"), args)
     return 0
 

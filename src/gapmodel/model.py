@@ -117,6 +117,20 @@ def validate(params):
     return ModelParams(n=n, K=K, D=D)
 
 
+def flat_eigenvalue(params, index):
+    """(index pi / D)^2, the index-th Dirichlet eigenvalue of the flat interval.
+
+    ModelParams keeps (pi / D)^2 a finite double, but (2 pi / D)^2
+    overflows for D between about 2.35e-154 and 4.68e-154; there index 2
+    raises DomainError instead of OverflowError.
+    """
+    try:
+        return (index * math.pi / params.D) ** 2
+    except OverflowError:
+        raise DomainError(f"eigenvalue {index} exceeds the largest double "
+                          f"at D = {params.D:g}") from None
+
+
 def model_rhs(s, phi, dphi, lam, params):
     """phi'' at a point, from phi'' - (n-1) tn phi' + lam phi = 0."""
     return (params.n - 1) * tn(s, params.K) * dphi - lam * phi

@@ -46,11 +46,14 @@ Here the stacked pass integrates (theta, log r) at both of the
 interval's ends together, sharing each V(z), and the eigenfunction is
 the root's interpolation of the pass's dense output; the check is one
 angle shot at the root, and Brent's method runs on angle shots, after
-which a (theta, log r) run at its root gives the eigenfunction.  The
-comparison bracket is Rayleigh-Sturm: cs^2 is
-monotone on [0, D/2], so V takes its extremes at z = 0 and z = D/2, and
-min-max puts the index-th eigenvalue within [min V, max V] + (index
-pi/D)^2 (Sturm comparison).  Min-max on each parity class also bounds it
+which a (theta, log r) run at its root gives the eigenfunction.  gap()
+solves both indices in one call: a single run makes the pass of every
+narrow interval, lambda1's and lambda2's ends together, each pair with
+its own index's S, and each index reads its own rows; eigen_shoot is
+the one-index case of the same code.  The comparison bracket is
+Rayleigh-Sturm: cs^2 is monotone on [0, D/2], so V takes its extremes
+at z = 0 and z = D/2, and min-max puts the index-th eigenvalue within
+[min V, max V] + (index pi/D)^2 (Sturm comparison).  Min-max on each parity class also bounds it
 above by the Rayleigh quotient of the flat eigenfunction of that index
 (bounds.lambda_upper_rayleigh), which near the cap K D^2 -> pi^2 is
 smaller than the Sturm upper end by orders of magnitude.  Every
@@ -84,6 +87,7 @@ from scipy.optimize import brentq
 from ._scipy import (
     dop853_dense,
     dop853_end,
+    seeded_interval,
     seeded_root,
     tridiagonal_eigenpair,
     tridiagonal_eigenvalue,
@@ -91,7 +95,14 @@ from ._scipy import (
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError, as_integer
 from .kernels import _COLLOC_SIZES, chebyshev_fold, tn
-from .model import GridFunction, potential, potential_array, potential_at, validate
+from .model import (
+    GridFunction,
+    flat_eigenvalue,
+    potential,
+    potential_array,
+    potential_at,
+    validate,
+)
 
 _ODE_TOL = 1e-12
 _N_SAMPLES = 1001  # points in a shot eigenfunction on [-D/2, D/2]
@@ -160,30 +171,33 @@ def _angle_mid(lam, params, form, S):
     return float(sol.y[0])
 
 
-def _polar_rhs(lams, params, form, S):
+def _polar_rhs(lams, scales, params, form):
     """(theta, log r)' at every lam in lams, for S y = r sin(theta), y' = r cos(theta).
 
     The state stacks one (theta, log r) pair per lam, in the order of lams,
-    and each point's V(z) (tn(z) in the direct form) serves every pair.
+    each with its own scale S from scales, and each point's V(z) (tn(z) in
+    the direct form) serves every pair.
     """
     sin, cos = math.sin, math.cos
     if form == "normal":
-        V, pairs = potential_at(params), [(2 * i, lam) for i, lam in enumerate(lams)]
+        V = potential_at(params)
+        pairs = [(2 * i, lam, S) for i, (lam, S) in enumerate(zip(lams, scales))]
 
         def rhs(z, y):
             v, f = V(z), _floats(y)
-            for i, lam in pairs:
+            for i, lam, S in pairs:
                 s, c = sin(f[i]), cos(f[i])
                 q = (lam - v) / S
                 f[i], f[i + 1] = S * c * c + q * s * s, (S - q) * s * c
             return f
 
     else:
-        n1, K, pairs = params.n - 1, params.K, [(2 * i, lam / S) for i, lam in enumerate(lams)]
+        n1, K = params.n - 1, params.K
+        pairs = [(2 * i, lam / S, S) for i, (lam, S) in enumerate(zip(lams, scales))]
 
         def rhs(z, y):
             t, f = n1 * tn(z, K), _floats(y)
-            for i, q in pairs:
+            for i, q, S in pairs:
                 s, c = sin(f[i]), cos(f[i])
                 d = t * c
                 f[i], f[i + 1] = S * c * c + q * s * s - d * s, (S - q) * s * c + d * c
@@ -200,30 +214,33 @@ def _floats(y):
     return y.tolist() if isinstance(y, np.ndarray) else list(y)
 
 
-def _polar_run(lams, params, form, S):
+def _polar_run(lams, scales, params, form):
     """Dense (theta, log r) solution at every lam in lams over [-D/2, 0].
 
-    Each pair runs from 0 (y = 0, y' = 1) at -D/2, in one dop853_dense
-    run ten times tighter than the angle shots.
+    Each pair, scaled by its own S in scales, runs from 0 (y = 0, y' = 1)
+    at -D/2, in one dop853_dense run ten times tighter than the angle
+    shots.
     """
     dim = 2 * len(lams)
-    sol = dop853_dense(_polar_rhs(lams, params, form, S), -params.half, 0.0, [0.0] * dim,
+    sol = dop853_dense(_polar_rhs(lams, scales, params, form), -params.half, 0.0, [0.0] * dim,
                        rtol=0.1 * _ODE_TOL, atol=0.1 * _ODE_TOL, rows=range(dim), event=None)
     if not sol.success:
         raise NonConvergenceError(f"eigenfunction integration failed: {sol.message}")
     return sol
 
 
-def _eigenfunction(sol, w, params, index):
-    """The eigenfunction of a _polar_run, interpolated by w from its first lam to its last.
+def _eigenfunction(sol, rows, w, params, index):
+    """The eigenfunction of a _polar_run's rows, interpolated by w from their first lam to their last.
 
-    theta and log r are (1 - w) times the first pair's plus w times the
-    last pair's, on 501 points of [-D/2, 0]; y = e^(log r - max log r)
-    sin(theta) there, mirrored with the index's parity on an exactly
-    symmetric grid, gives the 1001 samples on [-D/2, D/2].
+    rows are the index's own rows of the run: (theta, log r) at one lam,
+    or at the two ends of its interval.  theta and log r are (1 - w)
+    times the first pair's plus w times the last pair's, on 501 points of
+    [-D/2, 0]; y = e^(log r - max log r) sin(theta) there, mirrored with
+    the index's parity on an exactly symmetric grid, gives the 1001
+    samples on [-D/2, D/2].
     """
     left = np.linspace(-params.half, 0.0, _N_SAMPLES // 2 + 1)
-    rows = sol.sol(left)
+    rows = sol.sol(left, rows)
     theta, log_r = rows[:2] + w * (rows[-2:] - rows[:2])
     y = np.exp(log_r - log_r.max()) * np.sin(theta)
     return GridFunction(z=np.concatenate([left, -left[-2::-1]]),
@@ -320,6 +337,16 @@ def eigen_shoot(params, index, form="normal"):
       the direct form, the error at most 0.045 of the estimate.  Brent on
       the bracket reaches only 1.2e-12 there, with 4 to 7 angle shots and a
       run at the root per eigenvalue.
+    - gap() takes both indices through _shoot_root at once, and one
+      dop853_dense run makes the pass of each narrow interval, up to 8
+      rows, each pair at its own index's S; each index's check shot,
+      accept rule, Brent fallback and parity and node checks stay its
+      own.  The run's step control spans all its rows, so the pair's
+      roots differ from this function's in the last bits: on 312
+      eigenvalues (eigen_sweep seeds 1-8 and the tested triples) by at
+      most 0.054 of the estimate, and its estimates bound the error
+      against the closed forms as below.  This function is the
+      one-index case, bit for bit the same as before the pass was shared.
     - Brent's shots are theta-only angle shots at _ODE_TOL, and so is
       every value in the dict that _shoot_error reads: one angle of the
       tighter pass among them reads as a fall and inflates the estimate
@@ -358,41 +385,39 @@ def eigen_shoot(params, index, form="normal"):
     as the index's parity asks) above _PARITY_TOL = 1e-5 raises
     GapModelError; the largest on sweeps/eigen_near_cap.py's map is
     3.4e-7, and a wrong parity gives about 1.  So does a node count,
-    recounted on the samples, other than index - 1.
+    recounted on the samples, other than index - 1.  An (index pi / D)^2
+    that overflows a double (index 2 at D below about 4.68e-154) raises
+    DomainError before any solve.
     """
     params = validate(params)
     index = _check_index(index)
     if form not in ("normal", "direct"):
         raise DomainError(f"form must be 'normal' or 'direct', got {form}")
-    lam, err, sol, w, residual = _shoot_root(params, index, form)
-    defect = abs(math.sin(residual))
-    if not defect <= _PARITY_TOL:
-        raise GapModelError(f"shooting index-{index} eigenfunction misses its parity "
-                            f"at z = 0 by {defect:.3g} > {_PARITY_TOL:g}")
-    # every eigenvalue is positive; near the cap Brent can settle in the
-    # noise just below the padded lower end 0, and clamping only shrinks
-    # the error that the estimate bounds
-    return _eigen_result(max(lam, 0.0), err, _eigenfunction(sol, w, params, index),
-                         index, "shooting", form, defect)
+    return _shoot(params, (index,), form)[0]
 
 
-def _shoot_root(params, index, form):
-    """eigen_shoot's root of the midpoint angle, with the run that gives its eigenfunction.
+def _shoot(params, indices, form):
+    """The shooting EigenResult of each of indices, from one _shoot_root call."""
+    results = []
+    for index, (lam, err, sol, rows, w, residual) in zip(
+            indices, _shoot_root(params, indices, form)):
+        defect = abs(math.sin(residual))
+        if not defect <= _PARITY_TOL:
+            raise GapModelError(f"shooting index-{index} eigenfunction misses its parity "
+                                f"at z = 0 by {defect:.3g} > {_PARITY_TOL:g}")
+        # every eigenvalue is positive; near the cap Brent can settle in the
+        # noise just below the padded lower end 0, and clamping only shrinks
+        # the error that the estimate bounds
+        results.append(_eigen_result(max(lam, 0.0), err,
+                                     _eigenfunction(sol, rows, w, params, index),
+                                     index, "shooting", form, defect))
+    return results
 
-    Returns (lam, err, sol, w, r) on every path: the root, its error
-    estimate, a dense (theta, log r) run, the weight of the run's last lam
-    in lam, and theta(0) - index pi / 2 at lam.  For an accepted stacked
-    pass, sol is the pass, w the weight of its upper end and r the check
-    shot's; at Brent's root, sol is a run at lam alone, w = 0 and r that
-    run's.  See eigen_shoot.
-    """
-    # cs^2 is monotone on [0, D/2], so V takes its extremes at z = 0 and D/2;
-    # lam > 0 because the direct form's quadratic form is int phi'^2 cs^(n-1),
-    # which keeps the lower end finite where V(D/2) -> -inf at the cap (n = 2)
-    v_mid = potential(0.0, params)
-    v_end = potential(params.half, params)
-    base = (index * math.pi / params.D) ** 2
-    floor = (math.pi / params.D) ** 2
+
+def _comparison_bracket(params, index, v_mid, v_end, floor):
+    """The padded Rayleigh-Sturm bracket (lo, hi) of the index-th eigenvalue,
+    its pad, and the angle scale S fitted to it; see eigen_shoot."""
+    base = flat_eigenvalue(params, index)
     lo = max(min(v_mid, v_end) + base, 0.0)
     hi = max(v_mid, v_end) + base
     pad = 1e-9 * max(abs(lo), abs(hi), floor)
@@ -402,40 +427,84 @@ def _shoot_root(params, index, form):
     hi = min(hi, lambda_upper_rayleigh(params, index)) + pad
     # the angle scale fitted to this eigenvalue: the local wavenumber at the
     # midpoint, where the target angle is read, at lam near hi
-    S = math.sqrt(max(hi - v_mid, floor))
-    target = 0.5 * index * math.pi
+    return lo, hi, pad, math.sqrt(max(hi - v_mid, floor))
 
-    def g(lam):
-        # theta-only shots at _ODE_TOL, so that _shoot_error compares like
-        # with like
-        return _angle_mid(lam, params, form, S) - target
 
-    def pass_run(a, b):
-        sol = _polar_run([a, b], params, form, S)
-        return float(sol.y[0, -1]) - target, float(sol.y[2, -1]) - target, sol
+def _shoot_root(params, indices, form):
+    """eigen_shoot's root of the midpoint angle at each of indices, with the
+    runs that give their eigenfunctions.
 
-    def check(lam):
-        return g(lam), None
+    Every index's comparison bracket, S, seed and seeded interval
+    (_scipy.seeded_interval) come first, and one _polar_run makes the
+    stacked pass of every narrow interval: (theta, log r) at both of its
+    ends, each pair scaled by its own index's S, four rows per interval in
+    the order of indices.  Each index's seeded_root then reads its ends
+    from that run, and makes its own check shot, and Brent's shots and a
+    run at Brent's root where it needs them.
 
-    # theta(0; lam) is strictly increasing in lam, so a sign change over a
-    # seeded interval inside (lo, hi) holds the one root the comparison
-    # bracket holds.  Where V is constant ((n-1)(n-3)K = 0) the bracket is
-    # 2 pad wide and no seeded interval, at least 2 pad wide, fits inside
-    # it, so no seed is computed
-    seed = ladder = math.nan
-    if (params.n - 1) * (params.n - 3) * params.K != 0:
-        seed, ladder = _colloc_seed(params, index)
-    lam, evals, passed = seeded_root(
-        g, lo, hi, pad, seed, ladder, pass_run, check, floor=floor, accept=_ACCEPT,
-        noise=_ODE_TOL, xtol=1e-14 * floor, rtol=1e-14, unbracketed=NonConvergenceError(
-            f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle the "
-            f"index-{index} angle target"))
-    if passed:
-        err, w, r, sol, _ = passed
-        return lam, err, sol, w, r
-    sol = _polar_run([lam], params, form, S)
-    r = float(sol.y[0, -1]) - target
-    return lam, _shoot_error(lam, evals, r), sol, 0.0, r
+    Returns one (lam, err, sol, rows, w, r) per index: the root, its error
+    estimate, a dense (theta, log r) run and the index's rows in it, the
+    weight of the rows' last lam in lam, and theta(0) - index pi / 2 at
+    lam.  For an accepted stacked pass, sol is the pass, rows the index's
+    four, w the weight of the interval's upper end and r the check shot's;
+    at Brent's root, sol is a run at lam alone, rows [0, 1], w = 0 and r
+    that run's.  See eigen_shoot.
+    """
+    # cs^2 is monotone on [0, D/2], so V takes its extremes at z = 0 and D/2;
+    # lam > 0 because the direct form's quadratic form is int phi'^2 cs^(n-1),
+    # which keeps the lower end finite where V(D/2) -> -inf at the cap (n = 2)
+    v_mid = potential(0.0, params)
+    v_end = potential(params.half, params)
+    floor = (math.pi / params.D) ** 2
+    solves, ends = [], []
+    for index in indices:
+        lo, hi, pad, S = _comparison_bracket(params, index, v_mid, v_end, floor)
+        # theta(0; lam) is strictly increasing in lam, so a sign change over a
+        # seeded interval inside (lo, hi) holds the one root the comparison
+        # bracket holds.  Where V is constant ((n-1)(n-3)K = 0) the bracket is
+        # 2 pad wide and no seeded interval, at least 2 pad wide, fits inside
+        # it, so no seed is computed
+        seed = ladder = math.nan
+        if (params.n - 1) * (params.n - 3) * params.K != 0:
+            seed, ladder = _colloc_seed(params, index)
+        a, b, narrow = seeded_interval(lo, hi, pad, seed, ladder, floor)
+        rows = []
+        if narrow:
+            rows = list(range(2 * len(ends), 2 * len(ends) + 4))
+            ends += [(a, S), (b, S)]
+        solves.append((index, lo, hi, pad, S, seed, ladder, rows))
+    # the stacked pass of every narrow interval in one run, each V(z)
+    # serving every pair
+    run = _polar_run(*zip(*ends), params, form) if ends else None
+
+    def root(index, lo, hi, pad, S, seed, ladder, rows):
+        target = 0.5 * index * math.pi
+
+        def g(lam):
+            # theta-only shots at _ODE_TOL, so that _shoot_error compares
+            # like with like
+            return _angle_mid(lam, params, form, S) - target
+
+        def pass_run(a, b):
+            return (float(run.y[rows[0], -1]) - target, float(run.y[rows[2], -1]) - target,
+                    run)
+
+        def check(lam):
+            return g(lam), None
+
+        lam, evals, passed = seeded_root(
+            g, lo, hi, pad, seed, ladder, pass_run, check, floor=floor, accept=_ACCEPT,
+            noise=_ODE_TOL, xtol=1e-14 * floor, rtol=1e-14, unbracketed=NonConvergenceError(
+                f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle the "
+                f"index-{index} angle target"))
+        if passed:
+            err, w, r, sol, _ = passed
+            return lam, err, sol, rows, w, r
+        sol = _polar_run([lam], [S], params, form)
+        r = float(sol.y[0, -1]) - target
+        return lam, _shoot_error(lam, evals, r), sol, [0, 1], 0.0, r
+
+    return [root(*solve) for solve in solves]
 
 
 def _colloc_seed(params, index):
@@ -568,10 +637,13 @@ class GapResult:
 
 
 def gap(params):
-    """Spectral gap by shooting, with its excess over 3 pi^2 / D^2."""
+    """Spectral gap by shooting, with its excess over 3 pi^2 / D^2.
+
+    Both eigenvalues come from one _shoot_root call, whose one stacked
+    pass serves lambda1 and lambda2 (see eigen_shoot).
+    """
     params = validate(params)
-    r1 = eigen_shoot(params, 1)
-    r2 = eigen_shoot(params, 2)
+    r1, r2 = _shoot(params, (1, 2), "normal")
     if not (r1.eigenvalue < r2.eigenvalue):
         raise GapModelError("eigenvalue ordering violated")
     g = r2.eigenvalue - r1.eigenvalue
@@ -643,7 +715,7 @@ def eigen_shoot_mp(params, index, dps=40):
     params = validate(params)
     index = _check_index(index)
     n, K, D = params.n, params.K, params.D
-    seed = max(_shoot_root(params, index, "normal")[0], 0.0)
+    seed = max(_shoot_root(params, (index,), "normal")[0][0], 0.0)
     guard = 0 if K <= 0 else -math.log10(math.cos(math.sqrt(K) * D / 2) ** 2)
     with mpmath.workdps(dps + math.ceil(guard)):
         half, root_k = mpmath.mpf(D) / 2, mpmath.sqrt(K)

@@ -8,9 +8,10 @@ eigen_shoot and find_ck find their root on _scipy.seeded_root, whose pass,
 check and Brent shots run through the calling module's names, so the
 wrappers below see every run:
 spectral.dop853_end (angle shots: the check shot of a stacked pass, and
-Brent's shots), spectral.dop853_dense (eigenfunction runs: a stacked
-(theta, log r) pass at a narrow interval's two ends, and a run at Brent's
-root), pruefer.dop853_end (find_ck's end-angle shots: one stacked
+Brent's shots), spectral.dop853_dense (eigenfunction runs: one stacked
+(theta, log r) pass per gap, at the two ends of the narrow intervals of
+lambda1 and lambda2 together, and a run at each of Brent's roots),
+pruefer.dop853_end (find_ck's end-angle shots: one stacked
 (q, log r) pass at the two ends of a narrow seeded or flat interval, and
 Brent's shots after a rejected or failed pass or from a wide interval),
 pruefer.dop853_dense (Riccati branches, and the Robin profile: the run at

@@ -18,7 +18,7 @@ _spec.loader.exec_module(shot_counts)
 # the ODE work, and names the new figures where it is recorded, as a change
 # to a golden file does
 EIGEN_SWEEP_SEED_1 = {"ops": 21, "angle_shots": 49, "angle_rhs": 17187,
-                      "eigenfunction_runs": 39, "eigenfunction_rhs": 16549}
+                      "eigenfunction_runs": 21, "eigenfunction_rhs": 9823}
 ROBIN_FLOW_SEED_1 = {"ops": 26, "ck_shots": 30, "ck_rhs": 13022, "dense_runs": 78,
                      "dense_rhs": 45657, "grid_runs": 18, "grid_rhs": 13153,
                      "flow_steps": 168, "band_solves": 168, "grids": 18,

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gapmodel import _scipy, spectral
+from gapmodel import _scipy, bounds, spectral
 from gapmodel.errors import (
     BracketError,
     DomainError,
@@ -99,8 +99,8 @@ def ode_work(monkeypatch):
 @pytest.fixture
 def solves(monkeypatch):
     """The kind of each ODE solve in spectral, in order: "pass" for a
-    dense (theta, log r) run at two lam, "dense" at one, "shot" for a
-    theta-only angle shot."""
+    dense (theta, log r) run at two or more lam, "dense" at one, "shot"
+    for a theta-only angle shot."""
     kinds = []
 
     def shot(*args, **kwargs):
@@ -108,7 +108,7 @@ def solves(monkeypatch):
         return _scipy.dop853_end(*args, **kwargs)
 
     def dense(fun, t0, t1, y0, *args, **kwargs):
-        kinds.append("pass" if len(y0) == 4 else "dense")
+        kinds.append("pass" if len(y0) >= 4 else "dense")
         return _scipy.dop853_dense(fun, t0, t1, y0, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "dop853_end", shot)
@@ -361,18 +361,18 @@ class TestStackedPass:
         p = ModelParams(5, 1.0, 1.0)
         scales, polar_run = [], spectral._polar_run
 
-        def recording(lams, params, form, S):
-            scales.append(S)
-            return polar_run(lams, params, form, S)
+        def recording(lams, ss, params, form):
+            scales.append(ss[0])
+            return polar_run(lams, ss, params, form)
 
         monkeypatch.setattr(spectral, "_polar_run", recording)
         for idx in (1, 2):
-            lam, _, sol, w, _ = spectral._shoot_root(p, idx, "normal")
+            [(lam, _, sol, rows, w, _)] = spectral._shoot_root(p, (idx,), "normal")
             S = scales[-1]
-            assert 0 < w < 1
-            y = spectral._eigenfunction(sol, w, p, idx).values
-            ref = spectral._eigenfunction(spectral._polar_run([lam], p, "normal", S), 0.0,
-                                          p, idx).values
+            assert 0 < w < 1 and rows == [0, 1, 2, 3]
+            y = spectral._eigenfunction(sol, rows, w, p, idx).values
+            ref = spectral._eigenfunction(spectral._polar_run([lam], [S], p, "normal"), [0, 1],
+                                          0.0, p, idx).values
             assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_brent_continues_inside_the_pass(self, monkeypatch, solves):
@@ -442,23 +442,23 @@ class TestStackedPass:
 
     @pytest.mark.parametrize("branch", ["pass", "continued", "nan seed"])
     def test_one_result_shape(self, monkeypatch, branch):
-        # (lam, err, sol, w, residual) on every branch: w weighs the pass's
-        # upper end, and is 0 for the run at Brent's root, whose own angle
-        # gives the residual
+        # (lam, err, sol, rows, w, residual) on every branch: w weighs the
+        # pass's upper end, and is 0 for the run at Brent's root, whose own
+        # angle gives the residual
         if branch == "continued":
             monkeypatch.setattr(spectral, "_ACCEPT", 0.0)
         elif branch == "nan seed":
             monkeypatch.setattr(spectral, "_colloc_seed", lambda p, i: (math.nan, math.nan))
         p = ModelParams(5, 1.0, 1.0)
         for idx in (1, 2):
-            lam, err, sol, w, residual = spectral._shoot_root(p, idx, "normal")
+            [(lam, err, sol, rows, w, residual)] = spectral._shoot_root(p, (idx,), "normal")
             ref = COLLOCATION[(5, 1.0, 1.0)][idx - 1]
             assert abs(lam - ref) <= err <= 1e-11 * max(ref, math.pi**2)
             assert abs(residual) <= 1e-9
             if branch == "pass":
-                assert sol.y.shape[0] == 4 and 0 < w < 1
+                assert sol.y.shape[0] == 4 and rows == [0, 1, 2, 3] and 0 < w < 1
             else:
-                assert sol.y.shape[0] == 2 and w == 0.0
+                assert sol.y.shape[0] == 2 and rows == [0, 1] and w == 0.0
                 assert residual == float(sol.y[0, -1]) - 0.5 * idx * math.pi
 
     def test_nan_seed_takes_the_comparison_bracket(self, monkeypatch, solves):
@@ -471,6 +471,72 @@ class TestStackedPass:
         r = eigen_shoot((5, 1.0, 1.0), 2, form="direct")
         assert solves == ["pass", "shot"]
         assert abs(r.eigenvalue - COLLOCATION[(5, 1.0, 1.0)][1]) <= r.error_estimate
+
+    @pytest.fixture
+    def pass_rows(self, monkeypatch):
+        """The number of rows of each dense (theta, log r) run, in order."""
+        rows, dense = [], spectral.dop853_dense
+
+        def counting(fun, t0, t1, y0, *args, **kwargs):
+            rows.append(len(y0))
+            return dense(fun, t0, t1, y0, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "dop853_dense", counting)
+        return rows
+
+    def test_gap_makes_one_pass(self, solves, pass_rows):
+        # both narrow intervals share one run of 8 rows; each index keeps
+        # its own theta-only check shot
+        g = gap((5, 1.0, 1.0))
+        assert solves == ["pass", "shot", "shot"] and pass_rows == [8]
+        for r in (g.lambda1, g.lambda2):
+            ref = COLLOCATION[(5, 1.0, 1.0)][r.index - 1]
+            assert abs(r.eigenvalue - ref) <= r.error_estimate <= 1e-11 * max(ref, math.pi**2)
+
+    def test_shared_pass_eigenfunctions_match_runs_at_the_roots(self, monkeypatch):
+        p = ModelParams(5, 1.0, 1.0)
+        scales, polar_run = [], spectral._polar_run
+
+        def recording(lams, ss, params, form):
+            scales.append(ss)
+            return polar_run(lams, ss, params, form)
+
+        monkeypatch.setattr(spectral, "_polar_run", recording)
+        roots = spectral._shoot_root(p, (1, 2), "normal")
+        assert roots[0][2] is roots[1][2] and len(scales) == 1
+        assert [rows for _, _, _, rows, _, _ in roots] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        # each pair at its own index's S
+        assert scales[0][0] == scales[0][1] < scales[0][2] == scales[0][3]
+        for idx, (lam, _, sol, rows, w, _) in zip((1, 2), roots):
+            assert 0 < w < 1
+            y = spectral._eigenfunction(sol, rows, w, p, idx).values
+            run = polar_run([lam], [scales[0][rows[0] // 2]], p, "normal")
+            ref = spectral._eigenfunction(run, [0, 1], 0.0, p, idx).values
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_narrow_index(self, solves, pass_rows):
+        # at (4, 9.4139, 1) only index 1's seeded interval is narrow: the
+        # pass carries its two ends alone (its check then refines it, with a
+        # run at Brent's root), and index 2 goes straight to Brent
+        g = gap((4, 9.4139, 1.0))
+        assert solves[0] == "pass" and solves.count("pass") == 1
+        assert pass_rows == [4, 2, 2]
+        for r in (g.lambda1, g.lambda2):
+            assert abs(r.eigenvalue - eigen_shoot_mp((4, 9.4139, 1.0), r.index, dps=20)) \
+                <= r.error_estimate <= 1e-9 * max(r.eigenvalue, math.pi**2)
+
+    @pytest.mark.parametrize("triple", [
+        (5, 1.0, 1.0), (2, -9.5, 1.0), (8, 12.0, 0.5), (3, -8.0, 0.5), (4, 9.4139, 1.0),
+        (2, 9.86, 1.0), (4, 1.671925, 2.0),
+    ], ids=str)
+    def test_pair_agrees_with_each_index_alone(self, triple):
+        # the pair's run steps over 8 rows, so its roots differ from the
+        # one-index roots in the last bits, never by more than an estimate
+        g = gap(triple)
+        for r in (g.lambda1, g.lambda2):
+            alone = eigen_shoot(triple, r.index)
+            assert abs(r.eigenvalue - alone.eigenvalue) <= max(r.error_estimate,
+                                                               alone.error_estimate)
 
 
 class TestSeededRoot:
@@ -601,7 +667,7 @@ class TestSeededRoot:
         with pytest.raises(NonConvergenceError,
                            match=r"comparison bracket \[.*\] does not straddle the "
                                  r"index-2 angle target"):
-            spectral._shoot_root(ModelParams(5, 1.0, 1.0), 2, "normal")
+            spectral._shoot_root(ModelParams(5, 1.0, 1.0), (2,), "normal")
 
 
 class TestNearCap:
@@ -648,6 +714,19 @@ EDGES = {
 
 class TestEdges:
     """Every shot's eigenfunction comes from the half interval, so the edges return."""
+
+    def test_index_2_overflow_is_a_domain_error(self):
+        # (pi / D)^2 is a finite double at D = 3e-154 and (2 pi / D)^2 is
+        # not; each route and bound raised a bare OverflowError for index 2
+        p = ModelParams(5, 1.0, 3e-154)
+        message = "eigenvalue 2 exceeds the largest double at D = 3e-154"
+        for call in (lambda: eigen_shoot(p, 2), lambda: eigen_shoot(p, 2, form="direct"),
+                     lambda: eigen_shoot_mp(p, 2), lambda: eigen_fd(p, 2), lambda: gap(p),
+                     lambda: bounds.lambda_upper_rayleigh(p, 2),
+                     lambda: bounds.lambda_lower(p, 2), lambda: bounds.bound_report(p, 2)):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("triple,forms", [
         ((10, 9.8696, 1.0), ("normal", "direct")),
@@ -1004,7 +1083,7 @@ class TestHighPrecision:
         # the float root is -9.8e-12 and clamps to 0; the secant must still
         # step, from 0 and 1e-9 (pi / D)^2
         p = ModelParams(5, 9.8695, 1.0)
-        assert spectral._shoot_root(p, 1, "normal")[0] < 0
+        assert spectral._shoot_root(p, (1,), "normal")[0][0] < 0
         lam = eigen_shoot_mp(p, 1, dps=30)
         assert float(lam) == pytest.approx(2.88239971078067e-14, rel=1e-14)
         with mpmath.workdps(40):
