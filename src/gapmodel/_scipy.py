@@ -6,14 +6,16 @@ the stacked end-angle pass and Brent's shots behind pruefer's ``find_ck``.
 ``dop853_dense`` runs pruefer's Riccati branches, each stopped at its
 pole, pruefer's Robin profile, which runs to D/2 without an event and
 checks ``find_ck``'s root,
-spectral's (theta, log r) runs from -D/2 to 0, at one eigenvalue or
-stacked at the ends of one or two eigenvalues' intervals, and flow's
-equidistribution ODE behind ``build_grid``, stopped where the grid
-reaches z = 0, and forms their dense output from the Fortran's own stages.
+spectral's (theta, log r) runs from -D/2 to 0, stacked at the ends of
+one or two eigenvalues' intervals or at one or two of Brent's roots,
+and flow's equidistribution ODE behind ``build_grid``, stopped where the
+grid reaches z = 0, and forms their dense output from the Fortran's own
+stages.
 Every ODE gapmodel solves runs on DOP853 through these two.  Spectral's
-finite-difference route takes its coarse grid's eigenvalue from
-``tridiagonal_eigenvalue`` (``stebz``) and its fine grid's eigenpair from
-``tridiagonal_eigenpair`` (``stebz`` + ``stein``).
+finite-difference route takes its coarse grid's eigenvalues from
+``tridiagonal_eigenvalues`` (one ``stebz`` call) and its fine grid's
+eigenpairs from ``tridiagonal_eigenpairs`` (one ``stebz`` and one
+``stein`` call), one index or a range of them per grid.
 
 ``seeded_root`` finds the root of an increasing function from a
 collocation seed: a stacked two-end pass, a checked linear interpolation,
@@ -47,6 +49,7 @@ from .errors import NonConvergenceError
 # that exhausts the budget fails instead of stalling
 DOP853_MAX_STEPS = 100_000
 _PASS_WIDTH = 5e-6  # widest interval half-width, over the accuracy scale, given a stacked pass
+_LADDERS = 3.0  # seeded interval half-width in collocation ladders; see seeded_interval
 
 
 def _dop853(fun, t0, t1, y0, rtol, atol, solout=None):
@@ -230,32 +233,32 @@ def _dense_evaluator(ts, t_old, h, y_old, coeffs):
     return evaluate
 
 
-def tridiagonal_eigenpair(d, e, index, tol):
-    """index-th smallest eigenpair (1-based) of a symmetric tridiagonal matrix.
+def tridiagonal_eigenpairs(d, e, first, last, tol):
+    """The first-th to last-th smallest eigenpairs (1-based) of a symmetric
+    tridiagonal matrix.
 
     d is the diagonal and e the off-diagonal.  One ``eigh_tridiagonal``
-    call: LAPACK's ``stebz`` bisects on Sturm counts until the eigenvalue
+    call: LAPACK's ``stebz`` bisects on Sturm counts until each eigenvalue
     lies in an interval no wider than max(tol, 2 eps |lam|) and returns its
-    midpoint, and ``stein`` finds its unit eigenvector by inverse
-    iteration.  Returns (lam, v); a failure of either raises
+    midpoint, and one ``stein`` call finds their unit eigenvectors by
+    inverse iteration.  Returns (w, v), the eigenvalues in ascending order
+    and the eigenvectors in v's columns; a failure of either raises
     ``numpy.linalg.LinAlgError``.
     """
-    w, v = eigh_tridiagonal(
-        d, e, select="i", select_range=(index - 1, index - 1),
-        lapack_driver="stebz", tol=tol)
-    return float(w[0]), v[:, 0]
+    return eigh_tridiagonal(d, e, select="i", select_range=(first - 1, last - 1),
+                            lapack_driver="stebz", tol=tol)
 
 
-def tridiagonal_eigenvalue(d, e, index, tol):
-    """index-th smallest eigenvalue (1-based) of a symmetric tridiagonal matrix.
+def tridiagonal_eigenvalues(d, e, first, last, tol):
+    """The first-th to last-th smallest eigenvalues (1-based) of a symmetric
+    tridiagonal matrix.
 
-    The value ``tridiagonal_eigenpair`` returns, from the same ``stebz``
-    call through ``eigvalsh_tridiagonal``, without ``stein``'s eigenvector.
+    The values ``tridiagonal_eigenpairs`` returns, from the same ``stebz``
+    call through ``eigvalsh_tridiagonal``, without ``stein``'s eigenvectors.
     A failure raises ``numpy.linalg.LinAlgError``.
     """
-    w = eigvalsh_tridiagonal(d, e, select="i", select_range=(index - 1, index - 1),
-                             lapack_driver="stebz", tol=tol)
-    return float(w[0])
+    return eigvalsh_tridiagonal(d, e, select="i", select_range=(first - 1, last - 1),
+                                lapack_driver="stebz", tol=tol)
 
 
 def brent(f, lo, hi, **tol):
@@ -271,12 +274,34 @@ def seeded_interval(lo, hi, pad, seed, ladder, floor):
     """seeded_root's interval [a, b] in the padded bracket [lo, hi], and
     whether it is narrow enough for a stacked pass.
 
-    The interval is seed +- max(10 ladder, pad) if it lies strictly inside
-    the bracket, else the bracket; a NaN seed never does.  It is narrow
-    when its half-width is at most _PASS_WIDTH of max(|midpoint|, floor).
-    Returns (a, b, narrow).
+    The interval is seed +- max(_LADDERS ladder, pad), 3 ladders, if it
+    lies strictly inside the bracket, else the bracket; a NaN seed never
+    does.  It is narrow when its half-width is at most _PASS_WIDTH of
+    max(|midpoint|, floor).  Returns (a, b, narrow).
+
+    The ladder is the distance between the collocation values at N = 32
+    and N = 48.  Under spectral convergence it measures the N = 32 value's
+    error, so the N = 48 seed should lie well inside one ladder of the
+    root (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6-9).  Measured
+    against the shooting root:
+
+    - 492 eigenvalue seeds: eigen_sweep seeds 1-8, the 112 triples of the
+      near-cap map and the edge triples.  On the 69 where 3 ladders exceed
+      the pad, the seed is within 0.45 ladder of the root, at (2, 9.86, 1),
+      and on the 36 of them whose interval is narrow within 0.043 ladder,
+      with one exception: n = 2 at the cap, (2, 9.8696, 1) and (2,
+      39.4784, 0.5), at 3.8 and 3.9 ladders, where the pole layer is
+      thinner than the collocation grid resolves.  Their intervals are
+      wide and miss the root, so Brent goes to the bracket, with 2 to 3
+      more shots per gap than from 10 ladders.
+    - find_ck's 126 constants, 108 of them with a seed: on the 28 where 3
+      ladders exceed the pad, the seed is within 0.38 ladder of the root,
+      at k = 1e3, K D^2 = 9.8, D = 1.
+
+    A seed outside its interval costs Brent's shots, never the answer: the
+    pass must straddle the root, or Brent runs on the bracket.
     """
-    a, b, delta = lo, hi, max(10.0 * ladder, pad)
+    a, b, delta = lo, hi, max(_LADDERS * ladder, pad)
     if lo < seed - delta and seed + delta < hi:  # False for a NaN seed
         a, b = seed - delta, seed + delta
     return a, b, (b - a) / 2 <= _PASS_WIDTH * max(abs(a + b) / 2, floor)

@@ -123,8 +123,7 @@ def _eigen_row(n, K, D, method):
 
     params = ModelParams(n, K, D)
     if method == "fd":
-        r1 = spectral.eigen_fd(params, 1)
-        r2 = spectral.eigen_fd(params, 2)
+        r1, r2 = spectral._fd(params, (1, 2))
     else:
         res = spectral.gap(params)
         r1, r2 = res.lambda1, res.lambda2

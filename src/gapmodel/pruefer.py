@@ -347,7 +347,7 @@ def find_ck(k, params):
 
     The root comes from _scipy.seeded_root, which spectral's eigenvalues
     share, on g(c) = target - q(D/2; c), increasing: the interval is the
-    seed +- max(10 ladder, pad) inside the padded bracket, else the
+    seed +- max(3 ladder, pad) inside the padded bracket, else the
     bracket; a half-width at most _PASS_WIDTH = 5e-6 of max(|midpoint|,
     (pi/D)^2) gets a stacked pass, a linear interpolation c* and a check,
     accepted when (2 |r| + noise) / |slope| is at most the accept
@@ -368,16 +368,20 @@ def find_ck(k, params):
       the profile.
 
     On 126 constants, k in {0.5, 1, 10, 1e2, 1e3, 1e4}, K D^2 in {-8, -4,
-    -1, 0, 2, 8, 9.8} and D in {0.5, 1, 2}, 103 take the pass's one shot
-    and one dense run.  13 at K D^2 = 9.8, k <= 100 at every D and k = 1e3
-    at D = 0.5, have a seed ladder too wide for a pass and go straight to
-    Brent with 7 to 16 shots and one dense run.  The other 10, at K D^2 =
-    8 with k <= 1 (and k = 10 at D = 0.5), and at K D^2 = 9.8 with k = 1e3
-    at D = 1 and 2 and k = 1e4 at D = 0.5, refine after the pass with 4
-    to 6 end-angle runs and a second dense run (Brent alone took 3 to 22
-    shots, median 8).  Against the 50-digit flat relation (K
-    = 0, D = 1) the relative error is 3.6e-14 at k = 10, 6.9e-13 at k =
-    1e2, 8.1e-12 at k = 1e3 and 8.3e-11 at k = 1e4, about 8e-15 k, the
+    -1, 0, 2, 8, 9.8} and D in {0.5, 1, 2}, 107 take the pass's one shot
+    and one dense run.  12 at K D^2 = 9.8, k <= 100 at every D, have a
+    seed ladder too wide for a pass and go straight to Brent with 7 to 16
+    shots and one dense run.  The other 7, at K D^2 = 8 with k <= 1 and
+    at K D^2 = 9.8 with k = 1e3 at D = 0.5, refine after the pass with 4
+    end-angle runs and a second dense run (Brent alone took 3 to 22
+    shots, median 8).  All 126 make 405 runs and 401,963 right-hand-side
+    points; with an interval of 10 ladders they made 437 and 448,169:
+    4 more constants were refined then, and k = 1e3 at K D^2 = 9.8, D =
+    0.5, went straight to Brent.  From the narrower interval Brent takes
+    2 to 3 more shots for k = 1 at K D^2 = 9.8 and 0 to 5 fewer for the
+    other 9 constants it starts on.  Against the 50-digit flat relation
+    (K = 0, D = 1) the relative error is 3.6e-14 at k = 10, 6.9e-13 at
+    k = 1e2, 8.1e-12 at k = 1e3 and 8.3e-11 at k = 1e4, about 8e-15 k, the
     same as Brent's; at K = 2, D = 1 it is 3.7e-15 to 8.2e-11 over k = 10
     to 1e4 against the Poschl-Teller closed form.  BracketError means the
     padded bracket does not straddle the root, or the end-angle defect at

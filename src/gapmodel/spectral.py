@@ -49,8 +49,9 @@ angle shot at the root, and Brent's method runs on angle shots, after
 which a (theta, log r) run at its root gives the eigenfunction.  gap()
 solves both indices in one call: a single run makes the pass of every
 narrow interval, lambda1's and lambda2's ends together, each pair with
-its own index's S, and each index reads its own rows; eigen_shoot is
-the one-index case of the same code.  The comparison bracket is
+its own index's S, and each index reads its own rows; where both
+indices end on Brent's branch, a single run at both roots gives both
+eigenfunctions.  eigen_shoot is the one-index case of the same code.  The comparison bracket is
 Rayleigh-Sturm: cs^2 is monotone on [0, D/2], so V takes its extremes
 at z = 0 and z = D/2, and min-max puts the index-th eigenvalue within
 [min V, max V] + (index pi/D)^2 (Sturm comparison).  Min-max on each parity class also bounds it
@@ -64,9 +65,10 @@ root on every branch.
 The cross-check route discretizes the same operator with second-order
 central differences on N and 2N cells and Richardson-extrapolates the
 eigenvalue across the doubling.  LAPACK's Sturm bisection (stebz) gives
-each grid's eigenvalue (_scipy.tridiagonal_eigenvalue on N cells), and on
-2N cells one call (_scipy.tridiagonal_eigenpair) adds inverse iteration
-(stein) for the eigenvector.
+each grid's eigenvalues, one call per grid for one index or both
+(_scipy.tridiagonal_eigenvalues on N cells), and on 2N cells the call
+(_scipy.tridiagonal_eigenpairs) adds one inverse iteration call (stein)
+for the eigenvectors.
 The two routes share no integration machinery, which is the point: their
 agreement is evidence, not tautology.
 
@@ -89,8 +91,8 @@ from ._scipy import (
     dop853_end,
     seeded_interval,
     seeded_root,
-    tridiagonal_eigenpair,
-    tridiagonal_eigenvalue,
+    tridiagonal_eigenpairs,
+    tridiagonal_eigenvalues,
 )
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError, as_integer
@@ -316,7 +318,7 @@ def eigen_shoot(params, index, form="normal"):
 
     The root comes from _scipy.seeded_root, which find_ck's Robin
     constants share: the interval [a, b] is the collocation seed +- delta,
-    delta = max(10 |lam_48 - lam_32|, pad), inside the padded bracket, else
+    delta = max(3 |lam_48 - lam_32|, pad), inside the padded bracket, else
     the bracket, which constant V ((n - 1)(n - 3) K = 0, no seed) makes 2
     pad wide around the closed form; a half-width at most _PASS_WIDTH = 5e-6
     of the accuracy scale gets a stacked pass, a linear interpolation lam*
@@ -342,38 +344,46 @@ def eigen_shoot(params, index, form="normal"):
       rows, each pair at its own index's S; each index's check shot,
       accept rule, Brent fallback and parity and node checks stay its
       own.  The run's step control spans all its rows, so the pair's
-      roots differ from this function's in the last bits: on 312
-      eigenvalues (eigen_sweep seeds 1-8 and the tested triples) by at
-      most 0.054 of the estimate, and its estimates bound the error
-      against the closed forms as below.  This function is the
-      one-index case, bit for bit the same as before the pass was shared.
+      roots differ from this function's in the last bits: on 300
+      eigenvalues (eigen_sweep seeds 1-8 and the tested triples) 258
+      differ, by at most 0.054 of the estimate, and the pair's estimates
+      bound the error against the closed forms as below.  This function
+      is the one-index case, bit for bit the same as before the pass was
+      shared.
     - Brent's shots are theta-only angle shots at _ODE_TOL, and so is
       every value in the dict that _shoot_error reads: one angle of the
       tighter pass among them reads as a fall and inflates the estimate
       about 1e5-fold.  It stops at 1e-14 max(|lam|, (pi / D)^2), and a
       (theta, log r) run at its root gives the eigenfunction and the angle
-      there under the tighter tolerance.
-    - The pass width.  On a sweep of 542 calls (every shooting call of the
-      benchmark's eigen_sweep seeds 1-8, the near-cap map of
-      sweeps/eigen_near_cap.py and the edge and test triples), with every
-      seed inside the bracket given a pass: 307 were accepted, all with
-      delta at most 4.7e-6 of the accuracy scale, and 193 were refined,
-      all but 6 distinct calls with delta above 5e-6.  The 6 are (4,
+      there under the tighter tolerance.  Where both of gap()'s indices
+      end on Brent's branch, one run at both roots does this for both:
+      the roots are Brent's, bit for bit those of this function, and the
+      run's angles, and so the estimates, move in the last digits (by
+      up to a factor 2 on the near-cap map, where 74 of 112 gaps save a
+      run this way).
+    - The pass width.  On a sweep of 508 calls (both indices of every
+      shooting triple of the benchmark's eigen_sweep seeds 1-8, of the
+      near-cap map of sweeps/eigen_near_cap.py and of the edge and test
+      triples), with every seed inside the bracket given a pass: 321 were
+      accepted, all with delta at most 4.2e-6 of the accuracy scale, and
+      160 were refined, all but 7 with delta above 5e-6.  The 7 are (4,
       1.671925, 2) index 2, where the check shot reads 9e-12 below the pass
-      (delta 2.7e-9), and index 1 of (8, 9, 1), (10, 9, 1), (7, 9.4, D) at
-      D = 1 and 0.5, and (4, 9.4139, 1) (1.6e-6 to 5.0e-6).  Near the cap a
-      wide pass's root is off by far more than the accept rule allows: 2e-6
-      at (4, 9.86, 1), index 2.
+      (delta 2.7e-9), index 2 of (4, 9.6, 1) and (4, 38.4, 0.5) (4.6e-6),
+      and index 1 of (7, 9.4, D) at D = 1 and 0.5 (4.0e-6), (8, 9, 1)
+      (1.6e-6) and (10, 9, 1) (2.9e-6).  Near the cap a wide pass's root
+      is off by far more than the accept rule allows: by 5.3e-8 of the
+      scale at (4, 9.86, 1), index 2.
 
     On Brent's branches error_estimate is the width of the final
     sign-change bracket plus the ODE noise in theta(0) divided by the
     measured slope d theta(0) / d lam; the noise is measured by the run
     at the root and by any fall of the angle between Brent's shots.  On
     the stacked pass it is the accept rule's estimate.  Against the closed
-    forms of eigen_shoot_mp at 25 digits, over 318 eigenvalues (the sweep
+    forms of eigen_shoot_mp at 25 digits, over 300 eigenvalues (the sweep
     above without the near-cap map), the error is at most 0.72 of the
-    estimate on the 253 accepted seeded passes (median 0.005) and 0.96 on
-    Brent's branches, at (10, 9.8696, 1), index 2; over the tested grid,
+    estimate on the 264 accepted seeded passes (median 0.005) and 0.96 on
+    Brent's branches, at (10, 9.8696, 1), index 2; gap()'s are at most
+    0.85 of its estimates, at the same eigenvalue; over the tested grid,
     near the cap, at small D and at (10, 9.8696, 1), (8, -400, 1), (6,
     -400, 1) and (1000, 1, 1), it bounds the error and stays below 1e-9
     max(|lam|, (pi / D)^2), with one measured exception: n = 2 at the
@@ -439,16 +449,18 @@ def _shoot_root(params, indices, form):
     stacked pass of every narrow interval: (theta, log r) at both of its
     ends, each pair scaled by its own index's S, four rows per interval in
     the order of indices.  Each index's seeded_root then reads its ends
-    from that run, and makes its own check shot, and Brent's shots and a
-    run at Brent's root where it needs them.
+    from that run, and makes its own check shot, and Brent's shots where
+    it needs them.  Last, one _polar_run at every root Brent found, two
+    rows per root in the order of indices, gives their eigenfunctions and
+    their angles under the tighter tolerance.
 
     Returns one (lam, err, sol, rows, w, r) per index: the root, its error
     estimate, a dense (theta, log r) run and the index's rows in it, the
     weight of the rows' last lam in lam, and theta(0) - index pi / 2 at
     lam.  For an accepted stacked pass, sol is the pass, rows the index's
     four, w the weight of the interval's upper end and r the check shot's;
-    at Brent's root, sol is a run at lam alone, rows [0, 1], w = 0 and r
-    that run's.  See eigen_shoot.
+    at Brent's root, sol is the run at Brent's roots, rows the index's
+    two, w = 0 and r that run's.  See eigen_shoot.
     """
     # cs^2 is monotone on [0, D/2], so V takes its extremes at z = 0 and D/2;
     # lam > 0 because the direct form's quadratic form is int phi'^2 cs^(n-1),
@@ -499,12 +511,21 @@ def _shoot_root(params, indices, form):
                 f"index-{index} angle target"))
         if passed:
             err, w, r, sol, _ = passed
-            return lam, err, sol, rows, w, r
-        sol = _polar_run([lam], [S], params, form)
-        r = float(sol.y[0, -1]) - target
-        return lam, _shoot_error(lam, evals, r), sol, [0, 1], 0.0, r
+            return lam, S, evals, (lam, err, sol, rows, w, r)
+        return lam, S, evals, None
 
-    return [root(*solve) for solve in solves]
+    roots = [root(*solve) for solve in solves]
+    # one run at every Brent root, each V(z) serving every pair as in the pass
+    at_roots = [(lam, S) for lam, S, _, passed in roots if not passed]
+    at_run = _polar_run(*zip(*at_roots), params, form) if at_roots else None
+    results, row = [], 0
+    for index, (lam, _, evals, passed) in zip(indices, roots):
+        if not passed:
+            r = float(at_run.y[row, -1]) - 0.5 * index * math.pi
+            passed = lam, _shoot_error(lam, evals, r), at_run, [row, row + 1], 0.0, r
+            row += 2
+        results.append(passed)
+    return results
 
 
 def _colloc_seed(params, index):
@@ -562,7 +583,13 @@ def eigen_fd(params, index, grid_size=1024):
     eigenvalue comes from one stebz call, the doubled grid's eigenpair from
     one stebz + stein call; the eigenfunction is the doubled grid's vector
     with its zero end values, sup-normalized and positive next to -D/2.  A
-    LAPACK failure raises NonConvergenceError.
+    LAPACK failure raises NonConvergenceError.  The command line's fd row
+    takes both indices from the same two calls (_fd(params, (1, 2))):
+    stebz bisects for both eigenvalues at once and stein finds both
+    vectors.  On the 14 values of the golden FD triples, 10 of the pair's
+    are this function's bits and 4 differ by at most 1.1e-15 relative.
+    This function is the one-index case of the same code, bit for bit
+    the same as with one index per call.
 
     At the edges of the box this route is the coarse cross-check, not a
     reference.  Measured at D = 1 with the default grid, both indices,
@@ -589,6 +616,13 @@ def eigen_fd(params, index, grid_size=1024):
     """
     params = validate(params)
     index = _check_index(index)
+    return _fd(params, (index,), grid_size)[0]
+
+
+def _fd(params, indices, grid_size=1024):
+    """The finite-difference EigenResult of each of indices, consecutive and
+    ascending: one stebz call on the coarse grid and one stebz + stein call
+    on the doubled grid serve them all (see eigen_fd)."""
     grid_size = as_integer(grid_size, 64, "grid_size must be a power of two >= 64")
     if grid_size & (grid_size - 1) != 0:
         raise DomainError(f"grid_size must be a power of two >= 64, got {grid_size}")
@@ -601,26 +635,31 @@ def eigen_fd(params, index, grid_size=1024):
                 f"that distance"
             )
     # both grids in units of 4^k, 2^k the power of two nearest the coarse
-    # h; stebz stops once the eigenvalue lies in an interval no wider than
+    # h; stebz stops once each eigenvalue lies in an interval no wider than
     # max(tol, 2 eps |lam|) <= 1e-14 max(1, |lam|) in the unscaled units
     k = round(math.log2(params.D / grid_size))
     tol = math.ldexp(1e-14, 2 * k)
+    first, last = indices[0], indices[-1]
     try:
-        lam_n = tridiagonal_eigenvalue(*_fd_matrix(params, grid_size, k), index, tol=tol)
-        lam_2n, v = tridiagonal_eigenpair(*_fd_matrix(params, 2 * grid_size, k), index,
-                                          tol=tol)
+        lams_n = tridiagonal_eigenvalues(*_fd_matrix(params, grid_size, k), first, last, tol)
+        lams_2n, vs = tridiagonal_eigenpairs(*_fd_matrix(params, 2 * grid_size, k), first, last,
+                                             tol)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
     z = np.linspace(-params.half, params.half, 2 * grid_size + 1)
-    gf = GridFunction(z=z, values=np.concatenate([[0.0], v, [0.0]]))
-    try:
-        lam = math.ldexp((4.0 * lam_2n - lam_n) / 3.0, -2 * k)
-        err = math.ldexp(abs(lam_2n - lam_n) / 3.0, -2 * k)
-    except OverflowError:
-        raise DomainError(f"eigenvalue {index} exceeds the largest double "
-                          f"at D = {params.D:g}") from None
-    sym = np.max(np.abs(v - (-1.0) ** (index - 1) * v[::-1])) / np.max(np.abs(v))
-    return _eigen_result(lam, err, gf, index, "finite-difference", "normal", float(sym))
+    results = []
+    for index, lam_n, lam_2n, v in zip(indices, lams_n.tolist(), lams_2n.tolist(), vs.T):
+        gf = GridFunction(z=z, values=np.concatenate([[0.0], v, [0.0]]))
+        try:
+            lam = math.ldexp((4.0 * lam_2n - lam_n) / 3.0, -2 * k)
+            err = math.ldexp(abs(lam_2n - lam_n) / 3.0, -2 * k)
+        except OverflowError:
+            raise DomainError(f"eigenvalue {index} exceeds the largest double "
+                              f"at D = {params.D:g}") from None
+        sym = np.max(np.abs(v - (-1.0) ** (index - 1) * v[::-1])) / np.max(np.abs(v))
+        results.append(_eigen_result(lam, err, gf, index, "finite-difference", "normal",
+                                     float(sym)))
+    return results
 
 
 @dataclass(frozen=True)

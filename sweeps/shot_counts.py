@@ -10,7 +10,7 @@ wrappers below see every run:
 spectral.dop853_end (angle shots: the check shot of a stacked pass, and
 Brent's shots), spectral.dop853_dense (eigenfunction runs: one stacked
 (theta, log r) pass per gap, at the two ends of the narrow intervals of
-lambda1 and lambda2 together, and a run at each of Brent's roots),
+lambda1 and lambda2 together, and one run at the gap's Brent roots),
 pruefer.dop853_end (find_ck's end-angle shots: one stacked
 (q, log r) pass at the two ends of a narrow seeded or flat interval, and
 Brent's shots after a rejected or failed pass or from a wide interval),
@@ -18,7 +18,10 @@ pruefer.dop853_dense (Riccati branches, and the Robin profile: the run at
 find_ck's root that checks it and is kept with it, so the eigenfunction,
 the boundary report and the flow's stationary reference read it without
 a run), flow.dop853_dense (the grid ODE) and pruefer.solve_ivp: calls and
-right-hand-side evaluations (nfev).  For a dense run (eigenfunction_rhs,
+right-hand-side evaluations (nfev).  brent_solves counts the calls of
+_scipy.brent, the Brent's method of the seeded root path: one per
+eigenvalue or Robin constant that leaves the stacked pass or never gets
+one (flat_ck's own Brent is not among them).  For a dense run (eigenfunction_rhs,
 dense_rhs, grid_rhs) that is the compiled stepper's calls plus the three
 stages per step that dop853_dense adds for the dense output; the stepper's
 own stage values are reused, not counted twice.  The flow's work is
@@ -46,7 +49,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from gapmodel import cli, flow, pruefer, spectral
+from gapmodel import _scipy, cli, flow, pruefer, spectral
 
 ROOT = Path(__file__).resolve().parents[1]
 # perfbench's operation lists, loaded from its file as they stand
@@ -67,6 +70,7 @@ COUNTED = ((spectral, "dop853_end", "angle_shots", "angle_rhs", _nfev),
            (pruefer, "dop853_dense", "dense_runs", "dense_rhs", _nfev),
            (flow, "dop853_dense", "grid_runs", "grid_rhs", _nfev),
            (pruefer, "solve_ivp", "ivp_solves", "ivp_rhs", _nfev),
+           (_scipy, "brent", "brent_solves", None, None),
            (flow._Workspace, "step", "flow_steps", None, None),
            (flow, "solve_banded", "band_solves", None, None),
            (flow, "build_grid", "grids", "grid_nodes", len))

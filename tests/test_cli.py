@@ -693,13 +693,14 @@ class TestStartUp:
         assert got.success and np.array_equal(got.y, end)
 
         d, e = np.array([2.0, 3.0, 4.0, 5.0]), np.array([-1.0, -1.0, -1.0])
-        for index in (1, 2):
-            lam, v = spectral.tridiagonal_eigenpair(d, e, index, tol=1e-14)
+        for first, last in ((1, 1), (2, 2), (1, 2)):
+            lams, v = spectral.tridiagonal_eigenpairs(d, e, first, last, tol=1e-14)
             w, vs = eigh_tridiagonal(
-                d, e, select="i", select_range=(index - 1, index - 1),
+                d, e, select="i", select_range=(first - 1, last - 1),
                 lapack_driver="stebz", tol=1e-14)
-            assert lam == w[0] and np.array_equal(v, vs[:, 0])
-            assert spectral.tridiagonal_eigenvalue(d, e, index, tol=1e-14) == lam
+            assert np.array_equal(lams, w) and np.array_equal(v, vs)
+            assert np.array_equal(spectral.tridiagonal_eigenvalues(d, e, first, last, tol=1e-14),
+                                  lams)
 
 
 _BLOWUP_SCRIPT = """

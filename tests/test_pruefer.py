@@ -177,7 +177,8 @@ class TestRobinConstantSolve:
 
     @pytest.mark.parametrize("k,K,D", [(10.0, 9.8, 1.0), (1.0, -400.0, 1.0)])
     def test_wide_seed_goes_straight_to_brent(self, k, K, D, monkeypatch, ode_calls):
-        # the seed's ladder is wider than _PASS_WIDTH allows a pass: Brent
+        # the seed's ladder is wider than _PASS_WIDTH allows a pass, also at
+        # 3 ladders (8.7e-3 and 8.9e-3 of the scale): Brent
         # starts on the seeded interval, and only its root's run is dense
         sizes, end_angles = [], pruefer._end_angles
 
@@ -217,8 +218,22 @@ class TestRobinConstantSolve:
         below = min(c_flat, c_flat * pruefer.cs(D / 2, K) ** 2)
         seed, ladder = pruefer._colloc_seed(k, K, D, below)
         c = find_ck(k, ModelParams(n, K, D))
-        assert abs(seed - c) < max(10.0 * ladder, 1e-9 * (math.pi / D) ** 2)
+        assert abs(seed - c) < max(_scipy._LADDERS * ladder, 1e-9 * (math.pi / D) ** 2)
         assert ladder < 1e-9 * abs(c)
+
+    # K D^2 = 9.8, where 3 ladders exceed the pad and so set the seeded
+    # interval; measured: 0.38 ladder at k = 1e3, D = 1, the largest on
+    # find_ck's 126-constant grid, where that interval is narrow
+    @pytest.mark.parametrize("k,D", [(1e3, 1.0), (100.0, 1.0), (10.0, 2.0), (1.0, 0.5),
+                                     (1e4, 0.5)])
+    def test_collocation_seed_within_three_ladders_near_the_cap(self, k, D):
+        K = 9.8 / D**2
+        c_flat = pruefer.flat_ck(k, D)
+        lo, hi = sorted((c_flat, c_flat * pruefer.cs(D / 2, K) ** 2))
+        pad = 1e-9 * max(abs(lo), abs(hi), (math.pi / D) ** 2)
+        seed, ladder = pruefer._colloc_seed(k, K, D, lo - pad)
+        assert _scipy._LADDERS * ladder > pad
+        assert abs(seed - find_ck(k, ModelParams(5, K, D))) <= 3 * ladder
 
     @pytest.mark.parametrize("n,K,D,k", [(2, 0.5, 1.0, 10.0), (5, 1.0, 1.0, 60.0)])
     def test_boundary_report_adds_one_solve(self, n, K, D, k, ode_calls):

@@ -17,8 +17,8 @@ _spec.loader.exec_module(shot_counts)
 # seed 1's nonzero totals, pinned: a change that moves any of them changes
 # the ODE work, and names the new figures where it is recorded, as a change
 # to a golden file does
-EIGEN_SWEEP_SEED_1 = {"ops": 21, "angle_shots": 49, "angle_rhs": 17187,
-                      "eigenfunction_runs": 21, "eigenfunction_rhs": 9823}
+EIGEN_SWEEP_SEED_1 = {"ops": 21, "angle_shots": 41, "angle_rhs": 12839,
+                      "eigenfunction_runs": 20, "eigenfunction_rhs": 8985, "brent_solves": 1}
 ROBIN_FLOW_SEED_1 = {"ops": 26, "ck_shots": 30, "ck_rhs": 13022, "dense_runs": 78,
                      "dense_rhs": 45657, "grid_runs": 18, "grid_rhs": 13153,
                      "flow_steps": 168, "band_solves": 168, "grids": 18,
@@ -36,8 +36,10 @@ def test_counts_repeat_exactly():
     assert _nonzero(total) == EIGEN_SWEEP_SEED_1
     assert total["ops"] == sum(c["ops"] for c in first["by_kind"].values()) > 0
     assert total["angle_shots"] > 0 and total["eigenfunction_runs"] > 0
-    # the finite-difference route makes no ODE shot
+    # the finite-difference route makes no ODE shot, and every near-cap
+    # eigenvalue is accepted on the shared pass
     assert first["by_kind"]["fd"]["angle_shots"] == 0
+    assert first["by_kind"]["near_cap"]["brent_solves"] == 0
 
 
 def test_robin_counts_repeat_exactly():

@@ -311,8 +311,27 @@ class TestCollocationSeed:
                 ref = eigen_shoot(triple, idx).eigenvalue
             seed, ladder = spectral._colloc_seed(ModelParams(*triple), idx)
             # the half-width _shoot_root uses, with a scale no larger
-            delta = max(10.0 * ladder, 1e-9 * max(abs(ref), (math.pi / D) ** 2))
+            delta = max(_scipy._LADDERS * ladder, 1e-9 * max(abs(ref), (math.pi / D) ** 2))
             assert abs(seed - ref) <= delta
+
+    # near the cap, where 3 ladders exceed the pad and so set the seeded
+    # interval; measured: 0.44 ladder at (2, 9.86, 1), 0.14 at (2, 9.8, 1),
+    # 0.04 at (4, 9.6, 1) and 0.01-0.02 in the benchmark's band around
+    # (4, 9.4, 1), where the interval is narrow
+    @pytest.mark.parametrize("triple", [
+        (2, 9.86, 1.0), (2, 9.8, 1.0), (4, 9.6, 1.0), (4, 9.37, 1.0), (4, 9.43, 1.0),
+    ], ids=str)
+    def test_seed_within_three_ladders_near_the_cap(self, triple):
+        p = ModelParams(*triple)
+        floor = (math.pi / p.D) ** 2
+        v_mid, v_end = spectral.potential(0.0, p), spectral.potential(p.half, p)
+        for idx in (1, 2):
+            _, _, pad, _ = spectral._comparison_bracket(p, idx, v_mid, v_end, floor)
+            seed, ladder = spectral._colloc_seed(p, idx)
+            assert _scipy._LADDERS * ladder > pad
+            ref = COLLOCATION[triple][idx - 1] if triple in COLLOCATION else \
+                float(eigen_shoot_mp(triple, idx, dps=20))
+            assert abs(seed - ref) <= 3 * ladder
 
     def test_failed_eigensolve_gives_nan(self, monkeypatch):
         def failing(a):
@@ -411,17 +430,18 @@ class TestStackedPass:
         assert abs(r.eigenvalue - ref) <= r.error_estimate <= 1e-9 * r.eigenvalue
 
     def test_wide_seed_goes_straight_to_brent(self, monkeypatch, solves):
-        # (4, 9.42, 1) is the benchmark's near-cap slot: its seeds are wider
-        # than _PASS_WIDTH, and so is a seed whose ladder is widened
+        # at (4, 9.84, 1) both seeded intervals are wider than _PASS_WIDTH
+        # (1.4e-4 and 3.4e-5 of the scale), and so is a seed whose ladder
+        # is widened
         for idx in (1, 2):
             solves.clear()
-            eigen_shoot((4, 9.42, 1.0), idx)
+            eigen_shoot((4, 9.84, 1.0), idx)
             assert "pass" not in solves and solves[-1] == "dense"
         real = spectral._colloc_seed
 
         def wide(p, i):
             seed, _ = real(p, i)
-            return seed, 1e-6 * seed
+            return seed, 1e-5 * seed
 
         monkeypatch.setattr(spectral, "_colloc_seed", wide)
         solves.clear()
@@ -515,15 +535,45 @@ class TestStackedPass:
             assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_one_narrow_index(self, solves, pass_rows):
-        # at (4, 9.4139, 1) only index 1's seeded interval is narrow: the
-        # pass carries its two ends alone (its check then refines it, with a
-        # run at Brent's root), and index 2 goes straight to Brent
-        g = gap((4, 9.4139, 1.0))
+        # at (8, 9.4, 1) only index 2's seeded interval is narrow: the pass
+        # carries its two ends alone and its check accepts it, and index 1
+        # (half-width 5.8e-6 of the scale) goes straight to Brent, with a
+        # run at Brent's root
+        g = gap((8, 9.4, 1.0))
         assert solves[0] == "pass" and solves.count("pass") == 1
-        assert pass_rows == [4, 2, 2]
+        assert pass_rows == [4, 2]
         for r in (g.lambda1, g.lambda2):
-            assert abs(r.eigenvalue - eigen_shoot_mp((4, 9.4139, 1.0), r.index, dps=20)) \
+            assert abs(r.eigenvalue - eigen_shoot_mp((8, 9.4, 1.0), r.index, dps=20)) \
                 <= r.error_estimate <= 1e-9 * max(r.eigenvalue, math.pi**2)
+
+    @pytest.mark.parametrize("kappa", [9.37, 9.4, 9.43])
+    def test_near_cap_band_takes_the_pass(self, solves, pass_rows, kappa):
+        # the benchmark's near-cap slot (4, 9.4 +- 0.03, 1): at both edges
+        # and the centre both seeded intervals are narrow, and one 8-row run
+        # and two check shots accept both eigenvalues
+        g = gap((4, kappa, 1.0))
+        assert solves == ["pass", "shot", "shot"] and pass_rows == [8]
+        for r in (g.lambda1, g.lambda2):
+            ref = eigen_shoot_mp((4, kappa, 1.0), r.index, dps=20)
+            assert abs(r.eigenvalue - ref) <= r.error_estimate <= 1e-9 * max(r.eigenvalue,
+                                                                              math.pi**2)
+
+    def test_brent_roots_share_one_run(self, pass_rows):
+        # at (2, 9.86, 1) both seeded intervals are wide: Brent finds each
+        # root with the angle shots eigen_shoot makes alone, to the same
+        # bits, and one run at both roots gives both eigenfunctions
+        p = ModelParams(2, 9.86, 1.0)
+        g = gap(p)
+        assert pass_rows == [4]
+        roots = spectral._shoot_root(p, (1, 2), "normal")
+        assert roots[0][2] is roots[1][2]
+        assert [rows for _, _, _, rows, _, _ in roots] == [[0, 1], [2, 3]]
+        for r in (g.lambda1, g.lambda2):
+            alone = eigen_shoot(p, r.index)
+            assert r.eigenvalue == alone.eigenvalue
+            assert abs(r.eigenvalue - COLLOCATION[(2, 9.86, 1.0)][r.index - 1]) \
+                <= r.error_estimate <= 1e-9 * max(r.eigenvalue, math.pi**2)
+            assert np.max(np.abs(r.eigenfunction.values - alone.eigenfunction.values)) <= 1e-12
 
     @pytest.mark.parametrize("triple", [
         (5, 1.0, 1.0), (2, -9.5, 1.0), (8, 12.0, 0.5), (3, -8.0, 0.5), (4, 9.4139, 1.0),
@@ -607,9 +657,9 @@ class TestSeededRoot:
         assert log["shot"][0] == (b if side == "upper" else a)
 
     def test_wide_interval_goes_straight_to_brent(self, path):
-        # half-width 1e-3, over _PASS_WIDTH = 5e-6 of the scale 2
+        # half-width 3 ladders, 1e-3, over _PASS_WIDTH = 5e-6 of the scale 2
         solve, log = path
-        x, _, passed = solve(lambda x: x - self.ROOT, self.ROOT, 1e-4)
+        x, _, passed = solve(lambda x: x - self.ROOT, self.ROOT, 1e-3 / 3)
         assert passed is None and x == self.ROOT and "pass" not in log
         assert log["brent"] == [(self.ROOT - 1e-3, self.ROOT + 1e-3)]
 
@@ -871,18 +921,22 @@ class TestCompiledSolvers:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("stebz failed")
 
-        monkeypatch.setattr(spectral, "tridiagonal_eigenpair", failing)
+        monkeypatch.setattr(spectral, "tridiagonal_eigenpairs", failing)
         with pytest.raises(NonConvergenceError, match="stebz failed"):
             eigen_fd((6, -4.0, 1.0), 1)
+        with pytest.raises(NonConvergenceError, match="stebz failed"):
+            spectral._fd(ModelParams(6, -4.0, 1.0), (1, 2))
 
     def test_failed_coarse_stebz_is_reported(self, monkeypatch):
-        # the coarse grid takes its eigenvalue alone
+        # the coarse grid takes its eigenvalues alone
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("stebz failed")
 
-        monkeypatch.setattr(spectral, "tridiagonal_eigenvalue", failing)
+        monkeypatch.setattr(spectral, "tridiagonal_eigenvalues", failing)
         with pytest.raises(NonConvergenceError, match="stebz failed"):
             eigen_fd((6, -4.0, 1.0), 1)
+        with pytest.raises(NonConvergenceError, match="stebz failed"):
+            spectral._fd(ModelParams(6, -4.0, 1.0), (1, 2))
 
 
 class TestFiniteDifference:
@@ -922,10 +976,25 @@ class TestFiniteDifference:
         def no_solve(*args, **kwargs):
             raise AssertionError("grid solved")
 
-        monkeypatch.setattr(spectral, "tridiagonal_eigenvalue", no_solve)
+        monkeypatch.setattr(spectral, "tridiagonal_eigenvalues", no_solve)
         for idx in (1, 2):
             with pytest.raises(NonConvergenceError, match="cannot resolve the n = 2 pole"):
                 eigen_fd(triple, idx)
+
+    @pytest.mark.parametrize("triple", [
+        (4, 0.5, 1.0), (2, -20.0, 1.0), (2, 9.0, 1.0), (5, -20.0, 1.0), (5, 9.0, 1.0),
+        (8, -20.0, 1.0), (8, 9.0, 1.0),
+    ], ids=str)
+    def test_pair_agrees_with_each_index_alone(self, triple):
+        # the golden FD triples: one stebz call per grid and one stein call
+        # for both vectors give each index's value within 1e-14 relative
+        pair = spectral._fd(ModelParams(*triple), (1, 2))
+        for r in pair:
+            alone = eigen_fd(triple, r.index)
+            assert abs(r.eigenvalue - alone.eigenvalue) <= 1e-14 * abs(alone.eigenvalue)
+            assert r.node_count == alone.node_count == r.index - 1
+            assert r.symmetry_residual <= 1e-10
+            assert np.max(np.abs(r.eigenfunction.values - alone.eigenfunction.values)) <= 1e-10
 
     def test_bounds_its_error_below_the_pole_ratio(self):
         # h / eps = 0.19 at (2, 9.67, 1), and 0.04 at the golden (2, 9, 1)
