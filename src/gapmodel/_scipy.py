@@ -10,7 +10,9 @@ spectral's (theta, log r) runs from -D/2 to 0, stacked at the ends of
 one or two eigenvalues' intervals or at one or two of Brent's roots,
 and flow's equidistribution ODE behind ``build_grid``, stopped where the
 grid reaches z = 0, and forms their dense output from the Fortran's own
-stages.
+stages: at once for a run with an event, which the dense output places,
+and on the first evaluation for a run without one, so that a run whose
+dense output is never read never pays for it.
 Every ODE gapmodel solves runs on DOP853 through these two.  Spectral's
 finite-difference route takes its coarse grid's eigenvalues from
 ``tridiagonal_eigenvalues`` (one ``stebz`` call) and its fine grid's
@@ -125,13 +127,21 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
     ``build_grid``, whose event is the grid reaching z = 0 and whose t1 is
     the cell budget.
 
+    A run with an event forms the extension before it returns.  A run
+    without one keeps the Fortran's stages, moved out of the stepper's
+    reach without a copy, and forms K[13..15] and the coefficients on the
+    first call of ``sol``, once; every value it returns is the bits of an
+    extension formed during the run.
+
     Returns ``t`` and ``y``, the recorded points and the states there (one
     row of y per component), ``t_event``, the root or None, and ``sol``,
     the evaluator of the given rows (see ``_dense_evaluator``) on the span
     from t0 to t_event or to the last point.  ``nfev`` counts the
-    right-hand side's points: the Fortran's calls plus 3 per step.
-    ``success`` and ``message`` are those of ``dop853_end``; a failed run
-    has ``sol = None``.  An exception raised by fun or the event propagates.
+    right-hand side's points: the Fortran's calls, plus 3 per step from
+    when the extension is formed.  ``success`` and ``message`` are those
+    of ``dop853_end``; a failed run has ``sol = None``.  An exception
+    raised by fun or the event propagates, from the first call of ``sol``
+    where fun raises while the extension is formed.
     """
     dim, tail = len(y0), -tableau.N_STAGES * len(y0)
     calls, stages = array("d"), array("d")  # stages: f(t0), then K[1..12] per step
@@ -160,37 +170,62 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
     solver, _ = _dop853(recorded, t0, t1, y0, rtol, atol, solout)
     code = solver.get_return_code()
     t, y = np.array(ts), np.array(ys).T
-    del ts[:], ys[:], gs[:]  # the stepper holds solout, and its lists, until its next run
+    # the stepper holds solout, and its lists, until its next run; the
+    # run's stages leave its reach without a copy
+    del ts[:], ys[:], gs[:]
+    run_stages, stages = stages, array("d")
+    out = _outcome(solver, t=t, y=y, t_event=None, sol=None)
     if code < 0:
-        return _outcome(solver, t=t, y=y, t_event=None, sol=None)
+        return out
 
-    # stages in rows, components next, steps last; K[0..12] of a step are
-    # the 13 values from the one before its K[1]
-    h, t_old, y_old = np.diff(t), t[:-1], y[:, :-1]
-    n, f = tableau.N_STAGES, np.frombuffer(stages).reshape(-1, dim)
-    K = np.empty((tableau.N_STAGES_EXTENDED,) + y_old.shape)
-    K[:n + 1] = np.lib.stride_tricks.sliding_window_view(f, n + 1, axis=0)[::n].T
-    del f, stages[:]  # as the lists above
-    for s in range(n + 1, len(K)):  # fun once per step, on floats
-        y_s = y_old + np.tensordot(tableau.A[s, :s], K[:s], axes=1) * h
-        K[s] = np.array([*map(fun, (t_old + tableau.C[s] * h).tolist(), y_s.T.tolist())]).T
-    delta = y[:, 1:] - y_old
-    F = np.empty((tableau.INTERPOLATOR_POWER,) + y_old.shape)
-    F[0] = delta
-    F[1] = h * K[0] - delta
-    F[2] = 2 * delta - h * (K[n] + K[0])
-    F[3:] = h * np.tensordot(tableau.D, K, axes=1)
-    coeffs = F[::-1]  # coefficient, component, step; highest first
+    def extension():
+        # stages in rows, components next, steps last; K[0..12] of a step are
+        # the 13 values from the one before its K[1]
+        h, t_old, y_old = np.diff(t), t[:-1], y[:, :-1]
+        n, f = tableau.N_STAGES, np.frombuffer(run_stages).reshape(-1, dim)
+        K = np.empty((tableau.N_STAGES_EXTENDED,) + y_old.shape)
+        K[:n + 1] = np.lib.stride_tricks.sliding_window_view(f, n + 1, axis=0)[::n].T
+        for s in range(n + 1, len(K)):  # fun once per step, on floats
+            y_s = y_old + np.tensordot(tableau.A[s, :s], K[:s], axes=1) * h
+            K[s] = np.array([*map(fun, (t_old + tableau.C[s] * h).tolist(), y_s.T.tolist())]).T
+        out.nfev += (len(K) - n - 1) * h.size
+        delta = y[:, 1:] - y_old
+        F = np.empty((tableau.INTERPOLATOR_POWER,) + y_old.shape)
+        F[0] = delta
+        F[1] = h * K[0] - delta
+        F[2] = 2 * delta - h * (K[n] + K[0])
+        F[3:] = h * np.tensordot(tableau.D, K, axes=1)
+        return t_old, h, y_old, F[::-1]  # coefficient, component, step; highest first
 
-    knots, t_event = t, None
+    def evaluator(knots, t_old, h, y_old, coeffs):
+        return _dense_evaluator(knots, t_old, h, y_old[rows], coeffs[:, rows])
+
+    if event is None:
+        out.sol = _deferred(lambda: evaluator(t, *extension()))
+        return out
+    t_old, h, y_old, coeffs = extension()
+    knots = t
     if code == 2:  # stopped by the event
         last = _dense_evaluator(t[-2:], t_old[-1:], h[-1:], y_old[:, -1:], coeffs[:, :, -1:])
         eps4 = 4 * np.finfo(float).eps
-        t_event = brentq(lambda z: event(z, last(z)), t[-2], t[-1], xtol=eps4, rtol=eps4)
-        knots = np.append(t[:-1], t_event)
-    sol = _dense_evaluator(knots, t_old, h, y_old[rows], coeffs[:, rows])
-    return _outcome(solver, nfev=(len(K) - n - 1) * h.size,
-                    t=t, y=y, t_event=t_event, sol=sol)
+        out.t_event = brentq(lambda z: event(z, last(z)), t[-2], t[-1], xtol=eps4, rtol=eps4)
+        knots = np.append(t[:-1], out.t_event)
+    out.sol = evaluator(knots, t_old, h, y_old, coeffs)
+    return out
+
+
+def _deferred(build):
+    """An evaluator that calls build() on its first call and evaluates by
+    what it returned; build, and what it holds, is then let go."""
+    evaluate = None
+
+    def sol(z, rows=None):
+        nonlocal build, evaluate
+        if evaluate is None:
+            evaluate, build = build(), None
+        return evaluate(z, rows)
+
+    return sol
 
 
 def _dense_evaluator(ts, t_old, h, y_old, coeffs):

@@ -374,8 +374,12 @@ def find_ck(k, params):
     shots and one dense run.  The other 7, at K D^2 = 8 with k <= 1 and
     at K D^2 = 9.8 with k = 1e3 at D = 0.5, refine after the pass with 4
     end-angle runs and a second dense run (Brent alone took 3 to 22
-    shots, median 8).  All 126 make 405 runs and 401,963 right-hand-side
-    points; with an interval of 10 ladders they made 437 and 448,169:
+    shots, median 8).  All 126 make 405 runs and 400,463 right-hand-side
+    points with each kept profile read once, and 383,513 with none read: a
+    dense run forms its continuous extension on the first read of its
+    dense output, so a refined constant's discarded check run never does
+    (401,963 when every dense run formed it).  With an interval of 10
+    ladders they made 437 runs and 448,169 points:
     4 more constants were refined then, and k = 1e3 at K D^2 = 9.8, D =
     0.5, went straight to Brent.  From the narrower interval Brent takes
     2 to 3 more shots for k = 1 at K D^2 = 9.8 and 0 to 5 fewer for the

@@ -33,7 +33,11 @@ right-hand side that evaluates V through the closure model.potential_at
 builds once per shot.  The eigenfunction comes from the polar pair
 S y = r sin(theta), y' = r cos(theta): (theta, log r) over [-D/2, 0] at
 ten times the angle shots' tolerance (_scipy.dop853_dense), mirrored onto
-[0, D/2] by parity.
+[0, D/2] by parity.  Its interior nodes are counted when the eigenvalue
+is solved, on the run's states at its accepted steps; its 1001 samples
+are taken on the first read of EigenResult.eigenfunction, from the run's
+dense output, whose continuous extension the run forms only then.  The
+gap, and the command line's eigen and bounds rows, read none.
 
 Every eigenvalue takes the seeded root path that find_ck's Robin
 constants take too, _scipy.seeded_root (see eigen_shoot).  Its seed is
@@ -80,7 +84,8 @@ Pöschl-Teller potential) and the radial spherical-cap ground state.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.integrate import solve_ivp  # called by no route; perfbench/tracing.py rebinds it
@@ -116,19 +121,33 @@ _ACCEPT = 1e-11  # largest accepted stacked-pass error estimate, over the accura
 class EigenResult:
     """One eigenvalue, its error estimate and its sup-normalized eigenfunction.
 
-    symmetry_residual is the parity defect: for shooting, |sin(theta(0) -
-    index pi/2)| of the run at the root, at most _PARITY_TOL; for finite
-    differences, sup|y(z) -+ y(-z)| over the samples, unchecked.
+    node_count is the eigenfunction's count of interior sign changes,
+    checked to be index - 1 when the result is made.  For shooting it is
+    counted on the states at the accepted steps of the (theta, log r) run
+    behind the eigenfunction, and the eigenfunction's 1001 samples are
+    taken from that run's dense output on the first read of
+    ``eigenfunction`` and kept; for finite differences both come from the
+    solve's eigenvector.  symmetry_residual is the parity defect: for
+    shooting, |sin(theta(0) - index pi/2)| of the run at the root, at most
+    _PARITY_TOL; for finite differences, sup|y(z) -+ y(-z)| over the
+    samples, unchecked.
     """
 
     eigenvalue: float
     index: int
     method: str
     error_estimate: float
-    eigenfunction: GridFunction
     node_count: int
     symmetry_residual: float
     form: str = "normal"
+    # the eigenfunction's GridFunction, or a callable that takes its
+    # samples on first read
+    _samples: object = field(repr=False, compare=False, default=None)
+
+    @cached_property
+    def eigenfunction(self):
+        f = self._samples
+        return f if isinstance(f, GridFunction) else f()
 
 
 def _check_index(index):
@@ -231,22 +250,45 @@ def _polar_run(lams, scales, params, form):
     return sol
 
 
+def _polar_y(rows, w):
+    """y = e^(log r - max log r) sin(theta) from rows of (theta, log r):
+    theta and log r are (1 - w) times the first pair's plus w times the
+    last pair's."""
+    theta, log_r = rows[:2] + w * (rows[-2:] - rows[:2])
+    return np.exp(log_r - log_r.max()) * np.sin(theta)
+
+
+def _mirrored(y, index):
+    """y on [-D/2, 0], ending at z = 0, continued onto (0, D/2] with the
+    index's parity."""
+    return np.concatenate([y, (-1.0) ** (index - 1) * y[-2::-1]])
+
+
 def _eigenfunction(sol, rows, w, params, index):
     """The eigenfunction of a _polar_run's rows, interpolated by w from their first lam to their last.
 
     rows are the index's own rows of the run: (theta, log r) at one lam,
-    or at the two ends of its interval.  theta and log r are (1 - w)
-    times the first pair's plus w times the last pair's, on 501 points of
-    [-D/2, 0]; y = e^(log r - max log r) sin(theta) there, mirrored with
-    the index's parity on an exactly symmetric grid, gives the 1001
-    samples on [-D/2, D/2].
+    or at the two ends of its interval.  _polar_y of the rows' dense
+    output on 501 points of [-D/2, 0], mirrored with the index's parity on
+    an exactly symmetric grid, gives the 1001 samples on [-D/2, D/2],
+    normalized as _normalized does.
     """
     left = np.linspace(-params.half, 0.0, _N_SAMPLES // 2 + 1)
-    rows = sol.sol(left, rows)
-    theta, log_r = rows[:2] + w * (rows[-2:] - rows[:2])
-    y = np.exp(log_r - log_r.max()) * np.sin(theta)
-    return GridFunction(z=np.concatenate([left, -left[-2::-1]]),
-                        values=np.concatenate([y, (-1.0) ** (index - 1) * y[-2::-1]]))
+    return _normalized(np.concatenate([left, -left[-2::-1]]),
+                       _mirrored(_polar_y(sol.sol(left, rows), w), index))
+
+
+def _step_nodes(sol, rows, w, index):
+    """Interior nodes of _eigenfunction(sol, rows, w, ...), counted on the
+    run's states at its accepted steps instead of on samples of its dense
+    output: _polar_y of the rows there, mirrored with the index's parity."""
+    return _count_interior_nodes(_mirrored(_polar_y(sol.y[rows], w), index))
+
+
+def _normalized(z, values):
+    """The GridFunction of values divided by their largest magnitude,
+    signed so that the first interior sample is positive."""
+    return GridFunction(z=z, values=values / math.copysign(np.max(np.abs(values)), values[1]))
 
 
 def _count_interior_nodes(values):
@@ -256,15 +298,13 @@ def _count_interior_nodes(values):
     return int(np.sum(v[:-1] * v[1:] < 0))
 
 
-def _eigen_result(lam, err, gf, index, method, form, sym):
-    """EigenResult after checking the node count; sym is the parity defect.
+def _eigen_result(lam, err, eigenfunction, nodes, index, method, form, sym):
+    """EigenResult after checking its eigenfunction's interior node count
+    against index - 1.
 
-    The eigenfunction's samples are divided by their largest magnitude,
-    signed so that the first interior sample is positive.
+    eigenfunction is the normalized GridFunction, or a callable that
+    samples it on first read; sym is the parity defect.
     """
-    values = gf.values / math.copysign(np.max(np.abs(gf.values)), gf.values[1])
-    gf = GridFunction(z=gf.z, values=values)
-    nodes = _count_interior_nodes(values)
     if nodes != index - 1:
         raise GapModelError(
             f"{method} index-{index} eigenfunction shows {nodes} interior "
@@ -272,8 +312,8 @@ def _eigen_result(lam, err, gf, index, method, form, sym):
         )
     return EigenResult(
         eigenvalue=float(lam), index=index, method=method,
-        error_estimate=float(err), eigenfunction=gf, node_count=nodes,
-        symmetry_residual=sym, form=form,
+        error_estimate=float(err), node_count=nodes, symmetry_residual=sym, form=form,
+        _samples=eigenfunction,
     )
 
 
@@ -331,7 +371,8 @@ def eigen_shoot(params, index, form="normal"):
       lam*, r = theta(0; lam*) - index pi / 2; the noise is _ODE_TOL and
       the accept fraction _ACCEPT = 1e-11.  An accepted root's
       eigenfunction is the same interpolation of the pass's dense output,
-      and its parity defect is |sin r|.  Every constant-V call is accepted
+      and its parity defect is |sin r|.  A pass that is refined is
+      dropped without its dense output ever being formed.  Every constant-V call is accepted
       on its pass: on 44 calls (11 flat triples of eigen_sweep seeds 1-8
       and the tests, both forms and indices, n = 1 to 6, D from 1e-5 to 2,
       (3, 9.8696, 1) at the cap), within 3.2e-15 of the accuracy scale of
@@ -394,8 +435,15 @@ def eigen_shoot(params, index, form="normal"):
     A parity defect (symmetry_residual, 0 when y or y' vanishes at z = 0
     as the index's parity asks) above _PARITY_TOL = 1e-5 raises
     GapModelError; the largest on sweeps/eigen_near_cap.py's map is
-    3.4e-7, and a wrong parity gives about 1.  So does a node count,
-    recounted on the samples, other than index - 1.  An (index pi / D)^2
+    3.4e-7, and a wrong parity gives about 1.  So does a node count other
+    than index - 1, counted before the call returns on the run's states at
+    its accepted steps: the index's rows, interpolated by the root's
+    weight and mirrored by parity, under the rule the samples had.  On
+    every triple of eigen_sweep seeds 1-8, the tested edge triples and
+    the near-cap map (1,674 eigenfunctions, both forms, gap()'s pair and
+    each index alone) it equals the count on the 1001 samples.  The
+    samples are taken on the first read of the result's eigenfunction,
+    bit for bit those the run gave when they were taken at once.  An (index pi / D)^2
     that overflows a double (index 2 at D below about 4.68e-154) raises
     DomainError before any solve.
     """
@@ -419,8 +467,9 @@ def _shoot(params, indices, form):
         # noise just below the padded lower end 0, and clamping only shrinks
         # the error that the estimate bounds
         results.append(_eigen_result(max(lam, 0.0), err,
-                                     _eigenfunction(sol, rows, w, params, index),
-                                     index, "shooting", form, defect))
+                                     partial(_eigenfunction, sol, rows, w, params, index),
+                                     _step_nodes(sol, rows, w, index), index, "shooting",
+                                     form, defect))
     return results
 
 
@@ -442,7 +491,8 @@ def _comparison_bracket(params, index, v_mid, v_end, floor):
 
 def _shoot_root(params, indices, form):
     """eigen_shoot's root of the midpoint angle at each of indices, with the
-    runs that give their eigenfunctions.
+    runs that give their eigenfunctions, whose dense output is formed only
+    when one is sampled.
 
     Every index's comparison bracket, S, seed and seeded interval
     (_scipy.seeded_interval) come first, and one _polar_run makes the
@@ -649,7 +699,7 @@ def _fd(params, indices, grid_size=1024):
     z = np.linspace(-params.half, params.half, 2 * grid_size + 1)
     results = []
     for index, lam_n, lam_2n, v in zip(indices, lams_n.tolist(), lams_2n.tolist(), vs.T):
-        gf = GridFunction(z=z, values=np.concatenate([[0.0], v, [0.0]]))
+        gf = _normalized(z, np.concatenate([[0.0], v, [0.0]]))
         try:
             lam = math.ldexp((4.0 * lam_2n - lam_n) / 3.0, -2 * k)
             err = math.ldexp(abs(lam_2n - lam_n) / 3.0, -2 * k)
@@ -657,8 +707,8 @@ def _fd(params, indices, grid_size=1024):
             raise DomainError(f"eigenvalue {index} exceeds the largest double "
                               f"at D = {params.D:g}") from None
         sym = np.max(np.abs(v - (-1.0) ** (index - 1) * v[::-1])) / np.max(np.abs(v))
-        results.append(_eigen_result(lam, err, gf, index, "finite-difference", "normal",
-                                     float(sym)))
+        results.append(_eigen_result(lam, err, gf, _count_interior_nodes(gf.values), index,
+                                     "finite-difference", "normal", float(sym)))
     return results
 
 
@@ -679,7 +729,9 @@ def gap(params):
     """Spectral gap by shooting, with its excess over 3 pi^2 / D^2.
 
     Both eigenvalues come from one _shoot_root call, whose one stacked
-    pass serves lambda1 and lambda2 (see eigen_shoot).
+    pass serves lambda1 and lambda2 (see eigen_shoot).  Their node counts
+    are checked here, on the runs' step states; no eigenfunction is
+    sampled until one is read.
     """
     params = validate(params)
     r1, r2 = _shoot(params, (1, 2), "normal")

@@ -23,9 +23,11 @@ _scipy.brent, the Brent's method of the seeded root path: one per
 eigenvalue or Robin constant that leaves the stacked pass or never gets
 one (flat_ck's own Brent is not among them).  For a dense run (eigenfunction_rhs,
 dense_rhs, grid_rhs) that is the compiled stepper's calls plus the three
-stages per step that dop853_dense adds for the dense output; the stepper's
-own stage values are reused, not counted twice.  The flow's work is
-counted beside them: flow._Workspace.step (attempted time steps),
+stages per step that dop853_dense adds for the dense output, counted only
+if the extension is formed: a run without an event forms it on the first
+read of its dense output, so every run's size is read once its operation
+has ended.  The stepper's own stage values are reused, not counted twice.
+The flow's work is counted beside them: flow._Workspace.step (attempted time steps),
 flow.solve_banded (band solves) and flow.build_grid (grids and their
 nodes).  The counts are summed
 by the slot kind perfbench gives each operation and over all of them.
@@ -92,13 +94,14 @@ def count(workload, seeds):
     """{"total": counts, "by_kind": {kind: counts}} over the seeds' op lists."""
     by_kind = {}
     current = Counter()  # the running op's kind's counts, rebound per op
+    made = []  # (size counter, measure, result) of the running op's calls
 
     def counting(real, calls, size, measure):
         def call(*args, **kwargs):
             result = real(*args, **kwargs)
             current[calls] += 1
             if size:
-                current[size] += measure(result)
+                made.append((size, measure, result))
             return result
         return call
 
@@ -117,6 +120,11 @@ def count(workload, seeds):
                         cli.main(op["argv"])
                     except SystemExit:  # argparse rejected the command line
                         pass
+                # sized once the op is done, so that a dense run counts the
+                # points of an extension formed after it returned
+                for size, measure, result in made:
+                    current[size] += measure(result)
+                del made[:]
     finally:
         for owner, name, real in saved:
             setattr(owner, name, real)

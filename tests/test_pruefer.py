@@ -614,13 +614,14 @@ class TestCompiledBranches:
         sol = _scipy.dop853_dense(rhs, 0.0, 1.0, [0.0, 0.0], rtol=rtol, atol=rtol,
                                   rows=[0, 1], event=None)
         assert sol.success
-        steps = sol.t.size - 1
-        # nfev is the Fortran's calls plus 3 per step; each accepted step
-        # takes 12 calls, each rejected one 11, and the run starts with 2
-        assert sol.nfev - 3 * steps > 12 * steps + 2
+        steps, calls = sol.t.size - 1, sol.nfev
         mid = 0.5 * (sol.t[1:] + sol.t[:-1])
         exact = [eps * (np.arctan((mid - 0.5) / eps) + math.atan(0.5 / eps)), np.sin(mid)]
         np.testing.assert_allclose(sol.sol(mid), exact, rtol=0, atol=10 * rtol)
+        # nfev is the Fortran's calls, and 3 more per step once the first
+        # evaluation forms the extension; each accepted step takes 12 calls,
+        # each rejected one 11, and the run starts with 2
+        assert calls > 12 * steps + 2 and sol.nfev == calls + 3 * steps
 
     def test_step_budget_is_a_domain_error(self, monkeypatch):
         p = ModelParams(5, 3.0, 1.0)

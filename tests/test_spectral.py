@@ -17,7 +17,7 @@ from gapmodel.errors import (
     NonConvergenceError,
     PoleError,
 )
-from gapmodel.model import ModelParams
+from gapmodel.model import GridFunction, ModelParams
 from gapmodel.spectral import (
     ball_first_eigen,
     eigen_fd,
@@ -264,31 +264,32 @@ class TestErrorEstimate:
             # one stacked pass at the seeded interval's ends, which gives the
             # root and the eigenfunction, and one check shot at the root
             assert len(ode_work) == 2
-            # measured: 408 and 609 right-hand-side evaluations, 227 and 369
-            # of them in the stacked pass, which adds 3 stages per step to
-            # the stepper's own; 951 and 1329 in 5 solves each with Brent
-            # from the seeded interval, 1313 and 1592 in 7 and 6 solves from
-            # the comparison bracket
+            # measured: 363 and 540 right-hand-side evaluations, 182 and 300
+            # of them in the stacked pass (227 and 369 once the eigenfunction
+            # is read, which forms the dense extension's 3 stages per step);
+            # 951 and 1329 in 5 solves each with Brent from the seeded
+            # interval, 1313 and 1592 in 7 and 6 solves from the comparison
+            # bracket
             assert sum(ode_work) <= max_rhs
 
     @pytest.mark.parametrize("triple", [(3, 1.0, 1.0), (6, 0.0, 2.0)], ids=str)
     def test_flat_angle_is_linear(self, ode_work, triple):
         """V is constant, so lam - V is S^2 up to the bracket's padding and
         the index-2 angle grows linearly in z: a few DOP853 steps per solve.
-        Measured: 107 and 122 right-hand-side evaluations in the stacked
-        pass, 86 in the check shot; with the fixed scale S = pi / D, an
-        angle shot took 832 and 937."""
+        Measured: 86 and 98 right-hand-side evaluations in the stacked
+        pass (107 and 122 with its dense extension), 86 in the check shot;
+        with the fixed scale S = pi / D, an angle shot took 832 and 937."""
         eigen_shoot(triple, 2)
         stacked_pass, check_shot = ode_work
         assert stacked_pass <= 200 and check_shot <= 150
 
     def test_wide_potential_angle_rhs_count(self, ode_work):
         """At (8, 12, 0.5) V runs from -42 at z = 0 to 103 at z = D/2.
-        Measured for index 2 with S the wavenumber at z = 0: 913
-        right-hand-side evaluations, 519 in the stacked pass and 394 in the
-        check shot.  With Brent from the seeded interval, the angle shots
-        took 2829; 6168 with S^2 = hi - max V, 4922 with the fixed
-        S = pi / D."""
+        Measured for index 2 with S the wavenumber at z = 0: 814
+        right-hand-side evaluations, 420 in the stacked pass (519 with its
+        dense extension) and 394 in the check shot.  With Brent from the
+        seeded interval, the angle shots took 2829; 6168 with
+        S^2 = hi - max V, 4922 with the fixed S = pi / D."""
         eigen_shoot((8, 12.0, 0.5), 2)
         assert sum(ode_work) <= 1400
 
@@ -724,8 +725,9 @@ class TestNearCap:
     """K D^2 = 9.8 and 9.86, just below the cap pi^2."""
 
     @pytest.mark.parametrize("triple,max_rhs", [
-        # measured: 16535, 14585 and 21022 right-hand-side evaluations per
-        # gap; at (2, 9.869, 1) a lower end at min V + (pi/D)^2 costs 214k
+        # measured: 8711, 9051 and 13983 right-hand-side evaluations per
+        # gap, with no eigenfunction read; at (2, 9.869, 1) a lower end at
+        # min V + (pi/D)^2 costs 214k
         ((5, 9.8, 1.0), 40000), ((2, 9.86, 1.0), 40000),
         ((2, 9.869, 1.0), 45000),
     ], ids=str)
@@ -816,6 +818,19 @@ def tan_blowup_dense(fun, t0, t1, y0, rtol, atol, rows, event):
         return [1.0 + y[0] ** 2, 0.0]
 
     return _scipy.dop853_dense(rhs, t0, t1, y0, rtol, atol, rows, event)
+
+
+def never_stops(fun, t0, t1, y0, rtol, atol, rows, event):
+    """dop853_dense with an event that never changes sign in place of none.
+
+    A run with an event forms its dense extension before it returns, so
+    this is the run, step for step, with its extension formed at once.
+    """
+    def never(t, y):
+        return 1.0
+
+    never.direction = 0.0
+    return _scipy.dop853_dense(fun, t0, t1, y0, rtol, atol, rows, never)
 
 
 class TestCompiledSolvers:
@@ -917,6 +932,29 @@ class TestCompiledSolvers:
         lists = [c for c in kept if isinstance(c, list | array)]
         assert len(lists) == 5 and not any(lists)
 
+    def test_dense_extension_is_formed_on_first_read(self):
+        # without an event a run forms the 3 extension stages per step on
+        # the first evaluation of its sol, once, and counts them then; every
+        # value is the bits of the extension formed during the run
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return [math.cos(3.0 * t) - 0.5 * y[0], y[0]]
+
+        eager = never_stops(rhs, -1.0, 0.0, [0.0, 1.0], 1e-12, 1e-12, [0, 1], None)
+        del calls[:]
+        lazy = _scipy.dop853_dense(rhs, -1.0, 0.0, [0.0, 1.0], rtol=1e-12, atol=1e-12,
+                                   rows=[0, 1], event=None)
+        steps, run_calls = lazy.t.size - 1, len(calls)
+        assert np.array_equal(lazy.t, eager.t) and np.array_equal(lazy.y, eager.y)
+        assert lazy.nfev == run_calls == eager.nfev - 3 * steps
+        z = np.linspace(-1.0, 0.0, 37)
+        assert np.array_equal(lazy.sol(z), eager.sol(z))
+        assert len(calls) == run_calls + 3 * steps and lazy.nfev == eager.nfev
+        assert np.array_equal(lazy.sol(z[::-1], [1]), eager.sol(z[::-1], [1]))
+        assert len(calls) == run_calls + 3 * steps
+
     def test_failed_stebz_is_reported(self, monkeypatch):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("stebz failed")
@@ -937,6 +975,109 @@ class TestCompiledSolvers:
             eigen_fd((6, -4.0, 1.0), 1)
         with pytest.raises(NonConvergenceError, match="stebz failed"):
             spectral._fd(ModelParams(6, -4.0, 1.0), (1, 2))
+
+
+class TestDeferredEigenfunction:
+    """Shooting counts each eigenfunction's nodes on the accepted-step
+    states of its run, and samples the eigenfunction on first read."""
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        """The index of each eigenfunction sampled, in order."""
+        indices, real = [], spectral._eigenfunction
+
+        def counting(sol, rows, w, params, index):
+            indices.append(index)
+            return real(sol, rows, w, params, index)
+
+        monkeypatch.setattr(spectral, "_eigenfunction", counting)
+        return indices
+
+    @pytest.mark.parametrize("route,triple", [
+        # an accepted shared pass; index 2 on the pass and index 1 on a run
+        # at Brent's root; one run at both of Brent's roots
+        ("gap", (5, 1.0, 1.0)), ("gap", (8, 9.4, 1.0)), ("gap", (4, 9.84, 1.0)),
+        ("normal", (5, 1.0, 1.0)), ("direct", (5, 1.0, 1.0)), ("normal", (4, 9.84, 1.0)),
+    ], ids=str)
+    def test_first_read_is_an_eager_sample(self, monkeypatch, sampled, route, triple):
+        p = ModelParams(*triple)
+        if route == "gap":
+            g = gap(p)
+            results, solves = [g.lambda1, g.lambda2], [((1, 2), "normal")]
+        else:
+            results = [eigen_shoot(p, idx, form=route) for idx in (1, 2)]
+            solves = [((1,), route), ((2,), route)]
+        assert sampled == []
+        # the same runs with their extension formed during the run, and
+        # their samples taken at once
+        refs = []
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "dop853_dense", never_stops)
+            for indices, form in solves:
+                for idx, (lam, _, sol, rows, w, _) in zip(
+                        indices, spectral._shoot_root(p, indices, form)):
+                    refs.append((max(lam, 0.0), spectral._eigenfunction(sol, rows, w, p, idx)))
+        del sampled[:]
+        for r, (lam, ref) in zip(results, refs):
+            assert r.eigenvalue == lam
+            gf = r.eigenfunction
+            assert np.array_equal(gf.z, ref.z) and np.array_equal(gf.values, ref.values)
+            assert r.node_count == spectral._count_interior_nodes(gf.values) == r.index - 1
+        assert sampled == [1, 2]
+
+    def test_brent_roots_run_is_read_at_both_indices(self):
+        # (4, 9.84, 1) above: both indices on one run at Brent's roots
+        roots = spectral._shoot_root(ModelParams(4, 9.84, 1.0), (1, 2), "normal")
+        assert roots[0][2] is roots[1][2]
+        assert [rows for _, _, _, rows, _, _ in roots] == [[0, 1], [2, 3]]
+
+    def test_second_read_and_repr_do_not_sample(self, sampled):
+        g = gap((5, 1.0, 1.0))
+        text = repr(g)
+        assert sampled == [] and "GridFunction" not in text
+        first = g.lambda2.eigenfunction
+        assert g.lambda2.eigenfunction is first and sampled == [2]
+
+    @pytest.mark.parametrize("triple", [(5, 1.0, 1.0), (4, 9.84, 1.0)], ids=str)
+    def test_wrong_node_count_raises_before_any_sample(self, monkeypatch, sampled, triple):
+        # every theta row shifted by pi at one interior step flips y's sign
+        # there: two more sign changes on each half of the interval
+        real = spectral._polar_run
+
+        def flipped(lams, scales, params, form):
+            sol = real(lams, scales, params, form)
+            sol.y[::2, sol.t.size // 2] += math.pi
+            return sol
+
+        monkeypatch.setattr(spectral, "_polar_run", flipped)
+        with pytest.raises(GapModelError,
+                           match="index-1 eigenfunction shows 4 interior nodes, expected 0"):
+            gap(triple)
+        for idx, nodes in ((1, 4), (2, 5)):
+            with pytest.raises(GapModelError, match=f"index-{idx} eigenfunction shows {nodes} "):
+                eigen_shoot(triple, idx)
+        assert sampled == []
+
+    @pytest.mark.parametrize("triple", [
+        (5, 1.0, 1.0), (8, 9.4, 1.0), (4, 9.84, 1.0), (2, 9.86, 1.0), (8, 12.0, 0.5),
+        (6, 0.0, 2.0), (2, -9.5, 1.0), (2, 0.0, 1e-5),
+    ], ids=str)
+    def test_step_nodes_equal_sample_nodes(self, triple):
+        # the count on the run's step states is the count on its 1001
+        # samples, for the gap's pair and each index alone in the direct form
+        p = ModelParams(*triple)
+        for indices, form in (((1, 2), "normal"), ((1,), "direct"), ((2,), "direct")):
+            for idx, (_, _, sol, rows, w, _) in zip(
+                    indices, spectral._shoot_root(p, indices, form)):
+                samples = spectral._eigenfunction(sol, rows, w, p, idx).values
+                assert spectral._step_nodes(sol, rows, w, idx) \
+                    == spectral._count_interior_nodes(samples) == idx - 1
+
+    def test_finite_differences_stay_eager(self):
+        for r in spectral._fd(ModelParams(5, 1.0, 1.0), (1, 2)):
+            assert isinstance(r._samples, GridFunction)
+            assert r.eigenfunction is r._samples
+            assert r.node_count == spectral._count_interior_nodes(r.eigenfunction.values)
 
 
 class TestFiniteDifference:
