@@ -26,6 +26,7 @@ from .errors import (
     GapModelError,
     HypothesisError,
     PoleError,
+    as_integer,
 )
 
 SCHEMA_VERSION = 2
@@ -181,6 +182,9 @@ def cmd_series(args):
     from . import series as series_mod
 
     n_values = _parse_ints(args.n) if args.n else [2, 5]
+    # the dimensions every other command accepts, checked as ModelParams does
+    for n in n_values:
+        as_integer(n, 1, "n must be an integer >= 1")
     branches = (
         ["first", "second", "gap"] if args.branch == "all" else [args.branch]
     )

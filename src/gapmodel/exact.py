@@ -739,7 +739,11 @@ def solve_resonant(rhs, mode, parity):
 
     Requirements enforced exactly: <rhs, base mode> = 0 (else SolvabilityError),
     the stated parity, Dirichlet y(+-pi/2) = 0, and the normalization that the
-    degree-0 coefficient on the base-mode pair is zero.
+    degree-0 coefficient on the base-mode pair is zero.  Each frequency's
+    coefficients come from a triangular recurrence, top degree down, and the
+    result is checked exactly before it is returned: the residual
+    y'' + mode^2 y - rhs, formed in one pass with one _lincomb per term
+    (_residual), must vanish, and so must y(pi/2), and y must keep the parity.
     """
     if parity not in ("even", "odd"):
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
@@ -756,7 +760,7 @@ def solve_resonant(rhs, mode, parity):
     for _, m, j in rhs.terms:
         degree[m] = max(degree.get(m, 0), j)
     terms = {}
-    zero = NPoly()
+    zero = _make(NPoly, {}, 1)
     for m in sorted(degree):
         d = degree[m]
         p = [rhs.terms.get(("cos", m, j), zero) for j in range(d + 1)]
@@ -766,19 +770,44 @@ def solve_resonant(rhs, mode, parity):
         else:
             u, v = _solve_onresonant(p, s, d, m)
         for j in range(len(u)):
-            terms["cos", m, j] = u[j]
-            terms["sin", m, j] = v[j]
-    y = TrigPoly(terms)
+            if u[j]:
+                terms["cos", m, j] = u[j]
+            if v[j] and m:
+                terms["sin", m, j] = v[j]
+    y = _trig(terms)
 
     # exact verification: the construction is triangular, so check everything
-    residual = _trig_lincomb(((y.derivative().derivative(), 1), (y, mode * mode), (rhs, -1)))
-    if not residual.is_zero():
+    if not _residual(y, rhs, mode).is_zero():
         raise GapModelError("internal: solve_resonant residual not identically zero")
     if not y.eval_at_half_pi().is_zero():
         raise GapModelError("internal: solve_resonant violates the Dirichlet condition")
     if not y.is_zero() and y.parity() != parity:
         raise GapModelError("internal: solve_resonant parity drift")
     return y
+
+
+def _residual(y, rhs, mode):
+    """y'' + mode^2 y - rhs, one _lincomb per term of the result.
+
+    (x^j cos mx)'' = j(j-1) x^(j-2) cos mx - 2jm x^(j-1) sin mx - m^2 x^j cos mx,
+    and the same with sin for cos and +2jm, so each term of y adds to at
+    most three terms of the residual.
+    """
+    pieces = {}
+    for (kind, m, j), c in y.terms.items():
+        if j > 1:
+            pieces.setdefault((kind, m, j - 2), []).append((c, None, j * (j - 1), 1))
+        if j and m:
+            if kind == "cos":
+                pieces.setdefault(("sin", m, j - 1), []).append((c, None, -2 * j * m, 1))
+            else:
+                pieces.setdefault(("cos", m, j - 1), []).append((c, None, 2 * j * m, 1))
+        w = mode * mode - m * m
+        if w:
+            pieces.setdefault((kind, m, j), []).append((c, None, w, 1))
+    for key, c in rhs.terms.items():
+        pieces.setdefault(key, []).append((c, None, -1, 1))
+    return _trig_sum(pieces)
 
 
 def _solve_offresonant(p, s, d, m, mode):
@@ -808,7 +837,7 @@ def _solve_onresonant(p, s, d, m):
     The degree-0 unknowns are the homogeneous pair; the normalization pins
     both to zero (no constant cos(mode x) / sin(mode x) contribution).
     """
-    zero = NPoly()
+    zero = _make(NPoly, {}, 1)
     u = [zero] * (d + 2)
     v = [zero] * (d + 2)
     for j in range(d, -1, -1):
@@ -828,21 +857,17 @@ def _solve_onresonant(p, s, d, m):
 def sec2_coeffs(M):
     """Exact rationals a_0..a_M with sec^2(x) = sum a_m x^{2m}.
 
-    Computed by exact reciprocal of the cos^2 power series
-    (cos^2 = (1 + cos 2x)/2, coefficient of x^{2j} is (-1)^j 4^j / (2 (2j)!)
-    for j >= 1).
+    The reciprocal of the cos^2 power series (cos^2 = (1 + cos 2x)/2, whose
+    coefficient of x^{2j} is (-1)^j 4^j / (2 (2j)!) for j >= 1), one order
+    at a time: a_M = -sum_{i<M} a_i cos2_{M-i} extends the cached a_0..a_{M-1}.
     """
     if M < 0:
         raise DomainError("order must be >= 0")
-    cos2 = [Fraction(1)]
-    fact = 1
-    for j in range(1, M + 1):
-        fact *= (2 * j) * (2 * j - 1)
-        cos2.append(Fraction((-1) ** j * 4**j, 2 * fact))
-    a = [Fraction(1)]
-    for m in range(1, M + 1):
-        acc = Fraction(0)
-        for i in range(m):
-            acc += a[i] * cos2[m - i]
-        a.append(-acc)
-    return tuple(a)
+    if M == 0:
+        return (Fraction(1),)
+    a = sec2_coeffs(M - 1)
+    acc = Fraction(0)
+    for i in range(M):
+        j = M - i
+        acc += a[i] * Fraction((-1) ** j * 4**j, 2 * math.factorial(2 * j))
+    return a + (-acc,)

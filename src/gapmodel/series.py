@@ -38,6 +38,7 @@ from .exact import (
     PiLaurent,
     TrigPoly,
     _lincomb,
+    _trig,
     sec2_coeffs,
     solve_resonant,
     trig_integrate,
@@ -113,37 +114,51 @@ def lambda_series(branch, M, cap=DEFAULT_ORDER_CAP):
 @lru_cache(maxsize=None)
 def _orders(branch, M):
     """The orders m = 0..M as SeriesResult holds them: the cached orders
-    through M - 1 extended by one, so every order is solved once per branch."""
+    through M - 1 extended by one, so every order is solved once per branch.
+
+    Each coefficient of the forcing F_M is one _lincomb: the sec^2
+    convolution terms (A/4) a_i c, c a coefficient of y_{M-1-i} moved up by
+    x^{2i}, and the terms -lam_i c, c a coefficient of y_{M-i}, in one list.
+    lam_M is F_M's projection on the base mode, and solve_resonant gets F_M
+    with only its base-mode term (kind, mode, 0) changed.
+    """
     mode, parity, kind = _branch_data(branch)
-    base = TrigPoly.basis(kind, mode)
     if M == 0:
         lam_0 = NPoly.from_scalar(mode * mode)
-        return ((lam_0, lam_0, base),)
+        return ((lam_0, lam_0, TrigPoly.basis(kind, mode)),)
     prev = _orders(branch, M - 1)
     _, lams, ys = zip(*prev)
     a = sec2_coeffs(M - 1)
-    # per term x^j trig(mx) of F: the sec^2 convolution sum_i a_i x^{2i} y_{M-1-i}
-    # (A/4 is factored out) and the terms lam_i y_{M-i}
-    sec2, lam = {}, {}
+    pieces = {}
     for i in range(M):
         q = a[i]
         for (k, m, j), c in ys[M - 1 - i].terms.items():
-            sec2.setdefault((k, m, j + 2 * i), []).append((c, None, q.numerator, q.denominator))
+            pieces.setdefault((k, m, j + 2 * i), []).append(
+                (c, _A, q.numerator, 4 * q.denominator))
     for i in range(1, M):
         for key, c in ys[M - i].terms.items():
-            lam.setdefault(key, []).append((c, lams[i], -1, 1))
+            pieces.setdefault(key, []).append((c, lams[i], -1, 1))
     forcing = {}
-    for key in {**sec2, **lam}:
-        terms = lam.get(key, [])
-        if key in sec2:
-            terms = [(_lincomb(NPoly, sec2[key]), _A, 1, 4)] + terms
+    for key, terms in pieces.items():
         c = _lincomb(NPoly, terms)
         if c:
             forcing[key] = c
-    F = TrigPoly(forcing)
+    # y_{M-1-i} is in normal form and x^{2i} keeps its frequencies, so F
+    # has no zero coefficient and no sin(0x) key
+    F = _trig(forcing)
     lam_M = F.project(kind, mode) * PiLaurent.pi_power(-1, 2)
-    y_M = solve_resonant(F - base.scale(lam_M), mode, parity)
+    y_M = solve_resonant(_minus_base(F, (kind, mode, 0), lam_M), mode, parity)
     return prev + ((lam_M.substitute(A_POLY), lam_M, y_M),)
+
+
+def _minus_base(F, key, lam):
+    """F - lam * base, base the term x^0 trig(mode x) at key: F with that one
+    coefficient replaced, or dropped where it becomes zero."""
+    terms = dict(F.terms)
+    c = terms.pop(key) - lam if key in terms else -lam
+    if c:
+        terms[key] = c
+    return _trig(terms)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""ODE solve counts of a benchmark workload, run in process.
+"""Solve counts of a benchmark workload, run in process.
 
 Builds each seed's operation list with perfbench's own workloads.build, at
 the run length BENCHMARK.json sets, and runs every operation through
@@ -29,12 +29,16 @@ read of its dense output, so every run's size is read once its operation
 has ended.  The stepper's own stage values are reused, not counted twice.
 The flow's work is counted beside them: flow._Workspace.step (attempted time steps),
 flow.solve_banded (band solves) and flow.build_grid (grids and their
-nodes).  The counts are summed
+nodes).  The exact engine's work is its exact combinations: the calls of
+exact._lincomb (exact_lincombs) and of the same kernel under the name
+series imports it by (series_lincombs), the series_exact workload's only
+work.  The counts are summed
 by the slot kind perfbench gives each operation and over all of them.
-Every operation starts with an empty Robin-constant cache, as a
-command-line run does, so the counts do not depend on the host or on the
-order of operations and repeat exactly from run to run; a claim about
-shots, RHS calls or flow steps rests on this one command:
+Every operation starts with an empty Robin-constant cache and empty memo
+caches in series and exact, as a command-line run and perfbench's worker
+do, so the counts do not depend on the host or on the order of operations
+and repeat exactly from run to run; a claim about shots, RHS calls, flow
+steps or exact combinations rests on this one command:
 
     PYTHONPATH=src python sweeps/shot_counts.py --workload eigen_sweep --seeds 2701-2710
 
@@ -51,7 +55,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from gapmodel import _scipy, cli, flow, pruefer, spectral
+from gapmodel import _scipy, cli, exact, flow, pruefer, series, spectral
 
 ROOT = Path(__file__).resolve().parents[1]
 # perfbench's operation lists, loaded from its file as they stand
@@ -75,9 +79,14 @@ COUNTED = ((spectral, "dop853_end", "angle_shots", "angle_rhs", _nfev),
            (_scipy, "brent", "brent_solves", None, None),
            (flow._Workspace, "step", "flow_steps", None, None),
            (flow, "solve_banded", "band_solves", None, None),
-           (flow, "build_grid", "grids", "grid_nodes", len))
+           (flow, "build_grid", "grids", "grid_nodes", len),
+           (exact, "_lincomb", "exact_lincombs", None, None),
+           (series, "_lincomb", "series_lincombs", None, None))
 FIELDS = ("ops", *(field for *_, calls, size, _ in COUNTED
                    for field in (calls, size) if field))
+# the memo caches perfbench's worker empties before every operation
+MEMO_CACHES = [f for mod in (series, exact) for f in vars(mod).values()
+               if hasattr(f, "cache_clear")]
 
 
 def parse_seeds(text):
@@ -114,6 +123,8 @@ def count(workload, seeds):
                 current = by_kind.setdefault(op["kind"], Counter())
                 current["ops"] += 1
                 pruefer._robin_constant.cache_clear()
+                for cache in MEMO_CACHES:
+                    cache.cache_clear()
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):
                     try:

@@ -490,6 +490,9 @@ class TestExitCodes:
         (["series", "--order", "3", "--n", "x"], "x"),
         (["eigen", "--n", "2", "--K", ",", "--D", "1"], ","),
         (["series", "--order", "2", "--n", ","], ","),
+        # a dimension below 1 is refused as eigen refuses it, not rendered
+        (["series", "--order", "3", "--n", "0"], 0),
+        (["series", "--order", "3", "--n=-3"], -3),
     ])
     def test_malformed_list_is_invalid_params(self, argv, bad, capsys):
         code, out, err = run_main(argv, capsys)

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gapmodel import exact
-from gapmodel.errors import DomainError, SolvabilityError
+from gapmodel.errors import DomainError, GapModelError, SolvabilityError
 from gapmodel.exact import (
     A_POLY,
     N_MINUS_1,
@@ -726,6 +726,46 @@ class TestResonantSolver:
         deg0 = y.terms.get((kind, mode, 0), NPoly())
         assert deg0.is_zero()
 
+    @given(y=trig_terms("even"), rhs=trig_terms("even"),
+           mode=st.integers(min_value=1, max_value=4))
+    @example(y=TrigPoly({("cos", 1, 3): 2, ("sin", 1, 2): 1}),
+             rhs=TrigPoly({("cos", 0, 2): 1}), mode=1)
+    def test_one_pass_residual_even(self, y, rhs, mode):
+        self._check_residual(y, rhs, mode)
+
+    @given(y=trig_terms("odd"), rhs=trig_terms("odd"),
+           mode=st.integers(min_value=1, max_value=4))
+    @example(y=TrigPoly({("sin", 2, 2): 3, ("cos", 2, 1): 1}),
+             rhs=TrigPoly.basis("sin", 2), mode=2)
+    def test_one_pass_residual_odd(self, y, rhs, mode):
+        self._check_residual(y, rhs, mode)
+
+    @staticmethod
+    def _check_residual(y, rhs, mode):
+        # the residual solve_resonant checks, against the operators' own
+        want = y.derivative().derivative() + y.scale(mode * mode) - rhs
+        got = exact._residual(y, rhs, mode)
+        assert got == want
+        _assert_trig_normal(got)
+
+    @pytest.mark.parametrize("solver", ["_solve_offresonant", "_solve_onresonant"])
+    def test_perturbed_solution_is_caught(self, solver, monkeypatch):
+        # one wrong coefficient in either recurrence must not reach a caller
+        real = getattr(exact, solver)
+
+        def perturbed(*args):
+            u, v = real(*args)
+            u[-1] = u[-1] + Fraction(1, 7)
+            return u, v
+
+        F = TrigPoly({("cos", 1, 2): 1, ("cos", 3, 2): Fraction(2, 3), ("sin", 3, 1): 5})
+        base = TrigPoly.basis("cos", 1)
+        rhs = F - base.scale(F.project("cos", 1) * PiLaurent.pi_power(-1, 2))
+        solve_resonant(rhs, 1, "even")
+        monkeypatch.setattr(exact, solver, perturbed)
+        with pytest.raises(GapModelError, match="residual"):
+            solve_resonant(rhs, 1, "even")
+
     def test_resonant_forcing_rejected(self):
         with pytest.raises(SolvabilityError):
             solve_resonant(TrigPoly.basis("cos", 1), 1, "even")
@@ -751,3 +791,16 @@ def test_sec2_series():
     assert approx == pytest.approx(1 / math.cos(x) ** 2, abs=2e-6)
     with pytest.raises(DomainError):
         sec2_coeffs(-1)
+
+
+def test_sec2_series_extends_the_reciprocal():
+    # each order extends the cached shorter series; the result equals the
+    # whole reciprocal of the cos^2 series taken from scratch at every M
+    cos2 = [Fraction(1)] + [Fraction((-1) ** j * 4**j, 2 * math.factorial(2 * j))
+                            for j in range(1, 25)]
+    for M in range(25):
+        sec2_coeffs.cache_clear()
+        a = [Fraction(1)]
+        for m in range(1, M + 1):
+            a.append(-sum(a[i] * cos2[m - i] for i in range(m)))
+        assert sec2_coeffs(M) == tuple(a)

@@ -11,7 +11,7 @@ import pytest
 
 from gapmodel import exact, series
 from gapmodel.errors import DomainError
-from gapmodel.exact import A_POLY, NPoly, PiLaurent
+from gapmodel.exact import A_POLY, NPoly, PiLaurent, TrigPoly
 from gapmodel.series import (
     check_reference,
     coefficient_sign,
@@ -238,6 +238,26 @@ def clear_memo_caches():
         for f in vars(module).values():
             if hasattr(f, "cache_clear"):
                 f.cache_clear()
+
+
+_LAM = NPoly({1: PiLaurent({0: Fraction(1, 4), -2: 3})})
+
+
+@pytest.mark.parametrize("F", [
+    TrigPoly({("cos", 1, 0): 2, ("cos", 1, 2): Fraction(-1, 3), ("cos", 3, 0): 1}),
+    TrigPoly({("cos", 1, 2): NPoly({1: 5}), ("sin", 2, 1): 1}),
+    TrigPoly({("cos", 1, 0): _LAM, ("cos", 1, 2): 1}),
+    TrigPoly({("cos", 1, 0): _LAM}),
+    TrigPoly(),
+], ids=["key held", "key absent", "key cancels", "only the key", "zero"])
+def test_base_update_equals_subtracting_the_mode(F):
+    # the engine changes only F's base-mode term, in place of F - lam * base
+    base = TrigPoly.basis("cos", 1)
+    before = dict(F.terms)
+    got = series._minus_base(F, ("cos", 1, 0), _LAM)
+    assert got == F - base.scale(_LAM)
+    assert all(c for c in got.terms.values())
+    assert F.terms == before  # F itself is left as it was
 
 
 class TestOrderCache:

@@ -1,13 +1,14 @@
 """Smoke tests of the solve-count script (sweeps/shot_counts.py), seed 1's
-pinned counts, and which shots skip the collocation seed."""
+pinned counts of every workload, and which shots skip the collocation seed."""
 
 import importlib.util
 from pathlib import Path
 
-from gapmodel import flow, spectral
+from gapmodel import exact, flow, series, spectral
 from gapmodel.model import ModelParams
 
 _STEP, _SOLVE_BANDED = flow._Workspace.step, flow.solve_banded
+_LINCOMB = exact._lincomb
 
 SCRIPT = Path(__file__).resolve().parents[1] / "sweeps" / "shot_counts.py"
 _spec = importlib.util.spec_from_file_location("shot_counts", SCRIPT)
@@ -25,6 +26,11 @@ ROBIN_FLOW_SEED_1 = {"ops": 26, "ck_shots": 30, "ck_rhs": 13022, "dense_runs": 7
                      "dense_rhs": 45657, "grid_runs": 18, "grid_rhs": 13153,
                      "flow_steps": 168, "band_solves": 168, "grids": 18,
                      "grid_nodes": 518303}
+# every series_exact op starts from empty series and exact caches; the
+# combinations are calls of the one exact kernel, _lincomb, made inside
+# exact and from series.  The two pins above hold no combination, so the
+# ODE workloads make none
+SERIES_EXACT_SEED_1 = {"ops": 24, "exact_lincombs": 16452, "series_lincombs": 1776}
 
 
 def _nonzero(counts):
@@ -54,6 +60,16 @@ def test_robin_counts_repeat_exactly():
     for field in ("ck_shots", "ck_rhs", "dense_runs", "dense_rhs", "grid_runs", "grid_rhs"):
         assert total[field] > 0, field
     assert total["ivp_solves"] == total["ivp_rhs"] == 0
+
+
+def test_series_counts_repeat_exactly():
+    # the caches are emptied before each op, so a second pass in the same
+    # process makes the same combinations, and the wrappers are gone after
+    first = shot_counts.count("series_exact", [1])
+    assert shot_counts.count("series_exact", [1]) == first
+    assert _nonzero(first["total"]) == SERIES_EXACT_SEED_1
+    assert list(first["by_kind"]) == ["series"]
+    assert exact._lincomb is _LINCOMB and series._lincomb is _LINCOMB
 
 
 def test_flow_work_is_counted():
