@@ -23,17 +23,22 @@ eigenpairs from ``tridiagonal_eigenpairs`` (one ``stebz`` and one
 collocation seed: a stacked two-end pass, a checked linear interpolation,
 and ``brentq`` through ``brent``, which raises its iteration cap as
 ``NonConvergenceError``.  Spectral's ``eigen_shoot`` and pruefer's
-``find_ck`` both call it, each with its own pass and check runs (through
-its own module's names for the two DOP853 wrappers, where shot counters
-wrap them), accept fraction, noise floor, Brent tolerances and error.
-``seeded_interval`` is its interval and pass-width rule, which spectral
-reads first for both eigenvalues of a gap, to run their passes together.
+``find_ck`` both call it, each with its own pass and check runs, accept
+fraction, noise floor, Brent tolerances and error.  ``seeded_interval``
+is its interval and pass-width rule, which spectral reads first for both
+eigenvalues of a gap, to run their passes together.
+
+``ledger`` counts the work: while one is open, every call of
+``dop853_end``, ``dop853_dense`` and ``brent`` that returns appends a
+record of itself to it, keyed by the module that defined the function it
+was given, so that the callers are told apart without a parameter.
 
 scipy is imported at the top of this module and of every module that
 calls it; ``import gapmodel`` and the command line import those modules
 only when a command that solves runs.
 """
 
+import contextlib
 import warnings
 from array import array
 from types import SimpleNamespace
@@ -52,6 +57,42 @@ from .errors import NonConvergenceError
 DOP853_MAX_STEPS = 100_000
 _PASS_WIDTH = 5e-6  # widest interval half-width, over the accuracy scale, given a stacked pass
 _LADDERS = 3.0  # seeded interval half-width in collocation ladders; see seeded_interval
+_open = None  # the records of the open ledger, or None; see ledger
+
+
+@contextlib.contextmanager
+def ledger():
+    """A ledger of the solver calls made while the block runs.
+
+    Yields a list to which every call of ``dop853_end``, ``dop853_dense``
+    and ``brent`` that returns appends one record, (wrapper, module,
+    result): the wrapper's name, the ``__module__`` of the function it was
+    given, and what it returned.  The module keys the callers:
+    ``gapmodel.spectral`` for angle shots and eigenfunction runs,
+    ``gapmodel.pruefer`` for find_ck's shots, the branches, the profiles
+    and flat_ck's Brent, ``gapmodel.flow`` for the grid ODE, and
+    ``gapmodel._scipy`` for seeded_root's Brent.  A run without an event
+    adds 3 right-hand-side points per step to its result's ``nfev`` when
+    its dense extension is formed, so a total read once the work is done
+    includes them.
+
+    Leaving the block, also by an exception, reopens the ledger that was
+    open before it, which records none of the block's calls.  With no
+    ledger open a call records nothing.
+    """
+    global _open
+    outer, _open = _open, []
+    try:
+        yield _open
+    finally:
+        _open = outer
+
+
+def _record(wrapper, fun, result):
+    """result, after appending (wrapper, fun's module, result) to the open ledger."""
+    if _open is not None:
+        _open.append((wrapper, fun.__module__, result))
+    return result
 
 
 def _dop853(fun, t0, t1, y0, rtol, atol, solout=None):
@@ -104,7 +145,7 @@ def dop853_end(fun, t0, t1, y0, rtol, atol):
     angle shots rely on this to skip building a list per call.
     """
     solver, y = _dop853(fun, t0, t1, y0, rtol, atol)
-    return _outcome(solver, t=solver.t, y=y)
+    return _record("dop853_end", fun, _outcome(solver, t=solver.t, y=y))
 
 
 def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
@@ -176,7 +217,7 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
     run_stages, stages = stages, array("d")
     out = _outcome(solver, t=t, y=y, t_event=None, sol=None)
     if code < 0:
-        return out
+        return _record("dop853_dense", fun, out)
 
     def extension():
         # stages in rows, components next, steps last; K[0..12] of a step are
@@ -202,7 +243,7 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
 
     if event is None:
         out.sol = _deferred(lambda: evaluator(t, *extension()))
-        return out
+        return _record("dop853_dense", fun, out)
     t_old, h, y_old, coeffs = extension()
     knots = t
     if code == 2:  # stopped by the event
@@ -211,7 +252,7 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
         out.t_event = brentq(lambda z: event(z, last(z)), t[-2], t[-1], xtol=eps4, rtol=eps4)
         knots = np.append(t[:-1], out.t_event)
     out.sol = evaluator(knots, t_old, h, y_old, coeffs)
-    return out
+    return _record("dop853_dense", fun, out)
 
 
 def _deferred(build):
@@ -298,9 +339,9 @@ def tridiagonal_eigenvalues(d, e, first, last, tol):
 
 def brent(f, lo, hi, **tol):
     """brentq(f, lo, hi, **tol), with its iteration cap raised as
-    NonConvergenceError."""
+    NonConvergenceError; the root is the result the ledger records."""
     try:
-        return brentq(f, lo, hi, **tol)
+        return _record("brent", f, brentq(f, lo, hi, **tol))
     except RuntimeError as exc:
         raise NonConvergenceError(f"Brent's method on [{lo:.6g}, {hi:.6g}]: {exc}") from None
 
@@ -368,6 +409,10 @@ def seeded_root(g, lo, hi, pad, seed, ladder, stacked, check, *, floor, accept, 
     the pass's run, the check's run), else None.  A bracket whose ends do
     not straddle raises unbracketed; Brent's iteration cap raises
     NonConvergenceError.
+
+    The open ledger counts the work: the pass, the check and g's shots
+    under the caller's module, whose functions run them, and Brent under
+    ``gapmodel._scipy``, whose ``shot`` it is given.
     """
     evals = {}
 

@@ -232,9 +232,13 @@ def psi_right(k, c, params, allow_partial=False):
 def flat_ck(k, D):
     """Closed-form flat-space (K = 0) Robin constant: nu tan(nu D/2) = k.
 
-    BracketError when k lies beyond the bracket's reach (about 2e12 / D).
+    The bracket for nu runs from min(1e-12, sqrt(k / D)), where
+    nu tan(nu D/2) is about k/2, to pi/D (1 - 1e-12).  Its lower end is
+    1e-12 for k above about 1e-24 D, and below that keeps every normal
+    float k > 0 inside the bracket.  BracketError when k lies beyond the
+    upper end's reach (about 2e12 / D).
     """
-    lo, hi = 1e-12, math.pi / D * (1.0 - 1e-12)
+    lo, hi = min(1e-12, math.sqrt(k / D)), math.pi / D * (1.0 - 1e-12)
 
     def f(nu):
         return nu * math.tan(nu * D / 2.0) - k
@@ -340,10 +344,11 @@ def find_ck(k, params):
     The end angle q(D/2; c) falls strictly as c grows.  Since cs_K^2 lies
     between cs_K(D/2)^2 and 1, comparing c / cs_K^2 with the flat
     coefficient puts c_k between the closed-form flat constant c_flat and
-    c_flat cs_K(D/2)^2, so c_k exists for every k > 0.  That comparison
-    bracket, padded by 1e-9 of its scale (at least (pi/D)^2, so the pad
-    outruns the ODE noise where K = 0 makes the bracket a point), holds
-    every interval below.
+    c_flat cs_K(D/2)^2, so c_k exists for every k > 0; flat_ck gives
+    c_flat for k from the smallest normal float up to about 2e12 / D.
+    That comparison bracket, padded by 1e-9 of its scale (at least
+    (pi/D)^2, so the pad outruns the ODE noise where K = 0 makes the
+    bracket a point), holds every interval below.
 
     The root comes from _scipy.seeded_root, which spectral's eigenvalues
     share, on g(c) = target - q(D/2; c), increasing: the interval is the

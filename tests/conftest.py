@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from gapmodel import pruefer
+from gapmodel import _scipy, pruefer
 
 # exact-arithmetic strategies can be slow per example; disable the deadline
 settings.register_profile(
@@ -22,6 +22,14 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return random.Random(20260814)
+
+
+@pytest.fixture
+def work():
+    """_scipy's ledger, open while the test runs: one (wrapper, module,
+    result) record per solver call, in order (see _scipy.ledger)."""
+    with _scipy.ledger() as records:
+        yield records
 
 
 @pytest.fixture

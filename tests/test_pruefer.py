@@ -48,10 +48,15 @@ class TestRobinConstant:
         assert find_ck(k, p) == pytest.approx(flat_ck(k, D), rel=1e-10, abs=1e-11)
 
     def test_small_k_still_exists(self):
-        # the constant exists for every positive k, down to tiny values
-        p = ModelParams(n=3, K=3.0, D=1.5)
-        c = find_ck(1e-3, p)
-        assert -math.pi**2 / 1.5**2 < c < 0.0
+        # the constant exists for every positive k, down to tiny values, and
+        # is the k -> 0 limit below about 1e-24 D, where flat_ck's bracket
+        # once ended
+        c_flat = -math.pi**2 / 1.5**2
+        for K in (3.0, -3.0, 0.0):
+            p = ModelParams(n=3, K=K, D=1.5)
+            assert min(c_flat, c_flat * pruefer.cs(0.75, K) ** 2) < find_ck(1e-3, p) < 0.0
+            limit = find_ck(1e-24, p)
+            assert [find_ck(k, p) for k in (1e-30, 1e-300)] == [limit, limit], K
 
     def test_monotone_in_k(self):
         p = ModelParams(n=2, K=0.5, D=1.0)
@@ -96,19 +101,10 @@ def _nan_seed(k, K, D, below):
     return math.nan, math.nan
 
 
-@pytest.fixture
-def ode_calls(monkeypatch):
-    """Counts of pruefer's calls into its ODE solvers, by name."""
-    calls = collections.Counter()
-    for name in ("solve_ivp", "dop853_end", "dop853_dense"):
-        solver = getattr(pruefer, name)
-
-        def counting(*args, _name=name, _solver=solver, **kwargs):
-            calls[_name] += 1
-            return _solver(*args, **kwargs)
-
-        monkeypatch.setattr(pruefer, name, counting)
-    return calls
+def ode_calls(work):
+    """Counts of pruefer's ODE runs on the ledger work, by wrapper."""
+    return collections.Counter(name for name, module, _ in work
+                               if module == "gapmodel.pruefer" and name != "brent")
 
 
 @pytest.mark.usefixtures("cold_ck")
@@ -128,16 +124,16 @@ class TestRobinConstantSolve:
         assert c == pytest.approx(float(CK_30[n, K, D, k]), rel=1e-11)
 
     @pytest.mark.parametrize("n,K,D,k", list(CK_30))
-    def test_angle_solves(self, n, K, D, k, ode_calls):
+    def test_angle_solves(self, n, K, D, k, work):
         # the seeded (K != 0) or flat (K = 0) interval takes one stacked
         # end-angle pass and the accepted check, which is the profile run
         find_ck(k, ModelParams(n, K, D))
-        assert ode_calls == {"dop853_end": 1, "dop853_dense": 1}
+        assert ode_calls(work) == {"dop853_end": 1, "dop853_dense": 1}
 
     @pytest.mark.parametrize("n,K,D,k,fault", [
         (*key, fault) for key in CK_30 for fault in ("nan_seed", "no_straddle")
         if fault == "no_straddle" or key[1] != 0.0])  # K = 0 computes no seed
-    def test_brent_fallback(self, n, K, D, k, fault, monkeypatch, ode_calls):
+    def test_brent_fallback(self, n, K, D, k, fault, monkeypatch, work):
         # a NaN seed, or a pass whose end angles do not straddle the target,
         # sends Brent to the comparison bracket, to the same root
         if fault == "nan_seed":
@@ -151,9 +147,9 @@ class TestRobinConstantSolve:
             monkeypatch.setattr(pruefer, "_end_angles", swapped)
         c = find_ck(k, ModelParams(n, K, D))
         assert c == pytest.approx(float(CK_30[n, K, D, k]), rel=1e-11)
-        assert ode_calls["dop853_end"] >= 3 and ode_calls["dop853_dense"] == 1
+        assert ode_calls(work)["dop853_end"] >= 3 and ode_calls(work)["dop853_dense"] == 1
 
-    def test_rejected_estimate_refines_on_the_roots_side(self, monkeypatch, ode_calls):
+    def test_rejected_estimate_refines_on_the_roots_side(self, monkeypatch, work):
         # with no estimate accepted, Brent continues inside the pass's
         # interval from the check, and only the root's run becomes the profile
         monkeypatch.setattr(pruefer, "_ACCEPT", 0.0)
@@ -169,31 +165,27 @@ class TestRobinConstantSolve:
         n, K, D, k = 5, 2.0, 1.0, 40.0
         c = find_ck(k, ModelParams(n, K, D))
         assert c == pytest.approx(float(CK_30[n, K, D, k]), rel=1e-11)
-        assert ode_calls["dop853_end"] >= 2 and ode_calls["dop853_dense"] == 2
+        assert ode_calls(work)["dop853_end"] >= 2 and ode_calls(work)["dop853_dense"] == 2
         # one Brent, inside the seeded interval, 2e-8 wide, not the
         # comparison bracket, 0.3 wide
         lo, hi = brackets[-1]
         assert len(brackets) == 1 and lo <= c <= hi and hi - lo < 1e-6
 
     @pytest.mark.parametrize("k,K,D", [(10.0, 9.8, 1.0), (1.0, -400.0, 1.0)])
-    def test_wide_seed_goes_straight_to_brent(self, k, K, D, monkeypatch, ode_calls):
+    def test_wide_seed_goes_straight_to_brent(self, k, K, D, monkeypatch, work):
         # the seed's ladder is wider than _PASS_WIDTH allows a pass, also at
         # 3 ladders (8.7e-3 and 8.9e-3 of the scale): Brent
         # starts on the seeded interval, and only its root's run is dense
-        sizes, end_angles = [], pruefer._end_angles
-
-        def recording(cvals, params):
-            sizes.append(len(cvals))
-            return end_angles(cvals, params)
-
-        monkeypatch.setattr(pruefer, "_end_angles", recording)
         c = find_ck(k, ModelParams(5, K, D))
-        assert sizes and set(sizes) == {1} and ode_calls["dop853_dense"] == 1
+        # each end-angle shot carries one (q, log r) pair
+        assert {sol.y.size for name, module, sol in work
+                if (name, module) == ("dop853_end", "gapmodel.pruefer")} == {2}
+        assert ode_calls(work)["dop853_dense"] == 1
         pruefer._robin_constant.cache_clear()
         monkeypatch.setattr(pruefer, "_colloc_seed", _nan_seed)
         assert c == pytest.approx(find_ck(k, ModelParams(5, K, D)), rel=1e-12)
 
-    def test_unbracketed_constant_is_a_bracket_error(self, monkeypatch, ode_calls):
+    def test_unbracketed_constant_is_a_bracket_error(self, monkeypatch, work):
         # no ODE: a NaN seed leaves the wide bracket to end angles that
         # never cross the target
         monkeypatch.setattr(pruefer, "_colloc_seed", _nan_seed)
@@ -201,7 +193,7 @@ class TestRobinConstantSolve:
         with pytest.raises(BracketError, match=r"comparison bracket \[.*\] does not "
                                                r"straddle c_k for k = 40.0"):
             find_ck(40.0, ModelParams(5, 2.0, 1.0))
-        assert ode_calls == {}
+        assert ode_calls(work) == {}
 
     def test_check_run_ends_on_the_end_angle_shot(self):
         # the profile run steps as the end-only shot does
@@ -236,15 +228,15 @@ class TestRobinConstantSolve:
         assert abs(seed - find_ck(k, ModelParams(5, K, D))) <= 3 * ladder
 
     @pytest.mark.parametrize("n,K,D,k", [(2, 0.5, 1.0, 10.0), (5, 1.0, 1.0, 60.0)])
-    def test_boundary_report_adds_one_solve(self, n, K, D, k, ode_calls):
+    def test_boundary_report_adds_one_solve(self, n, K, D, k, work):
         # with c_k cached, the eigenfunction, its boundary values and the
         # left branch come from the profile cached with it, and nothing runs
         find_ck(k, ModelParams(n, K, D))
-        assert ode_calls == {"dop853_end": 1, "dop853_dense": 1}
-        ode_calls.clear()
+        assert ode_calls(work) == {"dop853_end": 1, "dop853_dense": 1}
+        work.clear()
         robin_boundary_report(k, ModelParams(n, K, D))
         stationary_reference(k, ModelParams(n, K, D), np.linspace(0.0, 0.5, 11))
-        assert ode_calls == {}
+        assert ode_calls(work) == {}
 
     @pytest.mark.parametrize("n,K,D,k", [(2, 0.5, 1.0, 10.0), (5, 3.0, 1.0, 300.0),
                                          (2, 0.0, 0.5, 300.0), (4, -2.0, 1.5, 20.0)])
@@ -254,13 +246,13 @@ class TestRobinConstantSolve:
         expected = psi_left(find_ck(k, p), p).psi_at(z)
         assert stationary_reference(k, p, z).tobytes() == expected.tobytes()
 
-    def test_angle_check_is_a_bracket_error(self, monkeypatch, ode_calls):
+    def test_angle_check_is_a_bracket_error(self, monkeypatch, work):
         # the pass's check often ends on a defect below 1e-15, so only a
         # negative tolerance is sure to be exceeded; no Brent shot follows
         monkeypatch.setattr(pruefer, "_ANGLE_TOL", -1.0)
         with pytest.raises(BracketError, match="end-angle defect"):
             find_ck(40.0, ModelParams(5, 2.0, 1.0))
-        assert ode_calls == {"dop853_end": 1, "dop853_dense": 1}
+        assert ode_calls(work) == {"dop853_end": 1, "dop853_dense": 1}
 
     def test_brent_root_check_is_a_bracket_error(self, monkeypatch):
         monkeypatch.setattr(pruefer, "_ANGLE_TOL", -1.0)
@@ -532,19 +524,6 @@ def _pole_by_solve_ivp(k, c, params):
 class TestCompiledBranches:
     """Branches from the compiled DOP853 steps and their dense output."""
 
-    @pytest.fixture
-    def runs(self, monkeypatch):
-        # the result of every dop853_dense run behind a branch
-        made = []
-        dense = pruefer.dop853_dense
-
-        def keeping(*args, **kwargs):
-            made.append(dense(*args, **kwargs))
-            return made[-1]
-
-        monkeypatch.setattr(pruefer, "dop853_dense", keeping)
-        return made
-
     @pytest.mark.parametrize("side,n,K,D,k", list(BRANCH_Q_30))
     def test_oracle(self, side, n, K, D, k):
         p = ModelParams(n, K, D)
@@ -556,13 +535,14 @@ class TestCompiledBranches:
         z = p.half * np.arange(1, 8) / 8
         np.testing.assert_allclose(branch._q(z)[0], [float(q) for q in q30], rtol=0, atol=1e-12)
 
-    def test_knots_are_the_fortran_states(self, runs):
+    def test_knots_are_the_fortran_states(self, work):
         p = ModelParams(5, 3.0, 1.0)
         ck = find_ck(300.0, p)
-        del runs[:]  # a cold find_ck's profile run
+        work.clear()  # a cold find_ck's runs
         psi_left(ck - 1.0, p)
         psi_right(300.0, ck + 1.0, p)  # integrated backward
         psi_right(300.0, ck + 3000.0, p, allow_partial=True)  # stopped at its pole
+        runs = [sol for name, _, sol in work if name == "dop853_dense"]
         assert [run.t_event is None for run in runs] == [True, True, False]
         for run in runs:
             assert run.t[0] in (0.0, p.half)  # the Fortran stepper reports t0 too

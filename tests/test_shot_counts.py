@@ -1,10 +1,14 @@
 """Smoke tests of the solve-count script (sweeps/shot_counts.py), seed 1's
-pinned counts of every workload, and which shots skip the collocation seed."""
+pinned counts of every workload, the solver ledger it reads, and which
+shots skip the collocation seed."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-from gapmodel import exact, flow, series, spectral
+import pytest
+
+from gapmodel import _scipy, exact, flow, series, spectral
 from gapmodel.model import ModelParams
 
 _STEP, _SOLVE_BANDED = flow._Workspace.step, flow.solve_banded
@@ -48,6 +52,7 @@ def test_counts_repeat_exactly():
     # eigenvalue is accepted on the shared pass
     assert first["by_kind"]["fd"]["angle_shots"] == 0
     assert first["by_kind"]["near_cap"]["brent_solves"] == 0
+    assert _scipy._open is None  # the count's ledgers are closed
 
 
 def test_robin_counts_repeat_exactly():
@@ -84,6 +89,25 @@ def test_flow_work_is_counted():
         assert by_kind["pruefer"][field] == 0, field
     # the wrappers are gone once the count ends
     assert flow._Workspace.step is _STEP and flow.solve_banded is _SOLVE_BANDED
+
+
+def test_ledger_records_each_returned_call():
+    def decay(t, y):
+        return [-y[0]]
+
+    # a block that raises closes its ledger and reopens the outer one, which
+    # holds none of the block's records
+    with _scipy.ledger() as outer:
+        with pytest.raises(ZeroDivisionError), _scipy.ledger() as inner:
+            _scipy.dop853_end(decay, 0.0, 1.0, [1.0], rtol=1e-10, atol=1e-10)
+            _scipy.brent(lambda x: x - 1.0, 0.0, 3.0)
+            1 / 0
+        assert _scipy._open is outer and outer == []
+    assert [record[:2] for record in inner] == [("dop853_end", __name__), ("brent", __name__)]
+    # with no ledger open a call records nothing: the name and getrefcount's
+    # argument alone hold its result
+    sol = _scipy.dop853_end(decay, 0.0, 1.0, [1.0], rtol=1e-10, atol=1e-10)
+    assert _scipy._open is None and sys.getrefcount(sol) == 2
 
 
 def test_seed_ranges():

@@ -75,45 +75,25 @@ ERROR_TRIPLES = [
 ]
 
 
-@pytest.fixture
-def ode_work(monkeypatch):
-    """Right-hand-side evaluations of each ODE solve in spectral, in order.
-
-    Counts the compiled angle shots (dop853_end) and the compiled
-    eigenfunction runs (dop853_dense) alike.
-    """
-    nfev = []
-
-    def counting(real):
-        def solve(*args, **kwargs):
-            sol = real(*args, **kwargs)
-            nfev.append(sol.nfev)
-            return sol
-        return solve
-
-    for name in ("dop853_end", "dop853_dense"):
-        monkeypatch.setattr(spectral, name, counting(getattr(spectral, name)))
-    return nfev
+def ode_work(work):
+    """Right-hand-side points of each ODE run in spectral on the ledger
+    work, in order: the angle shots (dop853_end) and the eigenfunction
+    runs (dop853_dense) alike."""
+    return [sol.nfev for _, module, sol in work if module == "gapmodel.spectral"]
 
 
-@pytest.fixture
-def solves(monkeypatch):
-    """The kind of each ODE solve in spectral, in order: "pass" for a
-    dense (theta, log r) run at two or more lam, "dense" at one, "shot"
-    for a theta-only angle shot."""
-    kinds = []
+def solves(work):
+    """The kind of each ODE run in spectral on the ledger work, in order:
+    "pass" for a dense (theta, log r) run at two or more lam, "dense" at
+    one, "shot" for a theta-only angle shot."""
+    return ["shot" if name == "dop853_end" else "pass" if len(sol.y) >= 4 else "dense"
+            for name, module, sol in work if module == "gapmodel.spectral"]
 
-    def shot(*args, **kwargs):
-        kinds.append("shot")
-        return _scipy.dop853_end(*args, **kwargs)
 
-    def dense(fun, t0, t1, y0, *args, **kwargs):
-        kinds.append("pass" if len(y0) >= 4 else "dense")
-        return _scipy.dop853_dense(fun, t0, t1, y0, *args, **kwargs)
-
-    monkeypatch.setattr(spectral, "dop853_end", shot)
-    monkeypatch.setattr(spectral, "dop853_dense", dense)
-    return kinds
+def pass_rows(work):
+    """The number of rows of each dense (theta, log r) run on the ledger work, in order."""
+    return [len(sol.y) for name, module, sol in work
+            if (name, module) == ("dop853_dense", "gapmodel.spectral")]
 
 
 class TestShoot:
@@ -257,33 +237,33 @@ class TestErrorEstimate:
             assert abs(r.eigenvalue - ref) <= r.error_estimate
             assert r.error_estimate <= 1e-9 * max(abs(ref), (math.pi / D) ** 2)
 
-    def test_solve_count(self, ode_work):
+    def test_solve_count(self, work):
         for idx, max_rhs in ((1, 450), (2, 670)):
-            ode_work.clear()
+            work.clear()
             eigen_shoot((5, 1.0, 1.0), idx)
             # one stacked pass at the seeded interval's ends, which gives the
             # root and the eigenfunction, and one check shot at the root
-            assert len(ode_work) == 2
+            assert len(ode_work(work)) == 2
             # measured: 363 and 540 right-hand-side evaluations, 182 and 300
             # of them in the stacked pass (227 and 369 once the eigenfunction
             # is read, which forms the dense extension's 3 stages per step);
             # 951 and 1329 in 5 solves each with Brent from the seeded
             # interval, 1313 and 1592 in 7 and 6 solves from the comparison
             # bracket
-            assert sum(ode_work) <= max_rhs
+            assert sum(ode_work(work)) <= max_rhs
 
     @pytest.mark.parametrize("triple", [(3, 1.0, 1.0), (6, 0.0, 2.0)], ids=str)
-    def test_flat_angle_is_linear(self, ode_work, triple):
+    def test_flat_angle_is_linear(self, work, triple):
         """V is constant, so lam - V is S^2 up to the bracket's padding and
         the index-2 angle grows linearly in z: a few DOP853 steps per solve.
         Measured: 86 and 98 right-hand-side evaluations in the stacked
         pass (107 and 122 with its dense extension), 86 in the check shot;
         with the fixed scale S = pi / D, an angle shot took 832 and 937."""
         eigen_shoot(triple, 2)
-        stacked_pass, check_shot = ode_work
+        stacked_pass, check_shot = ode_work(work)
         assert stacked_pass <= 200 and check_shot <= 150
 
-    def test_wide_potential_angle_rhs_count(self, ode_work):
+    def test_wide_potential_angle_rhs_count(self, work):
         """At (8, 12, 0.5) V runs from -42 at z = 0 to 103 at z = D/2.
         Measured for index 2 with S the wavenumber at z = 0: 814
         right-hand-side evaluations, 420 in the stacked pass (519 with its
@@ -291,7 +271,7 @@ class TestErrorEstimate:
         seeded interval, the angle shots took 2829; 6168 with
         S^2 = hi - max V, 4922 with the fixed S = pi / D."""
         eigen_shoot((8, 12.0, 0.5), 2)
-        assert sum(ode_work) <= 1400
+        assert sum(ode_work(work)) <= 1400
 
 
 class TestCollocationSeed:
@@ -348,19 +328,19 @@ class TestCollocationSeed:
     # inside the bracket, and the ends of its one stacked pass do not
     # straddle the target
     @pytest.mark.parametrize("case,extra", [("nan", 0), ("off", 1), ("below", 0)])
-    def test_fallback(self, monkeypatch, ode_work, case, extra):
+    def test_fallback(self, monkeypatch, work, case, extra):
         for idx in (1, 2):
             monkeypatch.setattr(spectral, "_colloc_seed", lambda p, i: (math.nan, 0.0))
-            ode_work.clear()
+            work.clear()
             unseeded = eigen_shoot((5, 1.0, 1.0), idx)
-            solves = len(ode_work)
+            runs = len(ode_work(work))
             seed = {"nan": math.nan, "off": unseeded.eigenvalue * (1 - 1e-3),
                     "below": -1.0}[case]
             monkeypatch.setattr(spectral, "_colloc_seed", lambda p, i: (seed, 0.0))
-            ode_work.clear()
+            work.clear()
             r = eigen_shoot((5, 1.0, 1.0), idx)
             assert abs(r.eigenvalue - unseeded.eigenvalue) <= r.error_estimate
-            assert len(ode_work) == solves + extra
+            assert len(ode_work(work)) == runs + extra
 
 
 class TestStackedPass:
@@ -369,11 +349,11 @@ class TestStackedPass:
     continuation after it, Brent from a seed too wide for a pass, the
     comparison bracket, and the one result shape of them all."""
 
-    def test_accepted_pass(self, solves):
+    def test_accepted_pass(self, work):
         for idx in (1, 2):
-            solves.clear()
+            work.clear()
             r = eigen_shoot((5, 1.0, 1.0), idx)
-            assert solves == ["pass", "shot"]
+            assert solves(work) == ["pass", "shot"]
             ref = COLLOCATION[(5, 1.0, 1.0)][idx - 1]
             assert abs(r.eigenvalue - ref) <= r.error_estimate <= 1e-11 * max(ref, math.pi**2)
 
@@ -395,16 +375,16 @@ class TestStackedPass:
                                           0.0, p, idx).values
             assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_brent_continues_inside_the_pass(self, monkeypatch, solves):
+    def test_brent_continues_inside_the_pass(self, monkeypatch, work):
         # no estimate is accepted: Brent runs between the check shot's lam
         # and the pass's end on the other side of the root, one new shot
         accepted = {idx: eigen_shoot((5, 1.0, 1.0), idx) for idx in (1, 2)}
         monkeypatch.setattr(spectral, "_ACCEPT", 0.0)
         for idx in (1, 2):
-            solves.clear()
+            work.clear()
             r = eigen_shoot((5, 1.0, 1.0), idx)
-            assert solves[:3] == ["pass", "shot", "shot"] and solves[-1] == "dense"
-            assert "pass" not in solves[1:]
+            assert solves(work)[:3] == ["pass", "shot", "shot"] and solves(work)[-1] == "dense"
+            assert "pass" not in solves(work)[1:]
             ref = COLLOCATION[(5, 1.0, 1.0)][idx - 1]
             assert abs(r.eigenvalue - ref) <= r.error_estimate
             assert abs(r.eigenvalue - accepted[idx].eigenvalue) <= r.error_estimate
@@ -413,31 +393,31 @@ class TestStackedPass:
             # inflates the estimate about 1e5-fold
             assert r.error_estimate <= 1e-11 * max(ref, math.pi**2)
 
-    def test_refined_seed(self, solves):
+    def test_refined_seed(self, work):
         # the one seed on the measured sweep that gets a pass and is refined
         # while its half-width is far below _PASS_WIDTH: the check shot reads
         # 9e-12 below the pass's angle, too far for the accept rule
         r = eigen_shoot((4, 1.671925, 2.0), 2)
-        assert solves[:2] == ["pass", "shot"] and solves[-1] == "dense"
+        assert solves(work)[:2] == ["pass", "shot"] and solves(work)[-1] == "dense"
         assert r.error_estimate <= 1e-10 * r.eigenvalue
 
-    def test_accept_on_the_accuracy_scale(self, monkeypatch, solves):
+    def test_accept_on_the_accuracy_scale(self, monkeypatch, work):
         # with every seed given a pass, the one near the cap is 2e-6 off the
         # root; the bracket's scale there, 1.3e7, would have accepted it
         monkeypatch.setattr(_scipy, "_PASS_WIDTH", math.inf)
         r = eigen_shoot((4, 9.86, 1.0), 2)
-        assert solves[:2] == ["pass", "shot"] and solves[-1] == "dense"
+        assert solves(work)[:2] == ["pass", "shot"] and solves(work)[-1] == "dense"
         ref = eigen_shoot_mp((4, 9.86, 1.0), 2, dps=20)
         assert abs(r.eigenvalue - ref) <= r.error_estimate <= 1e-9 * r.eigenvalue
 
-    def test_wide_seed_goes_straight_to_brent(self, monkeypatch, solves):
+    def test_wide_seed_goes_straight_to_brent(self, monkeypatch, work):
         # at (4, 9.84, 1) both seeded intervals are wider than _PASS_WIDTH
         # (1.4e-4 and 3.4e-5 of the scale), and so is a seed whose ladder
         # is widened
         for idx in (1, 2):
-            solves.clear()
+            work.clear()
             eigen_shoot((4, 9.84, 1.0), idx)
-            assert "pass" not in solves and solves[-1] == "dense"
+            assert "pass" not in solves(work) and solves(work)[-1] == "dense"
         real = spectral._colloc_seed
 
         def wide(p, i):
@@ -445,21 +425,21 @@ class TestStackedPass:
             return seed, 1e-5 * seed
 
         monkeypatch.setattr(spectral, "_colloc_seed", wide)
-        solves.clear()
+        work.clear()
         r = eigen_shoot((5, 1.0, 1.0), 1)
-        assert solves[:2] == ["shot", "shot"] and "pass" not in solves
+        assert solves(work)[:2] == ["shot", "shot"] and "pass" not in solves(work)
         assert abs(r.eigenvalue - COLLOCATION[(5, 1.0, 1.0)][0]) <= r.error_estimate
 
     @pytest.mark.parametrize("triple", [(3, 1.0, 1.0), (6, 0.0, 2.0), (1, 5.0, 1.0),
                                         (3, -8.0, 0.5), (3, 9.8, 1.0)], ids=str)
-    def test_flat_triples_take_the_pass(self, solves, triple):
+    def test_flat_triples_take_the_pass(self, work, triple):
         # a constant V's comparison bracket, 2 pad wide around the closed
         # form, is narrow enough for a pass: no seed and no Brent shot
         for form in ("normal", "direct"):
             for idx in (1, 2):
-                solves.clear()
+                work.clear()
                 eigen_shoot(triple, idx, form=form)
-                assert solves == ["pass", "shot"]
+                assert solves(work) == ["pass", "shot"]
 
     @pytest.mark.parametrize("branch", ["pass", "continued", "nan seed"])
     def test_one_result_shape(self, monkeypatch, branch):
@@ -482,34 +462,22 @@ class TestStackedPass:
                 assert sol.y.shape[0] == 2 and rows == [0, 1] and w == 0.0
                 assert residual == float(sol.y[0, -1]) - 0.5 * idx * math.pi
 
-    def test_nan_seed_takes_the_comparison_bracket(self, monkeypatch, solves):
+    def test_nan_seed_takes_the_comparison_bracket(self, monkeypatch, work):
         monkeypatch.setattr(spectral, "_colloc_seed", lambda p, i: (math.nan, math.nan))
         r = eigen_shoot((5, 1.0, 1.0), 1)
-        assert "pass" not in solves and solves[-1] == "dense"
+        assert "pass" not in solves(work) and solves(work)[-1] == "dense"
         assert abs(r.eigenvalue - COLLOCATION[(5, 1.0, 1.0)][0]) <= r.error_estimate
 
-    def test_direct_form_takes_the_pass(self, solves):
+    def test_direct_form_takes_the_pass(self, work):
         r = eigen_shoot((5, 1.0, 1.0), 2, form="direct")
-        assert solves == ["pass", "shot"]
+        assert solves(work) == ["pass", "shot"]
         assert abs(r.eigenvalue - COLLOCATION[(5, 1.0, 1.0)][1]) <= r.error_estimate
 
-    @pytest.fixture
-    def pass_rows(self, monkeypatch):
-        """The number of rows of each dense (theta, log r) run, in order."""
-        rows, dense = [], spectral.dop853_dense
-
-        def counting(fun, t0, t1, y0, *args, **kwargs):
-            rows.append(len(y0))
-            return dense(fun, t0, t1, y0, *args, **kwargs)
-
-        monkeypatch.setattr(spectral, "dop853_dense", counting)
-        return rows
-
-    def test_gap_makes_one_pass(self, solves, pass_rows):
+    def test_gap_makes_one_pass(self, work):
         # both narrow intervals share one run of 8 rows; each index keeps
         # its own theta-only check shot
         g = gap((5, 1.0, 1.0))
-        assert solves == ["pass", "shot", "shot"] and pass_rows == [8]
+        assert solves(work) == ["pass", "shot", "shot"] and pass_rows(work) == [8]
         for r in (g.lambda1, g.lambda2):
             ref = COLLOCATION[(5, 1.0, 1.0)][r.index - 1]
             assert abs(r.eigenvalue - ref) <= r.error_estimate <= 1e-11 * max(ref, math.pi**2)
@@ -535,37 +503,37 @@ class TestStackedPass:
             ref = spectral._eigenfunction(run, [0, 1], 0.0, p, idx).values
             assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_one_narrow_index(self, solves, pass_rows):
+    def test_one_narrow_index(self, work):
         # at (8, 9.4, 1) only index 2's seeded interval is narrow: the pass
         # carries its two ends alone and its check accepts it, and index 1
         # (half-width 5.8e-6 of the scale) goes straight to Brent, with a
         # run at Brent's root
         g = gap((8, 9.4, 1.0))
-        assert solves[0] == "pass" and solves.count("pass") == 1
-        assert pass_rows == [4, 2]
+        assert solves(work)[0] == "pass" and solves(work).count("pass") == 1
+        assert pass_rows(work) == [4, 2]
         for r in (g.lambda1, g.lambda2):
             assert abs(r.eigenvalue - eigen_shoot_mp((8, 9.4, 1.0), r.index, dps=20)) \
                 <= r.error_estimate <= 1e-9 * max(r.eigenvalue, math.pi**2)
 
     @pytest.mark.parametrize("kappa", [9.37, 9.4, 9.43])
-    def test_near_cap_band_takes_the_pass(self, solves, pass_rows, kappa):
+    def test_near_cap_band_takes_the_pass(self, work, kappa):
         # the benchmark's near-cap slot (4, 9.4 +- 0.03, 1): at both edges
         # and the centre both seeded intervals are narrow, and one 8-row run
         # and two check shots accept both eigenvalues
         g = gap((4, kappa, 1.0))
-        assert solves == ["pass", "shot", "shot"] and pass_rows == [8]
+        assert solves(work) == ["pass", "shot", "shot"] and pass_rows(work) == [8]
         for r in (g.lambda1, g.lambda2):
             ref = eigen_shoot_mp((4, kappa, 1.0), r.index, dps=20)
             assert abs(r.eigenvalue - ref) <= r.error_estimate <= 1e-9 * max(r.eigenvalue,
                                                                               math.pi**2)
 
-    def test_brent_roots_share_one_run(self, pass_rows):
+    def test_brent_roots_share_one_run(self, work):
         # at (2, 9.86, 1) both seeded intervals are wide: Brent finds each
         # root with the angle shots eigen_shoot makes alone, to the same
         # bits, and one run at both roots gives both eigenfunctions
         p = ModelParams(2, 9.86, 1.0)
         g = gap(p)
-        assert pass_rows == [4]
+        assert pass_rows(work) == [4]
         roots = spectral._shoot_root(p, (1, 2), "normal")
         assert roots[0][2] is roots[1][2]
         assert [rows for _, _, _, rows, _, _ in roots] == [[0, 1], [2, 3]]
@@ -731,9 +699,9 @@ class TestNearCap:
         ((5, 9.8, 1.0), 40000), ((2, 9.86, 1.0), 40000),
         ((2, 9.869, 1.0), 45000),
     ], ids=str)
-    def test_gap_rhs_count(self, ode_work, triple, max_rhs):
+    def test_gap_rhs_count(self, work, triple, max_rhs):
         g = gap(triple)
-        assert sum(ode_work) <= max_rhs
+        assert sum(ode_work(work)) <= max_rhs
         assert g.sign == (-1 if triple[0] == 2 else 1)
 
     @pytest.mark.parametrize("triple", [(5, 9.8, 1.0), (2, 9.86, 1.0)], ids=str)
@@ -932,10 +900,11 @@ class TestCompiledSolvers:
         lists = [c for c in kept if isinstance(c, list | array)]
         assert len(lists) == 5 and not any(lists)
 
-    def test_dense_extension_is_formed_on_first_read(self):
+    def test_dense_extension_is_formed_on_first_read(self, work):
         # without an event a run forms the 3 extension stages per step on
-        # the first evaluation of its sol, once, and counts them then; every
-        # value is the bits of the extension formed during the run
+        # the first evaluation of its sol, once, and counts them then, also
+        # in its ledger record; every value is the bits of the extension
+        # formed during the run
         calls = []
 
         def rhs(t, y):
@@ -946,6 +915,7 @@ class TestCompiledSolvers:
         del calls[:]
         lazy = _scipy.dop853_dense(rhs, -1.0, 0.0, [0.0, 1.0], rtol=1e-12, atol=1e-12,
                                    rows=[0, 1], event=None)
+        assert work[-1] == ("dop853_dense", __name__, lazy)
         steps, run_calls = lazy.t.size - 1, len(calls)
         assert np.array_equal(lazy.t, eager.t) and np.array_equal(lazy.y, eager.y)
         assert lazy.nfev == run_calls == eager.nfev - 3 * steps
