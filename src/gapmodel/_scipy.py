@@ -19,14 +19,15 @@ finite-difference route takes its coarse grid's eigenvalues from
 eigenpairs from ``tridiagonal_eigenpairs`` (one ``stebz`` and one
 ``stein`` call), one index or a range of them per grid.
 
-``seeded_root`` finds the root of an increasing function from a
-collocation seed: a stacked two-end pass, a checked linear interpolation,
-and ``brentq`` through ``brent``, which raises its iteration cap as
+``seeded_interval`` turns a collocation seed into an interval, and says
+whether it is narrow enough for a stacked two-end pass, which the caller
+runs.  ``seeded_root`` then finishes the root of an increasing function
+there: a checked linear interpolation of the pass's ends, or ``brentq``
+through ``brent``, which raises its iteration cap as
 ``NonConvergenceError``.  Spectral's ``eigen_shoot`` and pruefer's
-``find_ck`` both call it, each with its own pass and check runs, accept
-fraction, noise floor, Brent tolerances and error.  ``seeded_interval``
-is its interval and pass-width rule, which spectral reads first for both
-eigenvalues of a gap, to run their passes together.
+``find_ck`` call each once per root, with their own pass and check runs,
+accept fraction, noise floor, Brent tolerances and error; spectral forms
+both eigenvalues' intervals of a gap first, to run their passes together.
 
 ``ledger`` counts the work: while one is open, every call of
 ``dop853_end``, ``dop853_dense`` and ``brent`` that returns appends a
@@ -148,7 +149,7 @@ def dop853_end(fun, t0, t1, y0, rtol, atol):
     return _record("dop853_end", fun, _outcome(solver, t=solver.t, y=y))
 
 
-def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
+def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
     """Dense solution of y' = fun(t, y) from t0 toward t1 by the compiled DOP853.
 
     The Fortran ``dop853`` records t and y at t0 and at the end of every
@@ -176,13 +177,15 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
 
     Returns ``t`` and ``y``, the recorded points and the states there (one
     row of y per component), ``t_event``, the root or None, and ``sol``,
-    the evaluator of the given rows (see ``_dense_evaluator``) on the span
-    from t0 to t_event or to the last point.  ``nfev`` counts the
-    right-hand side's points: the Fortran's calls, plus 3 per step from
-    when the extension is formed.  ``success`` and ``message`` are those
-    of ``dop853_end``; a failed run has ``sol = None``.  An exception
-    raised by fun or the event propagates, from the first call of ``sol``
-    where fun raises while the extension is formed.
+    the evaluator (z, rows=None) -> y(z) (see ``_dense_evaluator``) on
+    the span from t0 to t_event or to the last point: every component, or
+    the listed rows only, each to the same bits, so a caller chooses its
+    rows when it evaluates.  ``nfev`` counts the right-hand side's points:
+    the Fortran's calls, plus 3 per step from when the extension is
+    formed.  ``success`` and ``message`` are those of ``dop853_end``; a
+    failed run has ``sol = None``.  An exception raised by fun or the
+    event propagates, from the first call of ``sol`` where fun raises
+    while the extension is formed.
     """
     dim, tail = len(y0), -tableau.N_STAGES * len(y0)
     calls, stages = array("d"), array("d")  # stages: f(t0), then K[1..12] per step
@@ -238,11 +241,8 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
         F[3:] = h * np.tensordot(tableau.D, K, axes=1)
         return t_old, h, y_old, F[::-1]  # coefficient, component, step; highest first
 
-    def evaluator(knots, t_old, h, y_old, coeffs):
-        return _dense_evaluator(knots, t_old, h, y_old[rows], coeffs[:, rows])
-
     if event is None:
-        out.sol = _deferred(lambda: evaluator(t, *extension()))
+        out.sol = _deferred(lambda: _dense_evaluator(t, *extension()))
         return _record("dop853_dense", fun, out)
     t_old, h, y_old, coeffs = extension()
     knots = t
@@ -251,7 +251,7 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, rows, event):
         eps4 = 4 * np.finfo(float).eps
         out.t_event = brentq(lambda z: event(z, last(z)), t[-2], t[-1], xtol=eps4, rtol=eps4)
         knots = np.append(t[:-1], out.t_event)
-    out.sol = evaluator(knots, t_old, h, y_old, coeffs)
+    out.sol = _dense_evaluator(knots, t_old, h, y_old, coeffs)
     return _record("dop853_dense", fun, out)
 
 
@@ -347,7 +347,7 @@ def brent(f, lo, hi, **tol):
 
 
 def seeded_interval(lo, hi, pad, seed, ladder, floor):
-    """seeded_root's interval [a, b] in the padded bracket [lo, hi], and
+    """The seeded interval [a, b] in the padded bracket [lo, hi], and
     whether it is narrow enough for a stacked pass.
 
     The interval is seed +- max(_LADDERS ladder, pad), 3 ladders, if it
@@ -383,35 +383,33 @@ def seeded_interval(lo, hi, pad, seed, ladder, floor):
     return a, b, (b - a) / 2 <= _PASS_WIDTH * max(abs(a + b) / 2, floor)
 
 
-def seeded_root(g, lo, hi, pad, seed, ladder, stacked, check, *, floor, accept, noise,
-                xtol, rtol, unbracketed):
-    """The root of g, increasing, inside the padded bracket [lo, hi], from a seed.
+def seeded_root(g, lo, hi, a, b, ends, check, *, floor, accept, noise, xtol, rtol,
+                unbracketed):
+    """The root of g, increasing, inside the padded bracket [lo, hi], from a
+    seeded interval [a, b].
 
-    The interval [a, b] is seeded_interval's.  The accuracy scale of a
-    point x is max(|x|, floor).
+    The caller forms [a, b] once, by seeded_interval, and ends is (g(a),
+    g(b)) from its stacked pass when the interval is narrow, else None; a
+    caller solving several roots may make every root's pass in one run.
+    The accuracy scale of a point x is max(|x|, floor).
 
-    - Stacked pass.  If the interval is narrow, stacked(a, b) returns
-      (g(a), g(b), run) from one pass at both ends; a caller solving
-      several roots may make every root's pass in one run beforehand and
-      read each root's ends from it.  If g(a) < 0 < g(b), the root
-      x = a + w (b - a) interpolates g linearly, and check(x) returns
-      (g(x), run).  The estimate (2 |g(x)| + noise) (b - a) /
-      (g(b) - g(a)) is accepted when it is at most accept times the scale
-      of x.  A rejected estimate sends Brent into [x, b] or [a, x], the
-      side g(x)'s sign picks; a pass that does not straddle sends it to
-      the bracket.
-    - Brent's method.  A wider interval goes to Brent, on g alone, if g
+    - Stacked pass.  If g(a) < 0 < g(b), the root x = a + w (b - a)
+      interpolates g linearly, and check(x) returns (g(x), run).  The
+      estimate (2 |g(x)| + noise) (b - a) / (g(b) - g(a)) is accepted when
+      it is at most accept times the scale of x.  A rejected estimate sends
+      Brent into [x, b] or [a, x], the side g(x)'s sign picks; a pass that
+      does not straddle sends it to the bracket.
+    - Brent's method.  A wide interval goes to Brent, on g alone, if g
       straddles the root at its ends; otherwise, and as above, Brent runs
       on the bracket.  It stops at xtol + rtol |x|.
 
     Returns (x, evals, passed): the root, the dict of each point where g
     was called to its value, and for an accepted pass (estimate, w, g(x),
-    the pass's run, the check's run), else None.  A bracket whose ends do
-    not straddle raises unbracketed; Brent's iteration cap raises
-    NonConvergenceError.
+    the check's run), else None.  A bracket whose ends do not straddle
+    raises unbracketed; Brent's iteration cap raises NonConvergenceError.
 
-    The open ledger counts the work: the pass, the check and g's shots
-    under the caller's module, whose functions run them, and Brent under
+    The open ledger counts the work: the check and g's shots under the
+    caller's module, whose functions run them, and Brent under
     ``gapmodel._scipy``, whose ``shot`` it is given.
     """
     evals = {}
@@ -422,16 +420,15 @@ def seeded_root(g, lo, hi, pad, seed, ladder, stacked, check, *, floor, accept, 
             evals[x] = g(x)
         return evals[x]
 
-    a, b, narrow = seeded_interval(lo, hi, pad, seed, ladder, floor)
-    if narrow:
-        ga, gb, run = stacked(a, b)
+    if ends is not None:
+        ga, gb = ends
         if ga < 0 < gb:
             w = -ga / (gb - ga)
             x = a + w * (b - a)
             r, checked = check(x)
             estimate = (2.0 * abs(r) + noise) * (b - a) / (gb - ga)
             if estimate <= accept * max(abs(x), floor):
-                return x, evals, (estimate, w, r, run, checked)
+                return x, evals, (estimate, w, r, checked)
             evals[x] = r
             a, b = (x, b) if r < 0 else (a, x)  # Brent on the root's side
         else:

@@ -479,7 +479,9 @@ def main(argv=None):
     args = _parser().parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
-    except (DomainError, PoleError, HypothesisError) as exc:
+    except (DomainError, PoleError, HypothesisError, OSError) as exc:
+        # an OSError is an --output or --emit-plot path that cannot be
+        # written, and its message names the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BracketError as exc:

@@ -146,7 +146,7 @@ def build_grid(params, k, mesh_tol=DEFAULT_MESH_TOL):
     reach_origin.direction = 1.0
 
     sol = dop853_dense(_monitor(params, mesh_tol), 0.0, float(MAX_CELLS), [wk],
-                       rtol=_GRID_TOL, atol=_GRID_TOL, rows=[0], event=reach_origin)
+                       rtol=_GRID_TOL, atol=_GRID_TOL, event=reach_origin)
     if not sol.success:
         raise DomainError(f"grid integration failed: {sol.message}")
     if sol.t_event is None:

@@ -27,9 +27,10 @@ evaluates through it, so the two agree bit for bit.
 
 chebyshev(N) is the one Chebyshev differentiation matrix, and
 chebyshev_fold(N, parity) its one fold onto even or odd functions on
-[0, 1], at the sizes _COLLOC_SIZES, behind both collocation seeds:
-spectral's Dirichlet eigenvalues (even and odd, without the x = 1 column)
-and pruefer's Robin constant (even, with the Robin row at x = 1).
+[0, 1], behind both collocation seeds: spectral's Dirichlet eigenvalues
+(even and odd, without the x = 1 column) and pruefer's Robin constant
+(even, with the Robin row at x = 1).  collocation_ladder is the one
+ladder rule both seeds follow, at the sizes _COLLOC_SIZES.
 """
 
 import math
@@ -208,3 +209,23 @@ def chebyshev_fold(N, parity):
     for a in (x, row, d2):
         a.flags.writeable = False
     return x, row, d2
+
+
+def collocation_ladder(eigenvalue):
+    """A collocation seed and its ladder: (v_48, |v_48 - v_32|), where
+    v_N = eigenvalue(N) at each size N of _COLLOC_SIZES.
+
+    eigenvalue builds its own matrix at N points (chebyshev_fold) and
+    solves it.  A value that is not finite, or a numpy.linalg.LinAlgError
+    it raises, gives (nan, nan), which no caller's seeded interval uses.
+    """
+    values = []
+    for N in _COLLOC_SIZES:
+        try:
+            value = eigenvalue(N)
+        except np.linalg.LinAlgError:
+            return math.nan, math.nan
+        if not math.isfinite(value):
+            return math.nan, math.nan
+        values.append(value)
+    return values[-1], abs(values[-1] - values[0])

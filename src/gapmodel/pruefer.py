@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 from scipy.integrate import solve_ivp  # called by no route; perfbench/tracing.py rebinds it
 
-from ._scipy import brent, dop853_dense, dop853_end, seeded_root
+from ._scipy import brent, dop853_dense, dop853_end, seeded_interval, seeded_root
 from .errors import (
     BlowupError,
     BracketError,
@@ -44,7 +44,7 @@ from .errors import (
     DomainError,
     HypothesisError,
 )
-from .kernels import _COLLOC_SIZES, chebyshev_fold, cs, cs_array, cs_at
+from .kernels import chebyshev_fold, collocation_ladder, cs, cs_array, cs_at
 from .model import GridFunction, ModelParams, validate
 
 _ODE_TOL = 1e-13
@@ -189,8 +189,8 @@ def _branch(side, k, c, params, z0, q0, direction, allow_partial):
     reach_pole.direction = direction
 
     sol = _succeeded(dop853_dense(_angle_rhs([c], params), z0, z1, [q0, 0.0], rtol=_ODE_TOL,
-                                  atol=_ODE_TOL, rows=[0], event=reach_pole))
-    q = sol.sol
+                                  atol=_ODE_TOL, event=reach_pole))
+    q = partial(sol.sol, rows=[0])
     z_cease = z1 if sol.t_event is None else float(sol.t_event)
     interval = (min(z0, z_cease), max(z0, z_cease))
     branch = RiccatiSolution(side=side, c=float(c), k=k, interval=interval,
@@ -272,7 +272,7 @@ def _profile(c, params):
     c_k, so its q row is psi_left(c_k)'s bit for bit.
     """
     return _succeeded(dop853_dense(_angle_rhs([c], params), 0.0, params.half, [0.0, 0.0],
-                                   rtol=_ODE_TOL, atol=_ODE_TOL, rows=[0, 1], event=None))
+                                   rtol=_ODE_TOL, atol=_ODE_TOL, event=None))
 
 
 def _colloc_seed(k, K, D, below):
@@ -280,30 +280,26 @@ def _colloc_seed(k, K, D, below):
 
     The smallest eigenvalue c of -cs_K^2 (phi'' + (pi/D)^2 phi) = c phi for
     even phi on [-D/2, D/2] with phi' = -k phi at D/2, at each size of
-    _COLLOC_SIZES (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6-9):
-    the Robin row at x = 1 gives phi(D/2) in terms of the interior values,
-    and is eliminated from the interior rows before the eigensolve, which
-    is inverse iteration from below, a value under c (_smallest_eigenvalue).
-    Returns the largest size's value and its distance to the smaller
-    size's.  A singular solve, or a matrix or value that is not finite,
-    gives NaN, which _robin_constant never uses.
+    kernels.collocation_ladder (Trefethen, Spectral Methods in MATLAB,
+    2000, ch. 6-9): the Robin row at x = 1 gives phi(D/2) in terms of the
+    interior values, and is eliminated from the interior rows before the
+    eigensolve, which is inverse iteration from below, a value under c
+    (_smallest_eigenvalue).  Returns the largest size's value and its
+    distance to the smaller size's.  A singular solve, or a matrix or
+    value that is not finite, gives NaN, which _robin_constant never uses.
     """
     s, pi2_over_D2 = 2.0 / D, (math.pi / D) ** 2
-    lams = []
-    for N in _COLLOC_SIZES:
+
+    def eigenvalue(N):
         x, row, d2 = chebyshev_fold(N, 0)
         with np.errstate(all="ignore"):
             m = d2[:, 1:] + np.outer(d2[:, 0], row[1:] * (-s / (s * row[0] + k)))
             m *= s * s
             m[np.diag_indices_from(m)] += pi2_over_D2
             m *= -cs_array(0.5 * D * x, K)[:, None] ** 2
-            try:
-                lams.append(_smallest_eigenvalue(m, below))
-            except np.linalg.LinAlgError:
-                return math.nan, math.nan
-        if not math.isfinite(lams[-1]):
-            return math.nan, math.nan
-    return lams[-1], abs(lams[-1] - lams[0])
+            return _smallest_eigenvalue(m, below)
+
+    return collocation_ladder(eigenvalue)
 
 
 _SQUARINGS = 40  # most squarings of the inverse in _smallest_eigenvalue
@@ -350,14 +346,15 @@ def find_ck(k, params):
     (pi/D)^2, so the pad outruns the ODE noise where K = 0 makes the
     bracket a point), holds every interval below.
 
-    The root comes from _scipy.seeded_root, which spectral's eigenvalues
-    share, on g(c) = target - q(D/2; c), increasing: the interval is the
-    seed +- max(3 ladder, pad) inside the padded bracket, else the
-    bracket; a half-width at most _PASS_WIDTH = 5e-6 of max(|midpoint|,
-    (pi/D)^2) gets a stacked pass, a linear interpolation c* and a check,
-    accepted when (2 |r| + noise) / |slope| is at most the accept
-    fraction of max(|c*|, (pi/D)^2); otherwise Brent runs on the root's
-    side, on the interval, or on the bracket.  Here:
+    The root comes from _scipy.seeded_interval and _scipy.seeded_root,
+    which spectral's eigenvalues share, on g(c) = target - q(D/2; c),
+    increasing: the interval is the seed +- max(3 ladder, pad) inside the
+    padded bracket, else the bracket; a half-width at most _PASS_WIDTH =
+    5e-6 of max(|midpoint|, (pi/D)^2) gets a stacked pass, a linear
+    interpolation c* and a check, accepted when (2 |r| + noise) / |slope|
+    is at most the accept fraction of max(|c*|, (pi/D)^2); otherwise
+    Brent runs on the root's side, on the interval, or on the bracket.
+    Here:
 
     - The seed, for K != 0, is the Chebyshev collocation value at N = 48
       (_colloc_seed), and its ladder |c_48 - c_32|.  K = 0 computes none,
@@ -420,10 +417,6 @@ def _robin_constant(k, K, D):
         # the end angle falls as c grows, and seeded_root's g increases
         return target - _end_angles([c], params)[0]
 
-    def pass_run(a, b):
-        qa, qb = _end_angles([a, b], params)
-        return target - qa, target - qb, None
-
     def check(c):
         # the run's end angle is g's shot at c (see _profile), so Brent
         # may read it
@@ -442,9 +435,14 @@ def _robin_constant(k, K, D):
     seed = ladder = math.nan
     if K != 0.0:
         seed, ladder = _colloc_seed(k, K, D, lo)
+    a, b, narrow = seeded_interval(lo, hi, pad, seed, ladder, floor)
+    ends = None
+    if narrow:  # the stacked pass: both ends in one run
+        qa, qb = _end_angles([a, b], params)
+        ends = target - qa, target - qb
     c, _, passed = seeded_root(
-        g, lo, hi, pad, seed, ladder, pass_run, check, floor=floor, accept=_ACCEPT,
-        noise=_ODE_TOL, xtol=xtol, rtol=1e-13, unbracketed=BracketError(
+        g, lo, hi, a, b, ends, check, floor=floor, accept=_ACCEPT, noise=_ODE_TOL,
+        xtol=xtol, rtol=1e-13, unbracketed=BracketError(
             f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle c_k for k = {k}"))
     run = passed[-1] if passed else _profile(c, params)
     defect = abs(float(run.y[0, -1]) - target)
@@ -492,19 +490,26 @@ def robin_boundary_report(k, params):
     """Measured defects of the three boundary conditions plus positivity,
     and the left branch psi_left(c_k) read off the same cached profile
     (see _robin_left); once c_k is solved, no ODE runs.
+
+    The defects are those of phi(D/2) = 1/k, phi'(D/2) = -1 and phi'(0) =
+    0, relative to max(1, phi(D/2)): for k >= 1 they are measured on the
+    eigenfunction scaled to phi(D/2) = 1/k, and for k < 1 on the one
+    scaled to phi(D/2) = 1, phi'(D/2) = -k, so that 1/k, which overflows
+    at subnormal k, is never formed.
     """
     params = validate(params)
     ck, profile = _robin(k, params)
     k = float(k)
     end, start = profile(params.half), profile(0.0)
-    scale = (1.0 / k) / _phi(end)
+    value, slope = (1.0 / k, 1.0) if k >= 1.0 else (1.0, k)
+    scale = value / _phi(end)
     phi_end = _phi(end) * scale
     dphi_end = phi_end * math.tan(end[0])
     dphi_0 = _phi(start) * scale * math.tan(start[0])
     return {
         "c_k": ck,
-        "phi_right_defect": abs(phi_end - 1.0 / k),
-        "dphi_right_defect": abs(dphi_end + 1.0),
+        "phi_right_defect": abs(phi_end - value),
+        "dphi_right_defect": abs(dphi_end + slope),
         "dphi_left_defect": abs(dphi_0),
         "positive": bool(np.all(_eigenfunction(profile, k, params.half).values > 0)),
         "left": _robin_left(k, params),

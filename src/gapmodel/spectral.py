@@ -101,7 +101,7 @@ from ._scipy import (
 )
 from .bounds import lambda_upper_rayleigh
 from .errors import DomainError, GapModelError, NonConvergenceError, as_integer
-from .kernels import _COLLOC_SIZES, chebyshev_fold, tn
+from .kernels import chebyshev_fold, collocation_ladder, tn
 from .model import (
     GridFunction,
     flat_eigenvalue,
@@ -242,9 +242,9 @@ def _polar_run(lams, scales, params, form):
     at -D/2, in one dop853_dense run ten times tighter than the angle
     shots.
     """
-    dim = 2 * len(lams)
-    sol = dop853_dense(_polar_rhs(lams, scales, params, form), -params.half, 0.0, [0.0] * dim,
-                       rtol=0.1 * _ODE_TOL, atol=0.1 * _ODE_TOL, rows=range(dim), event=None)
+    sol = dop853_dense(_polar_rhs(lams, scales, params, form), -params.half, 0.0,
+                       [0.0] * (2 * len(lams)), rtol=0.1 * _ODE_TOL, atol=0.1 * _ODE_TOL,
+                       event=None)
     if not sol.success:
         raise NonConvergenceError(f"eigenfunction integration failed: {sol.message}")
     return sol
@@ -356,15 +356,16 @@ def eigen_shoot(params, index, form="normal"):
     the one crossing, and every branch below returns that root; the seed
     never enters it.  The accuracy scale is max(|lam|, (pi / D)^2).
 
-    The root comes from _scipy.seeded_root, which find_ck's Robin
-    constants share: the interval [a, b] is the collocation seed +- delta,
-    delta = max(3 |lam_48 - lam_32|, pad), inside the padded bracket, else
-    the bracket, which constant V ((n - 1)(n - 3) K = 0, no seed) makes 2
-    pad wide around the closed form; a half-width at most _PASS_WIDTH = 5e-6
-    of the accuracy scale gets a stacked pass, a linear interpolation lam*
-    (weight w on b) and a check, accepted when (2 |r| + noise) / slope is
-    at most the accept fraction of the accuracy scale; otherwise Brent runs
-    on the root's side, on the interval, or on the bracket.  Here:
+    The root comes from _scipy.seeded_interval and _scipy.seeded_root,
+    which find_ck's Robin constants share: the interval [a, b] is the
+    collocation seed +- delta, delta = max(3 |lam_48 - lam_32|, pad),
+    inside the padded bracket, else the bracket, which constant V ((n -
+    1)(n - 3) K = 0, no seed) makes 2 pad wide around the closed form; a
+    half-width at most _PASS_WIDTH = 5e-6 of the accuracy scale gets a
+    stacked pass, a linear interpolation lam* (weight w on b) and a check,
+    accepted when (2 |r| + noise) / slope is at most the accept fraction
+    of the accuracy scale; otherwise Brent runs on the root's side, on the
+    interval, or on the bracket.  Here:
 
     - The pass is one dop853_dense run at 0.1 _ODE_TOL of (theta_a, log
       r_a, theta_b, log r_b); the check is one theta-only angle shot at
@@ -498,7 +499,7 @@ def _shoot_root(params, indices, form):
     (_scipy.seeded_interval) come first, and one _polar_run makes the
     stacked pass of every narrow interval: (theta, log r) at both of its
     ends, each pair scaled by its own index's S, four rows per interval in
-    the order of indices.  Each index's seeded_root then reads its ends
+    the order of indices.  Each index's seeded_root is then given its ends
     from that run, and makes its own check shot, and Brent's shots where
     it needs them.  Last, one _polar_run at every root Brent found, two
     rows per root in the order of indices, gives their eigenfunctions and
@@ -518,7 +519,7 @@ def _shoot_root(params, indices, form):
     v_mid = potential(0.0, params)
     v_end = potential(params.half, params)
     floor = (math.pi / params.D) ** 2
-    solves, ends = [], []
+    solves, stack = [], []
     for index in indices:
         lo, hi, pad, S = _comparison_bracket(params, index, v_mid, v_end, floor)
         # theta(0; lam) is strictly increasing in lam, so a sign change over a
@@ -532,14 +533,14 @@ def _shoot_root(params, indices, form):
         a, b, narrow = seeded_interval(lo, hi, pad, seed, ladder, floor)
         rows = []
         if narrow:
-            rows = list(range(2 * len(ends), 2 * len(ends) + 4))
-            ends += [(a, S), (b, S)]
-        solves.append((index, lo, hi, pad, S, seed, ladder, rows))
+            rows = list(range(2 * len(stack), 2 * len(stack) + 4))
+            stack += [(a, S), (b, S)]
+        solves.append((index, lo, hi, a, b, S, rows))
     # the stacked pass of every narrow interval in one run, each V(z)
     # serving every pair
-    run = _polar_run(*zip(*ends), params, form) if ends else None
+    run = _polar_run(*zip(*stack), params, form) if stack else None
 
-    def root(index, lo, hi, pad, S, seed, ladder, rows):
+    def root(index, lo, hi, a, b, S, rows):
         target = 0.5 * index * math.pi
 
         def g(lam):
@@ -547,21 +548,20 @@ def _shoot_root(params, indices, form):
             # like with like
             return _angle_mid(lam, params, form, S) - target
 
-        def pass_run(a, b):
-            return (float(run.y[rows[0], -1]) - target, float(run.y[rows[2], -1]) - target,
-                    run)
-
         def check(lam):
             return g(lam), None
 
+        ends = None
+        if rows:
+            ends = float(run.y[rows[0], -1]) - target, float(run.y[rows[2], -1]) - target
         lam, evals, passed = seeded_root(
-            g, lo, hi, pad, seed, ladder, pass_run, check, floor=floor, accept=_ACCEPT,
-            noise=_ODE_TOL, xtol=1e-14 * floor, rtol=1e-14, unbracketed=NonConvergenceError(
+            g, lo, hi, a, b, ends, check, floor=floor, accept=_ACCEPT, noise=_ODE_TOL,
+            xtol=1e-14 * floor, rtol=1e-14, unbracketed=NonConvergenceError(
                 f"comparison bracket [{lo:.6g}, {hi:.6g}] does not straddle the "
                 f"index-{index} angle target"))
         if passed:
-            err, w, r, sol, _ = passed
-            return lam, S, evals, (lam, err, sol, rows, w, r)
+            err, w, r, _ = passed
+            return lam, S, evals, (lam, err, run, rows, w, r)
         return lam, S, evals, None
 
     roots = [root(*solve) for solve in solves]
@@ -582,27 +582,22 @@ def _colloc_seed(params, index):
     """Collocation estimate of the index-th eigenvalue and its ladder difference.
 
     The smallest eigenvalue of -(2 / D)^2 d2 + diag V(D x / 2) in the
-    index's parity class (even for index 1, odd for index 2) at each size
-    of _COLLOC_SIZES; returns the largest size's value and its distance to
-    the smaller size's.  Neither need be right near the cap, where V's pole
-    is close to D/2: _shoot_root checks both.  A failed eigensolve, or a
-    matrix that overflows a double (D below about 1e-151), gives NaN,
-    which _shoot_root never uses.
+    index's parity class (even for index 1, odd for index 2), at each size
+    of kernels.collocation_ladder, which returns the largest size's value
+    and its distance to the smaller size's.  Neither need be right near
+    the cap, where V's pole is close to D/2: _shoot_root checks both.  A
+    failed eigensolve, or a matrix that overflows a double (D below about
+    1e-151), which numpy.linalg.eigvals refuses with LinAlgError, gives
+    NaN, which _shoot_root never uses.
     """
-    lams = []
-    for N in _COLLOC_SIZES:
+    def eigenvalue(N):
         x, _, d2 = chebyshev_fold(N, index - 1)
         V = potential_array(params.half * x, params)
         with np.errstate(over="ignore"):
             A = -(2.0 / params.D) ** 2 * d2[:, 1:] + np.diag(V)
-        if not np.isfinite(A).all():
-            return math.nan, math.nan
-        try:
-            w = np.linalg.eigvals(A)
-        except np.linalg.LinAlgError:
-            return math.nan, math.nan
-        lams.append(float(w.real.min()))
-    return lams[-1], abs(lams[-1] - lams[0])
+        return float(np.linalg.eigvals(A).real.min())
+
+    return collocation_ladder(eigenvalue)
 
 
 # -- finite-difference route --------------------------------------------------

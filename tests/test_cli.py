@@ -516,6 +516,20 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert option[2:].replace("-", "_") in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,path", [
+        (["eigen", "--n", "2", "--K", "0.5", "--D", "1", "--output", "/nonexistent/x.csv"],
+         "/nonexistent/x.csv"),
+        (["series", "--order", "3", "--output", "{tmp}"], "{tmp}"),
+        (["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10",
+          "--emit-plot", "/nonexistent/p.csv"], "/nonexistent/p.csv"),
+    ], ids=["missing-directory", "a-directory", "missing-plot-directory"])
+    def test_unwritable_path_is_invalid_params(self, argv, path, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, _, err = run_main(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(path.format(tmp=tmp_path)) in err and "Traceback" not in err
+
     def test_flow_slope_past_cell_budget_is_invalid_params(self, capsys):
         code, out, err = run_main(
             ["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "1e9"], capsys

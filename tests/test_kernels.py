@@ -9,7 +9,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gapmodel.errors import PoleError
-from gapmodel.kernels import W_SERIES, cs, cs_array, cs_at, sn, tn, tn_array
+from gapmodel.kernels import (
+    W_SERIES,
+    collocation_ladder,
+    cs,
+    cs_array,
+    cs_at,
+    sn,
+    tn,
+    tn_array,
+)
 
 
 def mp_sn(s, K):
@@ -160,3 +169,44 @@ def test_cs_at_matches_cs_exactly(K):
     for s in points:
         for x in (s, np.float64(s)):
             assert cs_K(x) == cs(x, K)
+
+
+class TestCollocationLadder:
+    """collocation_ladder, the one ladder rule of both collocation seeds."""
+
+    def test_seed_is_the_larger_size_and_ladder_the_difference(self):
+        sizes = []
+
+        def eigenvalue(N):
+            sizes.append(N)
+            return {32: 3.0, 48: 2.5}[N]
+
+        assert collocation_ladder(eigenvalue) == (2.5, 0.5)
+        assert sizes == [32, 48]
+
+    @pytest.mark.parametrize("at", [32, 48])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    def test_a_value_that_is_not_finite_gives_nan(self, at, bad):
+        seed, ladder = collocation_ladder(lambda N: bad if N == at else 1.0)
+        assert math.isnan(seed) and math.isnan(ladder)
+
+    @pytest.mark.parametrize("at", [32, 48])
+    def test_a_failed_eigensolve_gives_nan(self, at):
+        sizes = []
+
+        def eigenvalue(N):
+            sizes.append(N)
+            if N == at:
+                raise np.linalg.LinAlgError("singular matrix")
+            return 1.0
+
+        seed, ladder = collocation_ladder(eigenvalue)
+        assert math.isnan(seed) and math.isnan(ladder)
+        assert sizes[-1] == at  # no size after the failed one is solved
+
+    def test_other_errors_propagate(self):
+        def eigenvalue(N):
+            raise ValueError("not a LinAlgError")
+
+        with pytest.raises(ValueError, match="not a LinAlgError"):
+            collocation_ladder(eigenvalue)

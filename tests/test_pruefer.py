@@ -575,8 +575,7 @@ class TestCompiledBranches:
 
         never.direction = 0.0
         with pytest.raises(ZeroDivisionError) as info:
-            pruefer.dop853_dense(rhs, 0.0, 1.0, [0.0], rtol=1e-12, atol=1e-12, rows=[0],
-                                 event=never)
+            pruefer.dop853_dense(rhs, 0.0, 1.0, [0.0], rtol=1e-12, atol=1e-12, event=never)
         assert info.value is raised
 
     def test_dense_output_uses_each_accepted_steps_stages(self):
@@ -591,8 +590,7 @@ class TestCompiledBranches:
         def rhs(t, y):
             return (1.0 / (1.0 + ((t - 0.5) / eps) ** 2), math.cos(t))
 
-        sol = _scipy.dop853_dense(rhs, 0.0, 1.0, [0.0, 0.0], rtol=rtol, atol=rtol,
-                                  rows=[0, 1], event=None)
+        sol = _scipy.dop853_dense(rhs, 0.0, 1.0, [0.0, 0.0], rtol=rtol, atol=rtol, event=None)
         assert sol.success
         steps, calls = sol.t.size - 1, sol.nfev
         mid = 0.5 * (sol.t[1:] + sol.t[:-1])
@@ -651,6 +649,16 @@ class TestRobinEigenfunction:
             assert rep["dphi_right_defect"] < 1e-8
             assert rep["dphi_left_defect"] < 1e-8
             assert rep["positive"]
+
+    @pytest.mark.parametrize("k", [5e-324, 1e-310, 1e-300, 1e-24, 1e-12, 1e-3], ids=repr)
+    def test_small_slope_defects_are_relative(self, k):
+        # phi(D/2) = 1/k; each defect is over max(1, 1/k), which keeps it
+        # finite where 1/k overflows and at the end angle's rounding error
+        # where an absolute defect grows as 1/k
+        rep = robin_boundary_report(k, ModelParams(5, 1.0, 1.0))
+        for name in ("phi_right_defect", "dphi_right_defect", "dphi_left_defect"):
+            assert math.isfinite(rep[name]) and rep[name] <= 1e-12, name
+        assert rep["positive"]
 
     @pytest.mark.parametrize("n,K,D,k", [(2, 0.5, 1.0, 10.0), (5, -8.0, 1.0, 1.0),
                                          (2, 0.0, 1.0, 10.0), (5, 3.0, 1.0, 300.0),

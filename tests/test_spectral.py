@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gapmodel import _scipy, bounds, spectral
+from gapmodel import _scipy, bounds, pruefer, spectral
 from gapmodel.errors import (
     BracketError,
     DomainError,
@@ -566,8 +566,10 @@ class TestSeededRoot:
 
     @pytest.fixture
     def path(self, monkeypatch):
-        """seeded_root on [0, 10] (pad 1e-9, floor 1) with a recorder of the
-        pass, the check, the shots of g and Brent's brackets."""
+        """seeded_interval, then seeded_root with the ends of the pass where
+        the interval is narrow, on [0, 10] (pad 1e-9, floor 1), with a
+        recorder of the pass, the check, the shots of g and Brent's
+        brackets."""
         log = collections.defaultdict(list)
         brent = _scipy.brent
 
@@ -584,16 +586,17 @@ class TestSeededRoot:
 
             def pass_run(a, b):
                 log["pass"].append((a, b))
-                return g(a), g(b), "pass run"
+                return g(a), g(b)
 
             def check(x):
                 log["check"].append(x)
                 return g(x), "check run"
 
+            a, b, narrow = _scipy.seeded_interval(lo, hi, 1e-9, seed, ladder, 1.0)
+            ends = (stacked or pass_run)(a, b) if narrow else None
             return _scipy.seeded_root(
-                shot, lo, hi, 1e-9, seed, ladder, stacked or pass_run, check, floor=1.0,
-                accept=1e-11, noise=1e-13, xtol=1e-14, rtol=1e-14,
-                unbracketed=NonConvergenceError("unbracketed"))
+                shot, lo, hi, a, b, ends, check, floor=1.0, accept=1e-11, noise=1e-13,
+                xtol=1e-14, rtol=1e-14, unbracketed=NonConvergenceError("unbracketed"))
 
         return solve, log
 
@@ -602,10 +605,10 @@ class TestSeededRoot:
         x, evals, passed = solve(lambda x: x - self.ROOT, self.ROOT + 1e-10, 1e-10)
         a, b = log["pass"][0]
         assert (a, b) == (self.ROOT + 1e-10 - 1e-9, self.ROOT + 1e-10 + 1e-9)
-        estimate, w, r, run, checked = passed
+        estimate, w, r, checked = passed
         assert 0 < w < 1 and x == a + w * (b - a) and log["check"] == [x]
         assert abs(x - self.ROOT) <= estimate <= 1e-11 * self.ROOT
-        assert (run, checked) == ("pass run", "check run") and r == x - self.ROOT
+        assert checked == "check run" and r == x - self.ROOT
         assert evals == {} and "shot" not in log and "brent" not in log
 
     # g bends at the root, so the pass's secant misses it on the side its
@@ -637,7 +640,7 @@ class TestSeededRoot:
 
         def swapped(a, b):
             log["pass"].append((a, b))
-            return b - self.ROOT, a - self.ROOT, None
+            return b - self.ROOT, a - self.ROOT
 
         x, _, passed = solve(lambda x: x - self.ROOT, self.ROOT, 1e-10, stacked=swapped)
         assert passed is None and x == pytest.approx(self.ROOT, abs=1e-13)
@@ -661,21 +664,45 @@ class TestSeededRoot:
         assert log["pass"] == [(lo, hi)] and passed is not None
         assert x == pytest.approx(self.ROOT, abs=1e-15)
 
+    @pytest.mark.parametrize("solve,roots", [
+        (lambda: gap(ModelParams(5, 1.0, 1.0)), 2),
+        (lambda: eigen_shoot(ModelParams(4, 1.671925, 2.0), 2), 1),
+        (lambda: eigen_shoot(ModelParams(3, 1.0, 1.0), 1, "direct"), 1),
+        (lambda: pruefer.find_ck(10.0, ModelParams(5, 2.0, 1.0)), 1),
+        (lambda: pruefer.find_ck(1.0, ModelParams(5, 9.8, 1.0)), 1),
+        (lambda: pruefer.find_ck(10.0, ModelParams(5, 0.0, 1.0)), 1),
+    ], ids=["gap-passes", "refined-pass", "constant-V", "ck-pass", "ck-wide-seed", "ck-flat"])
+    def test_each_root_forms_its_interval_once(self, monkeypatch, solve, roots):
+        # every eigenvalue and Robin constant, on each branch of the path,
+        # calls the interval rule once, under whichever module's name
+        calls = []
+        real = _scipy.seeded_interval
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (_scipy, spectral, pruefer):
+            monkeypatch.setattr(module, "seeded_interval", counting, raising=False)
+        pruefer._robin_constant.cache_clear()
+        solve()
+        assert len(calls) == roots
+
     @pytest.mark.parametrize("error", [NonConvergenceError("no sign change"),
                                        BracketError("no sign change")], ids=repr)
     def test_unbracketed_raises_the_callers_error(self, error):
         with pytest.raises(type(error), match="no sign change"):
-            _scipy.seeded_root(lambda x: x + 100.0, 0.0, 10.0, 1e-9, math.nan, math.nan,
-                               None, None, floor=1.0, accept=1e-11, noise=1e-13,
-                               xtol=1e-14, rtol=1e-14, unbracketed=error)
+            _scipy.seeded_root(lambda x: x + 100.0, 0.0, 10.0, 0.0, 10.0, None, None,
+                               floor=1.0, accept=1e-11, noise=1e-13, xtol=1e-14, rtol=1e-14,
+                               unbracketed=error)
 
     def test_exhausted_brent_is_non_convergence(self):
         # a step g defeats interpolation; bisection needs about 1000 steps
         # to come from 1e300 down to the tolerance, against brentq's 100
         with pytest.raises(NonConvergenceError, match="Brent's method"):
-            _scipy.seeded_root(lambda x: math.copysign(1.0, x - 0.3), -1e300, 1e300, 1e291,
-                               math.nan, math.nan, None, None, floor=1.0, accept=1e-11,
-                               noise=1e-13, xtol=1e-300, rtol=1e-15,
+            _scipy.seeded_root(lambda x: math.copysign(1.0, x - 0.3), -1e300, 1e300, -1e300,
+                               1e300, None, None, floor=1.0, accept=1e-11, noise=1e-13,
+                               xtol=1e-300, rtol=1e-15,
                                unbracketed=NonConvergenceError("unbracketed"))
 
     def test_callers_keep_their_messages(self, monkeypatch):
@@ -776,7 +803,7 @@ def tan_blowup(fun, t0, t1, y0, rtol, atol):
     return _scipy.dop853_end(lambda z, y: [1.0 + y[0] ** 2], t0, t1, y0, rtol, atol)
 
 
-def tan_blowup_dense(fun, t0, t1, y0, rtol, atol, rows, event):
+def tan_blowup_dense(fun, t0, t1, y0, rtol, atol, event):
     """dop853_dense with the right-hand side swapped for (1 + y0^2, 0).
 
     From y(-D/2) = 0 the first component is tan(z + D/2), infinite at
@@ -785,10 +812,10 @@ def tan_blowup_dense(fun, t0, t1, y0, rtol, atol, rows, event):
     def rhs(z, y):
         return [1.0 + y[0] ** 2, 0.0]
 
-    return _scipy.dop853_dense(rhs, t0, t1, y0, rtol, atol, rows, event)
+    return _scipy.dop853_dense(rhs, t0, t1, y0, rtol, atol, event)
 
 
-def never_stops(fun, t0, t1, y0, rtol, atol, rows, event):
+def never_stops(fun, t0, t1, y0, rtol, atol, event):
     """dop853_dense with an event that never changes sign in place of none.
 
     A run with an event forms its dense extension before it returns, so
@@ -798,7 +825,7 @@ def never_stops(fun, t0, t1, y0, rtol, atol, rows, event):
         return 1.0
 
     never.direction = 0.0
-    return _scipy.dop853_dense(fun, t0, t1, y0, rtol, atol, rows, never)
+    return _scipy.dop853_dense(fun, t0, t1, y0, rtol, atol, never)
 
 
 class TestCompiledSolvers:
@@ -894,7 +921,7 @@ class TestCompiledSolvers:
 
         monkeypatch.setattr(_scipy, "_dop853", keep)
         sol = _scipy.dop853_dense(lambda t, y: [-y[0]], 0.0, 1.0, [1.0], rtol=1e-12,
-                                  atol=1e-12, rows=[0], event=None)
+                                  atol=1e-12, event=None)
         assert sol.success and sol.t.size > 2
         kept = [c.cell_contents for c in closures[0].__closure__]
         lists = [c for c in kept if isinstance(c, list | array)]
@@ -911,10 +938,10 @@ class TestCompiledSolvers:
             calls.append(t)
             return [math.cos(3.0 * t) - 0.5 * y[0], y[0]]
 
-        eager = never_stops(rhs, -1.0, 0.0, [0.0, 1.0], 1e-12, 1e-12, [0, 1], None)
+        eager = never_stops(rhs, -1.0, 0.0, [0.0, 1.0], 1e-12, 1e-12, None)
         del calls[:]
         lazy = _scipy.dop853_dense(rhs, -1.0, 0.0, [0.0, 1.0], rtol=1e-12, atol=1e-12,
-                                   rows=[0, 1], event=None)
+                                   event=None)
         assert work[-1] == ("dop853_dense", __name__, lazy)
         steps, run_calls = lazy.t.size - 1, len(calls)
         assert np.array_equal(lazy.t, eager.t) and np.array_equal(lazy.y, eager.y)
