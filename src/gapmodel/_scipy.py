@@ -121,12 +121,12 @@ def _dop853(fun, t0, t1, y0, rtol, atol, solout=None):
     return solver, y
 
 
-def _outcome(solver, nfev=0, **fields):
+def _outcome(solver, **fields):
     """``solve_ivp``'s result fields from a finished ``_dop853`` run."""
     code = solver.get_return_code()
     dop = solver._integrator
     return SimpleNamespace(
-        success=code > 0, nfev=int(dop.iwork[16]) + nfev,  # NFCN
+        success=code > 0, nfev=int(dop.iwork[16]),  # NFCN
         message=dop.messages.get(code, f"unexpected return code {code}"), **fields,
     )
 
@@ -156,18 +156,19 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
     accepted step.  It stops at t1, or at the first step over which the
     event g(t, y) changes sign in the direction given by its ``direction``
     attribute, read as in ``solve_ivp``; event=None never stops the run.
-    fun returns a sequence of len(y0) floats.  The last 12 it returns to
-    the Fortran during a step are the stages K[1..11] of scipy's tableau
-    and K[12], f at the step's end, and K[0] is the previous step's K[12]
-    or f(t0); only K[13..15] are computed here, and the 7 coefficients of
-    each step's continuous extension are formed as in scipy's ``DOP853``
-    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5-6).  The event's
-    root is found by ``brentq`` on the stopping step's interpolant, with
-    solve_ivp's tolerances.  Four callers use it: pruefer's Riccati
-    branches, whose event is the angle's pole, pruefer's Robin profile and
-    spectral's (theta, log r) runs, which have none, and flow's
-    ``build_grid``, whose event is the grid reaching z = 0 and whose t1 is
-    the cell budget.
+    fun gets y as an array, from the Fortran and for the stages formed
+    here alike, and returns a sequence of len(y0) floats.  The last 12 it
+    returns to the Fortran during a step are the stages K[1..11] of scipy's
+    tableau and K[12], f at the step's end, and K[0] is the previous step's
+    K[12] or f(t0); only K[13..15] are computed here, and the 7
+    coefficients of each step's continuous extension are formed as in
+    scipy's ``DOP853`` (Hairer, Norsett & Wanner, Solving ODEs I, sec.
+    II.5-6).  The event's root is found by ``brentq`` on the stopping
+    step's interpolant, with solve_ivp's tolerances.  Four callers use it:
+    pruefer's Riccati branches, whose event is the angle's pole, pruefer's
+    Robin profile and spectral's (theta, log r) runs, which have none, and
+    flow's ``build_grid``, whose event is the grid reaching z = 0 and whose
+    t1 is the cell budget.
 
     A run with an event forms the extension before it returns.  A run
     without one keeps the Fortran's stages, moved out of the stepper's
@@ -231,7 +232,7 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
         K[:n + 1] = np.lib.stride_tricks.sliding_window_view(f, n + 1, axis=0)[::n].T
         for s in range(n + 1, len(K)):  # fun once per step, on floats
             y_s = y_old + np.tensordot(tableau.A[s, :s], K[:s], axes=1) * h
-            K[s] = np.array([*map(fun, (t_old + tableau.C[s] * h).tolist(), y_s.T.tolist())]).T
+            K[s] = np.array([*map(fun, (t_old + tableau.C[s] * h).tolist(), y_s.T)]).T
         out.nfev += (len(K) - n - 1) * h.size
         delta = y[:, 1:] - y_old
         F = np.empty((tableau.INTERPOLATOR_POWER,) + y_old.shape)

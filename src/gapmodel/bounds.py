@@ -71,7 +71,7 @@ def lambda_upper_rayleigh(params, index):
     index = _require(params, index, need_K_positive=False)
     n, K, D = params.n, params.K, params.D
     flat = flat_eigenvalue(params, index) - (n - 1) ** 2 * K / 4.0
-    if (n - 1) * (n - 3) * K == 0:
+    if params.flat:
         return flat
     if index == 1:
         weight = lambda x: math.cos(math.pi * x / D) ** 2

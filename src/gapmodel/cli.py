@@ -3,7 +3,10 @@
 Subcommands: eigen, series, pruefer, flow, bounds.  Tables render as CSV
 (17 significant digits) or JSON with a top-level schema_version; identical
 invocations produce byte-identical output.  Exit codes: 0 success, 2 invalid
-parameters, 3 solver failure, 4 root bracketing failure.
+parameters, 3 solver failure, 4 root bracketing failure.  An --output or
+--emit-plot path that cannot be written is invalid too: it is checked
+before the command runs, and each output is written once the run has
+ended, by one function, so a failed run leaves an existing file as it was.
 
 Building the parser imports only the standard library and gapmodel.errors.
 Each subcommand imports the modules it runs when it runs, so ``series`` and
@@ -17,6 +20,7 @@ import bisect
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -89,9 +93,19 @@ def _collect_triples(args):
     return triples
 
 
-def _emit(text, args):
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
+def _check_writable(path):
+    """Raise the OSError, naming path, that writing to it would, without
+    creating the file or changing it: main calls this before the run."""
+    if os.path.exists(path):
+        open(path, "a").close()  # a directory or a read-only file raises
+    elif not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+        raise FileNotFoundError(f"cannot create {path!r}: no writable directory holds it")
+
+
+def _write(text, path):
+    """Write text to the file at path, or to stdout if path is None or empty."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -131,8 +145,8 @@ def _eigen_row(n, K, D, method):
     gap = r2.eigenvalue - r1.eigenvalue
     ref = 3.0 * math.pi**2 / D**2
     excess = gap - ref
-    # V is constant exactly when (n-1)(n-3)K = 0; the excess is then noise
-    if (n - 1) * (n - 3) * K == 0:
+    # the excess of a constant V is noise
+    if params.flat:
         side = "flat"
     else:
         side = "below" if excess < 0 else "above"
@@ -153,7 +167,7 @@ def _eigen_row(n, K, D, method):
 def cmd_eigen(args):
     triples = _collect_triples(args)
     rows = [_eigen_row(n, K, D, args.method) for n, K, D in triples]
-    _emit(_render_table(rows, args, "eigen"), args)
+    _write(_render_table(rows, args, "eigen"), args.output)
     return 0
 
 
@@ -226,7 +240,7 @@ def cmd_series(args):
             "decimal_notes": report["decimal_notes"],
             "gap_order5_sign_change": list(series_mod.gap_order5_sign_change()),
         }
-    _emit(json.dumps(doc, indent=2) + "\n", args)
+    _write(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 
 
@@ -251,7 +265,7 @@ def _pruefer_row(k, n, K, D):
     half = params.half
     zs = np.linspace(0.05 * half, 0.95 * half, 257)
     agreement = float(np.max(np.abs(left.psi_at(zs) - right.psi_at(zs))))
-    row = {
+    return {
         "k": float(k),
         "n": n,
         "K": float(K),
@@ -264,14 +278,13 @@ def _pruefer_row(k, n, K, D):
         "branch_agreement": agreement,
         "c_k_flat_closed_form": pruefer_mod.flat_ck(k, D) if K == 0.0 else None,
     }
-    return row
 
 
 def cmd_pruefer(args):
     triples = _collect_triples(args)
     ks = _parse_floats(args.k)
     rows = [_pruefer_row(k, n, K, D) for k in ks for n, K, D in triples]
-    _emit(_render_table(rows, args, "pruefer"), args)
+    _write(_render_table(rows, args, "pruefer"), args.output)
     return 0
 
 
@@ -303,11 +316,8 @@ def cmd_flow(args):
         raise DomainError(f"snapshots must be >= 0, got {args.snapshots}")
     n, K, D = triples[0]
     params = ModelParams(n, K, D)
-    k = float(args.k)
-    if args.s is not None:
-        s = float(args.s)
-    else:
-        s = 1.01 * pruefer_mod.threshold_s(k, params)
+    k = args.k
+    s = 1.01 * pruefer_mod.threshold_s(k, params) if args.s is None else args.s
     mesh_tol = flow_mod.DEFAULT_MESH_TOL if args.mesh_tol is None else args.mesh_tol
     state = flow_mod.initial_supersolution(k, s, params, mesh_tol=mesh_tol)
     # snapshot times depend on the run's length, so the plot's strided
@@ -325,7 +335,7 @@ def cmd_flow(args):
     lines = ["t,distance,residual"]
     for t, d, r in run.rows():
         lines.append(f"{_fmt(t)},{_fmt(d)},{_fmt(r)}")
-    _emit("\n".join(lines) + "\n", args)
+    _write("\n".join(lines) + "\n", args.output)
     if args.emit_plot:
         snaps = [(0.0, state.psi.values[::stride])]
         if history:
@@ -338,8 +348,7 @@ def cmd_flow(args):
         for t, vals in snaps:
             t = _fmt(t)
             plot_lines.extend(f"{t},{zz},{_fmt(vv)}" for zz, vv in zip(z, vals.tolist()))
-        with open(args.emit_plot, "w") as fh:
-            fh.write("\n".join(plot_lines) + "\n")
+        _write("\n".join(plot_lines) + "\n", args.emit_plot)
     return 0
 
 
@@ -388,7 +397,7 @@ def cmd_bounds(args):
         params = ModelParams(n, K, D)
         res = spectral.gap(params)
         rows += [_bounds_row(params, r.index, r.eigenvalue) for r in (res.lambda1, res.lambda2)]
-    _emit(_render_table(rows, args, "bounds"), args)
+    _write(_render_table(rows, args, "bounds"), args.output)
     return 0
 
 
@@ -478,6 +487,9 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _parser().parse_args(_attach_negative_values(argv))
     try:
+        for path in (args.output, getattr(args, "emit_plot", None)):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except (DomainError, PoleError, HypothesisError, OSError) as exc:
         # an OSError is an --output or --emit-plot path that cannot be

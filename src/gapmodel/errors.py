@@ -29,9 +29,11 @@ class BracketError(GapModelError):
 class BlowupError(GapModelError):
     """An ODE solution left the representable range before reaching the far endpoint.
 
-    Carries the blow-up location and whatever partial solution was computed,
-    because the one-sided comparison functions are used on exactly the
-    subinterval where they exist.
+    Carries the blow-up location z and the partial solution, because the
+    one-sided comparison functions are used on exactly the subinterval
+    where they exist.  A truncated Riccati branch of pruefer.psi_left or
+    psi_right is had only this way: partial is the branch on its interval
+    of existence, which pruefer.supersolution reads.
     """
 
     def __init__(self, message, z=None, partial=None):

@@ -64,7 +64,7 @@ from .errors import (
 )
 from .kernels import cs_array, tn_array
 from .model import GridFunction, ModelParams, validate
-from .pruefer import _check_positive, _robin_left, find_ck, supersolution
+from .pruefer import _check_positive, _robin_left, _threshold, find_ck, supersolution
 from .pruefer import psi_left  # called by no route; perfbench/tracing.py rebinds it
 
 __all__ = [
@@ -233,7 +233,7 @@ def _flow_ck(k, params):
     the nonpositive states the flow keeps (DomainError).
     """
     ck = find_ck(k, params)
-    base = ck + math.pi**2 / params.D**2
+    base = _threshold(ck, params)[0]
     if base < 0.0:
         raise DomainError(
             f"c_k + pi^2/D^2 = {base:.6g} < 0 at k = {k:g}: the stationary "

@@ -79,6 +79,11 @@ class ModelParams:
     def half(self):
         return self.D / 2.0
 
+    @property
+    def flat(self):
+        """Whether V is constant, (n - 1)(n - 3) K = 0: n = 1, n = 3 or K = 0."""
+        return (self.n - 1) * (self.n - 3) * self.K == 0
+
 
 def potential(z, params):
     """Normal-form potential V at a scalar point z."""
@@ -142,29 +147,13 @@ def gauge_factor(z, params):
     return cs(z, K) ** (-(n - 1) / 2.0)
 
 
-def gauge_factor_array(z, params):
-    n, K = params.n, params.K
-    return cs_array(z, K) ** (-(n - 1) / 2.0)
-
-
-def to_direct(z, normal_values, params):
-    """Map normal-form samples to direct-form samples on the same points."""
-    return np.asarray(normal_values, dtype=float) * gauge_factor_array(z, params)
-
-
-def to_normal(z, direct_values, params):
-    """Map direct-form samples to normal-form samples on the same points."""
-    return np.asarray(direct_values, dtype=float) / gauge_factor_array(z, params)
-
-
 def gauge_transform(gf, params, direction):
-    """Apply the gauge to a GridFunction; direction is "to_direct" or "to_normal"."""
-    if direction == "to_direct":
-        vals = to_direct(gf.z, gf.values, params)
-    elif direction == "to_normal":
-        vals = to_normal(gf.z, gf.values, params)
-    else:
+    """Apply the gauge to a GridFunction: "to_direct" multiplies its values
+    by cs^{-(n-1)/2} at its points, "to_normal" divides them by it."""
+    if direction not in ("to_direct", "to_normal"):
         raise DomainError(f"direction must be 'to_direct' or 'to_normal', got {direction!r}")
+    factor = cs_array(gf.z, params.K) ** (-(params.n - 1) / 2.0)
+    vals = gf.values * factor if direction == "to_direct" else gf.values / factor
     return GridFunction(z=gf.z.copy(), values=vals)
 
 

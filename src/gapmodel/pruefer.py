@@ -73,7 +73,7 @@ def _angle_rhs(cvals, params):
 
     def rhs(z, y):
         cs2 = cs_K(z) ** 2
-        f = y.tolist() if isinstance(y, np.ndarray) else list(y)
+        f = y.tolist()
         for i, c in pairs:
             w = c / cs2 + pi2_over_D2
             cq, sq = cos(f[i]), sin(f[i])
@@ -126,20 +126,19 @@ class RiccatiSolution:
             raise DomainError(f"evaluation outside existence interval {self.interval}")
         return np.tan(self._q(z)[0])
 
-    def residual_max(self, band=3.0, h=None):
+    def residual_max(self):
         """Largest defect in psi' + psi^2 + pi^2/D^2 + c/cs^2 = 0.
 
-        The derivative is measured with a fourth-order central difference of
-        the reconstructed psi, on sample points where |psi| <= band (outside
-        that band any finite-difference derivative of tan is numerically
-        meaningless, which would test the measurement rather than the
-        solution).
+        The derivative is measured with a fourth-order central difference
+        of step h = 2.5e-4 D of the reconstructed psi, on sample points
+        where |psi| <= 3 (outside that band any finite-difference
+        derivative of tan is numerically meaningless, which would test the
+        measurement rather than the solution).
         """
         D, K = self.params.D, self.params.K
-        if h is None:
-            h = 2.5e-4 * D
+        h = 2.5e-4 * D
         lo, hi = self.interval
-        mask = np.abs(self.psi) <= band
+        mask = np.abs(self.psi) <= 3.0
         zs = self.z[mask]
         zs = zs[(zs >= lo + 2 * h) & (zs <= hi - 2 * h)]
         if zs.size == 0:
@@ -170,15 +169,15 @@ def _sample_band(q, lo, hi):
     return out
 
 
-def _branch(side, k, c, params, z0, q0, direction, allow_partial):
+def _branch(side, k, c, params, z0, q0, direction):
     """Riccati branch shot from z0 (0 or D/2) toward the other end with q(z0) = q0.
 
     One compiled DOP853 run (_scipy.dop853_dense) stops at the first step
     over which q crosses direction * pi/2, and the branch ceases at the
     crossing point of that step's interpolant.  If that lies more than
-    1e-9 D/2 from the far end, BlowupError carries the truncated branch
-    unless allow_partial is set, in which case it is returned.  A failed
-    run raises DomainError and gives no branch.
+    1e-9 D/2 from the far end, BlowupError is raised and carries the
+    truncated branch as its partial.  A failed run raises DomainError and
+    gives no branch.
     """
     half = params.half
     z1 = half - z0
@@ -195,7 +194,7 @@ def _branch(side, k, c, params, z0, q0, direction, allow_partial):
     interval = (min(z0, z_cease), max(z0, z_cease))
     branch = RiccatiSolution(side=side, c=float(c), k=k, interval=interval,
                              params=params, _q=q)
-    if abs(z1 - z_cease) > 1e-9 * half and not allow_partial:
+    if abs(z1 - z_cease) > 1e-9 * half:
         raise BlowupError(
             f"{side} branch ceases at z = {z_cease:.6g} "
             f"(angle reached {'+' if direction > 0 else '-'}pi/2)",
@@ -204,29 +203,29 @@ def _branch(side, k, c, params, z0, q0, direction, allow_partial):
     return branch
 
 
-def psi_left(c, params, allow_partial=False):
+def psi_left(c, params):
     """Forward log-derivative branch with psi(0) = 0.
 
     Raises BlowupError if q reaches -pi/2 strictly inside [0, D/2) (the
-    finite Riccati solution ceases there); pass allow_partial=True to get
-    the truncated branch instead.  The exception carries the location and
-    the truncated branch.
+    finite Riccati solution ceases there).  The exception carries the
+    location as z and the truncated branch as partial, the one way to
+    have it (see supersolution).
     """
     params = validate(params)
-    return _branch("left", float("nan"), c, params, 0.0, 0.0, -1.0, allow_partial)
+    return _branch("left", float("nan"), c, params, 0.0, 0.0, -1.0)
 
 
-def psi_right(k, c, params, allow_partial=False):
+def psi_right(k, c, params):
     """Backward log-derivative branch with psi(D/2) = -k.
 
     Integrated from z = D/2 toward 0; if the angle reaches +pi/2 at some
-    z_minus > 1e-9 D/2 the branch exists only on (z_minus, D/2] and
-    BlowupError is raised unless allow_partial is set.
+    z_minus > 1e-9 D/2 the branch exists only on (z_minus, D/2], and
+    BlowupError is raised carrying z_minus as z and that branch as
+    partial.
     """
     params = validate(params)
     _check_positive("boundary slope k", k)
-    return _branch("right", float(k), c, params, params.half, -math.atan(float(k)),
-                   1.0, allow_partial)
+    return _branch("right", float(k), c, params, params.half, -math.atan(float(k)), 1.0)
 
 
 def flat_ck(k, D):
@@ -451,11 +450,6 @@ def _robin_constant(k, K, D):
     return float(c), run.sol
 
 
-def _phi(qr):
-    """Unscaled eigenfunction r cos q from the profile's (q, log r)."""
-    return np.exp(qr[1]) * np.cos(qr[0])
-
-
 def _robin_left(k, params):
     """psi_left(c_k, params) for valid params, read off the cached profile.
 
@@ -467,12 +461,14 @@ def _robin_left(k, params):
                            params=params, _q=partial(profile, rows=[0]))
 
 
-def _eigenfunction(profile, k, half):
+def _eigenfunction(profile, value, half):
     """phi on 2001 uniform points of [0, D/2] from the profile, scaled to
-    phi(D/2) = 1/k."""
+    phi(D/2) = value; a scale that overflows gives inf samples."""
     z = np.linspace(0.0, half, _N_SAMPLES)
-    phi = _phi(profile(z))
-    return GridFunction(z=z, values=phi * ((1.0 / k) / phi[-1]))
+    q, log_r = profile(z)
+    phi = np.exp(log_r) * np.cos(q)  # r cos q
+    with np.errstate(over="ignore"):
+        return GridFunction(z=z, values=phi * (value / phi[-1]))
 
 
 def robin_eigenfunction(k, params):
@@ -480,10 +476,17 @@ def robin_eigenfunction(k, params):
 
     Reconstructed from the cached profile at c_k and rescaled so phi(D/2) =
     1/k exactly; the other two conditions then hold up to the root-finding
-    and integration tolerances.
+    and integration tolerances.  The samples must be finite doubles, so
+    the smallest k accepted is 2^-1024 + 2^-1074, about 5.563e-309, the
+    least whose 1/k is one, times max(phi) / phi(D/2) at small k (1.06 at
+    K = 1, D = 1, and 10.9 at K = 9.8, D = 1); a smaller k raises
+    DomainError naming it.
     """
     params = validate(params)
-    return _eigenfunction(_robin(k, params)[1], float(k), params.half)
+    gf = _eigenfunction(_robin(k, params)[1], 1.0 / float(k), params.half)
+    if not np.all(np.isfinite(gf.values)):
+        raise DomainError(f"phi scaled to phi(D/2) = 1/k overflows a double at k = {k!r}")
+    return gf
 
 
 def robin_boundary_report(k, params):
@@ -492,26 +495,23 @@ def robin_boundary_report(k, params):
     (see _robin_left); once c_k is solved, no ODE runs.
 
     The defects are those of phi(D/2) = 1/k, phi'(D/2) = -1 and phi'(0) =
-    0, relative to max(1, phi(D/2)): for k >= 1 they are measured on the
-    eigenfunction scaled to phi(D/2) = 1/k, and for k < 1 on the one
-    scaled to phi(D/2) = 1, phi'(D/2) = -k, so that 1/k, which overflows
-    at subnormal k, is never formed.
+    0, relative to max(1, phi(D/2)), and positivity is judged on the
+    same samples: for k >= 1 they are those of robin_eigenfunction, scaled
+    to phi(D/2) = 1/k, and for k < 1 those scaled to phi(D/2) = 1,
+    phi'(D/2) = -k, so that 1/k, which overflows at subnormal k, is never
+    formed.
     """
     params = validate(params)
     ck, profile = _robin(k, params)
     k = float(k)
-    end, start = profile(params.half), profile(0.0)
     value, slope = (1.0 / k, 1.0) if k >= 1.0 else (1.0, k)
-    scale = value / _phi(end)
-    phi_end = _phi(end) * scale
-    dphi_end = phi_end * math.tan(end[0])
-    dphi_0 = _phi(start) * scale * math.tan(start[0])
+    phi = _eigenfunction(profile, value, params.half).values
     return {
         "c_k": ck,
-        "phi_right_defect": abs(phi_end - value),
-        "dphi_right_defect": abs(dphi_end + slope),
-        "dphi_left_defect": abs(dphi_0),
-        "positive": bool(np.all(_eigenfunction(profile, k, params.half).values > 0)),
+        "phi_right_defect": abs(phi[-1] - value),
+        "dphi_right_defect": abs(phi[-1] * math.tan(profile(params.half)[0]) + slope),
+        "dphi_left_defect": abs(phi[0] * math.tan(profile(0.0)[0])),
+        "positive": bool(np.all(phi > 0)),
         "left": _robin_left(k, params),
     }
 
@@ -528,13 +528,22 @@ def threshold_s(k, params):
     return _threshold(find_ck(k, params), params)[1]
 
 
+def _carried(branch, *args):
+    """branch(*args), or the truncated branch its BlowupError carries."""
+    try:
+        return branch(*args)
+    except BlowupError as exc:
+        return exc.partial
+
+
 def supersolution(k, s, params, z=None):
     """Pointwise minimum of the two shifted branches around c_k.
 
     psi_plus = min{psi^L at c_k - s, psi^R at c_k + s}.  The left branch
     exists on all of [0, D/2] for s >= 0; where the right branch has ceased
     to exist (backward blowup to +infinity) the minimum is the left branch.
-    At s = 0 both branches coincide with (log phi)' of the Robin
+    A branch that ceases is read off the BlowupError it raises, which
+    carries it truncated.  At s = 0 both branches coincide with (log phi)' of the Robin
     eigenfunction.  Pass z to sample on a caller-supplied grid instead of a
     uniform one.
     """
@@ -542,8 +551,8 @@ def supersolution(k, s, params, z=None):
     if not 0.0 <= s < math.inf:
         raise DomainError(f"shift s must be finite and nonnegative, got {s}")
     ck = find_ck(k, params)
-    left = psi_left(ck - s, params, allow_partial=True)
-    right = psi_right(k, ck + s, params, allow_partial=True)
+    left = _carried(psi_left, ck - s, params)
+    right = _carried(psi_right, k, ck + s, params)
     half = params.half
     if left.interval[0] > 0.0 or max(left.interval[1], right.interval[1]) < half:
         raise CoverageError(

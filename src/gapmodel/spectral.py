@@ -122,15 +122,15 @@ class EigenResult:
     """One eigenvalue, its error estimate and its sup-normalized eigenfunction.
 
     node_count is the eigenfunction's count of interior sign changes,
-    checked to be index - 1 when the result is made.  For shooting it is
-    counted on the states at the accepted steps of the (theta, log r) run
-    behind the eigenfunction, and the eigenfunction's 1001 samples are
-    taken from that run's dense output on the first read of
-    ``eigenfunction`` and kept; for finite differences both come from the
-    solve's eigenvector.  symmetry_residual is the parity defect: for
-    shooting, |sin(theta(0) - index pi/2)| of the run at the root, at most
-    _PARITY_TOL; for finite differences, sup|y(z) -+ y(-z)| over the
-    samples, unchecked.
+    checked to be index - 1 when the result is made.  The eigenfunction's
+    samples are taken on the first read of ``eigenfunction`` and kept,
+    from what the result holds: for shooting, the 1001 samples of the
+    (theta, log r) run's dense output, its nodes counted on the run's
+    states at its accepted steps; for finite differences, the doubled
+    grid's eigenvector, normalized then, its nodes counted on the vector.
+    symmetry_residual is the parity defect: for shooting, |sin(theta(0) -
+    index pi/2)| of the run at the root, at most _PARITY_TOL; for finite
+    differences, sup|y(z) -+ y(-z)| over the samples, unchecked.
     """
 
     eigenvalue: float
@@ -140,14 +140,12 @@ class EigenResult:
     node_count: int
     symmetry_residual: float
     form: str = "normal"
-    # the eigenfunction's GridFunction, or a callable that takes its
-    # samples on first read
+    # the callable that takes the eigenfunction's samples on first read
     _samples: object = field(repr=False, compare=False, default=None)
 
     @cached_property
     def eigenfunction(self):
-        f = self._samples
-        return f if isinstance(f, GridFunction) else f()
+        return self._samples()
 
 
 def _check_index(index):
@@ -205,7 +203,7 @@ def _polar_rhs(lams, scales, params, form):
         pairs = [(2 * i, lam, S) for i, (lam, S) in enumerate(zip(lams, scales))]
 
         def rhs(z, y):
-            v, f = V(z), _floats(y)
+            v, f = V(z), y.tolist()
             for i, lam, S in pairs:
                 s, c = sin(f[i]), cos(f[i])
                 q = (lam - v) / S
@@ -217,7 +215,7 @@ def _polar_rhs(lams, scales, params, form):
         pairs = [(2 * i, lam / S, S) for i, (lam, S) in enumerate(zip(lams, scales))]
 
         def rhs(z, y):
-            t, f = n1 * tn(z, K), _floats(y)
+            t, f = n1 * tn(z, K), y.tolist()
             for i, q, S in pairs:
                 s, c = sin(f[i]), cos(f[i])
                 d = t * c
@@ -225,14 +223,6 @@ def _polar_rhs(lams, scales, params, form):
             return f
 
     return rhs
-
-
-def _floats(y):
-    """A new list of y's floats, which the right-hand side overwrites pair by pair.
-
-    The Fortran passes y as an array, dop853_dense's dense stages as a list.
-    """
-    return y.tolist() if isinstance(y, np.ndarray) else list(y)
 
 
 def _polar_run(lams, scales, params, form):
@@ -302,8 +292,8 @@ def _eigen_result(lam, err, eigenfunction, nodes, index, method, form, sym):
     """EigenResult after checking its eigenfunction's interior node count
     against index - 1.
 
-    eigenfunction is the normalized GridFunction, or a callable that
-    samples it on first read; sym is the parity defect.
+    eigenfunction is the callable that samples the normalized
+    GridFunction on first read; sym is the parity defect.
     """
     if nodes != index - 1:
         raise GapModelError(
@@ -524,11 +514,11 @@ def _shoot_root(params, indices, form):
         lo, hi, pad, S = _comparison_bracket(params, index, v_mid, v_end, floor)
         # theta(0; lam) is strictly increasing in lam, so a sign change over a
         # seeded interval inside (lo, hi) holds the one root the comparison
-        # bracket holds.  Where V is constant ((n-1)(n-3)K = 0) the bracket is
+        # bracket holds.  Where V is constant (params.flat) the bracket is
         # 2 pad wide and no seeded interval, at least 2 pad wide, fits inside
         # it, so no seed is computed
         seed = ladder = math.nan
-        if (params.n - 1) * (params.n - 3) * params.K != 0:
+        if not params.flat:
             seed, ladder = _colloc_seed(params, index)
         a, b, narrow = seeded_interval(lo, hi, pad, seed, ladder, floor)
         rows = []
@@ -627,8 +617,9 @@ def eigen_fd(params, index, grid_size=1024):
     with |a_2N - a_N|/3 reported as the error estimate.  The coarse grid's
     eigenvalue comes from one stebz call, the doubled grid's eigenpair from
     one stebz + stein call; the eigenfunction is the doubled grid's vector
-    with its zero end values, sup-normalized and positive next to -D/2.  A
-    LAPACK failure raises NonConvergenceError.  The command line's fd row
+    with its zero end values, sup-normalized and positive next to -D/2 on
+    its first read, its nodes counted on the vector.  A LAPACK failure
+    raises NonConvergenceError.  The command line's fd row
     takes both indices from the same two calls (_fd(params, (1, 2))):
     stebz bisects for both eigenvalues at once and stein finds both
     vectors.  On the 14 values of the golden FD triples, 10 of the pair's
@@ -694,7 +685,7 @@ def _fd(params, indices, grid_size=1024):
     z = np.linspace(-params.half, params.half, 2 * grid_size + 1)
     results = []
     for index, lam_n, lam_2n, v in zip(indices, lams_n.tolist(), lams_2n.tolist(), vs.T):
-        gf = _normalized(z, np.concatenate([[0.0], v, [0.0]]))
+        y = np.concatenate([[0.0], v, [0.0]])
         try:
             lam = math.ldexp((4.0 * lam_2n - lam_n) / 3.0, -2 * k)
             err = math.ldexp(abs(lam_2n - lam_n) / 3.0, -2 * k)
@@ -702,8 +693,9 @@ def _fd(params, indices, grid_size=1024):
             raise DomainError(f"eigenvalue {index} exceeds the largest double "
                               f"at D = {params.D:g}") from None
         sym = np.max(np.abs(v - (-1.0) ** (index - 1) * v[::-1])) / np.max(np.abs(v))
-        results.append(_eigen_result(lam, err, gf, _count_interior_nodes(gf.values), index,
-                                     "finite-difference", "normal", float(sym)))
+        results.append(_eigen_result(lam, err, partial(_normalized, z, y),
+                                     _count_interior_nodes(y), index, "finite-difference",
+                                     "normal", float(sym)))
     return results
 
 

@@ -524,11 +524,28 @@ class TestExitCodes:
           "--emit-plot", "/nonexistent/p.csv"], "/nonexistent/p.csv"),
     ], ids=["missing-directory", "a-directory", "missing-plot-directory"])
     def test_unwritable_path_is_invalid_params(self, argv, path, tmp_path, capsys):
+        # the path is checked before the command runs: no solver call, no table
+        from gapmodel import _scipy
+
         argv = [a.format(tmp=tmp_path) for a in argv]
-        code, _, err = run_main(argv, capsys)
-        assert code == 2
+        with _scipy.ledger() as work:
+            code, out, err = run_main(argv, capsys)
+        assert code == 2 and out == "" and work == []
         assert err.startswith("error:") and err.count("\n") == 1
         assert repr(path.format(tmp=tmp_path)) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,option", [
+        (["eigen", "--n", "2", "--K", "10", "--D", "1"], "--output"),
+        (["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "1e9"], "--output"),
+        (["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "1e9"], "--emit-plot"),
+        (["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10", "--tol", "-1"],
+         "--emit-plot"),
+    ], ids=["pole-table", "cell-budget-table", "cell-budget-plot", "bad-tol-plot"])
+    def test_failed_run_leaves_an_existing_output(self, argv, option, tmp_path, capsys):
+        path = tmp_path / "kept.csv"
+        path.write_text("kept\n")
+        code, out, _ = run_main(argv + [option, str(path)], capsys)
+        assert code == 2 and out == "" and path.read_text() == "kept\n"
 
     def test_flow_slope_past_cell_budget_is_invalid_params(self, capsys):
         code, out, err = run_main(

@@ -18,8 +18,6 @@ from gapmodel.model import (
     potential,
     potential_array,
     potential_at,
-    to_direct,
-    to_normal,
     validate,
 )
 
@@ -32,6 +30,15 @@ class TestParams:
 
     def test_integer_like_dimension(self):
         assert ModelParams(n=4.0, K=0.0, D=1.0).n == 4
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    def test_flat_truth_table(self, n, K):
+        # V is constant exactly at n = 1, n = 3 or K = 0
+        p = ModelParams(n=n, K=K, D=1.0)
+        assert p.flat is (n in (1, 3) or K == 0.0)
+        z = np.linspace(-p.half, p.half, 9)
+        assert bool(np.ptp(potential_array(z, p)) == 0.0) is p.flat
 
     @pytest.mark.parametrize(
         "n,K,D",
@@ -148,10 +155,11 @@ class TestGauge:
         p = ModelParams(n=4, K=-0.8, D=2.0)
         z = np.array([-0.9, 0.0, 0.3])
         vals = np.array([1.0, 2.0, -1.0])
-        direct = to_direct(z, vals, p)
+        direct = gauge_transform(GridFunction(z=z, values=vals), p, "to_direct")
         for i in range(3):
-            assert direct[i] == pytest.approx(vals[i] * gauge_factor(z[i], p), rel=1e-15)
-        np.testing.assert_allclose(to_normal(z, direct, p), vals, rtol=1e-15)
+            assert direct.values[i] == pytest.approx(vals[i] * gauge_factor(z[i], p), rel=1e-15)
+        np.testing.assert_allclose(gauge_transform(direct, p, "to_normal").values, vals,
+                                   rtol=1e-15)
 
     def test_flat_gauge_is_identity(self):
         p = ModelParams(n=7, K=0.0, D=1.0)

@@ -1,7 +1,9 @@
 """Log-derivative branches, the Robin constant, and the comparison envelopes."""
 
 import collections
+import hashlib
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -30,6 +32,25 @@ from gapmodel.pruefer import (
     upper_bound_left,
     upper_bound_right,
 )
+
+
+# SHA-256 of supersolution(k, s, ModelParams(n, K, D)).values on its default
+# grid, keyed by (k, s, (n, K, D)), from the code in which psi_right could
+# return its truncated branch instead of raising BlowupError
+SUPERSOLUTION_SHA256 = {
+    (300.0, 30.0, (5, 3.0, 1.0)):
+        "46f30f886ef898450a931a9dbf7ac26f0dbaec417a1b8a359dde76e254bbb99e",
+    (300.0, 100.0, (5, 3.0, 1.0)):
+        "483964ae1b542b4c51bdba0ab2cc3a81bdb3039e337029cfc1f28747c8bd60b4",
+    (300.0, 3000.0, (5, 3.0, 1.0)):
+        "b538fc348a3516879b95dcbf98a01180441c85df9f2dca8804e69a15f099e55e",
+    (10.0, 30.0, (2, 0.5, 1.0)):
+        "7e848949ca1273c1b0f9818ef65067eee6b8117e1ff99ad02205e7143d5a4d00",
+}
+
+
+def _sha256(values):
+    return hashlib.sha256(values.tobytes()).hexdigest()
 
 
 def flat_ck(k, D):
@@ -314,17 +335,23 @@ class TestBranches:
         # shot backward from D/2, reaches +pi/2 before 0
         p = ModelParams(n=2, K=0.5, D=1.0)
         ck = find_ck(10.0, p)
-        if side == "left":
-            branch = lambda **kw: psi_left(ck + shift, p, **kw)
-        else:
-            branch = lambda **kw: psi_right(10.0, ck + shift, p, **kw)
         with pytest.raises(BlowupError, match=f"{side} branch ceases") as info:
-            branch()
+            if side == "left":
+                psi_left(ck + shift, p)
+            else:
+                psi_right(10.0, ck + shift, p)
         assert info.value.z == pytest.approx(z_cease, abs=1e-3)
-        partial = branch(allow_partial=True)
-        assert info.value.partial.interval == partial.interval
-        assert info.value.z in partial.interval
-        np.testing.assert_array_equal(info.value.partial.psi, partial.psi)
+        partial = info.value.partial
+        assert (partial.side, partial.c) == (side, ck + shift)
+        assert partial.interval == ((0.0, info.value.z) if side == "left"
+                                    else (info.value.z, p.half))
+        assert np.all(np.isfinite(partial.psi_at(np.linspace(*partial.interval, 9))))
+        if side == "right":
+            # supersolution takes the right branch at c_k + s from the error;
+            # these are the bits of its values when psi_right returned the
+            # truncated branch itself
+            assert _sha256(supersolution(10.0, shift, p).values) == SUPERSOLUTION_SHA256[
+                10.0, shift, (2, 0.5, 1.0)]
 
 
 class TestLazySamples:
@@ -541,7 +568,8 @@ class TestCompiledBranches:
         work.clear()  # a cold find_ck's runs
         psi_left(ck - 1.0, p)
         psi_right(300.0, ck + 1.0, p)  # integrated backward
-        psi_right(300.0, ck + 3000.0, p, allow_partial=True)  # stopped at its pole
+        with pytest.raises(BlowupError):
+            psi_right(300.0, ck + 3000.0, p)  # stopped at its pole
         runs = [sol for name, _, sol in work if name == "dop853_dense"]
         assert [run.t_event is None for run in runs] == [True, True, False]
         for run in runs:
@@ -553,14 +581,15 @@ class TestCompiledBranches:
     def test_pole_is_solve_ivps_event(self, s):
         p = ModelParams(5, 3.0, 1.0)
         c = find_ck(300.0, p) + s
-        partial = psi_right(300.0, c, p, allow_partial=True)
-        assert partial.interval[1] == p.half
-        assert abs(partial.interval[0] - _pole_by_solve_ivp(300.0, c, p)) <= 1e-12 * p.half
         with pytest.raises(BlowupError, match="right branch ceases") as info:
             psi_right(300.0, c, p)
-        assert info.value.z == partial.interval[0]
-        assert info.value.partial.interval == partial.interval
-        np.testing.assert_array_equal(info.value.partial.psi, partial.psi)
+        partial = info.value.partial
+        assert partial.interval == (info.value.z, p.half)
+        assert abs(partial.interval[0] - _pole_by_solve_ivp(300.0, c, p)) <= 1e-12 * p.half
+        # supersolution reads that carried branch: the bits of its values
+        # when psi_right returned the truncated branch itself
+        assert _sha256(supersolution(300.0, s, p).values) == SUPERSOLUTION_SHA256[
+            300.0, s, (5, 3.0, 1.0)]
 
     def test_exception_from_the_rhs_propagates(self):
         raised = ZeroDivisionError("pole")
@@ -605,12 +634,13 @@ class TestCompiledBranches:
         p = ModelParams(5, 3.0, 1.0)
         c = find_ck(300.0, p) + 3000.0
         monkeypatch.setattr(_scipy, "DOP853_MAX_STEPS", 5)
-        for side in (lambda: psi_left(c, p, allow_partial=True),
-                     lambda: psi_right(300.0, c, p, allow_partial=True)):
+        for side in (lambda: psi_left(c, p), lambda: psi_right(300.0, c, p)):
             with pytest.raises(DomainError, match="angle integration failed: larger nsteps"):
                 side()
         monkeypatch.undo()
-        assert psi_right(300.0, c, p, allow_partial=True).interval[0] > 0.0
+        with pytest.raises(BlowupError) as info:
+            psi_right(300.0, c, p)
+        assert info.value.partial.interval[0] > 0.0
 
 
 # The Robin profile (q, log r) at seven interior points z = j/8 D/2,
@@ -659,6 +689,33 @@ class TestRobinEigenfunction:
         for name in ("phi_right_defect", "dphi_right_defect", "dphi_left_defect"):
             assert math.isfinite(rep[name]) and rep[name] <= 1e-12, name
         assert rep["positive"]
+
+    @pytest.mark.parametrize("k", [5e-324, 1e-310, 1e-300], ids=repr)
+    def test_small_slope_positivity_is_judged_on_finite_samples(self, k, monkeypatch):
+        # the report asks for phi(D/2) = 1 below k = 1, so inf > 0 never
+        # stands in for positivity
+        samples, real = [], pruefer._eigenfunction
+
+        def recording(profile, value, half):
+            gf = real(profile, value, half)
+            samples.append(gf.values)
+            return gf
+
+        monkeypatch.setattr(pruefer, "_eigenfunction", recording)
+        assert robin_boundary_report(k, ModelParams(5, 1.0, 1.0))["positive"]
+        [values] = samples
+        assert np.all(np.isfinite(values)) and values[-1] == 1.0
+
+    @pytest.mark.parametrize("k", [5e-324, 1e-310, 1e-300], ids=repr)
+    def test_slope_whose_inverse_overflows_is_a_domain_error(self, k):
+        p = ModelParams(5, 1.0, 1.0)
+        if math.isfinite(1.0 / k):
+            gf = robin_eigenfunction(k, p)
+            assert np.all(np.isfinite(gf.values)) and np.all(gf.values > 0)
+            assert gf.values[-1] == pytest.approx(1.0 / k, rel=1e-15)
+        else:
+            with pytest.raises(DomainError, match=re.escape(f"k = {k!r}")):
+                robin_eigenfunction(k, p)
 
     @pytest.mark.parametrize("n,K,D,k", [(2, 0.5, 1.0, 10.0), (5, -8.0, 1.0, 1.0),
                                          (2, 0.0, 1.0, 10.0), (5, 3.0, 1.0, 300.0),
@@ -764,7 +821,7 @@ class TestEnvelopes:
         k = 10.0
         c = find_ck(k, p) + 8.0
         lam, bound, z_from = upper_bound_right(k, c, p)
-        branch = psi_right(k, c, p, allow_partial=True)
+        branch = psi_right(k, c, p)
         lo = max(z_from + 0.02, branch.interval[0] + 0.01)
         zs = np.linspace(lo, p.half, 301)
         assert np.all(branch.psi_at(zs) <= bound(zs) + 1e-8)
@@ -778,7 +835,7 @@ class TestEnvelopes:
         left = psi_left(ck - s, p)
         zs = np.linspace(0.0, 0.2 * p.half, 101)
         assert np.all(left.psi_at(zs) >= fl["left_floor"](zs) - 1e-9)
-        right = psi_right(k, ck + s, p, allow_partial=True)
+        right = psi_right(k, ck + s, p)
         lo = max(fl["right_valid_from"] + 0.02, right.interval[0] + 0.01)
         zs = np.linspace(lo, p.half, 101)
         assert np.all(right.psi_at(zs) >= fl["right_floor"](zs) - 1e-8)

@@ -17,7 +17,7 @@ from gapmodel.errors import (
     NonConvergenceError,
     PoleError,
 )
-from gapmodel.model import GridFunction, ModelParams
+from gapmodel.model import ModelParams
 from gapmodel.spectral import (
     ball_first_eigen,
     eigen_fd,
@@ -1070,11 +1070,38 @@ class TestDeferredEigenfunction:
                 assert spectral._step_nodes(sol, rows, w, idx) \
                     == spectral._count_interior_nodes(samples) == idx - 1
 
-    def test_finite_differences_stay_eager(self):
-        for r in spectral._fd(ModelParams(5, 1.0, 1.0), (1, 2)):
-            assert isinstance(r._samples, GridFunction)
-            assert r.eigenfunction is r._samples
-            assert r.node_count == spectral._count_interior_nodes(r.eigenfunction.values)
+    @pytest.mark.parametrize("indices", [(1, 2), (1,), (2,)], ids=["pair", "index-1", "index-2"])
+    def test_fd_samples_lazily_to_the_eager_bits(self, monkeypatch, indices):
+        # the doubled grid's eigenvectors as the solve returns them, and each
+        # normalisation, which waits for the first read
+        vectors, normalized = [], []
+        pairs, normalize = spectral.tridiagonal_eigenpairs, spectral._normalized
+
+        def recording(*args):
+            w, v = pairs(*args)
+            vectors.append(v)
+            return w, v
+
+        def counting(z, values):
+            normalized.append(values)
+            return normalize(z, values)
+
+        monkeypatch.setattr(spectral, "tridiagonal_eigenpairs", recording)
+        monkeypatch.setattr(spectral, "_normalized", counting)
+        p = ModelParams(5, 1.0, 1.0)
+        results = spectral._fd(p, indices)
+        assert normalized == []
+        z = np.linspace(-p.half, p.half, 2 * 1024 + 1)
+        for r, v in zip(results, vectors[0].T):
+            # the eager rule: zero ends, divided by the largest magnitude,
+            # positive next to -D/2
+            y = np.concatenate([[0.0], v, [0.0]])
+            eager = y / math.copysign(np.max(np.abs(y)), y[1])
+            gf = r.eigenfunction
+            assert gf.z.tobytes() == z.tobytes() and gf.values.tobytes() == eager.tobytes()
+            assert r.eigenfunction is gf
+            assert r.node_count == spectral._count_interior_nodes(gf.values) == r.index - 1
+        assert len(normalized) == len(indices)
 
 
 class TestFiniteDifference:
