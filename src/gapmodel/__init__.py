@@ -22,6 +22,7 @@ from .errors import (
     NonConvergenceError,
     OrderingViolation,
     PoleError,
+    ScipyInternalsError,
     SolvabilityError,
     StabilityError,
 )

@@ -13,6 +13,10 @@ grid reaches z = 0, and forms their dense output from the Fortran's own
 stages: at once for a run with an event, which the dense output places,
 and on the first evaluation for a run without one, so that a run whose
 dense output is never read never pays for it.
+The dense output finds the steps of sorted points, the grids every
+caller samples, as runs located by the knots, and of any other points by
+locating each point; both paths give a point the same step and the same
+bits (see ``_dense_evaluator``).
 Every ODE gapmodel solves runs on DOP853 through these two.  Spectral's
 finite-difference route takes its coarse grid's eigenvalues from
 ``tridiagonal_eigenvalues`` (one ``stebz`` call) and its fine grid's
@@ -29,6 +33,11 @@ through ``brent``, which raises its iteration cap as
 accept fraction, noise floor, Brent tolerances and error; spectral forms
 both eigenvalues' intervals of a gap first, to run their passes together.
 
+These wrappers read scipy internals that are not public API: the DOP853
+tableau, the order of the Fortran's calls within a step, and its call
+count.  The first ``dop853_dense`` call in a process checks them on a
+known solution and raises ``ScipyInternalsError`` if they differ.
+
 ``ledger`` counts the work: while one is open, every call of
 ``dop853_end``, ``dop853_dense`` and ``brent`` that returns appends a
 record of itself to it, keyed by the module that defined the function it
@@ -40,17 +49,19 @@ only when a command that solves runs.
 """
 
 import contextlib
+import math
 import warnings
 from array import array
 from types import SimpleNamespace
 
 import numpy as np
+import scipy
 from scipy.integrate import ode
 from scipy.integrate._ivp import dop853_coefficients as tableau
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, ScipyInternalsError
 
 # step budget of one dop853_end run; the longest angle shot within 5e-6 of
 # the cap, at (n, K, D) = (8, 9.8696, 1), takes about 19k steps, and a run
@@ -59,6 +70,11 @@ DOP853_MAX_STEPS = 100_000
 _PASS_WIDTH = 5e-6  # widest interval half-width, over the accuracy scale, given a stacked pass
 _LADDERS = 3.0  # seeded interval half-width in collocation ladders; see seeded_interval
 _open = None  # the records of the open ledger, or None; see ledger
+# fewest sorted points _dense_evaluator gathers by step runs: below about
+# 2k points the repeats' fixed cost exceeds the search they save (measured
+# at 20 to 300 steps, one row)
+_RUN_MIN = 2048
+_checked = False  # whether _check_internals has passed, or is running, in this process
 
 
 @contextlib.contextmanager
@@ -168,7 +184,8 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
     pruefer's Riccati branches, whose event is the angle's pole, pruefer's
     Robin profile and spectral's (theta, log r) runs, which have none, and
     flow's ``build_grid``, whose event is the grid reaching z = 0 and whose
-    t1 is the cell budget.
+    t1 is the cell budget.  The first call in a process first checks the
+    internals read here on a known solution (``_check_internals``).
 
     A run with an event forms the extension before it returns.  A run
     without one keeps the Fortran's stages, moved out of the stepper's
@@ -188,6 +205,8 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
     event propagates, from the first call of ``sol`` where fun raises
     while the extension is formed.
     """
+    if not _checked:
+        _check_internals()
     dim, tail = len(y0), -tableau.N_STAGES * len(y0)
     calls, stages = array("d"), array("d")  # stages: f(t0), then K[1..12] per step
     ts, ys, gs = [], [], []
@@ -256,6 +275,51 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
     return _record("dop853_dense", fun, out)
 
 
+def _check_internals():
+    """Check the scipy internals ``dop853_dense`` reads; ScipyInternalsError if they differ.
+
+    y' = (-sin t, -y[0]) from y(0) = (1, 0), whose solution is (cos t,
+    -sin t), runs from 0 to 2 without an event; its first component tests
+    the nodes C of the stages, its second their weights A.  Its dense
+    output on 41 points must lie within 1e-8 of cos and -sin, which fails
+    when the tableau in ``scipy.integrate._ivp.dop853_coefficients`` or the
+    Fortran's order of a step's stage calls no longer fits the extension
+    formed here, and its ``nfev`` must equal the calls of its right-hand
+    side counted here, which fails when ``iwork[16]`` is no longer the
+    Fortran's call count.  A
+    mismatch, or an exception in the run, raises the error naming scipy's
+    version.  ``dop853_dense`` runs the check on its first call in a
+    process, never at import, and records the check's run in no ledger.  It
+    costs about 1.6 ms once (median of 7 fresh processes on a shared 2-CPU
+    x86-64 host; 0.8 ms when repeated in a warm process).
+    """
+    global _checked
+    _checked = True  # the check's own run does not check again
+    calls = 0
+
+    def oscillator(t, y):
+        nonlocal calls
+        calls += 1
+        return [-math.sin(t), -y[0]]
+
+    z = np.linspace(0.0, 2.0, 41)
+    try:
+        with ledger():
+            run = dop853_dense(oscillator, 0.0, 2.0, [1.0, 0.0], 1e-10, 1e-10, None)
+            error = np.abs(run.sol(z) - [np.cos(z), -np.sin(z)]).max()
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        _checked = False
+        raise ScipyInternalsError(
+            f"scipy {scipy.__version__}: the DOP853 check run raised {exc!r}") from exc
+    if not (error <= 1e-8 and run.nfev == calls):
+        _checked = False
+        raise ScipyInternalsError(
+            f"scipy {scipy.__version__}: the DOP853 dense output of y' = (-sin t, -y[0]) is "
+            f"{error:.3g} from (cos, -sin), against 1e-8, and its nfev is {run.nfev} for {calls} "
+            "right-hand-side calls; gapmodel reads scipy's DOP853 tableau, the order of "
+            "a step's stage calls and the Fortran's call count, and this version differs")
+
+
 def _deferred(build):
     """An evaluator that calls build() on its first call and evaluates by
     what it returned; build, and what it holds, is then let go."""
@@ -277,34 +341,61 @@ def _dense_evaluator(ts, t_old, h, y_old, coeffs):
     step's start and length, y_old its start state (row, step), and
     coeffs its continuous-extension coefficients (coefficient, row, step),
     highest first.  A point takes its step as scipy's ``OdeSolution``
-    does.  Each coefficient's values at the points' steps are gathered by
-    one ``take`` from its rows, which run contiguously over the steps, and
-    1 - x is formed once per call.  ``rows``, a list of indices into the
-    evaluator's rows, evaluates only those, each to the same bits.
+    does: the step whose knots enclose it, at an inner knot the step that
+    ends there in the order of integration, and the first or last step
+    outside the span.  Each step's start, length, start state and
+    coefficients are gathered at the points by one of two paths:
+
+    - Sorted points, more than _RUN_MIN of them and no NaN: the points of
+      a step form one run, so one ``searchsorted`` of the inner knots into
+      the points, with the opposite side, gives each step's count of
+      points, and ``numpy.repeat`` repeats each step's values that often,
+      in reversed step order for a backward run.
+    - Any other points, one point included: one ``searchsorted`` of the
+      points into the knots gives each point's step, and ``take`` gathers
+      by it.
+
+    Both give each point the same step, and gather the same doubles, on
+    which the same Horner arithmetic runs (1 - x is formed once per call),
+    so their bits agree.  ``rows``, a list of indices into the evaluator's
+    rows, evaluates only those, each to the same bits.
     """
     ascending = ts[-1] >= ts[0]
-    ts, side = (ts, "left") if ascending else (ts[::-1], "right")
+    ts, side, run_side, order = ((ts, "left", "right", slice(None)) if ascending
+                                 else (ts[::-1], "right", "left", slice(None, None, -1)))
     last = len(t_old) - 1
+    inner = ts[1:-1]
 
     def evaluate(z, rows=None):
         start, fs = (y_old, coeffs) if rows is None else (y_old[rows], coeffs[:, rows])
         z = np.asarray(z, dtype=float)
         t = z.reshape(-1)
-        step = np.searchsorted(ts, t, side=side)
-        step -= 1
-        np.clip(step, 0, last, out=step)
-        if not ascending:
-            np.subtract(last, step, out=step)
-        x = (t - t_old.take(step)) / h.take(step)
+        if t.size > _RUN_MIN and np.all(t[1:] >= t[:-1]):  # False at a NaN
+            counts = np.diff(np.searchsorted(t, inner, side=run_side), prepend=0, append=t.size)
+
+            def gather(a):
+                return np.repeat(a[..., order], counts, axis=-1)
+        else:
+            step = np.searchsorted(ts, t, side=side)
+            step -= 1
+            np.clip(step, 0, last, out=step)
+            if not ascending:
+                np.subtract(last, step, out=step)
+            buffer = np.empty((len(start), t.size))
+
+            def gather(a):
+                # the steps are in range; take's default mode="raise" would
+                # gather into a temporary copy and then copy that into out
+                if a.ndim == 1:
+                    return a.take(step)
+                return a.take(step, axis=1, out=buffer, mode="clip")
+        x = (t - gather(t_old)) / gather(h)
         one_minus_x = 1 - x
-        gathered = np.empty((len(start), t.size))
-        y = np.zeros_like(gathered)
-        # the steps are in range; take's default mode="raise" would gather
-        # into a temporary copy and then copy that into out
+        y = np.zeros((len(start), t.size))
         for i, f in enumerate(fs):
-            y += f.take(step, axis=1, out=gathered, mode="clip")
+            y += gather(f)
             y *= one_minus_x if i % 2 else x
-        y += start.take(step, axis=1, out=gathered, mode="clip")
+        y += gather(start)
         return y.reshape((len(start),) + z.shape)
 
     return evaluate

@@ -344,12 +344,19 @@ def cmd_flow(args):
             snap_times = np.geomspace(t1, run.times[-1], args.snapshots)
             snaps += _pick_snapshots(history, snap_times)
         z = [_fmt(v) for v in state.psi.z[::stride].tolist()]
-        plot_lines = ["t,z,psi"]
-        for t, vals in snaps:
-            t = _fmt(t)
-            plot_lines.extend(f"{t},{zz},{_fmt(vv)}" for zz, vv in zip(z, vals.tolist()))
-        _write("\n".join(plot_lines) + "\n", args.emit_plot)
+        plot = ["t,z,psi", *(_snapshot_lines(_fmt(t), z, vals) for t, vals in snaps)]
+        _write("\n".join(plot) + "\n", args.emit_plot)
     return 0
+
+
+def _snapshot_lines(t, z, values):
+    """The plot lines "t,z,psi" of one snapshot, without a final newline.
+
+    t and z are formatted already; the values are formatted by one %
+    operation on a template of the lines, as _fmt formats them: '%.17g' % x
+    and format(x, ".17g") are the same CPython routine.
+    """
+    return "\n".join(f"{t},{zz},%.17g" for zz in z) % tuple(values.tolist())
 
 
 # -- bounds ---------------------------------------------------------------

@@ -66,6 +66,13 @@ class OrderingViolation(GapModelError):
     """A quantity that must be monotone in a parameter failed an ordering check."""
 
 
+class ScipyInternalsError(GapModelError):
+    """The scipy internals the compiled DOP853 wrappers read do not behave as
+    the installed version was checked to: the DOP853 tableau, the stage
+    calls of a step, or the Fortran's call count.  The message names scipy's
+    version."""
+
+
 def as_integer(value, minimum, requirement, maximum=float("inf")):
     """value as an int in [minimum, maximum], from an int or an integral float.
 

@@ -644,14 +644,23 @@ class TrigPoly:
         return _lincomb(NPoly, [(c, _int_x_trig(kind, j, m), 1, 1)
                                 for (kind, m, j), c in self.terms.items()])
 
-    def project(self, kind, mode):
-        """Exact integral of self(x) * trig(mode x) over [-pi/2, pi/2]; an NPoly.
+    def project(self, kind, mode, power=0):
+        """Exact integral of x^power self(x) trig(mode x) over [-pi/2, pi/2]; an NPoly.
 
-        Equals (self * TrigPoly.basis(kind, mode)).integrate() without
-        building the product.
+        Equals (self * TrigPoly({(kind, mode, power): 1})).integrate()
+        without building the product.
         """
-        return _lincomb(NPoly, [(c, _int_x_trig_trig(k, m, j, kind, mode), 1, 1)
+        return _lincomb(NPoly, [(c, _int_x_trig_trig(k, m, j + power, kind, mode), 1, 1)
                                 for (k, m, j), c in self.terms.items()])
+
+    def pair(self, other):
+        """Exact integral of self(x) other(x) over [-pi/2, pi/2]; an NPoly.
+
+        Equals (self * other).integrate() without building the product:
+        one combination of other's projections on self's terms.
+        """
+        return _lincomb(NPoly, [(c, other.project(kind, m, j), 1, 1)
+                                for (kind, m, j), c in self.terms.items()])
 
     def eval_at_half_pi(self):
         """Exact value at x = pi/2; returns an NPoly."""

@@ -377,6 +377,19 @@ class TestFlow:
                      min(len(got_lines), len(lines)))
         assert same, f"plot differs from line {first} on"
 
+    def test_snapshot_lines_format_each_value_as_fmt(self):
+        # the one-pass formatter against the per-value _fmt join, on signed
+        # zero, the smallest subnormal, a round power of ten, a value that
+        # %g writes in exponent form, and doubles of random bits (NaN and
+        # infinities among them)
+        gen = np.random.default_rng(3)
+        values = np.concatenate([[-0.0, 0.0, 5e-324, 1e16, 1e-5, -1e-5, np.inf, -np.inf, np.nan],
+                                 gen.integers(0, 2**64, 20000, dtype=np.uint64).view(float)])
+        z = [cli._fmt(v) for v in np.linspace(0.0, 0.5, values.size).tolist()]
+        t = cli._fmt(0.0123)
+        expected = "\n".join(f"{t},{zz},{cli._fmt(v)}" for zz, v in zip(z, values.tolist()))
+        assert cli._snapshot_lines(t, z, values) == expected
+
     def test_rejects_multiple_triples(self, capsys):
         code, out, err = run_main(
             ["flow", "--n", "2", "--K", "0.5,0.6", "--D", "1", "--k", "10"],

@@ -637,6 +637,20 @@ class TestTrigPoly:
     def test_projection_equals_integral_of_product(self, t, kind, mode):
         assert t.project(kind, mode) == trig_integrate(t * TrigPoly.basis(kind, mode))
 
+    @given(t=any_trig_st, kind=st.sampled_from(["cos", "sin"]),
+           mode=st.integers(min_value=1, max_value=5), power=st.integers(0, 4))
+    @example(t=TrigPoly({("cos", 0, 8): Fraction(62, 315)}), kind="cos", mode=1, power=0)
+    def test_weighted_projection_equals_integral_of_product(self, t, kind, mode, power):
+        weight = TrigPoly({(kind, mode, power): 1})
+        assert t.project(kind, mode, power) == trig_integrate(t * weight)
+
+    @given(a=any_trig_st, b=any_trig_st)
+    @example(a=TrigPoly.basis("cos", 1), b=TrigPoly.basis("cos", 1))
+    @example(a=TrigPoly(), b=TrigPoly.basis("sin", 2))
+    def test_pairing_equals_integral_of_product(self, a, b):
+        assert a.pair(b) == trig_integrate(a * b)
+        assert b.pair(a) == a.pair(b)
+
     @given(t=trig_terms("even"))
     def test_parity_detection(self, t):
         if not t.is_zero():

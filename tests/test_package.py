@@ -14,8 +14,8 @@ PUBLIC = [
     "BlowupError", "BoundReport", "BracketError", "CoverageError", "DomainError",
     "EigenResult", "FlowRun", "FlowState", "GapModelError", "GapResult", "GapSeries",
     "GridFunction", "HypothesisError", "ModelParams", "NonConvergenceError",
-    "OrderingViolation", "PoleError", "RiccatiSolution", "SeriesResult",
-    "SolvabilityError", "StabilityError", "ball_first_eigen", "bound_report", "bounds",
+    "OrderingViolation", "PoleError", "RiccatiSolution", "ScipyInternalsError",
+    "SeriesResult", "SolvabilityError", "StabilityError", "ball_first_eigen", "bound_report", "bounds",
     "build_grid", "check_reference", "coefficient_sign", "comparison_check", "cs",
     "cs_array", "discrete_stationary", "eigen_fd", "eigen_shoot", "eigen_shoot_mp",
     "errors", "eval_gap_series", "eval_series", "eval_series_mp", "exact",

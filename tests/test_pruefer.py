@@ -4,10 +4,13 @@ import collections
 import hashlib
 import math
 import re
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+import scipy
 from scipy.optimize import brentq
 
 from gapmodel import _scipy, cli, pruefer
@@ -17,6 +20,7 @@ from gapmodel.errors import (
     DomainError,
     HypothesisError,
     NonConvergenceError,
+    ScipyInternalsError,
 )
 from gapmodel.flow import build_grid, stationary_reference
 from gapmodel.model import ModelParams
@@ -487,6 +491,93 @@ class TestAngleInterpolant:
         grid = z[:60].reshape(6, 10)
         assert evaluate(grid).tobytes() == reference(grid).tobytes()
 
+    @staticmethod
+    def _dense_run(monkeypatch, backward, stopped):
+        """A dop853_dense run of y' = (cos(3t) y1 + 1, -y0) on [0, 2],
+        forward from t = 0 or backward from t = 2, stopped by an event
+        0.7 short of the far end or run to the end, and the arguments of
+        its _dense_evaluator: knots, t_old, h, y_old, coeffs."""
+        extensions = []
+
+        def recorded(*extension):
+            extensions.append(extension)
+            return real(*extension)
+
+        real = _scipy._dense_evaluator
+        monkeypatch.setattr(_scipy, "_dense_evaluator", recorded)
+
+        def rhs(t, y):
+            return (math.cos(3 * t) * y[1] + 1.0, -y[0])
+
+        t0, t1 = (2.0, 0.0) if backward else (0.0, 2.0)
+
+        def crossing(t, y):
+            return t - (t1 + 0.7 if backward else t1 - 0.7)
+
+        crossing.direction = -1.0 if backward else 1.0
+        run = _scipy.dop853_dense(rhs, t0, t1, [0.0, 1.0], rtol=1e-9, atol=1e-9,
+                                  event=crossing if stopped else None)
+        assert (run.t_event is not None) == stopped
+        run.sol(0.5 * (t0 + t1))  # forms a deferred extension
+        return run, extensions[-1]
+
+    @pytest.mark.parametrize("stopped", [False, True])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_sorted_points_gather_to_the_searchsorted_bits(self, monkeypatch, backward,
+                                                           stopped):
+        """The run's dense output, and an evaluator on the run's knots with
+        random coefficients, whose steps disagree at the shared knots,
+        against the fancy-indexed evaluator, which locates each point by
+        searchsorted."""
+        run, (ts, t_old, h, y_old, coeffs) = self._dense_run(monkeypatch, backward, stopped)
+        assert ts.size > 8  # several steps, so the runs of points differ
+        gen = np.random.default_rng(5)
+        y_rand, coeffs_rand = gen.normal(size=y_old.shape), gen.normal(size=coeffs.shape)
+        pairs = [(run.sol, (y_old, coeffs)),
+                 (_scipy._dense_evaluator(ts, t_old, h, y_rand, coeffs_rand),
+                  (y_rand, coeffs_rand))]
+        lo, hi = min(ts[0], ts[-1]), max(ts[0], ts[-1])
+        size = 2 * _scipy._RUN_MIN + 1  # sorted points this many are gathered by runs
+        grid = np.linspace(lo, hi, size)
+        points = {
+            "sorted": grid,
+            "unsorted": gen.permutation(grid),
+            "reversed": grid[::-1],
+            # every knot three times, between repeated grid points
+            "repeats and knots": np.sort(np.concatenate([ts, ts, ts, grid, grid])),
+            "outside the span": np.linspace(lo - 0.5, hi + 0.5, size),
+            "one point": np.array([ts[3]]),
+            "no points": np.array([]),
+            "a NaN": np.concatenate([grid[:400], [np.nan], grid[400:]]),
+            "sorted, in a grid": grid[:-1].reshape(2, -1),
+        }
+        for evaluate, (y0, cs) in pairs:
+            for rows in ([0, 1], [1]):
+                reference = self._fancy_indexed(ts, t_old, h, y0[rows].T,
+                                                cs[:, rows].transpose(0, 2, 1))
+                for name, z in points.items():
+                    got, want = evaluate(z, rows), reference(z)
+                    assert got.shape == want.shape, name
+                    assert got.tobytes() == want.tobytes(), (name, rows)
+
+    def test_sorted_points_search_the_knots_into_the_points(self, monkeypatch):
+        run, (ts, *_) = self._dense_run(monkeypatch, backward=True, stopped=False)
+        z = np.linspace(0.0, 2.0, _scipy._RUN_MIN + 1)
+        searches = []
+        real = np.searchsorted
+
+        def searchsorted(a, v, **kwargs):
+            searches.append((a, v))
+            return real(a, v, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", searchsorted)
+        run.sol(z)
+        assert searches and all(np.shares_memory(a, z) and not np.shares_memory(v, z)
+                                for a, v in searches)
+        searches.clear()
+        run.sol(z[::-1].copy())  # unsorted: each point is searched in the knots
+        assert [np.shares_memory(a, ts) for a, _ in searches] == [True]
+
 
 # The angle q of a branch at seven interior points z = j/8 D/2, j = 1..7,
 # to 30 digits, keyed by (side, n, K, D, k): c, then q.  c is c_k -+ 1.01
@@ -641,6 +732,65 @@ class TestCompiledBranches:
         with pytest.raises(BlowupError) as info:
             psi_right(300.0, c, p)
         assert info.value.partial.interval[0] > 0.0
+
+
+class TestScipyInternals:
+    """dop853_dense's first call in a process checks the scipy internals it reads."""
+
+    @staticmethod
+    def _run():
+        return _scipy.dop853_dense(lambda t, y: (y[1], -y[0]), 0.0, 1.0, [1.0, 0.0],
+                                   rtol=1e-10, atol=1e-10, event=None)
+
+    def test_checked_once_and_recorded_in_no_ledger(self, monkeypatch, work):
+        checks = []
+        check = _scipy._check_internals
+
+        def counted():
+            checks.append(1)
+            check()
+
+        monkeypatch.setattr(_scipy, "_checked", False)
+        monkeypatch.setattr(_scipy, "_check_internals", counted)
+        self._run()
+        self._run()
+        assert checks == [1] and _scipy._checked
+        assert [name for name, _, _ in work] == ["dop853_dense", "dop853_dense"]
+
+    def test_not_checked_at_import(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from gapmodel import _scipy; print(_scipy._checked)"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize("name,entry", [("A", (14, 5)), ("C", (13,)), ("D", (0, 0)),
+                                            ("D", (3, 15))])
+    def test_perturbed_tableau_entry_raises(self, monkeypatch, name, entry):
+        table = getattr(_scipy.tableau, name).copy()
+        table[entry] *= 1.001
+        monkeypatch.setattr(_scipy.tableau, name, table)
+        monkeypatch.setattr(_scipy, "_checked", False)
+        with pytest.raises(ScipyInternalsError, match=f"scipy {re.escape(scipy.__version__)}"):
+            self._run()
+        # a failed check stands, and runs again on the next call
+        assert not _scipy._checked
+        with pytest.raises(ScipyInternalsError, match="from \\(cos, -sin\\)"):
+            self._run()
+
+    def test_changed_stage_calls_raise(self, monkeypatch):
+        # a stepper that calls the right-hand side twice for each value it
+        # uses: a step's last 12 calls are no longer its stages, and the
+        # calls no longer match the Fortran's count
+        ode = _scipy.ode
+
+        def twice(fun):
+            return ode(lambda t, y: (fun(t, y), fun(t, y))[1])
+
+        monkeypatch.setattr(_scipy, "ode", twice)
+        monkeypatch.setattr(_scipy, "_checked", False)
+        with pytest.raises(ScipyInternalsError, match=f"scipy {re.escape(scipy.__version__)}"):
+            self._run()
 
 
 # The Robin profile (q, log r) at seven interior points z = j/8 D/2,

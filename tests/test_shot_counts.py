@@ -33,8 +33,10 @@ ROBIN_FLOW_SEED_1 = {"ops": 26, "ck_shots": 30, "ck_rhs": 13022, "dense_runs": 7
 # every series_exact op starts from empty series and exact caches; the
 # combinations are calls of the one exact kernel, _lincomb, made inside
 # exact and from series.  The two pins above hold no combination, so the
-# ODE workloads make none
-SERIES_EXACT_SEED_1 = {"ops": 24, "exact_lincombs": 16452, "series_lincombs": 1776}
+# ODE workloads make none.  Each op pairs the order-5 inner products of
+# --check-reference without forming their products (TrigPoly.pair);
+# forming the products took 16,452 combinations over the 24 ops
+SERIES_EXACT_SEED_1 = {"ops": 24, "exact_lincombs": 15876, "series_lincombs": 1776}
 
 
 def _nonzero(counts):
