@@ -8,17 +8,20 @@ parameters, 3 solver failure, 4 root bracketing failure.  An --output or
 before the command runs, and each output is written once the run has
 ended, by one function, so a failed run leaves an existing file as it was.
 
-Building the parser imports only the standard library and gapmodel.errors.
-Each subcommand imports the modules it runs when it runs, so ``series`` and
-``--help`` never load numpy, and ``eigen`` never loads the flow.  The modules
-are called through their attributes (``spectral.gap``), so a name
-rebound on the module is what the command calls.
+Of the modules the interpreter has not loaded already, building the parser
+imports only ``argparse`` (with what it imports) and gapmodel.errors.  It
+makes the top-level parser and one empty parser per subcommand, whose
+arguments are added when that subcommand is first parsed.  ``json`` is
+imported only when a JSON document is written.  Each subcommand imports
+the modules it runs when it runs, so ``series`` and ``--help`` never load
+numpy, and ``eigen`` never loads the flow.  The modules are called through
+their attributes (``spectral.gap``), so a name rebound on the module is
+what the command calls.
 """
 
 import argparse
 import bisect
 import functools
-import json
 import math
 import os
 import re
@@ -125,6 +128,8 @@ def _render_table(rows, args, command):
                 )
             )
         return "\n".join(lines) + "\n"
+    import json
+
     doc = {"schema_version": SCHEMA_VERSION, "command": command, "rows": rows}
     return json.dumps(doc, indent=2) + "\n"
 
@@ -174,14 +179,22 @@ def cmd_eigen(args):
 # -- series ---------------------------------------------------------------
 
 
-def _series_branch_doc(sr, M, n_values):
-    orders = []
+def _branch_values(sr, M, n_values):
+    """Per order m <= M: sr's kappa^m coefficient and its exact value at each n."""
+    values = []
     for m in range(M + 1):
         coeff = sr.kappa_coefficient(m)
+        values.append((coeff, [coeff.eval_n(n) for n in n_values]))
+    return values
+
+
+def _series_branch_doc(sr, values, n_values):
+    orders = []
+    for m, (coeff, exact) in enumerate(values):
         entry = {
             "m": m,
             "kappa_coefficient": repr(coeff),
-            "decimal": {str(n): coeff.evalf(n) for n in n_values},
+            "decimal": {str(n): v.evalf() for n, v in zip(n_values, exact)},
         }
         if m >= 1:
             entry["lambda_shifted"] = repr(sr.lam_poly(m))
@@ -195,7 +208,7 @@ def cmd_series(args):
         raise DomainError(f"order must be >= 0, got {M}")
     from . import series as series_mod
 
-    n_values = _parse_ints(args.n) if args.n else [2, 5]
+    n_values = _parse_ints(args.n) if args.n is not None else [2, 5]
     # the dimensions every other command accepts, checked as ModelParams does
     for n in n_values:
         as_integer(n, 1, "n must be an integer >= 1")
@@ -210,9 +223,18 @@ def cmd_series(args):
     }
     g = series_mod.gap_series(M)
     objs = {"first": g.first, "second": g.second, "gap": g}
+    # the gap's coefficients and exact values are the differences of the
+    # branches', so each branch's are formed once; exact values round alike
+    values = {name: _branch_values(objs[name], M, n_values)
+              for name in ("first", "second")
+              if name in branches or "gap" in branches}
+    if "gap" in branches:
+        values["gap"] = [
+            (c2 - c1, [v2 - v1 for v1, v2 in zip(e1, e2)])
+            for (c1, e1), (c2, e2) in zip(values["first"], values["second"])
+        ]
     for name in branches:
-        sr = objs[name]
-        bdoc = {"orders": _series_branch_doc(sr, M, n_values)}
+        bdoc = {"orders": _series_branch_doc(objs[name], values[name], n_values)}
         if name in ("first", "second"):
             mode = 1 if name == "first" else 2
             bdoc["lambda0_at_D_pi"] = float(mode * mode)
@@ -240,6 +262,8 @@ def cmd_series(args):
             "decimal_notes": report["decimal_notes"],
             "gap_order5_sign_change": list(series_mod.gap_order5_sign_change()),
         }
+    import json
+
     _write(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 
@@ -421,19 +445,13 @@ def _add_common(sub, table=True):
     sub.add_argument("--output", default=None, help="path (default stdout)")
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="gapmodel",
-        description="One-dimensional eigenvalue gap model computations.",
-    )
-    subs = p.add_subparsers(dest="command", required=True)
-
-    e = subs.add_parser("eigen", help="Dirichlet eigenvalues and the gap")
+def _eigen_arguments(e):
     _add_common(e)
     e.add_argument("--method", choices=("shoot", "fd"), default="shoot")
     e.set_defaults(func=cmd_eigen)
 
-    s = subs.add_parser("series", help="curvature expansion coefficients")
+
+def _series_arguments(s):
     s.add_argument("--order", type=int, required=True)
     s.add_argument("--branch", choices=("first", "second", "gap", "all"),
                    default="all")
@@ -444,12 +462,14 @@ def build_parser():
     s.add_argument("--output", default=None)
     s.set_defaults(func=cmd_series, format="json")
 
-    r = subs.add_parser("pruefer", help="Robin constant and branch consistency")
+
+def _pruefer_arguments(r):
     _add_common(r)
     r.add_argument("--k", required=True, help="boundary slope list")
     r.set_defaults(func=cmd_pruefer)
 
-    f = subs.add_parser("flow", help="relaxation flow trajectory (CSV)")
+
+def _flow_arguments(f):
     _add_common(f, table=False)
     f.add_argument("--k", type=float, required=True)
     f.add_argument("--s", type=float, default=None,
@@ -462,10 +482,48 @@ def build_parser():
     f.add_argument("--snapshots", type=int, default=9)
     f.set_defaults(func=cmd_flow)
 
-    b = subs.add_parser("bounds", help="two-sided eigenvalue bounds")
+
+def _bounds_arguments(b):
     _add_common(b)
     b.set_defaults(func=cmd_bounds)
 
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments when it first parses.
+
+    The top-level help lists each subcommand by its help string alone, so
+    a command line fills only the parser of the subcommand it names, and
+    ``<command> --help`` or a rejection fills it before it prints.
+    """
+
+    def __init__(self, *args, add_arguments, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser():
+    p = argparse.ArgumentParser(
+        prog="gapmodel",
+        description="One-dimensional eigenvalue gap model computations.",
+    )
+    subs = p.add_subparsers(dest="command", required=True,
+                            parser_class=_SubcommandParser)
+    subs.add_parser("eigen", help="Dirichlet eigenvalues and the gap",
+                    add_arguments=_eigen_arguments)
+    subs.add_parser("series", help="curvature expansion coefficients",
+                    add_arguments=_series_arguments)
+    subs.add_parser("pruefer", help="Robin constant and branch consistency",
+                    add_arguments=_pruefer_arguments)
+    subs.add_parser("flow", help="relaxation flow trajectory (CSV)",
+                    add_arguments=_flow_arguments)
+    subs.add_parser("bounds", help="two-sided eigenvalue bounds",
+                    add_arguments=_bounds_arguments)
     return p
 
 

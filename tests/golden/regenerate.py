@@ -2,6 +2,8 @@
 
 Each case runs ``gapmodel.cli.main`` in process and keeps the bytes it
 writes: standard output, plus the plot file for ``flow --emit-plot``.
+Each text case runs ``python -m gapmodel.cli`` in a child process with an
+80-column terminal and keeps its help text or argparse's rejection.
 tests/test_golden.py compares fresh runs against the files next to this
 script. Regenerate only when an output is meant to change, and name the
 change where the change is recorded:
@@ -13,6 +15,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -43,6 +46,39 @@ CASES = [
     ("flow_row_sum_cut", ["flow", "--n", "2", "--K", "12", "--D", "0.5", "--k", "0.5"], "csv"),
     ("bounds", ["bounds", "--n", "2,4", "--K", "0.5", "--D", "1"], "csv"),
 ]
+
+
+# (case name, argv, exit code): a help text on stdout, or argparse's
+# rejection on stderr, kept as <name>.txt
+TEXT_CASES = [
+    ("help", ["--help"], 0),
+    *((f"help_{c}", [c, "--help"], 0) for c in ("eigen", "series", "pruefer", "flow", "bounds")),
+    ("reject_eigen_method", ["eigen", "--n", "2", "--K", "1", "--D", "1", "--method", "ritz"], 2),
+    ("reject_flow_missing", ["flow", "--n", "2"], 2),
+]
+
+
+def run_text_case(argv):
+    """Exit code, stdout and stderr bytes of ``python -m gapmodel.cli`` on
+    argv in a child process, with COLUMNS=80 and the imported gapmodel."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "gapmodel.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def text_case_bytes(argv, code):
+    """The pinned stream of a text case: stdout for exit code 0, else stderr.
+    Fails if the exit code differs or the other stream is not empty."""
+    got, out, err = run_text_case(argv)
+    if got != code:
+        raise AssertionError(f"exit code {got}, expected {code}: {err.decode()}")
+    kept, other = (out, err) if code == 0 else (err, out)
+    if other:
+        raise AssertionError(f"unexpected output on the other stream: {other.decode()}")
+    return kept
 
 
 def run_case(argv):
@@ -89,6 +125,10 @@ def main():
         for key, data in files.items():
             paths[key].write_bytes(data)
             print(f"wrote {paths[key].name} ({len(data)} bytes)")
+    for name, argv, code in TEXT_CASES:
+        data = text_case_bytes(argv, code)
+        (GOLDEN / f"{name}.txt").write_bytes(data)
+        print(f"wrote {name}.txt ({len(data)} bytes)")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ dispatch, rendering, and exit codes); one test goes through a real
 subprocess to cover the ``python -m gapmodel.cli`` path.
 """
 
+import ast
 import csv
 import io
 import json
@@ -184,6 +185,36 @@ class TestSeries:
         assert block["reference_decimals"] == [-0.522, 0.2429]
         # the engine disagrees with the reference decimals here by design
         assert block["matches_reference"] is False
+
+    @pytest.mark.parametrize("branch", ["gap", "first", "second", "all"])
+    @pytest.mark.parametrize("ns", ["2,5", "2,3,4,5,6,7,8,10,50,101"])
+    def test_entries_equal_the_engine_values(self, branch, ns, capsys):
+        """Every entry equals its series object's coefficient, evalf(n) and
+        lam_poly(m); the gap's, which the CLI takes as differences of the
+        branches' values, equal GapSeries' own."""
+        from gapmodel import series
+
+        n_values = [int(n) for n in ns.split(",")]
+        names = ["first", "second", "gap"] if branch == "all" else [branch]
+        for M in range(9):
+            code, out, _ = run_main(
+                ["series", "--order", str(M), "--branch", branch, "--n", ns], capsys)
+            assert code == 0
+            doc = json.loads(out)["branches"]
+            assert list(doc) == names
+            g = series.gap_series(M)
+            objs = {"first": g.first, "second": g.second, "gap": g}
+            for name in names:
+                sr, orders = objs[name], doc[name]["orders"]
+                assert [e["m"] for e in orders] == list(range(M + 1))
+                for m, entry in enumerate(orders):
+                    coeff = sr.kappa_coefficient(m)
+                    assert entry["kappa_coefficient"] == repr(coeff)
+                    assert entry["decimal"] == {str(n): coeff.evalf(n) for n in n_values}
+                    if m == 0:
+                        assert "lambda_shifted" not in entry
+                    else:
+                        assert entry["lambda_shifted"] == repr(sr.lam_poly(m))
 
     def test_check_reference_block(self, capsys):
         code, out, _ = run_main(
@@ -506,6 +537,7 @@ class TestExitCodes:
         # a dimension below 1 is refused as eigen refuses it, not rendered
         (["series", "--order", "3", "--n", "0"], 0),
         (["series", "--order", "3", "--n=-3"], -3),
+        (["series", "--order", "2", "--n", ""], ""),
     ])
     def test_malformed_list_is_invalid_params(self, argv, bad, capsys):
         code, out, err = run_main(argv, capsys)
@@ -604,20 +636,39 @@ def test_module_entry_point():
 
 
 # Runs start-up steps in a fresh interpreter and reports, after each, its
-# exit code, its output and the numpy, scipy, mpmath and gapmodel modules
-# loaded so far.  The steps come as JSON in sys.argv[1]: "import" (import gapmodel),
-# "parser" (import gapmodel.cli and build a parser), or a CLI argv in which
-# "{plot}" stands for a file whose text is reported as "plot".
+# exit code, its output, the numpy, scipy, mpmath and gapmodel modules
+# loaded so far, the json modules loaded so far, and the module whose import
+# statement first loaded json.  The steps come as a Python literal in
+# sys.argv[1]: "import" (import gapmodel), "parser" (import gapmodel.cli and
+# build a parser), or a CLI argv in which "{plot}" stands for a file whose
+# text is reported as "plot".  The steps and the report pass through repr
+# and ast.literal_eval, not json, so every json module reported is one the
+# steps loaded.
 _STARTUP_SCRIPT = """
-import contextlib, io, json, os, sys, tempfile
+import ast, contextlib, io, os, sys, tempfile
 
 def loaded():
     return sorted(m for m in sys.modules
                   if m.split(".")[0] in ("numpy", "scipy", "mpmath", "gapmodel"))
 
+def json_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("json", "_json"))
+
+json_importer = []
+
+class JsonWatch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "json" and not json_importer:
+            frame = sys._getframe(1)
+            while frame.f_globals.get("__name__", "").startswith("importlib"):
+                frame = frame.f_back
+            json_importer.append(frame.f_globals.get("__name__"))
+        return None
+
+sys.meta_path.insert(0, JsonWatch())
 plot = os.path.join(tempfile.mkdtemp(), "plot.csv")
-report = []
-for step in json.loads(sys.argv[1]):
+report = [{"json": json_loaded()}]
+for step in ast.literal_eval(sys.argv[1]):
     entry = {}
     if step == "import":
         import gapmodel
@@ -637,8 +688,10 @@ for step in json.loads(sys.argv[1]):
             with open(plot) as fh:
                 entry["plot"] = fh.read()
     entry["modules"] = loaded()
+    entry["json"] = json_loaded()
+    entry["json_importer"] = json_importer[0] if json_importer else None
     report.append(entry)
-print(json.dumps(report))
+print(repr(report))
 """
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -653,12 +706,16 @@ STARTUP_CASES = {
 
 
 def startup_report(*steps):
+    """One report per step of a fresh interpreter, after the first entry,
+    {"json": [...]}, which holds the json modules loaded before any step."""
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(steps)],
+        [sys.executable, "-c", _STARTUP_SCRIPT, repr(steps)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    before, *report = ast.literal_eval(proc.stdout)
+    assert before == {"json": []}, "the interpreter loads json before any step"
+    return report
 
 
 @pytest.fixture(scope="module")
@@ -691,6 +748,21 @@ class TestStartUp:
         assert series["stdout"] == (GOLDEN / "series.json").read_text()
         assert series["modules"] == ["gapmodel", "gapmodel.cli", "gapmodel.errors",
                                      "gapmodel.exact", "gapmodel.series"]
+
+    def test_json_loads_only_to_write_json(self):
+        parser, help_, csv_row, json_row = startup_report(
+            "parser", ["--help"], STARTUP_CASES["eigen_shoot"],
+            [*STARTUP_CASES["eigen_shoot"], "--format", "json"])
+        assert parser["json"] == help_["json"] == []
+        assert help_["code"] == csv_row["code"] == json_row["code"] == 0
+        # scipy.integrate imports json (through numpy.testing); the CSV row
+        # of gapmodel does not
+        assert not (csv_row["json_importer"] or "").startswith("gapmodel")
+        assert "json" in json_row["json"]
+        assert json.loads(json_row["stdout"])["command"] == "eigen"
+        _, series = startup_report("parser", STARTUP_CASES["series"])
+        assert series["code"] == 0 and "json" in series["json"]
+        assert series["json_importer"] == "gapmodel.cli"
 
     def test_series_to_order_8_loads_no_mpmath_or_numpy(self):
         # coefficients become floats and signs in integer arithmetic

@@ -38,6 +38,17 @@ def test_cli_output_matches_golden(name, argv, ext):
         assert data == expected, f"{paths[key].name} differs at {first_difference(expected, data)}"
 
 
+@pytest.mark.parametrize("name,argv,code", golden.TEXT_CASES,
+                         ids=[c[0] for c in golden.TEXT_CASES])
+def test_help_and_rejection_texts_match_golden(name, argv, code):
+    """--help, each <command> --help and two argparse rejections, at 80
+    columns: the subcommand parsers fill their arguments on first use, and
+    these texts show whether that moved a byte."""
+    data = golden.text_case_bytes(argv, code)
+    expected = (golden.GOLDEN / f"{name}.txt").read_bytes()
+    assert data == expected, f"{name}.txt differs at {first_difference(expected, data)}"
+
+
 def test_series_engine_past_the_cli_cap_matches_golden():
     """Every kappa^m coefficient through order 12, as repr, for both
     branches and the gap: the exact engine beyond the orders the CLI shows."""

@@ -35,8 +35,10 @@ ROBIN_FLOW_SEED_1 = {"ops": 26, "ck_shots": 30, "ck_rhs": 13022, "dense_runs": 7
 # exact and from series.  The two pins above hold no combination, so the
 # ODE workloads make none.  Each op pairs the order-5 inner products of
 # --check-reference without forming their products (TrigPoly.pair);
-# forming the products took 16,452 combinations over the 24 ops
-SERIES_EXACT_SEED_1 = {"ops": 24, "exact_lincombs": 15876, "series_lincombs": 1776}
+# forming the products took 16,452 combinations over the 24 ops.  The
+# CLI forms each branch's kappa coefficients once and takes the gap's as
+# their differences; recomputing them per gap row took 15,876
+SERIES_EXACT_SEED_1 = {"ops": 24, "exact_lincombs": 15780, "series_lincombs": 1776}
 
 
 def _nonzero(counts):
