@@ -85,13 +85,13 @@ def ledger():
     and ``brent`` that returns appends one record, (wrapper, module,
     result): the wrapper's name, the ``__module__`` of the function it was
     given, and what it returned.  The module keys the callers:
-    ``gapmodel.spectral`` for angle shots and eigenfunction runs,
-    ``gapmodel.pruefer`` for find_ck's shots, the branches, the profiles
-    and flat_ck's Brent, ``gapmodel.flow`` for the grid ODE, and
-    ``gapmodel._scipy`` for seeded_root's Brent.  A run without an event
-    adds 3 right-hand-side points per step to its result's ``nfev`` when
-    its dense extension is formed, so a total read once the work is done
-    includes them.
+    ``gapmodel.spectral`` for angle shots, eigenfunction runs and
+    ball_first_eigen's Brent, ``gapmodel.pruefer`` for find_ck's shots,
+    the branches, the profiles and flat_ck's Brent, ``gapmodel.flow`` for
+    the grid ODE, and ``gapmodel._scipy`` for seeded_root's Brent.  A run
+    without an event adds 3 right-hand-side points per step to its
+    result's ``nfev`` when its dense extension is formed, so a total read
+    once the work is done includes them.
 
     Leaving the block, also by an exception, reopens the ledger that was
     open before it, which records none of the block's calls.  With no

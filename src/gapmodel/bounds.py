@@ -98,33 +98,24 @@ def bound_report(params, index):
                        lower_method="comparison", upper_method="rayleigh")
 
 
-def _n2_upper_1(K, D):
-    pi2 = math.pi**2
-    return (
-        pi2 / D**2
-        - K / 2.0
-        - (pi2 - 6.0) * D**2 * K**2 / (48.0 * pi2)
-        - (120.0 - 20.0 * pi2 + pi2**2) * D**4 * K**3 / (480.0 * pi2**2)
-        - 17.0
-        * (pi2**3 - 42.0 * pi2**2 + 840.0 * pi2 - 5040.0)
-        * D**6
-        * K**4
-        / (80640.0 * pi2**3)
-    )
+# per index: the flat factor, the constant of the K^2 term and the constants
+# of the K^3 and K^4 terms' polynomials in pi^2, with the K^4 term's divisor
+_N2_QUARTIC = {
+    1: (1.0, 6.0, (120.0, 20.0), (1.0, 840.0, 5040.0), 80640.0),
+    2: (4.0, 1.5, (7.5, 5.0), (4.0, 210.0, 315.0), 322560.0),
+}
 
 
-def _n2_upper_2(K, D):
+def _n2_upper(index, K, D):
+    """The quartic-in-K upper bound on the index-th eigenvalue at n = 2."""
+    flat, c2, (a3, b3), (a4, b4, c4), d4 = _N2_QUARTIC[index]
     pi2 = math.pi**2
     return (
-        4.0 * pi2 / D**2
+        flat * pi2 / D**2
         - K / 2.0
-        - (pi2 - 1.5) * D**2 * K**2 / (48.0 * pi2)
-        - (7.5 - 5.0 * pi2 + pi2**2) * D**4 * K**3 / (480.0 * pi2**2)
-        - 17.0
-        * (4.0 * pi2**3 - 42.0 * pi2**2 + 210.0 * pi2 - 315.0)
-        * D**6
-        * K**4
-        / (322560.0 * pi2**3)
+        - (pi2 - c2) * D**2 * K**2 / (48.0 * pi2)
+        - (a3 - b3 * pi2 + pi2**2) * D**4 * K**3 / (480.0 * pi2**2)
+        - 17.0 * (a4 * pi2**3 - 42.0 * pi2**2 + b4 * pi2 - c4) * D**6 * K**4 / (d4 * pi2**3)
     )
 
 
@@ -140,10 +131,9 @@ def explicit_n2_bounds(params):
         raise HypothesisError(f"explicit quartic bounds are the n = 2 case, got n = {params.n}")
     _require(params, 1)  # K > 0, shared with the index-wise bounds
     K, D = params.K, params.D
-    no_lower = "none (comparison argument needs n >= 3)"
-    return (
-        BoundReport(lower=-math.inf, upper=_n2_upper_1(K, D), target=1,
-                    lower_method=no_lower, upper_method="quartic minorant"),
-        BoundReport(lower=-math.inf, upper=_n2_upper_2(K, D), target=2,
-                    lower_method=no_lower, upper_method="quartic minorant"),
+    return tuple(
+        BoundReport(lower=-math.inf, upper=_n2_upper(index, K, D), target=index,
+                    lower_method="none (comparison argument needs n >= 3)",
+                    upper_method="quartic minorant")
+        for index in (1, 2)
     )

@@ -41,11 +41,13 @@ largest dt that keeps the row condition.  A rejected step at or below the
 start dt raises NonConvergenceError ("stalled at distance ..."); that is
 how a tol below the grid's discretisation error ends.
 
-Every step, Newton update and comparison step runs in place on one
-`_Workspace` per run: the Jacobian bands and the residual are written
-into the band matrix and right-hand side that LAPACK's gtsv (through
-`solve_banded`) overwrites with the update, so a step makes no new array
-of the grid's size.
+Every step and Newton update runs in place on one `_Workspace` per run:
+the Jacobian bands and the residual are written into the band matrix and
+right-hand side that LAPACK's gtsv (through `solve_banded`) overwrites
+with the update, so a step makes no new array of the grid's size.
+`_Workspace.step` is the one implicit step: `flow_step`,
+`flow_to_stationary` and `comparison_check`, which advances each of its
+pair on a workspace of its own, all take it.
 """
 
 import math
@@ -269,17 +271,12 @@ def stationary_reference(k, params, z):
 # -- time stepping ------------------------------------------------------------
 
 
-def _advective_dt(D, a):
-    """Advection-limited step 0.02 D^2 / (1 + 0.05 D sup|a|) for coefficient a."""
-    amax = float(np.max(np.abs(a)))
-    return 0.02 * D**2 / (1.0 + 0.05 * D * amax)
-
-
 def _dt0(D, v, tn2, out=None):
-    """`_advective_dt` of the flow's coefficient 2 psi - 2 tn, given 2 tn;
-    the coefficient is formed in out if given."""
+    """Advection-limited step 0.02 D^2 / (1 + 0.05 D sup|2 psi - 2 tn|),
+    given 2 tn; the coefficient is formed in out if given."""
     a = np.multiply(v, 2.0, out=out)
-    return _advective_dt(D, np.subtract(a, tn2, out=a))
+    amax = float(np.max(np.abs(np.subtract(a, tn2, out=a), out=a)))
+    return 0.02 * D**2 / (1.0 + 0.05 * D * amax)
 
 
 def default_dt(state):
@@ -303,8 +300,10 @@ class _Workspace:
     `jacobian` writes the three bands of J into the rows of the band matrix
     ab, `residual` writes F into the interior of the right-hand side rhs,
     and `solve` scales both by the step and solves in place, so a step makes
-    no array of the grid's size.  Each result stays in its buffer until the
-    next call that writes it.
+    no array of the grid's size.  `step` is the flow's one implicit step,
+    boundary values kept; `flow_step`, `flow_to_stationary` and both sides
+    of `comparison_check` advance by it.  Each result stays in its buffer
+    until the next call that writes it.
     """
 
     def __init__(self, z, params, ck=None):
@@ -403,7 +402,8 @@ class _Workspace:
 
     def step(self, v, dt, d1, out, dt_max):
         """Linearized implicit Euler: solve (I - dt J) delta = dt F, and
-        write v + delta into out.
+        write v + delta into out, with v's boundary values at both ends;
+        out may be v.
 
         Freezing only the advection coefficient leaves the 2 psi' part of
         the Jacobian explicit, and inside the layer that term is of order
@@ -425,7 +425,9 @@ class _Workspace:
                 "row sum of J exceeds 1"
             )
         self.residual(v, d1)
-        return np.add(v, self.solve(1.0, dt), out=out)
+        np.add(v, self.solve(1.0, dt), out=out)
+        out[0], out[-1] = v[0], v[-1]
+        return out
 
 
 def _project(v, k):
@@ -447,15 +449,13 @@ def _project(v, k):
 
 
 def flow_step(state, dt):
-    """One linearly-implicit step; boundary values re-imposed exactly."""
+    """One linearly-implicit step (`_Workspace.step`), boundary values kept."""
     _check_positive("dt", dt)
     ws = _Workspace(state.psi.z, state.params)
     v = state.psi.values
     d1 = ws.d1(v)
     ws.jacobian(v, d1)
     out = ws.step(v, dt, d1, np.empty_like(v), ws.row_sum_dt())
-    out[0] = v[0]
-    out[-1] = v[-1]
     _project(out, state.k)
     return FlowState(
         psi=GridFunction(z=state.psi.z, values=out),
@@ -566,8 +566,6 @@ def flow_to_stationary(initial, k, params, tol=1e-6, t_max=None, on_step=None):
         dt_max = ws.row_sum_dt()
         step_dt = min(dt, t_max - t, dt_max)
         ws.step(v, step_dt, d1, new, dt_max)
-        new[0] = v[0]
-        new[-1] = v[-1]
         _project(new, k)
         d = dist(new)
         if d - dists[-1] > rise_slack:
@@ -636,21 +634,25 @@ def discrete_stationary(k, params, z=None, mesh_tol=DEFAULT_MESH_TOL):
     return make_state(GridFunction(z=z, values=np.minimum(v, 0.0)), k, params)
 
 
-# -- comparison principle in the difference variable --------------------------
+# -- comparison principle, on the flow's own step -----------------------------
 
 
 def comparison_check(u, v, params, k, T):
-    """Evolve two sets of data under the difference-variable equation and
-    confirm the parabolic ordering u <= v is preserved.
+    """Evolve two log-derivative profiles under the flow to time T and
+    confirm that the parabolic ordering u <= v is preserved.
 
-    Writing psi = f + u with f the stationary Robin log-derivative turns the
-    flow into u_t = u'' + 2 u u' + a1 u' + a2 u - 2 tn u^2 with
-    a1 = 2 f - 2 tn and a2 = 2 f' - 4 tn f, whose zero solution is
-    stationary.  Both inputs must share the grid and boundary data.  Raises
-    OrderingViolation at the first sampled time and location where the
-    ordering fails beyond roundoff slack.
+    Both inputs must share the grid and boundary data, and T must be finite
+    and positive (DomainError otherwise).  Each side is advanced by the
+    flow's own step, as `flow_to_stationary` advances its state:
+    `_Workspace.step`, which keeps the boundary values, then `_project`.
+    Each side has a workspace of its own, and both step at one dt, the
+    smallest of T - t, `default_dt` of u and the M-matrix row-sum limit of
+    each side's step; a pair the flow cannot step raises its StabilityError.
+    Raises OrderingViolation at the first sampled time and location where
+    the ordering fails beyond roundoff slack.
     """
     params = validate(params)
+    _check_positive("T", T)
     if not (isinstance(u, GridFunction) and isinstance(v, GridFunction)):
         raise DomainError("comparison_check expects GridFunction inputs")
     if u.z.shape != v.z.shape or not np.array_equal(u.z, v.z):
@@ -662,53 +664,34 @@ def comparison_check(u, v, params, k, T):
     if np.max(u.values - v.values) > 1e-12:
         raise HypothesisError("initial data are not ordered u <= v")
     z = u.z
-    ws = _Workspace(z, params, find_ck(k, params))
-    f = stationary_reference(k, params, z)
-    fp = -(f**2) - ws.lam - ws.ck_cs2
-    a1 = 2.0 * f[1:-1] - ws.tn2[1:-1]
-    a2 = 2.0 * fp[1:-1] - ws.tn4 * f[1:-1]
+    wu, wv = _Workspace(z, params), _Workspace(z, params)
+    uu, vv = u.values.copy(), v.values.copy()
+    diff = np.empty_like(uu)
     slack = 1e-9 * max(1.0, k)
-
-    (c_m, c_0, c_p), (d_m, d_0, d_p) = ws.c, ws.d
-
-    def step(vals, dtau):
-        """One linearly-implicit step of the difference equation, in place:
-        its residual and Jacobian bands go where `ws.solve` reads them."""
-        wi = vals[1:-1]
-        d1 = ws.d1(vals)
-        F = ws._stencil(ws.d, vals, ws.rhs[1:-1])
-        F += 2.0 * wi * d1
-        F += a1 * d1
-        F += a2 * wi
-        F -= ws.tn2[1:-1] * wi**2
-        a = 2.0 * wi + a1
-        ws.ab[2, :-2] = d_m + a * c_m
-        ws.ab[1, 1:-1] = d_0 + a * c_0 + 2.0 * d1 + a2 - ws.tn4 * wi
-        ws.ab[0, 2:] = d_p + a * c_p
-        vals += ws.solve(1.0, dtau)
-
-    uu = u.values.copy()
-    vv = v.values.copy()
     t = 0.0
-    checked = [0.0]
-    worst = float(np.max(uu - vv))
+    checked = 1
+    worst = float(np.max(np.subtract(uu, vv, out=diff)))
     while t < T:
-        dtau = min(_advective_dt(params.D, 2.0 * uu + np.pad(a1, 1, mode="edge")), T - t)
-        step(uu, dtau)
-        step(vv, dtau)
-        t += dtau
-        gap = float(np.max(uu - vv))
+        du, dv = wu.d1(uu), wv.d1(vv)
+        wu.jacobian(uu, du)
+        wv.jacobian(vv, dv)
+        mu, mv = wu.row_sum_dt(), wv.row_sum_dt()
+        dt = min(T - t, _dt0(params.D, uu, wu.tn2, out=diff), mu, mv)
+        _project(wu.step(uu, dt, du, uu, mu), k)
+        _project(wv.step(vv, dt, dv, vv, mv), k)
+        t += dt
+        gap = float(np.max(np.subtract(uu, vv, out=diff)))
         worst = max(worst, gap)
-        checked.append(t)
+        checked += 1
         if gap > slack:
-            i = int(np.argmax(uu - vv))
+            i = int(np.argmax(diff))
             raise OrderingViolation(
                 f"ordering failed at t = {t:.6g}, z = {z[i]:.6g}: "
                 f"u - v = {gap:.3e} exceeds slack {slack:.1e}"
             )
     return {
         "ordered": True,
-        "times_checked": len(checked),
+        "times_checked": checked,
         "final_time": t,
         "worst_gap": worst,
         "slack": slack,

@@ -177,8 +177,11 @@ def _branch(side, k, c, params, z0, q0, direction):
     crossing point of that step's interpolant.  If that lies more than
     1e-9 D/2 from the far end, BlowupError is raised and carries the
     truncated branch as its partial.  A failed run raises DomainError and
-    gives no branch.
+    gives no branch, and a c that is not finite raises DomainError before
+    any run.
     """
+    if not math.isfinite(c):
+        raise DomainError(f"Riccati constant c must be finite, got {c}")
     half = params.half
     z1 = half - z0
 

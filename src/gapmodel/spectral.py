@@ -89,9 +89,9 @@ from functools import cached_property, partial
 
 import numpy as np
 from scipy.integrate import solve_ivp  # called by no route; perfbench/tracing.py rebinds it
-from scipy.optimize import brentq
 
 from ._scipy import (
+    brent,
     dop853_dense,
     dop853_end,
     seeded_interval,
@@ -734,7 +734,8 @@ def ball_first_eigen(n, D):
 
     y'' + (n-1) cot(x) y' + lam y = 0 with a regular center is solved by
     2F1(-nu, nu + n - 1; n/2; sin^2(x/2)), lam = nu (nu + n - 1); Brent's
-    method finds its first root in nu at x = D/2, with mpmath.hyp2f1 at
+    method (`_scipy.brent`, whose iteration cap raises NonConvergenceError)
+    finds its first root in nu at x = D/2, with mpmath.hyp2f1 at
     double precision, which sums the series in as many digits as its
     cancellation needs.  For n from 2 to 200 and D from 1e-3 to pi - 1e-3
     it is within 2.3e-15 relative of the 40-digit root, in 0.5-2 ms for
@@ -760,7 +761,7 @@ def ball_first_eigen(n, D):
             break
     else:
         raise NonConvergenceError("no sign change while expanding the bracket")
-    nu = brentq(end_value, lo, hi, xtol=1e-16, rtol=8.9e-16)
+    nu = brent(end_value, lo, hi, xtol=1e-16, rtol=8.9e-16)
     lam = nu * (nu + n - 1)
     if lam < math.pi**2 / D**2 * (1 - 1e-12):
         raise GapModelError(
@@ -787,11 +788,15 @@ def eigen_shoot_mp(params, index, dps=40):
     accuracy's scale: at (10, 9.8, 1), 30 and 40 digits agree to 1.5e-19 of
     lambda1 = 1.7e-16.  1-60 ms per root; near the cap, for even n (an
     integer c - a - b, which mpmath's 2F1 perturbs), up to a few seconds.
+    dps must be an integer of at least 6, from an int or an integral float
+    (DomainError otherwise, before any solve): at 5 or fewer the stop test
+    accepts the first secant iterate.
     """
     import mpmath
 
     params = validate(params)
     index = _check_index(index)
+    dps = as_integer(dps, 6, "dps must be an integer >= 6")
     n, K, D = params.n, params.K, params.D
     seed = max(_shoot_root(params, (index,), "normal")[0][0], 0.0)
     guard = 0 if K <= 0 else -math.log10(math.cos(math.sqrt(K) * D / 2) ** 2)

@@ -125,6 +125,22 @@ class TestExplicitN2:
         assert first.upper == pytest.approx(9.3609816411619562, rel=1e-14)
         assert second.upper == pytest.approx(38.959479360281136, rel=1e-14)
 
+    # (K, D) -> the bits of both quartic bounds, from the two formulas that
+    # _n2_upper's rows of constants replaced
+    N2_UPPER_HEX = {
+        (0.5, 1.0): ("0x1.33c29e6e88475p+3", "0x1.39ca705c56884p+5"),
+        (1.0, 1.0): ("0x1.2b8d295ee7e78p+3", "0x1.37ad0383ccc18p+5"),
+        (2.0, 2.0): ("0x1.413b8db41e8a3p+0", "0x1.0b32cce68795ap+3"),
+        (9.8, 1.0): ("0x1.c4e12c173e32cp+1", "0x1.effac0e85396dp+4"),
+        (0.01, 3.0): ("0x1.17741a18aac3fp+0", "0x1.186a157acfab3p+2"),
+        (3.7, 0.4): ("0x1.de8850d991b5dp+5", "0x1.e9b319fb41f1bp+7"),
+    }
+
+    @pytest.mark.parametrize("K,D", list(N2_UPPER_HEX))
+    def test_pinned_bits(self, K, D):
+        first, second = explicit_n2_bounds(ModelParams(n=2, K=K, D=D))
+        assert (first.upper.hex(), second.upper.hex()) == self.N2_UPPER_HEX[K, D]
+
     def test_ordering_against_other_routes(self):
         # eigenvalue <= variational bound <= quartic closed form
         lam1 = eigen_shoot(P211, 1).eigenvalue

@@ -793,7 +793,7 @@ class TestStartUp:
         assert spectral.solve_ivp is solve_ivp and pruefer.solve_ivp is solve_ivp
         from gapmodel import _scipy
 
-        assert spectral.brentq is brentq and _scipy.brentq is brentq
+        assert _scipy.brentq is brentq
         assert flow.solve_banded is solve_banded
         assert bounds.quad is quad
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gapmodel import cli, flow
+from gapmodel import _scipy, cli, flow, pruefer
 from gapmodel.errors import (
     DomainError,
     HypothesisError,
@@ -433,6 +433,34 @@ class TestComparison:
         shifted = GridFunction(z=v.z, values=v.values + 1e-6)
         with pytest.raises(DomainError):
             comparison_check(u, shifted, P_FLOW, 10.0, T=0.02)
+
+    @pytest.mark.parametrize("T", [math.nan, -1.0, 0.0, math.inf])
+    def test_rejects_bad_time(self, T):
+        u, v = self._stationary_pair()
+        with pytest.raises(DomainError, match="T must be finite and positive"):
+            comparison_check(u, v, P_FLOW, 10.0, T=T)
+
+    def test_pair_the_flow_cannot_step_raises(self):
+        # 17 uniform nodes under a slope of 1000: a cell Peclet number is far
+        # above 1, so the flow's own step refuses the pair
+        k, half = 1000.0, P_FLOW.half
+        z = np.linspace(0.0, half, 17)
+        v = -k * z / half
+        u = v - 0.3 * np.sin(math.pi * z / half) ** 2
+        with pytest.raises(StabilityError, match="cell Peclet number"):
+            flow_step(make_state(GridFunction(z=z, values=v), k, P_FLOW), 1e-4)
+        with pytest.raises(StabilityError, match="cell Peclet number"):
+            comparison_check(GridFunction(z=z, values=u), GridFunction(z=z, values=v),
+                             P_FLOW, k, T=0.01)
+
+    def test_no_robin_solve(self):
+        # the pair is advanced by the flow's step alone: no c_k is solved
+        u, v = self._stationary_pair()
+        pruefer._robin_constant.cache_clear()
+        with _scipy.ledger() as work:
+            out = comparison_check(u, v, P_FLOW, 10.0, T=0.05)
+        assert out["ordered"]
+        assert [r for r in work if r[1] == "gapmodel.pruefer"] == []
 
 
 def _run_bytes(run):

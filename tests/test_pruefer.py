@@ -333,6 +333,16 @@ class TestBranches:
         with pytest.raises(DomainError):
             left.psi_at(0.7)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_finite_c_rejected_before_any_run(self, side, c, work):
+        with pytest.raises(DomainError, match="c must be finite"):
+            if side == "left":
+                psi_left(c, (5, 1.0, 1.0))
+            else:
+                psi_right(2.0, c, (5, 1.0, 1.0))
+        assert work == []
+
     @pytest.mark.parametrize("side,shift,z_cease", [("left", 8.0, 0.405), ("right", 30.0, 0.084)])
     def test_blowup_carries_the_partial_branch(self, side, shift, z_cease):
         # past c_k the left branch reaches -pi/2 before D/2; the right branch,

@@ -179,6 +179,13 @@ class TestShoot:
             assert type(r.index) is int and r.index == 2
             assert r.eigenvalue == route(p, 2).eigenvalue
         assert eigen_shoot_mp(p, 2.0, dps=20) == eigen_shoot_mp(p, 2, dps=20)
+        assert eigen_shoot_mp(p, 1, dps=40.0) == eigen_shoot_mp(p, 1, dps=40)
+
+    @pytest.mark.parametrize("dps", [-3, 5, 5.5, True, "40"], ids=repr)
+    def test_mp_digits_are_an_int_of_at_least_6(self, dps):
+        # at dps <= 5 the secant's stop test would accept its first iterate
+        with pytest.raises(DomainError, match="dps"):
+            eigen_shoot_mp((5, 1.0, 1.0), 1, dps=dps)
 
     @pytest.mark.parametrize("bad", [True, False, 1.5, "1", 3.0, 0], ids=repr)
     def test_index_is_the_int_1_or_2(self, bad):
@@ -1222,6 +1229,10 @@ class TestCapProblem:
         # (2 pi / D)^2; the ratio to pi^2/D^2 tends to 4
         lam = ball_first_eigen(3, 0.01)
         assert lam * 0.01**2 / math.pi**2 == pytest.approx(4.0, abs=2e-5)
+
+    def test_one_brent_solve_on_the_ledger(self, work):
+        ball_first_eigen(3, 1.0)
+        assert [r[:2] for r in work] == [("brent", "gapmodel.spectral")]
 
     def test_lower_bound_holds(self):
         for n in (2, 3, 5):
