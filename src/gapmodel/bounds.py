@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from .errors import HypothesisError, OrderingViolation, as_integer
+from .errors import HypothesisError, OrderingViolation
 from .kernels import cs_at
-from .model import flat_eigenvalue, validate
+from .model import check_index, flat_eigenvalue, validate
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def _require(params, index, need_n3=False, need_K_positive=True):
     """index as the int 1 or 2, from an int or an integral float, else
     DomainError; then HypothesisError unless params meet the bound's
     hypotheses."""
-    index = as_integer(index, 1, "index must be 1 or 2", maximum=2)
+    index = check_index(index)
     if need_K_positive and not (params.K > 0):
         raise HypothesisError(f"bounds require K > 0, got K = {params.K}")
     if need_n3 and params.n < 3:

@@ -8,6 +8,12 @@ parameters, 3 solver failure, 4 root bracketing failure.  An --output or
 before the command runs, and each output is written once the run has
 ended, by one function, so a failed run leaves an existing file as it was.
 
+Each (n, K, D) triple is validated once, into the ModelParams that its
+rows read; a row reads the library's result records (the eigen row the
+GapResult of either route, the series report check_reference's dict)
+and computes none of their values again.  Every table, flow's
+trajectory included, is written by _render_table.
+
 Of the modules the interpreter has not loaded already, building the parser
 imports only ``argparse`` (with what it imports) and gapmodel.errors.  It
 makes the top-level parser and one empty parser per subcommand, whose
@@ -76,17 +82,18 @@ def _nonempty(values, text):
 
 
 def _collect_triples(args):
-    """Cartesian triples in input order, all validated before any dispatch."""
+    """The ModelParams of the Cartesian triples in input order, all
+    validated before any dispatch; every invalid triple is named in one
+    DomainError."""
     from .model import validate
 
     ns = _parse_ints(args.n)
     Ks = _parse_floats(args.K)
     Ds = _parse_floats(args.D)
-    triples = [(n, K, D) for n in ns for K in Ks for D in Ds]
-    bad = []
-    for n, K, D in triples:
+    triples, bad = [], []
+    for n, K, D in [(n, K, D) for n in ns for K in Ks for D in Ds]:
         try:
-            validate((n, K, D))
+            triples.append(validate((n, K, D)))
         except GapModelError as exc:
             bad.append(f"(n={n}, K={K}, D={D}): {exc}")
     if bad:
@@ -115,7 +122,8 @@ def _write(text, path):
 
 
 def _render_table(rows, args, command):
-    """CSV or JSON of the rows; each row builder emits its columns in order."""
+    """CSV or JSON of the rows; each row builder emits its columns in order.
+    Every table of the command line is written by this function."""
     if args.format == "csv":
         lines = [",".join(rows[0])]
         for row in rows:
@@ -137,32 +145,27 @@ def _render_table(rows, args, command):
 # -- eigen ----------------------------------------------------------------
 
 
-def _eigen_row(n, K, D, method):
+def _eigen_row(params, method):
     from . import spectral
-    from .model import ModelParams
 
-    params = ModelParams(n, K, D)
     if method == "fd":
-        r1, r2 = spectral._fd(params, (1, 2))
+        res = spectral._gap_result(params, *spectral._fd(params, (1, 2)))
     else:
         res = spectral.gap(params)
-        r1, r2 = res.lambda1, res.lambda2
-    gap = r2.eigenvalue - r1.eigenvalue
-    ref = 3.0 * math.pi**2 / D**2
-    excess = gap - ref
+    r1, r2 = res.lambda1, res.lambda2
     # the excess of a constant V is noise
     if params.flat:
         side = "flat"
     else:
-        side = "below" if excess < 0 else "above"
+        side = "below" if res.excess < 0 else "above"
     return {
-        "n": n,
-        "K": float(K),
-        "D": float(D),
+        "n": params.n,
+        "K": params.K,
+        "D": params.D,
         "lambda1": r1.eigenvalue,
         "lambda2": r2.eigenvalue,
-        "gap": gap,
-        "excess": excess,
+        "gap": res.gap,
+        "excess": res.excess,
         "side": side,
         "method": method,
         "error_estimate": max(r1.error_estimate, r2.error_estimate),
@@ -170,8 +173,7 @@ def _eigen_row(n, K, D, method):
 
 
 def cmd_eigen(args):
-    triples = _collect_triples(args)
-    rows = [_eigen_row(n, K, D, args.method) for n, K, D in triples]
+    rows = [_eigen_row(params, args.method) for params in _collect_triples(args)]
     _write(_render_table(rows, args, "eigen"), args.output)
     return 0
 
@@ -254,12 +256,8 @@ def cmd_series(args):
             "second-branch fifth-order cross-term weight slip",
         }
     if args.check_reference:
-        report = series_mod.check_reference(5)
         doc["reference_check"] = {
-            "order": report["order"],
-            "matches": dict(report["matches"]),
-            "discrepancies": report["discrepancies"],
-            "decimal_notes": report["decimal_notes"],
+            **series_mod.check_reference(5),
             "gap_order5_sign_change": list(series_mod.gap_order5_sign_change()),
         }
     import json
@@ -271,13 +269,12 @@ def cmd_series(args):
 # -- pruefer ----------------------------------------------------------------
 
 
-def _pruefer_row(k, n, K, D):
+def _pruefer_row(k, params):
     import numpy as np
 
     from . import pruefer as pruefer_mod
-    from .model import ModelParams
 
-    params = ModelParams(n, K, D)
+    n, K, D = params.n, params.K, params.D
     try:
         report = pruefer_mod.robin_boundary_report(k, params)
     except BracketError as exc:
@@ -292,8 +289,8 @@ def _pruefer_row(k, n, K, D):
     return {
         "k": float(k),
         "n": n,
-        "K": float(K),
-        "D": float(D),
+        "K": K,
+        "D": D,
         "c_k": ck,
         "threshold_s": pruefer_mod.threshold_s(k, params),
         "phi_right_defect": report["phi_right_defect"],
@@ -307,7 +304,7 @@ def _pruefer_row(k, n, K, D):
 def cmd_pruefer(args):
     triples = _collect_triples(args)
     ks = _parse_floats(args.k)
-    rows = [_pruefer_row(k, n, K, D) for k in ks for n, K, D in triples]
+    rows = [_pruefer_row(k, params) for k in ks for params in triples]
     _write(_render_table(rows, args, "pruefer"), args.output)
     return 0
 
@@ -331,15 +328,13 @@ def cmd_flow(args):
 
     from . import flow as flow_mod
     from . import pruefer as pruefer_mod
-    from .model import ModelParams
 
     triples = _collect_triples(args)
     if len(triples) != 1:
         raise DomainError("flow runs one parameter triple at a time")
     if args.snapshots < 0:
         raise DomainError(f"snapshots must be >= 0, got {args.snapshots}")
-    n, K, D = triples[0]
-    params = ModelParams(n, K, D)
+    params = triples[0]
     k = args.k
     s = 1.01 * pruefer_mod.threshold_s(k, params) if args.s is None else args.s
     mesh_tol = flow_mod.DEFAULT_MESH_TOL if args.mesh_tol is None else args.mesh_tol
@@ -356,10 +351,8 @@ def cmd_flow(args):
         state, k, params, tol=args.tol, t_max=args.t_max,
         on_step=record if args.emit_plot else None,
     )
-    lines = ["t,distance,residual"]
-    for t, d, r in run.rows():
-        lines.append(f"{_fmt(t)},{_fmt(d)},{_fmt(r)}")
-    _write("\n".join(lines) + "\n", args.output)
+    rows = [{"t": t, "distance": d, "residual": r} for t, d, r in run.rows()]
+    _write(_render_table(rows, args, "flow"), args.output)
     if args.emit_plot:
         snaps = [(0.0, state.psi.values[::stride])]
         if history:
@@ -389,8 +382,7 @@ def _snapshot_lines(t, z, values):
 def _bounds_row(params, index, lam):
     from . import bounds as bounds_mod
 
-    n, K, D = params.n, params.K, params.D
-    if n >= 3:
+    if params.n >= 3:
         rep = bounds_mod.bound_report(params, index)
     else:
         rep = bounds_mod.explicit_n2_bounds(params)[index - 1]
@@ -399,9 +391,9 @@ def _bounds_row(params, index, lam):
     slack = 1e-9 * max(1.0, abs(lam))
     within = (lower is None or lower - slack <= lam) and lam <= rep.upper + slack
     return {
-        "n": n,
-        "K": float(K),
-        "D": float(D),
+        "n": params.n,
+        "K": params.K,
+        "D": params.D,
         "index": index,
         "lower": lower,
         "lambda": lam,
@@ -414,18 +406,16 @@ def _bounds_row(params, index, lam):
 
 def cmd_bounds(args):
     triples = _collect_triples(args)
-    for n, K, D in triples:
-        if K <= 0:
+    for params in triples:
+        if params.K <= 0:
             raise HypothesisError(
-                f"bounds require K > 0, got K = {K} (n={n}, D={D})"
+                f"bounds require K > 0, got K = {params.K} (n={params.n}, D={params.D})"
             )
     from . import spectral
-    from .model import ModelParams
 
     rows = []
-    for n, K, D in triples:
+    for params in triples:
         # both shooting eigenvalues from one pair call
-        params = ModelParams(n, K, D)
         res = spectral.gap(params)
         rows += [_bounds_row(params, r.index, r.eigenvalue) for r in (res.lambda1, res.lambda2)]
     _write(_render_table(rows, args, "bounds"), args.output)
@@ -480,7 +470,7 @@ def _flow_arguments(f):
     f.add_argument("--emit-plot", default=None,
                    help="write (t, z, psi) snapshots at log-spaced times")
     f.add_argument("--snapshots", type=int, default=9)
-    f.set_defaults(func=cmd_flow)
+    f.set_defaults(func=cmd_flow, format="csv")
 
 
 def _bounds_arguments(b):

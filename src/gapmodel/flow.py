@@ -47,7 +47,7 @@ right-hand side that LAPACK's gtsv (through `solve_banded`) overwrites
 with the update, so a step makes no new array of the grid's size.
 `_Workspace.step` is the one implicit step: `flow_step`,
 `flow_to_stationary` and `comparison_check`, which advances each of its
-pair on a workspace of its own, all take it.
+pair on a workspace of its own on the same SER schedule, all take it.
 """
 
 import math
@@ -642,17 +642,24 @@ def comparison_check(u, v, params, k, T):
     confirm that the parabolic ordering u <= v is preserved.
 
     Both inputs must share the grid and boundary data, and T must be finite
-    and positive (DomainError otherwise).  Each side is advanced by the
-    flow's own step, as `flow_to_stationary` advances its state:
+    and positive and at most the flow's time cap T_MAX_FACTOR D^2 = 50 D^2
+    (DomainError otherwise, before any step).  Each side is advanced by
+    the flow's own step, as `flow_to_stationary` advances its state:
     `_Workspace.step`, which keeps the boundary values, then `_project`.
-    Each side has a workspace of its own, and both step at one dt, the
-    smallest of T - t, `default_dt` of u and the M-matrix row-sum limit of
-    each side's step; a pair the flow cannot step raises its StabilityError.
-    Raises OrderingViolation at the first sampled time and location where
-    the ordering fails beyond roundoff slack.
+    Each side has a workspace of its own, and both step at one dt on
+    `flow_to_stationary`'s SER schedule without its rejections: dt starts
+    at `default_dt` of u and doubles after every step up to D^2, and each
+    step is cut to T - t and to the M-matrix row-sum limit of each side's
+    step.  A run to T therefore ends within about log2(D^2 / dt0) + T / D^2
+    steps.  A pair the flow cannot step raises its StabilityError.  Raises
+    OrderingViolation at the first sampled time and location where the
+    ordering fails beyond roundoff slack.
     """
     params = validate(params)
     _check_positive("T", T)
+    if T > T_MAX_FACTOR * params.D**2:
+        raise DomainError(f"T = {T!r} exceeds the flow's time cap "
+                          f"{T_MAX_FACTOR:g} D^2 = {T_MAX_FACTOR * params.D**2!r}")
     if not (isinstance(u, GridFunction) and isinstance(v, GridFunction)):
         raise DomainError("comparison_check expects GridFunction inputs")
     if u.z.shape != v.z.shape or not np.array_equal(u.z, v.z):
@@ -670,16 +677,18 @@ def comparison_check(u, v, params, k, T):
     slack = 1e-9 * max(1.0, k)
     t = 0.0
     checked = 1
+    dt = _dt0(params.D, uu, wu.tn2, out=diff)  # default_dt of u
     worst = float(np.max(np.subtract(uu, vv, out=diff)))
     while t < T:
         du, dv = wu.d1(uu), wv.d1(vv)
         wu.jacobian(uu, du)
         wv.jacobian(vv, dv)
         mu, mv = wu.row_sum_dt(), wv.row_sum_dt()
-        dt = min(T - t, _dt0(params.D, uu, wu.tn2, out=diff), mu, mv)
-        _project(wu.step(uu, dt, du, uu, mu), k)
-        _project(wv.step(vv, dt, dv, vv, mv), k)
-        t += dt
+        step_dt = min(dt, T - t, mu, mv)
+        _project(wu.step(uu, step_dt, du, uu, mu), k)
+        _project(wv.step(vv, step_dt, dv, vv, mv), k)
+        t += step_dt
+        dt = min(2.0 * step_dt, params.D**2)
         gap = float(np.max(np.subtract(uu, vv, out=diff)))
         worst = max(worst, gap)
         checked += 1

@@ -135,13 +135,8 @@ def tn_array(s, K):
     """
     s = np.asarray(s, dtype=float)
     K = float(K)
-    if K > 0.0:
-        half_period = math.pi / (2.0 * math.sqrt(K))
-        worst = float(np.max(np.abs(s))) if s.size else 0.0
-        if worst >= half_period:
-            raise PoleError(
-                f"kernel pole: max |s| = {worst!r} >= pi/(2 sqrt(K)) = {half_period!r} for K = {K!r}"
-            )
+    if K > 0.0 and s.size:
+        _check_pole(float(np.max(np.abs(s))), K)
     w = K * s * s
     out = np.empty_like(s)
     small = np.abs(w) < W_SERIES

@@ -122,6 +122,12 @@ def validate(params):
     return ModelParams(n=n, K=K, D=D)
 
 
+def check_index(index):
+    """index as the int 1 or 2, from an int or an integral float; else
+    DomainError.  The one index rule of the eigenvalue routes and bounds."""
+    return as_integer(index, 1, "index must be 1 or 2", maximum=2)
+
+
 def flat_eigenvalue(params, index):
     """(index pi / D)^2, the index-th Dirichlet eigenvalue of the flat interval.
 

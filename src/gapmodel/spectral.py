@@ -104,6 +104,7 @@ from .errors import DomainError, GapModelError, NonConvergenceError, as_integer
 from .kernels import chebyshev_fold, collocation_ladder, tn
 from .model import (
     GridFunction,
+    check_index,
     flat_eigenvalue,
     potential,
     potential_array,
@@ -146,11 +147,6 @@ class EigenResult:
     @cached_property
     def eigenfunction(self):
         return self._samples()
-
-
-def _check_index(index):
-    """index as the int 1 or 2, from an int or an integral float; else DomainError."""
-    return as_integer(index, 1, "index must be 1 or 2", maximum=2)
 
 
 def _angle_mid(lam, params, form, S):
@@ -439,7 +435,7 @@ def eigen_shoot(params, index, form="normal"):
     DomainError before any solve.
     """
     params = validate(params)
-    index = _check_index(index)
+    index = check_index(index)
     if form not in ("normal", "direct"):
         raise DomainError(f"form must be 'normal' or 'direct', got {form}")
     return _shoot(params, (index,), form)[0]
@@ -651,7 +647,7 @@ def eigen_fd(params, index, grid_size=1024):
     estimate reads 3.6e-6 to 3.0, 500 to 4e5 times the error.
     """
     params = validate(params)
-    index = _check_index(index)
+    index = check_index(index)
     return _fd(params, (index,), grid_size)[0]
 
 
@@ -712,21 +708,29 @@ class GapResult:
         return 0 if self.excess == 0 else math.copysign(1, self.excess)
 
 
+def _gap_result(params, r1, r2):
+    """The GapResult of a pair of EigenResults, with its excess over
+    3 pi^2 / D^2; GapModelError unless lambda1 < lambda2."""
+    if not (r1.eigenvalue < r2.eigenvalue):
+        raise GapModelError("eigenvalue ordering violated")
+    g = r2.eigenvalue - r1.eigenvalue
+    ref = 3.0 * math.pi**2 / params.D**2
+    return GapResult(lambda1=r1, lambda2=r2, gap=g, reference=ref, excess=g - ref)
+
+
 def gap(params):
     """Spectral gap by shooting, with its excess over 3 pi^2 / D^2.
 
     Both eigenvalues come from one _shoot_root call, whose one stacked
     pass serves lambda1 and lambda2 (see eigen_shoot).  Their node counts
     are checked here, on the runs' step states; no eigenfunction is
-    sampled until one is read.
+    sampled until one is read.  The result is made by _gap_result, which
+    the command line's finite-difference row shares on the pair of
+    _fd(params, (1, 2)): on either route an eigenvalue pair out of order
+    raises GapModelError ("eigenvalue ordering violated").
     """
     params = validate(params)
-    r1, r2 = _shoot(params, (1, 2), "normal")
-    if not (r1.eigenvalue < r2.eigenvalue):
-        raise GapModelError("eigenvalue ordering violated")
-    g = r2.eigenvalue - r1.eigenvalue
-    ref = 3.0 * math.pi**2 / params.D**2
-    return GapResult(lambda1=r1, lambda2=r2, gap=g, reference=ref, excess=g - ref)
+    return _gap_result(params, *_shoot(params, (1, 2), "normal"))
 
 
 def ball_first_eigen(n, D):
@@ -795,7 +799,7 @@ def eigen_shoot_mp(params, index, dps=40):
     import mpmath
 
     params = validate(params)
-    index = _check_index(index)
+    index = check_index(index)
     dps = as_integer(dps, 6, "dps must be an integer >= 6")
     n, K, D = params.n, params.K, params.D
     seed = max(_shoot_root(params, (index,), "normal")[0][0], 0.0)

@@ -3,7 +3,8 @@
 Each case runs ``gapmodel.cli.main`` in process and keeps the bytes it
 writes: standard output, plus the plot file for ``flow --emit-plot``.
 Each text case runs ``python -m gapmodel.cli`` in a child process with an
-80-column terminal and keeps its help text or argparse's rejection.
+80-column terminal and keeps its help text or its rejection: argparse's,
+or one a command makes before it runs.
 tests/test_golden.py compares fresh runs against the files next to this
 script. Regenerate only when an output is meant to change, and name the
 change where the change is recorded:
@@ -48,13 +49,17 @@ CASES = [
 ]
 
 
-# (case name, argv, exit code): a help text on stdout, or argparse's
-# rejection on stderr, kept as <name>.txt
+# (case name, argv, exit code): a help text on stdout, or a rejection on
+# stderr, kept as <name>.txt
 TEXT_CASES = [
     ("help", ["--help"], 0),
     *((f"help_{c}", [c, "--help"], 0) for c in ("eigen", "series", "pruefer", "flow", "bounds")),
     ("reject_eigen_method", ["eigen", "--n", "2", "--K", "1", "--D", "1", "--method", "ritz"], 2),
     ("reject_flow_missing", ["flow", "--n", "2"], 2),
+    # rejections made by the commands themselves, after argparse
+    ("reject_eigen_triples", ["eigen", "--n", "0,2", "--K", "1", "--D=1,-1"], 2),
+    ("reject_flow_triples", ["flow", "--n", "2,3", "--K", "1", "--D", "1", "--k", "10"], 2),
+    ("reject_bounds_K", ["bounds", "--n", "2", "--K=-1", "--D", "1"], 2),
 ]
 
 

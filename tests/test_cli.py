@@ -149,6 +149,30 @@ class TestEigen:
             9.3609783265589801, rel=1e-7
         )
 
+    def test_fd_pair_out_of_order_is_solver_failure(self, monkeypatch, capsys):
+        # the FD row's GapResult is made as gap()'s is, with its ordering guard
+        fd = spectral._fd
+        monkeypatch.setattr(spectral, "_fd", lambda params, indices: fd(params, indices)[::-1])
+        code, out, err = run_main(
+            ["eigen", "--n", "2", "--K", "1", "--D", "1", "--method", "fd"], capsys
+        )
+        assert code == 3 and out == ""
+        assert err == "error: eigenvalue ordering violated\n"
+
+    def test_one_model_params_per_triple(self, monkeypatch, capsys):
+        # the validated ModelParams is the one each row reads
+        made = []
+        post_init = ModelParams.__post_init__
+
+        def counted(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ModelParams, "__post_init__", counted)
+        code, _, err = run_main(["eigen", "--n", "2,5", "--K", "1", "--D", "1"], capsys)
+        assert code == 0, err
+        assert [(p.n, p.K, p.D) for p in made] == [(2, 1.0, 1.0), (5, 1.0, 1.0)]
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
         argv = ["eigen", "--n", "3", "--K", "0.2", "--D", "1"]

@@ -19,6 +19,8 @@ from gapmodel.errors import (
 from gapmodel.flow import (
     MAX_CELLS,
     MIN_CELLS,
+    T_MAX_FACTOR,
+    _Workspace,
     build_grid,
     comparison_check,
     default_dt,
@@ -452,6 +454,26 @@ class TestComparison:
         with pytest.raises(StabilityError, match="cell Peclet number"):
             comparison_check(GridFunction(z=z, values=u), GridFunction(z=z, values=v),
                              P_FLOW, k, T=0.01)
+
+    def test_time_past_the_cap_rejected_before_any_step(self, monkeypatch):
+        u, v = self._stationary_pair()
+        steps = []
+        step = _Workspace.step
+        monkeypatch.setattr(_Workspace, "step",
+                            lambda ws, *args: steps.append(1) or step(ws, *args))
+        T = math.nextafter(T_MAX_FACTOR * P_FLOW.D**2, math.inf)
+        with pytest.raises(DomainError, match="time cap"):
+            comparison_check(u, v, P_FLOW, 10.0, T=T)
+        assert steps == []
+
+    def test_run_to_the_cap_ends_in_bounded_steps(self):
+        # dt doubles from default_dt up to D^2, so 50 D^2 takes about
+        # log2(D^2 / dt0) + 50 steps; at the fixed advective dt it took ~5,000
+        u, v = self._stationary_pair()
+        T = T_MAX_FACTOR * P_FLOW.D**2
+        out = comparison_check(u, v, P_FLOW, 10.0, T=T)
+        assert out["ordered"] and out["final_time"] == pytest.approx(T)
+        assert out["times_checked"] <= 60
 
     def test_no_robin_solve(self):
         # the pair is advanced by the flow's step alone: no c_k is solved

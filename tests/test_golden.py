@@ -41,9 +41,10 @@ def test_cli_output_matches_golden(name, argv, ext):
 @pytest.mark.parametrize("name,argv,code", golden.TEXT_CASES,
                          ids=[c[0] for c in golden.TEXT_CASES])
 def test_help_and_rejection_texts_match_golden(name, argv, code):
-    """--help, each <command> --help and two argparse rejections, at 80
-    columns: the subcommand parsers fill their arguments on first use, and
-    these texts show whether that moved a byte."""
+    """--help, each <command> --help, two argparse rejections and three
+    rejections the commands make, at 80 columns: the subcommand parsers
+    fill their arguments on first use, and these texts show whether that
+    moved a byte."""
     data = golden.text_case_bytes(argv, code)
     expected = (golden.GOLDEN / f"{name}.txt").read_bytes()
     assert data == expected, f"{name}.txt differs at {first_difference(expected, data)}"
