@@ -21,7 +21,9 @@ Every ODE gapmodel solves runs on DOP853 through these two.  Spectral's
 finite-difference route takes its coarse grid's eigenvalues from
 ``tridiagonal_eigenvalues`` (one ``stebz`` call) and its fine grid's
 eigenpairs from ``tridiagonal_eigenpairs`` (one ``stebz`` and one
-``stein`` call), one index or a range of them per grid.
+``stein`` call), one index or a range of them per grid.  Bounds' one
+quadrature is ``quad`` (QUADPACK's ``qagse``), and the flow's band
+solves are ``solve_banded`` (LAPACK's ``gtsv``).
 
 ``seeded_interval`` turns a collocation seed into an interval, and says
 whether it is narrow enough for a stacked two-end pass, which the caller
@@ -33,35 +35,94 @@ through ``brent``, which raises its iteration cap as
 accept fraction, noise floor, Brent tolerances and error; spectral forms
 both eigenvalues' intervals of a gap first, to run their passes together.
 
-These wrappers read scipy internals that are not public API: the DOP853
-tableau, the order of the Fortran's calls within a step, and its call
-count.  The first ``dop853_dense`` call in a process checks them on a
-known solution and raises ``ScipyInternalsError`` if they differ.
+This is the one module that touches scipy, and it imports none of
+``scipy.integrate``, ``scipy.optimize`` or ``scipy.linalg``: importing
+those runs their packages' ``__init__``, which loads scipy.special,
+scipy.sparse and numpy.testing, and took most of a whole array command's
+time and memory.  It loads instead the five files it calls, next to
+``scipy.__file__``, by ``importlib.util.spec_from_file_location``:
+
+- ``integrate/_dop``, the Fortran DOP853: ``dopri853(f, t0, y0, t1,
+  rtol, atol, solout, iout, work, iwork, nsteps, verbosity, f_args)``
+  returns (t, y, code) and leaves the call count in ``iwork[16]``;
+- ``optimize/_zeros``: ``_brentq(f, a, b, xtol, rtol, maxiter, args,
+  full_output, disp)``;
+- ``integrate/_quadpack``: ``_qagse(f, a, b, args, full_output, epsabs,
+  epsrel, limit)`` returns (result, abserr, ier);
+- ``linalg/_flapack``: LAPACK's ``dstebz``, ``dstein`` and ``dgtsv``;
+- ``integrate/_ivp/dop853_coefficients.py``: the DOP853 tableau.
+
+Each is taken from ``sys.modules`` if a caller imported it already, and a
+module loaded here is registered there under its own name, so that a
+later ``import scipy.integrate`` or ``import scipy.linalg`` reuses it.
+The wrappers give the bits of scipy's public functions around the same
+calls (``ode``'s dop853 integrator, ``brentq``, ``eigh_tridiagonal``,
+and ``quad`` and ``solve_banded`` at the one setting their caller uses),
+with the checks those make on the inputs gapmodel can pass; a missing
+file raises ``ScipyInternalsError`` at import.
+
+These calls, and the DOP853 tableau, the order of the Fortran's calls
+within a step and its call count, are scipy internals that are not
+public API, verified on scipy 1.17.1.  The first call of any wrapper in
+a process checks them, each kernel by one tiny call and DOP853 on a
+known solution, and raises ``ScipyInternalsError`` if they differ
+(``_check_internals``).
 
 ``ledger`` counts the work: while one is open, every call of
 ``dop853_end``, ``dop853_dense`` and ``brent`` that returns appends a
 record of itself to it, keyed by the module that defined the function it
 was given, so that the callers are told apart without a parameter.
 
-scipy is imported at the top of this module and of every module that
-calls it; ``import gapmodel`` and the command line import those modules
-only when a command that solves runs.
+``import gapmodel`` and the command line import this module only when a
+command that solves runs.  ``solve_ivp``, which no route calls, is
+scipy.integrate's, imported when first read.
 """
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from array import array
 from types import SimpleNamespace
 
 import numpy as np
 import scipy
-from scipy.integrate import ode
-from scipy.integrate._ivp import dop853_coefficients as tableau
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.optimize import brentq
+from numpy.linalg import LinAlgError
 
 from .errors import NonConvergenceError, ScipyInternalsError
+
+
+def _load(name):
+    """scipy's module name, loaded from its file without its package's __init__.
+
+    The module in sys.modules if a caller imported it, else the file next
+    to ``scipy.__file__`` (a compiled extension or a .py file), executed
+    and registered in sys.modules under name.  No such file raises
+    ScipyInternalsError naming scipy's version.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+    for suffix in (*importlib.machinery.EXTENSION_SUFFIXES, ".py"):
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location(name, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ScipyInternalsError(
+        f"scipy {scipy.__version__}: no file {stem}.*, which gapmodel calls for {name}")
+
+
+dopri853 = _load("scipy.integrate._dop").dopri853
+_brentq = _load("scipy.optimize._zeros")._brentq
+_qagse = _load("scipy.integrate._quadpack")._qagse
+_lapack = _load("scipy.linalg._flapack")
+stebz, stein, gtsv = _lapack.dstebz, _lapack.dstein, _lapack.dgtsv
+tableau = _load("scipy.integrate._ivp.dop853_coefficients")
 
 # step budget of one dop853_end run; the longest angle shot within 5e-6 of
 # the cap, at (n, K, D) = (8, 9.8696, 1), takes about 19k steps, and a run
@@ -75,6 +136,13 @@ _open = None  # the records of the open ledger, or None; see ledger
 # at 20 to 300 steps, one row)
 _RUN_MIN = 2048
 _checked = False  # whether _check_internals has passed, or is running, in this process
+# dop853's return codes, with scipy.integrate.ode's messages
+_MESSAGES = {1: "computation successful",
+             2: "computation successful (interrupted by solout)",
+             -1: "input is not consistent",
+             -2: "larger nsteps is needed",
+             -3: "step size becomes too small",
+             -4: "problem is probably stiff (interrupted)"}
 
 
 @contextlib.contextmanager
@@ -112,46 +180,52 @@ def _record(wrapper, fun, result):
     return result
 
 
-def _dop853(fun, t0, t1, y0, rtol, atol, solout=None):
-    """Scipy's Fortran ``dop853`` run from y(t0) = y0 toward t1.
+def _dop853(fun, t0, t1, y0, rtol, atol, solout):
+    """One run of scipy's Fortran ``dop853`` from y(t0) = y0 toward t1.
 
-    Returns the stepper and the state it ended on.  A negative return code
-    is left to the caller instead of scipy's warning; an exception raised by
-    fun or solout propagates.
+    ``dopri853`` gets the arguments ``scipy.integrate.ode``'s dop853
+    integrator gives it (ode's defaults for the safety factor and the step
+    ratios, no verbosity), with the step budget DOP853_MAX_STEPS, and
+    solout called after every accepted step (iout = 1): with iout = 0 the
+    Fortran calls fun more often than ``iwork[16]`` counts.  The first run
+    in a process first checks the internals read here
+    (``_check_internals``).
+
+    Returns ``solve_ivp``'s result fields ``t``, ``y`` (the point reached
+    and the state there), ``nfev``, ``success`` and ``message`` (the
+    return code's, as ``ode`` gives it), and the return code.  A negative
+    code is left to the caller, and an exception raised by fun or solout
+    propagates as itself.
     """
-    solver = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol,
-                                     nsteps=DOP853_MAX_STEPS)
-    if solout is not None:
-        solver.set_solout(solout)
-    solver.set_initial_value(y0, t0)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="dop853: ", category=UserWarning)
-        try:
-            y = solver.integrate(t1)
-        except ValueError as exc:
-            # the Fortran wrapper reports an exception raised by a callback
-            # as a ValueError about fun's return value; raise the callback's own
-            while exc.__context__ is not None:
-                exc = exc.__context__
-            raise exc from None
-    return solver, y
+    if not _checked:
+        _check_internals()
+    y = np.array(y0, dtype=float, ndmin=1)  # the Fortran overwrites it
+    work = np.zeros(11 * len(y) + 21)
+    work[1:4] = 0.9, 0.3, 6.0  # safety factor, smallest and largest step ratio
+    iwork = np.zeros(21, dtype=np.int32)
+    try:
+        t, y, code = dopri853(fun, t0, y, t1, rtol, atol, solout, 1, work, iwork,
+                              DOP853_MAX_STEPS, -1, ())
+    except SystemError as exc:
+        # the wrapper reports an exception raised by a callback as a chain of
+        # SystemErrors, one per later call; raise the callback's own
+        while exc.__context__ is not None:
+            exc = exc.__context__
+        raise exc from None
+    return SimpleNamespace(t=t, y=y, nfev=int(iwork[16]), success=code > 0,  # NFCN
+                           message=_MESSAGES.get(code, f"unexpected return code {code}")), code
 
 
-def _outcome(solver, **fields):
-    """``solve_ivp``'s result fields from a finished ``_dop853`` run."""
-    code = solver.get_return_code()
-    dop = solver._integrator
-    return SimpleNamespace(
-        success=code > 0, nfev=int(dop.iwork[16]),  # NFCN
-        message=dop.messages.get(code, f"unexpected return code {code}"), **fields,
-    )
+def _step_on(t, y):
+    """dop853_end's solout: every step continues."""
+    return 0
 
 
 def dop853_end(fun, t0, t1, y0, rtol, atol):
     """End state of y' = fun(t, y) from t0 to t1 by Hairer's compiled DOP853.
 
-    Runs scipy's Fortran ``dop853`` (``scipy.integrate.ode``) and returns
-    the attribute names of ``solve_ivp``'s result: ``t`` and ``y`` are the
+    Runs scipy's Fortran ``dop853`` (``_dop853``) and returns the
+    attribute names of ``solve_ivp``'s result: ``t`` and ``y`` are the
     point reached and the state there, ``nfev`` counts right-hand-side
     calls, and ``success`` and ``message`` report the return code.  A
     negative code (step budget exhausted, step size too small, or a
@@ -161,8 +235,7 @@ def dop853_end(fun, t0, t1, y0, rtol, atol):
     one-element list; the run, its y and its nfev are the same, and the
     angle shots rely on this to skip building a list per call.
     """
-    solver, y = _dop853(fun, t0, t1, y0, rtol, atol)
-    return _record("dop853_end", fun, _outcome(solver, t=solver.t, y=y))
+    return _record("dop853_end", fun, _dop853(fun, t0, t1, y0, rtol, atol, _step_on)[0])
 
 
 def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
@@ -184,8 +257,7 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
     pruefer's Riccati branches, whose event is the angle's pole, pruefer's
     Robin profile and spectral's (theta, log r) runs, which have none, and
     flow's ``build_grid``, whose event is the grid reaching z = 0 and whose
-    t1 is the cell budget.  The first call in a process first checks the
-    internals read here on a known solution (``_check_internals``).
+    t1 is the cell budget.
 
     A run with an event forms the extension before it returns.  A run
     without one keeps the Fortran's stages, moved out of the stepper's
@@ -205,8 +277,6 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
     event propagates, from the first call of ``sol`` where fun raises
     while the extension is formed.
     """
-    if not _checked:
-        _check_internals()
     dim, tail = len(y0), -tableau.N_STAGES * len(y0)
     calls, stages = array("d"), array("d")  # stages: f(t0), then K[1..12] per step
     ts, ys, gs = [], [], []
@@ -231,14 +301,13 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
                 return -1
         return 0
 
-    solver, _ = _dop853(recorded, t0, t1, y0, rtol, atol, solout)
-    code = solver.get_return_code()
+    out, code = _dop853(recorded, t0, t1, y0, rtol, atol, solout)
     t, y = np.array(ts), np.array(ys).T
     # the stepper holds solout, and its lists, until its next run; the
     # run's stages leave its reach without a copy
     del ts[:], ys[:], gs[:]
     run_stages, stages = stages, array("d")
-    out = _outcome(solver, t=t, y=y, t_event=None, sol=None)
+    out.t, out.y, out.t_event, out.sol = t, y, None, None
     if code < 0:
         return _record("dop853_dense", fun, out)
 
@@ -275,26 +344,71 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
     return _record("dop853_dense", fun, out)
 
 
-def _check_internals():
-    """Check the scipy internals ``dop853_dense`` reads; ScipyInternalsError if they differ.
+def _kernel_errors():
+    """Each directly called kernel's error on one tiny call with a known answer.
 
-    y' = (-sin t, -y[0]) from y(0) = (1, 0), whose solution is (cos t,
-    -sin t), runs from 0 to 2 without an event; its first component tests
-    the nodes C of the stages, its second their weights A.  Its dense
-    output on 41 points must lie within 1e-8 of cos and -sin, which fails
-    when the tableau in ``scipy.integrate._ivp.dop853_coefficients`` or the
+    Brent's root of x - 1/4 on [0, 1]; qagse's integral of x over [0, 1],
+    1/2; dstebz's eigenvalues 1 and 3 of [[2, 1], [1, 2]] and dstein's
+    eigenvectors, (1, -1) and (1, 1) over sqrt 2 up to sign; dgtsv's
+    solution (1, 1) of that matrix against (3, 3).  A nonzero ier or LAPACK
+    info counts as an error of at least 1.  Returns {kernel: error}.
+    """
+    root = _brentq(lambda x: x - 0.25, 0.0, 1.0, 1e-12, 1e-12, 100, (), False, True)
+    integral, _, ier = _qagse(lambda x: x, 0.0, 1.0, (), 0, 1e-12, 1e-12, 50)
+    d, e = np.array([2.0, 2.0]), np.array([1.0])
+    m, w, iblock, isplit, info_w = stebz(d, e, 2, 0.0, 1.0, 1, 2, 0.0, "B")
+    v, info_v = stein(d, e, w[:m], iblock, isplit)
+    *_, x, info_x = gtsv(e.copy(), d.copy(), e.copy(), np.array([3.0, 3.0]),
+                         True, True, True, True)
+    return {"_brentq": abs(root - 0.25),
+            "_qagse": abs(integral - 0.5) + abs(ier),
+            "dstebz": np.abs(w[:m] - [1.0, 3.0]).max() + abs(info_w),
+            "dstein": np.abs(np.abs(v) - math.sqrt(0.5)).max() + abs(info_v),
+            "dgtsv": np.abs(x - 1.0).max() + abs(info_x)}
+
+
+def _check_internals():
+    """Check the scipy internals gapmodel calls; ScipyInternalsError if they differ.
+
+    First each kernel called directly, ``_brentq``, ``_qagse``,
+    ``dstebz``, ``dstein`` and ``dgtsv``, makes one tiny call
+    (``_kernel_errors``) and must raise nothing and answer within 1e-12,
+    which fails when its signature or returns differ from this scipy's.
+    Then y' = (-sin t, -y[0]) from y(0) = (1, 0), whose solution is (cos
+    t, -sin t), runs from 0 to 2 twice: once by a direct ``_dop853`` call,
+    and once by ``dop853_dense`` without an event, whose first component
+    tests the nodes C of the stages and whose second tests their weights
+    A.  The direct call must return a (t, y, code) tuple with code 1 at
+    t = 2 and y within 1e-8 of (cos 2, -sin 2), and the dense output on 41
+    points must lie within 1e-8 of cos and -sin, which fails when the
+    tableau in ``scipy.integrate._ivp.dop853_coefficients`` or the
     Fortran's order of a step's stage calls no longer fits the extension
-    formed here, and its ``nfev`` must equal the calls of its right-hand
-    side counted here, which fails when ``iwork[16]`` is no longer the
-    Fortran's call count.  A
-    mismatch, or an exception in the run, raises the error naming scipy's
-    version.  ``dop853_dense`` runs the check on its first call in a
-    process, never at import, and records the check's run in no ledger.  It
-    costs about 1.6 ms once (median of 7 fresh processes on a shared 2-CPU
-    x86-64 host; 0.8 ms when repeated in a warm process).
+    formed here.  Each run's ``nfev`` must equal the calls of its
+    right-hand side counted here, which fails when ``iwork[16]`` is no
+    longer the Fortran's call count.  A mismatch, or an exception in a
+    call, raises the error naming scipy's version.
+
+    The first call of any wrapper of a kernel (``_dop853``, ``brentq``,
+    ``quad``, the tridiagonal eigensolvers and ``solve_banded``) runs the
+    check, never the import, and the check's calls are recorded in no
+    ledger.  It costs about 0.6 ms once (median of 7 fresh processes on a
+    shared 2-CPU x86-64 host; 0.24 ms when repeated in a warm process).
     """
     global _checked
-    _checked = True  # the check's own run does not check again
+    _checked = True  # the check's own runs do not check again
+    try:
+        kernels = _kernel_errors()
+    except Exception as exc:  # _brentq refuses other arguments with RuntimeError
+        _checked = False
+        raise ScipyInternalsError(
+            f"scipy {scipy.__version__}: the kernel check calls raised {exc!r}") from exc
+    wrong = {name: f"{error:.3g}" for name, error in kernels.items() if not error <= 1e-12}
+    if wrong:
+        _checked = False
+        raise ScipyInternalsError(
+            f"scipy {scipy.__version__}: the compiled kernels {wrong} answer a known call "
+            "with these errors, against 1e-12; gapmodel calls them directly with the "
+            "arguments and returns of scipy 1.17.1, and this version differs")
     calls = 0
 
     def oscillator(t, y):
@@ -304,20 +418,27 @@ def _check_internals():
 
     z = np.linspace(0.0, 2.0, 41)
     try:
+        end, code = _dop853(oscillator, 0.0, 2.0, [1.0, 0.0], 1e-10, 1e-10, _step_on)
+        end_calls, calls = calls, 0
         with ledger():
             run = dop853_dense(oscillator, 0.0, 2.0, [1.0, 0.0], 1e-10, 1e-10, None)
             error = np.abs(run.sol(z) - [np.cos(z), -np.sin(z)]).max()
+        end_error = np.abs(end.y - [math.cos(2.0), -math.sin(2.0)]).max()
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
         _checked = False
         raise ScipyInternalsError(
             f"scipy {scipy.__version__}: the DOP853 check run raised {exc!r}") from exc
-    if not (error <= 1e-8 and run.nfev == calls):
+    if not (code == 1 and end.t == 2.0 and end_error <= 1e-8 and end.nfev == end_calls
+            and error <= 1e-8 and run.nfev == calls):
         _checked = False
         raise ScipyInternalsError(
-            f"scipy {scipy.__version__}: the DOP853 dense output of y' = (-sin t, -y[0]) is "
-            f"{error:.3g} from (cos, -sin), against 1e-8, and its nfev is {run.nfev} for {calls} "
-            "right-hand-side calls; gapmodel reads scipy's DOP853 tableau, the order of "
-            "a step's stage calls and the Fortran's call count, and this version differs")
+            f"scipy {scipy.__version__}: y' = (-sin t, -y[0]) from y(0) = (1, 0) by the direct "
+            f"DOP853 call ends with code {code} at t = {end.t}, {end_error:.3g} from (cos 2, "
+            f"-sin 2), and nfev {end.nfev} for {end_calls} right-hand-side calls; its dense "
+            f"output is {error:.3g} from (cos, -sin), against 1e-8, and its nfev is {run.nfev} "
+            f"for {calls} calls; gapmodel reads the call and return of scipy's Fortran "
+            "dopri853, its DOP853 tableau, the order of a step's stage calls and the "
+            "Fortran's call count, and this version differs")
 
 
 def _deferred(build):
@@ -401,32 +522,160 @@ def _dense_evaluator(ts, t_old, h, y_old, coeffs):
     return evaluate
 
 
+def _stebz(d, e, first, last, tol, order):
+    """(d, e, w, iblock, isplit) of LAPACK's dstebz for the first-th to
+    last-th smallest eigenvalues, with ``eigh_tridiagonal``'s checks.
+
+    d and e must be finite, one-dimensional and of lengths N and N - 1,
+    and 1 <= first <= last <= N, or ValueError; N = 1, for which
+    ``eigh_tridiagonal`` makes no call, fails in the call.  order "E"
+    sorts w by value, "B" by the matrix's blocks, as ``stein`` reads them.
+    """
+    if not _checked:
+        _check_internals()
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    if d.ndim != 1 or e.ndim != 1:
+        raise ValueError("expected a 1-D array")
+    if d.size != e.size + 1:
+        raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
+    if last < first:
+        raise ValueError("select_range must be a 2-element array-like in nondecreasing order")
+    if first < 1 or last > d.size:
+        raise ValueError("select_range out of bounds")
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, first, last, float(tol), order)
+    _check_info(info, "stebz (eigh_tridiagonal)")
+    return d, e, w[:m], iblock, isplit
+
+
+def _check_info(info, driver, positive="did not converge (LAPACK info=%d)"):
+    """scipy.linalg's check of a LAPACK info: ValueError below 0, LinAlgError above."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {driver}")
+    if info > 0:
+        raise LinAlgError(f"{driver} " + positive % info)
+
+
 def tridiagonal_eigenpairs(d, e, first, last, tol):
     """The first-th to last-th smallest eigenpairs (1-based) of a symmetric
     tridiagonal matrix.
 
-    d is the diagonal and e the off-diagonal.  One ``eigh_tridiagonal``
-    call: LAPACK's ``stebz`` bisects on Sturm counts until each eigenvalue
-    lies in an interval no wider than max(tol, 2 eps |lam|) and returns its
-    midpoint, and one ``stein`` call finds their unit eigenvectors by
-    inverse iteration.  Returns (w, v), the eigenvalues in ascending order
-    and the eigenvectors in v's columns; a failure of either raises
-    ``numpy.linalg.LinAlgError``.
+    d is the diagonal and e the off-diagonal.  ``eigh_tridiagonal``'s
+    calls: LAPACK's ``stebz`` bisects on Sturm counts until each
+    eigenvalue lies in an interval no wider than max(tol, 2 eps |lam|) and
+    returns its midpoint, in block order, and ``stein`` finds their unit
+    eigenvectors by inverse iteration; both are then sorted by value.
+    Returns (w, v), the eigenvalues in ascending order and the
+    eigenvectors in v's columns; a failure of either raises
+    ``numpy.linalg.LinAlgError``, and input ``eigh_tridiagonal`` refuses
+    ValueError.
     """
-    return eigh_tridiagonal(d, e, select="i", select_range=(first - 1, last - 1),
-                            lapack_driver="stebz", tol=tol)
+    d, e, w, iblock, isplit = _stebz(d, e, first, last, tol, "B")
+    v, info = stein(d, e, w, iblock, isplit)
+    _check_info(info, "stein (eigh_tridiagonal)", "%d eigenvectors failed to converge")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def tridiagonal_eigenvalues(d, e, first, last, tol):
     """The first-th to last-th smallest eigenvalues (1-based) of a symmetric
     tridiagonal matrix.
 
-    The values ``tridiagonal_eigenpairs`` returns, from the same ``stebz``
-    call through ``eigvalsh_tridiagonal``, without ``stein``'s eigenvectors.
-    A failure raises ``numpy.linalg.LinAlgError``.
+    The values ``tridiagonal_eigenpairs`` returns, from one ``stebz`` call
+    in value order, as ``eigvalsh_tridiagonal`` makes it, without
+    ``stein``'s eigenvectors.  A failure raises ``numpy.linalg.LinAlgError``.
     """
-    return eigvalsh_tridiagonal(d, e, select="i", select_range=(first - 1, last - 1),
-                                lapack_driver="stebz", tol=tol)
+    return _stebz(d, e, first, last, tol, "E")[2]
+
+
+def solve_banded(ab, rhs):
+    """x with A x = rhs, for a tridiagonal A in ``scipy.linalg.solve_banded``'s
+    band storage, as ``solve_banded((1, 1), ab, rhs, overwrite_ab=True,
+    overwrite_b=True, check_finite=False)`` gives it.
+
+    ab's 3 rows hold A's upper, main and lower diagonals, each aligned on
+    A's columns, and rhs has A's rows, at least 2: flow's band matrix and
+    right-hand side.  LAPACK's ``gtsv`` overwrites both and returns x in
+    rhs; a singular A raises ``numpy.linalg.LinAlgError``.
+    """
+    if not _checked:
+        _check_internals()
+    *_, x, info = gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, True, True, True, True)
+    _check_info(info, "gtsv (solve_banded)", "found a singular matrix (LAPACK info=%d)")
+    return x
+
+
+# bounds' one quadrature: qagse's tolerances and subinterval limit
+_QUAD_TOL, _QUAD_LIMIT = 1e-12, 200
+# QUADPACK's ier codes that quad warns on, with scipy.integrate.quad's messages
+_QUADPACK = {
+    1: "The maximum number of subdivisions (200) has been achieved.\n  If increasing "
+       "the limit yields no improvement it is advised to analyze \n  the integrand in order "
+       "to determine the difficulties.  If the position of a \n  local difficulty can be "
+       "determined (singularity, discontinuity) one will \n  probably gain from splitting "
+       "up the interval and calling the integrator \n  on the subranges.  Perhaps a "
+       "special-purpose integrator should be used.",
+    2: "The occurrence of roundoff error is detected, which prevents \n  the requested "
+       "tolerance from being achieved.  The error may be \n  underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the\n  integration "
+       "interval.",
+    4: "The algorithm does not converge.  Roundoff error is detected\n  in the "
+       "extrapolation table.  It is assumed that the requested tolerance\n  cannot be "
+       "achieved, and that the returned result (if full_output = 1) is \n  the best which "
+       "can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+    7: "Abnormal termination of the routine.  The estimates for result\n  and error are "
+       "less reliable.  It is assumed that the requested accuracy\n  has not been "
+       "achieved.",
+}
+
+
+def quad(func, a, b):
+    """(integral, error estimate) of func from a to b < inf, as
+    ``scipy.integrate.quad(func, a, b, epsabs=1e-12, epsrel=1e-12,
+    limit=200)`` gives them.
+
+    QUADPACK's adaptive ``qagse``.  As ``quad`` does, an ier of 1-5 or 7
+    warns, with QUADPACK's message, and returns the estimates; ier 6,
+    invalid input, which these tolerances and this limit never give,
+    raises ValueError.
+    """
+    if not _checked:
+        _check_internals()
+    result, abserr, ier = _qagse(func, a, b, (), 0, _QUAD_TOL, _QUAD_TOL, _QUAD_LIMIT)
+    if ier in _QUADPACK:
+        warnings.warn(_QUADPACK[ier], UserWarning, stacklevel=2)
+    elif ier:
+        raise ValueError(f"QUADPACK qagse returned ier = {ier}")
+    return result, abserr
+
+
+# scipy.optimize.brentq's defaults, its smallest rtol and its iteration cap
+_XTOL, _RTOL, _MAXITER = 2e-12, 4 * np.finfo(float).eps, 100
+
+
+def brentq(f, a, b, xtol=_XTOL, rtol=_RTOL):
+    """The root of f in [a, b] by Brent's method, as
+    ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)``.
+
+    The compiled ``_brentq`` with ``brentq``'s checks: xtol <= 0 or rtol
+    below 4 eps raises ValueError, and so does a NaN value of f; f(a) and
+    f(b) of one sign raise its ValueError, and the iteration cap its
+    RuntimeError.  An exception raised by f propagates.
+    """
+    if not _checked:
+        _check_internals()
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+
+    def checked(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    return _brentq(checked, a, b, xtol, rtol, _MAXITER, (), False, True)
 
 
 def brent(f, lo, hi, **tol):
@@ -436,6 +685,16 @@ def brent(f, lo, hi, **tol):
         return _record("brent", f, brentq(f, lo, hi, **tol))
     except RuntimeError as exc:
         raise NonConvergenceError(f"Brent's method on [{lo:.6g}, {hi:.6g}]: {exc}") from None
+
+
+def __getattr__(name):
+    # scipy.integrate's solve_ivp, which no route calls, imported when first
+    # read: perfbench/tracing.py rebinds spectral's and pruefer's
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def seeded_interval(lo, hi, pad, seed, ladder, floor):

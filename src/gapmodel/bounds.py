@@ -17,8 +17,7 @@ majorizes the quotient).
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
+from ._scipy import quad
 from .errors import HypothesisError, OrderingViolation
 from .kernels import cs_at
 from .model import check_index, flat_eigenvalue, validate
@@ -63,9 +62,9 @@ def lambda_upper_rayleigh(params, index):
 
     (index pi/D)^2 - (n-1)^2 K/4 + ((n-1)(n-3) K/D) * I, where I integrates
     cs_K(x)^-2 against cos^2(pi x/D) (index 1) or sin^2(2 pi x/D) (index 2)
-    over [0, D/2], by adaptive quadrature to 1e-12 absolute.  Valid for
-    every K; exact when (n-1)(n-3)K = 0, where V is constant and no
-    quadrature runs.
+    over [0, D/2], by adaptive quadrature to 1e-12 absolute (``_scipy.quad``).
+    Valid for every K; exact when (n-1)(n-3)K = 0, where V is constant and
+    no quadrature runs.
     """
     params = validate(params)
     index = _require(params, index, need_K_positive=False)
@@ -79,7 +78,7 @@ def lambda_upper_rayleigh(params, index):
         weight = lambda x: math.sin(2 * math.pi * x / D) ** 2
     cs_K = cs_at(K)
     integrand = lambda x: weight(x) / cs_K(x) ** 2
-    val, est = quad(integrand, 0.0, D / 2, epsabs=1e-12, epsrel=1e-12, limit=200)
+    val, est = quad(integrand, 0.0, D / 2)
     return flat + (n - 1) * (n - 3) * K / D * val
 
 

@@ -67,10 +67,11 @@ class OrderingViolation(GapModelError):
 
 
 class ScipyInternalsError(GapModelError):
-    """The scipy internals the compiled DOP853 wrappers read do not behave as
-    the installed version was checked to: the DOP853 tableau, the stage
-    calls of a step, or the Fortran's call count.  The message names scipy's
-    version."""
+    """The scipy internals gapmodel's compiled-solver wrappers read do not
+    behave as the installed version was checked to: a compiled extension's
+    file is missing, or the direct DOP853 call's return, the DOP853
+    tableau, the stage calls of a step or the Fortran's call count differ.
+    The message names scipy's version."""
 
 
 def as_integer(value, minimum, requirement, maximum=float("inf")):

@@ -43,7 +43,7 @@ how a tol below the grid's discretisation error ends.
 
 Every step and Newton update runs in place on one `_Workspace` per run:
 the Jacobian bands and the residual are written into the band matrix and
-right-hand side that LAPACK's gtsv (through `solve_banded`) overwrites
+right-hand side that LAPACK's gtsv (through `_scipy.solve_banded`) overwrites
 with the update, so a step makes no new array of the grid's size.
 `_Workspace.step` is the one implicit step: `flow_step`,
 `flow_to_stationary` and `comparison_check`, which advances each of its
@@ -54,9 +54,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from ._scipy import dop853_dense
+from ._scipy import dop853_dense, solve_banded
 from .errors import (
     DomainError,
     HypothesisError,
@@ -394,8 +393,7 @@ class _Workspace:
         ab[0, :2] = ab[2, -2:] = 0.0
         ab[1, 0] = ab[1, -1] = 1.0
         rhs[0] = rhs[-1] = 0.0
-        delta = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
-                             check_finite=False)
+        delta = solve_banded(ab, rhs)
         if not np.all(np.isfinite(delta)):
             raise StabilityError("band solve produced non-finite values")
         return delta

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from scipy.integrate import solve_ivp  # called by no route; perfbench/tracing.py rebinds it
 
 from ._scipy import brent, dop853_dense, dop853_end, seeded_interval, seeded_root
 from .errors import (
@@ -678,3 +677,13 @@ def lower_bound_functions(k, s, params):
         "right_valid_from": z_from,
         "c_k": ck,
     }
+
+
+def __getattr__(name):
+    # scipy's solve_ivp, which no route calls, imported when first read:
+    # perfbench/tracing.py rebinds it
+    if name == "solve_ivp":
+        from ._scipy import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

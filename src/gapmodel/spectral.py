@@ -88,7 +88,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.integrate import solve_ivp  # called by no route; perfbench/tracing.py rebinds it
 
 from ._scipy import (
     brent,
@@ -839,3 +838,13 @@ def eigen_shoot_mp(params, index, dps=40):
         else:
             raise NonConvergenceError("mp secant did not converge")
         return b
+
+
+def __getattr__(name):
+    # scipy's solve_ivp, which no route calls, imported when first read:
+    # perfbench/tracing.py rebinds it
+    if name == "solve_ivp":
+        from ._scipy import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -758,7 +758,9 @@ class TestStartUp:
         for step in light[2:]:  # --help and series
             assert step["code"] == 0 and step["stdout"]
         assert eigen["code"] == 0
-        assert "scipy.integrate" in eigen["modules"]
+        # the compiled kernels, each loaded from its file without its package
+        assert {"scipy.integrate._dop", "scipy.optimize._zeros", "scipy.integrate._quadpack",
+                "scipy.linalg._flapack"} <= set(eigen["modules"])
         assert eigen["stdout"] == (GOLDEN / "eigen_shoot.csv").read_text()
 
     def test_help_and_series_load_no_numpy(self, light_start):
@@ -779,9 +781,9 @@ class TestStartUp:
             [*STARTUP_CASES["eigen_shoot"], "--format", "json"])
         assert parser["json"] == help_["json"] == []
         assert help_["code"] == csv_row["code"] == json_row["code"] == 0
-        # scipy.integrate imports json (through numpy.testing); the CSV row
-        # of gapmodel does not
-        assert not (csv_row["json_importer"] or "").startswith("gapmodel")
+        # the CSV row loads no json: gapmodel writes none, and scipy.integrate,
+        # which would load it through numpy.testing, is not imported
+        assert csv_row["json"] == [] and csv_row["json_importer"] is None
         assert "json" in json_row["json"]
         assert json.loads(json_row["stdout"])["command"] == "eigen"
         _, series = startup_report("parser", STARTUP_CASES["series"])
@@ -808,18 +810,31 @@ class TestStartUp:
         if "plot" in run:
             assert run["plot"] == (GOLDEN / f"{case}.plot.csv").read_text()
 
-    def test_solvers_are_module_attributes(self):
-        """The names a tracer rebinds are scipy's own functions."""
-        from scipy.integrate import quad, solve_ivp
-        from scipy.linalg import solve_banded
-        from scipy.optimize import brentq
+    @pytest.mark.parametrize("case", ["eigen_shoot", "pruefer", "flow"])
+    def test_array_rows_load_only_the_compiled_kernels(self, case):
+        # scipy's packages import scipy.special, scipy.sparse and
+        # numpy.testing (with unittest and json); a row needs none of them
+        _, run = startup_report("parser", STARTUP_CASES[case])
+        assert run["code"] == 0
+        heavy = {"scipy.integrate", "scipy.optimize", "scipy.linalg", "numpy.testing",
+                 "unittest"}
+        assert not heavy & set(run["modules"])
+        assert "scipy.integrate._dop" in run["modules"]
 
-        assert spectral.solve_ivp is solve_ivp and pruefer.solve_ivp is solve_ivp
+    def test_solvers_are_module_attributes(self):
+        """The names a tracer rebinds: gapmodel's wrappers of the compiled
+        kernels, and scipy's solve_ivp, read from scipy.integrate when first
+        looked up."""
+        from scipy.integrate import solve_ivp
+
         from gapmodel import _scipy
 
-        assert _scipy.brentq is brentq
-        assert flow.solve_banded is solve_banded
-        assert bounds.quad is quad
+        assert spectral.solve_ivp is solve_ivp and pruefer.solve_ivp is solve_ivp
+        assert "solve_ivp" not in vars(spectral) and "solve_ivp" not in vars(pruefer)
+        assert flow.solve_banded is _scipy.solve_banded
+        assert bounds.quad is _scipy.quad
+        with pytest.raises(AttributeError):
+            spectral.no_such_name
 
     def test_compiled_solvers_are_module_attributes(self):
         """spectral's compiled-solver forwarders give scipy's own results."""

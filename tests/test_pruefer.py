@@ -792,15 +792,32 @@ class TestScipyInternals:
         # a stepper that calls the right-hand side twice for each value it
         # uses: a step's last 12 calls are no longer its stages, and the
         # calls no longer match the Fortran's count
-        ode = _scipy.ode
+        dopri853 = _scipy.dopri853
 
-        def twice(fun):
-            return ode(lambda t, y: (fun(t, y), fun(t, y))[1])
+        def twice(fun, *args):
+            return dopri853(lambda t, y: (fun(t, y), fun(t, y))[1], *args)
 
-        monkeypatch.setattr(_scipy, "ode", twice)
+        monkeypatch.setattr(_scipy, "dopri853", twice)
         monkeypatch.setattr(_scipy, "_checked", False)
         with pytest.raises(ScipyInternalsError, match=f"scipy {re.escape(scipy.__version__)}"):
             self._run()
+
+    @pytest.mark.parametrize("changed", [
+        lambda out, iwork: (*out, iwork),                  # the return tuple
+        lambda out, iwork: (out[0], out[1], 2),            # the code
+        lambda out, iwork: (iwork.__setitem__(16, 0), out)[1],  # the call count
+    ])
+    def test_changed_direct_call_raises(self, monkeypatch, changed):
+        dopri853 = _scipy.dopri853
+
+        def direct(*args):
+            return changed(dopri853(*args), args[9])
+
+        monkeypatch.setattr(_scipy, "dopri853", direct)
+        monkeypatch.setattr(_scipy, "_checked", False)
+        with pytest.raises(ScipyInternalsError, match=f"scipy {re.escape(scipy.__version__)}"):
+            _scipy.dop853_end(lambda t, y: [-y[0]], 0.0, 1.0, [1.0], rtol=1e-10, atol=1e-10)
+        assert not _scipy._checked
 
 
 # The Robin profile (q, log r) at seven interior points z = j/8 D/2,
