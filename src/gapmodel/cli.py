@@ -10,9 +10,10 @@ ended, by one function, so a failed run leaves an existing file as it was.
 
 Each (n, K, D) triple is validated once, into the ModelParams that its
 rows read; a row reads the library's result records (the eigen row the
-GapResult of either route, the series report check_reference's dict)
-and computes none of their values again.  Every table, flow's
-trajectory included, is written by _render_table.
+GapResult of spectral.gap(params, method), whose route table maps
+--method to its solver, side column included; the series report
+check_reference's dict) and computes none of their values again.  Every
+table, flow's trajectory included, is written by _render_table.
 
 Of the modules the interpreter has not loaded already, building the parser
 imports only ``argparse`` (with what it imports) and gapmodel.errors.  It
@@ -148,16 +149,8 @@ def _render_table(rows, args, command):
 def _eigen_row(params, method):
     from . import spectral
 
-    if method == "fd":
-        res = spectral._gap_result(params, *spectral._fd(params, (1, 2)))
-    else:
-        res = spectral.gap(params)
+    res = spectral.gap(params, method)
     r1, r2 = res.lambda1, res.lambda2
-    # the excess of a constant V is noise
-    if params.flat:
-        side = "flat"
-    else:
-        side = "below" if res.excess < 0 else "above"
     return {
         "n": params.n,
         "K": params.K,
@@ -166,7 +159,7 @@ def _eigen_row(params, method):
         "lambda2": r2.eigenvalue,
         "gap": res.gap,
         "excess": res.excess,
-        "side": side,
+        "side": res.side,
         "method": method,
         "error_estimate": max(r1.error_estimate, r2.error_estimate),
     }
@@ -382,10 +375,10 @@ def _snapshot_lines(t, z, values):
 def _bounds_row(params, index, lam):
     from . import bounds as bounds_mod
 
-    if params.n >= 3:
-        rep = bounds_mod.bound_report(params, index)
-    else:
+    if params.n == 2:
         rep = bounds_mod.explicit_n2_bounds(params)[index - 1]
+    else:
+        rep = bounds_mod.bound_report(params, index)
     lower = None if rep.lower == -math.inf else rep.lower
     # the sandwich degenerates to equality at n = 3, so leave solver-error room
     slack = 1e-9 * max(1.0, abs(lam))
@@ -437,6 +430,8 @@ def _add_common(sub, table=True):
 
 def _eigen_arguments(e):
     _add_common(e)
+    # the keys of spectral.gap's route table, written out so that parsing
+    # imports no spectral (numpy and scipy); a test keeps them equal
     e.add_argument("--method", choices=("shoot", "fd"), default="shoot")
     e.set_defaults(func=cmd_eigen)
 

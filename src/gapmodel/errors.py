@@ -69,7 +69,9 @@ class OrderingViolation(GapModelError):
 class ScipyInternalsError(GapModelError):
     """The scipy internals gapmodel's compiled-solver wrappers read do not
     behave as the installed version was checked to: a compiled extension's
-    file is missing, or the direct DOP853 call's return, the DOP853
+    file is missing; a directly called kernel (``_brentq``, ``_qagse``,
+    ``dstebz``, ``dstein`` or ``dgtsv``) raises on its known tiny call or
+    answers it wrongly; or the direct DOP853 call's return, the DOP853
     tableau, the stage calls of a step or the Fortran's call count differ.
     The message names scipy's version."""
 

@@ -74,7 +74,10 @@ each grid's eigenvalues, one call per grid for one index or both
 (_scipy.tridiagonal_eigenpairs) adds one inverse iteration call (stein)
 for the eigenvectors.
 The two routes share no integration machinery, which is the point: their
-agreement is evidence, not tautology.
+agreement is evidence, not tautology.  gap(params, method) is the pair
+entry of both: its table _ROUTES maps "shoot" and "fd" to the solver of
+both indices, and its GapResult carries the dichotomy's side ("flat",
+"below" or "above" 3 pi^2 / D^2).
 
 Also here: the same shooting applied to the first-order form (with the
 drift term, no gauge), and two roots of Gauss hypergeometric functions,
@@ -614,11 +617,12 @@ def eigen_fd(params, index, grid_size=1024):
     one stebz + stein call; the eigenfunction is the doubled grid's vector
     with its zero end values, sup-normalized and positive next to -D/2 on
     its first read, its nodes counted on the vector.  A LAPACK failure
-    raises NonConvergenceError.  The command line's fd row
-    takes both indices from the same two calls (_fd(params, (1, 2))):
-    stebz bisects for both eigenvalues at once and stein finds both
-    vectors.  On the 14 values of the golden FD triples, 10 of the pair's
-    are this function's bits and 4 differ by at most 1.1e-15 relative.
+    raises NonConvergenceError.  gap(params, "fd"), the command line's
+    fd row, takes both indices from the same two calls (_fd(params, (1,
+    2)), the "fd" entry of gap's route table _ROUTES): stebz bisects for
+    both eigenvalues at once and stein finds both vectors.  On the 14
+    values of the golden FD triples, 10 of the pair's are this
+    function's bits and 4 differ by at most 1.1e-15 relative.
     This function is the one-index case of the same code, bit for bit
     the same as with one index per call.
 
@@ -696,40 +700,52 @@ def _fd(params, indices, grid_size=1024):
 
 @dataclass(frozen=True)
 class GapResult:
+    """lambda1 and lambda2 of one route, the gap lambda2 - lambda1, and its
+    excess over reference = 3 pi^2 / D^2.
+
+    side is the dichotomy's side: "flat" where V is constant (n = 1, n = 3
+    or K = 0), whose excess is rounding noise of either sign, else "below"
+    for a negative excess and "above" otherwise.  gap() makes every one.
+    """
+
     lambda1: EigenResult
     lambda2: EigenResult
     gap: float
     reference: float
     excess: float
-
-    @property
-    def sign(self):
-        return 0 if self.excess == 0 else math.copysign(1, self.excess)
+    side: str
 
 
-def _gap_result(params, r1, r2):
-    """The GapResult of a pair of EigenResults, with its excess over
-    3 pi^2 / D^2; GapModelError unless lambda1 < lambda2."""
+# gap()'s method -> the solver of consecutive ascending indices it runs
+_ROUTES = {"shoot": partial(_shoot, form="normal"), "fd": _fd}
+
+
+def gap(params, method="shoot"):
+    """Spectral gap of one route, with its excess over 3 pi^2 / D^2.
+
+    method names the route in _ROUTES, whose solver gives lambda1 and
+    lambda2 from one call: "shoot" (_shoot in the normal form), where one
+    _shoot_root call's stacked pass serves both indices (see eigen_shoot),
+    or "fd" (_fd), one stebz call per grid and one stein call (see
+    eigen_fd).  Any other method raises DomainError before any solve.
+    Shooting checks both node counts on the runs' step states; no
+    eigenfunction is sampled until one is read.  On either route an
+    eigenvalue pair out of order raises GapModelError ("eigenvalue
+    ordering violated").  The command line's eigen row is this call, with
+    its --method; the bounds row reads the shooting pair.
+    """
+    params = validate(params)
+    if method not in _ROUTES:
+        raise DomainError(f"method must be one of {', '.join(map(repr, _ROUTES))}, "
+                          f"got {method!r}")
+    r1, r2 = _ROUTES[method](params, (1, 2))
     if not (r1.eigenvalue < r2.eigenvalue):
         raise GapModelError("eigenvalue ordering violated")
     g = r2.eigenvalue - r1.eigenvalue
     ref = 3.0 * math.pi**2 / params.D**2
-    return GapResult(lambda1=r1, lambda2=r2, gap=g, reference=ref, excess=g - ref)
-
-
-def gap(params):
-    """Spectral gap by shooting, with its excess over 3 pi^2 / D^2.
-
-    Both eigenvalues come from one _shoot_root call, whose one stacked
-    pass serves lambda1 and lambda2 (see eigen_shoot).  Their node counts
-    are checked here, on the runs' step states; no eigenfunction is
-    sampled until one is read.  The result is made by _gap_result, which
-    the command line's finite-difference row shares on the pair of
-    _fd(params, (1, 2)): on either route an eigenvalue pair out of order
-    raises GapModelError ("eigenvalue ordering violated").
-    """
-    params = validate(params)
-    return _gap_result(params, *_shoot(params, (1, 2), "normal"))
+    excess = g - ref
+    side = "flat" if params.flat else ("below" if excess < 0 else "above")
+    return GapResult(lambda1=r1, lambda2=r2, gap=g, reference=ref, excess=excess, side=side)
 
 
 def ball_first_eigen(n, D):

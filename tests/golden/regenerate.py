@@ -60,6 +60,8 @@ TEXT_CASES = [
     ("reject_eigen_triples", ["eigen", "--n", "0,2", "--K", "1", "--D=1,-1"], 2),
     ("reject_flow_triples", ["flow", "--n", "2,3", "--K", "1", "--D", "1", "--k", "10"], 2),
     ("reject_bounds_K", ["bounds", "--n", "2", "--K=-1", "--D", "1"], 2),
+    # only n = 2 takes the quartic bounds; n = 1 misses bound_report's n >= 3
+    ("reject_bounds_n1", ["bounds", "--n", "1", "--K", "1", "--D", "1"], 2),
 ]
 
 

@@ -5,6 +5,7 @@ dispatch, rendering, and exit codes); one test goes through a real
 subprocess to cover the ``python -m gapmodel.cli`` path.
 """
 
+import argparse
 import ast
 import csv
 import io
@@ -150,14 +151,28 @@ class TestEigen:
         )
 
     def test_fd_pair_out_of_order_is_solver_failure(self, monkeypatch, capsys):
-        # the FD row's GapResult is made as gap()'s is, with its ordering guard
-        fd = spectral._fd
-        monkeypatch.setattr(spectral, "_fd", lambda params, indices: fd(params, indices)[::-1])
+        # the FD row is gap(params, "fd"), with gap()'s ordering guard
+        fd = spectral._ROUTES["fd"]
+        monkeypatch.setitem(spectral._ROUTES, "fd",
+                            lambda params, indices: fd(params, indices)[::-1])
         code, out, err = run_main(
             ["eigen", "--n", "2", "--K", "1", "--D", "1", "--method", "fd"], capsys
         )
         assert code == 3 and out == ""
         assert err == "error: eigenvalue ordering violated\n"
+
+    def test_method_choices_are_the_route_table(self):
+        e = argparse.ArgumentParser()
+        cli._eigen_arguments(e)
+        (method,) = [a for a in e._actions if a.dest == "method"]
+        assert list(method.choices) == list(spectral._ROUTES)
+
+    def test_names_no_private_spectral_attribute(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        private = [node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "spectral" and node.attr.startswith("_")]
+        assert private == []
 
     def test_one_model_params_per_triple(self, monkeypatch, capsys):
         # the validated ModelParams is the one each row reads
@@ -480,6 +495,12 @@ class TestBounds:
             assert row["lower"] == ""
             assert row["upper_method"] == "quartic minorant"
             assert row["within"] == "True"
+
+    def test_n1_is_refused_by_the_comparison_hypothesis(self, capsys):
+        # only n = 2 takes the quartic bounds; n = 1 meets bound_report's n >= 3
+        code, out, err = run_main(["bounds", "--n", "1", "--K", "1", "--D", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: lower bounds require n >= 3 (sec^2 >= 1 comparison), got n = 1\n"
 
 
 class TestExitCodes:

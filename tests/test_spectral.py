@@ -736,7 +736,7 @@ class TestNearCap:
     def test_gap_rhs_count(self, work, triple, max_rhs):
         g = gap(triple)
         assert sum(ode_work(work)) <= max_rhs
-        assert g.sign == (-1 if triple[0] == 2 else 1)
+        assert g.side == ("below" if triple[0] == 2 else "above")
 
     @pytest.mark.parametrize("triple", [(5, 9.8, 1.0), (2, 9.86, 1.0)], ids=str)
     def test_direct_form_agrees(self, triple):
@@ -967,7 +967,7 @@ class TestCompiledSolvers:
         with pytest.raises(NonConvergenceError, match="stebz failed"):
             eigen_fd((6, -4.0, 1.0), 1)
         with pytest.raises(NonConvergenceError, match="stebz failed"):
-            spectral._fd(ModelParams(6, -4.0, 1.0), (1, 2))
+            gap((6, -4.0, 1.0), "fd")
 
     def test_failed_coarse_stebz_is_reported(self, monkeypatch):
         # the coarse grid takes its eigenvalues alone
@@ -978,7 +978,7 @@ class TestCompiledSolvers:
         with pytest.raises(NonConvergenceError, match="stebz failed"):
             eigen_fd((6, -4.0, 1.0), 1)
         with pytest.raises(NonConvergenceError, match="stebz failed"):
-            spectral._fd(ModelParams(6, -4.0, 1.0), (1, 2))
+            gap((6, -4.0, 1.0), "fd")
 
 
 class TestDeferredEigenfunction:
@@ -1160,8 +1160,8 @@ class TestFiniteDifference:
     def test_pair_agrees_with_each_index_alone(self, triple):
         # the golden FD triples: one stebz call per grid and one stein call
         # for both vectors give each index's value within 1e-14 relative
-        pair = spectral._fd(ModelParams(*triple), (1, 2))
-        for r in pair:
+        res = gap(triple, "fd")
+        for r in (res.lambda1, res.lambda2):
             alone = eigen_fd(triple, r.index)
             assert abs(r.eigenvalue - alone.eigenvalue) <= 1e-14 * abs(alone.eigenvalue)
             assert r.node_count == alone.node_count == r.index - 1
@@ -1214,7 +1214,24 @@ class TestGap:
     def test_dichotomy_at_unit_kappa(self):
         assert gap((2, 1.0, 1.0)).excess < 0
         assert gap((5, 1.0, 1.0)).excess > 0
-        assert gap((2, 1.0, 1.0)).sign == -1
+        assert gap((2, 1.0, 1.0)).side == "below"
+        assert gap((5, 1.0, 1.0)).side == "above"
+
+    @pytest.mark.parametrize("method", ["shoot", "fd"])
+    @pytest.mark.parametrize("triple", [(3, 1.0, 1.0), (1, 5.0, 1.0), (6, 0.0, 2.0)], ids=str)
+    def test_constant_potential_is_flat_whatever_the_excess(self, triple, method):
+        # the excess of a constant V is rounding noise of either sign:
+        # shooting reads +6.75e-14 at (3, 1, 1)
+        g = gap(triple, method)
+        assert g.side == "flat"
+        assert abs(g.excess) <= 1e-9 * g.reference
+
+    @pytest.mark.parametrize("method", ["Shoot", "direct", None])
+    def test_unknown_method_refused_before_any_solve(self, method):
+        with _scipy.ledger() as work:
+            with pytest.raises(DomainError, match="method must be one of 'shoot', 'fd'"):
+                gap((5, 1.0, 1.0), method)
+        assert work == []
 
 
 class TestCapProblem:
