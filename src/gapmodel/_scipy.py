@@ -63,10 +63,10 @@ file raises ``ScipyInternalsError`` at import.
 
 These calls, and the DOP853 tableau, the order of the Fortran's calls
 within a step and its call count, are scipy internals that are not
-public API, verified on scipy 1.17.1.  The first call of any wrapper in
-a process checks them, each kernel by one tiny call and DOP853 on a
-known solution, and raises ``ScipyInternalsError`` if they differ
-(``_check_internals``).
+public API, verified on scipy 1.17.1.  Loading this module checks them,
+as its last step, each kernel by one tiny call and DOP853 on a known
+solution, and raises ``ScipyInternalsError`` if they differ
+(``_check_internals``), so an import that returns gives checked kernels.
 
 ``ledger`` counts the work: while one is open, every call of
 ``dop853_end``, ``dop853_dense`` and ``brent`` that returns appends a
@@ -135,7 +135,6 @@ _open = None  # the records of the open ledger, or None; see ledger
 # 2k points the repeats' fixed cost exceeds the search they save (measured
 # at 20 to 300 steps, one row)
 _RUN_MIN = 2048
-_checked = False  # whether _check_internals has passed, or is running, in this process
 # dop853's return codes, with scipy.integrate.ode's messages
 _MESSAGES = {1: "computation successful",
              2: "computation successful (interrupted by solout)",
@@ -187,9 +186,8 @@ def _dop853(fun, t0, t1, y0, rtol, atol, solout):
     integrator gives it (ode's defaults for the safety factor and the step
     ratios, no verbosity), with the step budget DOP853_MAX_STEPS, and
     solout called after every accepted step (iout = 1): with iout = 0 the
-    Fortran calls fun more often than ``iwork[16]`` counts.  The first run
-    in a process first checks the internals read here
-    (``_check_internals``).
+    Fortran calls fun more often than ``iwork[16]`` counts.  The internals
+    read here were checked when this module loaded (``_check_internals``).
 
     Returns ``solve_ivp``'s result fields ``t``, ``y`` (the point reached
     and the state there), ``nfev``, ``success`` and ``message`` (the
@@ -197,8 +195,6 @@ def _dop853(fun, t0, t1, y0, rtol, atol, solout):
     code is left to the caller, and an exception raised by fun or solout
     propagates as itself.
     """
-    if not _checked:
-        _check_internals()
     y = np.array(y0, dtype=float, ndmin=1)  # the Fortran overwrites it
     work = np.zeros(11 * len(y) + 21)
     work[1:4] = 0.9, 0.3, 6.0  # safety factor, smallest and largest step ratio
@@ -388,23 +384,20 @@ def _check_internals():
     longer the Fortran's call count.  A mismatch, or an exception in a
     call, raises the error naming scipy's version.
 
-    The first call of any wrapper of a kernel (``_dop853``, ``brentq``,
-    ``quad``, the tridiagonal eigensolvers and ``solve_banded``) runs the
-    check, never the import, and the check's calls are recorded in no
-    ledger.  It costs about 0.6 ms once (median of 7 fresh processes on a
-    shared 2-CPU x86-64 host; 0.24 ms when repeated in a warm process).
+    Loading this module runs the check once, as its last statement, so
+    that no wrapper checks: an import either returns checked kernels or
+    raises, and leaves no module behind.  The check's calls are recorded
+    in no ledger, also one open around the import.  It costs about 0.6 ms
+    once (median of 7 fresh processes on a shared 2-CPU x86-64 host; 0.24
+    ms when repeated in a warm process).
     """
-    global _checked
-    _checked = True  # the check's own runs do not check again
     try:
         kernels = _kernel_errors()
     except Exception as exc:  # _brentq refuses other arguments with RuntimeError
-        _checked = False
         raise ScipyInternalsError(
             f"scipy {scipy.__version__}: the kernel check calls raised {exc!r}") from exc
     wrong = {name: f"{error:.3g}" for name, error in kernels.items() if not error <= 1e-12}
     if wrong:
-        _checked = False
         raise ScipyInternalsError(
             f"scipy {scipy.__version__}: the compiled kernels {wrong} answer a known call "
             "with these errors, against 1e-12; gapmodel calls them directly with the "
@@ -425,12 +418,10 @@ def _check_internals():
             error = np.abs(run.sol(z) - [np.cos(z), -np.sin(z)]).max()
         end_error = np.abs(end.y - [math.cos(2.0), -math.sin(2.0)]).max()
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
-        _checked = False
         raise ScipyInternalsError(
             f"scipy {scipy.__version__}: the DOP853 check run raised {exc!r}") from exc
     if not (code == 1 and end.t == 2.0 and end_error <= 1e-8 and end.nfev == end_calls
             and error <= 1e-8 and run.nfev == calls):
-        _checked = False
         raise ScipyInternalsError(
             f"scipy {scipy.__version__}: y' = (-sin t, -y[0]) from y(0) = (1, 0) by the direct "
             f"DOP853 call ends with code {code} at t = {end.t}, {end_error:.3g} from (cos 2, "
@@ -531,8 +522,6 @@ def _stebz(d, e, first, last, tol, order):
     ``eigh_tridiagonal`` makes no call, fails in the call.  order "E"
     sorts w by value, "B" by the matrix's blocks, as ``stein`` reads them.
     """
-    if not _checked:
-        _check_internals()
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
     if d.ndim != 1 or e.ndim != 1:
         raise ValueError("expected a 1-D array")
@@ -597,8 +586,6 @@ def solve_banded(ab, rhs):
     right-hand side.  LAPACK's ``gtsv`` overwrites both and returns x in
     rhs; a singular A raises ``numpy.linalg.LinAlgError``.
     """
-    if not _checked:
-        _check_internals()
     *_, x, info = gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, True, True, True, True)
     _check_info(info, "gtsv (solve_banded)", "found a singular matrix (LAPACK info=%d)")
     return x
@@ -639,8 +626,6 @@ def quad(func, a, b):
     invalid input, which these tolerances and this limit never give,
     raises ValueError.
     """
-    if not _checked:
-        _check_internals()
     result, abserr, ier = _qagse(func, a, b, (), 0, _QUAD_TOL, _QUAD_TOL, _QUAD_LIMIT)
     if ier in _QUADPACK:
         warnings.warn(_QUADPACK[ier], UserWarning, stacklevel=2)
@@ -662,8 +647,6 @@ def brentq(f, a, b, xtol=_XTOL, rtol=_RTOL):
     f(b) of one sign raise its ValueError, and the iteration cap its
     RuntimeError.  An exception raised by f propagates.
     """
-    if not _checked:
-        _check_internals()
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     if rtol < _RTOL:
@@ -789,3 +772,6 @@ def seeded_root(g, lo, hi, a, b, ends, check, *, floor, accept, noise, xtol, rto
         if not shot(a) < 0 < shot(b):
             raise unbracketed
     return brent(shot, a, b, xtol=xtol, rtol=rtol), evals, None
+
+
+_check_internals()

@@ -372,13 +372,7 @@ def _snapshot_lines(t, z, values):
 # -- bounds ---------------------------------------------------------------
 
 
-def _bounds_row(params, index, lam):
-    from . import bounds as bounds_mod
-
-    if params.n == 2:
-        rep = bounds_mod.explicit_n2_bounds(params)[index - 1]
-    else:
-        rep = bounds_mod.bound_report(params, index)
+def _bounds_row(params, rep, lam):
     lower = None if rep.lower == -math.inf else rep.lower
     # the sandwich degenerates to equality at n = 3, so leave solver-error room
     slack = 1e-9 * max(1.0, abs(lam))
@@ -387,7 +381,7 @@ def _bounds_row(params, index, lam):
         "n": params.n,
         "K": params.K,
         "D": params.D,
-        "index": index,
+        "index": rep.target,
         "lower": lower,
         "lambda": lam,
         "upper": rep.upper,
@@ -404,13 +398,20 @@ def cmd_bounds(args):
             raise HypothesisError(
                 f"bounds require K > 0, got K = {params.K} (n={params.n}, D={params.D})"
             )
+    from . import bounds as bounds_mod
     from . import spectral
 
+    # every triple's two reports before the first solve, so that a triple
+    # the bounds refuse costs no solve
+    reports = [bounds_mod.explicit_n2_bounds(params) if params.n == 2
+               else [bounds_mod.bound_report(params, index) for index in (1, 2)]
+               for params in triples]
     rows = []
-    for params in triples:
+    for params, pair in zip(triples, reports):
         # both shooting eigenvalues from one pair call
         res = spectral.gap(params)
-        rows += [_bounds_row(params, r.index, r.eigenvalue) for r in (res.lambda1, res.lambda2)]
+        rows += [_bounds_row(params, rep, r.eigenvalue)
+                 for rep, r in zip(pair, (res.lambda1, res.lambda2))]
     _write(_render_table(rows, args, "bounds"), args.output)
     return 0
 

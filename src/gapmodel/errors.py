@@ -73,7 +73,8 @@ class ScipyInternalsError(GapModelError):
     ``dstebz``, ``dstein`` or ``dgtsv``) raises on its known tiny call or
     answers it wrongly; or the direct DOP853 call's return, the DOP853
     tableau, the stage calls of a step or the Fortran's call count differ.
-    The message names scipy's version."""
+    Raised when ``gapmodel._scipy`` is imported, which checks all of these
+    as it loads; the message names scipy's version."""
 
 
 def as_integer(value, minimum, requirement, maximum=float("inf")):

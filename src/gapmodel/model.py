@@ -114,11 +114,15 @@ def validate(params):
     """The one parameter coercer: every entry point starts with params = validate(params).
 
     Returns a ModelParams unchanged (it validated on construction) or builds
-    one from an (n, K, D) triple.
+    one from an (n, K, D) triple; anything else raises DomainError.
     """
     if isinstance(params, ModelParams):
         return params
-    n, K, D = params
+    try:
+        n, K, D = params
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"params must be a ModelParams or an (n, K, D) triple, got {params!r}") from None
     return ModelParams(n=n, K=K, D=D)
 
 

@@ -547,15 +547,25 @@ def supersolution(k, s, params, z=None):
     A branch that ceases is read off the BlowupError it raises, which
     carries it truncated.  At s = 0 both branches coincide with (log phi)' of the Robin
     eigenfunction.  Pass z to sample on a caller-supplied grid instead of a
-    uniform one.
+    uniform one: a nonempty one-dimensional finite grid inside [0, D/2],
+    or DomainError before any solve.
     """
     params = validate(params)
     if not 0.0 <= s < math.inf:
         raise DomainError(f"shift s must be finite and nonnegative, got {s}")
+    half = params.half
+    if z is None:
+        z = np.linspace(0.0, half, _N_SAMPLES)
+    else:
+        z = np.asarray(z, dtype=float)
+        if z.ndim != 1 or z.size == 0 or not np.all(np.isfinite(z)):
+            raise DomainError("supersolution grid must be a nonempty one-dimensional finite "
+                              f"array, got shape {z.shape}")
+        if z.min() < 0.0 or z.max() > half * (1.0 + 1e-12):
+            raise DomainError("supersolution grid must lie inside [0, D/2]")
     ck = find_ck(k, params)
     left = _carried(psi_left, ck - s, params)
     right = _carried(psi_right, k, ck + s, params)
-    half = params.half
     if left.interval[0] > 0.0 or max(left.interval[1], right.interval[1]) < half:
         raise CoverageError(
             f"existence intervals {left.interval} and {right.interval} "
@@ -566,12 +576,6 @@ def supersolution(k, s, params, z=None):
             f"gap between left branch end {left.interval[1]:.6g} and right "
             f"branch start {right.interval[0]:.6g}"
         )
-    if z is None:
-        z = np.linspace(0.0, half, _N_SAMPLES)
-    else:
-        z = np.asarray(z, dtype=float)
-        if z[0] < 0.0 or z[-1] > half * (1.0 + 1e-12):
-            raise DomainError("supersolution grid must lie inside [0, D/2]")
     vals = np.empty_like(z)
     z_minus = right.interval[0]
     left_only = z <= z_minus

@@ -213,7 +213,13 @@ def eval_gap_series(params, M):
 
 
 def eval_series_mp(params, M, branch="first", dps=50):
-    """Arbitrary-precision evaluation (same truncation as eval_series)."""
+    """Arbitrary-precision evaluation (same truncation as eval_series).
+
+    dps, mpmath's working decimal digits, must be an integer of at least 1,
+    from an int or an integral float (DomainError otherwise, before any
+    work).
+    """
+    dps = as_integer(dps, 1, "dps must be an integer >= 1")
     import mpmath
 
     from .model import validate

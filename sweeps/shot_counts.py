@@ -31,10 +31,10 @@ ended.  The stepper's own stage values are reused, not counted twice.
 The work that is no _scipy call is counted by wrapping the name its
 module calls (WRAPPED): flow._Workspace.step (attempted time steps),
 flow.solve_banded (band solves), flow.build_grid (grids and their
-nodes), pruefer.solve_ivp (which no route calls), and the exact engine's
-exact combinations: the calls of exact._lincomb (exact_lincombs) and of
-the same kernel under the name series imports it by (series_lincombs),
-the series_exact workload's only work.  The counts are summed
+nodes), and the exact engine's exact combinations: the calls of
+exact._lincomb (exact_lincombs) and of the same kernel under the name
+series imports it by (series_lincombs), the series_exact workload's only
+work.  The counts are summed
 by the slot kind perfbench gives each operation and over all of them.
 Every operation starts with an empty Robin-constant cache and empty memo
 caches in series and exact, as a command-line run and perfbench's worker
@@ -75,16 +75,15 @@ LEDGER = {("dop853_end", "gapmodel.spectral"): ("angle_shots", "angle_rhs"),
           ("dop853_dense", "gapmodel.flow"): ("grid_runs", "grid_rhs"),
           ("brent", "gapmodel._scipy"): ("brent_solves", None)}
 # (owner, wrapped name, call counter, size counter, size of one call's result)
-WRAPPED = ((pruefer, "solve_ivp", "ivp_solves", "ivp_rhs", lambda sol: sol.nfev),
-           (flow._Workspace, "step", "flow_steps", None, None),
+WRAPPED = ((flow._Workspace, "step", "flow_steps", None, None),
            (flow, "solve_banded", "band_solves", None, None),
            (flow, "build_grid", "grids", "grid_nodes", len),
            (exact, "_lincomb", "exact_lincombs", None, None),
            (series, "_lincomb", "series_lincombs", None, None))
 FIELDS = ("ops", "angle_shots", "angle_rhs", "eigenfunction_runs", "eigenfunction_rhs",
           "ck_shots", "ck_rhs", "dense_runs", "dense_rhs", "grid_runs", "grid_rhs",
-          "ivp_solves", "ivp_rhs", "brent_solves", "flow_steps", "band_solves", "grids",
-          "grid_nodes", "exact_lincombs", "series_lincombs")
+          "brent_solves", "flow_steps", "band_solves", "grids", "grid_nodes",
+          "exact_lincombs", "series_lincombs")
 # the memo caches perfbench's worker empties before every operation
 MEMO_CACHES = [f for mod in (series, exact) for f in vars(mod).values()
                if hasattr(f, "cache_clear")]

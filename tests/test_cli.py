@@ -502,6 +502,14 @@ class TestBounds:
         assert code == 2 and out == ""
         assert err == "error: lower bounds require n >= 3 (sec^2 >= 1 comparison), got n = 1\n"
 
+    @pytest.mark.parametrize("dims", ["3,1", "1,3"])
+    def test_refused_triple_costs_no_solve(self, dims, work, capsys):
+        # every triple's bounds are formed before the first gap is solved
+        code, out, err = run_main(["bounds", "--n", dims, "--K", "1", "--D", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: lower bounds require n >= 3 (sec^2 >= 1 comparison), got n = 1\n"
+        assert work == []
+
 
 class TestExitCodes:
     def test_pole_is_invalid_params(self, capsys):

@@ -28,6 +28,12 @@ class TestParams:
         assert p.half == 0.5
         assert validate((3, 1.0, 1.0)) == p
 
+    @pytest.mark.parametrize("params", [(1, 2), (3, 1.0, 1.0, 0.0), None, 5, "nKD?"])
+    def test_validate_refuses_what_is_no_triple(self, params):
+        # (1, 2) raised ValueError and None TypeError from the unpacking
+        with pytest.raises(DomainError, match="a ModelParams or an \\(n, K, D\\) triple"):
+            validate(params)
+
     def test_integer_like_dimension(self):
         assert ModelParams(n=4.0, K=0.0, D=1.0).n == 4
 

@@ -745,34 +745,25 @@ class TestCompiledBranches:
 
 
 class TestScipyInternals:
-    """dop853_dense's first call in a process checks the scipy internals it reads."""
+    """Loading _scipy checks the scipy internals dop853_dense reads."""
 
-    @staticmethod
-    def _run():
-        return _scipy.dop853_dense(lambda t, y: (y[1], -y[0]), 0.0, 1.0, [1.0, 0.0],
-                                   rtol=1e-10, atol=1e-10, event=None)
-
-    def test_checked_once_and_recorded_in_no_ledger(self, monkeypatch, work):
-        checks = []
-        check = _scipy._check_internals
-
-        def counted():
-            checks.append(1)
-            check()
-
-        monkeypatch.setattr(_scipy, "_checked", False)
-        monkeypatch.setattr(_scipy, "_check_internals", counted)
-        self._run()
-        self._run()
-        assert checks == [1] and _scipy._checked
-        assert [name for name, _, _ in work] == ["dop853_dense", "dop853_dense"]
-
-    def test_not_checked_at_import(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "from gapmodel import _scipy; print(_scipy._checked)"],
-            capture_output=True, text=True, timeout=60)
+    def test_checked_at_import(self):
+        # the check runs once, in the import, and the import succeeds
+        script = ("import sys\n"
+                  "calls = []\n"
+                  "sys.setprofile(lambda frame, event, arg: calls.append(1) if event == 'call' "
+                  "and frame.f_code.co_name == '_check_internals' else None)\n"
+                  "import gapmodel._scipy\n"
+                  "sys.setprofile(None)\n"
+                  "print(len(calls))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"]
+        assert proc.stdout.split() == ["1"]
+
+    def test_check_records_in_no_open_ledger(self, work):
+        _scipy._check_internals()
+        assert work == []
 
     @pytest.mark.parametrize("name,entry", [("A", (14, 5)), ("C", (13,)), ("D", (0, 0)),
                                             ("D", (3, 15))])
@@ -780,13 +771,11 @@ class TestScipyInternals:
         table = getattr(_scipy.tableau, name).copy()
         table[entry] *= 1.001
         monkeypatch.setattr(_scipy.tableau, name, table)
-        monkeypatch.setattr(_scipy, "_checked", False)
         with pytest.raises(ScipyInternalsError, match=f"scipy {re.escape(scipy.__version__)}"):
-            self._run()
-        # a failed check stands, and runs again on the next call
-        assert not _scipy._checked
+            _scipy._check_internals()
+        # a failed check stands, and fails again when run again
         with pytest.raises(ScipyInternalsError, match="from \\(cos, -sin\\)"):
-            self._run()
+            _scipy._check_internals()
 
     def test_changed_stage_calls_raise(self, monkeypatch):
         # a stepper that calls the right-hand side twice for each value it
@@ -798,9 +787,8 @@ class TestScipyInternals:
             return dopri853(lambda t, y: (fun(t, y), fun(t, y))[1], *args)
 
         monkeypatch.setattr(_scipy, "dopri853", twice)
-        monkeypatch.setattr(_scipy, "_checked", False)
         with pytest.raises(ScipyInternalsError, match=f"scipy {re.escape(scipy.__version__)}"):
-            self._run()
+            _scipy._check_internals()
 
     @pytest.mark.parametrize("changed", [
         lambda out, iwork: (*out, iwork),                  # the return tuple
@@ -814,10 +802,8 @@ class TestScipyInternals:
             return changed(dopri853(*args), args[9])
 
         monkeypatch.setattr(_scipy, "dopri853", direct)
-        monkeypatch.setattr(_scipy, "_checked", False)
         with pytest.raises(ScipyInternalsError, match=f"scipy {re.escape(scipy.__version__)}"):
-            _scipy.dop853_end(lambda t, y: [-y[0]], 0.0, 1.0, [1.0], rtol=1e-10, atol=1e-10)
-        assert not _scipy._checked
+            _scipy._check_internals()
 
 
 # The Robin profile (q, log r) at seven interior points z = j/8 D/2,
@@ -975,6 +961,14 @@ class TestSupersolution:
         assert gf.z.shape == (4,)
         with pytest.raises(DomainError):
             supersolution(10.0, 8.0, p, z=np.array([0.0, 0.6]))
+
+    @pytest.mark.parametrize("z", [[], [[0.0, 0.1], [0.2, 0.3]], 0.1, [0.0, np.nan, 0.5],
+                                   [0.0, 0.6], [0.0, 0.7, 0.5]])
+    def test_bad_grid_refused_before_any_solve(self, z, cold_ck, work):
+        # an empty grid raised IndexError, after find_ck's solve
+        with pytest.raises(DomainError, match="supersolution grid must"):
+            supersolution(10.0, 8.0, ModelParams(n=2, K=0.5, D=1.0), z=z)
+        assert work == []
 
 
 class TestEnvelopes:

@@ -2,11 +2,13 @@
 functions: the same bits on the same inputs, the same checks and errors,
 and the modules they load."""
 
+import ast
 import math
 import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,32 +272,21 @@ class TestSolveBanded:
 
 
 class TestKernelCheck:
-    """The first wrapper call in a process checks every directly called kernel."""
+    """Loading _scipy checks every directly called kernel; no wrapper checks again."""
 
-    @pytest.mark.parametrize("call", [
-        lambda: _scipy.brentq(math.cos, 0.0, 3.0),
-        lambda: _scipy.quad(math.exp, 0.0, 1.0),
-        lambda: _scipy.tridiagonal_eigenvalues(*_tridiagonal(9, 1), 1, 2, 0.0),
-        lambda: _scipy.solve_banded(*_band(9, 1)),
-        lambda: _scipy.dop853_end(lambda t, y: [-y[0]], 0.0, 1.0, [1.0], 1e-10, 1e-10),
-    ])
-    def test_each_wrapper_checks_first(self, monkeypatch, call):
-        checks = []
-        check = _scipy._check_internals
-        monkeypatch.setattr(_scipy, "_checked", False)
-        monkeypatch.setattr(_scipy, "_check_internals", lambda: (checks.append(1), check()))
-        call()
-        call()
-        assert checks == [1] and _scipy._checked
+    def test_only_the_module_load_checks(self):
+        # the one call of _check_internals is the module's last statement
+        tree = ast.parse(Path(_scipy.__file__).read_text())
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_check_internals"]
+        assert [call.lineno for call in calls] == [tree.body[-1].lineno]
 
     @pytest.mark.parametrize("kernel", ["_brentq", "_qagse", "stebz", "stein", "gtsv"])
     def test_changed_signature_raises(self, monkeypatch, kernel):
         original = getattr(_scipy, kernel)
         monkeypatch.setattr(_scipy, kernel, lambda *args: original(*args, 0))
-        monkeypatch.setattr(_scipy, "_checked", False)
         with pytest.raises(ScipyInternalsError, match=f"{VERSION}: the kernel check calls raised"):
-            _scipy.brentq(math.cos, 0.0, 3.0)
-        assert not _scipy._checked
+            _scipy._check_internals()
 
     @pytest.mark.parametrize("kernel,name,changed", [
         ("_brentq", "_brentq", lambda out: out * 2.0),
@@ -307,11 +298,31 @@ class TestKernelCheck:
     def test_changed_answer_raises(self, monkeypatch, kernel, name, changed):
         original = getattr(_scipy, kernel)
         monkeypatch.setattr(_scipy, kernel, lambda *args: changed(original(*args)))
-        monkeypatch.setattr(_scipy, "_checked", False)
         with pytest.raises(ScipyInternalsError, match=f"{VERSION}: the compiled kernels "
                                                       f"{{'{name}'"):
-            _scipy.quad(math.exp, 0.0, 1.0)
-        assert not _scipy._checked
+            _scipy._check_internals()
+
+    def test_wrong_kernel_fails_the_import(self):
+        # a _brentq that answers twice the root, registered before the import
+        script = (
+            "import importlib, sys, types\n"
+            "real = importlib.import_module('scipy.optimize._zeros')._brentq\n"
+            "wrong = types.ModuleType('scipy.optimize._zeros')\n"
+            "wrong._brentq = lambda *args: 2.0 * real(*args)\n"
+            "sys.modules['scipy.optimize._zeros'] = wrong\n"
+            "from gapmodel.errors import ScipyInternalsError\n"
+            "try:\n"
+            "    import gapmodel._scipy\n"
+            "except ScipyInternalsError as exc:\n"
+            "    print(exc)\n"
+            "print('gapmodel._scipy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        message, loaded = proc.stdout.splitlines()
+        assert re.match(f"{VERSION}: the compiled kernels {{'_brentq': '0.25'}} answer a "
+                        "known call", message), message
+        assert loaded == "False"
 
 
 class TestLoading:

@@ -179,6 +179,13 @@ class TestEvaluation:
             m = float(eval_series_mp((5, 1.2, 1.1), 4, branch=branch))
             assert f == pytest.approx(m, rel=1e-13)
 
+    @pytest.mark.parametrize("dps", [-3, 0, 2.5, True, "50"])
+    def test_mp_refuses_a_bad_precision(self, dps):
+        # dps = -3 and 0 once returned 16.0 and 6.0 here, against about 7.938
+        with pytest.raises(DomainError, match="dps must be an integer >= 1"):
+            eval_series_mp((5, 1.0, 1.0), 3, dps=dps)
+        assert eval_series_mp((5, 1.0, 1.0), 3, dps=50.0) == eval_series_mp((5, 1.0, 1.0), 3)
+
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_coefficients_are_correctly_rounded(self, n):
         """Every kappa^m coefficient to order 12 is the float nearest its
