@@ -28,12 +28,12 @@ solves are ``solve_banded`` (LAPACK's ``gtsv``).
 ``seeded_interval`` turns a collocation seed into an interval, and says
 whether it is narrow enough for a stacked two-end pass, which the caller
 runs.  ``seeded_root`` then finishes the root of an increasing function
-there: a checked linear interpolation of the pass's ends, or ``brentq``
-through ``brent``, which raises its iteration cap as
-``NonConvergenceError``.  Spectral's ``eigen_shoot`` and pruefer's
-``find_ck`` call each once per root, with their own pass and check runs,
-accept fraction, noise floor, Brent tolerances and error; spectral forms
-both eigenvalues' intervals of a gap first, to run their passes together.
+there: a checked linear interpolation of the pass's ends, or ``brent``,
+which raises its iteration cap as ``NonConvergenceError``.  Spectral's
+``eigen_shoot`` and pruefer's ``find_ck`` call each once per root, with
+their own pass and check runs, accept fraction, noise floor, Brent
+tolerances and error; spectral forms both eigenvalues' intervals of a gap
+first, to run their passes together.
 
 This is the one module that touches scipy, and it imports none of
 ``scipy.integrate``, ``scipy.optimize`` or ``scipy.linalg``: importing
@@ -58,7 +58,13 @@ later ``import scipy.integrate`` or ``import scipy.linalg`` reuses it.
 The wrappers give the bits of scipy's public functions around the same
 calls (``ode``'s dop853 integrator, ``brentq``, ``eigh_tridiagonal``,
 and ``quad`` and ``solve_banded`` at the one setting their caller uses),
-with the checks those make on the inputs gapmodel can pass; a missing
+with every check those make on what a kernel returns: LAPACK's info,
+QUADPACK's warnings, DOP853's return code, a NaN value of Brent's
+function and Brent's iteration cap.  They make none of those functions'
+checks on the arguments: a non-finite input is refused once, before any
+kernel runs, by ``ModelParams`` (a triple whose potential V is not a
+finite double) and the routes' own checks, and every call here passes
+fixed tolerances and arrays of the shapes the kernel reads.  A missing
 file raises ``ScipyInternalsError`` at import.
 
 These calls, and the DOP853 tableau, the order of the Fortran's calls
@@ -248,8 +254,9 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
     K[12] or f(t0); only K[13..15] are computed here, and the 7
     coefficients of each step's continuous extension are formed as in
     scipy's ``DOP853`` (Hairer, Norsett & Wanner, Solving ODEs I, sec.
-    II.5-6).  The event's root is found by ``brentq`` on the stopping
-    step's interpolant, with solve_ivp's tolerances.  Four callers use it:
+    II.5-6).  The event's root is found by the compiled ``_brentq`` on the
+    stopping step's interpolant, with solve_ivp's tolerances, and is
+    recorded in no ledger.  Four callers use it:
     pruefer's Riccati branches, whose event is the angle's pole, pruefer's
     Robin profile and spectral's (theta, log r) runs, which have none, and
     flow's ``build_grid``, whose event is the grid reaching z = 0 and whose
@@ -334,7 +341,8 @@ def dop853_dense(fun, t0, t1, y0, rtol, atol, event):
     if code == 2:  # stopped by the event
         last = _dense_evaluator(t[-2:], t_old[-1:], h[-1:], y_old[:, -1:], coeffs[:, :, -1:])
         eps4 = 4 * np.finfo(float).eps
-        out.t_event = brentq(lambda z: event(z, last(z)), t[-2], t[-1], xtol=eps4, rtol=eps4)
+        out.t_event = _brentq(lambda z: event(z, last(z)), t[-2], t[-1], eps4, eps4, _MAXITER,
+                              (), False, True)
         knots = np.append(t[:-1], out.t_event)
     out.sol = _dense_evaluator(knots, t_old, h, y_old, coeffs)
     return _record("dop853_dense", fun, out)
@@ -514,26 +522,19 @@ def _dense_evaluator(ts, t_old, h, y_old, coeffs):
 
 
 def _stebz(d, e, first, last, tol, order):
-    """(d, e, w, iblock, isplit) of LAPACK's dstebz for the first-th to
-    last-th smallest eigenvalues, with ``eigh_tridiagonal``'s checks.
+    """(w, iblock, isplit) of LAPACK's dstebz for the first-th to last-th
+    smallest eigenvalues; order "E" sorts w by value, "B" by the matrix's
+    blocks, as ``stein`` reads them.
 
-    d and e must be finite, one-dimensional and of lengths N and N - 1,
-    and 1 <= first <= last <= N, or ValueError; N = 1, for which
-    ``eigh_tridiagonal`` makes no call, fails in the call.  order "E"
-    sorts w by value, "B" by the matrix's blocks, as ``stein`` reads them.
+    None of ``eigh_tridiagonal``'s checks on the input is made: the one
+    caller, spectral's finite differences, passes finite 1-D arrays d and
+    e of lengths N - 1 and N - 2 (N >= 64 cells) and 1 <= first <= last
+    <= 2, and ``ModelParams`` refuses a triple whose potential would put a
+    non-finite value in d.  LAPACK's info is checked (``_check_info``).
     """
-    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
-    if d.ndim != 1 or e.ndim != 1:
-        raise ValueError("expected a 1-D array")
-    if d.size != e.size + 1:
-        raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
-    if last < first:
-        raise ValueError("select_range must be a 2-element array-like in nondecreasing order")
-    if first < 1 or last > d.size:
-        raise ValueError("select_range out of bounds")
-    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, first, last, float(tol), order)
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, first, last, tol, order)
     _check_info(info, "stebz (eigh_tridiagonal)")
-    return d, e, w[:m], iblock, isplit
+    return w[:m], iblock, isplit
 
 
 def _check_info(info, driver, positive="did not converge (LAPACK info=%d)"):
@@ -555,10 +556,9 @@ def tridiagonal_eigenpairs(d, e, first, last, tol):
     eigenvectors by inverse iteration; both are then sorted by value.
     Returns (w, v), the eigenvalues in ascending order and the
     eigenvectors in v's columns; a failure of either raises
-    ``numpy.linalg.LinAlgError``, and input ``eigh_tridiagonal`` refuses
-    ValueError.
+    ``numpy.linalg.LinAlgError``.  The input is not checked (see ``_stebz``).
     """
-    d, e, w, iblock, isplit = _stebz(d, e, first, last, tol, "B")
+    w, iblock, isplit = _stebz(d, e, first, last, tol, "B")
     v, info = stein(d, e, w, iblock, isplit)
     _check_info(info, "stein (eigh_tridiagonal)", "%d eigenvectors failed to converge")
     order = np.argsort(w)
@@ -573,7 +573,7 @@ def tridiagonal_eigenvalues(d, e, first, last, tol):
     in value order, as ``eigvalsh_tridiagonal`` makes it, without
     ``stein``'s eigenvectors.  A failure raises ``numpy.linalg.LinAlgError``.
     """
-    return _stebz(d, e, first, last, tol, "E")[2]
+    return _stebz(d, e, first, last, tol, "E")[0]
 
 
 def solve_banded(ab, rhs):
@@ -622,35 +622,32 @@ def quad(func, a, b):
     limit=200)`` gives them.
 
     QUADPACK's adaptive ``qagse``.  As ``quad`` does, an ier of 1-5 or 7
-    warns, with QUADPACK's message, and returns the estimates; ier 6,
-    invalid input, which these tolerances and this limit never give,
-    raises ValueError.
+    warns, with QUADPACK's message, and returns the estimates.  ier 6,
+    invalid input, is not checked: these tolerances and this limit never
+    give it, and bounds' one caller integrates a finite function over
+    [0, D/2] of a validated triple.
     """
     result, abserr, ier = _qagse(func, a, b, (), 0, _QUAD_TOL, _QUAD_TOL, _QUAD_LIMIT)
     if ier in _QUADPACK:
         warnings.warn(_QUADPACK[ier], UserWarning, stacklevel=2)
-    elif ier:
-        raise ValueError(f"QUADPACK qagse returned ier = {ier}")
     return result, abserr
 
 
-# scipy.optimize.brentq's defaults, its smallest rtol and its iteration cap
-_XTOL, _RTOL, _MAXITER = 2e-12, 4 * np.finfo(float).eps, 100
+_MAXITER = 100  # scipy.optimize.brentq's iteration cap
 
 
-def brentq(f, a, b, xtol=_XTOL, rtol=_RTOL):
-    """The root of f in [a, b] by Brent's method, as
-    ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)``.
+def brent(f, lo, hi, xtol, rtol):
+    """The root of f in [lo, hi] by Brent's method, as
+    ``scipy.optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol)``, with its
+    iteration cap raised as NonConvergenceError; the root is the result
+    the ledger records.
 
-    The compiled ``_brentq`` with ``brentq``'s checks: xtol <= 0 or rtol
-    below 4 eps raises ValueError, and so does a NaN value of f; f(a) and
-    f(b) of one sign raise its ValueError, and the iteration cap its
-    RuntimeError.  An exception raised by f propagates.
+    The compiled ``_brentq``, with ``brentq``'s checks on what f returns:
+    a NaN value of f raises ValueError, and f(lo) and f(hi) of one sign
+    raise ``_brentq``'s ValueError.  ``brentq``'s checks of xtol > 0 and
+    rtol >= 4 eps are not made: every caller passes fixed tolerances that
+    meet them.  An exception raised by f propagates.
     """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
 
     def checked(x):
         fx = f(x)
@@ -658,16 +655,11 @@ def brentq(f, a, b, xtol=_XTOL, rtol=_RTOL):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
-    return _brentq(checked, a, b, xtol, rtol, _MAXITER, (), False, True)
-
-
-def brent(f, lo, hi, **tol):
-    """brentq(f, lo, hi, **tol), with its iteration cap raised as
-    NonConvergenceError; the root is the result the ledger records."""
     try:
-        return _record("brent", f, brentq(f, lo, hi, **tol))
+        root = _brentq(checked, lo, hi, xtol, rtol, _MAXITER, (), False, True)
     except RuntimeError as exc:
         raise NonConvergenceError(f"Brent's method on [{lo:.6g}, {hi:.6g}]: {exc}") from None
+    return _record("brent", f, root)
 
 
 def __getattr__(name):
@@ -749,7 +741,7 @@ def seeded_root(g, lo, hi, a, b, ends, check, *, floor, accept, noise, xtol, rto
     evals = {}
 
     def shot(x):
-        # brentq re-evaluates the bracket ends; serve them from the cache
+        # Brent re-evaluates the bracket ends; serve them from the cache
         if x not in evals:
             evals[x] = g(x)
         return evals[x]

@@ -11,7 +11,8 @@ ended, by one function, so a failed run leaves an existing file as it was.
 Each (n, K, D) triple is validated once, into the ModelParams that its
 rows read; a row reads the library's result records (the eigen row the
 GapResult of spectral.gap(params, method), whose route table maps
---method to its solver, side column included; the series report
+--method to its solver, side column included: "flat", "unresolved",
+"below" or "above"; the series report
 check_reference's dict) and computes none of their values again.  Every
 table, flow's trajectory included, is written by _render_table.
 

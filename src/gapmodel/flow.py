@@ -270,23 +270,14 @@ def stationary_reference(k, params, z):
 # -- time stepping ------------------------------------------------------------
 
 
-def _dt0(D, v, tn2, out=None):
-    """Advection-limited step 0.02 D^2 / (1 + 0.05 D sup|2 psi - 2 tn|),
-    given 2 tn; the coefficient is formed in out if given."""
-    a = np.multiply(v, 2.0, out=out)
-    amax = float(np.max(np.abs(np.subtract(a, tn2, out=a), out=a)))
-    return 0.02 * D**2 / (1.0 + 0.05 * D * amax)
-
-
 def default_dt(state):
     """Advection-limited step 0.02 D^2 / (1 + 0.05 D sup|2 psi - 2 tn|).
 
     This is dt0, where the SER steps of `flow_to_stationary` start and the
     smallest dt they take; it is not a stability limit (the M-matrix
-    condition is checked on every step instead).
+    condition is checked on every step instead).  See `_Workspace.dt0`.
     """
-    params = state.params
-    return _dt0(params.D, state.psi.values, 2.0 * tn_array(state.psi.z, params.K))
+    return _Workspace(state.psi.z, state.params, state.k).dt0(state.psi.values)
 
 
 class _Workspace:
@@ -297,15 +288,18 @@ class _Workspace:
     a buffer, so a run evaluates it once per accepted step and shares it
     between the step's residual, its Jacobian and the Riccati defect.
     `jacobian` writes the three bands of J into the rows of the band matrix
-    ab, `residual` writes F into the interior of the right-hand side rhs,
-    and `solve` scales both by the step and solves in place, so a step makes
-    no array of the grid's size.  `step` is the flow's one implicit step,
-    boundary values kept; `flow_step`, `flow_to_stationary` and both sides
-    of `comparison_check` advance by it.  Each result stays in its buffer
-    until the next call that writes it.
+    ab and returns their row-sum limit on dt, `residual` writes F into the
+    interior of the right-hand side rhs, and `solve` scales both by the
+    step and solves in place, so a step makes no array of the grid's size.
+    `step` is the flow's one implicit step, boundary values kept and the
+    result projected for the Robin slope k; `flow_step`,
+    `flow_to_stationary` and both sides of `comparison_check` advance by
+    it, from `dt0`.  Each result stays in its buffer until the next call
+    that writes it.
     """
 
-    def __init__(self, z, params, ck=None):
+    def __init__(self, z, params, k, ck=None):
+        self.k, self.D = k, params.D
         self.c, self.d = _stencils(z)
         self.tn2 = 2.0 * tn_array(z, params.K)
         self.tn4 = 2.0 * self.tn2[1:-1]
@@ -339,9 +333,19 @@ class _Workspace:
         s += self.lam
         F -= np.multiply(self.tn2[1:-1], s, out=s)
 
+    def dt0(self, v):
+        """Advection-limited step 0.02 D^2 / (1 + 0.05 D sup|2 psi - 2 tn|)."""
+        a = np.multiply(v, 2.0)
+        amax = float(np.max(np.abs(np.subtract(a, self.tn2, out=a), out=a)))
+        return 0.02 * self.D**2 / (1.0 + 0.05 * self.D * amax)
+
     def jacobian(self, v, d1):
         """Tridiagonal Jacobian bands of the interior residual, into ab:
-        J+ to ab[0, 2:], J0 to ab[1, 1:-1] and J- to ab[2, :-2]."""
+        J+ to ab[0, 2:], J0 to ab[1, 1:-1] and J- to ab[2, :-2].
+
+        Returns the largest dt with every row sum of dt J at most 1 (inf if
+        none is positive), the row-sum limit of a step from these bands.
+        """
         vi, a, s = v[1:-1], self._a, self._s
         np.multiply(vi, 2.0, out=a)
         a -= self.tn2[1:-1]
@@ -355,13 +359,8 @@ class _Workspace:
         J0 += d_0
         J0 += np.multiply(d1, 2.0, out=s)
         J0 -= np.multiply(self.tn4, vi, out=s)
-
-    def row_sum_dt(self):
-        """Largest dt with every row sum of dt J at most 1 (inf if none is
-        positive), for the bands `jacobian` left in ab."""
-        ab, s = self.ab, self._s
-        np.add(ab[2, :-2], ab[1, 1:-1], out=s)
-        s += ab[0, 2:]
+        np.add(Jm, J0, out=s)
+        s += Jp
         top = float(np.max(s))
         return 1.0 / top if top > 0.0 else math.inf
 
@@ -400,15 +399,15 @@ class _Workspace:
 
     def step(self, v, dt, d1, out, dt_max):
         """Linearized implicit Euler: solve (I - dt J) delta = dt F, and
-        write v + delta into out, with v's boundary values at both ends;
-        out may be v.
+        write v + delta into out, with v's boundary values at both ends,
+        then project it (`_project`, for the workspace's k); out may be v.
 
         Freezing only the advection coefficient leaves the 2 psi' part of
         the Jacobian explicit, and inside the layer that term is of order
         k^2; taking the whole Jacobian implicit keeps the step stable at
         large dt and makes the exact discrete stationary state a fixed
-        point.  d1 is self.d1(v), ab holds self.jacobian(v, d1) and dt_max
-        is self.row_sum_dt() of those bands.  Raises StabilityError unless
+        point.  d1 is self.d1(v), ab holds the bands of self.jacobian(v, d1)
+        and dt_max is what that call returned.  Raises StabilityError unless
         I - dt J is an M-matrix: nonnegative off-diagonal bands of J and dt
         at most dt_max.
         """
@@ -425,6 +424,7 @@ class _Workspace:
         self.residual(v, d1)
         np.add(v, self.solve(1.0, dt), out=out)
         out[0], out[-1] = v[0], v[-1]
+        _project(out, self.k)
         return out
 
 
@@ -449,12 +449,10 @@ def _project(v, k):
 def flow_step(state, dt):
     """One linearly-implicit step (`_Workspace.step`), boundary values kept."""
     _check_positive("dt", dt)
-    ws = _Workspace(state.psi.z, state.params)
+    ws = _Workspace(state.psi.z, state.params, state.k)
     v = state.psi.values
     d1 = ws.d1(v)
-    ws.jacobian(v, d1)
-    out = ws.step(v, dt, d1, np.empty_like(v), ws.row_sum_dt())
-    _project(out, state.k)
+    out = ws.step(v, dt, d1, np.empty_like(v), ws.jacobian(v, d1))
     return FlowState(
         psi=GridFunction(z=state.psi.z, values=out),
         t=state.t + dt,
@@ -475,7 +473,7 @@ def riccati_residual(state):
     how hard finite differences find the layer, not how stationary the state
     is.
     """
-    ws = _Workspace(state.psi.z, state.params, find_ck(state.k, state.params))
+    ws = _Workspace(state.psi.z, state.params, state.k, find_ck(state.k, state.params))
     v = state.psi.values
     return ws.riccati(v, ws.d1(v))
 
@@ -543,7 +541,7 @@ def flow_to_stationary(initial, k, params, tol=1e-6, t_max=None, on_step=None):
     ck = _flow_ck(k, params)
     z = state.psi.z
     target = stationary_reference(k, params, z)
-    ws = _Workspace(z, params, ck)
+    ws = _Workspace(z, params, k, ck)
     v = state.psi.values.copy()
     new, gap = np.empty_like(v), np.empty_like(v)
 
@@ -557,15 +555,12 @@ def flow_to_stationary(initial, k, params, tol=1e-6, t_max=None, on_step=None):
     max_uptick = 0.0
     rejected = 0
     t = state.t
-    dt0 = dt = _dt0(params.D, v, ws.tn2, out=gap)  # default_dt(state)
+    dt0 = dt = ws.dt0(v)  # default_dt(state)
     rise_slack = 1e-12 * max(1.0, k)
     while dists[-1] > tol and t < t_max:
-        ws.jacobian(v, d1)
-        dt_max = ws.row_sum_dt()
+        dt_max = ws.jacobian(v, d1)
         step_dt = min(dt, t_max - t, dt_max)
-        ws.step(v, step_dt, d1, new, dt_max)
-        _project(new, k)
-        d = dist(new)
+        d = dist(ws.step(v, step_dt, d1, new, dt_max))
         if d - dists[-1] > rise_slack:
             if step_dt <= dt0:
                 raise NonConvergenceError(
@@ -612,7 +607,7 @@ def discrete_stationary(k, params, z=None, mesh_tol=DEFAULT_MESH_TOL):
     if z is None:
         z = build_grid(params, k, mesh_tol=mesh_tol)
     z = np.asarray(z, dtype=float)
-    ws = _Workspace(z, params)
+    ws = _Workspace(z, params, k)
     v = stationary_reference(k, params, z)
     v[0] = 0.0
     v[-1] = -k
@@ -643,7 +638,7 @@ def comparison_check(u, v, params, k, T):
     and positive and at most the flow's time cap T_MAX_FACTOR D^2 = 50 D^2
     (DomainError otherwise, before any step).  Each side is advanced by
     the flow's own step, as `flow_to_stationary` advances its state:
-    `_Workspace.step`, which keeps the boundary values, then `_project`.
+    `_Workspace.step`, which keeps the boundary values and projects.
     Each side has a workspace of its own, and both step at one dt on
     `flow_to_stationary`'s SER schedule without its rejections: dt starts
     at `default_dt` of u and doubles after every step up to D^2, and each
@@ -669,22 +664,20 @@ def comparison_check(u, v, params, k, T):
     if np.max(u.values - v.values) > 1e-12:
         raise HypothesisError("initial data are not ordered u <= v")
     z = u.z
-    wu, wv = _Workspace(z, params), _Workspace(z, params)
+    wu, wv = _Workspace(z, params, k), _Workspace(z, params, k)
     uu, vv = u.values.copy(), v.values.copy()
     diff = np.empty_like(uu)
     slack = 1e-9 * max(1.0, k)
     t = 0.0
     checked = 1
-    dt = _dt0(params.D, uu, wu.tn2, out=diff)  # default_dt of u
+    dt = wu.dt0(uu)  # default_dt of u
     worst = float(np.max(np.subtract(uu, vv, out=diff)))
     while t < T:
         du, dv = wu.d1(uu), wv.d1(vv)
-        wu.jacobian(uu, du)
-        wv.jacobian(vv, dv)
-        mu, mv = wu.row_sum_dt(), wv.row_sum_dt()
+        mu, mv = wu.jacobian(uu, du), wv.jacobian(vv, dv)
         step_dt = min(dt, T - t, mu, mv)
-        _project(wu.step(uu, step_dt, du, uu, mu), k)
-        _project(wv.step(vv, step_dt, dv, vv, mv), k)
+        wu.step(uu, step_dt, du, uu, mu)
+        wv.step(vv, step_dt, dv, vv, mv)
         t += step_dt
         dt = min(2.0 * step_dt, params.D**2)
         gap = float(np.max(np.subtract(uu, vv, out=diff)))

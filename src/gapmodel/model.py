@@ -16,7 +16,9 @@ Parameters live in ModelParams, which validates on construction:
 n is an integer >= 1, D > 0, and for K > 0 the strict cap K D^2 < pi^2
 keeps the interval inside the kernel's pole (cs > 0 on [-D/2, D/2]).
 For K < 0, cs(D/2)^2 = cosh(sqrt(-K) D/2)^2 must be a finite double,
-which holds down to K D^2 of about -5.058e5.
+which holds down to K D^2 of about -5.058e5.  V must be a finite double
+at z = 0 and z = D/2, its extremes, so a triple whose potential overflows
+is refused here, before any solver sees a non-finite value.
 """
 
 import math
@@ -36,7 +38,13 @@ class ModelParams:
     cs_K(D/2)^2 overflows a double, and with it the potential, the
     Rayleigh bound's integrand and the Robin angle equation.  So is a D
     whose D^2 or (pi/D)^2 is not a finite double (D above about 1.3e154
-    or below about 2.4e-154).
+    or below about 2.4e-154), and a triple whose potential V is not a
+    finite double at z = 0 or z = D/2, V's extremes since cs_K^2 is
+    monotone on [0, D/2]: a large K at a small D (n = 5, K = 9.8e306,
+    D = 1e-153 has K D^2 = 9.8 but V(D/2) overflows), or an n too large
+    for V's coefficients, about 1e154 at K = D = 1, or to convert to a
+    float at all.  The Robin and flow routes, which ignore n, share the
+    bound.
     """
 
     n: int
@@ -74,6 +82,17 @@ class ModelParams:
                 f"need cs_K(D/2)^2 finite, so K D^2 above about -5.058e5 "
                 f"(K = {self.K!r}, D = {self.D!r}, K D^2 = {self.K * self.D**2!r})"
             ) from None
+        # V's extremes; an n too large to convert to a float raises OverflowError
+        try:
+            V = potential_at(self)
+            finite = math.isfinite(V(0.0)) and math.isfinite(V(self.half))
+        except OverflowError:
+            finite = False
+        if not finite:
+            # an int of more than 4300 digits has no str
+            n = self.n if self.n < 2**64 else f"2^{self.n.bit_length() - 1} or more"
+            raise DomainError(f"need the potential V finite at z = 0 and z = D/2 "
+                              f"(n = {n}, K = {self.K!r}, D = {self.D!r})")
 
     @property
     def half(self):

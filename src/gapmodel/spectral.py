@@ -77,7 +77,8 @@ The two routes share no integration machinery, which is the point: their
 agreement is evidence, not tautology.  gap(params, method) is the pair
 entry of both: its table _ROUTES maps "shoot" and "fd" to the solver of
 both indices, and its GapResult carries the dichotomy's side ("flat",
-"below" or "above" 3 pi^2 / D^2).
+"unresolved" within the error estimates, or "below" or "above" 3 pi^2 /
+D^2).
 
 Also here: the same shooting applied to the first-order form (with the
 drift term, no gauge), and two roots of Gauss hypergeometric functions,
@@ -704,8 +705,12 @@ class GapResult:
     excess over reference = 3 pi^2 / D^2.
 
     side is the dichotomy's side: "flat" where V is constant (n = 1, n = 3
-    or K = 0), whose excess is rounding noise of either sign, else "below"
-    for a negative excess and "above" otherwise.  gap() makes every one.
+    or K = 0), whose excess is rounding noise of either sign; else
+    "unresolved" where |excess| is at most the sum of the two eigenvalues'
+    error estimates, so that its sign may be the routes' error (n = 2 at
+    K D^2 = 1e-9, whose true excess -3 K^2 D^2 / (32 pi^2) is -9.5e-21
+    against estimates near 1e-11); else "below" for a negative excess and
+    "above" for a positive one.  gap() makes every one.
     """
 
     lambda1: EigenResult
@@ -744,7 +749,9 @@ def gap(params, method="shoot"):
     g = r2.eigenvalue - r1.eigenvalue
     ref = 3.0 * math.pi**2 / params.D**2
     excess = g - ref
-    side = "flat" if params.flat else ("below" if excess < 0 else "above")
+    side = ("flat" if params.flat
+            else "unresolved" if abs(excess) <= r1.error_estimate + r2.error_estimate
+            else "below" if excess < 0 else "above")
     return GapResult(lambda1=r1, lambda2=r2, gap=g, reference=ref, excess=excess, side=side)
 
 

@@ -546,6 +546,21 @@ class TestExitCodes:
             "error: invalid parameter triples:"]
         assert "-5.058e5" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["eigen", "--method", "fd"], ["eigen"], ["bounds"], ["pruefer", "--k", "1"]], ids=" ".join)
+    def test_overflowing_potential_is_invalid_params(self, command):
+        # K D^2 = 9.8, but V(D/2) overflows; FD's array potential used to
+        # warn and its eigensolver's finite check to end in a traceback, and
+        # shooting and bounds to exit 3 after the warning
+        argv = [*command, "--n", "5", "--K", "9.8e306", "--D", "1e-153"]
+        proc = subprocess.run([sys.executable, "-m", "gapmodel.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+            "error: invalid parameter triples:"]
+        assert "potential V finite" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("K", ["0", "1"])
     @pytest.mark.parametrize("D", ["1e-200", "3e-154", "1e-100", "1e100", "1e200"])
     @pytest.mark.parametrize("command", [
@@ -755,6 +770,8 @@ STARTUP_CASES = {
     "pruefer": ["pruefer", "--k", "10", "--n", "2", "--K", "0,0.5", "--D", "1"],
     "flow": ["flow", "--n", "2", "--K", "0.5", "--D", "1", "--k", "10", "--tol", "1e-4",
              "--mesh-tol", "1e-3", "--emit-plot", "{plot}", "--snapshots", "2"],
+    "eigen_fd": ["eigen", "--method", "fd", "--n", "4", "--K", "0.5", "--D", "1"],
+    "bounds": ["bounds", "--n", "2,4", "--K", "0.5", "--D", "1"],
 }
 
 
@@ -839,12 +856,13 @@ class TestStartUp:
         if "plot" in run:
             assert run["plot"] == (GOLDEN / f"{case}.plot.csv").read_text()
 
-    @pytest.mark.parametrize("case", ["eigen_shoot", "pruefer", "flow"])
+    @pytest.mark.parametrize("case", ["eigen_shoot", "pruefer", "flow", "eigen_fd", "bounds"])
     def test_array_rows_load_only_the_compiled_kernels(self, case):
         # scipy's packages import scipy.special, scipy.sparse and
         # numpy.testing (with unittest and json); a row needs none of them
         _, run = startup_report("parser", STARTUP_CASES[case])
         assert run["code"] == 0
+        assert run["stdout"] == (GOLDEN / f"{case}.csv").read_text()
         heavy = {"scipy.integrate", "scipy.optimize", "scipy.linalg", "numpy.testing",
                  "unittest"}
         assert not heavy & set(run["modules"])

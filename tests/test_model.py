@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gapmodel import _scipy
 from gapmodel.errors import DomainError, PoleError
 from gapmodel.kernels import cs
 from gapmodel.model import (
@@ -76,6 +77,18 @@ class TestParams:
         # D^2 or (pi/D)^2 overflows a double; D**2 used to raise OverflowError
         with pytest.raises(DomainError, match="D\\^2 and \\(pi/D\\)\\^2 finite"):
             ModelParams(n=5, K=K, D=D)
+
+    @pytest.mark.parametrize("n,K,D", [(5, 9.8e306, 1e-153), (10**200, 1.0, 1.0),
+                                       (10**320, 1.0, 1.0), (10**5000, 1.0, 1.0)],
+                             ids=["K", "n1e200", "n1e320", "n1e5000"])
+    def test_rejects_overflowing_potential(self, n, K, D):
+        # K D^2 = 9.8 passes the cap but V(D/2) overflows a double; at n =
+        # 1e200 V's coefficients do, 10**320 converts to no float at all,
+        # and 10**5000 to no str
+        with _scipy.ledger() as work:
+            with pytest.raises(DomainError, match="potential V finite at z = 0 and z = D/2"):
+                ModelParams(n=n, K=K, D=D)
+        assert work == []
 
     @pytest.mark.parametrize("D", [1.3e154, 2.4e-154, 1e-100])
     def test_accepts_d_with_finite_scales(self, D):

@@ -103,7 +103,7 @@ def test_ledger_records_each_returned_call():
     with _scipy.ledger() as outer:
         with pytest.raises(ZeroDivisionError), _scipy.ledger() as inner:
             _scipy.dop853_end(decay, 0.0, 1.0, [1.0], rtol=1e-10, atol=1e-10)
-            _scipy.brent(lambda x: x - 1.0, 0.0, 3.0)
+            _scipy.brent(lambda x: x - 1.0, 0.0, 3.0, 2e-12, 8.9e-16)
             1 / 0
         assert _scipy._open is outer and outer == []
     assert [record[:2] for record in inner] == [("dop853_end", __name__), ("brent", __name__)]

@@ -1218,6 +1218,30 @@ class TestGap:
         assert gap((5, 1.0, 1.0)).side == "above"
 
     @pytest.mark.parametrize("method", ["shoot", "fd"])
+    def test_resolved_side_is_the_sign_of_the_coupling(self, method):
+        # at small kappa the excess has the sign of A = (n - 1)(n - 3), for
+        # either sign of K: n = 2's is -3 kappa^2 / (32 pi^2), -9.5e-21 at
+        # kappa = 1e-9, far inside the routes' estimates, where shooting read
+        # +1.5e-13 "above"; such an excess is "unresolved"
+        sides = {}
+        for n in (2, 4, 5):
+            for kappa in (1e-9, 1e-7, 1e-5, 1e-3, 0.1):
+                for K in (kappa, -kappa):
+                    g = gap((n, K, 1.0), method)
+                    sides[n, K] = g.side
+                    if g.side != "unresolved":
+                        assert g.side == ("below" if n == 2 else "above"), (n, K, g.excess)
+                    else:
+                        assert abs(g.excess) <= (g.lambda1.error_estimate
+                                                 + g.lambda2.error_estimate)
+        resolved = {K for (n, K), side in sides.items() if side != "unresolved"}
+        assert resolved == ({1e-3, -1e-3, 0.1, -0.1} if method == "shoot" else {0.1, -0.1})
+
+    def test_tiny_diameter_is_unresolved(self):
+        # the excess -7.6e186 lies inside the estimates' 1.2e190 at D = 1e-100
+        assert gap((5, 1.0, 1e-100)).side == "unresolved"
+
+    @pytest.mark.parametrize("method", ["shoot", "fd"])
     @pytest.mark.parametrize("triple", [(3, 1.0, 1.0), (1, 5.0, 1.0), (6, 0.0, 2.0)], ids=str)
     def test_constant_potential_is_flat_whatever_the_excess(self, triple, method):
         # the excess of a constant V is rounding noise of either sign:
